@@ -3,11 +3,12 @@
 //! increasing worker counts, verifying along the way that every worker
 //! count produces the byte-identical report.
 //!
-//! Prints one JSON document; `BENCH_sweep.json` at the repo root is a
-//! checked-in release-mode run of this binary. Scaling numbers are only
-//! meaningful relative to the recorded `cpus` value — on a single-core
-//! container every worker count necessarily lands within noise of
-//! jobs=1.
+//! Prints one JSON document. The recorded sweep figures are the
+//! `sweep-*` workloads of `benchmark/baseline/ledger.json` (see
+//! `benchmark/README.md`), not a checked-in run of this binary. Scaling
+//! numbers are only meaningful relative to the printed `cpus` value —
+//! on a single-core container every worker count necessarily lands
+//! within noise of jobs=1.
 
 use mpcp_service::json::Value;
 use mpcp_sweep::{run, SweepConfig};

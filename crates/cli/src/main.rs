@@ -125,7 +125,7 @@ fn main() -> ExitCode {
         }
         "dga" => {
             let (sys, seed) = build_system(&flags);
-            let default_horizon = sys.hyperperiod().ticks().saturating_mul(2).min(20_000);
+            let default_horizon = mpcp_dga::default_horizon(&sys).ticks();
             let horizon = Time::new(flag_u64(&flags, "horizon", default_horizon));
             run_dga(&sys, seed, horizon)
         }
@@ -450,16 +450,10 @@ fn run_dga(sys: &mpcp_model::System, seed: u64, horizon: Time) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let schedule = match DgaSchedule::compute(sys, horizon) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("dga: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let schedule = DgaSchedule::from_graph(sys, &graph, horizon);
     println!(
         "seed {seed}: {} critical-section vertices over {} resource chain(s), horizon t={}",
-        graph.vertices.len(),
+        graph.vertices().len(),
         schedule.chains.iter().filter(|c| !c.is_empty()).count(),
         horizon.ticks()
     );
@@ -468,7 +462,7 @@ fn run_dga(sys: &mpcp_model::System, seed: u64, horizon: Time) -> ExitCode {
         "{:<12} {:>4} {:<8} {:>8} {:>6}",
         "job", "sec", "resource", "est", "len"
     );
-    for v in &graph.vertices {
+    for v in graph.vertices() {
         println!(
             "{:<12} {:>4} {:<8} {:>8} {:>6}",
             format!("{}.{}", sys.task(v.job.task).name(), v.job.instance),

@@ -81,6 +81,52 @@ fn boolean_flags_do_not_need_values() {
     );
 }
 
+/// `mpcp dga` output is a contract: the graph table, the per-resource
+/// chains (the list scheduler's tie-break order) and the pinned slots,
+/// byte for byte. The golden is the output of the original quadratic
+/// list scheduler.
+#[test]
+fn dga_output_matches_golden() {
+    let out = mpcp()
+        .args([
+            "dga",
+            "--seed",
+            "3",
+            "--procs",
+            "2",
+            "--tasks",
+            "2",
+            "--gsections",
+            "2",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/dga_seed3_2x2_g2.txt"
+        );
+        std::fs::write(path, &text).unwrap();
+        return;
+    }
+    let golden = include_str!("golden/dga_seed3_2x2_g2.txt");
+    assert!(
+        text == golden,
+        "mpcp dga output drifted from tests/golden/dga_seed3_2x2_g2.txt at line {}",
+        text.lines()
+            .zip(golden.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or(text.lines().count().min(golden.lines().count()))
+            + 1
+    );
+}
+
 /// Kills the child even when an assertion panics mid-test.
 struct KillOnDrop(Child);
 

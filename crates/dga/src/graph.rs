@@ -21,6 +21,7 @@
 use mpcp_model::{Dur, JobId, Segment, System, Time};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Why the dependency-graph approach cannot handle a system.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,14 +71,15 @@ pub struct Edge {
 
 /// The critical-section dependency graph of a system over a scheduling
 /// window.
+///
+/// The fields are private because they are derived from one another:
+/// `edges` and `jobs` are functions of `vertices`, and the list
+/// scheduler relies on each job's vertices being contiguous.
 #[derive(Debug, Clone, Default)]
 pub struct DependencyGraph {
-    /// All critical-section vertices, grouped by job and in program
-    /// order within each job.
-    pub vertices: Vec<Vertex>,
-    /// Intra-job program-order edges (consecutive sections of the same
-    /// job). Mutual-exclusion edges are added by the scheduler.
-    pub edges: Vec<Edge>,
+    vertices: Vec<Vertex>,
+    edges: Vec<Edge>,
+    jobs: Vec<(JobId, Range<usize>)>,
 }
 
 impl DependencyGraph {
@@ -98,7 +100,7 @@ impl DependencyGraph {
                 )));
             }
         }
-        let mut graph = DependencyGraph::default();
+        let mut vertices = Vec::new();
         for task in system.tasks() {
             let mut instance = 0u32;
             while let Some(release) = task.try_release_of(instance) {
@@ -106,7 +108,6 @@ impl DependencyGraph {
                     break;
                 }
                 let job = JobId::new(task.id(), instance);
-                let first = graph.vertices.len();
                 let mut lead = Dur::ZERO;
                 let mut sec_idx = 0usize;
                 for seg in task.body().segments() {
@@ -114,7 +115,7 @@ impl DependencyGraph {
                         Segment::Compute(d) | Segment::Suspend(d) => lead += *d,
                         Segment::Critical(resource, inner) => {
                             let duration: Dur = inner.iter().map(Segment::compute_demand).sum();
-                            graph.vertices.push(Vertex {
+                            vertices.push(Vertex {
                                 job,
                                 sec_idx,
                                 resource: *resource,
@@ -126,21 +127,67 @@ impl DependencyGraph {
                         }
                     }
                 }
-                for i in first..graph.vertices.len().saturating_sub(1) {
-                    graph.edges.push(Edge { from: i, to: i + 1 });
-                }
                 instance += 1;
             }
         }
-        Ok(graph)
+        Ok(Self::from_vertices(vertices))
+    }
+
+    /// The graph over `vertices`, which must be grouped by job in
+    /// ascending [`JobId`] order and in program order within each job
+    /// (what [`build`](Self::build) emits): derives the intra-job edges
+    /// and each job's vertex range in one pass.
+    pub(crate) fn from_vertices(vertices: Vec<Vertex>) -> Self {
+        let mut edges = Vec::new();
+        let mut jobs: Vec<(JobId, Range<usize>)> = Vec::new();
+        for (i, v) in vertices.iter().enumerate() {
+            match jobs.last_mut() {
+                Some((job, range)) if *job == v.job => {
+                    edges.push(Edge { from: i - 1, to: i });
+                    range.end = i + 1;
+                }
+                last => {
+                    debug_assert!(
+                        last.is_none_or(|(job, _)| *job < v.job),
+                        "vertices not grouped by ascending job at {i}"
+                    );
+                    jobs.push((v.job, i..i + 1));
+                }
+            }
+            debug_assert_eq!(v.sec_idx, i - jobs[jobs.len() - 1].1.start);
+        }
+        DependencyGraph {
+            vertices,
+            edges,
+            jobs,
+        }
+    }
+
+    /// All critical-section vertices, grouped by job (ascending
+    /// [`JobId`]) and in program order within each job.
+    pub fn vertices(&self) -> &[Vertex] {
+        &self.vertices
+    }
+
+    /// Intra-job program-order edges (consecutive sections of the same
+    /// job). Mutual-exclusion edges are added by the scheduler.
+    pub fn edges(&self) -> &[Edge] {
+        &self.edges
+    }
+
+    /// Every job owning at least one vertex, with its contiguous range
+    /// in [`vertices`](Self::vertices), in ascending job order.
+    pub fn jobs(&self) -> &[(JobId, Range<usize>)] {
+        &self.jobs
     }
 
     /// Vertices of `job`, in program order.
     pub fn vertices_of(&self, job: JobId) -> impl Iterator<Item = (usize, &Vertex)> {
-        self.vertices
-            .iter()
-            .enumerate()
-            .filter(move |(_, v)| v.job == job)
+        let range = self
+            .jobs
+            .binary_search_by_key(&job, |(j, _)| *j)
+            .map_or(0..0, |at| self.jobs[at].1.clone());
+        range.map(move |i| (i, &self.vertices[i]))
     }
 }
 
@@ -177,22 +224,26 @@ mod tests {
         let sys = sys_two_sections();
         let g = DependencyGraph::build(&sys, Time::new(20)).unwrap();
         // Task a: 2 instances × 2 sections; task b: 1 instance × 1.
-        assert_eq!(g.vertices.len(), 5);
+        assert_eq!(g.vertices().len(), 5);
         let a0: Vec<_> = g
-            .vertices
-            .iter()
-            .filter(|v| v.job.task.index() == 0 && v.job.instance == 0)
+            .vertices_of(JobId::new(sys.tasks()[0].id(), 0))
+            .map(|(_, v)| v)
             .collect();
         assert_eq!(a0[0].est, Time::new(1)); // after 1 tick of compute
         assert_eq!(a0[1].est, Time::new(4)); // 1 + 2 (section) + 1
         assert_eq!(a0[0].sec_idx, 0);
         assert_eq!(a0[1].sec_idx, 1);
         // One intra-job edge per instance of task a, none for b.
-        assert_eq!(g.edges.len(), 2);
-        for e in &g.edges {
-            assert_eq!(g.vertices[e.from].job, g.vertices[e.to].job);
-            assert!(g.vertices[e.from].sec_idx < g.vertices[e.to].sec_idx);
+        assert_eq!(g.edges().len(), 2);
+        for e in g.edges() {
+            assert_eq!(g.vertices()[e.from].job, g.vertices()[e.to].job);
+            assert!(g.vertices()[e.from].sec_idx < g.vertices()[e.to].sec_idx);
         }
+        // Three jobs own vertices; their ranges tile the vertex list.
+        let ranges: Vec<_> = g.jobs().iter().map(|(_, r)| r.clone()).collect();
+        assert_eq!(ranges, [0..2, 2..4, 4..5]);
+        let b1 = JobId::new(sys.tasks()[1].id(), 1);
+        assert_eq!(g.vertices_of(b1).count(), 0); // released at the horizon
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!
 //! 1. [`DependencyGraph::build`] — vertices and intra-job edges from
 //!    the task model ([`graph`]).
-//! 2. [`DgaSchedule::compute`] — list scheduling fixes per-resource
+//! 2. [`DgaSchedule::from_graph`] ([`DgaSchedule::compute`] is steps 1
+//!    and 2 together) — O(n log n) list scheduling fixes per-resource
 //!    chains, then one deterministic construction run pins exact slots,
 //!    per-task response bounds, makespan, and a feasibility verdict
 //!    ([`schedule`]).
@@ -33,8 +34,10 @@
 
 pub mod graph;
 pub mod policy;
+#[cfg(test)]
+mod reference;
 pub mod schedule;
 
 pub use graph::{DependencyGraph, DgaError, Edge, Vertex};
 pub use policy::DgaReplay;
-pub use schedule::{ChainEntry, DgaSchedule, TaskBound};
+pub use schedule::{default_horizon, horizon_capped, ChainEntry, DgaSchedule, TaskBound};

@@ -23,22 +23,22 @@
 //!   construction run event for event, which the monitor's schedule
 //!   conformance check verifies externally.
 
-use crate::schedule::DgaSchedule;
+use crate::schedule::{default_horizon, ChainEntry, DgaSchedule};
 use mpcp_model::{JobId, ResourceId, System, Time};
 use mpcp_sim::{Ctx, LockResult, Protocol};
+use std::sync::Arc;
 
 /// How the replay policy obtains its chain orders and slots.
 #[derive(Debug, Clone)]
 enum Mode {
     /// Compute a [`DgaSchedule`] in `init` (at the given horizon, or
-    /// two hyperperiods capped at 20 000 ticks), then behave as
-    /// `Replay`.
+    /// [`default_horizon`]), then behave as `Replay`.
     Auto { horizon: Option<Time> },
-    /// Gate on chain order only and record observed grant/release
-    /// instants per chain position.
-    Construct { orders: Vec<Vec<JobId>> },
+    /// Gate on chain order only and record the observed grant/release
+    /// instants into the chains' (initially empty) slots.
+    Construct(Vec<Vec<ChainEntry>>),
     /// Gate on chain order and start slots of a computed schedule.
-    Replay(Box<DgaSchedule>),
+    Replay(Arc<DgaSchedule>),
 }
 
 /// Replays an offline DGA critical-section schedule (see the module
@@ -50,16 +50,13 @@ pub struct DgaReplay {
     cursor: Vec<usize>,
     /// Current holder and its chain position, per resource.
     active: Vec<Option<(JobId, usize)>>,
-    /// Blocked `(resource index, job)` requests awaiting their turn.
-    waiting: Vec<(usize, JobId)>,
-    /// Construct-mode recordings: `(grant, release)` instants per chain
-    /// position, indexed like the chain orders.
-    observed: Vec<Vec<(Option<Time>, Option<Time>)>>,
+    /// Blocked jobs awaiting their turn, per resource.
+    waiting: Vec<Vec<JobId>>,
 }
 
 impl DgaReplay {
-    /// A replay policy that computes its own schedule in `init` over a
-    /// default horizon of two hyperperiods (capped at 20 000 ticks).
+    /// A replay policy that computes its own schedule in `init` over
+    /// [`default_horizon`] (two hyperperiods, capped at 20 000 ticks).
     ///
     /// `init` panics if the schedule cannot be constructed (nested
     /// critical sections); use [`DgaSchedule::compute`] first to handle
@@ -77,13 +74,29 @@ impl DgaReplay {
 
     /// A replay policy for an already-computed schedule.
     pub fn from_schedule(schedule: DgaSchedule) -> Self {
-        Self::with_mode(Mode::Replay(Box::new(schedule)))
+        Self::from_shared(Arc::new(schedule))
+    }
+
+    /// [`DgaReplay::from_schedule`] for a caller that keeps using the
+    /// schedule (its bounds, its verdict) after handing it over.
+    pub fn from_shared(schedule: Arc<DgaSchedule>) -> Self {
+        Self::with_mode(Mode::Replay(schedule))
     }
 
     /// A construct-mode policy: enforce `orders` and record observed
-    /// grant/release instants. Used by [`DgaSchedule::compute`].
+    /// grant/release instants. Used by [`DgaSchedule::from_graph`].
     pub(crate) fn construct(orders: Vec<Vec<JobId>>) -> Self {
-        Self::with_mode(Mode::Construct { orders })
+        let unpinned = |job| ChainEntry {
+            job,
+            start: None,
+            end: None,
+        };
+        Self::with_mode(Mode::Construct(
+            orders
+                .into_iter()
+                .map(|order| order.into_iter().map(unpinned).collect())
+                .collect(),
+        ))
     }
 
     fn with_mode(mode: Mode) -> Self {
@@ -92,7 +105,6 @@ impl DgaReplay {
             cursor: Vec::new(),
             active: Vec::new(),
             waiting: Vec::new(),
-            observed: Vec::new(),
         }
     }
 
@@ -105,40 +117,33 @@ impl DgaReplay {
         }
     }
 
-    /// Construct-mode recordings, indexed like the chain orders.
-    pub(crate) fn recorded(&self) -> &[Vec<(Option<Time>, Option<Time>)>] {
-        &self.observed
-    }
-
-    fn chain_len(&self, r: usize) -> usize {
-        match &self.mode {
-            Mode::Construct { orders } => orders.get(r).map_or(0, Vec::len),
-            Mode::Replay(s) => s.chains.get(r).map_or(0, Vec::len),
-            Mode::Auto { .. } => 0,
+    /// The chains of a finished construction run, slots filled in with
+    /// the observed instants (empty in the other modes).
+    pub(crate) fn into_constructed(self) -> Vec<Vec<ChainEntry>> {
+        match self.mode {
+            Mode::Construct(chains) => chains,
+            _ => Vec::new(),
         }
     }
 
-    /// The job owed the next grant of resource `r`, if any remain.
-    fn expected(&self, r: usize) -> Option<JobId> {
-        let pos = self.cursor[r];
+    fn chains(&self) -> &[Vec<ChainEntry>] {
         match &self.mode {
-            Mode::Construct { orders } => orders.get(r).and_then(|c| c.get(pos)).copied(),
-            Mode::Replay(s) => s.chains.get(r).and_then(|c| c.get(pos)).map(|e| e.job),
-            Mode::Auto { .. } => None,
+            Mode::Construct(chains) => chains,
+            Mode::Replay(s) => &s.chains,
+            Mode::Auto { .. } => &[],
         }
+    }
+
+    /// The next ungranted entry of resource `r`'s chain, if any remain.
+    fn next_entry(&self, r: usize) -> Option<&ChainEntry> {
+        self.chains().get(r)?.get(self.cursor[r])
     }
 
     /// The pinned start slot of the next grant of `r` (`None` gates on
-    /// order only — construct mode, or a horizon-truncated entry).
+    /// order only — construct mode, where an ungranted entry has no
+    /// slot yet, or a horizon-truncated entry).
     fn slot(&self, r: usize) -> Option<Time> {
-        match &self.mode {
-            Mode::Replay(s) => s
-                .chains
-                .get(r)
-                .and_then(|c| c.get(self.cursor[r]))
-                .and_then(|e| e.start),
-            _ => None,
-        }
+        self.next_entry(r)?.start
     }
 
     fn holder(&self, r: usize) -> Option<JobId> {
@@ -151,8 +156,8 @@ impl DgaReplay {
         let pos = self.cursor[r];
         self.active[r] = Some((job, pos));
         self.cursor[r] = pos + 1;
-        if let Some(obs) = self.observed.get_mut(r) {
-            obs[pos].0 = Some(now);
+        if let Mode::Construct(chains) = &mut self.mode {
+            chains[r][pos].start = Some(now);
         }
     }
 
@@ -163,14 +168,10 @@ impl DgaReplay {
         if self.active[r].is_some() {
             return;
         }
-        let Some(next) = self.expected(r) else {
+        let Some(&ChainEntry { job: next, .. }) = self.next_entry(r) else {
             return;
         };
-        let Some(wpos) = self
-            .waiting
-            .iter()
-            .position(|&(wr, wj)| wr == r && wj == next)
-        else {
+        let Some(wpos) = self.waiting[r].iter().position(|&w| w == next) else {
             return;
         };
         if let Some(t) = self.slot(r) {
@@ -179,7 +180,7 @@ impl DgaReplay {
                 return;
             }
         }
-        self.waiting.swap_remove(wpos);
+        self.waiting[r].swap_remove(wpos);
         self.mark_granted(r, next, ctx.now());
         ctx.grant_lock(next, ResourceId::from_index(r as u32));
     }
@@ -198,29 +199,21 @@ impl Protocol for DgaReplay {
 
     fn init(&mut self, system: &System) {
         if let Mode::Auto { horizon } = &self.mode {
-            let h = horizon.unwrap_or_else(|| {
-                Time::new(system.hyperperiod().ticks().saturating_mul(2).min(20_000))
-            });
+            let h = horizon.unwrap_or_else(|| default_horizon(system));
             let schedule = DgaSchedule::compute(system, h)
                 .expect("DGA schedule construction failed (nested critical sections?)");
-            self.mode = Mode::Replay(Box::new(schedule));
+            self.mode = Mode::Replay(Arc::new(schedule));
         }
         let n = system.resources().len();
         self.cursor = vec![0; n];
         self.active = vec![None; n];
-        self.waiting.clear();
-        self.observed = match &self.mode {
-            Mode::Construct { orders } => {
-                orders.iter().map(|c| vec![(None, None); c.len()]).collect()
-            }
-            _ => Vec::new(),
-        };
+        self.waiting = vec![Vec::new(); n];
     }
 
     fn on_lock(&mut self, ctx: &mut Ctx<'_>, job: JobId, resource: ResourceId) -> LockResult {
         let r = resource.index();
         let free = self.active[r].is_none();
-        let is_next = self.expected(r) == Some(job);
+        let is_next = self.next_entry(r).is_some_and(|e| e.job == job);
         if free && is_next {
             match self.slot(r) {
                 Some(t) if ctx.now() < t => {
@@ -233,7 +226,7 @@ impl Protocol for DgaReplay {
                 }
             }
         }
-        self.waiting.push((r, job));
+        self.waiting[r].push(job);
         LockResult::Blocked {
             holder: self.holder(r),
         }
@@ -243,8 +236,8 @@ impl Protocol for DgaReplay {
         let r = resource.index();
         if let Some((holder, pos)) = self.active[r].take() {
             debug_assert_eq!(holder, job, "unlock by non-holder");
-            if let Some(obs) = self.observed.get_mut(r) {
-                obs[pos].1 = Some(ctx.now());
+            if let Mode::Construct(chains) = &mut self.mode {
+                chains[r][pos].end = Some(ctx.now());
             }
         }
         self.pump(ctx, r);
@@ -252,9 +245,7 @@ impl Protocol for DgaReplay {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>) {
         for r in 0..self.cursor.len() {
-            if self.chain_len(r) > self.cursor[r] {
-                self.pump(ctx, r);
-            }
+            self.pump(ctx, r);
         }
     }
 }

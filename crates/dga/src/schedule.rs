@@ -7,13 +7,18 @@
 //! is availability-gated: a vertex becomes selectable only once all of
 //! its job's earlier sections have been appended, so the append order
 //! is a topological order of the combined graph (intra-job edges plus
-//! chain edges) and the result is acyclic by construction.
+//! chain edges) and the result is acyclic by construction. At most one
+//! vertex per job is selectable at a time, so the selectable set lives
+//! in a binary heap seeded with every job's first section; popping the
+//! minimum pushes that job's next section: O(n log n) in the number of
+//! vertices.
 //!
 //! Tie-breaks, in order: earliest possible start ([`Vertex::est`]),
 //! then *longest critical section first* (the classic list-scheduling
 //! heuristic — long sections fill semaphore idle gaps worst, so they
-//! go first), then task index, instance, and section index for full
-//! determinism.
+//! go first), then task index and instance for full determinism (a
+//! job never has two selectable sections, so the key is unique among
+//! the heap's entries).
 //!
 //! Chain orders alone do not pin instants. [`DgaSchedule::compute`]
 //! therefore runs the deterministic simulator once in *construct* mode
@@ -27,7 +32,20 @@ use crate::graph::{DependencyGraph, DgaError};
 use crate::policy::DgaReplay;
 use mpcp_model::{Dur, JobId, System, TaskId, Time};
 use mpcp_sim::{ExpectedGrants, SimConfig, Simulator};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The scheduling (and simulation) window for `system`: two
+/// hyperperiods, capped at `cap` ticks.
+pub fn horizon_capped(system: &System, cap: u64) -> Time {
+    Time::new(system.hyperperiod().ticks().saturating_mul(2).min(cap))
+}
+
+/// [`horizon_capped`] at 20 000 ticks: the window [`DgaReplay::new`]
+/// and `mpcp dga` schedule when none is given.
+pub fn default_horizon(system: &System) -> Time {
+    horizon_capped(system, 20_000)
+}
 
 /// One scheduled critical section within a resource's chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,45 +94,33 @@ pub struct DgaSchedule {
 }
 
 impl DgaSchedule {
-    /// Builds the dependency graph for `system`, list-schedules it, and
-    /// pins slots/bounds via a construction run over `[0, horizon)`.
+    /// Builds the dependency graph for `system`, then schedules it with
+    /// [`DgaSchedule::from_graph`].
     ///
     /// # Errors
     ///
     /// [`DgaError::NotApplicable`] when the graph cannot be built (see
     /// [`DependencyGraph::build`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the construction run observes more grants on a
-    /// semaphore than its chain has entries — impossible for the
-    /// deterministic engine, by construction of the replay policy.
     pub fn compute(system: &System, horizon: Time) -> Result<Self, DgaError> {
         let graph = DependencyGraph::build(system, horizon)?;
-        let orders = list_schedule(&graph, system.resources().len());
+        Ok(Self::from_graph(system, &graph, horizon))
+    }
 
+    /// List-schedules `graph` — which must be
+    /// [`DependencyGraph::build`]'s for the same `system` and `horizon`
+    /// — and pins slots/bounds via a construction run over
+    /// `[0, horizon)`.
+    pub fn from_graph(system: &System, graph: &DependencyGraph, horizon: Time) -> Self {
+        let orders = list_schedule(graph, system.resources().len());
         let mut sim = Simulator::with_config(
             system,
-            DgaReplay::construct(orders.clone()),
+            DgaReplay::construct(orders),
             SimConfig {
                 record_trace: false,
                 ..SimConfig::until(horizon.ticks())
             },
         );
         sim.run();
-
-        let recorded = sim.protocol().recorded();
-        let chains = orders
-            .iter()
-            .zip(recorded)
-            .map(|(order, times)| {
-                order
-                    .iter()
-                    .zip(times)
-                    .map(|(&job, &(start, end))| ChainEntry { job, start, end })
-                    .collect()
-            })
-            .collect::<Vec<Vec<ChainEntry>>>();
 
         let metrics = sim.metrics();
         let bounds = metrics
@@ -128,15 +134,17 @@ impl DgaSchedule {
             })
             .collect();
 
+        let accepted = sim.misses() == 0;
+        let chains = sim.into_protocol().into_constructed();
         let makespan = chains.iter().flatten().filter_map(|e| e.end).max();
 
-        Ok(DgaSchedule {
+        DgaSchedule {
             horizon,
             chains,
             bounds,
             makespan,
-            accepted: sim.misses() == 0,
-        })
+            accepted,
+        }
     }
 
     /// The schedule as the monitor's expected-grant sequences, for
@@ -161,30 +169,32 @@ impl DgaSchedule {
 /// Serializes the graph's vertices into per-resource chains (see the
 /// module docs for the selection rule).
 pub(crate) fn list_schedule(graph: &DependencyGraph, resources: usize) -> Vec<Vec<JobId>> {
-    let n = graph.vertices.len();
-    let mut next: HashMap<JobId, usize> = HashMap::new();
-    let mut done = vec![false; n];
+    let vertices = graph.vertices();
+    // Min-heap entry for vertex `i` of a job whose range ends at `end`:
+    // the selection key, then the two indices (never compared — the
+    // key is unique among selectable vertices).
+    let entry = |i: usize, end: usize| {
+        let v = &vertices[i];
+        let key = (
+            v.est,
+            Reverse(v.duration),
+            v.job.task.index(),
+            v.job.instance,
+        );
+        Reverse((key, i, end))
+    };
+    let mut selectable: BinaryHeap<_> = graph
+        .jobs()
+        .iter()
+        .map(|(_, range)| entry(range.start, range.end))
+        .collect();
     let mut orders = vec![Vec::new(); resources];
-    for _ in 0..n {
-        let pick = (0..n)
-            .filter(|&i| {
-                let v = &graph.vertices[i];
-                !done[i] && v.sec_idx == next.get(&v.job).copied().unwrap_or(0)
-            })
-            .min_by_key(|&i| {
-                let v = &graph.vertices[i];
-                (
-                    v.est,
-                    std::cmp::Reverse(v.duration),
-                    v.job.task.index(),
-                    v.job.instance,
-                )
-            })
-            .expect("availability gating always leaves a selectable vertex");
-        let v = &graph.vertices[pick];
-        done[pick] = true;
-        *next.entry(v.job).or_insert(0) += 1;
+    while let Some(Reverse((_, i, end))) = selectable.pop() {
+        let v = &vertices[i];
         orders[v.resource.index()].push(v.job);
+        if i + 1 < end {
+            selectable.push(entry(i + 1, end));
+        }
     }
     orders
 }
@@ -192,9 +202,149 @@ pub(crate) fn list_schedule(graph: &DependencyGraph, resources: usize) -> Vec<Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Vertex;
     use crate::policy::DgaReplay;
-    use mpcp_model::{Body, System, TaskDef};
+    use crate::reference::list_schedule_reference;
+    use mpcp_model::{Body, ResourceId, System, TaskDef};
     use mpcp_sim::{Monitor, MonitorSpec};
+
+    fn job(task: u32, instance: u32) -> JobId {
+        JobId::new(TaskId::from_index(task), instance)
+    }
+
+    /// One section of a hand-built graph: `(resource, est, duration)`.
+    type Section = (u32, u64, u64);
+
+    /// A hand-built graph: per job (ascending), its sections in program
+    /// order.
+    fn graph_of(jobs: &[(JobId, &[Section])]) -> DependencyGraph {
+        let vertices = jobs
+            .iter()
+            .flat_map(|&(job, sections)| {
+                sections
+                    .iter()
+                    .enumerate()
+                    .map(move |(sec_idx, &(r, est, len))| Vertex {
+                        job,
+                        sec_idx,
+                        resource: ResourceId::from_index(r),
+                        duration: Dur::new(len),
+                        est: Time::new(est),
+                    })
+            })
+            .collect();
+        DependencyGraph::from_vertices(vertices)
+    }
+
+    /// The heap scheduler's chains, asserted equal to the quadratic
+    /// reference's.
+    fn schedule_checked(graph: &DependencyGraph, resources: usize) -> Vec<Vec<JobId>> {
+        let orders = list_schedule(graph, resources);
+        assert_eq!(orders, list_schedule_reference(graph, resources));
+        orders
+    }
+
+    #[test]
+    fn equal_est_and_duration_fall_back_to_task_then_instance() {
+        // Everything ties on (est, duration); instances of one task tie
+        // on the task index too.
+        let g = graph_of(&[
+            (job(0, 0), &[(0, 5, 2)]),
+            (job(0, 1), &[(0, 5, 2)]),
+            (job(1, 0), &[(0, 5, 2)]),
+            (job(2, 0), &[(0, 5, 2)]),
+            (job(2, 1), &[(0, 5, 2)]),
+        ]);
+        assert_eq!(
+            schedule_checked(&g, 1),
+            [[job(0, 0), job(0, 1), job(1, 0), job(2, 0), job(2, 1)]]
+        );
+    }
+
+    #[test]
+    fn longest_section_first_among_equal_est() {
+        let g = graph_of(&[
+            (job(0, 0), &[(0, 3, 1)]),
+            (job(1, 0), &[(0, 3, 4)]),
+            (job(2, 0), &[(0, 2, 1)]),
+            (job(3, 0), &[(0, 3, 4)]),
+        ]);
+        assert_eq!(
+            schedule_checked(&g, 1),
+            [[job(2, 0), job(1, 0), job(3, 0), job(0, 0)]]
+        );
+    }
+
+    #[test]
+    fn later_sections_compete_only_once_selectable() {
+        // tau0's second section ties exactly with tau1's first and wins
+        // on task index; tau2's second section has the smallest key of
+        // all but is gated behind its first, which has the largest.
+        let g = graph_of(&[
+            (job(0, 0), &[(0, 1, 1), (1, 4, 2)]),
+            (job(1, 0), &[(1, 4, 2)]),
+            (job(2, 0), &[(0, 9, 1), (1, 0, 7)]),
+            (job(2, 1), &[(1, 4, 2), (0, 4, 2)]),
+        ]);
+        assert_eq!(
+            schedule_checked(&g, 2),
+            [
+                vec![job(0, 0), job(2, 1), job(2, 0)],
+                vec![job(0, 0), job(1, 0), job(2, 1), job(2, 0)],
+            ]
+        );
+    }
+
+    #[test]
+    fn a_job_without_sections_or_a_resource_without_users_is_fine() {
+        let g = graph_of(&[(job(0, 0), &[]), (job(1, 0), &[(2, 0, 1)])]);
+        assert_eq!(g.jobs().len(), 1);
+        assert_eq!(schedule_checked(&g, 3), [vec![], vec![], vec![job(1, 0)]]);
+        assert_eq!(
+            schedule_checked(&graph_of(&[]), 2),
+            [Vec::<JobId>::new(), Vec::new()]
+        );
+    }
+
+    /// 51 200 vertices whose order has a closed form: section `s` of
+    /// instance `k` of every task has `est = 4k + s` and unit length,
+    /// so sections are appended instance-major, then section, then
+    /// task. (The quadratic reference would need ~2.6 × 10⁹ key
+    /// comparisons here, which is why it is not consulted.)
+    #[test]
+    fn fifty_thousand_vertices_schedule_in_closed_form_order() {
+        const TASKS: u32 = 64;
+        const INSTANCES: u32 = 200;
+        const SECTIONS: u32 = 4;
+        const RESOURCES: u32 = 2;
+        let mut vertices = Vec::new();
+        for t in 0..TASKS {
+            for k in 0..INSTANCES {
+                for s in 0..SECTIONS {
+                    vertices.push(Vertex {
+                        job: job(t, k),
+                        sec_idx: s as usize,
+                        resource: ResourceId::from_index(s % RESOURCES),
+                        duration: Dur::new(1),
+                        est: Time::new(u64::from(k * SECTIONS + s)),
+                    });
+                }
+            }
+        }
+        let graph = DependencyGraph::from_vertices(vertices);
+        assert_eq!(graph.vertices().len(), 51_200);
+        let orders = list_schedule(&graph, RESOURCES as usize);
+        for r in 0..RESOURCES {
+            let expected: Vec<JobId> = (0..INSTANCES)
+                .flat_map(|k| {
+                    (r..SECTIONS)
+                        .step_by(RESOURCES as usize)
+                        .flat_map(move |_| (0..TASKS).map(move |t| job(t, k)))
+                })
+                .collect();
+            assert_eq!(orders[r as usize], expected, "resource {r}");
+        }
+    }
 
     /// Two processors contending on one global semaphore, second task
     /// with two sections per job.

@@ -25,7 +25,7 @@ fn workload(rng: &mut mpcp_prop::Rng) -> (System, u64) {
 }
 
 fn horizon_for(system: &System) -> Time {
-    Time::new(system.hyperperiod().ticks().saturating_mul(2).min(4_000))
+    mpcp_dga::horizon_capped(system, 4_000)
 }
 
 /// Maps each chain entry back to its vertex index: the k-th occurrence
@@ -42,7 +42,7 @@ fn chain_vertex_indices(graph: &DependencyGraph, schedule: &DgaSchedule) -> Vec<
                 .iter()
                 .map(|entry| {
                     let idx = graph
-                        .vertices
+                        .vertices()
                         .iter()
                         .enumerate()
                         .position(|(i, v)| {
@@ -66,14 +66,14 @@ fn combined_dependency_graph_is_acyclic() {
         let horizon = horizon_for(&sys);
         let graph = DependencyGraph::build(&sys, horizon).unwrap();
         let schedule = DgaSchedule::compute(&sys, horizon).unwrap();
-        let n = graph.vertices.len();
+        let n = graph.vertices().len();
         let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut indeg = vec![0usize; n];
         let add = |succs: &mut Vec<Vec<usize>>, indeg: &mut Vec<usize>, a: usize, b: usize| {
             succs[a].push(b);
             indeg[b] += 1;
         };
-        for e in &graph.edges {
+        for e in graph.edges() {
             add(&mut succs, &mut indeg, e.from, e.to);
         }
         for chain in chain_vertex_indices(&graph, &schedule) {
@@ -108,12 +108,12 @@ fn every_section_scheduled_exactly_once() {
         let schedule = DgaSchedule::compute(&sys, horizon).unwrap();
         assert_eq!(
             schedule.sections(),
-            graph.vertices.len(),
+            graph.vertices().len(),
             "seed {seed}: chain entries != vertices"
         );
         for (r, chain) in schedule.chains.iter().enumerate() {
             let expected = graph
-                .vertices
+                .vertices()
                 .iter()
                 .filter(|v| v.resource.index() == r)
                 .count();
@@ -123,7 +123,7 @@ fn every_section_scheduled_exactly_once() {
             for entry in chain {
                 let per_job = chain.iter().filter(|e| e.job == entry.job).count();
                 let vertices = graph
-                    .vertices
+                    .vertices()
                     .iter()
                     .filter(|v| v.job == entry.job && v.resource.index() == r)
                     .count();
@@ -173,7 +173,7 @@ fn intra_job_section_order_is_respected() {
             let idx = chain_vertex_indices(&graph, &schedule);
             for (entry, &v) in chain.iter().zip(&idx[r]) {
                 if let Some(start) = entry.start {
-                    per_job.push((entry.job, graph.vertices[v].sec_idx, start));
+                    per_job.push((entry.job, graph.vertices()[v].sec_idx, start));
                 }
             }
         }
@@ -231,4 +231,81 @@ fn replay_matches_offline_schedule() {
             .max();
         assert_eq!(observed, schedule.makespan, "seed {seed}: makespan");
     });
+}
+
+/// The selection rule executed literally: for every append, rescan all
+/// vertices for the selectable one (first section of its job, or its
+/// predecessor already appended) with the least `(est, longest first,
+/// task, instance)`. Θ(n²), and `min_by_key` keeps the first of equal
+/// minima.
+fn quadratic_chains(graph: &DependencyGraph, resources: usize) -> Vec<Vec<JobId>> {
+    let vertices = graph.vertices();
+    let mut done = vec![false; vertices.len()];
+    let mut chains = vec![Vec::new(); resources];
+    for _ in 0..vertices.len() {
+        let pick = (0..vertices.len())
+            .filter(|&i| !done[i] && (vertices[i].sec_idx == 0 || done[i - 1]))
+            .min_by_key(|&i| {
+                let v = &vertices[i];
+                (
+                    v.est,
+                    std::cmp::Reverse(v.duration),
+                    v.job.task.index(),
+                    v.job.instance,
+                )
+            })
+            .expect("a selectable vertex remains");
+        done[pick] = true;
+        chains[vertices[pick].resource.index()].push(vertices[pick].job);
+    }
+    chains
+}
+
+/// Differential check of the O(n log n) list scheduler against the
+/// quadratic rule it replaced, chain for chain, over `systems` seeded
+/// systems of `family` at the sweep's horizon.
+fn heap_scheduler_matches_quadratic_rule(family: &WorkloadConfig, systems: u64, seed: u64) {
+    cases(systems, seed, |rng| {
+        let seed = rng.range_u64(0, 99_999);
+        let sys = generate(&family.clone().utilization(rng.range_f64(0.3, 0.75)), seed);
+        let horizon = mpcp_dga::default_horizon(&sys);
+        let graph = DependencyGraph::build(&sys, horizon).unwrap();
+        let schedule = DgaSchedule::from_graph(&sys, &graph, horizon);
+        let chains: Vec<Vec<JobId>> = schedule
+            .chains
+            .iter()
+            .map(|c| c.iter().map(|e| e.job).collect())
+            .collect();
+        assert_eq!(
+            chains,
+            quadratic_chains(&graph, sys.resources().len()),
+            "seed {seed}: {} vertices",
+            graph.vertices().len()
+        );
+    });
+}
+
+/// The benchmark's everyday family: 4 processors × 3 tasks.
+#[test]
+fn heap_scheduler_matches_quadratic_rule_4x3() {
+    let family = WorkloadConfig::default()
+        .processors(4)
+        .tasks_per_processor(3)
+        .resources(1, 2)
+        .sections(0, 2);
+    heap_scheduler_matches_quadratic_rule(&family, 120, 0xD6A6);
+}
+
+/// The benchmark's wide family: 8 × 8 tasks, two forced global
+/// sections per job (about 2 000 vertices a system).
+#[test]
+fn heap_scheduler_matches_quadratic_rule_8x8() {
+    let family = WorkloadConfig::default()
+        .processors(8)
+        .tasks_per_processor(8)
+        .resources(1, 2)
+        .sections(0, 2)
+        .global_sections(2)
+        .periods(500, 5000);
+    heap_scheduler_matches_quadratic_rule(&family, 100, 0xD6A7);
 }

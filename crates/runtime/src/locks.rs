@@ -106,7 +106,9 @@ pub struct MpcpMutex<T> {
     data: Mutex<T>,
     spin: u32,
     /// Priority ceiling for debug-build lock-order checking; `None`
-    /// opts out (see [`MpcpMutex::with_ceiling`]).
+    /// opts out (see [`MpcpMutex::with_ceiling`]). Only debug builds
+    /// read it, so only debug builds carry it.
+    #[cfg(debug_assertions)]
     ceiling: Option<Priority>,
 }
 
@@ -137,6 +139,7 @@ impl<T> MpcpMutex<T> {
             cv: Condvar::new(),
             data: Mutex::new(value),
             spin,
+            #[cfg(debug_assertions)]
             ceiling: None,
         }
     }
@@ -151,8 +154,10 @@ impl<T> MpcpMutex<T> {
     /// increasing ceiling order rules out cross-thread deadlock (and
     /// MPCP forbids nesting global sections at all). Release builds do
     /// no checking. See the [`lockdep`] module docs.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     pub fn with_ceiling(value: T, ceiling: Priority) -> Self {
         MpcpMutex {
+            #[cfg(debug_assertions)]
             ceiling: Some(ceiling),
             ..Self::new(value)
         }

@@ -259,6 +259,12 @@ impl<P: Protocol> Simulator<P> {
         &self.protocol
     }
 
+    /// Ends the simulation and hands back the policy with whatever
+    /// state it accumulated over the run.
+    pub fn into_protocol(self) -> P {
+        self.protocol
+    }
+
     /// The recorded trace so far.
     pub fn trace(&self) -> &Trace {
         &self.trace

@@ -49,6 +49,7 @@ use mpcp_model::{Dur, System, Time};
 use mpcp_protocols::ProtocolKind;
 use mpcp_sim::{check, Monitor, ObservedBlocking, Protocol, SimConfig, Simulator};
 use mpcp_taskgen::Scenario;
+use std::sync::Arc;
 
 /// Reusable per-worker oracle scratch: one recycled simulator whose job
 /// arena, time heaps and scratch buffers persist across scenarios
@@ -254,7 +255,7 @@ impl ScenarioOutcome {
 
 /// Simulation horizon for `system`: two hyperperiods, capped.
 pub fn horizon_for(system: &System, cap: u64) -> u64 {
-    system.hyperperiod().ticks().saturating_mul(2).min(cap)
+    mpcp_dga::horizon_capped(system, cap).ticks()
 }
 
 /// Evaluates the full oracle for one scenario.
@@ -398,7 +399,9 @@ pub fn evaluate_system_in(
             // (nested sections) skip the arm entirely.
             let dga = if kind == ProtocolKind::Dga {
                 match DgaSchedule::compute(system, Time::new(horizon)) {
-                    Ok(s) => Some(s),
+                    // Shared, not cloned: the replay (and a capture
+                    // re-run) read the same schedule the checks below do.
+                    Ok(s) => Some(Arc::new(s)),
                     Err(_) => {
                         return ProtocolOutcome {
                             protocol: kind,
@@ -415,7 +418,7 @@ pub fn evaluate_system_in(
             };
             let build = || -> Box<dyn Protocol> {
                 match &dga {
-                    Some(s) => Box::new(DgaReplay::from_schedule(s.clone())),
+                    Some(s) => Box::new(DgaReplay::from_shared(Arc::clone(s))),
                     None => kind.build(),
                 }
             };

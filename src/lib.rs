@@ -13,6 +13,7 @@
 //! | [`core`] | priority ceilings, gcs priorities, protocol state machines |
 //! | [`sim`] | discrete-event multiprocessor scheduler simulation |
 //! | [`protocols`] | MPCP, DPCP, PIP, PCP, FIFO, non-preemptive policies |
+//! | [`dga`] | dependency-graph approach: offline critical-section scheduling and replay |
 //! | [`analysis`] | blocking bounds (§5.1) and schedulability (Theorem 3) |
 //! | [`taskgen`] | deterministic synthetic workload generation |
 //! | [`alloc`] | task-to-processor allocation heuristics |
@@ -53,6 +54,7 @@
 pub use mpcp_alloc as alloc;
 pub use mpcp_analysis as analysis;
 pub use mpcp_core as core;
+pub use mpcp_dga as dga;
 pub use mpcp_model as model;
 pub use mpcp_protocols as protocols;
 pub use mpcp_runtime as runtime;
