@@ -29,7 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mpcp_analysis::{liu_layland_bound, mpcp_bounds, theorem3};
+use mpcp_analysis::{liu_layland_bound, Analysis, BlockingConfig};
 use mpcp_model::{System, TaskDef, TaskId};
 use std::error::Error;
 use std::fmt;
@@ -323,16 +323,9 @@ fn finish(system: &System, m: usize, assignment: Vec<usize>) -> Allocation {
         .collect();
     let info = rebound.info();
     let global_resources = info.global_resources().len();
-    let schedulable = match mpcp_bounds(&rebound) {
-        Ok(bounds) => {
-            let blocking: Vec<_> = bounds
-                .iter()
-                .map(mpcp_analysis::BlockingBreakdown::total)
-                .collect();
-            theorem3(&rebound, &blocking).schedulable()
-        }
-        Err(_) => false,
-    };
+    let schedulable = Analysis::Mpcp
+        .bounds(&rebound, BlockingConfig::paper())
+        .is_ok_and(|set| set.schedulable());
     Allocation {
         system: rebound,
         per_processor_utilization,

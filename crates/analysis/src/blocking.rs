@@ -1,6 +1,7 @@
 //! The five worst-case blocking factors of §5.1, plus the deferred
 //! execution penalty, for the shared-memory protocol (MPCP).
 
+use crate::bounds::{Analysis, BoundSet, Terms};
 use crate::counts::{Facts, TaskFacts};
 use crate::error::AnalysisError;
 use mpcp_model::{Dur, System, TaskId};
@@ -72,6 +73,33 @@ impl BlockingBreakdown {
     pub fn total(&self) -> Dur {
         self.blocking() + self.deferred_penalty
     }
+
+    /// The six durations in [`Analysis::term_names`] order.
+    pub(crate) fn terms(&self) -> Terms {
+        [
+            self.local_cs,
+            self.lower_gcs_same_sem,
+            self.higher_remote_gcs,
+            self.blocking_processor_gcs,
+            self.lower_local_gcs,
+            self.deferred_penalty,
+        ]
+    }
+
+    /// The breakdown of task `i`: the one place the six terms are
+    /// computed, shared by the full pass and the incremental engine so
+    /// both run the exact same code over the exact same inputs.
+    pub(crate) fn compute(facts: &Facts<'_>, i: &TaskFacts<'_>, config: BlockingConfig) -> Self {
+        BlockingBreakdown {
+            task: i.id,
+            local_cs: factor1(facts, i),
+            lower_gcs_same_sem: factor2(facts, i),
+            higher_remote_gcs: factor3(facts, i, config),
+            blocking_processor_gcs: factor4(facts, i, config),
+            lower_local_gcs: factor5(facts, i, config),
+            deferred_penalty: deferred_penalty(facts, i),
+        }
+    }
 }
 
 /// Computes the MPCP blocking bounds for every task with the paper's
@@ -99,16 +127,21 @@ pub fn mpcp_bounds_with(
     Ok(facts
         .tasks
         .iter()
-        .map(|i| BlockingBreakdown {
-            task: i.id,
-            local_cs: factor1(&facts, i),
-            lower_gcs_same_sem: factor2(&facts, i),
-            higher_remote_gcs: factor3(&facts, i, config),
-            blocking_processor_gcs: factor4(&facts, i, config),
-            lower_local_gcs: factor5(&facts, i, config),
-            deferred_penalty: deferred_penalty(&facts, i),
-        })
+        .map(|i| BlockingBreakdown::compute(&facts, i, config))
         .collect())
+}
+
+/// The MPCP row of the analysis contract ([`Analysis::Mpcp`]): the §5.1
+/// breakdowns fed into Theorem 3 with `B_i` = factors plus deferred
+/// penalty.
+///
+/// # Errors
+///
+/// Same as [`mpcp_bounds`].
+pub fn mpcp_bound_set(system: &System, config: BlockingConfig) -> Result<BoundSet, AnalysisError> {
+    let rows = mpcp_bounds_with(system, config)?;
+    let rows = rows.iter().map(BlockingBreakdown::terms).collect();
+    Ok(BoundSet::theorem3(system, Analysis::Mpcp, rows))
 }
 
 /// Factor 1: `(NC_i + n_susp + 1)` local critical sections of
@@ -171,7 +204,7 @@ pub(crate) fn factor3(facts: &Facts<'_>, i: &TaskFacts<'_>, config: BlockingConf
 /// Factor 4: on each blocking processor (home of a lower-priority task
 /// that can directly block `i` through a shared global semaphore),
 /// higher-priority gcs's of other tasks extend the blocker's section.
-pub(crate) fn factor4(facts: &Facts<'_>, i: &TaskFacts<'_>, config: BlockingConfig) -> Dur {
+fn factor4(facts: &Facts<'_>, i: &TaskFacts<'_>, config: BlockingConfig) -> Dur {
     let mut total = Dur::ZERO;
     // Direct blockers grouped by their (remote) processor.
     let blockers: Vec<&TaskFacts<'_>> = facts
@@ -218,7 +251,7 @@ pub(crate) fn factor4(facts: &Facts<'_>, i: &TaskFacts<'_>, config: BlockingConf
 /// Factor 5: gcs's of lower-priority local jobs run in the global band
 /// and preempt `i`; per such job at most
 /// `min(NC_i + n_susp + 1, instances · NC_l)` sections.
-pub(crate) fn factor5(facts: &Facts<'_>, i: &TaskFacts<'_>, _config: BlockingConfig) -> Dur {
+fn factor5(facts: &Facts<'_>, i: &TaskFacts<'_>, _config: BlockingConfig) -> Dur {
     facts
         .lower_local(i)
         .filter(|l| l.nc > 0)

@@ -1,51 +1,265 @@
-//! Bundled per-task bound accessors for differential testing.
+//! The analysis contract: one selector, one entry point, one result
+//! type.
 //!
-//! The sweep oracle compares simulated behaviour against *all* the
-//! analytical results at once — the §5.1 blocking bound, the Theorem 3
-//! verdict and the response-time bound. This module computes them in
-//! one pass and exposes them per task, so callers need neither the
-//! index bookkeeping nor the blocking-vector plumbing of the individual
-//! entry points.
+//! The paper's admission test has a single shape — a per-task blocking
+//! term `B_i` (§5.1) fed into a per-processor rate-monotonic row
+//! `Σ C_j/T_j + B_i/T_i ≤ i(2^{1/i} − 1)` (Theorem 3) — and the DPCP,
+//! MSRP and FMLP+ analyses are that shape with different terms.
+//! [`Analysis`] names the four, [`Analysis::bounds`] runs any of them,
+//! and every one returns a [`BoundSet`]: per task the bound on measured
+//! blocking, the row of the test, and the protocol's own named terms.
+//! Consumers (the sweep oracle, the admission service, the model
+//! checker, the CLI tables) are written once against this type.
 
-use crate::blocking::{mpcp_bounds_with, BlockingBreakdown, BlockingConfig};
+use crate::blocking::{mpcp_bound_set, BlockingConfig};
+use crate::dpcp::{default_hosts, dpcp_bounds_with, DpcpBreakdown};
 use crate::error::AnalysisError;
-use crate::sched::{response_times_suspension_aware, theorem3};
-use mpcp_model::{Dur, System, TaskId};
+use crate::fmlp::fmlp_bound_set;
+use crate::msrp::msrp_bound_set;
+use crate::sched::theorem3_all;
+use mpcp_model::{Dur, ProcessorId, System, Task, TaskId};
+use std::fmt;
+use std::str::FromStr;
 
-/// Every analytical bound for one task under MPCP.
+/// Which blocking analysis and schedulability test to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Analysis {
+    /// The paper's shared-memory protocol: the five §5.1 factors plus
+    /// the deferred-execution penalty, into Theorem 3.
+    #[default]
+    Mpcp,
+    /// The message-based baseline of §5.2 (default host assignment):
+    /// factors 1–3 shared with MPCP, 4′ and 5′ its own, into Theorem 3.
+    Dpcp,
+    /// Non-preemptive FIFO spin locks: spin-inflated utilizations with
+    /// arrival blocking.
+    Msrp,
+    /// FIFO queue locks with priority-boosted sections: the
+    /// suspension-oblivious wait + arrival bound.
+    Fmlp,
+}
+
+/// Fixed-size per-task term storage (no per-task allocation); an
+/// analysis names the first `term_names().len()` slots.
+pub(crate) type Terms = [Dur; 6];
+
+/// `named` padded with zeros to the fixed width.
+pub(crate) fn pad_terms<const N: usize>(named: [Dur; N]) -> Terms {
+    let mut terms = [Dur::ZERO; 6];
+    terms[..N].copy_from_slice(&named);
+    terms
+}
+
+/// Sum of a term set: under every analysis the named terms add up to
+/// the bound on measured blocking.
+pub(crate) fn total(terms: &Terms) -> Dur {
+    terms.iter().copied().sum()
+}
+
+impl Analysis {
+    /// Every analysis, MPCP first.
+    pub const ALL: [Analysis; 4] = [
+        Analysis::Mpcp,
+        Analysis::Dpcp,
+        Analysis::Msrp,
+        Analysis::Fmlp,
+    ];
+
+    /// The canonical name — also the wire name of the admission
+    /// service's `"protocol"` field and the matching
+    /// `ProtocolKind::name` of the simulated policy.
+    pub fn name(self) -> &'static str {
+        match self {
+            Analysis::Mpcp => "mpcp",
+            Analysis::Dpcp => "dpcp",
+            Analysis::Msrp => "msrp",
+            Analysis::Fmlp => "fmlp",
+        }
+    }
+
+    /// The names of the terms a row of this analysis carries, in table
+    /// order. A term called `defer` is the deferred-execution penalty:
+    /// charged to the row, but not one of the blocking factors proper.
+    pub fn term_names(self) -> &'static [&'static str] {
+        match self {
+            Analysis::Mpcp => &["F1", "F2", "F3", "F4", "F5", "defer"],
+            Analysis::Dpcp => &["F1", "F2", "F3", "F4'", "F5'", "defer"],
+            Analysis::Msrp => &["spin", "arrival"],
+            Analysis::Fmlp => &["wait", "arrival"],
+        }
+    }
+
+    /// Runs this analysis on `system`. `config` selects the instance
+    /// counts of the MPCP and DPCP factors; the FIFO analyses have no
+    /// such choice and ignore it.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the system violates the analysis'
+    /// assumptions: nested global critical sections or a suspension
+    /// inside a critical section for all four, any nesting at all for
+    /// FMLP+.
+    pub fn bounds(
+        self,
+        system: &System,
+        config: BlockingConfig,
+    ) -> Result<BoundSet, AnalysisError> {
+        match self {
+            Analysis::Mpcp => mpcp_bound_set(system, config),
+            Analysis::Dpcp => {
+                let rows = dpcp_bounds_with(system, &default_hosts(system), config)?;
+                let rows = rows.iter().map(DpcpBreakdown::terms).collect();
+                Ok(BoundSet::theorem3(system, Analysis::Dpcp, rows))
+            }
+            Analysis::Msrp => msrp_bound_set(system),
+            Analysis::Fmlp => fmlp_bound_set(system),
+        }
+    }
+}
+
+impl fmt::Display for Analysis {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// Error returned when parsing an unknown analysis name; its message
+/// lists the known ones.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseAnalysisError(String);
+
+impl fmt::Display for ParseAnalysisError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let known = Analysis::ALL.map(Analysis::name).join("|");
+        write!(f, "unknown protocol {:?}; expected {known}", self.0)
+    }
+}
+
+impl std::error::Error for ParseAnalysisError {}
+
+impl FromStr for Analysis {
+    type Err = ParseAnalysisError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Analysis::ALL
+            .into_iter()
+            .find(|a| a.name() == s)
+            .ok_or_else(|| ParseAnalysisError(s.to_owned()))
+    }
+}
+
+/// Every analytical bound for one task: one row of a [`BoundSet`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskBounds {
     /// The task analyzed.
     pub task: TaskId,
-    /// The §5.1 blocking breakdown.
-    pub breakdown: BlockingBreakdown,
-    /// `B_i` including the deferred-execution penalty (the quantity the
-    /// simulated [`measured_blocking`](mpcp_model::Dur) must stay
-    /// under).
+    /// Its processor.
+    pub processor: ProcessorId,
+    /// Bound on the simulator's measured blocking: `B_i` including the
+    /// deferred-execution penalty under MPCP and DPCP, spin + arrival
+    /// under MSRP, wait + arrival under FMLP+.
     pub blocking: Dur,
-    /// Theorem 3 verdict for this task.
-    pub theorem3_ok: bool,
-    /// Response-time estimate from the suspension-aware RTA recurrence
-    /// ([`response_times_suspension_aware`] over the factors-only
-    /// blocking), `None` if it diverges past the deadline.
-    ///
-    /// **Advisory.** Scenario sweeps found observed MPCP responses
-    /// slightly above this fixed point on ~1% of random systems (the
-    /// recurrence under-counts interference released while the analyzed
-    /// task self-suspends), consistent with the literature on flawed
-    /// suspension-aware RTA. Use [`TaskBounds::blocking`] and
-    /// [`TaskBounds::theorem3_ok`] as the sound verdicts.
-    pub response: Option<Dur>,
+    /// Left-hand side of this task's rate-monotonic row.
+    pub demand: f64,
+    /// The Liu & Layland bound for its rank.
+    pub bound: f64,
+    /// Whether the inequality holds.
+    pub ok: bool,
+    pub(crate) analysis: Analysis,
+    pub(crate) terms: Terms,
 }
 
-/// Analytical bounds for a whole system under MPCP.
+impl TaskBounds {
+    /// The named terms behind [`TaskBounds::blocking`], in the order of
+    /// [`Analysis::term_names`].
+    pub fn terms(&self) -> impl Iterator<Item = (&'static str, Dur)> {
+        let names = self.analysis.term_names();
+        names.iter().copied().zip(self.terms)
+    }
+
+    /// The term called `name`, if this row's analysis has one.
+    pub fn term(&self, name: &str) -> Option<Dur> {
+        self.terms().find(|(n, _)| *n == name).map(|(_, d)| d)
+    }
+
+    /// Sum of the blocking factors proper — every term but `defer` (the
+    /// paper's `B_i` before the deferred-execution penalty).
+    pub fn factors(&self) -> Dur {
+        self.terms()
+            .filter(|(n, _)| *n != "defer")
+            .map(|(_, d)| d)
+            .sum()
+    }
+}
+
+/// Analytical bounds for a whole system under one [`Analysis`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundSet {
+    analysis: Analysis,
     per_task: Vec<TaskBounds>,
-    theorem3_schedulable: bool,
+    schedulable: bool,
 }
 
 impl BoundSet {
+    /// Runs the one rate-monotonic row loop with the given per-task
+    /// `cost` and `row_blocking` and attaches each task's named terms
+    /// (whose sum bounds its measured blocking).
+    pub(crate) fn new(
+        system: &System,
+        analysis: Analysis,
+        cost: impl Fn(&Task) -> Dur,
+        row_blocking: impl Fn(TaskId) -> Dur,
+        terms: impl Fn(TaskId) -> Terms,
+    ) -> BoundSet {
+        let per_task = theorem3_all(system, cost, row_blocking)
+            .into_iter()
+            .map(|row| {
+                let terms = terms(row.task);
+                TaskBounds {
+                    task: row.task,
+                    processor: row.processor,
+                    blocking: total(&terms),
+                    demand: row.demand,
+                    bound: row.bound,
+                    ok: row.ok,
+                    analysis,
+                    terms,
+                }
+            })
+            .collect();
+        BoundSet::from_rows(analysis, per_task)
+    }
+
+    /// Theorem 3 proper: cost `C_j`, and the same `B_i` — the sum of
+    /// task `t`'s `terms[t]` — both charged to the row and bounding
+    /// measured blocking. The MPCP and DPCP shape.
+    pub(crate) fn theorem3(system: &System, analysis: Analysis, terms: Vec<Terms>) -> BoundSet {
+        BoundSet::new(
+            system,
+            analysis,
+            Task::wcet,
+            |t| total(&terms[t.index()]),
+            |t| terms[t.index()],
+        )
+    }
+
+    /// Assembles a set from finished rows in [`TaskId`] order, deriving
+    /// the verdict (shared with the incremental engine, whose rows come
+    /// from its caches).
+    pub(crate) fn from_rows(analysis: Analysis, per_task: Vec<TaskBounds>) -> BoundSet {
+        let schedulable = per_task.iter().all(|t| t.ok);
+        BoundSet {
+            analysis,
+            per_task,
+            schedulable,
+        }
+    }
+
+    /// The analysis that produced this set.
+    pub fn analysis(&self) -> Analysis {
+        self.analysis
+    }
+
     /// Per-task bounds, indexed by [`TaskId`].
     pub fn per_task(&self) -> &[TaskBounds] {
         &self.per_task
@@ -61,53 +275,22 @@ impl BoundSet {
         &self.per_task[task.index()]
     }
 
-    /// Whether Theorem 3 accepts the whole system.
-    pub fn theorem3_schedulable(&self) -> bool {
-        self.theorem3_schedulable
+    /// Whether the schedulability test accepts every task.
+    pub fn schedulable(&self) -> bool {
+        self.schedulable
     }
 
-    /// Whether the RTA recurrence converges for every task.
-    pub fn rta_schedulable(&self) -> bool {
-        self.per_task.iter().all(|t| t.response.is_some())
+    /// Every task's [`TaskBounds::blocking`], indexed by [`TaskId`] —
+    /// the vector the response-time recurrences take.
+    pub fn blocking(&self) -> Vec<Dur> {
+        self.per_task.iter().map(|t| t.blocking).collect()
     }
-}
-
-/// Computes the full [`BoundSet`] for `system` under MPCP with the
-/// given [`BlockingConfig`].
-///
-/// # Errors
-///
-/// Returns an error if the system violates the base-protocol
-/// assumptions (see [`mpcp_bounds_with`]).
-pub fn mpcp_bound_set(system: &System, config: BlockingConfig) -> Result<BoundSet, AnalysisError> {
-    let breakdowns = mpcp_bounds_with(system, config)?;
-    let blocking: Vec<Dur> = breakdowns.iter().map(BlockingBreakdown::total).collect();
-    let sched = theorem3(system, &blocking);
-    // Pair the suspension-aware recurrence with the factors-only
-    // blocking, as its contract specifies (the deferred-execution
-    // penalty is modelled as release jitter instead).
-    let factors: Vec<Dur> = breakdowns.iter().map(BlockingBreakdown::blocking).collect();
-    let responses = response_times_suspension_aware(system, &factors);
-    let per_task = breakdowns
-        .into_iter()
-        .zip(responses)
-        .map(|(breakdown, response)| TaskBounds {
-            task: breakdown.task,
-            blocking: breakdown.total(),
-            theorem3_ok: sched.task(breakdown.task).ok,
-            response,
-            breakdown,
-        })
-        .collect();
-    Ok(BoundSet {
-        per_task,
-        theorem3_schedulable: sched.schedulable(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{dpcp_bounds, mpcp_bounds_with, theorem3, BlockingBreakdown};
     use mpcp_model::{Body, System, TaskDef};
 
     fn sample() -> System {
@@ -134,27 +317,65 @@ mod tests {
     }
 
     #[test]
-    fn bound_set_agrees_with_individual_entry_points() {
-        let sys = sample();
-        let set = mpcp_bound_set(&sys, BlockingConfig::sound()).unwrap();
-        let raw = mpcp_bounds_with(&sys, BlockingConfig::sound()).unwrap();
-        let blocking: Vec<Dur> = raw.iter().map(BlockingBreakdown::total).collect();
-        let factors: Vec<Dur> = raw.iter().map(BlockingBreakdown::blocking).collect();
-        let sched = theorem3(&sys, &blocking);
-        let resp = response_times_suspension_aware(&sys, &factors);
-        assert_eq!(set.theorem3_schedulable(), sched.schedulable());
-        for t in sys.tasks() {
-            let tb = set.task(t.id());
-            assert_eq!(tb.blocking, blocking[t.id().index()]);
-            assert_eq!(tb.theorem3_ok, sched.task(t.id()).ok);
-            assert_eq!(tb.response, resp[t.id().index()]);
-            assert_eq!(tb.breakdown, raw[t.id().index()]);
+    fn names_round_trip_and_unknown_names_list_the_known() {
+        for a in Analysis::ALL {
+            assert_eq!(a.name().parse::<Analysis>().unwrap(), a);
+            assert_eq!(a.to_string(), a.name());
         }
-        assert_eq!(set.rta_schedulable(), resp.iter().all(Option::is_some));
+        let e = "pcp".parse::<Analysis>().unwrap_err().to_string();
+        assert!(
+            e.contains("\"pcp\"") && e.contains("mpcp|dpcp|msrp|fmlp"),
+            "{e}"
+        );
     }
 
     #[test]
-    fn nested_globals_are_rejected_like_the_entry_points() {
+    fn mpcp_set_agrees_with_the_typed_entry_points() {
+        let sys = sample();
+        let set = Analysis::Mpcp
+            .bounds(&sys, BlockingConfig::sound())
+            .unwrap();
+        let raw = mpcp_bounds_with(&sys, BlockingConfig::sound()).unwrap();
+        let blocking: Vec<Dur> = raw.iter().map(BlockingBreakdown::total).collect();
+        let sched = theorem3(&sys, &blocking);
+        assert_eq!(set.analysis(), Analysis::Mpcp);
+        assert_eq!(set.schedulable(), sched.schedulable());
+        assert_eq!(set.blocking(), blocking);
+        for (tb, (b, s)) in set.per_task().iter().zip(raw.iter().zip(sched.per_task())) {
+            assert_eq!((tb.task, tb.processor), (s.task, s.processor));
+            assert_eq!(tb.demand.to_bits(), s.demand.to_bits());
+            assert_eq!((tb.bound, tb.ok), (s.bound, s.ok));
+            assert_eq!(tb.factors(), b.blocking());
+            assert_eq!(tb.term("F2"), Some(b.lower_gcs_same_sem));
+            assert_eq!(tb.term("defer"), Some(b.deferred_penalty));
+            assert_eq!(tb.term("spin"), None);
+        }
+    }
+
+    #[test]
+    fn every_analysis_names_its_terms_and_bounds_their_sum() {
+        let sys = sample();
+        for a in Analysis::ALL {
+            let set = a.bounds(&sys, BlockingConfig::paper()).unwrap();
+            for row in set.per_task() {
+                let names: Vec<_> = row.terms().map(|(n, _)| n).collect();
+                assert_eq!(names, a.term_names(), "{a}");
+                let sum: Dur = row.terms().map(|(_, d)| d).sum();
+                assert_eq!(sum, row.blocking, "{a}");
+            }
+        }
+        let dpcp = Analysis::Dpcp
+            .bounds(&sys, BlockingConfig::paper())
+            .unwrap();
+        let raw = dpcp_bounds(&sys).unwrap();
+        assert_eq!(
+            dpcp.task(raw[0].task).term("F5'"),
+            Some(raw[0].agent_interference)
+        );
+    }
+
+    #[test]
+    fn nested_globals_are_rejected_by_every_analysis() {
         let mut b = System::builder();
         let p = b.add_processors(2);
         let s1 = b.add_resource("G0");
@@ -175,6 +396,8 @@ mod tests {
             ),
         );
         let sys = b.build().unwrap();
-        assert!(mpcp_bound_set(&sys, BlockingConfig::sound()).is_err());
+        for a in Analysis::ALL {
+            assert!(a.bounds(&sys, BlockingConfig::sound()).is_err(), "{a}");
+        }
     }
 }

@@ -2,54 +2,24 @@
 //! Theorem 3 rows, driven by a [`DirtySet`].
 //!
 //! [`DeltaBounds`] caches, keyed by *task name* (ids shift under
-//! edits, names do not), the six per-task blocking durations and the
+//! edits, names do not), the six per-task blocking terms and the
 //! per-task Theorem 3 row. [`DeltaBounds::update`] recomputes only the
 //! tasks and processors a [`dirty_set`](crate::dirty_set) names and
 //! reuses everything else verbatim, so the merged result is
-//! bit-identical to a from-scratch [`mpcp_bounds_with`] +
-//! [`theorem3`](crate::theorem3) run — cached rows are copied, not
-//! re-derived, and recomputed rows run the exact same code over the
-//! exact same inputs. That identity is what `mpcp audit` and the
-//! in-server sampled audit certify.
+//! bit-identical to a from-scratch
+//! [`Analysis::Mpcp`](crate::Analysis::bounds) run — cached rows are
+//! copied, not re-derived, and recomputed rows run the exact same code
+//! over the exact same inputs. That identity is what `mpcp audit` and
+//! the in-server sampled audit certify.
 
-use crate::blocking::{deferred_penalty, factor1, factor2, factor3, factor4, factor5};
+use crate::bounds::{total, Analysis, BoundSet, TaskBounds, Terms};
 use crate::counts::Facts;
 use crate::depgraph::DirtySet;
 use crate::error::AnalysisError;
 use crate::sched::theorem3_rows;
-use crate::{BlockingBreakdown, BlockingConfig, SchedReport, TaskSched};
-use mpcp_model::{Dur, System};
+use crate::{BlockingBreakdown, BlockingConfig};
+use mpcp_model::{System, Task};
 use std::collections::BTreeMap;
-
-/// The six cached blocking durations of one task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FactorSet {
-    local_cs: Dur,
-    lower_gcs_same_sem: Dur,
-    higher_remote_gcs: Dur,
-    blocking_processor_gcs: Dur,
-    lower_local_gcs: Dur,
-    deferred_penalty: Dur,
-}
-
-impl FactorSet {
-    fn total(&self) -> Dur {
-        self.local_cs
-            + self.lower_gcs_same_sem
-            + self.higher_remote_gcs
-            + self.blocking_processor_gcs
-            + self.lower_local_gcs
-            + self.deferred_penalty
-    }
-}
-
-/// The cached Theorem 3 row of one task.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct SchedRow {
-    demand: f64,
-    bound: f64,
-    ok: bool,
-}
 
 /// What one [`DeltaBounds::update`] actually did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,8 +51,9 @@ impl DeltaStats {
 #[derive(Debug, Clone)]
 pub struct DeltaBounds {
     config: BlockingConfig,
-    factors: BTreeMap<String, FactorSet>,
-    sched: BTreeMap<String, SchedRow>,
+    /// Finished [`BoundSet`] rows. Their `task`/`processor` ids are
+    /// those of the update that wrote them and are re-stamped on read.
+    rows: BTreeMap<String, TaskBounds>,
     stats: DeltaStats,
 }
 
@@ -107,8 +78,7 @@ impl DeltaBounds {
     ) -> Result<DeltaBounds, AnalysisError> {
         let mut this = DeltaBounds {
             config,
-            factors: BTreeMap::new(),
-            sched: BTreeMap::new(),
+            rows: BTreeMap::new(),
             stats: DeltaStats::default(),
         };
         this.update(system, &DirtySet::full())?;
@@ -142,8 +112,7 @@ impl DeltaBounds {
             ..DeltaStats::default()
         };
         if dirty.full {
-            self.factors.clear();
-            self.sched.clear();
+            self.rows.clear();
         }
 
         // Tasks to recompute. An uncached (added) task is always in
@@ -153,17 +122,22 @@ impl DeltaBounds {
         // cache once per task.
         let recompute = |this: &mut Self, idx: usize, stats: &mut DeltaStats| {
             stats.tasks_recomputed += 1;
-            let i = &facts.tasks[idx];
-            let set = FactorSet {
-                local_cs: factor1(&facts, i),
-                lower_gcs_same_sem: factor2(&facts, i),
-                higher_remote_gcs: factor3(&facts, i, this.config),
-                blocking_processor_gcs: factor4(&facts, i, this.config),
-                lower_local_gcs: factor5(&facts, i, this.config),
-                deferred_penalty: deferred_penalty(&facts, i),
+            let terms: Terms =
+                BlockingBreakdown::compute(&facts, &facts.tasks[idx], this.config).terms();
+            let task = &system.tasks()[idx];
+            // The Theorem 3 half is filled in below: a dirty task's
+            // processor is always dirty too.
+            let row = TaskBounds {
+                task: task.id(),
+                processor: task.processor(),
+                blocking: total(&terms),
+                demand: f64::NAN,
+                bound: f64::NAN,
+                ok: false,
+                analysis: Analysis::Mpcp,
+                terms,
             };
-            this.factors
-                .insert(system.tasks()[idx].name().to_string(), set);
+            this.rows.insert(task.name().to_string(), row);
         };
         if dirty.full {
             for idx in 0..system.tasks().len() {
@@ -178,7 +152,7 @@ impl DeltaBounds {
         }
         stats.tasks_reused = system.tasks().len() as u64 - stats.tasks_recomputed;
         assert!(
-            self.factors.len() >= system.tasks().len(),
+            self.rows.len() >= system.tasks().len(),
             "duplicate task name defeats name-keyed caching"
         );
 
@@ -188,88 +162,52 @@ impl DeltaBounds {
             // so the processor set alone decides freshness.
             if dirty.full || dirty.processors.contains(proc.name()) {
                 stats.processors_recomputed += 1;
-                let rows = theorem3_rows(system, proc.id(), &|t| {
-                    self.factors[system.task(t).name()].total()
+                let rows = theorem3_rows(system, proc.id(), Task::wcet, |t| {
+                    self.rows[system.task(t).name()].blocking
                 });
                 for row in rows {
-                    let name = system.task(row.task).name().to_string();
-                    self.sched.insert(
-                        name,
-                        SchedRow {
-                            demand: row.demand,
-                            bound: row.bound,
-                            ok: row.ok,
-                        },
-                    );
+                    let cached = self
+                        .rows
+                        .get_mut(system.task(row.task).name())
+                        .expect("every task was cached above");
+                    (cached.demand, cached.bound, cached.ok) = (row.demand, row.bound, row.ok);
                 }
             } else {
                 stats.processors_reused += 1;
             }
         }
 
-        // Entries for removed (or renamed) tasks: the maps hold every
+        // Entries for removed (or renamed) tasks: the map holds every
         // current name after the loops above, so a length excess is the
         // only way stale keys can hide.
-        if self.factors.len() > system.tasks().len() || self.sched.len() > system.tasks().len() {
+        if self.rows.len() > system.tasks().len() {
             let names: std::collections::BTreeSet<&str> =
-                system.tasks().iter().map(mpcp_model::Task::name).collect();
-            self.factors.retain(|k, _| names.contains(k.as_str()));
-            self.sched.retain(|k, _| names.contains(k.as_str()));
+                system.tasks().iter().map(Task::name).collect();
+            self.rows.retain(|k, _| names.contains(k.as_str()));
         }
 
         self.stats.absorb(stats);
         Ok(stats)
     }
 
-    /// The blocking breakdowns for `system`, in [`mpcp_model::TaskId`]
-    /// order — equal to what [`crate::mpcp_bounds_with`] returns for
-    /// the same system and configuration.
+    /// The cached state as the [`BoundSet`] of `system` — equal to what
+    /// [`Analysis::Mpcp`](crate::Analysis::bounds) returns for the same
+    /// system and configuration.
     ///
     /// # Panics
     ///
     /// Panics if the cache was not updated for exactly this system.
-    pub fn breakdowns(&self, system: &System) -> Vec<BlockingBreakdown> {
-        system
+    pub fn bound_set(&self, system: &System) -> BoundSet {
+        let per_task = system
             .tasks()
             .iter()
-            .map(|t| {
-                let f = self.factors[t.name()];
-                BlockingBreakdown {
-                    task: t.id(),
-                    local_cs: f.local_cs,
-                    lower_gcs_same_sem: f.lower_gcs_same_sem,
-                    higher_remote_gcs: f.higher_remote_gcs,
-                    blocking_processor_gcs: f.blocking_processor_gcs,
-                    lower_local_gcs: f.lower_local_gcs,
-                    deferred_penalty: f.deferred_penalty,
-                }
-            })
-            .collect()
-    }
-
-    /// The Theorem 3 report for `system` (using total blocking,
-    /// factors plus deferred penalty) — equal to
-    /// `theorem3(system, totals)` on the same system.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache was not updated for exactly this system.
-    pub fn sched_report(&self, system: &System) -> SchedReport {
-        let per_task: Vec<TaskSched> = system
-            .tasks()
-            .iter()
-            .map(|t| {
-                let row = self.sched[t.name()];
-                TaskSched {
-                    task: t.id(),
-                    processor: t.processor(),
-                    demand: row.demand,
-                    bound: row.bound,
-                    ok: row.ok,
-                }
+            .map(|t| TaskBounds {
+                task: t.id(),
+                processor: t.processor(),
+                ..self.rows[t.name()]
             })
             .collect();
-        SchedReport::from_rows(per_task)
+        BoundSet::from_rows(Analysis::Mpcp, per_task)
     }
 
     /// Cumulative counters over every update applied so far.
@@ -282,7 +220,6 @@ impl DeltaBounds {
 mod tests {
     use super::*;
     use crate::depgraph::{dirty_set, DepGraph, Edit};
-    use crate::{mpcp_bounds, theorem3};
     use mpcp_model::{Body, System, TaskDef};
 
     fn sample(with_extra: bool, extra_period: u64) -> System {
@@ -338,17 +275,14 @@ mod tests {
     }
 
     fn assert_matches_full(delta: &DeltaBounds, system: &System) {
-        let full = mpcp_bounds(system).unwrap();
-        assert_eq!(delta.breakdowns(system), full);
-        let totals: Vec<_> = full.iter().map(BlockingBreakdown::total).collect();
-        let full_sched = theorem3(system, &totals);
-        let delta_sched = delta.sched_report(system);
-        assert_eq!(delta_sched.schedulable(), full_sched.schedulable());
-        for (a, b) in delta_sched.per_task().iter().zip(full_sched.per_task()) {
-            assert_eq!(a.task, b.task);
+        let full = Analysis::Mpcp
+            .bounds(system, BlockingConfig::paper())
+            .unwrap();
+        let cached = delta.bound_set(system);
+        assert_eq!(cached, full);
+        for (a, b) in cached.per_task().iter().zip(full.per_task()) {
             assert_eq!(a.demand.to_bits(), b.demand.to_bits(), "{:?}", a.task);
             assert_eq!(a.bound.to_bits(), b.bound.to_bits());
-            assert_eq!(a.ok, b.ok);
         }
     }
 

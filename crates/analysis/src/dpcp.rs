@@ -13,6 +13,7 @@
 //!   semaphores hosted on this task's processor execute there at ceiling
 //!   priority and preempt it.
 
+use crate::bounds::Terms;
 use crate::counts::{Facts, TaskFacts};
 use crate::error::AnalysisError;
 use crate::BlockingConfig;
@@ -56,6 +57,19 @@ impl DpcpBreakdown {
     /// Factors plus the deferred-execution penalty.
     pub fn total(&self) -> Dur {
         self.blocking() + self.deferred_penalty
+    }
+
+    /// The six durations in [`Analysis::term_names`](crate::Analysis::term_names)
+    /// order.
+    pub(crate) fn terms(&self) -> Terms {
+        [
+            self.local_cs,
+            self.lower_gcs_same_sem,
+            self.higher_remote_gcs,
+            self.host_ceiling_gcs,
+            self.agent_interference,
+            self.deferred_penalty,
+        ]
     }
 }
 

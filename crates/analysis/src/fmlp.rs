@@ -29,58 +29,10 @@
 //! (under FMLP+ every queue wait suspends, so any section-owning task
 //! qualifies).
 
+use crate::bounds::{pad_terms, Analysis, BoundSet};
 use crate::counts::{Facts, TaskFacts};
 use crate::error::AnalysisError;
-use crate::sched::liu_layland_bound;
-use mpcp_model::{CriticalSection, Dur, ResourceId, System, TaskId};
-
-/// Analytical bounds for one task under FMLP+.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FmlpTaskBounds {
-    /// The task analyzed.
-    pub task: TaskId,
-    /// Worst-case total FIFO queue wait per job: `Σ_requests W_i(q)`.
-    pub wait: Dur,
-    /// Worst-case stall from lower local boosted sections: `A_i`.
-    pub arrival: Dur,
-    /// Bound on the simulator's measured blocking (wait + arrival).
-    pub blocking: Dur,
-    /// Rate-monotonic demand of this task's row.
-    pub demand: f64,
-    /// The Liu & Layland bound for its rank.
-    pub bound: f64,
-    /// Whether the inequality holds.
-    pub ok: bool,
-}
-
-/// Analytical bounds for a whole system under FMLP+.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FmlpBoundSet {
-    per_task: Vec<FmlpTaskBounds>,
-    schedulable: bool,
-}
-
-impl FmlpBoundSet {
-    /// Per-task bounds, indexed by [`TaskId`].
-    pub fn per_task(&self) -> &[FmlpTaskBounds] {
-        &self.per_task
-    }
-
-    /// Bounds of `task`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `task` does not belong to the analyzed system.
-    #[track_caller]
-    pub fn task(&self, task: TaskId) -> &FmlpTaskBounds {
-        &self.per_task[task.index()]
-    }
-
-    /// Whether the rate-monotonic test accepts every task.
-    pub fn schedulable(&self) -> bool {
-        self.schedulable
-    }
-}
+use mpcp_model::{CriticalSection, Dur, ResourceId, System, Task};
 
 /// All critical sections of `t` — FMLP+ has no local/global split.
 fn sections<'a>(t: &'a TaskFacts<'_>) -> impl Iterator<Item = &'a CriticalSection> {
@@ -122,14 +74,16 @@ fn wait_per_request(facts: &Facts<'_>, i: &TaskFacts<'_>, q: ResourceId) -> Dur 
     total
 }
 
-/// Computes the full [`FmlpBoundSet`] for `system` under FMLP+.
+/// The FMLP+ row of the analysis contract
+/// ([`Analysis::Fmlp`]): named terms `wait` and `arrival`, whose sum
+/// bounds measured blocking and is charged to the row.
 ///
 /// # Errors
 ///
 /// Returns an error if any critical section is nested (the FIFO-queue
 /// analysis models one level only) or a suspension occurs inside a
 /// critical section.
-pub fn fmlp_bound_set(system: &System) -> Result<FmlpBoundSet, AnalysisError> {
+pub fn fmlp_bound_set(system: &System) -> Result<BoundSet, AnalysisError> {
     let facts = Facts::compute(system)?;
     // FMLP+ queues every semaphore, so reject *any* nesting, not just
     // global-in-global (which `Facts` already refused).
@@ -165,45 +119,23 @@ pub fn fmlp_bound_set(system: &System) -> Result<FmlpBoundSet, AnalysisError> {
         })
         .collect();
 
-    let mut per_task: Vec<Option<FmlpTaskBounds>> = vec![None; facts.tasks.len()];
-    for proc in system.processors() {
-        // Decreasing priority, like `theorem3_rows`.
-        let local = system.tasks_on(proc.id());
-        let mut util_sum = 0.0;
-        for (rank, task) in local.iter().enumerate() {
-            let i = &facts.tasks[task.id().index()];
-            util_sum += i.wcet.ratio(i.period);
-            let blocking = wait[i.id.index()] + arrival[i.id.index()];
+    Ok(BoundSet::new(
+        system,
+        Analysis::Fmlp,
+        Task::wcet,
+        |t| {
             // Higher local tasks that can suspend defer their demand;
             // under FMLP+ any section can queue-wait, so owning a
             // section suffices.
             let deferred: Dur = facts
-                .higher_local(i)
+                .higher_local(&facts.tasks[t.index()])
                 .filter(|h| h.n_susp > 0 || sections(h).next().is_some())
                 .map(|h| h.wcet)
                 .sum();
-            let demand = util_sum + (blocking + deferred).ratio(i.period);
-            let bound = liu_layland_bound(rank + 1);
-            per_task[i.id.index()] = Some(FmlpTaskBounds {
-                task: i.id,
-                wait: wait[i.id.index()],
-                arrival: arrival[i.id.index()],
-                blocking,
-                demand,
-                bound,
-                ok: demand <= bound + 1e-12,
-            });
-        }
-    }
-    let per_task: Vec<FmlpTaskBounds> = per_task
-        .into_iter()
-        .map(|t| t.expect("every task is bound to a processor"))
-        .collect();
-    let schedulable = per_task.iter().all(|t| t.ok);
-    Ok(FmlpBoundSet {
-        per_task,
-        schedulable,
-    })
+            wait[t.index()] + arrival[t.index()] + deferred
+        },
+        |t| pad_terms([wait[t.index()], arrival[t.index()]]),
+    ))
 }
 
 #[cfg(test)]
@@ -236,9 +168,18 @@ mod tests {
         );
         let sys = b.build().unwrap();
         let set = fmlp_bound_set(&sys).unwrap();
-        assert_eq!(set.task(tid(0)).wait, mpcp_model::Dur::new(5));
-        assert_eq!(set.task(tid(1)).wait, mpcp_model::Dur::new(2));
-        assert_eq!(set.task(tid(0)).arrival, mpcp_model::Dur::ZERO);
+        assert_eq!(
+            set.task(tid(0)).term("wait").unwrap(),
+            mpcp_model::Dur::new(5)
+        );
+        assert_eq!(
+            set.task(tid(1)).term("wait").unwrap(),
+            mpcp_model::Dur::new(2)
+        );
+        assert_eq!(
+            set.task(tid(0)).term("arrival").unwrap(),
+            mpcp_model::Dur::ZERO
+        );
     }
 
     /// A contender's section is padded by boosted sections of its local
@@ -281,7 +222,10 @@ mod tests {
         let set = fmlp_bound_set(&sys).unwrap();
         // a waits for b's section (5) padded by c's boost (3); d is on
         // a's own processor so it does not pad b.
-        assert_eq!(set.task(tid(0)).wait, mpcp_model::Dur::new(8));
+        assert_eq!(
+            set.task(tid(0)).term("wait").unwrap(),
+            mpcp_model::Dur::new(8)
+        );
     }
 
     /// Wait and blocking bounds grow monotonically with section length.

@@ -18,10 +18,19 @@
 //! * table renderers matching the paper's Tables 4-1/4-2 formats
 //!   ([`report`]).
 //!
+//! # The analysis contract
+//!
+//! A blocking bound plus a schedulability test is one shape, whatever
+//! the protocol. [`Analysis`] selects MPCP, DPCP, MSRP or FMLP+, and
+//! [`Analysis::bounds`] returns the same [`BoundSet`] for each: per task
+//! the bound on measured blocking, the rate-monotonic row, and that
+//! protocol's named terms. [`mpcp_bounds`] and [`dpcp_bounds`] remain as
+//! the typed source of the §5.1/§5.2 factors.
+//!
 //! # Example
 //!
 //! ```
-//! use mpcp_analysis::{mpcp_bounds, theorem3};
+//! use mpcp_analysis::{Analysis, BlockingConfig};
 //! use mpcp_model::{Body, System, TaskDef};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,12 +45,10 @@
 //! ));
 //! let system = b.build()?;
 //!
-//! let bounds = mpcp_bounds(&system)?;
-//! // Task "a" can wait for one lower-priority gcs of 5 ticks.
-//! assert_eq!(bounds[0].lower_gcs_same_sem.ticks(), 5);
-//!
-//! let blocking: Vec<_> = bounds.iter().map(|b| b.total()).collect();
-//! assert!(theorem3(&system, &blocking).schedulable());
+//! let bounds = Analysis::Mpcp.bounds(&system, BlockingConfig::paper())?;
+//! // Task "a" can wait for one lower-priority gcs of 5 ticks (factor 2).
+//! assert_eq!(bounds.per_task()[0].term("F2").map(|d| d.ticks()), Some(5));
+//! assert!(bounds.schedulable());
 //! # Ok(())
 //! # }
 //! ```
@@ -64,16 +71,18 @@ pub mod report;
 mod sched;
 mod server;
 
-pub use blocking::{mpcp_bounds, mpcp_bounds_with, BlockingBreakdown, BlockingConfig};
-pub use bounds::{mpcp_bound_set, BoundSet, TaskBounds};
+pub use blocking::{
+    mpcp_bound_set, mpcp_bounds, mpcp_bounds_with, BlockingBreakdown, BlockingConfig,
+};
+pub use bounds::{Analysis, BoundSet, ParseAnalysisError, TaskBounds};
 pub use collapse::{collapse_nested_globals, LockGroup};
 pub use deadlock::{global_nesting_edges, lock_order_cycle, validate_lock_ordering};
 pub use delta::{DeltaBounds, DeltaStats};
 pub use depgraph::{dirty_set, DepGraph, DirtySet, Edit};
 pub use dpcp::{default_hosts, dpcp_bounds, dpcp_bounds_with, DpcpBreakdown};
 pub use error::AnalysisError;
-pub use fmlp::{fmlp_bound_set, FmlpBoundSet, FmlpTaskBounds};
-pub use msrp::{msrp_bound_set, MsrpBoundSet, MsrpTaskBounds};
+pub use fmlp::fmlp_bound_set;
+pub use msrp::msrp_bound_set;
 pub use sched::{
     breakdown_scale, liu_layland_bound, response_times, response_times_suspension_aware,
     response_times_with_jitter, rta_schedulable, rta_with_jitter_schedulable, scale_system,

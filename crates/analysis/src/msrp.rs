@@ -24,59 +24,10 @@
 //! `(C_h + spin_h)/T_h`, and suspending higher-priority tasks add the
 //! usual deferred-execution penalty.
 
+use crate::bounds::{pad_terms, Analysis, BoundSet};
 use crate::counts::{Facts, TaskFacts};
 use crate::error::AnalysisError;
-use crate::sched::liu_layland_bound;
-use mpcp_model::{Dur, ResourceId, System, TaskId};
-
-/// Analytical bounds for one task under MSRP.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MsrpTaskBounds {
-    /// The task analyzed.
-    pub task: TaskId,
-    /// Worst-case total busy-wait time per job: `Σ_requests ξ_i(q)`.
-    pub spin: Dur,
-    /// Worst-case arrival blocking: per dispatch point, one lower
-    /// local-PCP section plus one lower non-preemptive spin window.
-    pub arrival: Dur,
-    /// Bound on the simulator's measured blocking (spin + arrival).
-    pub blocking: Dur,
-    /// Spin-inflated rate-monotonic demand of this task's row.
-    pub demand: f64,
-    /// The Liu & Layland bound for its rank.
-    pub bound: f64,
-    /// Whether the inequality holds.
-    pub ok: bool,
-}
-
-/// Analytical bounds for a whole system under MSRP.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MsrpBoundSet {
-    per_task: Vec<MsrpTaskBounds>,
-    schedulable: bool,
-}
-
-impl MsrpBoundSet {
-    /// Per-task bounds, indexed by [`TaskId`].
-    pub fn per_task(&self) -> &[MsrpTaskBounds] {
-        &self.per_task
-    }
-
-    /// Bounds of `task`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `task` does not belong to the analyzed system.
-    #[track_caller]
-    pub fn task(&self, task: TaskId) -> &MsrpTaskBounds {
-        &self.per_task[task.index()]
-    }
-
-    /// Whether the spin-inflated rate-monotonic test accepts every task.
-    pub fn schedulable(&self) -> bool {
-        self.schedulable
-    }
-}
+use mpcp_model::{Dur, ResourceId, System};
 
 /// `ξ(q)` as seen from processor `proc`: one maximal section on `q` per
 /// *other* processor.
@@ -146,59 +97,37 @@ fn arrival_of(facts: &Facts<'_>, i: &TaskFacts<'_>) -> Dur {
     (l_loc + w_np) * points
 }
 
-/// Computes the full [`MsrpBoundSet`] for `system` under MSRP.
+/// The MSRP row of the analysis contract
+/// ([`Analysis::Msrp`]): named terms `spin` and `arrival`, whose sum
+/// bounds measured blocking.
 ///
 /// # Errors
 ///
 /// Returns an error if the system violates the base-protocol
 /// assumptions (nested global sections or suspensions inside critical
 /// sections).
-pub fn msrp_bound_set(system: &System) -> Result<MsrpBoundSet, AnalysisError> {
+pub fn msrp_bound_set(system: &System) -> Result<BoundSet, AnalysisError> {
     let facts = Facts::compute(system)?;
     let spin: Vec<Dur> = facts.tasks.iter().map(|t| spin_of(&facts, t)).collect();
     let arrival: Vec<Dur> = facts.tasks.iter().map(|t| arrival_of(&facts, t)).collect();
-
-    let mut per_task: Vec<Option<MsrpTaskBounds>> = vec![None; facts.tasks.len()];
-    for proc in system.processors() {
-        // Decreasing priority, like `theorem3_rows`.
-        let local = system.tasks_on(proc.id());
-        let mut util_sum = 0.0;
-        for (rank, task) in local.iter().enumerate() {
-            let i = &facts.tasks[task.id().index()];
-            let s = spin[i.id.index()];
-            // Spinning occupies the processor like computation.
-            util_sum += (i.wcet + s).ratio(i.period);
+    Ok(BoundSet::new(
+        system,
+        Analysis::Msrp,
+        // Spinning occupies the processor like computation.
+        |t| t.wcet() + spin[t.id().index()],
+        |t| {
             // Higher local tasks that can suspend (explicitly or on a
             // local-PCP block) defer their demand; charge one extra
             // spin-inflated instance each, like the §5.1 penalty.
             let deferred: Dur = facts
-                .higher_local(i)
+                .higher_local(&facts.tasks[t.index()])
                 .filter(|h| h.n_susp > 0 || !h.lcs.is_empty())
                 .map(|h| h.wcet + spin[h.id.index()])
                 .sum();
-            let b_row = arrival[i.id.index()] + deferred;
-            let demand = util_sum + b_row.ratio(i.period);
-            let bound = liu_layland_bound(rank + 1);
-            per_task[i.id.index()] = Some(MsrpTaskBounds {
-                task: i.id,
-                spin: s,
-                arrival: arrival[i.id.index()],
-                blocking: s + arrival[i.id.index()],
-                demand,
-                bound,
-                ok: demand <= bound + 1e-12,
-            });
-        }
-    }
-    let per_task: Vec<MsrpTaskBounds> = per_task
-        .into_iter()
-        .map(|t| t.expect("every task is bound to a processor"))
-        .collect();
-    let schedulable = per_task.iter().all(|t| t.ok);
-    Ok(MsrpBoundSet {
-        per_task,
-        schedulable,
-    })
+            arrival[t.index()] + deferred
+        },
+        |t| pad_terms([spin[t.index()], arrival[t.index()]]),
+    ))
 }
 
 #[cfg(test)]
@@ -240,11 +169,20 @@ mod tests {
         let sys = b.build().unwrap();
         let set = msrp_bound_set(&sys).unwrap();
         // a spins at most 3 (P1) + 5 (P2).
-        assert_eq!(set.task(tid(0)).spin, mpcp_model::Dur::new(8));
+        assert_eq!(
+            set.task(tid(0)).term("spin").unwrap(),
+            mpcp_model::Dur::new(8)
+        );
         // c spins at most 2 (P0) + 3 (P1).
-        assert_eq!(set.task(tid(2)).spin, mpcp_model::Dur::new(5));
+        assert_eq!(
+            set.task(tid(2)).term("spin").unwrap(),
+            mpcp_model::Dur::new(5)
+        );
         // No local contention anywhere: arrival blocking is zero.
-        assert_eq!(set.task(tid(0)).arrival, mpcp_model::Dur::ZERO);
+        assert_eq!(
+            set.task(tid(0)).term("arrival").unwrap(),
+            mpcp_model::Dur::ZERO
+        );
     }
 
     /// A lower local task's spin window blocks a higher task that never
@@ -277,7 +215,10 @@ mod tests {
         // hi can arrive just after lo became non-preemptive: spin (4,
         // rem's section) + lo's own section (2).
         assert_eq!(set.task(tid(0)).blocking, mpcp_model::Dur::new(6));
-        assert_eq!(set.task(tid(0)).spin, mpcp_model::Dur::ZERO);
+        assert_eq!(
+            set.task(tid(0)).term("spin").unwrap(),
+            mpcp_model::Dur::ZERO
+        );
     }
 
     /// Spin and blocking bounds grow monotonically with section length.
@@ -304,7 +245,7 @@ mod tests {
         let short = msrp_bound_set(&build(3)).unwrap();
         let long = msrp_bound_set(&build(9)).unwrap();
         assert!(long.task(tid(0)).blocking >= short.task(tid(0)).blocking);
-        assert!(long.task(tid(0)).spin >= short.task(tid(0)).spin);
+        assert!(long.task(tid(0)).term("spin") >= short.task(tid(0)).term("spin"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Text rendering of the paper's tables.
 
-use crate::{BlockingBreakdown, DpcpBreakdown, SchedReport};
+use crate::BoundSet;
 use mpcp_core::{CeilingTable, GcsPriorities};
 use mpcp_model::{Scope, System};
 use std::fmt::Write as _;
@@ -67,67 +67,51 @@ pub fn gcs_priority_table(system: &System) -> String {
     out
 }
 
-/// Renders the §5.1 blocking factors for every task.
-pub fn blocking_table(system: &System, bounds: &[BlockingBreakdown]) -> String {
+/// Renders the named blocking terms of every task: one `{:>6}` column
+/// per factor, their sum `B_i`, and — for the analyses that charge a
+/// deferred-execution penalty — the `defer` term and the total. Under
+/// MPCP this is the §5.1 table (F1–F5), under DPCP its §5.2 counterpart
+/// (F4', F5').
+pub fn blocking_table(system: &System, bounds: &BoundSet) -> String {
+    let names = bounds.analysis().term_names();
+    let (factors, defer) = match names.split_last() {
+        Some((&"defer", factors)) => (factors, true),
+        _ => (names, false),
+    };
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<8} {:>6} {:>6} {:>6} {:>6} {:>6} {:>8} {:>8} {:>8}",
-        "task", "F1", "F2", "F3", "F4", "F5", "B_i", "defer", "total"
-    );
-    for b in bounds {
-        let _ = writeln!(
-            out,
-            "{:<8} {:>6} {:>6} {:>6} {:>6} {:>6} {:>8} {:>8} {:>8}",
-            system.task(b.task).name(),
-            b.local_cs.ticks(),
-            b.lower_gcs_same_sem.ticks(),
-            b.higher_remote_gcs.ticks(),
-            b.blocking_processor_gcs.ticks(),
-            b.lower_local_gcs.ticks(),
-            b.blocking().ticks(),
-            b.deferred_penalty.ticks(),
-            b.total().ticks(),
-        );
+    let _ = write!(out, "{:<8}", "task");
+    for name in factors {
+        let _ = write!(out, " {name:>6}");
+    }
+    let _ = write!(out, " {:>8}", "B_i");
+    if defer {
+        let _ = write!(out, " {:>8} {:>8}", "defer", "total");
+    }
+    out.push('\n');
+    for b in bounds.per_task() {
+        let _ = write!(out, "{:<8}", system.task(b.task).name());
+        for (_, d) in b.terms().take(factors.len()) {
+            let _ = write!(out, " {:>6}", d.ticks());
+        }
+        let _ = write!(out, " {:>8}", b.factors().ticks());
+        if let Some(penalty) = b.term("defer") {
+            let _ = write!(out, " {:>8} {:>8}", penalty.ticks(), b.blocking.ticks());
+        }
+        out.push('\n');
     }
     out
 }
 
-/// Renders the DPCP blocking factors for every task.
-pub fn dpcp_blocking_table(system: &System, bounds: &[DpcpBreakdown]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<8} {:>6} {:>6} {:>6} {:>6} {:>6} {:>8} {:>8} {:>8}",
-        "task", "F1", "F2", "F3", "F4'", "F5'", "B_i", "defer", "total"
-    );
-    for b in bounds {
-        let _ = writeln!(
-            out,
-            "{:<8} {:>6} {:>6} {:>6} {:>6} {:>6} {:>8} {:>8} {:>8}",
-            system.task(b.task).name(),
-            b.local_cs.ticks(),
-            b.lower_gcs_same_sem.ticks(),
-            b.higher_remote_gcs.ticks(),
-            b.host_ceiling_gcs.ticks(),
-            b.agent_interference.ticks(),
-            b.blocking().ticks(),
-            b.deferred_penalty.ticks(),
-            b.total().ticks(),
-        );
-    }
-    out
-}
-
-/// Renders a Theorem 3 verdict table.
-pub fn sched_table(system: &System, report: &SchedReport) -> String {
+/// Renders the per-task rows of the schedulability test and the verdict
+/// (Theorem 3 under MPCP/DPCP).
+pub fn sched_table(system: &System, bounds: &BoundSet) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{:<8} {:<6} {:>10} {:>10} {:>6}",
         "task", "proc", "demand", "LL-bound", "ok"
     );
-    for t in report.per_task() {
+    for t in bounds.per_task() {
         let _ = writeln!(
             out,
             "{:<8} {:<6} {:>10.4} {:>10.4} {:>6}",
@@ -141,7 +125,7 @@ pub fn sched_table(system: &System, report: &SchedReport) -> String {
     let _ = writeln!(
         out,
         "schedulable: {}",
-        if report.schedulable() { "yes" } else { "NO" }
+        if bounds.schedulable() { "yes" } else { "NO" }
     );
     out
 }
@@ -149,7 +133,7 @@ pub fn sched_table(system: &System, report: &SchedReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{mpcp_bounds, theorem3};
+    use crate::{Analysis, BlockingConfig};
     use mpcp_model::{Body, System, TaskDef};
 
     fn sample() -> System {
@@ -194,25 +178,35 @@ mod tests {
         assert!(gt.contains("lo"));
         assert!(gt.contains("PG+"));
 
-        let bounds = mpcp_bounds(&sys).unwrap();
+        let bounds = Analysis::Mpcp
+            .bounds(&sys, BlockingConfig::paper())
+            .unwrap();
         let bt = blocking_table(&sys, &bounds);
-        assert!(bt.contains("F5"));
+        assert!(bt.contains("F5") && bt.contains("defer") && bt.contains("total"));
         assert!(bt.contains("hi"));
 
-        let blocking: Vec<_> = bounds
-            .iter()
-            .map(super::super::blocking::BlockingBreakdown::total)
-            .collect();
-        let st = sched_table(&sys, &theorem3(&sys, &blocking));
+        let st = sched_table(&sys, &bounds);
         assert!(st.contains("schedulable"));
     }
 
     #[test]
-    fn dpcp_table_renders() {
+    fn blocking_table_follows_the_named_terms() {
         let sys = sample();
-        let bounds = crate::dpcp_bounds(&sys).unwrap();
-        let t = dpcp_blocking_table(&sys, &bounds);
+        let dpcp = Analysis::Dpcp
+            .bounds(&sys, BlockingConfig::paper())
+            .unwrap();
+        let t = blocking_table(&sys, &dpcp);
         assert!(t.contains("F4'"));
         assert!(t.contains("lo"));
+        // No deferred-execution term under MSRP: the table ends at B_i.
+        let msrp = Analysis::Msrp
+            .bounds(&sys, BlockingConfig::paper())
+            .unwrap();
+        let t = blocking_table(&sys, &msrp);
+        let header = t.lines().next().unwrap();
+        assert!(
+            header.contains("spin") && header.ends_with("B_i"),
+            "{header}"
+        );
     }
 }

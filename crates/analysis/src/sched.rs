@@ -1,7 +1,7 @@
 //! Schedulability tests: Theorem 3's utilization bound, response-time
 //! analysis, and breakdown-utilization search.
 
-use mpcp_model::{Dur, ProcessorId, Segment, System, TaskDef, TaskId};
+use mpcp_model::{Dur, ProcessorId, Segment, System, Task, TaskDef, TaskId};
 
 /// The Liu & Layland least upper bound `n(2^{1/n} - 1)` for `n` tasks.
 ///
@@ -44,17 +44,6 @@ pub struct SchedReport {
 }
 
 impl SchedReport {
-    /// Assembles a report from per-task rows in [`TaskId`] order,
-    /// deriving the verdict. Shared by [`theorem3`] and the
-    /// incremental engine so both produce bit-identical reports.
-    pub(crate) fn from_rows(per_task: Vec<TaskSched>) -> SchedReport {
-        let schedulable = per_task.iter().all(|t| t.ok);
-        SchedReport {
-            per_task,
-            schedulable,
-        }
-    }
-
     /// Whether every task passed.
     pub fn schedulable(&self) -> bool {
         self.schedulable
@@ -88,27 +77,46 @@ impl SchedReport {
 /// Panics if `blocking` is not indexed like the system's tasks.
 pub fn theorem3(system: &System, blocking: &[Dur]) -> SchedReport {
     assert_eq!(blocking.len(), system.tasks().len());
+    let per_task = theorem3_all(system, Task::wcet, |t| blocking[t.index()]);
+    let schedulable = per_task.iter().all(|t| t.ok);
+    SchedReport {
+        per_task,
+        schedulable,
+    }
+}
+
+/// The Theorem 3 rows of every processor, in [`TaskId`] order.
+pub(crate) fn theorem3_all(
+    system: &System,
+    cost: impl Fn(&Task) -> Dur,
+    blocking: impl Fn(TaskId) -> Dur,
+) -> Vec<TaskSched> {
     let mut per_task: Vec<Option<TaskSched>> = vec![None; system.tasks().len()];
     for proc in system.processors() {
-        for row in theorem3_rows(system, proc.id(), &|t| blocking[t.index()]) {
+        for row in theorem3_rows(system, proc.id(), &cost, &blocking) {
             per_task[row.task.index()] = Some(row);
         }
     }
-    let per_task: Vec<TaskSched> = per_task
+    per_task
         .into_iter()
         .map(|t| t.expect("every task is bound to a processor"))
-        .collect();
-    SchedReport::from_rows(per_task)
+        .collect()
 }
 
-/// The Theorem 3 rows of one processor, in decreasing priority order.
-/// The utilization accumulation order is fixed by `tasks_on`, so
-/// recomputing a single processor reproduces [`theorem3`]'s floats
-/// bit-for-bit — the property the incremental engine certifies.
+/// The rate-monotonic rows of one processor, in decreasing priority
+/// order: `Σ_{j ≤ i} cost(j)/T_j + blocking(i)/T_i` against the Liu &
+/// Layland bound of the rank. This is the only such loop in the crate:
+/// Theorem 3 proper charges `cost = C_j` and `blocking = B_i`, and the
+/// MSRP and FMLP+ tests are the same rows with a spin-inflated cost or a
+/// different blocking term. The utilization accumulation order is fixed
+/// by `tasks_on`, so recomputing a single processor reproduces the
+/// whole-system floats bit-for-bit — the property the incremental engine
+/// certifies.
 pub(crate) fn theorem3_rows(
     system: &System,
     proc: ProcessorId,
-    blocking: &dyn Fn(TaskId) -> Dur,
+    cost: impl Fn(&Task) -> Dur,
+    blocking: impl Fn(TaskId) -> Dur,
 ) -> Vec<TaskSched> {
     let local = system.tasks_on(proc); // decreasing priority
     let mut util_sum = 0.0;
@@ -116,9 +124,8 @@ pub(crate) fn theorem3_rows(
         .iter()
         .enumerate()
         .map(|(rank, task)| {
-            util_sum += task.utilization();
-            let b = blocking(task.id());
-            let demand = util_sum + b.ratio(task.period());
+            util_sum += cost(task).ratio(task.period());
+            let demand = util_sum + blocking(task.id()).ratio(task.period());
             let bound = liu_layland_bound(rank + 1);
             TaskSched {
                 task: task.id(),
@@ -131,6 +138,38 @@ pub(crate) fn theorem3_rows(
         .collect()
 }
 
+/// The higher-priority tasks on `task`'s processor.
+fn higher_local<'a>(system: &'a System, task: &'a Task) -> impl Iterator<Item = &'a Task> {
+    system
+        .tasks()
+        .iter()
+        .filter(move |h| h.processor() == task.processor() && h.priority() > task.priority())
+}
+
+/// The one response-time recurrence: the least fixed point of
+/// `R = C_i + B_i + Σ_h ⌈(R + J_h)/T_h⌉ · C_h` over `hp`, the
+/// higher-priority local tasks paired with their release jitter `J_h`.
+/// `None` if the iteration passes the deadline (or fails to settle).
+fn rta_fixed_point(task: &Task, blocking: Dur, hp: &[(&Task, Dur)]) -> Option<Dur> {
+    let base = task.wcet() + blocking;
+    let mut r = base;
+    for _ in 0..1_000 {
+        let interference: Dur = hp
+            .iter()
+            .map(|(h, jitter)| h.wcet() * h.period().div_ceil_of(r + *jitter))
+            .sum();
+        let next = base + interference;
+        if next == r {
+            return Some(r);
+        }
+        if next > task.deadline() {
+            return None;
+        }
+        r = next;
+    }
+    None
+}
+
 /// Exact response-time analysis with blocking (a tighter, post-1990
 /// fixed-point test): `R_i = C_i + B_i + Σ_{j ∈ hp_local(i)} ⌈R_i/T_j⌉
 /// C_j`. Returns `None` for a task whose recurrence diverges past its
@@ -140,33 +179,23 @@ pub(crate) fn theorem3_rows(
 ///
 /// Panics if `blocking` is not indexed like the system's tasks.
 pub fn response_times(system: &System, blocking: &[Dur]) -> Vec<Option<Dur>> {
+    response_times_with(system, blocking, |_| Dur::ZERO)
+}
+
+/// [`response_times`] with a fixed release jitter per higher-priority
+/// task.
+fn response_times_with(
+    system: &System,
+    blocking: &[Dur],
+    jitter: impl Fn(&Task) -> Dur,
+) -> Vec<Option<Dur>> {
     assert_eq!(blocking.len(), system.tasks().len());
     system
         .tasks()
         .iter()
         .map(|task| {
-            let hp: Vec<_> = system
-                .tasks()
-                .iter()
-                .filter(|h| h.processor() == task.processor() && h.priority() > task.priority())
-                .collect();
-            let base = task.wcet() + blocking[task.id().index()];
-            let mut r = base;
-            for _ in 0..1_000 {
-                let interference: Dur = hp
-                    .iter()
-                    .map(|h| h.wcet() * h.period().div_ceil_of(r))
-                    .sum();
-                let next = base + interference;
-                if next == r {
-                    return Some(r);
-                }
-                if next > task.deadline() {
-                    return None;
-                }
-                r = next;
-            }
-            None
+            let hp: Vec<_> = higher_local(system, task).map(|h| (h, jitter(h))).collect();
+            rta_fixed_point(task, blocking[task.id().index()], &hp)
         })
         .collect()
 }
@@ -199,53 +228,17 @@ pub fn rta_schedulable(system: &System, blocking: &[Dur]) -> bool {
 ///
 /// Panics if `blocking` is not indexed like the system's tasks.
 pub fn response_times_with_jitter(system: &System, blocking: &[Dur]) -> Vec<Option<Dur>> {
-    assert_eq!(blocking.len(), system.tasks().len());
     let info = system.info();
     // Jitter of a task: its own blocking if it can self-suspend (global
     // requests or explicit suspensions), zero otherwise.
-    let jitter: Vec<Dur> = system
-        .tasks()
-        .iter()
-        .map(|t| {
-            let suspends = info.task_use(t.id()).gcs_count() > 0 || t.body().suspension_count() > 0;
-            if suspends {
-                blocking[t.id().index()]
-            } else {
-                Dur::ZERO
-            }
-        })
-        .collect();
-    system
-        .tasks()
-        .iter()
-        .map(|task| {
-            let hp: Vec<_> = system
-                .tasks()
-                .iter()
-                .filter(|h| h.processor() == task.processor() && h.priority() > task.priority())
-                .collect();
-            let base = task.wcet() + blocking[task.id().index()];
-            let mut r = base;
-            for _ in 0..1_000 {
-                let interference: Dur = hp
-                    .iter()
-                    .map(|h| {
-                        let window = r + jitter[h.id().index()];
-                        h.wcet() * h.period().div_ceil_of(window)
-                    })
-                    .sum();
-                let next = base + interference;
-                if next == r {
-                    return Some(r);
-                }
-                if next > task.deadline() {
-                    return None;
-                }
-                r = next;
-            }
-            None
-        })
-        .collect()
+    response_times_with(system, blocking, |h| {
+        let suspends = info.task_use(h.id()).gcs_count() > 0 || h.body().suspension_count() > 0;
+        if suspends {
+            blocking[h.id().index()]
+        } else {
+            Dur::ZERO
+        }
+    })
 }
 
 /// Whether every task passes [`response_times_with_jitter`].
@@ -276,57 +269,34 @@ pub fn rta_with_jitter_schedulable(system: &System, blocking: &[Dur]) -> bool {
 /// too (`None`).
 ///
 /// Use with the *factors-only* blocking
-/// ([`BlockingBreakdown::blocking`](crate::BlockingBreakdown)) — the
+/// ([`TaskBounds::factors`](crate::TaskBounds::factors)) — the
 /// deferred-execution penalty is superseded by the jitter term.
+///
+/// **Advisory.** Scenario sweeps found observed MPCP responses slightly
+/// above this fixed point on ~1% of random systems (the recurrence
+/// under-counts interference released while the analyzed task
+/// self-suspends), consistent with the literature on flawed
+/// suspension-aware RTA. A [`BoundSet`](crate::BoundSet)'s blocking
+/// bound and verdict are the sound results.
 ///
 /// # Panics
 ///
 /// Panics if `blocking` is not indexed like the system's tasks.
 pub fn response_times_suspension_aware(system: &System, blocking: &[Dur]) -> Vec<Option<Dur>> {
     assert_eq!(blocking.len(), system.tasks().len());
-    let mut order: Vec<&mpcp_model::Task> = system.tasks().iter().collect();
+    let mut order: Vec<&Task> = system.tasks().iter().collect();
     order.sort_by_key(|t| std::cmp::Reverse(t.priority()));
-    let mut response: Vec<Option<Option<Dur>>> = vec![None; system.tasks().len()];
+    let mut response: Vec<Option<Dur>> = vec![None; system.tasks().len()];
     for task in order {
-        let hp: Vec<_> = system
-            .tasks()
-            .iter()
-            .filter(|h| h.processor() == task.processor() && h.priority() > task.priority())
+        // Higher-priority tasks were computed first; one that diverged
+        // (`None`) takes this task with it.
+        let hp: Option<Vec<_>> = higher_local(system, task)
+            .map(|h| Some((h, response[h.id().index()]?.saturating_sub(h.wcet()))))
             .collect();
-        let jitters: Option<Vec<Dur>> = hp
-            .iter()
-            .map(|h| {
-                response[h.id().index()]
-                    .expect("higher-priority tasks are computed first")
-                    .map(|r| r.saturating_sub(h.wcet()))
-            })
-            .collect();
-        let computed = jitters.and_then(|jitters| {
-            let base = task.wcet() + blocking[task.id().index()];
-            let mut r = base;
-            for _ in 0..1_000 {
-                let interference: Dur = hp
-                    .iter()
-                    .zip(&jitters)
-                    .map(|(h, &j)| h.wcet() * h.period().div_ceil_of(r + j))
-                    .sum();
-                let next = base + interference;
-                if next == r {
-                    return Some(r);
-                }
-                if next > task.deadline() {
-                    return None;
-                }
-                r = next;
-            }
-            None
-        });
-        response[task.id().index()] = Some(computed);
+        response[task.id().index()] =
+            hp.and_then(|hp| rta_fixed_point(task, blocking[task.id().index()], &hp));
     }
     response
-        .into_iter()
-        .map(|r| r.expect("every task computed"))
-        .collect()
 }
 
 /// Returns a copy of `system` with every computation segment scaled by

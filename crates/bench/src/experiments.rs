@@ -4,12 +4,17 @@
 //! too.
 
 use crate::paper;
-use mpcp_analysis as analysis;
+use mpcp_analysis::{self as analysis, Analysis, BlockingConfig, BoundSet};
 use mpcp_model::{Dur, Machine, System, TaskDef, TaskId, Time};
 use mpcp_protocols::ProtocolKind;
 use mpcp_sim::{Binding, SimConfig, Simulator};
 use mpcp_taskgen::{generate, WorkloadConfig};
 use std::fmt::Write as _;
+
+/// Sum over tasks of the blocking bound, in ticks.
+fn total_blocking(set: &BoundSet) -> u64 {
+    set.per_task().iter().map(|t| t.blocking.ticks()).sum()
+}
 
 /// Runs `system` under `kind` until `horizon` and returns the maximum
 /// measured blocking of `task` over completed and in-flight jobs.
@@ -195,8 +200,9 @@ pub fn validate_bounds_once(seed: u64) -> Vec<(TaskId, Dur, Dur)> {
         .sections(0, 2)
         .section_len(0.05, 0.15);
     let sys = generate(&config, seed);
-    let bounds =
-        analysis::mpcp_bounds_with(&sys, analysis::BlockingConfig::sound()).expect("valid system");
+    let bounds = Analysis::Mpcp
+        .bounds(&sys, BlockingConfig::sound())
+        .expect("valid system");
     let mut sim = Simulator::with_config(
         &sys,
         ProtocolKind::Mpcp.build(),
@@ -213,7 +219,7 @@ pub fn validate_bounds_once(seed: u64) -> Vec<(TaskId, Dur, Dur)> {
             (
                 t.id(),
                 metrics.task(t.id()).max_blocking,
-                bounds[t.id().index()].total(),
+                bounds.task(t.id()).blocking,
             )
         })
         .collect()
@@ -223,7 +229,9 @@ pub fn validate_bounds_once(seed: u64) -> Vec<(TaskId, Dur, Dur)> {
 /// simulation-vs-bound validation over random systems.
 pub fn e8_blocking_factors() -> String {
     let (sys, _) = paper::example3();
-    let bounds = analysis::mpcp_bounds(&sys).expect("example 3 satisfies the assumptions");
+    let bounds = Analysis::Mpcp
+        .bounds(&sys, BlockingConfig::paper())
+        .expect("example 3 satisfies the assumptions");
     let mut out = String::new();
     let _ = writeln!(out, "E8 — §5.1 blocking factors (Example 3 system)");
     out.push_str(&analysis::report::blocking_table(&sys, &bounds));
@@ -282,20 +290,15 @@ pub fn e9_mpcp_vs_dpcp() -> String {
                 .global_access(frac)
                 .section_len(0.02, 0.08);
             let sys = generate(&cfg, 1_000 + seed);
-            let mb = analysis::mpcp_bounds(&sys).expect("valid");
-            let db = analysis::dpcp_bounds(&sys).expect("valid");
-            sum_m += mb.iter().map(|b| b.total().ticks()).sum::<u64>();
-            sum_d += db.iter().map(|b| b.total().ticks()).sum::<u64>();
-            let bm: Vec<Dur> = mb
-                .iter()
-                .map(mpcp_analysis::BlockingBreakdown::total)
-                .collect();
-            let bd: Vec<Dur> = db.iter().map(mpcp_analysis::DpcpBreakdown::total).collect();
-            if analysis::theorem3(&sys, &bm).schedulable() {
-                sched_m += 1;
-            }
-            if analysis::theorem3(&sys, &bd).schedulable() {
-                sched_d += 1;
+            for (analysis, sum, sched) in [
+                (Analysis::Mpcp, &mut sum_m, &mut sched_m),
+                (Analysis::Dpcp, &mut sum_d, &mut sched_d),
+            ] {
+                let set = analysis
+                    .bounds(&sys, BlockingConfig::paper())
+                    .expect("valid");
+                *sum += total_blocking(&set);
+                *sched += u32::from(set.schedulable());
             }
         }
         let tasks = (n * 16) as f64;
@@ -337,20 +340,14 @@ pub fn sched_fraction(util: f64, n: u64) -> (f64, f64, f64) {
         if analysis::theorem3(&sys, &zero).schedulable() {
             ok_ideal += 1;
         }
-        if let Ok(b) = analysis::mpcp_bounds(&sys) {
-            let b: Vec<Dur> = b
-                .iter()
-                .map(mpcp_analysis::BlockingBreakdown::total)
-                .collect();
-            if analysis::theorem3(&sys, &b).schedulable() {
-                ok_mpcp += 1;
-            }
-        }
-        if let Ok(b) = analysis::dpcp_bounds(&sys) {
-            let b: Vec<Dur> = b.iter().map(mpcp_analysis::DpcpBreakdown::total).collect();
-            if analysis::theorem3(&sys, &b).schedulable() {
-                ok_dpcp += 1;
-            }
+        for (analysis, ok) in [
+            (Analysis::Mpcp, &mut ok_mpcp),
+            (Analysis::Dpcp, &mut ok_dpcp),
+        ] {
+            let accepted = analysis
+                .bounds(&sys, BlockingConfig::paper())
+                .is_ok_and(|set| set.schedulable());
+            *ok += u32::from(accepted);
         }
     }
     (
@@ -486,13 +483,15 @@ pub fn e12_nesting() -> String {
                 .global_access(1.0)
                 .nesting(prob);
             let sys = generate(&cfg, 5_000 + seed);
-            if let Ok(b) = analysis::mpcp_bounds(&sys) {
-                flat_sum += b.iter().map(|x| x.total().ticks()).sum::<u64>();
+            if let Ok(set) = Analysis::Mpcp.bounds(&sys, BlockingConfig::paper()) {
+                flat_sum += total_blocking(&set);
                 flat_n += 1;
             }
             let (collapsed, groups) = analysis::collapse_nested_globals(&sys);
-            let b = analysis::mpcp_bounds(&collapsed).expect("collapsed systems analyze");
-            coll_sum += b.iter().map(|x| x.total().ticks()).sum::<u64>();
+            let set = Analysis::Mpcp
+                .bounds(&collapsed, BlockingConfig::paper())
+                .expect("collapsed systems analyze");
+            coll_sum += total_blocking(&set);
             group_count += groups.len();
         }
         let _ = writeln!(
@@ -654,11 +653,10 @@ pub fn e16_aperiodic_service() -> String {
     // Polling-server analytical bound for a mid-priority server.
     let sp = PollingServer::new(demand, 30);
     let (sys, aper) = aperiodic_scenario(6, demand, 11);
-    let bounds = mpcp_analysis::mpcp_bounds(&sys).expect("valid");
-    let blocking: Vec<Dur> = bounds
-        .iter()
-        .map(mpcp_analysis::BlockingBreakdown::total)
-        .collect();
+    let blocking = Analysis::Mpcp
+        .bounds(&sys, BlockingConfig::paper())
+        .expect("valid")
+        .blocking();
     if let Some(bound) =
         mpcp_analysis::aperiodic_response_bound(&sys, aper, sp, Dur::new(demand), &blocking)
     {

@@ -16,9 +16,9 @@
 //! ```
 
 use mpcp_alloc::{allocate, Heuristic};
-use mpcp_analysis as analysis;
+use mpcp_analysis::{self as analysis, Analysis, BlockingConfig};
 use mpcp_dga::{DependencyGraph, DgaSchedule};
-use mpcp_model::{Dur, Time};
+use mpcp_model::Time;
 use mpcp_protocols::ProtocolKind;
 use mpcp_service::{LoadgenConfig, ServerConfig};
 use mpcp_sim::{SimConfig, Simulator};
@@ -86,7 +86,7 @@ fn main() -> ExitCode {
         "sim" => {
             let (sys, seed) = build_system(&flags);
             let kind = match flag_protocol(&flags) {
-                Ok(kind) => kind,
+                Ok(kind) => kind.unwrap_or(ProtocolKind::Mpcp),
                 Err(e) => {
                     eprintln!("{e}");
                     return ExitCode::FAILURE;
@@ -134,22 +134,17 @@ fn main() -> ExitCode {
             println!("seed {seed}");
             println!("{}", analysis::report::ceiling_table(&sys));
             println!("{}", analysis::report::gcs_priority_table(&sys));
-            match analysis::mpcp_bounds(&sys) {
-                Ok(bounds) => {
+            match Analysis::Mpcp.bounds(&sys, BlockingConfig::paper()) {
+                Ok(mpcp) => {
                     println!("MPCP blocking bounds (§5.1):");
-                    println!("{}", analysis::report::blocking_table(&sys, &bounds));
-                    let blocking: Vec<Dur> = bounds
-                        .iter()
-                        .map(mpcp_analysis::BlockingBreakdown::total)
-                        .collect();
+                    println!("{}", analysis::report::blocking_table(&sys, &mpcp));
                     println!("Theorem 3:");
-                    println!(
-                        "{}",
-                        analysis::report::sched_table(&sys, &analysis::theorem3(&sys, &blocking))
-                    );
-                    let dpcp = analysis::dpcp_bounds(&sys).expect("same preconditions");
+                    println!("{}", analysis::report::sched_table(&sys, &mpcp));
+                    let dpcp = Analysis::Dpcp
+                        .bounds(&sys, BlockingConfig::paper())
+                        .expect("same preconditions");
                     println!("DPCP blocking bounds (§5.2 comparison):");
-                    println!("{}", analysis::report::dpcp_blocking_table(&sys, &dpcp));
+                    println!("{}", analysis::report::blocking_table(&sys, &dpcp));
                     ExitCode::SUCCESS
                 }
                 Err(e) => {
@@ -228,17 +223,13 @@ fn main() -> ExitCode {
             };
             eprintln!("verifying {label}");
             let lint_report = mpcp_verify::lint_system(&sys);
-            let explorations = match flags.get("protocol") {
-                Some(p) => match p.parse::<ProtocolKind>() {
-                    Ok(kind) => vec![mpcp_verify::checker::explore(&sys, kind, &config)],
-                    Err(_) => {
-                        eprintln!(
-                            "unknown protocol {p:?}: expected mpcp|dpcp|pip|raw|nonpreemptive|direct-pcp|dga"
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => mpcp_verify::checker::explore_all(&sys, &config),
+            let explorations = match flag_protocol(&flags) {
+                Ok(Some(kind)) => vec![mpcp_verify::checker::explore(&sys, kind, &config)],
+                Ok(None) => mpcp_verify::checker::explore_all(&sys, &config),
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
             };
             let mut report = lint_report;
             for d in mpcp_verify::checker::report(&explorations).diagnostics() {
@@ -355,15 +346,12 @@ fn main() -> ExitCode {
                 flag_u64(&flags, "audit-stride", config.audit_stride as u64) as usize;
             config.shrink = !flags.contains_key("no-shrink");
             config.check_response = flags.contains_key("check-response");
-            if let Some(p) = flags.get("protocol") {
-                match p.parse::<ProtocolKind>() {
-                    Ok(kind) => config.protocols = vec![kind],
-                    Err(_) => {
-                        eprintln!(
-                            "unknown protocol {p:?}: expected mpcp|dpcp|pip|raw|nonpreemptive|direct-pcp|dga"
-                        );
-                        return ExitCode::FAILURE;
-                    }
+            match flag_protocol(&flags) {
+                Ok(Some(kind)) => config.protocols = vec![kind],
+                Ok(None) => {}
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
                 }
             }
             let report = mpcp_sweep::run(&config);
@@ -664,7 +652,10 @@ fn run_audit(sys: &mpcp_model::System, label: &str, steps: usize) -> ExitCode {
 }
 
 fn usage() -> String {
-    "mpcp — real-time synchronization protocols for shared memory multiprocessors\n\
+    let sweep_default = protocol_names(&mpcp_sweep::SweepConfig::default().protocols, " ");
+    let all_protocols = protocol_names(&ProtocolKind::ALL, "|");
+    format!(
+        "mpcp — real-time synchronization protocols for shared memory multiprocessors\n\
      \n\
      usage:\n\
      \x20 mpcp exp <e1..e16|all>      regenerate a paper table/figure\n\
@@ -686,7 +677,7 @@ fn usage() -> String {
      \x20 --jobs N       worker threads (default 1; report is identical for any value)\n\
      \x20 --util-lo U / --util-hi U / --util-steps N   utilization grid (0.30..0.75 by 10)\n\
      \x20 --horizon T    per-scenario simulation cap (default 20000)\n\
-     \x20 --protocol P   restrict to one protocol (default: mpcp dpcp pip nonpreemptive raw dga)\n\
+     \x20 --protocol P   restrict to one protocol (default: {sweep_default})\n\
      \x20 --no-shrink    skip counterexample minimization\n\
      \x20 --gsections N  force ≥N global critical sections per job (default 0)\n\
      \x20 --audit-stride N  audit every Nth scenario by index (default 8; --jobs-independent)\n\
@@ -751,9 +742,9 @@ fn usage() -> String {
      \x20 --globals N    global semaphores (default 2)\n\
      \x20 --locals N     local semaphores per processor (default 1)\n\
      \x20 --gsections N  force ≥N global critical sections per job (default 0)\n\
-     \x20 --protocol P   mpcp|dpcp|pip|raw|nonpreemptive|direct-pcp|dga\n\
+     \x20 --protocol P   {all_protocols}\n\
      \x20 --until T      simulation horizon (default 100000)\n"
-        .to_owned()
+    )
 }
 
 /// Flags that stand alone; every other `--flag` requires a value.
@@ -803,15 +794,26 @@ fn flag_f64(flags: &HashMap<String, String>, name: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
-fn flag_protocol(flags: &HashMap<String, String>) -> Result<ProtocolKind, String> {
-    match flags.get("protocol") {
-        None => Ok(ProtocolKind::Mpcp),
-        Some(v) => v.parse().map_err(|_| {
-            format!(
-                "unknown protocol {v:?}: expected mpcp|dpcp|pip|raw|nonpreemptive|direct-pcp|dga"
-            )
-        }),
-    }
+/// `names` joined by `sep` — the protocol lists in the usage text and
+/// the unknown-protocol message come from the registry, not from prose.
+fn protocol_names(kinds: &[ProtocolKind], sep: &str) -> String {
+    let names: Vec<&str> = kinds.iter().map(|k| k.name()).collect();
+    names.join(sep)
+}
+
+/// The `--protocol` flag, if given.
+fn flag_protocol(flags: &HashMap<String, String>) -> Result<Option<ProtocolKind>, String> {
+    flags
+        .get("protocol")
+        .map(|v| {
+            v.parse().map_err(|_| {
+                format!(
+                    "unknown protocol {v:?}: expected {}",
+                    protocol_names(&ProtocolKind::ALL, "|")
+                )
+            })
+        })
+        .transpose()
 }
 
 /// System under `lint`/`verify`: `--example 1|2|3` picks a paper

@@ -13,7 +13,7 @@
 //! minimum pushes that job's next section: O(n log n) in the number of
 //! vertices.
 //!
-//! Tie-breaks, in order: earliest possible start ([`Vertex::est`]),
+//! Tie-breaks, in order: earliest possible start ([`crate::Vertex::est`]),
 //! then *longest critical section first* (the classic list-scheduling
 //! heuristic — long sections fill semaphore idle gaps worst, so they
 //! go first), then task index and instance for full determinism (a

@@ -1,6 +1,11 @@
-//! Protocol registry for experiment harnesses.
+//! Protocol registry for experiment harnesses: per [`ProtocolKind`], the
+//! simulator policy ([`ProtocolKind::build`]), the admission analysis
+//! ([`ProtocolKind::analysis`]) and the trace invariants it promises
+//! ([`ProtocolKind::monitor_spec`]). Consumers iterate this table
+//! instead of matching on the kind.
 
 use crate::{DirectPcp, Dpcp, FmlpPlus, Mpcp, Msrp, NonPreemptiveCs, Pip, RawSemaphores};
+use mpcp_analysis::Analysis;
 use mpcp_dga::DgaReplay;
 use mpcp_sim::{MonitorSpec, Protocol};
 use std::fmt;
@@ -79,7 +84,23 @@ impl ProtocolKind {
         }
     }
 
-    /// The [`MonitorSpec`] appropriate for traces of this protocol.
+    /// The blocking analysis and schedulability test that admits
+    /// systems for this protocol, or `None` when the repo has none (the
+    /// strawman baselines) or acceptance is not a bound at all (DGA:
+    /// feasibility of the constructed schedule).
+    pub fn analysis(self) -> Option<Analysis> {
+        match self {
+            ProtocolKind::Mpcp => Some(Analysis::Mpcp),
+            ProtocolKind::Dpcp => Some(Analysis::Dpcp),
+            ProtocolKind::Msrp => Some(Analysis::Msrp),
+            ProtocolKind::Fmlp => Some(Analysis::Fmlp),
+            _ => None,
+        }
+    }
+
+    /// The [`MonitorSpec`] appropriate for traces of this protocol —
+    /// the one invariant table: the sweep's streaming monitor runs it
+    /// and `mpcp_verify`'s model-checker profile is a projection of it.
     ///
     /// Priority-ordered hand-offs are off for the raw FIFO baseline
     /// (FIFO queues legitimately invert priority — that is the paper's
@@ -87,16 +108,22 @@ impl ProtocolKind {
     /// need not respect priority; the schedule conformance check
     /// supersedes the hand-off rule there), and for the FIFO-queue
     /// protocols MSRP and FMLP+ (FIFO order is their design — the spin
-    /// and boost checks cover them instead). The MPCP-specific
-    /// structural checks and the blocking-accounting oracle only apply
-    /// to MPCP itself.
+    /// and boost checks cover them instead). Theorem 2's gcs discipline
+    /// and the blocking-accounting oracle only apply to MPCP itself.
+    /// The priority floor holds wherever priorities are only ever
+    /// *raised*: MPCP's gcs band, MSRP's spin boost and FMLP+'s section
+    /// boost.
     pub fn monitor_spec(self) -> MonitorSpec {
         MonitorSpec {
             handoffs: !matches!(
                 self,
                 ProtocolKind::Raw | ProtocolKind::Dga | ProtocolKind::Msrp | ProtocolKind::Fmlp
             ),
-            mpcp_discipline: self == ProtocolKind::Mpcp,
+            gcs_discipline: self == ProtocolKind::Mpcp,
+            priority_floor: matches!(
+                self,
+                ProtocolKind::Mpcp | ProtocolKind::Msrp | ProtocolKind::Fmlp
+            ),
             observed_blocking: self == ProtocolKind::Mpcp,
             spin_occupancy: self == ProtocolKind::Msrp,
             boost_while_holding: matches!(self, ProtocolKind::Msrp | ProtocolKind::Fmlp),
@@ -144,6 +171,20 @@ mod tests {
             assert_eq!(k.build().name(), k.name());
             assert_eq!(k.to_string(), k.name());
         }
+    }
+
+    #[test]
+    fn analyses_share_their_protocols_name() {
+        for k in ProtocolKind::ALL {
+            if let Some(a) = k.analysis() {
+                assert_eq!(a.name(), k.name());
+            }
+        }
+        let covered: Vec<_> = ProtocolKind::ALL
+            .into_iter()
+            .filter_map(ProtocolKind::analysis)
+            .collect();
+        assert_eq!(covered, Analysis::ALL);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! mpcp-service: an online admission-control server for MPCP task
 //! systems.
 //!
-//! The repo's analyses ([`mpcp_analysis::mpcp_bounds`], Theorem 3 via
-//! [`mpcp_analysis::theorem3`], the [`mpcp_verify`] lints and the
-//! [`mpcp_alloc`] partitioner) are batch tools: one system in, one
-//! verdict out. This crate turns them into a long-running *service* —
+//! The repo's analyses (the blocking bounds and schedulability tests
+//! behind [`mpcp_analysis::Analysis::bounds`], the [`mpcp_verify`] lints
+//! and the [`mpcp_alloc`] partitioner) are batch tools: one system in,
+//! one verdict out. This crate turns them into a long-running *service* —
 //! the operational shape admission control actually has in Rajkumar's
 //! setting, where task arrivals are online events and the analysis
 //! must answer "can this task set be admitted *now*" under load.
@@ -19,7 +19,7 @@
 //! - [`proto`]: request/response schema with stable error codes.
 //! - [`session`]: named live systems and the pure
 //!   [`session::analyze`] admission pipeline
-//!   (allocate? → lint → blocking bounds → Theorem 3).
+//!   (allocate? → lint → the selected analysis' `BoundSet`).
 //! - [`cache`]: sharded memoization of analyses with hit/miss
 //!   counters.
 //! - [`pool`]: bounded worker pool — overload sheds, never stalls.

@@ -242,7 +242,7 @@ fn parse_entry(line: &str) -> Option<RestoredSession> {
         _ => return None,
     };
     let protocol = match v.get("protocol") {
-        Some(p) => AdmissionProtocol::parse(p.as_str()?)?,
+        Some(p) => p.as_str()?.parse().ok()?,
         None => AdmissionProtocol::Mpcp, // pre-selection journal line
     };
     let spec = SystemSpec::from_json(v.get("system")?).ok()?;

@@ -59,49 +59,13 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// Which schedulability analysis admits a submission. MPCP (the
-/// default) is the paper's §5.1 bound + Theorem 3; MSRP uses the
-/// spin-inflated FIFO spin-lock bound; FMLP+ the suspension-oblivious
-/// FIFO queue-lock bound. Sessions remember the protocol they were
-/// submitted under, so `add-task`/`remove-task` re-admission uses the
-/// same analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionProtocol {
-    /// Shared-memory priority ceiling protocol (§5.1 + Theorem 3).
-    #[default]
-    Mpcp,
-    /// Non-preemptive FIFO spin locks (spin-inflated utilization test).
-    Msrp,
-    /// Suspension-based FIFO queue locks with priority boosting.
-    Fmlp,
-}
-
-impl AdmissionProtocol {
-    /// The wire name of the protocol.
-    pub fn name(self) -> &'static str {
-        match self {
-            AdmissionProtocol::Mpcp => "mpcp",
-            AdmissionProtocol::Msrp => "msrp",
-            AdmissionProtocol::Fmlp => "fmlp",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn parse(s: &str) -> Option<AdmissionProtocol> {
-        match s {
-            "mpcp" => Some(AdmissionProtocol::Mpcp),
-            "msrp" => Some(AdmissionProtocol::Msrp),
-            "fmlp" => Some(AdmissionProtocol::Fmlp),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for AdmissionProtocol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+/// Which analysis admits a submission: the analysis contract's own
+/// selector, so the wire accepts exactly the names in
+/// [`Analysis::ALL`](mpcp_analysis::Analysis::ALL) (`"mpcp"`, the
+/// default, `"dpcp"`, `"msrp"`, `"fmlp"`). Sessions remember the
+/// protocol they were submitted under, so `add-task`/`remove-task`
+/// re-admission uses the same analysis.
+pub use mpcp_analysis::Analysis as AdmissionProtocol;
 
 /// An optional allocation directive attached to `submit`: rebind the
 /// submitted tasks onto `processors` processors with `heuristic` before
@@ -190,9 +154,9 @@ impl Request {
                 };
                 let protocol = match v.get("protocol").and_then(Value::as_str) {
                     None => AdmissionProtocol::default(),
-                    Some(p) => AdmissionProtocol::parse(p).ok_or_else(|| {
-                        bad(&format!("unknown protocol {p:?}; expected mpcp|msrp|fmlp"))
-                    })?,
+                    Some(p) => p
+                        .parse()
+                        .map_err(|e: mpcp_analysis::ParseAnalysisError| bad(&e.to_string()))?,
                 };
                 Ok(Request::Submit {
                     session,
@@ -320,13 +284,9 @@ mod tests {
 
     #[test]
     fn submit_with_protocol_selection() {
-        for (name, want) in [
-            ("mpcp", AdmissionProtocol::Mpcp),
-            ("msrp", AdmissionProtocol::Msrp),
-            ("fmlp", AdmissionProtocol::Fmlp),
-        ] {
+        for want in AdmissionProtocol::ALL {
             let v = json::parse(&format!(
-                r#"{{"op":"submit","session":"s","system":{{}},"protocol":"{name}"}}"#
+                r#"{{"op":"submit","session":"s","system":{{}},"protocol":"{want}"}}"#
             ))
             .unwrap();
             match Request::from_json(&v).unwrap() {
@@ -349,7 +309,7 @@ mod tests {
             (r#"{"op":"warp"}"#, "unknown op"),
             (
                 r#"{"op":"submit","session":"s","system":{},"protocol":"pcp"}"#,
-                "unknown protocol",
+                "expected mpcp|dpcp|msrp|fmlp",
             ),
             (r#"{"op":"submit","session":"s"}"#, "system"),
             (r#"{"op":"submit","system":{}}"#, "session"),

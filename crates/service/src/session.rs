@@ -1,11 +1,12 @@
 //! Admission analysis and named system sessions.
 //!
 //! [`analyze`] is the online form of the repo's offline pipeline: lint
-//! (`mpcp-verify` V001–V009), optional allocation (`mpcp-alloc`),
-//! blocking bounds (`analysis::mpcp_bounds`, §5.1) and Theorem 3, all
+//! (`mpcp-verify` V001–V009), optional allocation (`mpcp-alloc`), then
+//! the selected [`Analysis`](mpcp_analysis::Analysis) — blocking bounds
+//! and their schedulability test, §5.1 + Theorem 3 by default — all
 //! folded into one [`AdmissionResult`] with a per-task breakdown. The
-//! result is a pure function of `(spec, allocate)`, which is what makes
-//! it cacheable (see [`cache`](crate::cache)).
+//! result is a pure function of `(spec, allocate, protocol)`, which is
+//! what makes it cacheable (see [`cache`](crate::cache)).
 //!
 //! A [`Session`] is a named, live task system. Incremental updates
 //! (`add-task`) are *transactional*: the candidate system is analyzed
@@ -14,16 +15,15 @@
 
 use crate::proto::{AdmissionProtocol, AllocDirective};
 use crate::wire::{SystemSpec, TaskSpec};
-use mpcp_analysis as analysis;
-use mpcp_analysis::Edit;
+use mpcp_analysis::{BlockingConfig, BoundSet, Edit};
 use mpcp_model::System;
 use mpcp_verify::{IncrementalAnalysis, Severity};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Per-task admission breakdown: the Theorem 3 inequality inputs plus
-/// the §5.1 blocking bound.
+/// Per-task admission breakdown: the inputs of the task's
+/// rate-monotonic row plus its blocking bound.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskVerdict {
     /// Task name.
@@ -34,9 +34,10 @@ pub struct TaskVerdict {
     pub period: u64,
     /// WCET in ticks.
     pub wcet: u64,
-    /// Worst-case blocking `B_i` (five factors + deferred penalty).
+    /// Worst-case blocking under the selected analysis (under MPCP
+    /// `B_i`: five factors + deferred penalty).
     pub blocking: u64,
-    /// Theorem 3 left-hand side for this task.
+    /// Left-hand side of the task's row (Theorem 3 under MPCP).
     pub demand: f64,
     /// Liu & Layland bound for its rank.
     pub bound: f64,
@@ -60,9 +61,9 @@ pub struct AllocSummary {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionResult {
     /// The verdict: admit only if the lints are clean (no errors), the
-    /// §5.1 analysis accepts the structure, and Theorem 3 holds.
+    /// analysis accepts the structure, and its schedulability test holds.
     pub admitted: bool,
-    /// Whether Theorem 3 held (false also when analysis was impossible).
+    /// Whether the test held (false also when analysis was impossible).
     pub schedulable: bool,
     /// Error-severity lint findings.
     pub lint_errors: usize,
@@ -87,11 +88,10 @@ pub fn analyze(spec: &SystemSpec, allocate: Option<AllocDirective>) -> Admission
     analyze_with(spec, allocate, AdmissionProtocol::Mpcp)
 }
 
-/// [`analyze`] under a caller-selected admission analysis: MPCP (§5.1 +
-/// Theorem 3), MSRP (spin-inflated utilization test) or FMLP+
-/// (suspension-oblivious FIFO bound). Lints and allocation are
-/// protocol-independent; only the blocking bound and schedulability
-/// test change.
+/// [`analyze`] under a caller-selected admission analysis, any of
+/// [`Analysis::ALL`](mpcp_analysis::Analysis::ALL) with the paper's
+/// instance counts. Lints and allocation are protocol-independent; only
+/// the [`BoundSet`] changes.
 pub fn analyze_with(
     spec: &SystemSpec,
     allocate: Option<AllocDirective>,
@@ -152,52 +152,15 @@ pub fn analyze_with(
         .map(|d| format!("{}: {}", d.code, d.message))
         .collect();
 
-    let (schedulable, tasks) = match protocol {
-        AdmissionProtocol::Mpcp => match analysis::mpcp_bounds(&system) {
-            Ok(bounds) => {
-                let blocking: Vec<_> = bounds
-                    .iter()
-                    .map(analysis::BlockingBreakdown::total)
-                    .collect();
-                let sched = analysis::theorem3(&system, &blocking);
-                let tasks = per_task_verdicts(&system, &blocking, &sched, &mut reasons);
-                (sched.schedulable(), tasks)
-            }
-            Err(e) => {
-                reasons.push(format!("analysis rejected the system: {e}"));
-                (false, Vec::new())
-            }
-        },
-        AdmissionProtocol::Msrp => match analysis::msrp_bound_set(&system) {
-            Ok(set) => {
-                let rows: Vec<(mpcp_model::Dur, f64, f64, bool)> = set
-                    .per_task()
-                    .iter()
-                    .map(|b| (b.blocking, b.demand, b.bound, b.ok))
-                    .collect();
-                let tasks = protocol_verdicts(&system, protocol, &rows, &mut reasons);
-                (set.schedulable(), tasks)
-            }
-            Err(e) => {
-                reasons.push(format!("analysis rejected the system: {e}"));
-                (false, Vec::new())
-            }
-        },
-        AdmissionProtocol::Fmlp => match analysis::fmlp_bound_set(&system) {
-            Ok(set) => {
-                let rows: Vec<(mpcp_model::Dur, f64, f64, bool)> = set
-                    .per_task()
-                    .iter()
-                    .map(|b| (b.blocking, b.demand, b.bound, b.ok))
-                    .collect();
-                let tasks = protocol_verdicts(&system, protocol, &rows, &mut reasons);
-                (set.schedulable(), tasks)
-            }
-            Err(e) => {
-                reasons.push(format!("analysis rejected the system: {e}"));
-                (false, Vec::new())
-            }
-        },
+    let (schedulable, tasks) = match protocol.bounds(&system, BlockingConfig::paper()) {
+        Ok(set) => (
+            set.schedulable(),
+            task_verdicts(&system, &set, &mut reasons),
+        ),
+        Err(e) => {
+            reasons.push(format!("analysis rejected the system: {e}"));
+            (false, Vec::new())
+        }
     };
 
     AdmissionResult {
@@ -212,67 +175,36 @@ pub fn analyze_with(
     }
 }
 
-/// [`TaskVerdict`]s from an MSRP/FMLP+ bound set's `(blocking, demand,
-/// bound, ok)` rows, indexed by task id.
-fn protocol_verdicts(
-    system: &System,
-    protocol: AdmissionProtocol,
-    rows: &[(mpcp_model::Dur, f64, f64, bool)],
-    reasons: &mut Vec<String>,
-) -> Vec<TaskVerdict> {
-    system
-        .tasks()
+/// [`TaskVerdict`]s from a [`BoundSet`]'s rows, with one rejection
+/// reason per failed row.
+fn task_verdicts(system: &System, set: &BoundSet, reasons: &mut Vec<String>) -> Vec<TaskVerdict> {
+    // MPCP replies predate protocol selection and name the theorem.
+    let label = if set.analysis() == AdmissionProtocol::Mpcp {
+        "theorem3"
+    } else {
+        set.analysis().name()
+    };
+    set.per_task()
         .iter()
-        .map(|t| {
-            let (blocking, demand, bound, ok) = rows[t.id().index()];
-            if !ok {
+        .map(|row| {
+            let t = system.task(row.task);
+            if !row.ok {
                 reasons.push(format!(
-                    "{protocol}: task {} demand {demand:.3} exceeds bound {bound:.3}",
-                    t.name()
-                ));
-            }
-            TaskVerdict {
-                name: t.name().to_owned(),
-                processor: system.processor(t.processor()).name().to_owned(),
-                period: t.period().ticks(),
-                wcet: t.wcet().ticks(),
-                blocking: blocking.ticks(),
-                demand,
-                bound,
-                ok,
-            }
-        })
-        .collect()
-}
-
-fn per_task_verdicts(
-    system: &System,
-    blocking: &[mpcp_model::Dur],
-    sched: &analysis::SchedReport,
-    reasons: &mut Vec<String>,
-) -> Vec<TaskVerdict> {
-    system
-        .tasks()
-        .iter()
-        .map(|t| {
-            let s = sched.task(t.id());
-            if !s.ok {
-                reasons.push(format!(
-                    "theorem3: task {} demand {:.3} exceeds bound {:.3}",
+                    "{label}: task {} demand {:.3} exceeds bound {:.3}",
                     t.name(),
-                    s.demand,
-                    s.bound
+                    row.demand,
+                    row.bound
                 ));
             }
             TaskVerdict {
                 name: t.name().to_owned(),
-                processor: system.processor(t.processor()).name().to_owned(),
+                processor: system.processor(row.processor).name().to_owned(),
                 period: t.period().ticks(),
                 wcet: t.wcet().ticks(),
-                blocking: blocking[t.id().index()].ticks(),
-                demand: s.demand,
-                bound: s.bound,
-                ok: s.ok,
+                blocking: row.blocking.ticks(),
+                demand: row.demand,
+                bound: row.bound,
+                ok: row.ok,
             }
         })
         .collect()
@@ -380,16 +312,9 @@ fn admission_from_engine(engine: &IncrementalAnalysis) -> AdmissionResult {
         .map(|d| format!("{}: {}", d.code, d.message))
         .collect();
 
-    let (schedulable, tasks) = match (engine.breakdowns(), engine.sched()) {
-        (Some(bounds), Some(sched)) => {
-            let blocking: Vec<_> = bounds
-                .iter()
-                .map(analysis::BlockingBreakdown::total)
-                .collect();
-            let tasks = per_task_verdicts(system, &blocking, &sched, &mut reasons);
-            (sched.schedulable(), tasks)
-        }
-        _ => {
+    let (schedulable, tasks) = match engine.bounds() {
+        Some(set) => (set.schedulable(), task_verdicts(system, &set, &mut reasons)),
+        None => {
             reasons.push(format!(
                 "analysis rejected the system: {}",
                 engine.analysis_error().unwrap_or("analysis unavailable")
@@ -542,11 +467,7 @@ mod tests {
 
     #[test]
     fn light_system_is_admitted_under_every_protocol() {
-        for protocol in [
-            AdmissionProtocol::Mpcp,
-            AdmissionProtocol::Msrp,
-            AdmissionProtocol::Fmlp,
-        ] {
+        for protocol in AdmissionProtocol::ALL {
             let r = analyze_with(&light_spec(), None, protocol);
             assert!(r.admitted, "{protocol}: {:?}", r.reasons);
             assert_eq!(r.tasks.len(), 2, "{protocol}");

@@ -32,9 +32,13 @@ pub struct MonitorSpec {
     /// Check priority-ordered hand-offs (§5 rule 7) — every protocol
     /// except the raw FIFO baseline, which legitimately violates it.
     pub handoffs: bool,
-    /// Check the gcs preemption discipline (Theorem 2) and the priority
-    /// floor — MPCP-specific structural properties.
-    pub mpcp_discipline: bool,
+    /// Check the gcs preemption discipline (Theorem 2: only a gcs
+    /// preempts a gcs) — MPCP-specific.
+    pub gcs_discipline: bool,
+    /// Check that a job's effective priority never drops below its base
+    /// priority — holds for every protocol that only ever raises
+    /// priorities (MPCP, MSRP, FMLP+).
+    pub priority_floor: bool,
     /// Reconstruct per-job global waiting times from the event stream
     /// (the trace half of the engine-vs-trace accounting oracle).
     pub observed_blocking: bool,
@@ -53,7 +57,8 @@ impl MonitorSpec {
     pub fn all() -> Self {
         MonitorSpec {
             handoffs: true,
-            mpcp_discipline: true,
+            gcs_discipline: true,
+            priority_floor: true,
             observed_blocking: true,
             spin_occupancy: true,
             boost_while_holding: true,
@@ -90,8 +95,8 @@ impl Monitor {
             mutex: MutexCheck::default(),
             occupancy: OccupancyCheck::default(),
             handoff: spec.handoffs.then(|| HandoffCheck::new(system)),
-            gcs: spec.mpcp_discipline.then(|| GcsCheck::new(system)),
-            floor: spec.mpcp_discipline.then(|| FloorCheck::new(system)),
+            gcs: spec.gcs_discipline.then(|| GcsCheck::new(system)),
+            floor: spec.priority_floor.then(|| FloorCheck::new(system)),
             conformance: None,
             spin: spec.spin_occupancy.then(|| SpinCheck::new(system)),
             boost: spec.boost_while_holding.then(|| BoostCheck::new(system)),

@@ -2,26 +2,29 @@
 //! simulation.
 //!
 //! For each generated system the oracle runs a bounded-horizon
-//! simulation per protocol with trace recording on, checks the
-//! structural trace invariants that protocol promises (mirroring
-//! `mpcp_verify`'s invariant profiles), and then cross-checks the
-//! analytical results against observed behaviour:
+//! simulation per protocol with a streaming monitor checking the
+//! structural trace invariants that protocol promises
+//! ([`ProtocolKind::monitor_spec`], the table `mpcp_verify`'s profiles
+//! project), and then cross-checks the analytical results against
+//! observed behaviour. Every protocol with an admission analysis
+//! ([`ProtocolKind::analysis`] — MPCP, DPCP, MSRP, FMLP+) goes through
+//! the same arm over its [`BoundSet`] (carry-in counts):
 //!
 //! * **Blocking bound** — every task's measured blocking must stay
-//!   within its §5.1 bound `B_i` (carry-in variant) under MPCP, within
-//!   the DPCP bound under DPCP, within the spin + arrival bound under
-//!   MSRP, and within the suspension-oblivious FIFO bound under FMLP+
-//!   (the seventh and eighth differential arms). Compared only when that
-//!   protocol's run missed no deadlines: the bounds' instance counts
-//!   presume a deadline-respecting job stream (at most one carry-in job
-//!   per task), and an overloaded run violates that — backlogged jobs
-//!   of a single lower-priority task can each acquire a semaphore in
-//!   turn and preempt a higher-priority task more often than any static
-//!   count admits. (Found by the sweep itself: workload seed 1956 at
-//!   utilization 0.50 backlogs two jobs of one task onto the same
-//!   global semaphore.)
-//! * **Acceptance** — if Theorem 3 accepts the system, the simulation
-//!   must not miss a deadline within the horizon.
+//!   within [`TaskBounds::blocking`](mpcp_analysis::TaskBounds): `B_i`
+//!   of §5.1 under MPCP, its §5.2 counterpart under DPCP, spin +
+//!   arrival under MSRP, the suspension-oblivious FIFO bound under
+//!   FMLP+. Compared only when that protocol's run missed no deadlines:
+//!   the bounds' instance counts presume a deadline-respecting job
+//!   stream (at most one carry-in job per task), and an overloaded run
+//!   violates that — backlogged jobs of a single lower-priority task
+//!   can each acquire a semaphore in turn and preempt a higher-priority
+//!   task more often than any static count admits. (Found by the sweep
+//!   itself: workload seed 1956 at utilization 0.50 backlogs two jobs
+//!   of one task onto the same global semaphore.)
+//! * **Acceptance** — if the set's schedulability test accepts the
+//!   system, the simulation must not miss a deadline within the
+//!   horizon.
 //! * **Response bound** (advisory, off by default) — if the RTA
 //!   recurrence converges for a task, its observed response times must
 //!   stay within the fixed point (MPCP). Off by default because the
@@ -41,13 +44,12 @@
 
 use crate::config::SweepConfig;
 use mpcp_analysis::{
-    default_hosts, dpcp_bounds_with, fmlp_bound_set, mpcp_bound_set, msrp_bound_set, theorem3,
-    BlockingConfig,
+    response_times_suspension_aware, Analysis, BlockingConfig, BoundSet, TaskBounds,
 };
 use mpcp_dga::{DgaReplay, DgaSchedule};
 use mpcp_model::{Dur, System, Time};
 use mpcp_protocols::ProtocolKind;
-use mpcp_sim::{check, Monitor, ObservedBlocking, Protocol, SimConfig, Simulator};
+use mpcp_sim::{check, Metrics, Monitor, ObservedBlocking, Protocol, SimConfig, Simulator};
 use mpcp_taskgen::Scenario;
 use std::sync::Arc;
 
@@ -214,9 +216,9 @@ pub struct ProtocolOutcome {
     pub misses: u64,
     /// Jobs completed within the horizon.
     pub completed: u64,
-    /// Whether the protocol's analytical test (Theorem 3 over its
-    /// blocking bounds) accepted the system; `None` when no analytical
-    /// test applies.
+    /// Whether the protocol's admission test (its [`BoundSet`]'s, or
+    /// under DGA the constructed schedule's feasibility) accepted the
+    /// system; `None` when no analytical test applies.
     pub analysis_accepted: Option<bool>,
     /// Whether the RTA recurrence converged for every task (MPCP only).
     pub rta_accepted: Option<bool>,
@@ -381,12 +383,9 @@ pub fn evaluate_system_in(
     cfg: &SweepConfig,
 ) -> (bool, Vec<ProtocolOutcome>) {
     let horizon = horizon_for(system, cfg.horizon_cap);
-    let mpcp = mpcp_bound_set(system, BlockingConfig::sound()).ok();
-    let msrp = msrp_bound_set(system).ok();
-    let fmlp = fmlp_bound_set(system).ok();
-    let dpcp = dpcp_bounds_with(system, &default_hosts(system), BlockingConfig::sound()).ok();
-    let dpcp_totals: Option<Vec<Dur>> =
-        dpcp.map(|b| b.iter().map(mpcp_analysis::DpcpBreakdown::total).collect());
+    // MPCP always (it decides `analyzable`); every other analysis only
+    // when a configured protocol asks for it.
+    let mpcp = Analysis::Mpcp.bounds(system, BlockingConfig::sound()).ok();
 
     let outcomes = cfg
         .protocols
@@ -467,11 +466,13 @@ pub fn evaluate_system_in(
                         check::priority_ordered_handoffs(trace, system),
                     ));
                 }
-                if spec.mpcp_discipline {
+                if spec.gcs_discipline {
                     checks.push((
                         "gcs_preemption_discipline",
                         check::gcs_preemption_discipline(trace, system),
                     ));
+                }
+                if spec.priority_floor {
                     checks.push(("priority_floor", check::priority_floor(trace, system)));
                 }
                 if spec.spin_occupancy {
@@ -503,164 +504,87 @@ pub fn evaluate_system_in(
             let metrics = sim.metrics();
             let mut analysis_accepted = None;
             let mut rta_accepted = None;
-            // Bound comparisons presume the run respected the periodic
-            // task model (no backlog): see the module docs.
-            let within_model = sim.misses() == 0;
-            match kind {
-                ProtocolKind::Mpcp => {
-                    if let Some(set) = &mpcp {
-                        analysis_accepted = Some(set.theorem3_schedulable());
-                        rta_accepted = Some(set.rta_schedulable());
-                        for t in system.tasks() {
-                            let tb = set.task(t.id());
-                            let m = metrics.task(t.id());
-                            if within_model && m.max_blocking > tb.blocking {
-                                violations.push(ViolationKind::BlockingBound {
-                                    protocol: proto,
-                                    task: t.id().index(),
-                                    measured: m.max_blocking.ticks(),
-                                    bound: tb.blocking.ticks(),
-                                });
-                            }
-                            if cfg.check_response && within_model {
-                                if let Some(bound) = tb.response {
-                                    if m.max_response > bound {
-                                        violations.push(ViolationKind::ResponseBound {
-                                            protocol: proto,
-                                            task: t.id().index(),
-                                            measured: m.max_response.ticks(),
-                                            bound: bound.ticks(),
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                        if set.theorem3_schedulable() && sim.misses() > 0 {
-                            violations.push(ViolationKind::AcceptedButMissed {
-                                protocol: proto,
-                                misses: sim.misses(),
-                            });
-                        }
-                    }
-                    // Differential accounting check: engine vs trace —
-                    // streamed on the fast pass, re-derived from the
-                    // captured trace after a re-simulation. Both fold the
-                    // identical event sequence through one function.
-                    let rederived;
-                    let observed = match sim.monitor().and_then(Monitor::observed) {
-                        Some(ob) => ob,
-                        None => {
-                            rederived = ObservedBlocking::from_trace(sim.trace(), system);
-                            &rederived
-                        }
-                    };
-                    for r in sim.records() {
-                        if let Some(derived) = observed.settled(r.id) {
-                            if derived != r.blocked_global {
-                                violations.push(ViolationKind::TraceAccounting {
-                                    protocol: proto,
-                                    task: r.id.task.index(),
-                                    instance: r.id.instance,
-                                    trace: derived.ticks(),
-                                    engine: r.blocked_global.ticks(),
-                                });
-                            }
-                        }
-                    }
+            let own;
+            let bounds = match kind.analysis() {
+                Some(Analysis::Mpcp) => mpcp.as_ref(),
+                Some(other) => {
+                    own = other.bounds(system, BlockingConfig::sound()).ok();
+                    own.as_ref()
                 }
-                ProtocolKind::Dga => {
-                    if let Some(s) = &dga {
-                        // DGA's "analysis" is the constructed schedule's
-                        // feasibility, and its per-task bounds are exact
-                        // for the replay — compare unconditionally (no
-                        // no-backlog precondition: the schedule *is* the
-                        // execution).
-                        analysis_accepted = Some(s.accepted);
-                        for t in system.tasks() {
-                            let m = metrics.task(t.id());
-                            if let Some(wcr) = s.bounds[t.id().index()].wcr {
-                                if m.max_response > wcr {
-                                    violations.push(ViolationKind::ResponseBound {
-                                        protocol: proto,
-                                        task: t.id().index(),
-                                        measured: m.max_response.ticks(),
-                                        bound: wcr.ticks(),
-                                    });
-                                }
-                            }
-                        }
-                        if s.accepted && sim.misses() > 0 {
-                            violations.push(ViolationKind::AcceptedButMissed {
+                None => None,
+            };
+            if let Some(set) = bounds {
+                analysis_accepted = Some(set.schedulable());
+                // The RTA recurrence is formulated for (and reported
+                // under) MPCP only: pair it with the factors-only
+                // blocking, as its contract specifies — the deferred
+                // penalty is modelled as release jitter instead.
+                let response = (kind == ProtocolKind::Mpcp).then(|| {
+                    let factors: Vec<Dur> =
+                        set.per_task().iter().map(TaskBounds::factors).collect();
+                    response_times_suspension_aware(system, &factors)
+                });
+                rta_accepted = response.as_ref().map(|r| r.iter().all(Option::is_some));
+                bounds_arm(
+                    proto,
+                    set,
+                    response.as_deref().filter(|_| cfg.check_response),
+                    &metrics,
+                    &mut violations,
+                );
+            }
+            if let Some(s) = &dga {
+                // DGA's "analysis" is the constructed schedule's
+                // feasibility, and its per-task bounds are exact for
+                // the replay — compare unconditionally (no no-backlog
+                // precondition: the schedule *is* the execution).
+                analysis_accepted = Some(s.accepted);
+                for t in system.tasks() {
+                    let m = metrics.task(t.id());
+                    if let Some(wcr) = s.bounds[t.id().index()].wcr {
+                        if m.max_response > wcr {
+                            violations.push(ViolationKind::ResponseBound {
                                 protocol: proto,
-                                misses: sim.misses(),
+                                task: t.id().index(),
+                                measured: m.max_response.ticks(),
+                                bound: wcr.ticks(),
                             });
                         }
                     }
                 }
-                ProtocolKind::Msrp => {
-                    if let Some(set) = &msrp {
-                        analysis_accepted = Some(set.schedulable());
-                        for t in system.tasks() {
-                            let tb = set.task(t.id());
-                            let m = metrics.task(t.id());
-                            if within_model && m.max_blocking > tb.blocking {
-                                violations.push(ViolationKind::BlockingBound {
-                                    protocol: proto,
-                                    task: t.id().index(),
-                                    measured: m.max_blocking.ticks(),
-                                    bound: tb.blocking.ticks(),
-                                });
-                            }
-                        }
-                        if set.schedulable() && sim.misses() > 0 {
-                            violations.push(ViolationKind::AcceptedButMissed {
+                if s.accepted && sim.misses() > 0 {
+                    violations.push(ViolationKind::AcceptedButMissed {
+                        protocol: proto,
+                        misses: sim.misses(),
+                    });
+                }
+            }
+            if spec.observed_blocking {
+                // Differential accounting check: engine vs trace —
+                // streamed on the fast pass, re-derived from the
+                // captured trace after a re-simulation. Both fold the
+                // identical event sequence through one function.
+                let rederived;
+                let observed = match sim.monitor().and_then(Monitor::observed) {
+                    Some(ob) => ob,
+                    None => {
+                        rederived = ObservedBlocking::from_trace(sim.trace(), system);
+                        &rederived
+                    }
+                };
+                for r in sim.records() {
+                    if let Some(derived) = observed.settled(r.id) {
+                        if derived != r.blocked_global {
+                            violations.push(ViolationKind::TraceAccounting {
                                 protocol: proto,
-                                misses: sim.misses(),
+                                task: r.id.task.index(),
+                                instance: r.id.instance,
+                                trace: derived.ticks(),
+                                engine: r.blocked_global.ticks(),
                             });
                         }
                     }
                 }
-                ProtocolKind::Fmlp => {
-                    if let Some(set) = &fmlp {
-                        analysis_accepted = Some(set.schedulable());
-                        for t in system.tasks() {
-                            let tb = set.task(t.id());
-                            let m = metrics.task(t.id());
-                            if within_model && m.max_blocking > tb.blocking {
-                                violations.push(ViolationKind::BlockingBound {
-                                    protocol: proto,
-                                    task: t.id().index(),
-                                    measured: m.max_blocking.ticks(),
-                                    bound: tb.blocking.ticks(),
-                                });
-                            }
-                        }
-                        if set.schedulable() && sim.misses() > 0 {
-                            violations.push(ViolationKind::AcceptedButMissed {
-                                protocol: proto,
-                                misses: sim.misses(),
-                            });
-                        }
-                    }
-                }
-                ProtocolKind::Dpcp => {
-                    if let Some(totals) = &dpcp_totals {
-                        analysis_accepted = Some(theorem3(system, totals).schedulable());
-                        for t in system.tasks() {
-                            let m = metrics.task(t.id());
-                            let bound = totals[t.id().index()];
-                            if within_model && m.max_blocking > bound {
-                                violations.push(ViolationKind::BlockingBound {
-                                    protocol: proto,
-                                    task: t.id().index(),
-                                    measured: m.max_blocking.ticks(),
-                                    bound: bound.ticks(),
-                                });
-                            }
-                        }
-                    }
-                }
-                _ => {}
             }
 
             let completed = metrics.per_task().iter().map(|m| m.completed).sum();
@@ -675,6 +599,51 @@ pub fn evaluate_system_in(
         })
         .collect();
     (mpcp.is_some(), outcomes)
+}
+
+/// The one analysis-vs-simulation arm, shared by every protocol with a
+/// [`BoundSet`]: per task the blocking bound (and, when `response` is
+/// given, the RTA fixed point) while the run stayed inside the periodic
+/// task model, then "accepted ⇒ no deadline miss".
+fn bounds_arm(
+    proto: &'static str,
+    set: &BoundSet,
+    response: Option<&[Option<Dur>]>,
+    metrics: &Metrics,
+    violations: &mut Vec<ViolationKind>,
+) {
+    let misses = metrics.total_misses();
+    // Bound comparisons presume the run respected the periodic task
+    // model (no backlog): see the module docs.
+    let within_model = misses == 0;
+    for tb in set.per_task() {
+        let task = tb.task.index();
+        let m = metrics.task(tb.task);
+        if within_model && m.max_blocking > tb.blocking {
+            violations.push(ViolationKind::BlockingBound {
+                protocol: proto,
+                task,
+                measured: m.max_blocking.ticks(),
+                bound: tb.blocking.ticks(),
+            });
+        }
+        if let Some(bound) = response.and_then(|r| r[task]) {
+            if within_model && m.max_response > bound {
+                violations.push(ViolationKind::ResponseBound {
+                    protocol: proto,
+                    task,
+                    measured: m.max_response.ticks(),
+                    bound: bound.ticks(),
+                });
+            }
+        }
+    }
+    if set.schedulable() && misses > 0 {
+        violations.push(ViolationKind::AcceptedButMissed {
+            protocol: proto,
+            misses,
+        });
+    }
 }
 
 #[cfg(test)]
@@ -730,6 +699,97 @@ mod tests {
             let violations = audit_violations(&sys);
             assert!(violations.is_empty(), "seed {seed}: {violations:?}");
         }
+    }
+
+    /// `shared`: two tasks on two processors entering one global
+    /// section at the same instant; otherwise no critical sections.
+    /// `wcet`/`period` apply to every task.
+    fn pair(shared: bool, wcet: u64, period: u64) -> System {
+        use mpcp_model::{Body, TaskDef};
+        let mut b = System::builder();
+        let p = b.add_processors(2);
+        let s = b.add_resource("S");
+        for (i, name) in ["a", "b"].into_iter().enumerate() {
+            let body = if shared {
+                Body::builder().critical(s, |c| c.compute(wcet)).build()
+            } else {
+                Body::builder().compute(wcet).build()
+            };
+            b.add_task(
+                TaskDef::new(name, p[i])
+                    .period(period)
+                    .priority(2 - i as u32)
+                    .body(body),
+            );
+        }
+        b.build().unwrap()
+    }
+
+    fn simulate(kind: ProtocolKind, system: &System) -> Metrics {
+        let mut sim = Simulator::with_config(system, kind.build(), SimConfig::until(400));
+        sim.run();
+        sim.metrics()
+    }
+
+    /// Every protocol with an analysis goes through an *armed* arm: fed
+    /// a doctored set (zero blocking, schedulable — the analysis of a
+    /// system that shares nothing) against a run that blocks, then one
+    /// that misses deadlines, both checks must fire. DPCP's
+    /// accepted-but-missed check was silently missing before the arms
+    /// were merged.
+    #[test]
+    fn generic_arm_is_armed_for_every_analysis() {
+        let kinds: Vec<ProtocolKind> = ProtocolKind::ALL
+            .into_iter()
+            .filter(|k| k.analysis().is_some())
+            .collect();
+        assert_eq!(kinds.len(), Analysis::ALL.len());
+        for kind in kinds {
+            let proto = kind.name();
+            let doctored = kind
+                .analysis()
+                .unwrap()
+                .bounds(&pair(false, 1, 100), BlockingConfig::sound())
+                .unwrap();
+            assert!(doctored.schedulable(), "{proto}");
+            assert!(doctored.blocking().iter().all(|b| b.is_zero()), "{proto}");
+
+            // Contention without overload: one of the two must wait.
+            let contended = simulate(kind, &pair(true, 10, 100));
+            assert_eq!(contended.total_misses(), 0, "{proto}");
+            let mut violations = Vec::new();
+            bounds_arm(proto, &doctored, None, &contended, &mut violations);
+            let codes: Vec<String> = violations.iter().map(ViolationKind::code).collect();
+            assert!(
+                codes.contains(&format!("{proto}/blocking-bound")),
+                "{proto}: {codes:?}"
+            );
+
+            // Overload: two sections of 30 serialized inside a period
+            // (= deadline) of 40.
+            let overloaded = simulate(kind, &pair(true, 30, 40));
+            assert!(overloaded.total_misses() > 0, "{proto}");
+            let mut violations = Vec::new();
+            bounds_arm(proto, &doctored, None, &overloaded, &mut violations);
+            let codes: Vec<String> = violations.iter().map(ViolationKind::code).collect();
+            assert_eq!(codes, [format!("{proto}/accepted-but-missed")], "{proto}");
+        }
+    }
+
+    /// An RTA fixed point handed to the arm is compared too (the
+    /// `--check-response` path, MPCP only in production).
+    #[test]
+    fn generic_arm_compares_a_given_response_bound() {
+        let sys = pair(true, 10, 100);
+        let set = Analysis::Mpcp
+            .bounds(&sys, BlockingConfig::sound())
+            .unwrap();
+        let metrics = simulate(ProtocolKind::Mpcp, &sys);
+        let tight = vec![Some(Dur::new(1)), None];
+        let mut violations = Vec::new();
+        bounds_arm("mpcp", &set, Some(&tight), &metrics, &mut violations);
+        let codes: Vec<String> = violations.iter().map(ViolationKind::code).collect();
+        assert_eq!(codes, ["mpcp/response-bound"]);
     }
 
     #[test]

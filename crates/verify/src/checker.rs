@@ -14,7 +14,7 @@
 //! exhausting the small space buys real confidence cheaply.
 
 use crate::diag::{Diagnostic, Report, Severity};
-use mpcp_analysis::{mpcp_bounds_with, BlockingConfig};
+use mpcp_analysis::{Analysis, BlockingConfig};
 use mpcp_model::{Dur, System, TaskDef, Time};
 use mpcp_protocols::ProtocolKind;
 use mpcp_sim::{check, Protocol, SimConfig, Simulator};
@@ -128,27 +128,19 @@ impl InvariantProfile {
         }
     }
 
-    /// What each built-in protocol promises: MPCP everything, the
-    /// other priority-queued protocols ordered hand-offs, raw
-    /// semaphores only the universal invariants. DGA is also minimal:
-    /// its hand-offs follow the offline chain order, not priorities
-    /// (the sweep additionally checks schedule conformance for it).
-    /// MSRP and FMLP+ hand off in FIFO order by design, but both only
-    /// ever *raise* priorities (spin boost / section boost), so the
-    /// floor invariant still applies; the sweep monitor additionally
-    /// checks spin occupancy and boost-while-holding for them.
+    /// What each built-in protocol promises: a projection of
+    /// [`ProtocolKind::monitor_spec`], the one invariant table the sweep
+    /// monitor also runs, so the two cannot disagree (the sweep
+    /// additionally streams spin occupancy, boost-while-holding and DGA
+    /// schedule conformance, which have no post-hoc profile here). The
+    /// blocking-bound cross-check is MPCP's.
     pub fn for_kind(kind: ProtocolKind) -> Self {
-        match kind {
-            ProtocolKind::Mpcp => InvariantProfile::mpcp(),
-            ProtocolKind::Raw | ProtocolKind::Dga => InvariantProfile::minimal(),
-            ProtocolKind::Msrp | ProtocolKind::Fmlp => InvariantProfile {
-                priority_floor: true,
-                ..InvariantProfile::minimal()
-            },
-            _ => InvariantProfile {
-                handoff_order: true,
-                ..InvariantProfile::minimal()
-            },
+        let spec = kind.monitor_spec();
+        InvariantProfile {
+            handoff_order: spec.handoffs,
+            gcs_discipline: spec.gcs_discipline,
+            priority_floor: spec.priority_floor,
+            blocking_bound: kind == ProtocolKind::Mpcp,
         }
     }
 }
@@ -242,13 +234,10 @@ pub fn explore_with(
 ) -> Exploration {
     let horizon = config.resolved_horizon(system);
     let bounds: Option<Vec<Dur>> = if profile.blocking_bound {
-        mpcp_bounds_with(system, BlockingConfig::sound())
+        Analysis::Mpcp
+            .bounds(system, BlockingConfig::sound())
             .ok()
-            .map(|bs| {
-                bs.iter()
-                    .map(mpcp_analysis::BlockingBreakdown::total)
-                    .collect()
-            })
+            .map(|set| set.blocking())
     } else {
         None
     };

@@ -23,8 +23,7 @@
 use crate::diag::{json_str, Diagnostic, Report};
 use crate::lint::{default_lints, unit_count, LintContext, LintScope};
 use mpcp_analysis::{
-    dirty_set, mpcp_bounds, theorem3, BlockingBreakdown, DeltaBounds, DeltaStats, DepGraph, Edit,
-    SchedReport,
+    dirty_set, Analysis, BlockingConfig, BoundSet, DeltaBounds, DeltaStats, DepGraph, Edit,
 };
 use mpcp_model::{ModelError, System, TaskDef};
 use std::collections::BTreeMap;
@@ -229,9 +228,7 @@ impl IncrementalAnalysis {
     /// The Theorem 3 verdict, or `None` when the blocking analysis
     /// rejected the system (see [`IncrementalAnalysis::analysis_error`]).
     pub fn schedulable(&self) -> Option<bool> {
-        self.bounds
-            .as_ref()
-            .map(|b| b.sched_report(&self.system).schedulable())
+        self.bounds().map(|set| set.schedulable())
     }
 
     /// Why the blocking analysis rejected the system, if it did.
@@ -239,16 +236,10 @@ impl IncrementalAnalysis {
         self.error.as_deref()
     }
 
-    /// The cached §5.1 blocking breakdowns in task order, when the
-    /// blocking analysis succeeded.
-    pub fn breakdowns(&self) -> Option<Vec<BlockingBreakdown>> {
-        self.bounds.as_ref().map(|b| b.breakdowns(&self.system))
-    }
-
-    /// The cached Theorem 3 report, when the blocking analysis
-    /// succeeded.
-    pub fn sched(&self) -> Option<SchedReport> {
-        self.bounds.as_ref().map(|b| b.sched_report(&self.system))
+    /// The cached §5.1 terms and Theorem 3 rows as the system's MPCP
+    /// [`BoundSet`], when the blocking analysis succeeded.
+    pub fn bounds(&self) -> Option<BoundSet> {
+        self.bounds.as_ref().map(|b| b.bound_set(&self.system))
     }
 
     /// Work counters accumulated since construction.
@@ -303,11 +294,13 @@ impl IncrementalAnalysis {
     /// with [`full_snapshot_json`] of the same system to certify the
     /// incremental path.
     pub fn snapshot_json(&self) -> String {
-        let rows = self
-            .bounds
-            .as_ref()
-            .map(|b| (b.breakdowns(&self.system), b.sched_report(&self.system)));
-        render_snapshot(&self.system, &self.report, self.error.as_deref(), rows)
+        let bounds = self.bounds();
+        render_snapshot(
+            &self.system,
+            &self.report,
+            self.error.as_deref(),
+            bounds.as_ref(),
+        )
     }
 }
 
@@ -326,15 +319,8 @@ pub fn full_snapshot_json(system: &System) -> String {
     if graph.has_duplicate_task_names() {
         return render_snapshot(system, &report, Some(DUP_NAMES_ERROR), None);
     }
-    match mpcp_bounds(system) {
-        Ok(breakdowns) => {
-            let blocking: Vec<_> = breakdowns
-                .iter()
-                .map(mpcp_analysis::BlockingBreakdown::total)
-                .collect();
-            let sched = theorem3(system, &blocking);
-            render_snapshot(system, &report, None, Some((breakdowns, sched)))
-        }
+    match Analysis::Mpcp.bounds(system, BlockingConfig::paper()) {
+        Ok(bounds) => render_snapshot(system, &report, None, Some(&bounds)),
         Err(e) => render_snapshot(system, &report, Some(&e.to_string()), None),
     }
 }
@@ -343,7 +329,7 @@ fn render_snapshot(
     system: &System,
     report: &Report,
     error: Option<&str>,
-    rows: Option<(Vec<BlockingBreakdown>, SchedReport)>,
+    bounds: Option<&BoundSet>,
 ) -> String {
     let mut out = String::from("{\n  \"format\": \"mpcp-audit-v1\",\n");
     // render_json() yields a pretty object ending in "}\n"; re-indent it
@@ -363,30 +349,37 @@ fn render_snapshot(
         "  \"analysis_error\": {},\n",
         error.map_or("null".into(), json_str)
     ));
-    match rows {
+    match bounds {
         None => out.push_str("  \"bounds\": null,\n  \"sched\": null,\n  \"schedulable\": null\n"),
-        Some((breakdowns, sched)) => {
+        Some(bounds) => {
+            // `mpcp-audit-v1` spells the six MPCP terms out.
+            const KEYS: [&str; 6] = [
+                "local_cs",
+                "lower_gcs_same_sem",
+                "higher_remote_gcs",
+                "blocking_processor_gcs",
+                "lower_local_gcs",
+                "deferred_penalty",
+            ];
+            let rows = bounds.per_task();
+            let sep = |i: usize| if i + 1 < rows.len() { "," } else { "" };
             out.push_str("  \"bounds\": [\n");
-            for (i, b) in breakdowns.iter().enumerate() {
-                let name = system.task(b.task).name();
+            for (i, row) in rows.iter().enumerate() {
                 out.push_str(&format!(
-                    "    {{\"task\": {}, \"local_cs\": {}, \"lower_gcs_same_sem\": {}, \
-                     \"higher_remote_gcs\": {}, \"blocking_processor_gcs\": {}, \
-                     \"lower_local_gcs\": {}, \"deferred_penalty\": {}, \"total\": {}}}{}\n",
-                    json_str(name),
-                    b.local_cs.ticks(),
-                    b.lower_gcs_same_sem.ticks(),
-                    b.higher_remote_gcs.ticks(),
-                    b.blocking_processor_gcs.ticks(),
-                    b.lower_local_gcs.ticks(),
-                    b.deferred_penalty.ticks(),
-                    b.total().ticks(),
-                    if i + 1 < breakdowns.len() { "," } else { "" },
+                    "    {{\"task\": {}",
+                    json_str(system.task(row.task).name())
+                ));
+                for (key, (_, term)) in KEYS.iter().zip(row.terms()) {
+                    out.push_str(&format!(", \"{key}\": {}", term.ticks()));
+                }
+                out.push_str(&format!(
+                    ", \"total\": {}}}{}\n",
+                    row.blocking.ticks(),
+                    sep(i)
                 ));
             }
             out.push_str("  ],\n  \"sched\": [\n");
-            let per_task = sched.per_task();
-            for (i, row) in per_task.iter().enumerate() {
+            for (i, row) in rows.iter().enumerate() {
                 out.push_str(&format!(
                     "    {{\"task\": {}, \"processor\": {}, \"demand\": {:?}, \
                      \"bound\": {:?}, \"ok\": {}}}{}\n",
@@ -395,12 +388,12 @@ fn render_snapshot(
                     row.demand,
                     row.bound,
                     row.ok,
-                    if i + 1 < per_task.len() { "," } else { "" },
+                    sep(i),
                 ));
             }
             out.push_str(&format!(
                 "  ],\n  \"schedulable\": {}\n",
-                sched.schedulable()
+                bounds.schedulable()
             ));
         }
     }

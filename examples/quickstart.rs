@@ -3,9 +3,9 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use mpcp::analysis::{self, mpcp_bounds, theorem3};
+use mpcp::analysis::{self, Analysis, BlockingConfig};
 use mpcp::core::{CeilingTable, GcsPriorities};
-use mpcp::model::{Body, Dur, System, TaskDef, Time};
+use mpcp::model::{Body, System, TaskDef, Time};
 use mpcp::protocols::Mpcp;
 use mpcp::sim::Simulator;
 
@@ -59,16 +59,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("\n== blocking bounds (§5.1) ==");
-    let bounds = mpcp_bounds(&system)?;
+    let bounds = Analysis::Mpcp.bounds(&system, BlockingConfig::paper())?;
     println!("{}", analysis::report::blocking_table(&system, &bounds));
 
     println!("== Theorem 3 ==");
-    let blocking: Vec<Dur> = bounds
-        .iter()
-        .map(mpcp::analysis::BlockingBreakdown::total)
-        .collect();
-    let report = theorem3(&system, &blocking);
-    println!("{}", analysis::report::sched_table(&system, &report));
+    println!("{}", analysis::report::sched_table(&system, &bounds));
 
     println!("== simulation (first 120 ticks) ==");
     let mut sim = Simulator::new(&system, Mpcp::new());

@@ -100,6 +100,69 @@ fn schedulable_system_is_admitted_with_breakdown() {
     srv.shutdown();
 }
 
+/// The wire selector is the analysis table's own `FromStr`: `"dpcp"`
+/// (which the hand-written wire enum never listed) is accepted and
+/// answers with exactly the rows of the offline `Analysis::Dpcp`, and an
+/// unknown name is refused with the names of `Analysis::ALL`.
+#[test]
+fn wire_protocol_selector_is_the_analysis_table() {
+    use mpcp::analysis::{Analysis, BlockingConfig};
+    use mpcp::service::SystemSpec;
+
+    let srv = server(2, 16, 5000);
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    let line = |protocol: &str| {
+        format!(
+            r#"{{"op":"submit","session":"d","protocol":"{protocol}","system":{}}}"#,
+            light_system()
+        )
+    };
+    let v = json::parse(&c.request_raw(&line("dpcp")).unwrap()).unwrap();
+    assert_eq!(
+        v.get("verdict").and_then(Value::as_str),
+        Some("admit"),
+        "{v:?}"
+    );
+
+    let system = SystemSpec::from_json(&json::parse(light_system()).unwrap())
+        .unwrap()
+        .to_system()
+        .unwrap();
+    let offline = Analysis::Dpcp
+        .bounds(&system, BlockingConfig::paper())
+        .unwrap();
+    let mpcp = Analysis::Mpcp
+        .bounds(&system, BlockingConfig::paper())
+        .unwrap();
+    assert_ne!(
+        offline.blocking(),
+        mpcp.blocking(),
+        "the pair must tell the analyses apart"
+    );
+    let tasks = v.get("tasks").and_then(Value::as_arr).unwrap();
+    assert_eq!(tasks.len(), offline.per_task().len());
+    for (t, row) in tasks.iter().zip(offline.per_task()) {
+        assert_eq!(
+            t.get("name").and_then(Value::as_str),
+            Some(system.task(row.task).name())
+        );
+        assert_eq!(
+            t.get("blocking").and_then(Value::as_u64),
+            Some(row.blocking.ticks())
+        );
+        assert_eq!(t.get("demand").and_then(Value::as_f64), Some(row.demand));
+        assert_eq!(t.get("bound").and_then(Value::as_f64), Some(row.bound));
+        assert_eq!(t.get("ok").and_then(Value::as_bool), Some(row.ok));
+    }
+
+    let v = json::parse(&c.request_raw(&line("pcp")).unwrap()).unwrap();
+    assert_eq!(v.get("code").and_then(Value::as_str), Some("bad-request"));
+    let error = v.get("error").and_then(Value::as_str).unwrap();
+    let names: Vec<&str> = Analysis::ALL.iter().map(|a| a.name()).collect();
+    assert!(error.contains(&names.join("|")), "{error}");
+    srv.shutdown();
+}
+
 #[test]
 fn unschedulable_system_is_rejected_and_not_committed() {
     let srv = server(2, 16, 5000);
