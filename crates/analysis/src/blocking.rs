@@ -90,12 +90,15 @@ impl BlockingBreakdown {
     /// computed, shared by the full pass and the incremental engine so
     /// both run the exact same code over the exact same inputs.
     pub(crate) fn compute(facts: &Facts<'_>, i: &TaskFacts<'_>, config: BlockingConfig) -> Self {
+        // Factors 3 and 4 read the same neighbourhood: the tasks sharing
+        // a global semaphore with `i`, each counted once.
+        let sharers = facts.sharers(i);
         BlockingBreakdown {
             task: i.id,
             local_cs: factor1(facts, i),
             lower_gcs_same_sem: factor2(facts, i),
-            higher_remote_gcs: factor3(facts, i, config),
-            blocking_processor_gcs: factor4(facts, i, config),
+            higher_remote_gcs: factor3(facts, i, &sharers, config),
+            blocking_processor_gcs: factor4(facts, i, &sharers, config),
             lower_local_gcs: factor5(facts, i, config),
             deferred_penalty: deferred_penalty(facts, i),
         }
@@ -170,8 +173,7 @@ pub(crate) fn factor2(facts: &Facts<'_>, i: &TaskFacts<'_>) -> Dur {
         .iter()
         .map(|request| {
             facts
-                .tasks
-                .iter()
+                .users(request.resource)
                 .filter(|l| l.prio < i.prio && l.id != i.id)
                 .flat_map(|l| l.gcs.iter())
                 .filter(|cs| cs.resource == request.resource)
@@ -183,12 +185,17 @@ pub(crate) fn factor2(facts: &Facts<'_>, i: &TaskFacts<'_>) -> Dur {
 }
 
 /// Factor 3: gcs's of higher-priority remote tasks on semaphores `i`
-/// uses, `⌈T_i/T_h⌉` instances each.
-pub(crate) fn factor3(facts: &Facts<'_>, i: &TaskFacts<'_>, config: BlockingConfig) -> Dur {
-    facts
-        .tasks
+/// uses, `⌈T_i/T_h⌉` instances each. `sharers` is [`Facts::sharers`] of
+/// `i`.
+pub(crate) fn factor3(
+    facts: &Facts<'_>,
+    i: &TaskFacts<'_>,
+    sharers: &[&TaskFacts<'_>],
+    config: BlockingConfig,
+) -> Dur {
+    sharers
         .iter()
-        .filter(|h| h.prio > i.prio && h.proc != i.proc && facts.share_global(i, h))
+        .filter(|h| h.prio > i.prio && h.proc != i.proc)
         .map(|h| {
             let per_job: Dur = h
                 .gcs
@@ -204,13 +211,18 @@ pub(crate) fn factor3(facts: &Facts<'_>, i: &TaskFacts<'_>, config: BlockingConf
 /// Factor 4: on each blocking processor (home of a lower-priority task
 /// that can directly block `i` through a shared global semaphore),
 /// higher-priority gcs's of other tasks extend the blocker's section.
-fn factor4(facts: &Facts<'_>, i: &TaskFacts<'_>, config: BlockingConfig) -> Dur {
+fn factor4(
+    facts: &Facts<'_>,
+    i: &TaskFacts<'_>,
+    sharers: &[&TaskFacts<'_>],
+    config: BlockingConfig,
+) -> Dur {
     let mut total = Dur::ZERO;
     // Direct blockers grouped by their (remote) processor.
-    let blockers: Vec<&TaskFacts<'_>> = facts
-        .tasks
+    let blockers: Vec<&TaskFacts<'_>> = sharers
         .iter()
-        .filter(|l| l.prio < i.prio && l.proc != i.proc && facts.share_global(i, l))
+        .copied()
+        .filter(|l| l.prio < i.prio && l.proc != i.proc)
         .collect();
     let mut procs: Vec<_> = blockers.iter().map(|l| l.proc).collect();
     procs.sort_unstable();
@@ -227,7 +239,8 @@ fn factor4(facts: &Facts<'_>, i: &TaskFacts<'_>, config: BlockingConfig) -> Dur 
             .filter_map(|(l, cs)| facts.gcs_pri.of(l.id, cs.resource))
             .min();
         let Some(threshold) = threshold else { continue };
-        for k in facts.tasks.iter().filter(|k| k.proc == p && k.id != i.id) {
+        // `p` is remote, so `i` itself is never among its tasks.
+        for k in facts.on_processor(p) {
             if blockers.iter().any(|l| l.id == k.id) {
                 continue; // the blocker itself is factor 2's job
             }

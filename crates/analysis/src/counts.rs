@@ -4,7 +4,7 @@ use crate::depgraph::DirtySet;
 use crate::error::AnalysisError;
 use mpcp_core::{CeilingTable, GcsPriorities};
 use mpcp_model::{
-    CriticalSection, Dur, Priority, ProcessorId, ResourceId, Segment, System, TaskId,
+    CriticalSection, Dur, Priority, ProcessorId, ResourceId, ResourceUsage, Segment, System, TaskId,
 };
 
 /// Facts about one task used by the §5.1 factors. Section lists borrow
@@ -28,12 +28,23 @@ pub(crate) struct TaskFacts<'a> {
     pub global_resources: &'a [ResourceId],
 }
 
-/// Precomputed facts for a whole system.
+/// Precomputed facts for a whole system, with the two indices the §5.1
+/// factors walk: a task's processor mates and the users of a semaphore.
+/// Every factor is a `Dur` sum, maximum or minimum over such a
+/// neighbourhood, so its value does not depend on the visiting order.
 #[derive(Debug, Clone)]
 pub(crate) struct Facts<'a> {
     pub tasks: Vec<TaskFacts<'a>>,
     pub ceilings: CeilingTable,
     pub gcs_pri: GcsPriorities,
+    /// Task indices grouped by processor, each group in decreasing
+    /// priority order; processor `p` owns
+    /// `by_proc[proc_start[p]..proc_start[p + 1]]`.
+    by_proc: Vec<u32>,
+    proc_start: Vec<u32>,
+    /// Per-resource usage from [`mpcp_model::SystemInfo`]: `users` lists
+    /// every task with a section on the resource.
+    usage: &'a [ResourceUsage],
 }
 
 impl<'a> Facts<'a> {
@@ -84,7 +95,7 @@ impl<'a> Facts<'a> {
                 return Err(AnalysisError::SuspensionInCriticalSection { task: t.id() });
             }
         }
-        let tasks = system
+        let tasks: Vec<TaskFacts<'a>> = system
             .tasks()
             .iter()
             .map(|t| {
@@ -103,11 +114,69 @@ impl<'a> Facts<'a> {
                 }
             })
             .collect();
+        let mut by_proc: Vec<u32> = (0..tasks.len() as u32).collect();
+        by_proc.sort_unstable_by_key(|&i| {
+            let t = &tasks[i as usize];
+            (t.proc, std::cmp::Reverse(t.prio))
+        });
+        let n_procs = system.processors().len();
+        let mut proc_start = vec![0u32; n_procs + 1];
+        for t in &tasks {
+            proc_start[t.proc.index() + 1] += 1;
+        }
+        for p in 0..n_procs {
+            proc_start[p + 1] += proc_start[p];
+        }
         Ok(Facts {
             tasks,
             ceilings: CeilingTable::compute(system),
             gcs_pri: GcsPriorities::compute(system),
+            by_proc,
+            proc_start,
+            usage: info.all_usage(),
         })
+    }
+
+    /// Indices of the tasks bound to `proc`, in decreasing priority order.
+    fn mates(&self, proc: ProcessorId) -> &[u32] {
+        let p = proc.index();
+        &self.by_proc[self.proc_start[p] as usize..self.proc_start[p + 1] as usize]
+    }
+
+    fn pick<'b>(&'b self, indices: &'b [u32]) -> impl Iterator<Item = &'b TaskFacts<'a>> {
+        indices.iter().map(move |&i| &self.tasks[i as usize])
+    }
+
+    /// Tasks bound to `proc`, in decreasing priority order.
+    pub fn on_processor<'b>(
+        &'b self,
+        proc: ProcessorId,
+    ) -> impl Iterator<Item = &'b TaskFacts<'a>> {
+        self.pick(self.mates(proc))
+    }
+
+    /// Tasks with a critical section on `resource`.
+    pub fn users<'b>(&'b self, resource: ResourceId) -> impl Iterator<Item = &'b TaskFacts<'a>> {
+        self.usage[resource.index()]
+            .users
+            .iter()
+            .map(move |t| &self.tasks[t.index()])
+    }
+
+    /// The other tasks sharing at least one global semaphore with `i`,
+    /// each exactly once however many semaphores it shares.
+    pub fn sharers<'b>(&'b self, i: &TaskFacts<'_>) -> Vec<&'b TaskFacts<'a>> {
+        let mut found: Vec<&TaskFacts<'a>> = i
+            .global_resources
+            .iter()
+            .flat_map(|&r| self.users(r))
+            .filter(|t| t.id != i.id)
+            .collect();
+        if i.global_resources.len() > 1 {
+            found.sort_unstable_by_key(|t| t.id);
+            found.dedup_by_key(|t| t.id);
+        }
+        found
     }
 
     /// Number of job instances of `other` that can run within one period
@@ -122,9 +191,9 @@ impl<'a> Facts<'a> {
         &'b self,
         i: &'b TaskFacts<'a>,
     ) -> impl Iterator<Item = &'b TaskFacts<'a>> {
-        self.tasks
-            .iter()
-            .filter(move |t| t.proc == i.proc && t.prio < i.prio)
+        let mates = self.mates(i.proc);
+        let from = mates.partition_point(|&t| self.tasks[t as usize].prio >= i.prio);
+        self.pick(&mates[from..])
     }
 
     /// Higher-priority tasks on the same processor as `i`.
@@ -132,16 +201,9 @@ impl<'a> Facts<'a> {
         &'b self,
         i: &'b TaskFacts<'a>,
     ) -> impl Iterator<Item = &'b TaskFacts<'a>> {
-        self.tasks
-            .iter()
-            .filter(move |t| t.proc == i.proc && t.prio > i.prio)
-    }
-
-    /// Whether `a` and `b` share at least one global resource.
-    pub fn share_global(&self, a: &TaskFacts<'_>, b: &TaskFacts<'_>) -> bool {
-        a.global_resources
-            .iter()
-            .any(|r| b.global_resources.contains(r))
+        let mates = self.mates(i.proc);
+        let to = mates.partition_point(|&t| self.tasks[t as usize].prio > i.prio);
+        self.pick(&mates[..to])
     }
 }
 
@@ -231,7 +293,8 @@ mod tests {
         assert_eq!(a.lcs.len(), 1);
         assert_eq!(a.global_resources, vec![sg]);
         let b_ = &f.tasks[1];
-        assert!(f.share_global(a, b_));
+        assert_eq!(f.sharers(a).len(), 1);
+        assert_eq!(f.sharers(a)[0].id, b_.id);
         // ⌈T_b / T_a⌉ = ⌈25/10⌉ = 3 instances of a within b's period.
         assert_eq!(f.instances(b_, a, false), 3);
         assert_eq!(f.instances(b_, a, true), 4);

@@ -23,9 +23,18 @@
 //! and every user of a resource whose scope flipped (local ↔ global ↔
 //! unused). Then, in **both** the old and new graph:
 //!
+//! * a changed task and its processor's Theorem 3 rows are dirty (its
+//!   execution time enters every lower row of the processor);
 //! * every task on a changed task's processor is dirty (factors 1 and
-//!   5, the deferred-execution penalty, and the Theorem 3 rows of that
-//!   processor all read processor-mate state);
+//!   5 and the deferred-execution penalty read processor-mate state) —
+//!   **unless** the changed task is *section-free* in that graph: no
+//!   critical section at all and no self-suspension. Factors 1 and 5
+//!   read a mate's local and global sections, factors 2-4 a sharer's
+//!   global sections, and the deferred penalty counts a mate only if it
+//!   has a gcs or suspends; a section-free task has none of these, so
+//!   no other task's six terms mention it. No task-scope lint
+//!   (V004/V005/V006/V011) reads a mate either, so the same narrowing
+//!   holds for [`DirtySet::tasks`] as the lint unit list;
 //! * every user of every global semaphore touched by those
 //!   processor-mates is dirty (factors 2-4 read sharer state, and a
 //!   changed task can join or leave the *blocking processor* set of a
@@ -150,6 +159,8 @@ struct TaskNode {
     resources: Vec<usize>,
     /// The global subset of `resources`.
     globals: Vec<usize>,
+    /// Whether the body self-suspends explicitly.
+    suspends: bool,
     /// Structural fingerprint: processor, period, deadline, offset and
     /// body — everything the analysis reads except the priority, which
     /// is order-compared separately.
@@ -221,6 +232,7 @@ impl DepGraph {
                 TaskNode {
                     name: t.name().to_string(),
                     proc: t.processor().index(),
+                    suspends: info.task_use(t.id()).suspension_count > 0,
                     resources,
                     globals,
                     fingerprint: fingerprint(t),
@@ -372,15 +384,15 @@ impl DepGraph {
 /// of [`dirty_set`]. Index 0 is the old graph, 1 the new.
 struct Marks {
     tasks: [Vec<bool>; 2],
-    /// Doubles as a visited guard: a marked processor has had all its
-    /// mates and their global co-users marked already.
+    /// Processors whose Theorem 3 rows must be recomputed. Says nothing
+    /// about which of their tasks are marked.
     procs: [Vec<bool>; 2],
     /// Visited guard: the users of this resource are already marked.
     res_users: [Vec<bool>; 2],
     /// Visited guard for [`Marks::mark_processor`]'s global cascade,
     /// kept separate from `procs` because a processor can first be
-    /// marked rows-only (a changed task with no global sections) and
-    /// later need the full cascade for another changed task.
+    /// marked for a changed task that stops short of the cascade and
+    /// later need it for another changed task.
     cascaded: [Vec<bool>; 2],
 }
 
@@ -401,6 +413,14 @@ impl Marks {
                 vec![false; new.proc_names.len()],
             ],
         }
+    }
+
+    /// Marks task `t` of graph `gi` and the rows of its processor —
+    /// enough for a changed section-free task, which appears in no
+    /// other task's factors (see the module docs).
+    fn mark_alone(&mut self, g: &DepGraph, gi: usize, t: usize) {
+        self.procs[gi][g.tasks[t].proc] = true;
+        self.tasks[gi][t] = true;
     }
 
     /// Marks processor `p` of graph `gi` and every task on it —
@@ -532,7 +552,9 @@ pub fn dirty_set(old: &DepGraph, new: &DepGraph, edit: &Edit) -> DirtySet {
         for (gi, g) in [old, new].into_iter().enumerate() {
             let Some(ti) = g.task_idx(c) else { continue };
             let t = &g.tasks[ti];
-            if t.globals.is_empty() {
+            if t.resources.is_empty() && !t.suspends {
+                marks.mark_alone(g, gi, ti);
+            } else if t.globals.is_empty() {
                 // A task with no global sections enters no remote
                 // task's bound (factors 2-4 involve it only through
                 // global sections, and suspensions feed the deferred
@@ -692,8 +714,10 @@ mod tests {
     use super::*;
     use mpcp_model::{Body, System, TaskDef};
 
-    /// P0: t0 (pri 3, SG). P1: t1 (pri 2, SG). P2: t2 (pri 1, SL).
-    fn base() -> System {
+    /// P0: t0 (pri 3, SG). P1: t1 (pri 2, SG). P2: t2 (pri 1, SL). Plus,
+    /// when given, a fourth task (pri 4, T 400) on P1 with that name and
+    /// body; SG is resource 0.
+    fn base_plus(extra: Option<(&str, Body)>) -> System {
         let mut b = System::builder();
         let p = b.add_processors(3);
         let sg = b.add_resource("SG");
@@ -716,40 +740,21 @@ mod tests {
                 .priority(1)
                 .body(Body::builder().critical(sl, |c| c.compute(1)).build()),
         );
+        if let Some((name, body)) = extra {
+            b.add_task(TaskDef::new(name, p[1]).period(400).priority(4).body(body));
+        }
         b.build().unwrap()
     }
 
-    /// `base()` plus t3 (pri 0... use 4) on P1 sharing SG.
+    fn base() -> System {
+        base_plus(None)
+    }
+
+    /// `base()` plus t3 on P1 sharing SG.
     fn with_t3() -> System {
-        let mut b = System::builder();
-        let p = b.add_processors(3);
-        let sg = b.add_resource("SG");
-        let sl = b.add_resource("SL");
-        b.add_task(
-            TaskDef::new("t0", p[0])
-                .period(100)
-                .priority(3)
-                .body(Body::builder().critical(sg, |c| c.compute(2)).build()),
-        );
-        b.add_task(
-            TaskDef::new("t1", p[1])
-                .period(200)
-                .priority(2)
-                .body(Body::builder().critical(sg, |c| c.compute(3)).build()),
-        );
-        b.add_task(
-            TaskDef::new("t2", p[2])
-                .period(300)
-                .priority(1)
-                .body(Body::builder().critical(sl, |c| c.compute(1)).build()),
-        );
-        b.add_task(
-            TaskDef::new("t3", p[1])
-                .period(400)
-                .priority(4)
-                .body(Body::builder().critical(sg, |c| c.compute(5)).build()),
-        );
-        b.build().unwrap()
+        let sg = mpcp_model::ResourceId::from_index(0);
+        let body = Body::builder().critical(sg, |c| c.compute(5)).build();
+        base_plus(Some(("t3", body)))
     }
 
     #[test]
@@ -766,6 +771,36 @@ mod tests {
         assert!(!d.processors.contains("P2"));
         assert!(d.resources.contains("SG"));
         assert!(!d.resources.contains("SL"));
+    }
+
+    #[test]
+    fn section_free_task_dirties_itself_and_its_rows_only() {
+        let old = DepGraph::build(&base());
+        let new = DepGraph::build(&base_plus(Some((
+            "extra",
+            Body::builder().compute(5).build(),
+        ))));
+        for (a, b, edit) in [
+            (&old, &new, Edit::AddTask("extra".into())),
+            (&new, &old, Edit::RemoveTask("extra".into())),
+        ] {
+            let d = dirty_set(a, b, &edit);
+            assert!(!d.full);
+            assert_eq!(d.tasks, BTreeSet::from(["extra".to_string()]), "{edit}");
+            assert_eq!(d.processors, BTreeSet::from(["P1".to_string()]), "{edit}");
+            assert!(d.resources.is_empty(), "{edit}: {d:?}");
+        }
+        // One suspension is enough to reach the mates again: it feeds
+        // their deferred-execution penalty.
+        let body = Body::builder().compute(2).suspend(1).compute(2).build();
+        let suspending = base_plus(Some(("extra", body)));
+        let d = dirty_set(
+            &old,
+            &DepGraph::build(&suspending),
+            &Edit::AddTask("extra".into()),
+        );
+        assert!(d.tasks.contains("t1"), "{d:?}");
+        assert!(!d.tasks.contains("t0"), "{d:?}");
     }
 
     #[test]

@@ -219,7 +219,6 @@ fn main() -> ExitCode {
                 max_offset: flag_u64(&flags, "max-offset", 2),
                 offset_step: flag_u64(&flags, "step", 1),
                 max_variants: flag_u64(&flags, "max-variants", 4096) as usize,
-                check_blocking: !flags.contains_key("no-blocking-check"),
             };
             eprintln!("verifying {label}");
             let lint_report = mpcp_verify::lint_system(&sys);
@@ -512,8 +511,9 @@ fn run_dga(sys: &mpcp_model::System, seed: u64, horizon: Time) -> ExitCode {
 
 /// `mpcp audit`: drive the incremental analysis engine through a
 /// deterministic edit script (scale each task's period, remove it,
-/// re-add it) and byte-compare its snapshot against an independent full
-/// recompute after every step. Any divergence is a hard failure.
+/// re-add it, strip its body to plain computation, restore it) and
+/// byte-compare its snapshot against an independent full recompute after
+/// every step. Any divergence is a hard failure.
 fn run_audit(sys: &mpcp_model::System, label: &str, steps: usize) -> ExitCode {
     use mpcp_verify::{full_snapshot_json, IncrementalAnalysis};
     use std::time::Instant;
@@ -534,7 +534,7 @@ fn run_audit(sys: &mpcp_model::System, label: &str, steps: usize) -> ExitCode {
     eprintln!(
         "auditing {label}: {} tasks, {} edit(s)",
         sys.tasks().len(),
-        names.len() * 3
+        names.len() * 5
     );
 
     let mut incremental_ns = 0u128;
@@ -623,6 +623,32 @@ fn run_audit(sys: &mpcp_model::System, label: &str, steps: usize) -> ExitCode {
                 &mut engine,
                 readded,
                 analysis::Edit::AddTask(name.clone()),
+                &mut incremental_ns,
+                &mut full_ns,
+                &mut divergences,
+            );
+            edits += 1;
+        }
+        // 4./5. Strip the task to plain computation and give it its body
+        // back: a modify-task edit across the section-free boundary in
+        // each direction (a no-op pair for a task that has no sections).
+        let original = engine.system().clone();
+        let task = &original.tasks()[original.task_index_by_name(name).expect("re-added")];
+        let plain = mpcp_model::Body::builder()
+            .compute(task.wcet().ticks())
+            .build();
+        for body in [&plain, task.body()] {
+            let flipped = match mpcp_verify::with_body(engine.system(), name, body) {
+                Ok(s) => s,
+                Err(e) => {
+                    eprintln!("audit: rewriting the body of {name} failed: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            check(
+                &mut engine,
+                flipped,
+                analysis::Edit::ModifyTask(name.clone()),
                 &mut incremental_ns,
                 &mut full_ns,
                 &mut divergences,
@@ -728,7 +754,6 @@ fn usage() -> String {
      \x20 --max-offset N / --step N   release-offset grid (default 0..=2 by 1)\n\
      \x20 --horizon T    ticks per variant (default: two hyperperiods)\n\
      \x20 --max-variants N            enumeration cap (default 4096)\n\
-     \x20 --no-blocking-check         skip the blocking-bound cross-check\n\
      \n\
      dga options (plus the random-system options below):\n\
      \x20 --horizon T    schedule horizon (default: two hyperperiods, capped at 20000)\n\
@@ -752,7 +777,6 @@ const BOOL_FLAGS: &[&str] = &[
     "json",
     "gantt",
     "csv",
-    "no-blocking-check",
     "no-shrink",
     "check-response",
     "no-incremental",

@@ -46,6 +46,24 @@ fn missing_flag_value_fails_with_usage() {
     }
 }
 
+/// `--no-blocking-check` was parsed, documented and read by nothing: the
+/// model checker's blocking cross-check follows the protocol's invariant
+/// profile. The switch is gone from the usage text and from the flags
+/// that stand alone, so passing it is an error, not a silent no-op.
+#[test]
+fn removed_no_blocking_check_flag_is_not_advertised() {
+    let usage = mpcp().output().unwrap();
+    let text = String::from_utf8_lossy(&usage.stdout);
+    assert!(!text.contains("no-blocking-check"), "{text}");
+    let out = mpcp()
+        .args(["verify", "--example", "3", "--no-blocking-check"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("requires a value"), "{err}");
+}
+
 #[test]
 fn boolean_flags_do_not_need_values() {
     let out = mpcp()

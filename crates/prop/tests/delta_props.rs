@@ -122,3 +122,187 @@ fn drain_and_refill_scripts_stay_certified() {
         );
     });
 }
+
+/// `system` plus a fresh task built by `def` (handed the processor
+/// list). Existing priorities are respaced to even levels, keeping their
+/// order, and the newcomer takes the odd level above `below` of them, so
+/// it can land anywhere in the priority order.
+fn with_new_task(
+    system: &System,
+    below: u32,
+    def: impl FnOnce(&[mpcp_model::ProcessorId]) -> mpcp_model::TaskDef,
+) -> System {
+    let mut b = System::builder();
+    let procs: Vec<_> = system
+        .processors()
+        .iter()
+        .map(|p| b.add_processor(p.name()))
+        .collect();
+    for r in system.resources() {
+        b.add_resource(r.name());
+    }
+    let mut levels: Vec<u32> = system
+        .tasks()
+        .iter()
+        .map(|t| t.priority().level())
+        .collect();
+    levels.sort_unstable();
+    for t in system.tasks() {
+        let rank = levels.binary_search(&t.priority().level()).unwrap() as u32;
+        b.add_task(mpcp_verify::task_def_of(t).priority(2 * (rank + 1)));
+    }
+    b.add_task(def(&procs).priority(2 * below + 1));
+    b.build().expect("a fresh name and a fresh priority level")
+}
+
+fn is_section_free(system: &System, name: &str) -> bool {
+    let idx = system.task_index_by_name(name).expect("task exists");
+    let task_use = &system.info().all_task_use()[idx];
+    task_use.sections.is_empty() && task_use.suspension_count == 0
+}
+
+/// The section-free dirty rule (a changed task with no critical section
+/// and no suspension dirties only itself and its processor's rows) under
+/// every edit that can meet it: adding, rescaling and removing such
+/// tasks anywhere in the priority order (some of them suspending, which
+/// the rule must not cover), and flipping tasks between section-free and
+/// sectioned bodies — which can also flip a semaphore's scope.
+#[test]
+fn section_free_edit_scripts_stay_certified() {
+    cases(12, 0xDE17C, |rng| {
+        let seed = rng.range_u64(0, 99_999);
+        let cfg = WorkloadConfig::default()
+            .processors(8)
+            .tasks_per_processor(8)
+            .resources(1, 3)
+            .sections(0, 2)
+            .suspensions(0.2)
+            .utilization(rng.range_f64(0.3, 0.6));
+        let sys = generate(&cfg, seed);
+        let mut engine = IncrementalAnalysis::new(sys).expect("generated task names are unique");
+        let mut fresh: Vec<String> = Vec::new();
+        for step in 0..12 {
+            let current = engine.system().clone();
+            let names: Vec<String> = current
+                .tasks()
+                .iter()
+                .map(|t| t.name().to_owned())
+                .collect();
+            let (next, edit) = match rng.range_usize(0, 3) {
+                0 => {
+                    let name = format!("fresh{step}");
+                    let proc = rng.range_usize(0, current.processors().len() - 1);
+                    let period = rng.range_u64(200, 5_000);
+                    let wcet = rng.range_u64(1, 5);
+                    let below = rng.range_u32(0, names.len() as u32);
+                    // The near miss: a suspension and nothing else still
+                    // feeds every lower mate's deferred penalty.
+                    let body = mpcp_model::Body::builder().compute(wcet);
+                    let body = if rng.chance(0.3) {
+                        body.suspend(2).compute(1)
+                    } else {
+                        body
+                    };
+                    let next = with_new_task(&current, below, |procs| {
+                        mpcp_model::TaskDef::new(name.clone(), procs[proc])
+                            .period(period)
+                            .body(body.build())
+                    });
+                    fresh.push(name.clone());
+                    (next, Edit::AddTask(name))
+                }
+                1 if !fresh.is_empty() => {
+                    let name = fresh.swap_remove(rng.range_usize(0, fresh.len() - 1));
+                    let next = without_task(&current, &name).expect("name is present");
+                    (next, Edit::RemoveTask(name))
+                }
+                2 if !fresh.is_empty() => {
+                    let name = rng.choice(&fresh).clone();
+                    let next = with_scaled_period(&current, &name, 2).expect("still valid");
+                    (next, Edit::ModifyTask(name))
+                }
+                _ => {
+                    // Flip one task across the section-free boundary.
+                    let name = rng.choice(&names).clone();
+                    let body = if is_section_free(&current, &name) {
+                        let donor = rng.choice(&names);
+                        let idx = current.task_index_by_name(donor).unwrap();
+                        current.tasks()[idx].body().clone()
+                    } else {
+                        let idx = current.task_index_by_name(&name).unwrap();
+                        let wcet = current.tasks()[idx].wcet().ticks();
+                        mpcp_model::Body::builder().compute(wcet).build()
+                    };
+                    let next = mpcp_verify::with_body(&current, &name, &body)
+                        .expect("a body of the same system stays valid");
+                    (next, Edit::ModifyTask(name))
+                }
+            };
+            engine.apply(next, &edit);
+            assert_eq!(
+                engine.snapshot_json(),
+                full_snapshot_json(engine.system()),
+                "seed {seed}, step {step}: snapshot diverged after {edit}"
+            );
+        }
+    });
+}
+
+/// The counts behind the rule, on the benchmark's edit family (8
+/// processors x 40 tasks): a compute-only `add-task` recomputes one
+/// task's factors and one processor's rows; one with a global section
+/// still cascades to its sharers.
+#[test]
+fn compute_only_add_recomputes_one_task_and_one_processor() {
+    let cfg = WorkloadConfig::default()
+        .processors(8)
+        .tasks_per_processor(40)
+        .utilization(0.1)
+        .resources(1, 3)
+        .sections(1, 4)
+        .global_access(0.7)
+        .section_len(0.01, 0.05)
+        .clusters(2);
+    let sys = generate(&cfg, 7);
+    let n = sys.tasks().len() as u64;
+    let mut engine = IncrementalAnalysis::new(sys.clone()).unwrap();
+
+    let before = engine.stats();
+    let plain = with_new_task(&sys, 0, |procs| {
+        mpcp_model::TaskDef::new("incoming", procs[0])
+            .period(10_000)
+            .body(mpcp_model::Body::builder().compute(50).build())
+    });
+    engine.apply(plain.clone(), &Edit::AddTask("incoming".into()));
+    let after = engine.stats();
+    assert_eq!(after.tasks_recomputed - before.tasks_recomputed, 1);
+    assert_eq!(after.tasks_reused - before.tasks_reused, n);
+    assert_eq!(
+        after.processors_recomputed - before.processors_recomputed,
+        1
+    );
+    assert_eq!(after.processors_reused - before.processors_reused, 7);
+    assert_eq!(engine.snapshot_json(), full_snapshot_json(&plain));
+
+    let gcs_body = sys
+        .tasks()
+        .iter()
+        .find(|t| !sys.info().task_use(t.id()).global_sections.is_empty())
+        .expect("the family has global sections")
+        .body()
+        .clone();
+    let before = engine.stats();
+    let shared = with_new_task(&plain, 0, |procs| {
+        mpcp_model::TaskDef::new("sharer", procs[0])
+            .period(10_000)
+            .body(gcs_body)
+    });
+    engine.apply(shared.clone(), &Edit::AddTask("sharer".into()));
+    let after = engine.stats();
+    assert!(
+        after.tasks_recomputed - before.tasks_recomputed > 40,
+        "a gcs-bearing task dirties its mates and its sharers: {after:?}"
+    );
+    assert!(after.processors_recomputed - before.processors_recomputed > 1);
+    assert_eq!(engine.snapshot_json(), full_snapshot_json(&shared));
+}

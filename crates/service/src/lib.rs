@@ -52,7 +52,7 @@ pub mod wire;
 
 pub use cache::{AnalysisCache, CacheStats};
 pub use loadgen::{LoadReport, LoadgenConfig};
-pub use persist::{Persistence, RestoredSession};
+pub use persist::{JournalStats, Persistence, RestoredSession};
 pub use pool::{Overloaded, WorkerPool};
 pub use proto::{AllocDirective, ErrorCode, Request};
 pub use server::{spawn, Client, ServerConfig, ServerHandle};

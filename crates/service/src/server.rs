@@ -417,7 +417,7 @@ fn run_pooled(request: &Request, state: &Arc<ServerState>) -> String {
                         }
                         let result = Arc::new(result);
                         if result.admitted {
-                            s.spec = result.analyzed.clone();
+                            s.spec = committed_spec(candidate, &result);
                             s.last = Some(Arc::clone(&result));
                             s.engine = Some(next);
                             state.journal_commit("add-task", session, protocol, &result);
@@ -433,7 +433,7 @@ fn run_pooled(request: &Request, state: &Arc<ServerState>) -> String {
                 .get_or_compute(key, || analyze_with(&candidate, None, protocol));
             let result = &entry.result;
             if result.admitted {
-                s.spec = result.analyzed.clone();
+                s.spec = committed_spec(candidate, result);
                 s.last = Some(Arc::clone(result));
                 s.engine = None;
                 state.journal_commit("add-task", session, protocol, result);
@@ -471,7 +471,7 @@ fn run_pooled(request: &Request, state: &Arc<ServerState>) -> String {
                         let result = Arc::new(result);
                         // Withdrawal always commits; the verdict reports
                         // the state the session is now in.
-                        s.spec = result.analyzed.clone();
+                        s.spec = committed_spec(candidate, &result);
                         s.last = Some(Arc::clone(&result));
                         s.engine = Some(next);
                         state.journal_commit("remove-task", session, protocol, &result);
@@ -487,7 +487,7 @@ fn run_pooled(request: &Request, state: &Arc<ServerState>) -> String {
             let result = &entry.result;
             // Withdrawal always commits; the verdict reports the state
             // the session is now in.
-            s.spec = result.analyzed.clone();
+            s.spec = committed_spec(candidate, result);
             s.last = Some(Arc::clone(result));
             s.engine = None;
             state.journal_commit("remove-task", session, protocol, result);
@@ -527,6 +527,18 @@ fn sampled_audit(
     ))
 }
 
+/// The spec a session commits for `result`: the analyzed system. An edit
+/// of a committed session almost always analyzes exactly its candidate,
+/// and then the candidate — already a private copy — moves in, saving a
+/// whole-session clone per commit.
+fn committed_spec(candidate: SystemSpec, result: &AdmissionResult) -> SystemSpec {
+    if candidate == result.analyzed {
+        candidate
+    } else {
+        result.analyzed.clone()
+    }
+}
+
 fn unknown_session(session: &str) -> Value {
     error_response(
         ErrorCode::UnknownSession,
@@ -554,75 +566,90 @@ fn admission_line(op: &'static str, session: &str, cache: &'static str, suffix: 
 
 /// The memoized suffix for a cached analysis, rendered on first use.
 fn cached_suffix(entry: &CachedAnalysis) -> &str {
-    entry
-        .rendered
-        .get_or_init(|| admission_suffix(&entry.result))
+    entry.rendered.get_or_init(|| {
+        // Kept as long as the cache entry: give back the writer's
+        // over-estimate.
+        let mut suffix = admission_suffix(&entry.result);
+        suffix.shrink_to_fit();
+        suffix
+    })
 }
 
 /// Renders the result-dependent tail of an admission response —
-/// everything from `"verdict"` through the closing brace.
+/// everything from `"verdict"` through the closing brace — straight
+/// into one string, byte for byte what encoding the same fields as a
+/// [`Value::Obj`] and dropping its opening brace would give (asserted by
+/// test): a reply names every task of the system, so a tree of keyed
+/// values per row costs more than the analysis of a small edit.
 fn admission_suffix(result: &AdmissionResult) -> String {
-    let mut pairs: Vec<(String, Value)> = vec![
-        (
-            "verdict".into(),
-            Value::str(if result.admitted { "admit" } else { "reject" }),
-        ),
-        ("schedulable".into(), Value::Bool(result.schedulable)),
-        (
-            "lint".into(),
-            Value::obj([
-                ("errors", Value::from(result.lint_errors)),
-                ("warnings", Value::from(result.lint_warnings)),
-            ]),
-        ),
-        (
-            "reasons".into(),
-            Value::Arr(result.reasons.iter().map(Value::str).collect()),
-        ),
-        (
-            "tasks".into(),
-            Value::Arr(
-                result
-                    .tasks
-                    .iter()
-                    .map(|t| {
-                        Value::obj([
-                            ("name", Value::str(t.name.clone())),
-                            ("processor", Value::str(t.processor.clone())),
-                            ("period", Value::from(t.period)),
-                            ("wcet", Value::from(t.wcet)),
-                            ("blocking", Value::from(t.blocking)),
-                            ("demand", Value::from(t.demand)),
-                            ("bound", Value::from(t.bound)),
-                            ("ok", Value::Bool(t.ok)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ];
-    if let Some(a) = &result.allocation {
-        pairs.push((
-            "allocation".into(),
-            Value::obj([
-                ("heuristic", Value::str(a.heuristic)),
-                (
-                    "per_processor_utilization",
-                    Value::Arr(
-                        a.per_processor_utilization
-                            .iter()
-                            .map(|u| Value::Num(*u))
-                            .collect(),
-                    ),
-                ),
-                ("global_resources", Value::from(a.global_resources)),
-            ]),
-        ));
+    // Infallible: every sink below is the one `String`.
+    fn num(n: f64, out: &mut String) {
+        let _ = json::write_num(n, out);
     }
-    // Encode the tail as an object and keep everything after its
-    // opening brace: `"verdict":...,...}`.
-    let body = Value::Obj(pairs).encode();
-    body[1..].to_owned()
+    fn text(s: &str, out: &mut String) {
+        let _ = json::write_str(s, out);
+    }
+    fn flag(b: bool) -> &'static str {
+        if b {
+            "true"
+        } else {
+            "false"
+        }
+    }
+    fn list<T>(items: &[T], out: &mut String, mut each: impl FnMut(&T, &mut String)) {
+        out.push('[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            each(item, out);
+        }
+        out.push(']');
+    }
+
+    let mut suffix = String::with_capacity(128 + 160 * result.tasks.len());
+    let out = &mut suffix;
+    out.push_str("\"verdict\":\"");
+    out.push_str(if result.admitted { "admit" } else { "reject" });
+    out.push_str("\",\"schedulable\":");
+    out.push_str(flag(result.schedulable));
+    out.push_str(",\"lint\":{\"errors\":");
+    num(result.lint_errors as f64, out);
+    out.push_str(",\"warnings\":");
+    num(result.lint_warnings as f64, out);
+    out.push_str("},\"reasons\":");
+    list(&result.reasons, out, |r, out| text(r, out));
+    out.push_str(",\"tasks\":");
+    list(&result.tasks, out, |t, out| {
+        out.push_str("{\"name\":");
+        text(&t.name, out);
+        out.push_str(",\"processor\":");
+        text(&t.processor, out);
+        out.push_str(",\"period\":");
+        num(t.period as f64, out);
+        out.push_str(",\"wcet\":");
+        num(t.wcet as f64, out);
+        out.push_str(",\"blocking\":");
+        num(t.blocking as f64, out);
+        out.push_str(",\"demand\":");
+        num(t.demand, out);
+        out.push_str(",\"bound\":");
+        num(t.bound, out);
+        out.push_str(",\"ok\":");
+        out.push_str(flag(t.ok));
+        out.push('}');
+    });
+    if let Some(a) = &result.allocation {
+        out.push_str(",\"allocation\":{\"heuristic\":");
+        text(a.heuristic, out);
+        out.push_str(",\"per_processor_utilization\":");
+        list(&a.per_processor_utilization, out, |u, out| num(*u, out));
+        out.push_str(",\"global_resources\":");
+        num(a.global_resources as f64, out);
+        out.push('}');
+    }
+    out.push('}');
+    suffix
 }
 
 pub(crate) fn query_response(state: &Arc<ServerState>, session: Option<&str>) -> Value {
@@ -673,11 +700,42 @@ pub(crate) fn query_response(state: &Arc<ServerState>, session: Option<&str>) ->
             ]),
         ),
     ];
+    if let Some(p) = &state.persist {
+        let j = p.stats();
+        pairs.push((
+            "persist".into(),
+            Value::obj([
+                ("records_full", Value::from(j.records_full)),
+                ("records_delta", Value::from(j.records_delta)),
+                ("bytes", Value::from(j.bytes)),
+            ]),
+        ));
+    }
     if let Some(name) = session {
         match state.sessions.get(name) {
             None => return unknown_session(name),
             Some(entry) => {
                 let s = entry.lock().unwrap_or_else(PoisonError::into_inner);
+                // What the session's incremental engine has recomputed
+                // and reused so far; `null` until an edit builds one.
+                // Ahead of "session" so that object stays the reply's
+                // tail (scripts compare it across restarts).
+                pairs.push((
+                    "engine".into(),
+                    s.engine.as_ref().map_or(Value::Null, |e| {
+                        let e = e.stats();
+                        Value::obj([
+                            ("updates", Value::from(e.updates)),
+                            ("tasks_recomputed", Value::from(e.tasks_recomputed)),
+                            ("tasks_reused", Value::from(e.tasks_reused)),
+                            (
+                                "processors_recomputed",
+                                Value::from(e.processors_recomputed),
+                            ),
+                            ("processors_reused", Value::from(e.processors_reused)),
+                        ])
+                    }),
+                ));
                 pairs.push((
                     "session".into(),
                     Value::obj([
@@ -792,6 +850,143 @@ mod tests {
             ..ServerConfig::default()
         })
         .expect("bind test server")
+    }
+
+    /// The suffix as the parent commit rendered it: a [`Value`] tree,
+    /// encoded, minus its opening brace.
+    fn reference_suffix(result: &AdmissionResult) -> String {
+        let mut pairs: Vec<(String, Value)> = vec![
+            (
+                "verdict".into(),
+                Value::str(if result.admitted { "admit" } else { "reject" }),
+            ),
+            ("schedulable".into(), Value::Bool(result.schedulable)),
+            (
+                "lint".into(),
+                Value::obj([
+                    ("errors", Value::from(result.lint_errors)),
+                    ("warnings", Value::from(result.lint_warnings)),
+                ]),
+            ),
+            (
+                "reasons".into(),
+                Value::Arr(result.reasons.iter().map(Value::str).collect()),
+            ),
+            (
+                "tasks".into(),
+                Value::Arr(
+                    result
+                        .tasks
+                        .iter()
+                        .map(|t| {
+                            Value::obj([
+                                ("name", Value::str(t.name.clone())),
+                                ("processor", Value::str(t.processor.clone())),
+                                ("period", Value::from(t.period)),
+                                ("wcet", Value::from(t.wcet)),
+                                ("blocking", Value::from(t.blocking)),
+                                ("demand", Value::from(t.demand)),
+                                ("bound", Value::from(t.bound)),
+                                ("ok", Value::Bool(t.ok)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ];
+        if let Some(a) = &result.allocation {
+            pairs.push((
+                "allocation".into(),
+                Value::obj([
+                    ("heuristic", Value::str(a.heuristic)),
+                    (
+                        "per_processor_utilization",
+                        Value::Arr(
+                            a.per_processor_utilization
+                                .iter()
+                                .map(|u| Value::Num(*u))
+                                .collect(),
+                        ),
+                    ),
+                    ("global_resources", Value::from(a.global_resources)),
+                ]),
+            ));
+        }
+        Value::Obj(pairs).encode()[1..].to_owned()
+    }
+
+    #[test]
+    fn streamed_suffix_equals_the_value_tree_encoding() {
+        use crate::session::{AllocSummary, TaskVerdict};
+        // xorshift: seeded, dependency-free.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let names = [
+            "plain",
+            "quo\"te",
+            "back\\slash",
+            "tab\tnew\nline",
+            "ctl\u{1}\u{1f}",
+            "unicode-é-日本",
+            "",
+        ];
+        let floats = [
+            0.0,
+            1.0,
+            -3.0,
+            0.75,
+            0.1 + 0.2,
+            0.828_427_124_746_190_1,
+            9.007_199_254_740_992e15,
+            1.0e21,
+            1.5e-9,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        for case in 0..200 {
+            let n_tasks = if case == 0 { 0 } else { next() % 6 };
+            let tasks = (0..n_tasks)
+                .map(|_| TaskVerdict {
+                    name: names[next() as usize % names.len()].to_owned(),
+                    processor: names[next() as usize % names.len()].to_owned(),
+                    period: next() % 100_000,
+                    wcet: next() % 1_000,
+                    blocking: next() >> (next() % 64),
+                    demand: floats[next() as usize % floats.len()],
+                    bound: floats[next() as usize % floats.len()],
+                    ok: next() % 2 == 0,
+                })
+                .collect();
+            let allocation = (next() % 3 == 0).then(|| AllocSummary {
+                heuristic: "first-fit-decreasing",
+                per_processor_utilization: (0..next() % 4)
+                    .map(|_| floats[next() as usize % floats.len()])
+                    .collect(),
+                global_resources: next() as usize % 9,
+            });
+            let result = AdmissionResult {
+                admitted: next() % 2 == 0,
+                schedulable: next() % 2 == 0,
+                lint_errors: next() as usize % 4,
+                lint_warnings: next() as usize % 4,
+                reasons: (0..next() % 3)
+                    .map(|_| names[next() as usize % names.len()].to_owned())
+                    .collect(),
+                tasks,
+                allocation,
+                analyzed: SystemSpec::default(),
+            };
+            assert_eq!(
+                admission_suffix(&result),
+                reference_suffix(&result),
+                "case {case}: {result:?}"
+            );
+        }
     }
 
     #[test]

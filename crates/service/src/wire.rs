@@ -253,7 +253,7 @@ impl SystemSpec {
     /// Writes the canonical JSON encoding of this spec — byte-for-byte
     /// what `self.to_json().encode()` produces — without building the
     /// intermediate [`Value`] tree.
-    fn encode_canonical<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+    pub(crate) fn encode_canonical<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         out.write_str("{\"processors\":[")?;
         write_name_list(&self.processors, out)?;
         out.write_str("],\"resources\":[")?;
@@ -296,7 +296,7 @@ fn write_name_list<W: fmt::Write>(names: &[String], out: &mut W) -> fmt::Result 
 }
 
 /// Mirrors [`task_to_json`]'s field order and elision rules exactly.
-fn write_task_canonical<W: fmt::Write>(t: &TaskSpec, out: &mut W) -> fmt::Result {
+pub(crate) fn write_task_canonical<W: fmt::Write>(t: &TaskSpec, out: &mut W) -> fmt::Result {
     out.write_str("{\"name\":")?;
     crate::json::write_str(&t.name, out)?;
     out.write_str(",\"processor\":")?;

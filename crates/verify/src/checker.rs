@@ -32,8 +32,6 @@ pub struct CheckerConfig {
     /// Hard cap on enumerated variants; exceeding it marks the
     /// exploration truncated rather than running forever.
     pub max_variants: usize,
-    /// For MPCP, also check observed blocking against the §5.1 bound.
-    pub check_blocking: bool,
 }
 
 impl Default for CheckerConfig {
@@ -43,7 +41,6 @@ impl Default for CheckerConfig {
             max_offset: 2,
             offset_step: 1,
             max_variants: 4096,
-            check_blocking: true,
         }
     }
 }

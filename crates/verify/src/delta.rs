@@ -491,6 +491,24 @@ pub fn with_scaled_period(system: &System, name: &str, factor: u64) -> Result<Sy
     })
 }
 
+/// `system` with `name`'s body replaced — a modify-task edit that can
+/// strip a task down to plain computation or give it critical sections
+/// and suspensions back.
+pub fn with_body(
+    system: &System,
+    name: &str,
+    body: &mpcp_model::Body,
+) -> Result<System, ModelError> {
+    rebuild(system, |t| {
+        let def = task_def_of(t);
+        Some(if t.name() == name {
+            def.body(body.clone())
+        } else {
+            def
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

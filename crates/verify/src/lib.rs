@@ -57,8 +57,8 @@ pub mod lint;
 
 pub use checker::{CheckerConfig, Exploration, InvariantProfile, Violation};
 pub use delta::{
-    full_snapshot_json, task_def_of, with_scaled_period, with_task_from, without_task, EngineStats,
-    IncrementalAnalysis,
+    full_snapshot_json, task_def_of, with_body, with_scaled_period, with_task_from, without_task,
+    EngineStats, IncrementalAnalysis,
 };
 pub use diag::{Diagnostic, Report, Severity};
 pub use lint::{default_lints, lint_system, lint_system_with, Lint, LintContext, LintScope};

@@ -14,7 +14,6 @@ fn small_config() -> CheckerConfig {
         max_offset: 2,
         offset_step: 1,
         max_variants: 4096,
-        check_blocking: true,
     }
 }
 

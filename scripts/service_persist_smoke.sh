@@ -2,6 +2,8 @@
 # Snapshot/replay smoke: sessions committed under --persist must
 # survive a full server restart byte-identically.
 #   1. start `mpcp serve --persist DIR`, submit a session, grow it,
+#      then edit it three more times (add, add, remove): one-task edits
+#      must reach the journal as one-task lines, < 2 KB for the three,
 #   2. record the session's `query` payload, shut the server down,
 #   3. restart on the same DIR, query again: the `"session":{...}`
 #      tail (name, counts, verdict, full system spec) must match the
@@ -44,6 +46,21 @@ R=$(ask "{\"op\":\"submit\",\"session\":\"durable\",\"system\":$SYS}")
 case "$R" in *'"verdict":"admit"'*) ;; *) echo "FAIL: submit not admitted: $R"; exit 1 ;; esac
 R=$(ask '{"op":"add-task","session":"durable","task":{"name":"c","processor":0,"period":400,"body":[{"compute":8}]}}')
 case "$R" in *'"ok":true'*) ;; *) echo "FAIL: add-task errored: $R"; exit 1 ;; esac
+
+# An edit costs what it touches: three one-task edits may not re-write
+# the session three times.
+JOURNAL_BEFORE=$(stat -c %s "$DIR/journal.ndjson")
+for REQ in \
+    '{"op":"add-task","session":"durable","task":{"name":"d","processor":1,"period":500,"body":[{"compute":6}]}}' \
+    '{"op":"add-task","session":"durable","task":{"name":"e","processor":0,"period":800,"body":[{"compute":3},{"critical":0,"body":[{"compute":1}]}]}}' \
+    '{"op":"remove-task","session":"durable","task":"d"}'; do
+    R=$(ask "$REQ")
+    case "$R" in *'"ok":true'*'"verdict":"admit"'*) ;; *) echo "FAIL: edit not admitted: $REQ -> $R"; exit 1 ;; esac
+done
+GREW=$(($(stat -c %s "$DIR/journal.ndjson") - JOURNAL_BEFORE))
+[ "$GREW" -gt 0 ] && [ "$GREW" -lt 2048 ] || {
+    echo "FAIL: three one-task edits grew the journal by $GREW bytes (want 1..2047)"; exit 1; }
+echo "three edits journaled in $GREW bytes"
 
 BEFORE=$(ask '{"op":"query","session":"durable"}')
 BEFORE_SESSION=${BEFORE#*\"session\":}

@@ -176,3 +176,82 @@ fn dpcp_simulated_blocking_within_bounds() {
         }
     }
 }
+
+/// The trap in walking "the sharers of my semaphores" instead of every
+/// task: `hi` shares *two* semaphores with `mid`, so a walk per semaphore
+/// meets it twice. Factor 3 must still charge its sections once —
+/// `(4 + 5) x 2 instances = 18`, not 36 — and the blocking-processor set
+/// of factor 4 must still hold P1 once.
+///
+/// P0: mid (pri 2, T 100): SA 2, SB 3.
+/// P1: hi (pri 3, T 50): SA 4, SB 5; lo (pri 1, T 200): SA 6, SB 7;
+///     by (pri 4, T 100): SC 8.
+/// P2: top (pri 5, T 40): SC 1.
+#[test]
+fn a_task_sharing_two_semaphores_is_counted_once() {
+    use mpcp::model::{Body, System, TaskDef};
+    let mut b = System::builder();
+    let p = b.add_processors(3);
+    let (sa, sb, sc) = (
+        b.add_resource("SA"),
+        b.add_resource("SB"),
+        b.add_resource("SC"),
+    );
+    let two = |a: u64, c: u64| {
+        Body::builder()
+            .critical(sa, |s| s.compute(a))
+            .critical(sb, |s| s.compute(c))
+            .build()
+    };
+    b.add_task(
+        TaskDef::new("mid", p[0])
+            .period(100)
+            .priority(2)
+            .body(two(2, 3)),
+    );
+    b.add_task(
+        TaskDef::new("hi", p[1])
+            .period(50)
+            .priority(3)
+            .body(two(4, 5)),
+    );
+    b.add_task(
+        TaskDef::new("lo", p[1])
+            .period(200)
+            .priority(1)
+            .body(two(6, 7)),
+    );
+    b.add_task(
+        TaskDef::new("by", p[1])
+            .period(100)
+            .priority(4)
+            .body(Body::builder().critical(sc, |s| s.compute(8)).build()),
+    );
+    b.add_task(
+        TaskDef::new("top", p[2])
+            .period(40)
+            .priority(5)
+            .body(Body::builder().critical(sc, |s| s.compute(1)).build()),
+    );
+    let sys = b.build().unwrap();
+    let bounds = mpcp_bounds_with(&sys, BlockingConfig::paper()).unwrap();
+
+    let mid = bounds[0];
+    assert_eq!(mid.local_cs, Dur::ZERO);
+    // Per request, lo's longer section on the same semaphore: 6 + 7.
+    assert_eq!(mid.lower_gcs_same_sem, Dur::new(13));
+    assert_eq!(mid.higher_remote_gcs, Dur::new(18));
+    // lo blocks from P1 at P_G + 2; only by's section (P_G + 5) runs
+    // above that there: 8 x 1 instance.
+    assert_eq!(mid.blocking_processor_gcs, Dur::new(8));
+    assert_eq!(mid.lower_local_gcs, Dur::ZERO);
+    assert_eq!(mid.deferred_penalty, Dur::ZERO);
+
+    let hi = bounds[1];
+    assert_eq!(hi.lower_gcs_same_sem, Dur::new(13));
+    assert_eq!(hi.higher_remote_gcs, Dur::ZERO);
+    assert_eq!(hi.blocking_processor_gcs, Dur::ZERO);
+    // lo's longest gcs (7) x min(NC_hi + 1, 2 x NC_lo) = 7 x 3.
+    assert_eq!(hi.lower_local_gcs, Dur::new(21));
+    assert_eq!(hi.deferred_penalty, Dur::new(8));
+}

@@ -569,3 +569,59 @@ fn corrupt_journal_tail_is_truncated_not_fatal() {
     srv.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `query` shows what an edit cost: a compute-only `add-task` recomputes
+/// one task's blocking factors and one processor's rows in the session's
+/// incremental engine, and reaches the journal as a one-task record.
+#[test]
+fn query_reports_engine_and_journal_work_per_edit() {
+    let dir = tempdir("observe");
+    let d = dir.clone();
+    let srv = server_with(move |c| c.persist_dir = Some(d));
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    let v = json::parse(&c.request_raw(&submit_line("seen", light_system())).unwrap()).unwrap();
+    assert_eq!(v.get("verdict").and_then(Value::as_str), Some("admit"));
+    let query = Value::obj([("op", Value::str("query")), ("session", Value::str("seen"))]);
+    let counter = |q: &Value, group: &str, key: &str| {
+        q.get(group)
+            .and_then(|g| g.get(key))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("no {group}.{key} in {q:?}"))
+    };
+
+    let q = c.request(&query).unwrap();
+    assert_eq!(
+        q.get("engine"),
+        Some(&Value::Null),
+        "no edit, no engine yet"
+    );
+    assert_eq!(counter(&q, "persist", "records_full"), 1);
+    assert_eq!(counter(&q, "persist", "records_delta"), 0);
+
+    let add = |name: &str| {
+        format!(
+            r#"{{"op":"add-task","session":"seen","task":{{"name":"{name}","processor":1,"period":400,"body":[{{"compute":4}}]}}}}"#
+        )
+    };
+    let v = json::parse(&c.request_raw(&add("c")).unwrap()).unwrap();
+    assert_eq!(v.get("cache").and_then(Value::as_str), Some("delta"));
+    let first = c.request(&query).unwrap();
+    let v = json::parse(&c.request_raw(&add("d")).unwrap()).unwrap();
+    assert_eq!(v.get("verdict").and_then(Value::as_str), Some("admit"));
+    let second = c.request(&query).unwrap();
+
+    let moved = |group: &str, key: &str| counter(&second, group, key) - counter(&first, group, key);
+    assert_eq!(moved("engine", "updates"), 1);
+    assert_eq!(moved("engine", "tasks_recomputed"), 1);
+    assert_eq!(moved("engine", "tasks_reused"), 3);
+    assert_eq!(moved("engine", "processors_recomputed"), 1);
+    assert_eq!(moved("engine", "processors_reused"), 1);
+    assert_eq!(moved("persist", "records_delta"), 1);
+    assert_eq!(moved("persist", "records_full"), 0);
+    assert!(moved("persist", "bytes") < 200, "{second:?}");
+    // The counters sit ahead of the session view, which stays the tail.
+    let text = second.encode();
+    assert!(text.find(r#""engine":"#).unwrap() < text.find(r#""session":{"#).unwrap());
+    srv.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
