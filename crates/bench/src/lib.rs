@@ -21,4 +21,4 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod paper;
+pub use mpcp_taskgen::paper;

@@ -299,7 +299,7 @@ fn main() -> ExitCode {
                 connections: flag_u64(&flags, "connections", 4) as usize,
                 rate: flag_u64(&flags, "rate", 0),
                 unique: flag_u64(&flags, "unique", 8) as usize,
-                workload: workload_config(&flags),
+                workload: workload_config(&flags, 4),
                 seed: flag_u64(&flags, "seed", 42),
                 pipeline: flag_u64(&flags, "pipeline", 1) as usize,
                 open: flags.contains_key("open"),
@@ -324,23 +324,7 @@ fn main() -> ExitCode {
             }
         }
         "sweep" => {
-            let mut config = mpcp_sweep::SweepConfig::default();
-            config.workload = WorkloadConfig::default()
-                .processors(flag_u64(&flags, "procs", 4) as usize)
-                .tasks_per_processor(flag_u64(&flags, "tasks", 3) as usize)
-                .resources(
-                    flag_u64(&flags, "locals", 1) as usize,
-                    flag_u64(&flags, "globals", 2) as usize,
-                )
-                .sections(0, 2)
-                .global_sections(flag_u64(&flags, "gsections", 0) as usize);
-            config.scenarios = flag_u64(&flags, "scenarios", 1000) as usize;
-            config.seed = flag_u64(&flags, "seed", 42);
-            config.jobs = flag_u64(&flags, "jobs", 1) as usize;
-            config.horizon_cap = flag_u64(&flags, "horizon", config.horizon_cap);
-            config.util_lo = flag_f64(&flags, "util-lo", config.util_lo);
-            config.util_hi = flag_f64(&flags, "util-hi", config.util_hi);
-            config.util_steps = flag_u64(&flags, "util-steps", config.util_steps as u64) as usize;
+            let mut config = sweep_config(&flags, 1000);
             config.audit_stride =
                 flag_u64(&flags, "audit-stride", config.audit_stride as u64) as usize;
             config.shrink = !flags.contains_key("no-shrink");
@@ -370,24 +354,7 @@ fn main() -> ExitCode {
             }
         }
         "shootout" => {
-            let mut config = mpcp_sweep::SweepConfig::default();
-            config.workload = WorkloadConfig::default()
-                .processors(flag_u64(&flags, "procs", 4) as usize)
-                .tasks_per_processor(flag_u64(&flags, "tasks", 3) as usize)
-                .resources(
-                    flag_u64(&flags, "locals", 1) as usize,
-                    flag_u64(&flags, "globals", 2) as usize,
-                )
-                .sections(0, 2)
-                .global_sections(flag_u64(&flags, "gsections", 0) as usize);
-            config.scenarios = flag_u64(&flags, "scenarios", 200) as usize;
-            config.seed = flag_u64(&flags, "seed", 42);
-            config.jobs = flag_u64(&flags, "jobs", 1) as usize;
-            config.horizon_cap = flag_u64(&flags, "horizon", config.horizon_cap);
-            config.util_lo = flag_f64(&flags, "util-lo", config.util_lo);
-            config.util_hi = flag_f64(&flags, "util-hi", config.util_hi);
-            config.util_steps = flag_u64(&flags, "util-steps", config.util_steps as u64) as usize;
-            let report = mpcp_sweep::shootout(&config);
+            let report = mpcp_sweep::shootout(&sweep_config(&flags, 200));
             if flags.contains_key("json") {
                 println!("{}", report.to_json().encode());
             } else if flags.contains_key("csv") {
@@ -396,10 +363,13 @@ fn main() -> ExitCode {
                 print!("{}", report.render_text());
             }
             eprintln!("report hash: {:016x}", report.hash());
-            if report.violations_total == 0 {
+            if report.violations_total() == 0 {
                 ExitCode::SUCCESS
             } else {
-                eprintln!("shootout: {} oracle violation(s)", report.violations_total);
+                eprintln!(
+                    "shootout: {} oracle violation(s)",
+                    report.violations_total()
+                );
                 ExitCode::FAILURE
             }
         }
@@ -509,9 +479,8 @@ fn run_dga(sys: &mpcp_model::System, seed: u64, horizon: Time) -> ExitCode {
     }
 }
 
-/// `mpcp audit`: drive the incremental analysis engine through a
-/// deterministic edit script (scale each task's period, remove it,
-/// re-add it, strip its body to plain computation, restore it) and
+/// `mpcp audit`: drive the incremental analysis engine through the
+/// deterministic edit script of [`mpcp_verify::audit_script`] and
 /// byte-compare its snapshot against an independent full recompute after
 /// every step. Any divergence is a hard failure.
 fn run_audit(sys: &mpcp_model::System, label: &str, steps: usize) -> ExitCode {
@@ -525,135 +494,45 @@ fn run_audit(sys: &mpcp_model::System, label: &str, steps: usize) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let names: Vec<String> = sys
-        .tasks()
-        .iter()
-        .take(steps)
-        .map(|t| t.name().to_owned())
-        .collect();
+    let script = match mpcp_verify::audit_script(sys, steps) {
+        Ok(script) => script,
+        Err(e) => {
+            eprintln!("audit: cannot build the edit script: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let edits = script.len();
     eprintln!(
-        "auditing {label}: {} tasks, {} edit(s)",
-        sys.tasks().len(),
-        names.len() * 5
+        "auditing {label}: {} tasks, {edits} edit(s)",
+        sys.tasks().len()
     );
 
     let mut incremental_ns = 0u128;
     let mut full_ns = 0u128;
-    let mut edits = 0usize;
     let mut divergences = 0usize;
-
-    let check = |engine: &mut IncrementalAnalysis,
-                 next: mpcp_model::System,
-                 edit: analysis::Edit,
-                 incremental_ns: &mut u128,
-                 full_ns: &mut u128,
-                 divergences: &mut usize| {
+    for (edit, next) in script {
         let t0 = Instant::now();
         engine.apply(next, &edit);
         let got = engine.snapshot_json();
-        *incremental_ns += t0.elapsed().as_nanos();
+        incremental_ns += t0.elapsed().as_nanos();
         let t1 = Instant::now();
         let want = full_snapshot_json(engine.system());
-        *full_ns += t1.elapsed().as_nanos();
+        full_ns += t1.elapsed().as_nanos();
         if got != want {
-            *divergences += 1;
-            let diff = got
+            divergences += 1;
+            eprintln!("audit: DIVERGENCE after {edit}");
+            match got
                 .lines()
                 .zip(want.lines())
                 .enumerate()
-                .find(|(_, (a, b))| a != b);
-            eprintln!("audit: DIVERGENCE after {edit}");
-            if let Some((n, (a, b))) = diff {
-                eprintln!("  line {}: incremental: {a}", n + 1);
-                eprintln!("  line {}: full:        {b}", n + 1);
-            } else {
-                eprintln!("  (snapshots differ in length only)");
-            }
-        }
-    };
-
-    for name in &names {
-        let committed = engine.system().clone();
-        // 1. Double the period (a modify-task edit).
-        let scaled = match mpcp_verify::with_scaled_period(&committed, name, 2) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("audit: scaling {name} failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        check(
-            &mut engine,
-            scaled,
-            analysis::Edit::ModifyTask(name.clone()),
-            &mut incremental_ns,
-            &mut full_ns,
-            &mut divergences,
-        );
-        edits += 1;
-        // 2./3. Remove the task and re-add it (skipped for the last
-        // task standing: an empty system has no incremental story).
-        if engine.system().tasks().len() > 1 {
-            let before_removal = engine.system().clone();
-            let removed = match mpcp_verify::without_task(&before_removal, name) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("audit: removing {name} failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            check(
-                &mut engine,
-                removed,
-                analysis::Edit::RemoveTask(name.clone()),
-                &mut incremental_ns,
-                &mut full_ns,
-                &mut divergences,
-            );
-            edits += 1;
-            let readded = match mpcp_verify::with_task_from(engine.system(), &before_removal, name)
+                .find(|(_, (a, b))| a != b)
             {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("audit: re-adding {name} failed: {e}");
-                    return ExitCode::FAILURE;
+                Some((n, (a, b))) => {
+                    eprintln!("  line {}: incremental: {a}", n + 1);
+                    eprintln!("  line {}: full:        {b}", n + 1);
                 }
-            };
-            check(
-                &mut engine,
-                readded,
-                analysis::Edit::AddTask(name.clone()),
-                &mut incremental_ns,
-                &mut full_ns,
-                &mut divergences,
-            );
-            edits += 1;
-        }
-        // 4./5. Strip the task to plain computation and give it its body
-        // back: a modify-task edit across the section-free boundary in
-        // each direction (a no-op pair for a task that has no sections).
-        let original = engine.system().clone();
-        let task = &original.tasks()[original.task_index_by_name(name).expect("re-added")];
-        let plain = mpcp_model::Body::builder()
-            .compute(task.wcet().ticks())
-            .build();
-        for body in [&plain, task.body()] {
-            let flipped = match mpcp_verify::with_body(engine.system(), name, body) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("audit: rewriting the body of {name} failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            check(
-                &mut engine,
-                flipped,
-                analysis::Edit::ModifyTask(name.clone()),
-                &mut incremental_ns,
-                &mut full_ns,
-                &mut divergences,
-            );
-            edits += 1;
+                None => eprintln!("  (snapshots differ in length only)"),
+            }
         }
     }
 
@@ -886,10 +765,30 @@ fn deadlock_demo() -> mpcp_model::System {
     b.build().expect("demo system is structurally valid")
 }
 
-fn workload_config(flags: &HashMap<String, String>) -> WorkloadConfig {
+/// The flags `sweep` and `shootout` share: workload shape, scenario
+/// budget (each has its own default), seed, workers, horizon and the
+/// utilization grid.
+fn sweep_config(flags: &HashMap<String, String>, scenarios: u64) -> mpcp_sweep::SweepConfig {
+    let d = mpcp_sweep::SweepConfig::default();
+    mpcp_sweep::SweepConfig {
+        // Its utilization is overridden per grid point.
+        workload: workload_config(flags, 3),
+        scenarios: flag_u64(flags, "scenarios", scenarios) as usize,
+        seed: flag_u64(flags, "seed", 42),
+        jobs: flag_u64(flags, "jobs", 1) as usize,
+        horizon_cap: flag_u64(flags, "horizon", d.horizon_cap),
+        util_lo: flag_f64(flags, "util-lo", d.util_lo),
+        util_hi: flag_f64(flags, "util-hi", d.util_hi),
+        util_steps: flag_u64(flags, "util-steps", d.util_steps as u64) as usize,
+        ..d
+    }
+}
+
+/// The random-system flags; `tasks` is the per-processor default.
+fn workload_config(flags: &HashMap<String, String>, tasks: u64) -> WorkloadConfig {
     WorkloadConfig::default()
         .processors(flag_u64(flags, "procs", 4) as usize)
-        .tasks_per_processor(flag_u64(flags, "tasks", 4) as usize)
+        .tasks_per_processor(flag_u64(flags, "tasks", tasks) as usize)
         .utilization(flag_f64(flags, "util", 0.4))
         .resources(
             flag_u64(flags, "locals", 1) as usize,
@@ -901,5 +800,5 @@ fn workload_config(flags: &HashMap<String, String>) -> WorkloadConfig {
 
 fn build_system(flags: &HashMap<String, String>) -> (mpcp_model::System, u64) {
     let seed = flag_u64(flags, "seed", 1);
-    (generate(&workload_config(flags), seed), seed)
+    (generate(&workload_config(flags, 4), seed), seed)
 }

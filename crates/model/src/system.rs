@@ -128,6 +128,25 @@ impl TaskDef {
     }
 }
 
+impl Task {
+    /// This task as a [`TaskDef`] with its priority made explicit, so a
+    /// system rebuilt from it ([`System::with_tasks`]) keeps the same
+    /// priority assignment even where the original relied on
+    /// rate-monotonic defaults. Arrival traces are copied.
+    pub fn to_def(&self) -> TaskDef {
+        TaskDef {
+            name: self.name.clone(),
+            processor: self.processor,
+            period: self.period,
+            deadline: Some(self.deadline),
+            offset: self.offset,
+            priority: Some(self.priority.level()),
+            body: self.body.clone(),
+            arrivals: self.arrivals.clone(),
+        }
+    }
+}
+
 /// Builder for [`System`]; see [`System::builder`].
 #[derive(Debug, Default)]
 pub struct SystemBuilder {
@@ -310,6 +329,26 @@ impl System {
         SystemBuilder::default()
     }
 
+    /// A fresh system over this one's processor and resource tables
+    /// (same ids, same order) with `defs` as its tasks: the one way to
+    /// derive an edited system. [`Task::to_def`] carries a task over
+    /// unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`SystemBuilder::build`] rejects.
+    pub fn with_tasks(
+        &self,
+        defs: impl IntoIterator<Item = TaskDef>,
+    ) -> Result<System, ModelError> {
+        let builder = SystemBuilder {
+            processors: self.processors.clone(),
+            resources: self.resources.clone(),
+            defs: defs.into_iter().collect(),
+        };
+        builder.build()
+    }
+
     /// The processors, indexed by [`ProcessorId`].
     pub fn processors(&self) -> &[Processor] {
         &self.processors
@@ -462,6 +501,35 @@ mod tests {
             .compute(1)
             .critical(res, |c| c.compute(1))
             .build()
+    }
+
+    #[test]
+    fn with_tasks_keeps_tables_priorities_and_arrivals() {
+        let mut b = System::builder();
+        let p = b.add_processors(2);
+        let s = b.add_resource("S");
+        b.add_task(TaskDef::new("slow", p[0]).period(40).body(body_with(s)));
+        b.add_task(
+            TaskDef::new("fast", p[1])
+                .period(10)
+                .deadline(8)
+                .offset(3)
+                .arrivals([3, 20])
+                .body(body_with(s)),
+        );
+        let sys = b.build().unwrap();
+        // Identity: rate-monotonic levels become explicit, nothing moves.
+        let copy = sys
+            .with_tasks(sys.tasks().iter().map(Task::to_def))
+            .unwrap();
+        assert_eq!(copy, sys);
+        // Dropping the fast task keeps the slow one's level (an RM
+        // re-assignment would have renumbered it).
+        let one = sys.with_tasks([sys.tasks()[0].to_def()]).unwrap();
+        assert_eq!(one.tasks()[0].priority(), sys.tasks()[0].priority());
+        assert_eq!(one.resources(), sys.resources());
+        assert_eq!(one.processors(), sys.processors());
+        assert_eq!(sys.with_tasks([]), Err(ModelError::NoTasks));
     }
 
     #[test]

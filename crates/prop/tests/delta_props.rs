@@ -149,7 +149,7 @@ fn with_new_task(
     levels.sort_unstable();
     for t in system.tasks() {
         let rank = levels.binary_search(&t.priority().level()).unwrap() as u32;
-        b.add_task(mpcp_verify::task_def_of(t).priority(2 * (rank + 1)));
+        b.add_task(t.to_def().priority(2 * (rank + 1)));
     }
     b.add_task(def(&procs).priority(2 * below + 1));
     b.build().expect("a fresh name and a fresh priority level")

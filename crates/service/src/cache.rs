@@ -90,11 +90,11 @@ impl AnalysisCache {
         let mut base = spec.canonical_hash();
         if let Some(d) = allocate {
             let tag = format!("|alloc:{}:{}", d.processors, d.heuristic.name());
-            base ^= crate::wire::fnv1a(tag.as_bytes());
+            base ^= crate::json::fnv1a(tag.as_bytes());
         }
         if protocol != AdmissionProtocol::Mpcp {
             let tag = format!("|proto:{protocol}");
-            base ^= crate::wire::fnv1a(tag.as_bytes());
+            base ^= crate::json::fnv1a(tag.as_bytes());
         }
         base
     }

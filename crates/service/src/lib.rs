@@ -11,9 +11,9 @@
 //!
 //! The pieces:
 //!
-//! - [`json`]: a dependency-free JSON parser/encoder (the repo policy
-//!   is zero external crates), the inverse of `mpcp_verify`'s
-//!   `render_json`.
+//! - [`json`]: the dependency-free JSON parser/encoder, re-exported
+//!   from the `mpcp-json` leaf crate under the path it has always had
+//!   here.
 //! - [`wire`]: the JSON ⇄ [`mpcp_model::System`] mapping
 //!   ([`wire::SystemSpec`]) plus canonical hashing for cache keys.
 //! - [`proto`]: request/response schema with stable error codes.
@@ -39,7 +39,6 @@
 #![deny(unsafe_code)] // granted only to `sys`, the FFI shim
 
 pub mod cache;
-pub mod json;
 pub mod loadgen;
 pub mod persist;
 pub mod pool;
@@ -49,6 +48,8 @@ pub mod server;
 pub mod session;
 pub mod sys;
 pub mod wire;
+
+pub use mpcp_json as json;
 
 pub use cache::{AnalysisCache, CacheStats};
 pub use loadgen::{LoadReport, LoadgenConfig};

@@ -365,7 +365,7 @@ impl SessionMap {
     }
 
     fn shard(&self, name: &str) -> &Mutex<HashMap<String, Arc<Mutex<Session>>>> {
-        let h = crate::wire::fnv1a(name.as_bytes());
+        let h = crate::json::fnv1a(name.as_bytes());
         &self.shards[(h as usize) % SESSION_SHARDS]
     }
 

@@ -21,7 +21,7 @@
 //! spec, so equal submissions hash equally regardless of how the client
 //! formatted its JSON.
 
-use crate::json::Value;
+use crate::json::{Fnv1a, Value};
 use mpcp_model::{Body, Segment, System, TaskDef};
 use std::fmt;
 
@@ -245,9 +245,9 @@ impl SystemSpec {
     /// [`Value`] tree, no string — but produces exactly
     /// `fnv1a(self.to_json().encode())` (asserted by test).
     pub fn canonical_hash(&self) -> u64 {
-        let mut h = FnvWrite(FNV_OFFSET);
-        let _ = self.encode_canonical(&mut h);
-        h.0
+        let mut h = Fnv1a::default();
+        let _ = self.encode_canonical(&mut h); // hashing cannot fail
+        h.finish()
     }
 
     /// Writes the canonical JSON encoding of this spec — byte-for-byte
@@ -266,22 +266,6 @@ impl SystemSpec {
             write_task_canonical(t, out)?;
         }
         out.write_str("]}")
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// An FNV-1a accumulator as a [`fmt::Write`] sink, so the canonical
-/// encoder can hash without materializing the encoding.
-struct FnvWrite(u64);
-
-impl fmt::Write for FnvWrite {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        Ok(())
     }
 }
 
@@ -352,16 +336,6 @@ fn write_seg_canonical<W: fmt::Write>(s: &SegSpec, out: &mut W) -> fmt::Result {
             out.write_str("]}")
         }
     }
-}
-
-/// FNV-1a over a byte string.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn segs_from_body(segments: &[Segment]) -> Vec<SegSpec> {
@@ -650,7 +624,7 @@ mod tests {
         for s in [&sample(), &spec] {
             assert_eq!(
                 s.canonical_hash(),
-                fnv1a(s.to_json().encode().as_bytes()),
+                crate::json::fnv1a(s.to_json().encode().as_bytes()),
                 "streaming hash diverged for {s:?}"
             );
         }

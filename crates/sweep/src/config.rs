@@ -52,12 +52,12 @@ pub struct SweepConfig {
     pub audit: bool,
     /// Run the audit arm only on scenarios whose stream index is a
     /// multiple of this stride (`1` = every scenario, the pre-sampling
-    /// behaviour). The audit replays six edits, each costing an
-    /// incremental update *plus* a from-scratch recompute — more than
-    /// all five protocol simulations combined — so sampling keeps the
-    /// default sweep simulation-bound while still certifying the
-    /// incremental engine continuously. Index-based, so the sample set
-    /// is identical for any `--jobs` value. Ignored when
+    /// behaviour). The audit replays up to ten edits
+    /// (`mpcp_verify::audit_script` over two tasks), each costing an
+    /// incremental update *plus* a from-scratch recompute, so sampling
+    /// keeps the default sweep simulation-bound while still certifying
+    /// the incremental engine continuously. Index-based, so the sample
+    /// set is identical for any `--jobs` value. Ignored when
     /// [`SweepConfig::audit`] is off.
     pub audit_stride: usize,
     /// Shrink oracle violations to minimal reproducing scenarios.

@@ -51,7 +51,7 @@ pub use oracle::{
 };
 pub use pool::{run_indexed, run_indexed_with};
 pub use report::{CurvePoint, SweepReport, ViolationReport};
-pub use shootout::{shootout, ShootoutEntry, ShootoutPoint, ShootoutReport, ShootoutScore};
+pub use shootout::{shootout, ShootoutReport};
 pub use shrink::{fixture_snippet, shrink, Shrunk};
 
 use std::time::Instant;
@@ -66,13 +66,28 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
         oracle::Workspace::default,
         |ws, i| oracle::evaluate_in(ws, &stream.scenario_at(i as u64), cfg),
     );
+    let violations = reported_violations(cfg, &stream, &outcomes);
+    SweepReport::build(
+        cfg,
+        stream.grid(),
+        &outcomes,
+        violations,
+        start.elapsed().as_secs_f64(),
+    )
+}
 
-    // Violations are shrunk sequentially, in scenario order, so the
-    // report stays deterministic; only the first few are minimized to
-    // bound the extra oracle evaluations.
+/// The violations a report lists: per scenario, the first of each
+/// class. Shrunk sequentially, in scenario order, so the report stays
+/// deterministic; only the first few are minimized to bound the extra
+/// oracle evaluations.
+fn reported_violations(
+    cfg: &SweepConfig,
+    stream: &mpcp_taskgen::ScenarioStream,
+    outcomes: &[ScenarioOutcome],
+) -> Vec<ViolationReport> {
     let mut violations = Vec::new();
     let mut fixtures = 0usize;
-    for o in &outcomes {
+    for o in outcomes {
         let mut seen = Vec::new();
         for v in o.violations() {
             let code = v.code();
@@ -80,7 +95,7 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
                 continue;
             }
             seen.push(code.clone());
-            let mut entry = report::ViolationReport {
+            let mut entry = ViolationReport {
                 scenario: o.index,
                 seed: o.system_seed,
                 utilization: o.utilization,
@@ -112,14 +127,7 @@ pub fn run(cfg: &SweepConfig) -> SweepReport {
             violations.push(entry);
         }
     }
-
-    SweepReport::build(
-        cfg,
-        stream.grid(),
-        &outcomes,
-        violations,
-        start.elapsed().as_secs_f64(),
-    )
+    violations
 }
 
 #[cfg(test)]

@@ -293,37 +293,30 @@ pub fn evaluate_in(ws: &mut Workspace, scenario: &Scenario, cfg: &SweepConfig) -
 }
 
 /// How many tasks the audit arm edits per scenario. Each audited task
-/// costs three edits (modify, remove, re-add), and every edit runs one
-/// incremental update *and* one full recompute, so this bounds the
-/// arm's overhead per scenario.
+/// costs up to five edits ([`mpcp_verify::audit_script`]), and every
+/// edit runs one incremental update *and* one full recompute, so this
+/// bounds the arm's overhead per scenario.
 const AUDIT_TASKS: usize = 2;
 
-/// The self-certification arm: replays a deterministic edit script
-/// (double a task's period, remove it, re-add it — for the first
-/// [`AUDIT_TASKS`] tasks) through [`mpcp_verify::IncrementalAnalysis`]
-/// and compares its snapshot byte-for-byte with
-/// [`mpcp_verify::full_snapshot_json`] after every edit.
+/// The self-certification arm: replays [`mpcp_verify::audit_script`]
+/// over the first [`AUDIT_TASKS`] tasks through
+/// [`mpcp_verify::IncrementalAnalysis`] and compares its snapshot
+/// byte-for-byte with [`mpcp_verify::full_snapshot_json`] after every
+/// edit.
 pub fn audit_violations(system: &System) -> Vec<ViolationKind> {
-    use mpcp_analysis::Edit;
-    use mpcp_verify::{
-        full_snapshot_json, with_scaled_period, with_task_from, without_task, IncrementalAnalysis,
-    };
+    use mpcp_verify::{audit_script, full_snapshot_json, IncrementalAnalysis};
 
-    let mut engine = match IncrementalAnalysis::new(system.clone()) {
-        Ok(e) => e,
-        // Duplicate task names: the incremental engine declines such
-        // systems by contract, so there is nothing to certify.
-        Err(_) => return Vec::new(),
+    // Duplicate task names: the incremental engine declines such
+    // systems by contract (and the script may not be able to edit
+    // them), so there is nothing to certify.
+    let (Ok(mut engine), Ok(script)) = (
+        IncrementalAnalysis::new(system.clone()),
+        audit_script(system, AUDIT_TASKS),
+    ) else {
+        return Vec::new();
     };
     let mut violations = Vec::new();
-    let names: Vec<String> = system
-        .tasks()
-        .iter()
-        .take(AUDIT_TASKS)
-        .map(|t| t.name().to_owned())
-        .collect();
-
-    let mut check = |engine: &mut IncrementalAnalysis, next: System, edit: Edit| {
+    for (edit, next) in script {
         engine.apply(next, &edit);
         let got = engine.snapshot_json();
         let want = full_snapshot_json(engine.system());
@@ -337,25 +330,6 @@ pub fn audit_violations(system: &System) -> Vec<ViolationKind> {
                 edit: edit.to_string(),
                 line,
             });
-        }
-    };
-
-    for name in &names {
-        let committed = engine.system().clone();
-        let Ok(scaled) = with_scaled_period(&committed, name, 2) else {
-            continue;
-        };
-        check(&mut engine, scaled, Edit::ModifyTask(name.clone()));
-        if engine.system().tasks().len() > 1 {
-            let before_removal = engine.system().clone();
-            let Ok(removed) = without_task(&before_removal, name) else {
-                continue;
-            };
-            check(&mut engine, removed, Edit::RemoveTask(name.clone()));
-            let Ok(readded) = with_task_from(engine.system(), &before_removal, name) else {
-                continue;
-            };
-            check(&mut engine, readded, Edit::AddTask(name.clone()));
         }
     }
     violations

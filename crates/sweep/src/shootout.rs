@@ -2,263 +2,132 @@
 //!
 //! `mpcp sweep` is the *hunting* pass — it runs a configurable protocol
 //! subset with the audit arm and shrinks any oracle violation to a
-//! fixture. The shootout is the *reporting* pass: it always simulates
-//! [`ProtocolKind::ALL`] over the same utilization grid and renders the
-//! review-style acceptance curves papers print — per grid point, the
-//! fraction of scenarios each protocol survives without a deadline miss
-//! and the fraction its admission analysis accepts, plus a ranking by
-//! acceptance area (the mean no-miss ratio over the grid, i.e. the area
-//! under the acceptance curve).
+//! fixture. The shootout is the *reporting* pass: the same
+//! [`run`](crate::run) over [`ProtocolKind::ALL`] with audit and
+//! shrinking off, and [`ShootoutReport`] a second projection of the
+//! [`SweepReport`] it returns — the review-style acceptance curves
+//! papers print: per grid point, the fraction of scenarios each
+//! protocol survives without a deadline miss and the fraction its
+//! admission analysis accepts, plus a ranking by acceptance area (the
+//! mean no-miss ratio over the grid, i.e. the area under the acceptance
+//! curve).
 //!
 //! Determinism matches the sweep: scenario `i` is a pure function of
 //! `seed + i`, so the canonical JSON — and therefore
 //! [`ShootoutReport::hash`] — is byte-identical for any `--jobs` value.
 //! Timing fields are excluded from the hash. Oracle checks stay armed
-//! (a violation in a shootout is still a bug), but shrinking and the
-//! incremental-analysis audit are left to `mpcp sweep`.
+//! (a violation in a shootout is still a bug).
 
 use crate::config::SweepConfig;
-use crate::oracle::{self, ScenarioOutcome, Workspace};
-use crate::pool;
-use crate::report::fnv1a;
+use crate::report::{csv_count, SweepReport};
+use mpcp_json::Value;
 use mpcp_protocols::ProtocolKind;
-use mpcp_service::json::Value;
-use std::collections::BTreeMap;
-use std::time::Instant;
 
-/// One protocol's tallies at one utilization grid point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShootoutEntry {
-    /// Protocol name.
-    pub protocol: String,
-    /// Scenarios evaluated at this grid point.
-    pub scenarios: u64,
-    /// Scenarios simulated without a deadline miss.
-    pub no_miss: u64,
-    /// Scenarios the protocol's admission analysis accepted; `None` for
-    /// protocols without one (PIP, NPCS, raw, direct PCP).
-    pub analysis_accepted: Option<u64>,
-    /// Oracle violations attributed to this protocol at this point.
-    pub violations: u64,
-}
-
-/// All protocols' tallies at one utilization grid point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShootoutPoint {
-    /// Per-processor utilization of the grid point.
-    pub utilization: f64,
-    /// One entry per protocol, in [`ShootoutReport::protocols`] order.
-    pub entries: Vec<ShootoutEntry>,
-}
-
-/// A protocol's aggregate standing over the whole grid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShootoutScore {
-    /// Protocol name.
-    pub protocol: String,
-    /// Mean no-miss ratio over the grid: the area under the simulated
-    /// acceptance curve, in `[0, 1]`.
-    pub sim_area: f64,
-    /// Mean analysis-acceptance ratio over the grid, when the protocol
-    /// has an admission analysis.
-    pub analysis_area: Option<f64>,
-}
-
-/// Aggregated result of a shootout run.
+/// The shootout's view of a sweep over every protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShootoutReport {
-    /// Scenarios evaluated.
-    pub scenarios: u64,
-    /// Base seed.
-    pub seed: u64,
-    /// Utilization grid.
-    pub grid: Vec<f64>,
-    /// Protocols simulated (always [`ProtocolKind::ALL`]).
-    pub protocols: Vec<String>,
-    /// Acceptance tallies, grouped by utilization then protocol.
-    pub points: Vec<ShootoutPoint>,
-    /// Per-protocol acceptance areas, ranked by `sim_area` descending
-    /// (ties broken by name, so the order is deterministic).
-    pub ranking: Vec<ShootoutScore>,
-    /// Distinct oracle-violation codes with their occurrence counts, in
-    /// code order.
-    pub violation_codes: Vec<(String, u64)>,
-    /// Total oracle violations across all scenarios and protocols.
-    pub violations_total: u64,
-    /// Wall-clock seconds (timing; excluded from the hash).
-    pub elapsed_s: f64,
-    /// Worker threads used (timing; excluded from the hash).
-    pub jobs: usize,
+    /// The tallies this report projects.
+    pub sweep: SweepReport,
 }
 
-/// Runs the shootout described by `cfg` and aggregates the report.
+/// Runs the shootout described by `cfg`.
 ///
 /// The configuration's protocol list, audit and shrink switches are
 /// overridden: the shootout always compares [`ProtocolKind::ALL`] and
 /// never shrinks or audits — those belong to [`crate::run`].
 pub fn shootout(cfg: &SweepConfig) -> ShootoutReport {
-    let start = Instant::now();
-    let mut cfg = cfg.clone();
-    cfg.protocols = ProtocolKind::ALL.to_vec();
-    cfg.audit = false;
-    cfg.shrink = false;
-    let stream = cfg.stream();
-    let outcomes = pool::run_indexed_with(cfg.scenarios, cfg.jobs, Workspace::default, |ws, i| {
-        oracle::evaluate_in(ws, &stream.scenario_at(i as u64), &cfg)
-    });
-    build(
-        &cfg,
-        stream.grid(),
-        &outcomes,
-        start.elapsed().as_secs_f64(),
-    )
-}
-
-fn build(
-    cfg: &SweepConfig,
-    grid: &[f64],
-    outcomes: &[ScenarioOutcome],
-    elapsed_s: f64,
-) -> ShootoutReport {
-    let protocols: Vec<String> = cfg.protocols.iter().map(|k| k.name().to_string()).collect();
-    let mut points = Vec::with_capacity(grid.len());
-    for (gi, &util) in grid.iter().enumerate() {
-        let mut entries: Vec<ShootoutEntry> = protocols
-            .iter()
-            .map(|p| ShootoutEntry {
-                protocol: p.clone(),
-                scenarios: 0,
-                no_miss: 0,
-                analysis_accepted: None,
-                violations: 0,
-            })
-            .collect();
-        for o in outcomes {
-            if o.index % grid.len() as u64 != gi as u64 {
-                continue;
-            }
-            for (pi, p) in o.protocols.iter().enumerate() {
-                let e = &mut entries[pi];
-                e.scenarios += 1;
-                if p.misses == 0 {
-                    e.no_miss += 1;
-                }
-                if let Some(ok) = p.analysis_accepted {
-                    *e.analysis_accepted.get_or_insert(0) += u64::from(ok);
-                }
-                e.violations += p.violations.len() as u64;
-            }
-        }
-        points.push(ShootoutPoint {
-            utilization: util,
-            entries,
-        });
-    }
-
-    let mut ranking: Vec<ShootoutScore> = protocols
-        .iter()
-        .enumerate()
-        .map(|(pi, proto)| {
-            let mut sim = 0.0;
-            let mut ana = 0.0;
-            let mut populated = 0u64;
-            let mut has_analysis = false;
-            for point in &points {
-                let e = &point.entries[pi];
-                if e.scenarios == 0 {
-                    continue;
-                }
-                populated += 1;
-                sim += e.no_miss as f64 / e.scenarios as f64;
-                if let Some(a) = e.analysis_accepted {
-                    has_analysis = true;
-                    ana += a as f64 / e.scenarios as f64;
-                }
-            }
-            let denom = populated.max(1) as f64;
-            ShootoutScore {
-                protocol: proto.clone(),
-                sim_area: sim / denom,
-                analysis_area: has_analysis.then_some(ana / denom),
-            }
-        })
-        .collect();
-    ranking.sort_by(|a, b| {
-        b.sim_area
-            .total_cmp(&a.sim_area)
-            .then_with(|| a.protocol.cmp(&b.protocol))
-    });
-
-    let mut codes: BTreeMap<String, u64> = BTreeMap::new();
-    let mut total = 0u64;
-    for o in outcomes {
-        for v in o.violations() {
-            *codes.entry(v.code()).or_insert(0) += 1;
-            total += 1;
-        }
-    }
-
     ShootoutReport {
-        scenarios: outcomes.len() as u64,
-        seed: cfg.seed,
-        grid: grid.to_vec(),
-        protocols,
-        points,
-        ranking,
-        violation_codes: codes.into_iter().collect(),
-        violations_total: total,
-        elapsed_s,
-        jobs: cfg.jobs,
+        sweep: crate::run(&SweepConfig {
+            protocols: ProtocolKind::ALL.to_vec(),
+            audit: false,
+            shrink: false,
+            ..cfg.clone()
+        }),
     }
 }
 
 impl ShootoutReport {
+    /// Per protocol `(name, sim_area, analysis_area)`: the mean no-miss
+    /// ratio over the populated grid points (the area under the
+    /// simulated acceptance curve, in `[0, 1]`) and, for protocols with
+    /// an admission analysis, the mean analysis-acceptance ratio.
+    /// Ranked by `sim_area` descending, ties broken by name.
+    pub fn ranking(&self) -> Vec<(&str, f64, Option<f64>)> {
+        let r = &self.sweep;
+        let mut ranking: Vec<(&str, f64, Option<f64>)> = (r.protocols.iter().enumerate())
+            .map(|(pi, proto)| {
+                // The areas' float bytes are part of the pinned hashes:
+                // sum the ratios in grid order, then divide.
+                let (mut sim, mut ana, mut has_analysis, mut populated) = (0.0, 0.0, false, 0u64);
+                for c in (0..r.grid.len()).map(|gi| r.point(pi, gi)) {
+                    let Some(ratio) = c.ratio(c.no_miss) else {
+                        continue;
+                    };
+                    populated += 1;
+                    sim += ratio;
+                    if let Some(a) = c.analysis_accepted {
+                        has_analysis = true;
+                        ana += a as f64 / c.scenarios as f64;
+                    }
+                }
+                let denom = populated.max(1) as f64;
+                (
+                    proto.as_str(),
+                    sim / denom,
+                    has_analysis.then_some(ana / denom),
+                )
+            })
+            .collect();
+        ranking.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+        ranking
+    }
+
+    /// Total oracle violations across all scenarios and protocols,
+    /// every occurrence counted.
+    pub fn violations_total(&self) -> u64 {
+        self.sweep.violation_codes.iter().map(|(_, n)| n).sum()
+    }
+
     /// The deterministic part of the report as JSON: identical for any
     /// worker count and across re-runs of the same seed set.
     pub fn canonical_json(&self) -> Value {
-        let points = self
-            .points
-            .iter()
-            .map(|point| {
-                let entries = point
-                    .entries
-                    .iter()
-                    .map(|e| {
+        let r = &self.sweep;
+        let points = (r.grid.iter().enumerate())
+            .map(|(gi, &utilization)| {
+                let entries = (0..r.protocols.len())
+                    .map(|pi| {
+                        let c = r.point(pi, gi);
                         let mut fields = vec![
-                            ("protocol", Value::str(&e.protocol)),
-                            ("scenarios", Value::Num(e.scenarios as f64)),
-                            ("no_miss", Value::Num(e.no_miss as f64)),
+                            ("protocol", Value::str(&c.protocol)),
+                            ("scenarios", Value::Num(c.scenarios as f64)),
+                            ("no_miss", Value::Num(c.no_miss as f64)),
                         ];
-                        if let Some(a) = e.analysis_accepted {
+                        if let Some(a) = c.analysis_accepted {
                             fields.push(("analysis_accepted", Value::Num(a as f64)));
                         }
-                        fields.push(("violations", Value::Num(e.violations as f64)));
+                        fields.push(("violations", Value::Num(c.violations as f64)));
                         Value::obj(fields)
                     })
                     .collect();
                 Value::obj([
-                    ("utilization", Value::Num(point.utilization)),
+                    ("utilization", Value::Num(utilization)),
                     ("entries", Value::Arr(entries)),
                 ])
             })
             .collect();
-        let ranking = self
-            .ranking
-            .iter()
-            .map(|s| {
+        let ranking = (self.ranking().into_iter())
+            .map(|(protocol, sim_area, analysis_area)| {
                 let mut fields = vec![
-                    ("protocol", Value::str(&s.protocol)),
-                    ("sim_area", Value::Num(s.sim_area)),
+                    ("protocol", Value::str(protocol)),
+                    ("sim_area", Value::Num(sim_area)),
                 ];
-                if let Some(a) = s.analysis_area {
+                if let Some(a) = analysis_area {
                     fields.push(("analysis_area", Value::Num(a)));
                 }
                 Value::obj(fields)
             })
             .collect();
-        let codes = self
-            .violation_codes
-            .iter()
+        let codes = (r.violation_codes.iter())
             .map(|(code, count)| {
                 Value::obj([
                     ("code", Value::str(code)),
@@ -266,51 +135,45 @@ impl ShootoutReport {
                 ])
             })
             .collect();
-        Value::obj([
-            ("scenarios", Value::Num(self.scenarios as f64)),
-            ("seed", Value::Num(self.seed as f64)),
-            (
-                "grid",
-                Value::Arr(self.grid.iter().map(|&u| Value::Num(u)).collect()),
-            ),
-            (
-                "protocols",
-                Value::Arr(self.protocols.iter().map(Value::str).collect()),
-            ),
+        let mut fields = r.json_header();
+        fields.extend([
             ("points", Value::Arr(points)),
             ("ranking", Value::Arr(ranking)),
             ("violation_codes", Value::Arr(codes)),
-            ("violations_total", Value::Num(self.violations_total as f64)),
-        ])
+            (
+                "violations_total",
+                Value::Num(self.violations_total() as f64),
+            ),
+        ]);
+        Value::obj(fields)
     }
 
     /// The full report as JSON, timing fields included.
     pub fn to_json(&self) -> Value {
-        let mut fields = match self.canonical_json() {
-            Value::Obj(fields) => fields,
-            _ => unreachable!("canonical_json returns an object"),
-        };
-        fields.push(("elapsed_s".to_string(), Value::Num(self.elapsed_s)));
-        fields.push(("jobs".to_string(), Value::Num(self.jobs as f64)));
-        Value::Obj(fields)
+        Value::Obj(self.sweep.with_timing(self.canonical_json()))
     }
 
     /// FNV-1a hash of the canonical JSON encoding.
     pub fn hash(&self) -> u64 {
-        fnv1a(self.canonical_json().encode().as_bytes())
+        mpcp_json::fnv1a(self.canonical_json().encode().as_bytes())
     }
 
     /// The acceptance tallies as CSV, one row per (utilization,
     /// protocol) pair.
     pub fn csv(&self) -> String {
+        let r = &self.sweep;
         let mut out =
             String::from("protocol,utilization,scenarios,no_miss,analysis_accepted,violations\n");
-        for point in &self.points {
-            for e in &point.entries {
-                let accepted = e.analysis_accepted.map_or(String::new(), |n| n.to_string());
+        for gi in 0..r.grid.len() {
+            for c in (0..r.protocols.len()).map(|pi| r.point(pi, gi)) {
                 out.push_str(&format!(
                     "{},{:.4},{},{},{},{}\n",
-                    e.protocol, point.utilization, e.scenarios, e.no_miss, accepted, e.violations,
+                    c.protocol,
+                    c.utilization,
+                    c.scenarios,
+                    c.no_miss,
+                    csv_count(c.analysis_accepted),
+                    c.violations,
                 ));
             }
         }
@@ -320,72 +183,35 @@ impl ShootoutReport {
     /// Review-style text rendering: the two acceptance-ratio tables and
     /// the ranking.
     pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
+        let r = &self.sweep;
+        let mut out = format!(
             "shootout: {} protocols, {} scenarios, seed {}, {} violation(s)\n",
-            self.protocols.len(),
-            self.scenarios,
-            self.seed,
-            self.violations_total
-        ));
+            r.protocols.len(),
+            r.scenarios,
+            r.seed,
+            self.violations_total()
+        );
         out.push_str(&format!(
             "          {:.2}s elapsed, {} worker(s)\n",
-            self.elapsed_s, self.jobs
+            r.elapsed_s, r.jobs
         ));
-        let col = self
-            .protocols
-            .iter()
-            .map(|p| p.len() + 2)
-            .max()
-            .unwrap_or(9)
-            .max(9);
-        let table =
-            |out: &mut String, title: &str, cell: &dyn Fn(&ShootoutEntry) -> Option<f64>| {
-                out.push_str(&format!("\n{title}\n  util "));
-                for proto in &self.protocols {
-                    out.push_str(&format!("{proto:>col$}"));
-                }
-                out.push('\n');
-                for point in &self.points {
-                    out.push_str(&format!("  {:.2} ", point.utilization));
-                    for e in &point.entries {
-                        match cell(e) {
-                            Some(ratio) => out.push_str(&format!("{ratio:>col$.2}")),
-                            None => out.push_str(&format!("{:>col$}", "-")),
-                        }
-                    }
-                    out.push('\n');
-                }
-            };
-        table(&mut out, "no-miss ratio by utilization", &|e| {
-            (e.scenarios > 0).then(|| e.no_miss as f64 / e.scenarios as f64)
+        r.ratio_table(&mut out, "no-miss ratio by utilization", |c| {
+            c.ratio(c.no_miss)
         });
-        table(&mut out, "analysis acceptance ratio by utilization", &|e| {
-            e.analysis_accepted
-                .filter(|_| e.scenarios > 0)
-                .map(|a| a as f64 / e.scenarios as f64)
+        r.ratio_table(&mut out, "analysis acceptance ratio by utilization", |c| {
+            c.analysis_accepted.and_then(|a| c.ratio(a))
         });
         out.push_str("\nranking by acceptance area (mean no-miss ratio over the grid)\n");
-        for (i, s) in self.ranking.iter().enumerate() {
-            match s.analysis_area {
-                Some(a) => out.push_str(&format!(
-                    "  {}. {:<14} {:.3}  (analysis {:.3})\n",
-                    i + 1,
-                    s.protocol,
-                    s.sim_area,
-                    a
-                )),
-                None => out.push_str(&format!(
-                    "  {}. {:<14} {:.3}\n",
-                    i + 1,
-                    s.protocol,
-                    s.sim_area
-                )),
+        for (i, (protocol, sim_area, analysis_area)) in self.ranking().into_iter().enumerate() {
+            out.push_str(&format!("  {}. {protocol:<14} {sim_area:.3}", i + 1));
+            if let Some(a) = analysis_area {
+                out.push_str(&format!("  (analysis {a:.3})"));
             }
+            out.push('\n');
         }
-        if !self.violation_codes.is_empty() {
+        if !r.violation_codes.is_empty() {
             out.push_str("\noracle violations by code\n");
-            for (code, count) in &self.violation_codes {
+            for (code, count) in &r.violation_codes {
                 out.push_str(&format!("  {count:>6}  {code}\n"));
             }
         }
@@ -409,24 +235,20 @@ mod tests {
 
     #[test]
     fn covers_every_protocol_at_every_grid_point() {
-        let r = shootout(&tiny());
+        let report = shootout(&tiny());
+        let r = &report.sweep;
         assert_eq!(r.protocols.len(), ProtocolKind::ALL.len());
-        assert_eq!(r.points.len(), 3);
-        for point in &r.points {
-            assert_eq!(point.entries.len(), r.protocols.len());
-            assert_eq!(
-                point.entries.iter().map(|e| e.scenarios).sum::<u64>(),
-                3 * r.protocols.len() as u64
-            );
-        }
-        assert_eq!(r.ranking.len(), r.protocols.len());
+        assert_eq!(r.grid.len(), 3);
+        assert_eq!(r.curves.len(), 3 * r.protocols.len());
+        assert!(r.curves.iter().all(|c| c.scenarios == 3));
+        let ranking = report.ranking();
+        assert_eq!(ranking.len(), r.protocols.len());
         // MPCP and the other analyzed protocols expose an acceptance
         // area; the raw baseline has no admission analysis.
-        let raw = r.ranking.iter().find(|s| s.protocol == "raw").unwrap();
-        assert!(raw.analysis_area.is_none());
+        let area_of = |name: &str| ranking.iter().find(|s| s.0 == name).unwrap().2;
+        assert!(area_of("raw").is_none());
         for name in ["mpcp", "msrp", "fmlp"] {
-            let s = r.ranking.iter().find(|s| s.protocol == name).unwrap();
-            assert!(s.analysis_area.is_some(), "{name} has an admission test");
+            assert!(area_of(name).is_some(), "{name} has an admission test");
         }
     }
 
@@ -448,13 +270,13 @@ mod tests {
     fn hash_ignores_timing_and_renders_are_total() {
         let mut a = shootout(&tiny());
         let h = a.hash();
-        a.elapsed_s = 99.0;
-        a.jobs = 16;
+        a.sweep.elapsed_s = 99.0;
+        a.sweep.jobs = 16;
         assert_eq!(a.hash(), h);
         let csv = a.csv();
         assert_eq!(
             csv.lines().count(),
-            1 + a.points.len() * a.protocols.len(),
+            1 + a.sweep.curves.len(),
             "one CSV row per (utilization, protocol) pair"
         );
         let text = a.render_text();

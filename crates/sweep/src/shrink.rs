@@ -24,43 +24,22 @@ pub struct Shrunk {
     pub evals: usize,
 }
 
-fn def_of(task: &Task) -> TaskDef {
-    let mut def = TaskDef::new(task.name(), task.processor())
-        .period(task.period().ticks())
-        .deadline(task.deadline().ticks())
-        .offset(task.offset().ticks())
-        .priority(task.priority().level())
-        .body(task.body().clone());
-    if let Some(times) = task.arrivals() {
-        def = def.arrivals(times.iter().map(|t| t.ticks()));
-    }
-    def
-}
-
-/// Rebuilds `system`, passing each task through `edit` (`None` drops
-/// the task). Returns `None` if the edited system fails validation.
-fn rebuild(
+/// `system` with task `i`'s definition replaced by `edit`'s result
+/// (`None` drops the task). `None` if the edited system fails
+/// validation — dropping the only task, say.
+fn with_task(
     system: &System,
-    mut edit: impl FnMut(usize, &Task) -> Option<TaskDef>,
+    i: usize,
+    edit: impl Fn(&Task, TaskDef) -> Option<TaskDef>,
 ) -> Option<System> {
-    let mut b = System::builder();
-    for p in system.processors() {
-        b.add_processor(p.name());
-    }
-    for r in system.resources() {
-        b.add_resource(r.name());
-    }
-    let mut kept = 0;
-    for (i, task) in system.tasks().iter().enumerate() {
-        if let Some(def) = edit(i, task) {
-            b.add_task(def);
-            kept += 1;
+    let defs = system.tasks().iter().enumerate().filter_map(|(j, t)| {
+        if j == i {
+            edit(t, t.to_def())
+        } else {
+            Some(t.to_def())
         }
-    }
-    if kept == 0 {
-        return None;
-    }
-    b.build().ok()
+    });
+    system.with_tasks(defs).ok()
 }
 
 fn map_computes(segments: &[Segment], in_cs: bool, f: &impl Fn(u64, bool) -> u64) -> Vec<Segment> {
@@ -85,10 +64,6 @@ fn without_suspends(segments: &[Segment]) -> Vec<Segment> {
         .collect()
 }
 
-fn with_body(task: &Task, segments: Vec<Segment>) -> TaskDef {
-    def_of(task).body(Body::from_segments(segments))
-}
-
 /// Shrinks `system` while the oracle keeps reporting a violation whose
 /// code equals `code`, within `cfg.max_shrink_evals` re-evaluations.
 pub fn shrink(system: &System, cfg: &SweepConfig, code: &str) -> Shrunk {
@@ -111,8 +86,7 @@ pub fn shrink(system: &System, cfg: &SweepConfig, code: &str) -> Shrunk {
         // Pass 1: drop whole tasks.
         let mut i = 0;
         while i < cur.tasks().len() && cur.tasks().len() > 1 && evals < cfg.max_shrink_evals {
-            let cand = rebuild(&cur, |j, t| (j != i).then(|| def_of(t)));
-            match cand {
+            match with_task(&cur, i, |_, _| None) {
                 Some(cand) if persists(&cand, &mut evals) => {
                     cur = cand;
                     changed = true;
@@ -157,14 +131,8 @@ pub fn shrink(system: &System, cfg: &SweepConfig, code: &str) -> Shrunk {
                 if new_segments == cur.tasks()[i].body().segments() {
                     continue;
                 }
-                let cand = rebuild(&cur, |j, t| {
-                    Some(if j == i {
-                        with_body(t, new_segments.clone())
-                    } else {
-                        def_of(t)
-                    })
-                });
-                if let Some(cand) = cand {
+                let body = Body::from_segments(new_segments);
+                if let Some(cand) = with_task(&cur, i, |_, def| Some(def.body(body.clone()))) {
                     if persists(&cand, &mut evals) {
                         cur = cand;
                         changed = true;
@@ -184,17 +152,13 @@ pub fn shrink(system: &System, cfg: &SweepConfig, code: &str) -> Shrunk {
             if coarse == p {
                 continue;
             }
-            let implicit = task.deadline() == task.period();
-            let cand = rebuild(&cur, |j, t| {
-                Some(if j == i {
-                    let def = def_of(t).period(coarse);
-                    if implicit {
-                        def.deadline(coarse)
-                    } else {
-                        def
-                    }
+            let cand = with_task(&cur, i, |t, def| {
+                let def = def.period(coarse);
+                // An implicit deadline follows its period.
+                Some(if t.deadline() == t.period() {
+                    def.deadline(coarse)
                 } else {
-                    def_of(t)
+                    def
                 })
             });
             if let Some(cand) = cand {

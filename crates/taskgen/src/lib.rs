@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 mod gen;
+pub mod paper;
 mod rng;
 mod stream;
 

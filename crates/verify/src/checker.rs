@@ -15,7 +15,7 @@
 
 use crate::diag::{Diagnostic, Report, Severity};
 use mpcp_analysis::{Analysis, BlockingConfig};
-use mpcp_model::{Dur, System, TaskDef, Time};
+use mpcp_model::{Dur, System, Time};
 use mpcp_protocols::ProtocolKind;
 use mpcp_sim::{check, Protocol, SimConfig, Simulator};
 
@@ -146,26 +146,15 @@ impl InvariantProfile {
 /// delta (periodic tasks get an offset bump; arrival-driven tasks get
 /// every arrival shifted).
 fn with_offsets(system: &System, deltas: &[u64]) -> System {
-    let mut b = System::builder();
-    for p in system.processors() {
-        b.add_processor(p.name());
-    }
-    for r in system.resources() {
-        b.add_resource(r.name());
-    }
-    for (task, &delta) in system.tasks().iter().zip(deltas) {
-        let mut def = TaskDef::new(task.name(), task.processor())
-            .period(task.period().ticks())
-            .deadline(task.deadline().ticks())
-            .offset(task.offset().ticks() + delta)
-            .priority(task.priority().level())
-            .body(task.body().clone());
-        if let Some(times) = task.arrivals() {
-            def = def.arrivals(times.iter().map(|t| t.ticks() + delta));
+    let shifted = system.tasks().iter().zip(deltas).map(|(task, &delta)| {
+        let def = task.to_def().offset(task.offset().ticks() + delta);
+        match task.arrivals() {
+            Some(times) => def.arrivals(times.iter().map(|t| t.ticks() + delta)),
+            None => def,
         }
-        b.add_task(def);
-    }
-    b.build()
+    });
+    system
+        .with_tasks(shifted)
         .expect("offset variant of a valid system is valid")
 }
 

@@ -25,7 +25,7 @@ use crate::lint::{default_lints, unit_count, LintContext, LintScope};
 use mpcp_analysis::{
     dirty_set, Analysis, BlockingConfig, BoundSet, DeltaBounds, DeltaStats, DepGraph, Edit,
 };
-use mpcp_model::{ModelError, System, TaskDef};
+use mpcp_model::{Body, ModelError, System, Task, TaskDef};
 use std::collections::BTreeMap;
 
 /// Counters describing how much work incremental updates avoided.
@@ -401,53 +401,10 @@ fn render_snapshot(
     out
 }
 
-/// Rebuilds `system` as a fresh [`System`], mapping each task through
-/// `f` (`None` drops the task). Processors and resources are copied in
-/// order, so ids and explicit priorities are preserved.
-fn rebuild(
-    system: &System,
-    mut f: impl FnMut(&mpcp_model::Task) -> Option<TaskDef>,
-) -> Result<System, ModelError> {
-    let mut b = System::builder();
-    for p in system.processors() {
-        b.add_processor(p.name());
-    }
-    for r in system.resources() {
-        b.add_resource(r.name());
-    }
-    for t in system.tasks() {
-        if let Some(def) = f(t) {
-            b.add_task(def);
-        }
-    }
-    b.build()
-}
-
-/// Captures `t` as a [`TaskDef`] with its priority made explicit, so a
-/// rebuilt system keeps the same priority assignment even where the
-/// original relied on rate-monotonic defaults.
-pub fn task_def_of(t: &mpcp_model::Task) -> TaskDef {
-    let mut def = TaskDef::new(t.name(), t.processor())
-        .period(t.period().ticks())
-        .deadline(t.deadline().ticks())
-        .offset(t.offset().ticks())
-        .priority(t.priority().level())
-        .body(t.body().clone());
-    if let Some(a) = t.arrivals() {
-        def = def.arrivals(a.iter().map(|x| x.ticks()));
-    }
-    def
-}
-
 /// `system` minus the task called `name` (a no-op clone if absent).
 pub fn without_task(system: &System, name: &str) -> Result<System, ModelError> {
-    rebuild(system, |t| {
-        if t.name() == name {
-            None
-        } else {
-            Some(task_def_of(t))
-        }
-    })
+    let kept = system.tasks().iter().filter(|t| t.name() != name);
+    system.with_tasks(kept.map(Task::to_def))
 }
 
 /// `system` plus a copy of `donor`'s task called `name`, appended after
@@ -462,57 +419,84 @@ pub fn with_task_from(system: &System, donor: &System, name: &str) -> Result<Sys
         .iter()
         .find(|t| t.name() == name)
         .unwrap_or_else(|| panic!("donor has no task {name}"));
-    let mut b = System::builder();
-    for p in system.processors() {
-        b.add_processor(p.name());
-    }
-    for r in system.resources() {
-        b.add_resource(r.name());
-    }
-    for existing in system.tasks() {
-        b.add_task(task_def_of(existing));
-    }
-    b.add_task(task_def_of(t));
-    b.build()
+    system.with_tasks(system.tasks().iter().chain([t]).map(Task::to_def))
+}
+
+/// `system` with the definition of the task called `name` passed
+/// through `edit`, every other task carried over unchanged.
+fn with_task_edited(
+    system: &System,
+    name: &str,
+    edit: impl Fn(&Task, TaskDef) -> TaskDef,
+) -> Result<System, ModelError> {
+    system.with_tasks(system.tasks().iter().map(|t| {
+        if t.name() == name {
+            edit(t, t.to_def())
+        } else {
+            t.to_def()
+        }
+    }))
 }
 
 /// `system` with `name`'s period (and deadline, scaled identically)
 /// multiplied by `factor` — a modify-task edit that moves blocking
 /// bounds and Theorem 3 rows without touching the task's body.
 pub fn with_scaled_period(system: &System, name: &str, factor: u64) -> Result<System, ModelError> {
-    rebuild(system, |t| {
-        let mut def = task_def_of(t);
-        if t.name() == name {
-            def = def
-                .period(t.period().ticks() * factor)
-                .deadline(t.deadline().ticks() * factor);
-        }
-        Some(def)
+    with_task_edited(system, name, |t, def| {
+        def.period(t.period().ticks() * factor)
+            .deadline(t.deadline().ticks() * factor)
     })
 }
 
 /// `system` with `name`'s body replaced — a modify-task edit that can
 /// strip a task down to plain computation or give it critical sections
 /// and suspensions back.
-pub fn with_body(
-    system: &System,
-    name: &str,
-    body: &mpcp_model::Body,
-) -> Result<System, ModelError> {
-    rebuild(system, |t| {
-        let def = task_def_of(t);
-        Some(if t.name() == name {
-            def.body(body.clone())
-        } else {
-            def
-        })
-    })
+pub fn with_body(system: &System, name: &str, body: &Body) -> Result<System, ModelError> {
+    with_task_edited(system, name, |_, def| def.body(body.clone()))
+}
+
+/// The audit edit script: for each of `system`'s first `tasks` tasks,
+/// in order — double its period, remove it, re-add it (both skipped for
+/// the last task standing: an empty system has no incremental story),
+/// strip its body to plain computation and restore it, a modify-task
+/// edit across the section-free boundary in each direction. Returned as
+/// the pure sequence of `(edit, system after it)`, each derived from
+/// its predecessor, so every consumer (`mpcp audit`, the sweep's audit
+/// arm) drives an [`IncrementalAnalysis`] through exactly the same
+/// edits.
+///
+/// # Errors
+///
+/// A [`ModelError`] if an edited system fails validation (task names
+/// shared by every task, say).
+pub fn audit_script(system: &System, tasks: usize) -> Result<Vec<(Edit, System)>, ModelError> {
+    /// The system the next edit applies to.
+    fn latest<'a>(script: &'a [(Edit, System)], base: &'a System) -> &'a System {
+        script.last().map_or(base, |(_, s)| s)
+    }
+    let mut script: Vec<(Edit, System)> = Vec::new();
+    for task in system.tasks().iter().take(tasks) {
+        let name = task.name();
+        let scaled = with_scaled_period(latest(&script, system), name, 2)?;
+        script.push((Edit::ModifyTask(name.to_owned()), scaled));
+        if latest(&script, system).tasks().len() > 1 {
+            let removed = without_task(latest(&script, system), name)?;
+            let readded = with_task_from(&removed, latest(&script, system), name)?;
+            script.push((Edit::RemoveTask(name.to_owned()), removed));
+            script.push((Edit::AddTask(name.to_owned()), readded));
+        }
+        let plain = Body::builder().compute(task.wcet().ticks()).build();
+        for body in [&plain, task.body()] {
+            let flipped = with_body(latest(&script, system), name, body)?;
+            script.push((Edit::ModifyTask(name.to_owned()), flipped));
+        }
+    }
+    Ok(script)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpcp_model::Body;
 
     fn base() -> System {
         let mut b = System::builder();
@@ -570,6 +554,40 @@ mod tests {
         let scaled = with_scaled_period(&readded, "r0", 2).unwrap();
         engine.apply(scaled.clone(), &Edit::ModifyTask("r0".into()));
         assert_eq!(engine.snapshot_json(), full_snapshot_json(&scaled));
+    }
+
+    /// The script both `mpcp audit` and the sweep arm replay: five
+    /// edits per task, ending where it began, the engine certified
+    /// after each; a lone task is never removed.
+    #[test]
+    fn audit_script_is_five_certified_edits_per_task() {
+        let sys = base();
+        let script = audit_script(&sys, 2).unwrap();
+        let edits: Vec<String> = script.iter().map(|(e, _)| e.to_string()).collect();
+        let per_task = |n: &str| {
+            ["modify", "remove", "add", "modify", "modify"].map(|op| format!("{op}-task {n}"))
+        };
+        assert_eq!(edits, [per_task("t0"), per_task("t1")].concat());
+        let mut engine = IncrementalAnalysis::new(sys.clone()).unwrap();
+        for (edit, next) in script {
+            engine.apply(next.clone(), &edit);
+            assert_eq!(engine.snapshot_json(), full_snapshot_json(&next), "{edit}");
+        }
+        // Re-added tasks move to the end and keep their doubled
+        // periods; bodies are back to the originals.
+        let names: Vec<&str> = engine.system().tasks().iter().map(Task::name).collect();
+        assert_eq!(names, ["r0", "t0", "t1"]);
+        let t0 = &engine.system().tasks()[1];
+        assert_eq!(t0.body(), sys.tasks()[0].body());
+        assert_eq!(t0.period(), sys.tasks()[0].period() * 2);
+
+        let lone = sys.with_tasks([sys.tasks()[0].to_def()]).unwrap();
+        let ops: Vec<String> = audit_script(&lone, 9)
+            .unwrap()
+            .iter()
+            .map(|(e, _)| e.to_string())
+            .collect();
+        assert_eq!(ops, ["modify-task t0"; 3]);
     }
 
     #[test]

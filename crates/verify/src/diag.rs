@@ -246,22 +246,11 @@ impl fmt::Display for Report {
     }
 }
 
-/// Escapes a string as a JSON string literal.
+/// `s` as a JSON string literal, escaped by the workspace's one JSON
+/// writer.
 pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let _ = mpcp_json::write_str(s, &mut out); // writing to a String cannot fail
     out
 }
 
@@ -303,6 +292,45 @@ mod tests {
         assert!(json.contains(r#""message": "it \"broke\"""#));
         assert!(json.contains(r#""errors": 1"#));
         assert!(json.contains(r#""tasks": ["tau1"]"#));
+    }
+
+    /// Pinned bytes: the renderer escapes through `mpcp_json::write_str`
+    /// and must keep producing what its own escape table did.
+    #[test]
+    fn json_rendering_of_awkward_characters_is_unchanged() {
+        let mut r = Report::new();
+        r.push(
+            Diagnostic::new("V998", "awkward", Severity::Warning, "q\" b\\ n\n c\u{1} é")
+                .with_tasks(["t\t1".into(), "t2".into()])
+                .on_processor("P\r"),
+        );
+        let json = r.render_json();
+        assert_eq!(
+            json,
+            concat!(
+                "{\n  \"diagnostics\": [\n    {\n",
+                "      \"code\": \"V998\",\n",
+                "      \"lint\": \"awkward\",\n",
+                "      \"severity\": \"warning\",\n",
+                "      \"message\": \"q\\\" b\\\\ n\\n c\\u0001 é\",\n",
+                "      \"tasks\": [\"t\\t1\", \"t2\"],\n",
+                "      \"resources\": [],\n",
+                "      \"processor\": \"P\\r\",\n",
+                "      \"hint\": null\n",
+                "    }\n  ],\n",
+                "  \"errors\": 0,\n  \"warnings\": 1\n}\n",
+            )
+        );
+        // And the parser reads back exactly what went in.
+        let v = mpcp_json::parse(&json).unwrap();
+        let d = &v
+            .get("diagnostics")
+            .and_then(mpcp_json::Value::as_arr)
+            .unwrap()[0];
+        assert_eq!(
+            d.get("message").and_then(mpcp_json::Value::as_str),
+            Some("q\" b\\ n\n c\u{1} é")
+        );
     }
 
     #[test]

@@ -50,14 +50,13 @@
 #![forbid(unsafe_code)]
 
 pub mod checker;
-pub mod deadlock;
 pub mod delta;
 pub mod diag;
 pub mod lint;
 
 pub use checker::{CheckerConfig, Exploration, InvariantProfile, Violation};
 pub use delta::{
-    full_snapshot_json, task_def_of, with_body, with_scaled_period, with_task_from, without_task,
+    audit_script, full_snapshot_json, with_body, with_scaled_period, with_task_from, without_task,
     EngineStats, IncrementalAnalysis,
 };
 pub use diag::{Diagnostic, Report, Severity};

@@ -219,7 +219,7 @@ fn truncation_is_reported() {
 /// coarser grid (7 tasks make the full 3^7 grid needlessly large).
 #[test]
 fn example3_passes_under_mpcp() {
-    let (sys, _) = mpcp_bench::paper::example3();
+    let (sys, _) = mpcp_taskgen::paper::example3();
     let config = CheckerConfig {
         max_offset: 1,
         max_variants: 200,

@@ -467,9 +467,9 @@ fn new_lints_json_matches_golden_snapshot() {
 
 #[test]
 fn paper_examples_produce_no_errors() {
-    let (ex1, _) = mpcp_bench::paper::example1(40);
-    let (ex2, _) = mpcp_bench::paper::example2(40);
-    let (ex3, _) = mpcp_bench::paper::example3();
+    let (ex1, _) = mpcp_taskgen::paper::example1(40);
+    let (ex2, _) = mpcp_taskgen::paper::example2(40);
+    let (ex3, _) = mpcp_taskgen::paper::example3();
     for (name, sys) in [("example1", ex1), ("example2", ex2), ("example3", ex3)] {
         let report = lint_system(&sys);
         assert!(

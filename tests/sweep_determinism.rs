@@ -86,6 +86,76 @@ fn default_workload_report_hash_is_pinned() {
     );
 }
 
+/// The shootout's pin, beside the sweep's: 200 scenarios, seed 42,
+/// defaults — what `mpcp shootout` prints with no flags. Recorded when
+/// MSRP and FMLP+ joined [`mpcp::protocols::ProtocolKind::ALL`] and
+/// carried as README prose until the shootout became a projection of
+/// the sweep's report; a projection that re-orders a float sum or a JSON
+/// field shows up here.
+#[test]
+fn shootout_report_hash_is_pinned() {
+    let cfg = SweepConfig {
+        scenarios: 200,
+        jobs: 4,
+        ..SweepConfig::default()
+    };
+    assert_eq!(shootout(&cfg).hash(), 0x24b9_4e96_7592_3bf1);
+}
+
+/// `tests/golden/NAME`, recorded from the CLI of the commit before the
+/// shootout became a view of `SweepReport`.
+fn golden(name: &str) -> String {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// A text rendering minus its second line, the only one with timing.
+fn untimed(text: &str) -> String {
+    let mut lines: Vec<&str> = text.split('\n').collect();
+    assert!(lines[1].contains("elapsed"), "{}", lines[1]);
+    lines.remove(1);
+    lines.join("\n")
+}
+
+/// `--scenarios 60 --seed 42 --util-steps 5`, the CI smoke size.
+fn smoke() -> SweepConfig {
+    SweepConfig {
+        scenarios: 60,
+        util_steps: 5,
+        ..SweepConfig::default()
+    }
+}
+
+/// Every byte `mpcp shootout` prints, in all three formats.
+#[test]
+fn shootout_renderings_match_the_recorded_bytes() {
+    let report = shootout(&smoke());
+    assert_eq!(report.hash(), 0xfcc7_1f1d_c73c_aa2f);
+    assert_eq!(
+        report.canonical_json().encode() + "\n",
+        golden("shootout_seed42_60x5.json")
+    );
+    assert_eq!(report.csv(), golden("shootout_seed42_60x5.csv"));
+    assert_eq!(
+        untimed(&report.render_text()),
+        golden("shootout_seed42_60x5.txt")
+    );
+}
+
+/// `mpcp sweep --no-shrink` on the same grid: CSV and text.
+#[test]
+fn sweep_renderings_match_the_recorded_bytes() {
+    let report = run(&SweepConfig {
+        shrink: false,
+        ..smoke()
+    });
+    assert_eq!(report.csv(), golden("sweep_seed42_60x5.csv"));
+    assert_eq!(
+        untimed(&report.render_text()),
+        golden("sweep_seed42_60x5.txt")
+    );
+}
+
 /// The shootout inherits the same guarantee: every protocol over the
 /// same grid, byte-identical canonical report for any worker count and
 /// across re-runs.
