@@ -2,14 +2,16 @@
 
 use mpcp_core::PrioQueue;
 use mpcp_model::{JobId, Priority, ProcessorId, ResourceId};
-use std::collections::HashMap;
 
-/// Per-job stack of (resource, priority-to-restore, processor-to-restore)
+/// Stack of (job, resource, priority-to-restore, processor-to-restore)
 /// entries, pushed when a critical section is entered and popped when it
-/// is left. Properly nested sections make this a true stack.
+/// is left. Properly nested sections make each job's entries a true
+/// stack. One flat vector for all jobs: a handful of sections are open
+/// at once, so a reverse scan beats a map and the buffer never shrinks —
+/// entering a section allocates nothing once the vector has grown.
 #[derive(Debug, Default)]
 pub(crate) struct SavedStack {
-    map: HashMap<JobId, Vec<(ResourceId, Priority, ProcessorId)>>,
+    open: Vec<(JobId, ResourceId, Priority, ProcessorId)>,
 }
 
 impl SavedStack {
@@ -20,13 +22,10 @@ impl SavedStack {
         priority: Priority,
         processor: ProcessorId,
     ) {
-        self.map
-            .entry(job)
-            .or_default()
-            .push((resource, priority, processor));
+        self.open.push((job, resource, priority, processor));
     }
 
-    /// Pops the most recent entry for `resource`.
+    /// Pops the most recent entry of `job` for `resource`.
     ///
     /// # Panics
     ///
@@ -34,18 +33,17 @@ impl SavedStack {
     /// which the flattened programs rule out).
     #[track_caller]
     pub fn pop(&mut self, job: JobId, resource: ResourceId) -> (Priority, ProcessorId) {
-        let stack = self
-            .map
-            .get_mut(&job)
-            .unwrap_or_else(|| panic!("{job} has no saved priorities"));
-        let idx = stack
+        let Some(idx) = self
+            .open
             .iter()
-            .rposition(|(r, _, _)| *r == resource)
-            .unwrap_or_else(|| panic!("{job} has no saved priority for {resource}"));
-        let (_, pri, proc) = stack.remove(idx);
-        if stack.is_empty() {
-            self.map.remove(&job);
-        }
+            .rposition(|&(j, r, _, _)| j == job && r == resource)
+        else {
+            if self.open.iter().any(|&(j, ..)| j == job) {
+                panic!("{job} has no saved priority for {resource}");
+            }
+            panic!("{job} has no saved priorities");
+        };
+        let (_, _, pri, proc) = self.open.remove(idx);
         (pri, proc)
     }
 
@@ -53,7 +51,9 @@ impl SavedStack {
     /// left (a protocol bug if so, since jobs release all locks before
     /// completion).
     pub fn clear(&mut self, job: JobId) -> bool {
-        self.map.remove(&job).is_some()
+        let before = self.open.len();
+        self.open.retain(|&(j, ..)| j != job);
+        self.open.len() != before
     }
 }
 
@@ -141,6 +141,32 @@ mod tests {
         let mut s = SavedStack::default();
         s.push(jid(0), res(0), Priority::task(1), proc(0));
         s.pop(jid(0), res(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "J1.0 has no saved priorities")]
+    fn pop_for_a_job_with_no_entries_panics() {
+        let mut s = SavedStack::default();
+        s.push(jid(0), res(0), Priority::task(1), proc(0));
+        s.pop(jid(1), res(0));
+    }
+
+    /// Two jobs' sections interleave in the one flat vector; each pop
+    /// finds its own job's innermost entry for the resource, and an
+    /// improperly nested release (outer before inner) still resolves.
+    #[test]
+    fn saved_stack_interleaves_jobs_and_tolerates_unnested_release() {
+        let mut s = SavedStack::default();
+        s.push(jid(0), res(0), Priority::task(1), proc(0));
+        s.push(jid(1), res(0), Priority::task(2), proc(1));
+        s.push(jid(0), res(1), Priority::global(3), proc(0));
+        s.push(jid(1), res(1), Priority::global(4), proc(1));
+        assert_eq!(s.pop(jid(0), res(0)), (Priority::task(1), proc(0)));
+        assert_eq!(s.pop(jid(1), res(1)), (Priority::global(4), proc(1)));
+        assert_eq!(s.pop(jid(0), res(1)), (Priority::global(3), proc(0)));
+        assert!(s.clear(jid(1)), "J1 still has its outer section open");
+        assert!(!s.clear(jid(1)));
+        assert!(!s.clear(jid(0)));
     }
 
     #[test]

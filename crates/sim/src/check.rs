@@ -170,6 +170,7 @@ pub(crate) struct OccupancyCheck {
 }
 
 impl OccupancyCheck {
+    #[inline]
     pub(crate) fn on_slice(&mut self, slice: &Slice) {
         if self.error.is_some() {
             return;
@@ -494,6 +495,7 @@ impl SpinCheck {
         }
     }
 
+    #[inline]
     pub(crate) fn on_slice(&mut self, slice: &Slice) {
         if self.error.is_some() {
             return;

@@ -7,14 +7,14 @@
 //! and preemption is immediate.
 
 use crate::event::EventKind;
-use crate::job::{ExecState, Jobs};
+use crate::job::{ExecState, JobState, Jobs, Runner};
 use crate::metrics::{JobRecord, Metrics};
 use crate::monitor::Monitor;
 use crate::op::{Op, Program};
 use crate::policy::{Ctx, LockResult, Protocol};
 use crate::queue::MinHeap;
 use crate::trace::{Band, Slice, Trace};
-use mpcp_model::{Dur, JobId, Machine, Priority, ProcessorId, System, TaskId, Time};
+use mpcp_model::{Dur, JobId, Machine, ProcessorId, System, TaskId, Time};
 use std::cmp::Reverse;
 
 /// How jobs are mapped to processors.
@@ -72,10 +72,6 @@ impl SimConfig {
     }
 }
 
-/// Per-processor scratch entry used by the static scheduler: the winning
-/// job's comparison key plus its id and arena slot.
-type BestEntry = ((Priority, bool, Reverse<Time>, Reverse<JobId>), JobId, u32);
-
 /// What [`Simulator::execute_one_instantaneous_op`] did this round.
 enum OpOutcome {
     /// No runner had an actionable op: the fixpoint is reached.
@@ -106,10 +102,6 @@ pub struct Simulator<P> {
     now: Time,
     jobs: Jobs,
     trace: Trace,
-    running: Vec<Option<JobId>>,
-    /// Arena slot of each runner (valid only where `running` is `Some`),
-    /// giving the hot paths O(1) access instead of an id binary search.
-    running_slot: Vec<u32>,
     /// Pending releases as `(release time, task index, instance)`; the
     /// next instance of a task is pushed when the previous one releases.
     releases: MinHeap<(Time, u32, u32)>,
@@ -121,13 +113,8 @@ pub struct Simulator<P> {
     /// Protocol wake-up requests ([`Ctx::schedule_timer`]); due entries
     /// fire [`Protocol::on_timer`] at the start of their instant.
     timers: MinHeap<Time>,
-    /// Scratch: per-processor best-ready-job entry for the static
-    /// scheduler.
-    best_scratch: Vec<Option<BestEntry>>,
     /// Scratch: completed jobs found by the current sweep.
     done_scratch: Vec<JobId>,
-    /// Scratch: per-processor base priority of the current runner.
-    runner_base: Vec<Option<Priority>>,
     records: Vec<JobRecord>,
     misses: u64,
     finished: bool,
@@ -154,17 +141,13 @@ impl<P: Protocol> Simulator<P> {
             res_global: Vec::new(),
             programs: Vec::new(),
             now: Time::ZERO,
-            jobs: Jobs::new(),
+            jobs: Jobs::default(),
             trace: Trace::new(),
-            running: Vec::new(),
-            running_slot: Vec::new(),
             releases: MinHeap::new(),
             sleeps: MinHeap::new(),
             deadlines: MinHeap::new(),
             timers: MinHeap::new(),
-            best_scratch: Vec::new(),
             done_scratch: Vec::new(),
-            runner_base: Vec::new(),
             records: Vec::new(),
             misses: 0,
             finished: false,
@@ -222,18 +205,13 @@ impl<P: Protocol> Simulator<P> {
                 self.releases.push((t0, ti as u32, 0));
             }
         }
-        let procs = system.processors().len();
-        self.running.clear();
-        self.running.resize(procs, None);
-        self.running_slot.clear();
-        self.running_slot.resize(procs, 0);
-        self.best_scratch.clear();
-        self.best_scratch.resize(procs, None);
-        self.runner_base.clear();
-        self.runner_base.resize(procs, None);
         self.done_scratch.clear();
         self.now = Time::ZERO;
-        self.jobs.clear();
+        self.jobs.reset(
+            system.tasks().len(),
+            system.processors().len(),
+            self.config.binding == Binding::Static,
+        );
         self.trace.reset_for_run(self.config.record_trace);
         self.sleeps.clear();
         self.deadlines.clear();
@@ -293,10 +271,22 @@ impl<P: Protocol> Simulator<P> {
         self.misses
     }
 
+    /// The table of active jobs. A job's blocking counters as of
+    /// [`Simulator::now`] are [`Jobs::blocking_at`].
+    pub fn jobs(&self) -> &Jobs {
+        &self.jobs
+    }
+
     /// Aggregated metrics over completed (and, for blocking, in-flight)
-    /// jobs.
+    /// jobs, as of [`Simulator::now`].
     pub fn metrics(&self) -> Metrics {
-        Metrics::collect(&self.system, &self.records, &self.jobs, self.misses)
+        Metrics::collect(
+            &self.system,
+            &self.records,
+            &self.jobs,
+            self.now,
+            self.misses,
+        )
     }
 
     /// Runs to the configured horizon and returns the trace.
@@ -336,23 +326,21 @@ impl<P: Protocol> Simulator<P> {
             return false;
         }
         self.advance(next - self.now);
+        #[cfg(debug_assertions)]
+        self.jobs.assert_consistent(self.now);
         true
     }
 
-    fn ctx<'a>(
-        now: Time,
-        jobs: &'a mut Jobs,
-        trace: &'a mut Trace,
-        system: &'a System,
-        timers: &'a mut MinHeap<Time>,
-    ) -> Ctx<'a> {
-        Ctx {
-            now,
-            jobs,
-            trace,
-            system,
-            timers,
-        }
+    /// The policy and its view of everything else, for one hook call.
+    fn hook(&mut self) -> (&mut P, Ctx<'_>) {
+        let ctx = Ctx {
+            now: self.now,
+            jobs: &mut self.jobs,
+            trace: &mut self.trace,
+            system: &self.system,
+            timers: &mut self.timers,
+        };
+        (&mut self.protocol, ctx)
     }
 
     fn process_instant(&mut self) {
@@ -382,14 +370,8 @@ impl<P: Protocol> Simulator<P> {
             // One hook call per instant, however many requests landed on
             // it; the protocol re-derives what is actionable from its own
             // state.
-            let mut ctx = Self::ctx(
-                self.now,
-                &mut self.jobs,
-                &mut self.trace,
-                &self.system,
-                &mut self.timers,
-            );
-            self.protocol.on_timer(&mut ctx);
+            let (protocol, mut ctx) = self.hook();
+            protocol.on_timer(&mut ctx);
         }
         due
     }
@@ -405,6 +387,7 @@ impl<P: Protocol> Simulator<P> {
                 break;
             }
             self.releases.pop();
+            debug_assert_eq!(t_rel, self.now, "the event queue skipped a release");
             let task = &self.system.tasks()[ti as usize];
             let id = JobId::new(TaskId::from_index(ti), instance);
             let abs_deadline = t_rel + task.deadline();
@@ -416,27 +399,21 @@ impl<P: Protocol> Simulator<P> {
                 self.releases.push((next, ti, instance + 1));
             }
             self.deadlines.push((abs_deadline, id));
-            self.jobs.release(
+            self.jobs.release(JobState::new(
                 id,
                 home,
                 priority,
                 t_rel,
                 abs_deadline,
-                &self.programs[ti as usize],
-            );
+                self.programs[ti as usize].clone(),
+            ));
             if self.programs[ti as usize].is_empty() {
                 // Degenerate empty program: complete on release.
                 self.jobs.done_candidates.push(id);
             }
             self.trace.push(self.now, id, EventKind::Released);
-            let mut ctx = Self::ctx(
-                self.now,
-                &mut self.jobs,
-                &mut self.trace,
-                &self.system,
-                &mut self.timers,
-            );
-            self.protocol.on_release(&mut ctx, id);
+            let (protocol, mut ctx) = self.hook();
+            protocol.on_release(&mut ctx, id);
             any = true;
         }
         any
@@ -452,7 +429,7 @@ impl<P: Protocol> Simulator<P> {
                 break;
             }
             self.sleeps.pop();
-            let job = self.jobs.expect_mut(id);
+            let job = self.jobs.touch_mut(id, self.now);
             debug_assert!(matches!(job.state, ExecState::Sleeping { .. }));
             job.state = ExecState::Ready;
             let complete = job.is_complete();
@@ -523,9 +500,9 @@ impl<P: Protocol> Simulator<P> {
             }
             any = true;
             self.complete_job(id);
-            for slot in &mut self.running {
-                if *slot == Some(id) {
-                    *slot = None;
+            for pi in 0..self.jobs.processors() {
+                if self.jobs.runner(pi).is_some_and(|r| r.id == id) {
+                    self.jobs.set_runner(pi, None, self.now);
                 }
             }
         }
@@ -541,43 +518,39 @@ impl<P: Protocol> Simulator<P> {
     }
 
     fn reschedule_static(&mut self) {
-        // One pass over the job table computes every processor's best
-        // ready job. The tuple key reproduces the old `max_by` chain
-        // (priority, currently-running tie-break, earlier release wins,
-        // lower id wins); keys are distinct for distinct jobs, so the
-        // unique maximum matches regardless of scan direction.
-        for best in &mut self.best_scratch {
-            *best = None;
-        }
-        for (slot, j) in self.jobs.iter_with_slots() {
-            if !j.is_dispatchable() {
+        // Only processors touched since the last reschedule can choose
+        // differently: on the others every input of the key below is
+        // what it was when their runner won. The tuple key reproduces
+        // the old `max_by` chain (priority, currently-running tie-break,
+        // earlier release wins, lower id wins); keys are distinct for
+        // distinct jobs, so the unique maximum does not depend on the
+        // order of the run queue.
+        for pi in 0..self.jobs.processors() {
+            if !*self.jobs.marked(pi) {
                 continue;
             }
-            let pi = j.processor.index();
-            let current = self.running[pi];
-            let key = (
-                j.effective_priority,
-                Some(j.id) == current,
-                Reverse(j.release),
-                Reverse(j.id),
-            );
-            let best = &mut self.best_scratch[pi];
-            let better = match best {
-                Some((k, _, _)) => key > *k,
-                None => true,
-            };
-            if better {
-                *best = Some((key, j.id, slot));
-            }
-        }
-        for pi in 0..self.running.len() {
-            let chosen = self.best_scratch[pi].map(|(_, id, slot)| (id, slot));
+            let current = self.jobs.runner(pi).map(|r| r.id);
+            let chosen = self
+                .jobs
+                .queued(pi)
+                .filter(|(_, j)| j.is_dispatchable())
+                .max_by_key(|(_, j)| {
+                    (
+                        j.effective_priority,
+                        Some(j.id) == current,
+                        Reverse(j.release),
+                        Reverse(j.id),
+                    )
+                })
+                .map(|(slot, j)| (j.id, slot));
             self.install_runner(pi, chosen);
+            // Served — including the mark `install_runner` just left.
+            *self.jobs.marked(pi) = false;
         }
     }
 
     fn reschedule_dynamic(&mut self) {
-        let m = self.running.len();
+        let m = self.jobs.processors();
         let mut ready: Vec<(mpcp_model::Priority, Reverse<Time>, Reverse<JobId>, JobId)> = self
             .jobs
             .iter()
@@ -600,7 +573,7 @@ impl<P: Protocol> Simulator<P> {
         let mut unplaced = Vec::new();
         for &id in &selected {
             let cur = self.jobs.expect(id).processor.index();
-            if self.running[cur] == Some(id) && assignment[cur].is_none() {
+            if self.jobs.runner(cur).is_some_and(|r| r.id == id) && assignment[cur].is_none() {
                 assignment[cur] = Some(id);
             } else {
                 unplaced.push(id);
@@ -609,7 +582,8 @@ impl<P: Protocol> Simulator<P> {
         for id in unplaced {
             if let Some(slot) = assignment.iter().position(Option::is_none) {
                 assignment[slot] = Some(id);
-                self.jobs.expect_mut(id).processor = ProcessorId::from_index(slot as u32);
+                self.jobs
+                    .set_processor(id, ProcessorId::from_index(slot as u32), self.now);
             }
         }
         for (pi, chosen) in assignment.into_iter().enumerate() {
@@ -623,9 +597,8 @@ impl<P: Protocol> Simulator<P> {
 
     fn install_runner(&mut self, pi: usize, chosen: Option<(JobId, u32)>) {
         let proc = ProcessorId::from_index(pi as u32);
-        let current = self.running[pi];
-        let chosen_id = chosen.map(|(id, _)| id);
-        if chosen_id == current {
+        let current = self.jobs.runner(pi).map(|r| r.id);
+        if chosen.map(|(id, _)| id) == current {
             return;
         }
         if let (Some(old), Some((new, _))) = (current, chosen) {
@@ -644,21 +617,21 @@ impl<P: Protocol> Simulator<P> {
                 );
             }
         }
-        if let Some((new, slot)) = chosen {
+        if let Some((new, _)) = chosen {
             self.trace
                 .push(self.now, new, EventKind::Started { processor: proc });
-            self.running_slot[pi] = slot;
         }
-        self.running[pi] = chosen_id;
+        self.jobs.set_runner(pi, chosen, self.now);
     }
 
     /// Executes at most one instantaneous operation (lock, unlock,
     /// suspension, zero-compute skip, completion) on behalf of some
     /// runner. Reports whether — and how visibly — anything happened.
     fn execute_one_instantaneous_op(&mut self) -> OpOutcome {
-        for pi in 0..self.running.len() {
-            let Some(id) = self.running[pi] else { continue };
-            let slot = self.running_slot[pi];
+        for pi in 0..self.jobs.processors() {
+            let Some(Runner { id, slot, .. }) = self.jobs.runner(pi) else {
+                continue;
+            };
             let job = self.jobs.by_slot(slot);
             debug_assert_eq!(job.id, id);
             if job.state != ExecState::Ready {
@@ -685,13 +658,13 @@ impl<P: Protocol> Simulator<P> {
                 }
                 Some(Op::Suspend(d)) => {
                     let until = self.now + d;
-                    let job = self.jobs.by_slot_mut(slot);
+                    let job = self.jobs.touch_mut(id, self.now);
                     job.state = ExecState::Sleeping { until };
                     job.advance_pc();
                     self.sleeps.push((until, id));
                     self.trace
                         .push(self.now, id, EventKind::SelfSuspended { until });
-                    self.running[pi] = None;
+                    self.jobs.set_runner(pi, None, self.now);
                     return OpOutcome::Visible;
                 }
                 Some(Op::Lock(res)) => {
@@ -710,14 +683,8 @@ impl<P: Protocol> Simulator<P> {
     fn do_lock(&mut self, id: JobId, res: mpcp_model::ResourceId) {
         self.trace
             .push(self.now, id, EventKind::LockRequested { resource: res });
-        let mut ctx = Self::ctx(
-            self.now,
-            &mut self.jobs,
-            &mut self.trace,
-            &self.system,
-            &mut self.timers,
-        );
-        match self.protocol.on_lock(&mut ctx, id, res) {
+        let (protocol, mut ctx) = self.hook();
+        match protocol.on_lock(&mut ctx, id, res) {
             LockResult::Granted => {
                 let job = self.jobs.expect_mut(id);
                 job.held.push(res);
@@ -733,7 +700,7 @@ impl<P: Protocol> Simulator<P> {
             }
             LockResult::Blocked { holder } => {
                 let global = self.res_global[res.index()];
-                let job = self.jobs.expect_mut(id);
+                let job = self.jobs.touch_mut(id, self.now);
                 job.state = ExecState::Blocked {
                     resource: res,
                     global,
@@ -749,7 +716,7 @@ impl<P: Protocol> Simulator<P> {
             }
             LockResult::Spin { holder } => {
                 let global = self.res_global[res.index()];
-                let job = self.jobs.expect_mut(id);
+                let job = self.jobs.touch_mut(id, self.now);
                 job.state = ExecState::Blocked {
                     resource: res,
                     global,
@@ -782,69 +749,53 @@ impl<P: Protocol> Simulator<P> {
         if complete {
             self.jobs.done_candidates.push(id);
         }
-        let mut ctx = Self::ctx(
-            self.now,
-            &mut self.jobs,
-            &mut self.trace,
-            &self.system,
-            &mut self.timers,
-        );
-        self.protocol.on_unlock(&mut ctx, id, res);
+        let (protocol, mut ctx) = self.hook();
+        protocol.on_unlock(&mut ctx, id, res);
     }
 
     fn complete_job(&mut self, id: JobId) {
         let response = self.now - self.jobs.expect(id).release;
         self.trace
             .push(self.now, id, EventKind::Completed { response });
-        let mut ctx = Self::ctx(
-            self.now,
-            &mut self.jobs,
-            &mut self.trace,
-            &self.system,
-            &mut self.timers,
-        );
-        self.protocol.on_complete(&mut ctx, id);
-        // Read the record fields after the hook (which may still mutate
-        // the job), then recycle the slot.
-        let job = self.jobs.expect(id);
+        let (protocol, mut ctx) = self.hook();
+        protocol.on_complete(&mut ctx, id);
+        // Recycle the slot after the hook (which may still mutate the
+        // job); removal settles the counters the record copies.
+        let job = self
+            .jobs
+            .remove(id, self.now)
+            .expect("completing job is active");
         assert!(
             job.held.is_empty(),
             "{id} completed while holding {:?}",
             job.held
         );
-        let release = job.release;
-        let abs_deadline = job.abs_deadline;
-        let blocked_local = job.blocked_local;
-        let blocked_global = job.blocked_global;
-        let lower_interference = job.lower_interference;
-        let miss_recorded = job.miss_recorded;
-        let removed = self.jobs.remove(id);
-        debug_assert!(removed, "completing job is active");
-        let late = self.now > abs_deadline;
-        if late && !miss_recorded {
+        let late = self.now > job.abs_deadline;
+        self.records.push(JobRecord {
+            id,
+            release: job.release,
+            completion: self.now,
+            response,
+            blocked_local: job.blocked_local,
+            blocked_global: job.blocked_global,
+            lower_interference: job.lower_interference,
+            missed: job.miss_recorded || late,
+        });
+        if late && !job.miss_recorded {
             // Normally check_deadlines fires at the deadline instant; this
             // covers a late completion in the same instant the horizon cut
             // in.
             self.misses += 1;
             self.trace.push(self.now, id, EventKind::DeadlineMiss);
         }
-        self.records.push(JobRecord {
-            id,
-            release,
-            completion: self.now,
-            response,
-            blocked_local,
-            blocked_global,
-            lower_interference,
-            missed: miss_recorded || late,
-        });
     }
 
     fn check_deadlines(&mut self) {
         while let Some(&(t, id)) = self.deadlines.peek() {
             if t <= self.now {
                 self.deadlines.pop();
-                if let Some(job) = self.jobs.get_mut(id) {
+                if let Some(slot) = self.jobs.slot_of(id) {
+                    let job = self.jobs.by_slot_mut(slot);
                     if !job.is_complete() && !job.miss_recorded {
                         job.miss_recorded = true;
                         self.misses += 1;
@@ -887,9 +838,9 @@ impl<P: Protocol> Simulator<P> {
             // Due timers were popped by fire_timers, so t > now.
             consider(t);
         }
-        for pi in 0..self.running.len() {
-            if self.running[pi].is_some() {
-                let job = self.jobs.by_slot(self.running_slot[pi]);
+        for pi in 0..self.jobs.processors() {
+            if let Some(r) = self.jobs.runner(pi) {
+                let job = self.jobs.by_slot(r.slot);
                 if let Some(Op::Compute(_)) = job.current_op() {
                     consider(self.now + job.remaining);
                 }
@@ -900,114 +851,56 @@ impl<P: Protocol> Simulator<P> {
 
     fn advance(&mut self, dt: Dur) {
         debug_assert!(!dt.is_zero());
-        // One fused pass per processor: occupancy slice (only when
-        // recording or a monitor consumes slices), runner progress, and
-        // the runner-base scratch the accounting pass needs.
+        // One fused pass per processor: runner progress and the
+        // occupancy slice (only when recording or a monitor consumes
+        // slices). Jobs that do not hold a processor are not visited:
+        // their blocking is settled per interval by `Jobs::touch`.
         let wants_slices = self.trace.wants_slices();
-        let accounting = self.config.binding == Binding::Static;
-        for pi in 0..self.running.len() {
-            match self.running[pi] {
-                Some(id) => {
-                    let band = {
-                        let job = self.jobs.by_slot_mut(self.running_slot[pi]);
-                        debug_assert_eq!(job.id, id);
-                        let band = if !wants_slices || job.held.is_empty() {
-                            Band::Normal
-                        } else if job.effective_priority.is_global() {
-                            Band::GlobalCs
-                        } else {
-                            Band::LocalCs
-                        };
-                        if let ExecState::Blocked { global, .. } = job.state {
-                            // A spin-blocked runner burns its processor
-                            // without program progress; the whole slice is
-                            // semaphore blocking.
-                            debug_assert!(job.spin, "non-spin blocked job was dispatched");
-                            if global {
-                                job.blocked_global += dt;
-                            } else {
-                                job.blocked_local += dt;
-                            }
-                        } else {
-                            debug_assert!(job.remaining >= dt, "runner advanced past op end");
-                            job.remaining = job.remaining.saturating_sub(dt);
-                            if job.remaining.is_zero() && job.pc + 1 < job.program.len() {
-                                // End of a compute segment with more ops to
-                                // come: take the invisible pc advance now
-                                // instead of spending a fixpoint round on it
-                                // next instant. Completing advances stay in
-                                // the fixpoint, preserving completion order.
-                                job.advance_pc();
-                            }
-                        }
-                        if accounting {
-                            self.runner_base[pi] = Some(job.base_priority);
-                        }
-                        band
+        for pi in 0..self.jobs.processors() {
+            let mut slice = Slice {
+                processor: ProcessorId::from_index(pi as u32),
+                job: None,
+                start: self.now,
+                dur: dt,
+                band: Band::Normal,
+            };
+            if let Some(Runner { id, slot, .. }) = self.jobs.runner(pi) {
+                let job = self.jobs.by_slot_mut(slot);
+                debug_assert_eq!(job.id, id);
+                slice.job = Some(id);
+                if wants_slices && !job.held.is_empty() {
+                    slice.band = if job.effective_priority.is_global() {
+                        Band::GlobalCs
+                    } else {
+                        Band::LocalCs
                     };
-                    if wants_slices {
-                        self.trace.push_slice(Slice {
-                            processor: ProcessorId::from_index(pi as u32),
-                            job: Some(id),
-                            start: self.now,
-                            dur: dt,
-                            band,
-                        });
-                    }
                 }
-                None => {
-                    if accounting {
-                        self.runner_base[pi] = None;
+                if let ExecState::Blocked { global, .. } = job.state {
+                    // A spin-blocked runner burns its processor
+                    // without program progress; the whole slice is
+                    // semaphore blocking.
+                    debug_assert!(job.spin, "non-spin blocked job was dispatched");
+                    if global {
+                        job.blocked_global += dt;
+                    } else {
+                        job.blocked_local += dt;
                     }
-                    if wants_slices {
-                        self.trace.push_slice(Slice {
-                            processor: ProcessorId::from_index(pi as u32),
-                            job: None,
-                            start: self.now,
-                            dur: dt,
-                            band: Band::Normal,
-                        });
+                } else {
+                    debug_assert!(job.remaining >= dt, "runner advanced past op end");
+                    job.remaining = job.remaining.saturating_sub(dt);
+                    if job.remaining.is_zero() && job.pc + 1 < job.program.len() {
+                        // End of a compute segment with more ops to
+                        // come: take the invisible pc advance now
+                        // instead of spending a fixpoint round on it
+                        // next instant. Completing advances stay in
+                        // the fixpoint, preserving completion order.
+                        job.advance_pc();
                     }
                 }
             }
-        }
-        // Blocking accounting for non-running jobs.
-        if accounting {
-            let running = &self.running;
-            let runner_base = &self.runner_base;
-            self.jobs.for_each_mut(|job| {
-                if running[job.processor.index()] == Some(job.id) {
-                    return;
-                }
-                match job.state {
-                    ExecState::Blocked { global, .. } => {
-                        if global {
-                            // A global wait is caused remotely; it counts
-                            // in full, whatever runs locally.
-                            job.blocked_global += dt;
-                        } else {
-                            // A local (PCP) wait counts as blocking only
-                            // while the processor is NOT serving a
-                            // higher-assigned-priority job — that portion
-                            // is ordinary preemption interference, which
-                            // Theorem 3 accounts separately.
-                            let higher_running = runner_base[job.processor.index()]
-                                .is_some_and(|rb| rb > job.base_priority);
-                            if !higher_running {
-                                job.blocked_local += dt;
-                            }
-                        }
-                    }
-                    ExecState::Ready => {
-                        if let Some(rb) = runner_base[job.processor.index()] {
-                            if rb < job.base_priority {
-                                job.lower_interference += dt;
-                            }
-                        }
-                    }
-                    ExecState::Sleeping { .. } => {}
-                }
-            });
+            if wants_slices {
+                self.trace.push_slice(slice);
+            }
         }
         self.now += dt;
     }

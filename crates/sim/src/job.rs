@@ -57,13 +57,17 @@ pub struct JobState {
     pub spin: bool,
     /// Resources currently held, in lock order.
     pub held: Vec<ResourceId>,
-    /// Accumulated time blocked on local semaphores.
-    pub blocked_local: Dur,
-    /// Accumulated time blocked on global semaphores.
-    pub blocked_global: Dur,
-    /// Accumulated time ready but displaced by a job of lower assigned
-    /// priority (e.g. a gcs executing in the global band).
-    pub lower_interference: Dur,
+    /// Time blocked on local semaphores, settled up to the last change
+    /// on the job's processor. Crate-private because it lags the clock:
+    /// read it through [`Jobs::blocking_at`], which adds the open
+    /// interval.
+    pub(crate) blocked_local: Dur,
+    /// Time blocked on global semaphores (settled like `blocked_local`).
+    pub(crate) blocked_global: Dur,
+    /// Time ready but displaced by a job of lower assigned priority
+    /// (e.g. a gcs executing in the global band; settled like
+    /// `blocked_local`).
+    pub(crate) lower_interference: Dur,
     /// Whether a deadline miss has been recorded for this job.
     pub miss_recorded: bool,
 }
@@ -135,16 +139,66 @@ impl JobState {
         }
     }
 
-    /// Total measured blocking so far: semaphore waits plus displacement
-    /// by lower-assigned-priority execution.
-    pub fn measured_blocking(&self) -> Dur {
-        self.blocked_local + self.blocked_global + self.lower_interference
-    }
-
     /// Whether the job currently holds any resource.
     pub fn in_critical_section(&self) -> bool {
         !self.held.is_empty()
     }
+}
+
+/// The job holding a processor: its id, its arena slot, and the
+/// assigned priority the accounting predicate compares waiters against.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Runner {
+    pub(crate) id: JobId,
+    pub(crate) slot: u32,
+    pub(crate) base: Priority,
+}
+
+/// One processor's run queue, with the open accounting interval of the
+/// jobs waiting on it.
+#[derive(Debug, Default)]
+struct RunQueue {
+    /// Live slots placed on this processor, in no particular order (the
+    /// scheduler's key is unique per job, so its maximum is too).
+    slots: Vec<u32>,
+    /// The job holding the processor since `settled`.
+    runner: Option<Runner>,
+    /// The instant up to which the waiting jobs' blocking counters are
+    /// settled; no state, placement or runner here has changed since.
+    settled: Time,
+    /// Whether a scheduler input here changed since the last reschedule.
+    marked: bool,
+}
+
+/// `job`'s `[blocked_local, blocked_global, lower_interference]` after
+/// `dt` more spent while `runner` holds its processor. A runner's own
+/// accrual — a spinner burning its processor — is the engine's
+/// per-processor pass, so `job` being the runner adds nothing here.
+fn accrued(job: &JobState, runner: Option<Runner>, dt: Dur) -> [Dur; 3] {
+    let [mut local, mut global, mut lower] = [
+        job.blocked_local,
+        job.blocked_global,
+        job.lower_interference,
+    ];
+    let runner_base = match runner {
+        Some(r) if r.id == job.id => return [local, global, lower],
+        r => r.map(|r| r.base),
+    };
+    match job.state {
+        // A global wait is caused remotely; it counts in full, whatever
+        // runs locally.
+        ExecState::Blocked { global: true, .. } => global += dt,
+        // A local (PCP) wait counts as blocking only while the processor
+        // is NOT serving a higher-assigned-priority job — that portion
+        // is ordinary preemption interference, which Theorem 3 accounts
+        // separately.
+        ExecState::Blocked { .. } if runner_base.is_none_or(|rb| rb <= job.base_priority) => {
+            local += dt;
+        }
+        ExecState::Ready if runner_base.is_some_and(|rb| rb < job.base_priority) => lower += dt,
+        ExecState::Blocked { .. } | ExecState::Ready | ExecState::Sleeping { .. } => {}
+    }
+    [local, global, lower]
 }
 
 /// The table of active jobs, with deterministic (id-order) iteration.
@@ -152,18 +206,32 @@ impl JobState {
 /// Storage is an arena: job state lives in reusable slots so releasing a
 /// job after a warm-up run performs no heap allocation — a recycled slot
 /// keeps the capacity of its `held` vector and the [`Program`] handle is
-/// a reference-count bump. `order` holds the live slot indices sorted by
-/// [`JobId`], giving the same iteration order (and thus the same traces)
-/// as the `BTreeMap` this replaced.
+/// a reference-count bump. Two indices find a slot without searching:
+/// per task the live `(instance, slot)` pairs (one or two entries), per
+/// processor the live slots placed there (its run queue).
+///
+/// The run queues also carry the blocking accounting: a waiting job's
+/// counters do not tick with the clock; each processor remembers up to
+/// when its queue is settled and who has held it since, and `touch`
+/// adds the whole interval just before anything there changes. `touch`
+/// also marks the processor for the next reschedule, so it is the one
+/// gate every write to a scheduler input passes through: `touch_mut`
+/// (`state`, `spin`, `effective_priority`), `set_processor`,
+/// `set_runner`, `release` and `remove`.
 #[derive(Debug, Default)]
 pub struct Jobs {
-    /// Slot storage; entries not listed in `order` are free and retain
-    /// stale state (kept only for their buffer capacity).
+    /// Slot storage; slots listed in `free` retain stale state (kept
+    /// only for their buffer capacity).
     slots: Vec<JobState>,
     /// Indices of free slots, available for reuse.
     free: Vec<u32>,
-    /// Live slot indices, sorted by the slot's job id.
-    order: Vec<u32>,
+    /// Live `(instance, slot)` pairs per `TaskId::index()`, in instance
+    /// order — so walking the tasks in order is id order.
+    by_task: Vec<Vec<(u32, u32)>>,
+    /// Run queue per `ProcessorId::index()`.
+    queues: Vec<RunQueue>,
+    /// Whether waiting jobs accrue blocking at all (static binding).
+    accounting: bool,
     /// Jobs whose program counter may have reached the end since the
     /// last completion sweep. Every site that can complete a job pushes
     /// here, so the engine's sweep is O(1) on the (common) rounds where
@@ -172,29 +240,36 @@ pub struct Jobs {
 }
 
 impl Jobs {
-    pub(crate) fn new() -> Self {
-        Jobs::default()
+    /// Deactivates all jobs and sizes the indices for a run over `tasks`
+    /// tasks on `processors` processors, retaining slot and list buffers
+    /// for reuse. `accounting` is off under dynamic binding, which
+    /// measures no blocking.
+    pub(crate) fn reset(&mut self, tasks: usize, processors: usize, accounting: bool) {
+        self.free.clear();
+        self.free.extend(0..self.slots.len() as u32);
+        self.by_task.iter_mut().for_each(Vec::clear);
+        self.by_task.resize_with(tasks, Vec::new);
+        self.queues.resize_with(processors, RunQueue::default);
+        for q in &mut self.queues {
+            q.slots.clear();
+            (q.runner, q.settled, q.marked) = (None, Time::ZERO, false);
+        }
+        self.accounting = accounting;
+        self.done_candidates.clear();
     }
 
-    /// Position of `id` in `order` (`Ok`) or its insertion point (`Err`).
-    fn find(&self, id: JobId) -> Result<usize, usize> {
-        self.order
-            .binary_search_by(|&slot| self.slots[slot as usize].id.cmp(&id))
+    /// The slot index of `id`, if active: stable for the lifetime of the
+    /// job, and never to influence observable behaviour.
+    pub(crate) fn slot_of(&self, id: JobId) -> Option<u32> {
+        let live = self.by_task.get(id.task.index())?;
+        live.iter()
+            .find(|&&(instance, _)| instance == id.instance)
+            .map(|&(_, slot)| slot)
     }
 
     /// The job with the given id, if active.
     pub fn get(&self, id: JobId) -> Option<&JobState> {
-        self.find(id)
-            .ok()
-            .map(|pos| &self.slots[self.order[pos] as usize])
-    }
-
-    /// Mutable access to the job with the given id, if active.
-    pub fn get_mut(&mut self, id: JobId) -> Option<&mut JobState> {
-        match self.find(id) {
-            Ok(pos) => Some(&mut self.slots[self.order[pos] as usize]),
-            Err(_) => None,
-        }
+        self.slot_of(id).map(|slot| &self.slots[slot as usize])
     }
 
     /// The job with the given id.
@@ -204,129 +279,184 @@ impl Jobs {
     /// Panics if the job is not active.
     #[track_caller]
     pub fn expect(&self, id: JobId) -> &JobState {
-        self.get(id)
-            .unwrap_or_else(|| panic!("job {id} is not active"))
+        &self.slots[self.live_slot(id)]
     }
 
-    /// Mutable variant of [`Jobs::expect`].
+    #[track_caller]
+    fn live_slot(&self, id: JobId) -> usize {
+        let slot = self.slot_of(id);
+        slot.unwrap_or_else(|| panic!("job {id} is not active")) as usize
+    }
+
+    /// Mutable variant of [`Jobs::expect`], with the restriction of
+    /// [`Jobs::by_slot_mut`].
     ///
     /// # Panics
     ///
     /// Panics if the job is not active.
     #[track_caller]
-    pub fn expect_mut(&mut self, id: JobId) -> &mut JobState {
-        self.get_mut(id)
-            .unwrap_or_else(|| panic!("job {id} is not active"))
+    pub(crate) fn expect_mut(&mut self, id: JobId) -> &mut JobState {
+        let slot = self.live_slot(id);
+        &mut self.slots[slot]
     }
 
-    /// Claims a slot (reusing a free one when available) and returns its
-    /// index; the caller must add it to `order`.
-    #[cfg(test)]
-    fn claim_slot(&mut self, job: JobState) -> u32 {
-        match self.free.pop() {
-            Some(idx) => {
-                self.slots[idx as usize] = job;
-                idx
+    /// Settles the blocking counters of the jobs waiting on processor
+    /// `p` up to `now` and marks `p` for the next reschedule. Call it
+    /// *before* changing anything the accounting predicate or the
+    /// scheduler reads there: the interval `[settled, now)` is charged
+    /// by the state it finds. Further calls in the same instant find an
+    /// empty interval.
+    pub(crate) fn touch(&mut self, p: usize, now: Time) {
+        let q = &mut self.queues[p];
+        if q.settled < now {
+            if self.accounting {
+                let dt = now - q.settled;
+                for &slot in &q.slots {
+                    let job = &mut self.slots[slot as usize];
+                    [
+                        job.blocked_local,
+                        job.blocked_global,
+                        job.lower_interference,
+                    ] = accrued(job, q.runner, dt);
+                }
             }
-            None => {
-                let idx = self.slots.len() as u32;
-                self.slots.push(job);
-                idx
-            }
+            q.settled = now;
         }
+        q.marked = true;
     }
 
-    /// Inserts a fully-built job (test fixture path; the engine releases
-    /// jobs through [`Jobs::release`]). `job.id` must not be active.
-    #[cfg(test)]
-    pub(crate) fn insert(&mut self, job: JobState) {
-        let id = job.id;
-        let idx = self.claim_slot(job);
-        let pos = self.find(id).expect_err("insert: job id is already active");
-        self.order.insert(pos, idx);
+    /// [`Jobs::expect_mut`] for a write to `state`, `spin` or
+    /// `effective_priority`: touches the job's processor first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job is not active.
+    #[track_caller]
+    pub(crate) fn touch_mut(&mut self, id: JobId, now: Time) -> &mut JobState {
+        let slot = self.live_slot(id);
+        self.touch(self.slots[slot].processor.index(), now);
+        &mut self.slots[slot]
     }
 
-    /// Activates a newly released job, reusing a free slot's buffers when
-    /// one is available (the steady-state path: no heap allocation).
-    /// `id` must not already be active.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn release(
-        &mut self,
-        id: JobId,
-        home: ProcessorId,
-        base_priority: Priority,
-        release: Time,
-        abs_deadline: Time,
-        program: &Program,
-    ) {
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                let s = &mut self.slots[idx as usize];
-                s.id = id;
-                s.home = home;
-                s.processor = home;
-                s.base_priority = base_priority;
-                s.effective_priority = base_priority;
-                s.release = release;
-                s.abs_deadline = abs_deadline;
-                s.program = program.clone();
-                s.pc = 0;
-                s.state = ExecState::Ready;
-                s.spin = false;
-                s.held.clear();
-                s.blocked_local = Dur::ZERO;
-                s.blocked_global = Dur::ZERO;
-                s.lower_interference = Dur::ZERO;
-                s.miss_recorded = false;
-                s.sync_remaining();
-                idx
+    /// `job`'s `[blocked_local, blocked_global, lower_interference]` as
+    /// of `now`: the settled counters plus the interval still open on
+    /// its processor.
+    pub fn blocking_at(&self, job: &JobState, now: Time) -> [Dur; 3] {
+        let q = &self.queues[job.processor.index()];
+        let open = self.accounting && q.settled < now;
+        accrued(
+            job,
+            q.runner,
+            if open { now - q.settled } else { Dur::ZERO },
+        )
+    }
+
+    /// Activates `job`, just released (`job.release` is the current
+    /// instant), in a free slot when one is available — keeping that
+    /// slot's `held` buffer, so the steady state allocates nothing.
+    /// `job.id` must not already be active.
+    pub(crate) fn release(&mut self, job: JobState) {
+        let (id, home) = (job.id, job.home);
+        self.touch(home.index(), job.release);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                let mut held = std::mem::take(&mut self.slots[slot as usize].held);
+                held.clear();
+                self.slots[slot as usize] = JobState { held, ..job };
+                slot
             }
             None => {
-                let idx = self.slots.len() as u32;
-                self.slots.push(JobState::new(
-                    id,
-                    home,
-                    base_priority,
-                    release,
-                    abs_deadline,
-                    program.clone(),
-                ));
-                idx
+                self.slots.push(job);
+                self.slots.len() as u32 - 1
             }
         };
-        let pos = self
-            .find(id)
-            .expect_err("release: job id is already active");
-        self.order.insert(pos, idx);
+        let live = &mut self.by_task[id.task.index()];
+        assert!(
+            live.last().is_none_or(|&(last, _)| last < id.instance),
+            "job {id} is already active, or released out of instance order"
+        );
+        live.push((id.instance, slot));
+        self.queues[home.index()].slots.push(slot);
     }
 
-    /// Deactivates `id`, returning whether it was active. The slot is
-    /// recycled; read any needed state before removing.
-    pub(crate) fn remove(&mut self, id: JobId) -> bool {
-        match self.find(id) {
-            Ok(pos) => {
-                let idx = self.order.remove(pos);
-                self.free.push(idx);
-                true
-            }
-            Err(_) => false,
-        }
+    /// Deactivates `id` and returns its final state, counters settled
+    /// up to `now` (`None` if it was not active). The slot is recycled
+    /// by the next release; the reference is good until then.
+    pub(crate) fn remove(&mut self, id: JobId, now: Time) -> Option<&JobState> {
+        let live = self.by_task.get_mut(id.task.index())?;
+        let pos = live.iter().position(|&(i, _)| i == id.instance)?;
+        let (_, slot) = live.remove(pos);
+        let p = self.slots[slot as usize].processor.index();
+        self.touch(p, now);
+        self.dequeue(p, slot);
+        self.free.push(slot);
+        Some(&self.slots[slot as usize])
     }
 
-    /// Deactivates all jobs, retaining slot buffers for reuse.
-    pub(crate) fn clear(&mut self) {
-        self.free.clear();
-        self.free.extend(0..self.slots.len() as u32);
-        self.order.clear();
-        self.done_candidates.clear();
+    /// Takes live `slot` off the run queue of processor `p`.
+    fn dequeue(&mut self, p: usize, slot: u32) {
+        let queue = &mut self.queues[p].slots;
+        let at = queue.iter().position(|&s| s == slot);
+        queue.swap_remove(at.expect("live job is on its processor's queue"));
     }
 
-    /// The slot index of `id`, if active. Slot indices are stable for
-    /// the lifetime of the job and give O(1) access via
-    /// [`Jobs::by_slot`]; they are an internal engine optimization and
-    /// must never influence observable behaviour.
-    pub(crate) fn slot_of(&self, id: JobId) -> Option<u32> {
-        self.find(id).ok().map(|pos| self.order[pos])
+    /// Moves `id` to processor `to`, touching both ends — the one
+    /// writer of [`JobState::processor`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job is not active.
+    #[track_caller]
+    pub(crate) fn set_processor(&mut self, id: JobId, to: ProcessorId, now: Time) {
+        let slot = self.live_slot(id);
+        let from = self.slots[slot].processor.index();
+        self.touch(from, now);
+        self.touch(to.index(), now);
+        self.dequeue(from, slot as u32);
+        self.queues[to.index()].slots.push(slot as u32);
+        self.slots[slot].processor = to;
+    }
+
+    /// Number of processors of the current run.
+    pub(crate) fn processors(&self) -> usize {
+        self.queues.len()
+    }
+
+    /// The job holding processor `p`, if any.
+    pub(crate) fn runner(&self, p: usize) -> Option<Runner> {
+        self.queues[p].runner
+    }
+
+    /// The id of the job holding `processor`, if any.
+    pub fn running_on(&self, processor: ProcessorId) -> Option<JobId> {
+        self.queues[processor.index()].runner.map(|r| r.id)
+    }
+
+    /// Hands processor `p` to the job `(id, slot)` (or idles it),
+    /// touching `p` first so the closing interval is charged against
+    /// the outgoing runner.
+    pub(crate) fn set_runner(&mut self, p: usize, runner: Option<(JobId, u32)>, now: Time) {
+        self.touch(p, now);
+        self.queues[p].runner = runner.map(|(id, slot)| Runner {
+            id,
+            slot,
+            base: self.slots[slot as usize].base_priority,
+        });
+    }
+
+    /// The live jobs placed on processor `p`, with their slots, in no
+    /// particular order.
+    pub(crate) fn queued(&self, p: usize) -> impl Iterator<Item = (u32, &JobState)> {
+        self.queues[p]
+            .slots
+            .iter()
+            .map(move |&slot| (slot, &self.slots[slot as usize]))
+    }
+
+    /// Whether [`Jobs::touch`] has marked processor `p` since the flag
+    /// was last lowered; the scheduler lowers it once it has served `p`.
+    pub(crate) fn marked(&mut self, p: usize) -> &mut bool {
+        &mut self.queues[p].marked
     }
 
     /// Direct slot access (the slot must be live).
@@ -334,45 +464,61 @@ impl Jobs {
         &self.slots[slot as usize]
     }
 
-    /// Mutable direct slot access (the slot must be live).
+    /// Mutable direct slot access (the slot must be live) — for fields
+    /// the scheduler does not read (`held`, `pc`, `remaining`,
+    /// `miss_recorded`); its inputs go through [`Jobs::touch_mut`].
     pub(crate) fn by_slot_mut(&mut self, slot: u32) -> &mut JobState {
         &mut self.slots[slot as usize]
     }
 
-    /// Iterates over active jobs in id order, with their slot indices.
-    pub(crate) fn iter_with_slots(&self) -> impl Iterator<Item = (u32, &JobState)> {
-        self.order
-            .iter()
-            .map(move |&slot| (slot, &self.slots[slot as usize]))
-    }
-
     /// Iterates over active jobs in id order.
     pub fn iter(&self) -> impl Iterator<Item = &JobState> {
-        self.order
+        self.by_task
             .iter()
-            .map(move |&slot| &self.slots[slot as usize])
-    }
-
-    /// Calls `f` on each active job, in id order.
-    pub(crate) fn for_each_mut(&mut self, mut f: impl FnMut(&mut JobState)) {
-        for i in 0..self.order.len() {
-            f(&mut self.slots[self.order[i] as usize]);
-        }
-    }
-
-    /// Active jobs currently placed on `processor`, in id order.
-    pub fn on_processor(&self, processor: ProcessorId) -> impl Iterator<Item = &JobState> {
-        self.iter().filter(move |j| j.processor == processor)
+            .flatten()
+            .map(move |&(_, slot)| &self.slots[slot as usize])
     }
 
     /// Number of active jobs.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.slots.len() - self.free.len()
     }
 
     /// Whether there are no active jobs.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.len() == 0
+    }
+
+    /// Walks both indices (without allocating): every live slot is on
+    /// exactly one task list, under its own id, and exactly once on the
+    /// run queue of its `processor` and on no other; every runner is a
+    /// live job placed where it runs; no queue is settled past `now`.
+    /// Debug builds run it after every engine step.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn assert_consistent(&self, now: Time) {
+        let mut listed = 0;
+        for (t, live) in self.by_task.iter().enumerate() {
+            assert!(live.windows(2).all(|w| w[0].0 < w[1].0), "{t} unsorted");
+            for &(instance, slot) in live {
+                let job = &self.slots[slot as usize];
+                assert_eq!((job.id.task.index(), job.id.instance), (t, instance));
+                let queue = &self.queues[job.processor.index()].slots;
+                assert_eq!(queue.iter().filter(|&&s| s == slot).count(), 1);
+                assert!(!self.free.contains(&slot), "{} is in a free slot", job.id);
+                listed += 1;
+            }
+        }
+        // As many queue entries as listed jobs, each listed job on its
+        // own queue: no queue holds anything else.
+        let queued: usize = self.queues.iter().map(|q| q.slots.len()).sum();
+        assert_eq!((listed, queued), (self.len(), self.len()));
+        for (p, q) in self.queues.iter().enumerate() {
+            assert!(q.settled <= now, "queue {p} settled past {now}");
+            if let Some(r) = q.runner {
+                assert_eq!(self.slot_of(r.id), Some(r.slot), "runner of {p}");
+                assert_eq!(self.by_slot(r.slot).processor.index(), p);
+            }
+        }
     }
 }
 
@@ -380,7 +526,7 @@ impl Jobs {
 mod tests {
     use super::*;
     use crate::op::Program;
-    use mpcp_model::{Body, Machine, System, TaskDef, TaskId};
+    use mpcp_model::{Body, Machine, ResourceId, System, TaskDef, TaskId};
 
     fn program(body: Body) -> Program {
         let mut b = System::builder();
@@ -421,43 +567,20 @@ mod tests {
     }
 
     #[test]
-    fn measured_blocking_sums_components() {
-        let mut j = job(Body::builder().compute(1).build());
-        j.blocked_local = Dur::new(2);
-        j.blocked_global = Dur::new(3);
-        j.lower_interference = Dur::new(4);
-        assert_eq!(j.measured_blocking(), Dur::new(9));
-    }
-
-    #[test]
-    fn jobs_table_roundtrip() {
-        let mut jobs = Jobs::new();
-        let j = job(Body::builder().compute(1).build());
-        let id = j.id;
-        jobs.insert(j);
-        assert_eq!(jobs.len(), 1);
-        assert!(jobs.get(id).is_some());
-        assert_eq!(jobs.on_processor(ProcessorId::from_index(0)).count(), 1);
-        assert_eq!(jobs.on_processor(ProcessorId::from_index(1)).count(), 0);
-        assert!(jobs.remove(id));
-        assert!(!jobs.remove(id));
-        assert!(jobs.is_empty());
-    }
-
-    #[test]
     fn release_reuses_slots_and_keeps_id_order() {
-        let mut jobs = Jobs::new();
+        let mut jobs = Jobs::default();
+        jobs.reset(3, 2, true);
         let prog = program(Body::builder().compute(1).build());
         let jid = |t: u32, i: u32| JobId::new(TaskId::from_index(t), i);
         let release = |jobs: &mut Jobs, id: JobId| {
-            jobs.release(
+            jobs.release(JobState::new(
                 id,
                 ProcessorId::from_index(0),
                 Priority::task(1),
                 Time::ZERO,
                 Time::new(100),
-                &prog,
-            );
+                prog.clone(),
+            ));
         };
         // Out-of-order activation must still iterate in id order.
         release(&mut jobs, jid(2, 0));
@@ -466,7 +589,8 @@ mod tests {
         let ids: Vec<JobId> = jobs.iter().map(|j| j.id).collect();
         assert_eq!(ids, vec![jid(0, 0), jid(1, 0), jid(2, 0)]);
         // Removing and re-releasing reuses a slot without growing the arena.
-        assert!(jobs.remove(jid(1, 0)));
+        assert!(jobs.remove(jid(1, 0), Time::ZERO).is_some());
+        assert!(jobs.remove(jid(1, 0), Time::ZERO).is_none());
         let slots_before = jobs.slots.len();
         release(&mut jobs, jid(1, 1));
         assert_eq!(jobs.slots.len(), slots_before);
@@ -475,15 +599,119 @@ mod tests {
         assert_eq!(j.pc, 0);
         assert!(j.held.is_empty());
         assert!(!j.miss_recorded);
-        // clear() frees everything but keeps the slots.
-        jobs.clear();
+        jobs.assert_consistent(Time::ZERO);
+        // reset() frees everything but keeps the slots.
+        jobs.reset(3, 2, true);
         assert!(jobs.is_empty());
         assert_eq!(jobs.slots.len(), slots_before);
+    }
+
+    /// Two tasks on P0 (`hi` over `lo`) and one on P1, all released at 0.
+    fn three_jobs(accounting: bool) -> (Jobs, [JobId; 3]) {
+        let mut jobs = Jobs::default();
+        jobs.reset(3, 2, accounting);
+        let prog = program(Body::builder().compute(9).build());
+        let ids = [0, 1, 2].map(|t| JobId::first(TaskId::from_index(t)));
+        for (id, (proc, prio)) in ids.iter().zip([(0, 3), (0, 1), (1, 2)]) {
+            jobs.release(JobState::new(
+                *id,
+                ProcessorId::from_index(proc),
+                Priority::task(prio),
+                Time::ZERO,
+                Time::new(100),
+                prog.clone(),
+            ));
+        }
+        (jobs, ids)
+    }
+
+    fn at(jobs: &Jobs, id: JobId, now: u64) -> [u64; 3] {
+        jobs.blocking_at(jobs.expect(id), Time::new(now))
+            .map(Dur::ticks)
+    }
+
+    fn global_wait() -> ExecState {
+        ExecState::Blocked {
+            resource: ResourceId::from_index(0),
+            global: true,
+        }
+    }
+
+    /// The interval before the first touch of an instant is charged by
+    /// the state the touch finds; what is written after it — and any
+    /// further touch in the same instant — charges nothing.
+    #[test]
+    fn the_first_touch_of_an_instant_settles_with_the_state_it_finds() {
+        let (mut jobs, [hi, lo, _]) = three_jobs(true);
+        let lo_slot = jobs.slot_of(lo).unwrap();
+        jobs.set_runner(0, Some((lo, lo_slot)), Time::ZERO);
+        // [0, 4): hi is ready under the lower-priority runner lo.
+        assert_eq!(at(&jobs, hi, 4), [0, 0, 4]);
+        assert_eq!(jobs.expect(hi).lower_interference, Dur::ZERO, "read only");
+        jobs.touch_mut(hi, Time::new(4)).state = global_wait();
+        assert_eq!(at(&jobs, hi, 4), [0, 0, 4], "charged as ready, not blocked");
+        jobs.touch_mut(hi, Time::new(4)).spin = true; // second touch: dt = 0
+        assert_eq!(at(&jobs, hi, 4), [0, 0, 4]);
+        // [4, 7): now a global wait.
+        assert_eq!(at(&jobs, hi, 7), [0, 3, 4]);
+        // The runner itself accrues nothing through its queue.
+        assert_eq!(at(&jobs, lo, 7), [0, 0, 0]);
+        jobs.assert_consistent(Time::new(4));
+    }
+
+    /// A runner change closes the interval against the *outgoing*
+    /// runner, even if nothing else touched the processor this instant.
+    #[test]
+    fn set_runner_charges_the_closing_interval_to_the_old_runner() {
+        let (mut jobs, [hi, lo, _]) = three_jobs(true);
+        let (hi_slot, lo_slot) = (jobs.slot_of(hi).unwrap(), jobs.slot_of(lo).unwrap());
+        jobs.set_runner(0, Some((lo, lo_slot)), Time::ZERO);
+        *jobs.marked(0) = false;
+        jobs.set_runner(0, Some((hi, hi_slot)), Time::new(5));
+        assert!(*jobs.marked(0));
+        // hi waited [0, 5) under lo; lo has waited since under hi, which
+        // is ordinary preemption and counts for nothing.
+        assert_eq!(at(&jobs, hi, 8), [0, 0, 5]);
+        assert_eq!(at(&jobs, lo, 8), [0, 0, 0]);
+    }
+
+    /// Removal settles before it hands out the final state, and
+    /// migration settles both ends before the job changes queues.
+    #[test]
+    fn remove_and_set_processor_settle_first() {
+        let (mut jobs, [hi, lo, other]) = three_jobs(true);
+        let lo_slot = jobs.slot_of(lo).unwrap();
+        jobs.set_runner(0, Some((lo, lo_slot)), Time::ZERO);
+        jobs.touch_mut(other, Time::ZERO).state = global_wait();
+        // other waits on P1 during [0, 3), then moves to P0 and keeps
+        // waiting there: one uninterrupted global wait.
+        jobs.set_processor(other, ProcessorId::from_index(0), Time::new(3));
+        assert_eq!(jobs.expect(other).blocked_global, Dur::new(3));
+        assert_eq!(jobs.queued(0).count(), 3);
+        assert_eq!(jobs.queued(1).count(), 0);
+        assert!(*jobs.marked(0) && *jobs.marked(1));
+        jobs.assert_consistent(Time::new(3));
+        let gone = jobs.remove(other, Time::new(6)).unwrap();
+        assert_eq!(gone.blocked_global, Dur::new(6));
+        // Its removal settled the rest of P0's queue too.
+        assert_eq!(jobs.expect(hi).lower_interference, Dur::new(6));
+        jobs.assert_consistent(Time::new(6));
+    }
+
+    /// Dynamic binding measures no blocking.
+    #[test]
+    fn nothing_accrues_with_accounting_off() {
+        let (mut jobs, [hi, lo, _]) = three_jobs(false);
+        let lo_slot = jobs.slot_of(lo).unwrap();
+        jobs.set_runner(0, Some((lo, lo_slot)), Time::ZERO);
+        assert_eq!(at(&jobs, hi, 9), [0, 0, 0]);
+        jobs.touch(0, Time::new(9));
+        assert_eq!(at(&jobs, hi, 9), [0, 0, 0]);
     }
 
     #[test]
     #[should_panic(expected = "not active")]
     fn expect_missing_panics() {
-        Jobs::new().expect(JobId::first(TaskId::from_index(0)));
+        Jobs::default().expect(JobId::first(TaskId::from_index(0)));
     }
 }

@@ -70,6 +70,7 @@ impl Metrics {
         system: &System,
         records: &[JobRecord],
         in_flight: &Jobs,
+        now: Time,
         total_misses: u64,
     ) -> Metrics {
         let n = system.tasks().len();
@@ -101,11 +102,12 @@ impl Metrics {
             sums[r.id.task.index()] += u128::from(r.response.ticks());
         }
         for job in in_flight.iter() {
+            let [local, global, lower] = in_flight.blocking_at(job, now);
             let m = &mut per_task[job.id.task.index()];
-            m.max_blocking = m.max_blocking.max(job.measured_blocking());
-            m.max_blocked_global = m.max_blocked_global.max(job.blocked_global);
-            m.max_blocked_local = m.max_blocked_local.max(job.blocked_local);
-            m.max_lower_interference = m.max_lower_interference.max(job.lower_interference);
+            m.max_blocking = m.max_blocking.max(local + global + lower);
+            m.max_blocked_global = m.max_blocked_global.max(global);
+            m.max_blocked_local = m.max_blocked_local.max(local);
+            m.max_lower_interference = m.max_lower_interference.max(lower);
         }
         for (i, m) in per_task.iter_mut().enumerate() {
             if m.completed > 0 {
@@ -212,7 +214,7 @@ mod tests {
             record(0, 9, 4, true),
             record(1, 3, 0, false),
         ];
-        let m = Metrics::collect(&sys, &records, &Jobs::default(), 1);
+        let m = Metrics::collect(&sys, &records, &Jobs::default(), Time::ZERO, 1);
         let t0 = m.task(TaskId::from_index(0));
         assert_eq!(t0.completed, 2);
         assert_eq!(t0.misses, 1);
@@ -227,7 +229,7 @@ mod tests {
     #[test]
     fn empty_run_is_well_formed() {
         let sys = system();
-        let m = Metrics::collect(&sys, &[], &Jobs::default(), 0);
+        let m = Metrics::collect(&sys, &[], &Jobs::default(), Time::ZERO, 0);
         assert_eq!(m.per_task().len(), 2);
         assert_eq!(m.max_blocking(), Dur::ZERO);
         assert_eq!(m.task(TaskId::from_index(1)).completed, 0);

@@ -113,31 +113,64 @@ impl Monitor {
         self.conformance = Some(ConformanceCheck::new(expected));
     }
 
+    /// Feeds one event to the cores that consume its kind — and to no
+    /// other: most events (`Released`, `Started`, `LockRequested`, …)
+    /// interest no check at all. The match is exhaustive, so a new
+    /// [`EventKind`] must be routed here to compile, and the
+    /// `dispatch_offers_every_event_to_every_consumer` test fails if a
+    /// core starts consuming a kind this table does not send it.
+    #[inline]
     pub(crate) fn on_event(&mut self, time: Time, job: JobId, kind: &EventKind) {
-        self.mutex.on_event(time, job, kind);
-        if let Some(c) = &mut self.handoff {
-            c.on_event(time, job, kind);
+        use EventKind as K;
+        macro_rules! feed {
+            ($($core:ident),*) => {{
+                $(if let Some(c) = &mut self.$core {
+                    c.on_event(time, job, kind);
+                })*
+            }};
         }
-        if let Some(c) = &mut self.gcs {
-            c.on_event(time, job, kind);
+        macro_rules! observe {
+            () => {
+                if let Some(ob) = &mut self.observed {
+                    ob.on_event(time, job, kind, &self.res_global);
+                }
+            };
         }
-        if let Some(c) = &mut self.floor {
-            c.on_event(time, job, kind);
-        }
-        if let Some(c) = &mut self.conformance {
-            c.on_event(time, job, kind);
-        }
-        if let Some(c) = &mut self.spin {
-            c.on_event(time, job, kind);
-        }
-        if let Some(c) = &mut self.boost {
-            c.on_event(time, job, kind);
-        }
-        if let Some(ob) = &mut self.observed {
-            ob.on_event(time, job, kind, &self.res_global);
+        match kind {
+            K::Released
+            | K::Started { .. }
+            | K::LockRequested { .. }
+            | K::SelfSuspended { .. }
+            | K::DeadlineMiss
+            | K::Migrated { .. } => {}
+            K::Preempted { .. } => feed!(gcs),
+            K::PriorityChanged { .. } => feed!(floor, boost),
+            K::Completed { .. } => {
+                self.mutex.on_event(time, job, kind);
+                feed!(spin, boost);
+            }
+            K::Unlocked { .. } => {
+                self.mutex.on_event(time, job, kind);
+                feed!(gcs, boost);
+            }
+            K::LockGranted { .. } => {
+                self.mutex.on_event(time, job, kind);
+                feed!(gcs, conformance, boost);
+                observe!();
+            }
+            K::HandedOff { .. } => {
+                self.mutex.on_event(time, job, kind);
+                feed!(handoff, gcs, conformance, spin, boost);
+                observe!();
+            }
+            K::LockBlocked { .. } | K::Woken => {
+                feed!(handoff, spin);
+                observe!();
+            }
         }
     }
 
+    #[inline]
     pub(crate) fn on_slice(&mut self, slice: &Slice) {
         self.occupancy.on_slice(slice);
         if let Some(c) = &mut self.spin {
@@ -321,6 +354,187 @@ mod tests {
         assert!(!run(MonitorSpec::all()));
         // …but a raw-profile monitor does not check hand-offs.
         assert!(run(MonitorSpec::default()));
+    }
+
+    /// What `Monitor::on_event` was before it dispatched by kind: every
+    /// event offered to every core.
+    fn offer_to_all(m: &mut Monitor, time: Time, job: JobId, kind: &EventKind) {
+        m.mutex.on_event(time, job, kind);
+        if let Some(c) = &mut m.handoff {
+            c.on_event(time, job, kind);
+        }
+        if let Some(c) = &mut m.gcs {
+            c.on_event(time, job, kind);
+        }
+        if let Some(c) = &mut m.floor {
+            c.on_event(time, job, kind);
+        }
+        if let Some(c) = &mut m.conformance {
+            c.on_event(time, job, kind);
+        }
+        if let Some(c) = &mut m.spin {
+            c.on_event(time, job, kind);
+        }
+        if let Some(c) = &mut m.boost {
+            c.on_event(time, job, kind);
+        }
+        if let Some(ob) = &mut m.observed {
+            ob.on_event(time, job, kind, &m.res_global);
+        }
+    }
+
+    /// The state of each event consumer, by name.
+    fn cores(m: &Monitor) -> [(&'static str, String); 8] {
+        [
+            ("mutex", format!("{:?}", m.mutex)),
+            ("handoff", format!("{:?}", m.handoff)),
+            ("gcs", format!("{:?}", m.gcs)),
+            ("floor", format!("{:?}", m.floor)),
+            ("conformance", format!("{:?}", m.conformance)),
+            ("spin", format!("{:?}", m.spin)),
+            ("boost", format!("{:?}", m.boost)),
+            ("observed", format!("{:?}", m.observed)),
+        ]
+    }
+
+    /// One event of every kind. The match has no wildcard: adding an
+    /// `EventKind` without adding its sample here does not compile.
+    fn samples(a: JobId, b: JobId) -> Vec<EventKind> {
+        use mpcp_model::{Dur, Priority, ProcessorId};
+        let resource = ResourceId::from_index(0);
+        let processor = ProcessorId::from_index(0);
+        let all = vec![
+            EventKind::Released,
+            EventKind::Started { processor },
+            EventKind::Preempted { processor, by: b },
+            EventKind::Completed {
+                response: Dur::new(1),
+            },
+            EventKind::DeadlineMiss,
+            EventKind::LockRequested { resource },
+            EventKind::LockGranted { resource },
+            EventKind::LockBlocked {
+                resource,
+                holder: Some(a),
+            },
+            EventKind::Unlocked { resource },
+            EventKind::HandedOff { resource, to: b },
+            EventKind::SelfSuspended {
+                until: Time::new(9),
+            },
+            EventKind::Woken,
+            EventKind::PriorityChanged {
+                from: Priority::global(9),
+                to: Priority::task(0),
+            },
+            EventKind::Migrated {
+                from: processor,
+                to: ProcessorId::from_index(1),
+            },
+        ];
+        for kind in &all {
+            match kind {
+                EventKind::Released
+                | EventKind::Started { .. }
+                | EventKind::Preempted { .. }
+                | EventKind::Completed { .. }
+                | EventKind::DeadlineMiss
+                | EventKind::LockRequested { .. }
+                | EventKind::LockGranted { .. }
+                | EventKind::LockBlocked { .. }
+                | EventKind::Unlocked { .. }
+                | EventKind::HandedOff { .. }
+                | EventKind::SelfSuspended { .. }
+                | EventKind::Woken
+                | EventKind::PriorityChanged { .. }
+                | EventKind::Migrated { .. } => {}
+            }
+        }
+        all
+    }
+
+    /// `EventKind` × consumer: from a state in which every core has
+    /// something to lose (a holder in a boosted gcs, a queued waiter with
+    /// an open wait who spins), each kind of event, about either job, is
+    /// fed once through the dispatching `on_event` and once to every core
+    /// unconditionally. Every core must end in the same state both ways —
+    /// so a core that consumes a kind the dispatch does not route to it
+    /// fails here instead of silently going blind — and the kinds no core
+    /// reacts to are exactly the ones the dispatch drops.
+    #[test]
+    fn dispatch_offers_every_event_to_every_consumer() {
+        let sys = contended_system();
+        let (a, b) = (
+            JobId::first(mpcp_model::TaskId::from_index(0)),
+            JobId::first(mpcp_model::TaskId::from_index(1)),
+        );
+        let resource = ResourceId::from_index(0);
+        let mut primed = Monitor::new(&sys, MonitorSpec::all());
+        primed.set_conformance(ExpectedGrants {
+            per_resource: vec![vec![(a, None), (b, None), (a, None)]],
+        });
+        let t = Time::new(1);
+        let boost = EventKind::PriorityChanged {
+            from: mpcp_model::Priority::task(3),
+            to: mpcp_model::Priority::global(9),
+        };
+        offer_to_all(&mut primed, t, a, &boost);
+        offer_to_all(&mut primed, t, a, &EventKind::LockGranted { resource });
+        let blocked = EventKind::LockBlocked {
+            resource,
+            holder: Some(a),
+        };
+        offer_to_all(&mut primed, t, b, &blocked);
+        assert!(primed.is_clean());
+
+        let kinds = samples(a, b);
+        let mut consumed_by: Vec<Vec<&str>> = vec![Vec::new(); kinds.len()];
+        for (kind, consumers) in kinds.iter().zip(&mut consumed_by) {
+            for job in [a, b] {
+                let (mut routed, mut offered) = (primed.clone(), primed.clone());
+                routed.on_event(Time::new(2), job, kind);
+                offer_to_all(&mut offered, Time::new(2), job, kind);
+                for ((name, r), ((_, o), (_, before))) in cores(&routed)
+                    .into_iter()
+                    .zip(cores(&offered).into_iter().zip(cores(&primed)))
+                {
+                    assert_eq!(r, o, "{name} missed {kind:?} about {job}");
+                    if o != before && !consumers.contains(&name) {
+                        consumers.push(name);
+                    }
+                }
+            }
+        }
+        let dropped: Vec<EventKind> = kinds
+            .iter()
+            .zip(&consumed_by)
+            .filter(|(_, consumers)| consumers.is_empty())
+            .map(|(kind, _)| *kind)
+            .collect();
+        assert_eq!(
+            dropped,
+            vec![
+                EventKind::Released,
+                EventKind::Started {
+                    processor: mpcp_model::ProcessorId::from_index(0)
+                },
+                EventKind::DeadlineMiss,
+                EventKind::LockRequested { resource },
+                EventKind::SelfSuspended {
+                    until: Time::new(9)
+                },
+                EventKind::Migrated {
+                    from: mpcp_model::ProcessorId::from_index(0),
+                    to: mpcp_model::ProcessorId::from_index(1),
+                },
+            ]
+        );
+        // All eight consumers showed up somewhere, so the primed state
+        // did give each of them something to react to.
+        let mut seen: Vec<&str> = consumed_by.iter().flatten().copied().collect();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 8, "{seen:?}");
     }
 
     /// A reset detaches the monitor: it is run-specific state.

@@ -93,17 +93,14 @@ impl<'a> Ctx<'a> {
     /// Panics if the job is not active.
     #[track_caller]
     pub fn set_priority(&mut self, job: JobId, priority: Priority) {
-        let state = self.jobs.expect_mut(job);
-        if state.effective_priority != priority {
+        let from = self.jobs.expect(job).effective_priority;
+        if from != priority {
             self.trace.push(
                 self.now,
                 job,
-                EventKind::PriorityChanged {
-                    from: state.effective_priority,
-                    to: priority,
-                },
+                EventKind::PriorityChanged { from, to: priority },
             );
-            state.effective_priority = priority;
+            self.jobs.touch_mut(job, self.now).effective_priority = priority;
         }
     }
 
@@ -128,17 +125,17 @@ impl<'a> Ctx<'a> {
     /// Panics if the job is not active.
     #[track_caller]
     pub fn set_processor(&mut self, job: JobId, processor: ProcessorId) {
-        let state = self.jobs.expect_mut(job);
-        if state.processor != processor {
+        let from = self.jobs.expect(job).processor;
+        if from != processor {
             self.trace.push(
                 self.now,
                 job,
                 EventKind::Migrated {
-                    from: state.processor,
+                    from,
                     to: processor,
                 },
             );
-            state.processor = processor;
+            self.jobs.set_processor(job, processor, self.now);
         }
     }
 
@@ -151,7 +148,7 @@ impl<'a> Ctx<'a> {
     /// Panics if the job is not active or not blocked on `resource`.
     #[track_caller]
     pub fn grant_lock(&mut self, job: JobId, resource: ResourceId) {
-        let state = self.jobs.expect_mut(job);
+        let state = self.jobs.touch_mut(job, self.now);
         match state.state {
             ExecState::Blocked { resource: r, .. } if r == resource => {}
             ref other => panic!("grant_lock: {job} is {other:?}, not blocked on {resource}"),
@@ -179,7 +176,7 @@ impl<'a> Ctx<'a> {
     /// Panics if the job is not active or not blocked.
     #[track_caller]
     pub fn wake_retry(&mut self, job: JobId) {
-        let state = self.jobs.expect_mut(job);
+        let state = self.jobs.touch_mut(job, self.now);
         assert!(
             matches!(state.state, ExecState::Blocked { .. }),
             "wake_retry: {job} is not blocked"
@@ -300,10 +297,11 @@ mod tests {
                 .body(Body::builder().critical(s, |c| c.compute(1)).build()),
         );
         let sys = b.build().unwrap();
-        let mut jobs = Jobs::new();
+        let mut jobs = Jobs::default();
+        jobs.reset(sys.tasks().len(), sys.processors().len(), true);
         for t in sys.tasks() {
             let prog = Program::flatten(t.body(), &Machine::new(), sys.info());
-            jobs.insert(JobState::new(
+            jobs.release(JobState::new(
                 JobId::first(t.id()),
                 t.processor(),
                 t.priority(),

@@ -17,8 +17,10 @@ pub enum Band {
     GlobalCs,
 }
 
-/// A maximal interval during which one processor ran one job (or idled)
-/// without change.
+/// An interval during which one processor ran one job (or idled) without
+/// change — maximal on a uniprocessor only: recording merges a slice into
+/// the *last recorded* one, and with two or more processors the per-step
+/// slices interleave, so [`Trace::slices`] is the unmerged per-step stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slice {
     /// The processor.
@@ -94,6 +96,11 @@ impl Trace {
     }
 
     /// Appends an event.
+    ///
+    /// Inlined into the (generic, downstream-instantiated) engine so
+    /// that at each call site the monitor's dispatch folds down to the
+    /// cores consuming that site's event kind.
+    #[inline]
     pub fn push(&mut self, time: Time, job: JobId, kind: EventKind) {
         if let Some(m) = &mut self.monitor {
             m.on_event(time, job, &kind);
@@ -103,6 +110,7 @@ impl Trace {
         }
     }
 
+    #[inline]
     pub(crate) fn push_slice(&mut self, slice: Slice) {
         if slice.dur.is_zero() {
             return;

@@ -177,3 +177,88 @@ fn zero_wcet_jobs_complete_at_release() {
         assert_eq!(r.response, Dur::ZERO);
     }
 }
+
+/// Seventy processors, each with the same high/low pair of tasks: every
+/// processor — those past the 64th included — preempts at t=2 and
+/// resumes at t=4, and the events come out in processor order. (Debug
+/// builds also walk the job table's indices after every step.)
+#[test]
+fn a_machine_wider_than_a_word_reschedules_every_processor() {
+    use mpcp_sim::EventKind;
+    let mut b = System::builder();
+    let procs = b.add_processors(70);
+    for (i, &p) in procs.iter().enumerate() {
+        b.add_task(
+            TaskDef::new(format!("hi{i}"), p)
+                .period(20)
+                .offset(2)
+                .priority(200 - i as u32)
+                .body(Body::builder().compute(2).build()),
+        );
+        b.add_task(
+            TaskDef::new(format!("lo{i}"), p)
+                .period(20)
+                .priority(100 - i as u32)
+                .body(Body::builder().compute(6).build()),
+        );
+    }
+    let sys = b.build().unwrap();
+    let mut sim = Simulator::new(&sys, AlwaysGrant);
+    sim.run_until(20);
+    assert_eq!(sim.records().len(), 140);
+    for r in sim.records() {
+        let hi = r.id.task.index() % 2 == 0;
+        assert_eq!(r.response, Dur::new(if hi { 2 } else { 8 }), "{}", r.id);
+        assert_eq!(r.measured_blocking(), Dur::ZERO);
+    }
+    let preempted_on: Vec<usize> = sim
+        .trace()
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Preempted { processor, .. } => {
+                assert_eq!(e.time, Time::new(2));
+                Some(processor.index())
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(preempted_on, (0..70).collect::<Vec<_>>());
+}
+
+/// Dynamic binding places jobs through the same setter migrations use:
+/// the indices stay consistent (debug builds walk them after every
+/// step), no blocking is measured, and no work is lost.
+#[test]
+fn dynamic_binding_keeps_the_job_table_consistent() {
+    cases(24, 0x51_06, |rng| {
+        let params = random_params(rng);
+        let mut b = System::builder();
+        let procs = b.add_processors(4);
+        for (i, &(period, wcet, offset)) in params.iter().enumerate() {
+            b.add_task(
+                TaskDef::new(format!("t{i}"), procs[i % 2])
+                    .period(period)
+                    .offset(offset)
+                    .body(Body::builder().compute(wcet).build()),
+            );
+        }
+        let sys = b.build().unwrap();
+        let mut sim = Simulator::with_config(
+            &sys,
+            AlwaysGrant,
+            SimConfig {
+                binding: mpcp_sim::Binding::Dynamic,
+                ..SimConfig::until(300)
+            },
+        );
+        sim.run();
+        for r in sim.records() {
+            // At most four tasks on four processors: nothing waits,
+            // wherever the tasks were nominally bound.
+            assert_eq!(r.response, sys.task(r.id.task).wcet(), "{}", r.id);
+            assert_eq!(r.measured_blocking(), Dur::ZERO);
+        }
+        assert!(!sim.records().is_empty());
+    });
+}
