@@ -20,6 +20,7 @@ use crate::sched::theorem3_rows;
 use crate::{BlockingBreakdown, BlockingConfig};
 use mpcp_model::{System, Task};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// What one [`DeltaBounds::update`] actually did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,7 +54,9 @@ pub struct DeltaBounds {
     config: BlockingConfig,
     /// Finished [`BoundSet`] rows. Their `task`/`processor` ids are
     /// those of the update that wrote them and are re-stamped on read.
-    rows: BTreeMap<String, TaskBounds>,
+    /// Keyed by the tasks' own shared names: a transactional clone of
+    /// the cache copies no string.
+    rows: BTreeMap<Arc<str>, TaskBounds>,
     stats: DeltaStats,
 }
 
@@ -137,7 +140,7 @@ impl DeltaBounds {
                 analysis: Analysis::Mpcp,
                 terms,
             };
-            this.rows.insert(task.name().to_string(), row);
+            this.rows.insert(Arc::clone(task.shared_name()), row);
         };
         if dirty.full {
             for idx in 0..system.tasks().len() {
@@ -183,7 +186,7 @@ impl DeltaBounds {
         if self.rows.len() > system.tasks().len() {
             let names: std::collections::BTreeSet<&str> =
                 system.tasks().iter().map(Task::name).collect();
-            self.rows.retain(|k, _| names.contains(k.as_str()));
+            self.rows.retain(|k, _| names.contains(&**k));
         }
 
         self.stats.absorb(stats);
@@ -294,8 +297,8 @@ mod tests {
 
         let added = sample(true, 150);
         let d = dirty_set(
-            &DepGraph::build(&base),
-            &DepGraph::build(&added),
+            &DepGraph::build(&base, None),
+            &DepGraph::build(&added, None),
             &Edit::AddTask("extra".into()),
         );
         assert!(!d.full);
@@ -304,16 +307,16 @@ mod tests {
 
         let modified = sample(true, 90);
         let d = dirty_set(
-            &DepGraph::build(&added),
-            &DepGraph::build(&modified),
+            &DepGraph::build(&added, None),
+            &DepGraph::build(&modified, None),
             &Edit::ModifyTask("extra".into()),
         );
         delta.update(&modified, &d).unwrap();
         assert_matches_full(&delta, &modified);
 
         let d = dirty_set(
-            &DepGraph::build(&modified),
-            &DepGraph::build(&base),
+            &DepGraph::build(&modified, None),
+            &DepGraph::build(&base, None),
             &Edit::RemoveTask("extra".into()),
         );
         delta.update(&base, &d).unwrap();
@@ -326,8 +329,8 @@ mod tests {
         let mut delta = DeltaBounds::full(&base).unwrap();
         let added = sample(true, 150);
         let d = dirty_set(
-            &DepGraph::build(&base),
-            &DepGraph::build(&added),
+            &DepGraph::build(&base, None),
+            &DepGraph::build(&added, None),
             &Edit::AddTask("extra".into()),
         );
         // "aside" on P2 shares nothing with the edited processor P1 or

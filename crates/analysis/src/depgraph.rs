@@ -19,7 +19,7 @@
 //!
 //! Let `C` be the *changed* tasks: tasks named by the edit, tasks
 //! present in only one of the two systems, tasks whose structural
-//! fingerprint (processor, period, deadline, offset, body) differs,
+//! shape (processor, period, deadline, offset, body) differs,
 //! and every user of a resource whose scope flipped (local ↔ global ↔
 //! unused). Then, in **both** the old and new graph:
 //!
@@ -65,16 +65,17 @@
 //! differ or task names are ambiguous.
 
 use crate::dpcp::default_hosts;
-use mpcp_model::{Segment, System};
+use mpcp_model::{Body, System, Task};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// One session edit, by name. `dirty_set` detects added, removed and
 /// structurally modified tasks on its own; naming the task here is
-/// still required for edits fingerprints cannot see (an explicit
+/// still required for edits the shape diff cannot see (an explicit
 /// priority change) and documents intent for the ones they can.
 /// [`Edit::RehostResource`] widens the dirty set for the DPCP host
-/// edge, which is not part of any task's fingerprint.
+/// edge, which is not part of any task's shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Edit {
     /// A task was added.
@@ -151,23 +152,51 @@ enum ScopeKey {
     Unused,
 }
 
-#[derive(Debug, Clone)]
+/// One task's node: a pure function of the task's name and shape —
+/// processor, period, deadline, offset and body, everything the analysis
+/// reads except the priority, which is order-compared separately — and
+/// of which of the body's resources are global. No task index in it:
+/// versions of an edited system share the nodes of the tasks an edit
+/// left alone.
+#[derive(Debug, Clone, PartialEq)]
 struct TaskNode {
-    name: String,
+    name: Arc<str>,
     proc: usize,
+    period: u64,
+    deadline: u64,
+    offset: u64,
+    body: Body,
     /// Resources the task has sections on (deduplicated, id order).
     resources: Vec<usize>,
     /// The global subset of `resources`.
     globals: Vec<usize>,
     /// Whether the body self-suspends explicitly.
     suspends: bool,
-    /// Structural fingerprint: processor, period, deadline, offset and
-    /// body — everything the analysis reads except the priority, which
-    /// is order-compared separately.
-    fingerprint: u64,
 }
 
-#[derive(Debug, Clone)]
+impl TaskNode {
+    /// Whether `other` has this node's shape. Bodies in one allocation
+    /// are not walked.
+    fn same_shape(&self, other: &TaskNode) -> bool {
+        (self.proc, self.period, self.deadline, self.offset)
+            == (other.proc, other.period, other.deadline, other.offset)
+            && (self.body.is_same_allocation(&other.body) || self.body == other.body)
+    }
+
+    /// Whether this node, built for a task of an earlier version, is the
+    /// node `t` gets now that `is_global` classifies the resources.
+    fn still_describes(&self, t: &Task, is_global: impl Fn(usize) -> bool) -> bool {
+        *self.name == *t.name()
+            && self.body.is_same_allocation(t.body())
+            && self.proc == t.processor().index()
+            && self.period == t.period().ticks()
+            && self.deadline == t.deadline().ticks()
+            && self.offset == t.offset().ticks()
+            && (self.resources.iter().filter(|&&r| is_global(r))).eq(&self.globals)
+    }
+}
+
+#[derive(Debug, Clone, PartialEq)]
 struct ResNode {
     name: String,
     scope: ScopeKey,
@@ -180,16 +209,16 @@ struct ResNode {
     /// highest-priority *remote* user — the task whose priority sets
     /// the user's gcs execution priority. Ties broken by smallest
     /// name so the signature is stable across id relabelings.
-    argmax: Vec<(String, Option<String>)>,
+    argmax: Vec<(Arc<str>, Option<Arc<str>>)>,
 }
 
 /// The dependency graph of one system. Build once per system version;
 /// [`dirty_set`] consumes the versions before and after an edit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DepGraph {
     proc_names: Vec<String>,
     resources: Vec<ResNode>,
-    tasks: Vec<TaskNode>,
+    tasks: Vec<Arc<TaskNode>>,
     /// Task indices per processor, in decreasing priority order.
     proc_tasks: Vec<Vec<usize>>,
     /// Task indices in decreasing global priority order (ties by
@@ -202,8 +231,12 @@ pub struct DepGraph {
 }
 
 impl DepGraph {
-    /// Builds the graph for `system`.
-    pub fn build(system: &System) -> DepGraph {
+    /// Builds the graph for `system` — the one constructor. `prev`, the
+    /// graph of the version `system` was edited from, is a hint that
+    /// changes the cost and never the value: a task's node is taken from
+    /// it only where everything the node is a function of compares equal
+    /// (`TaskNode::still_describes`); `None` builds every node.
+    pub fn build(system: &System, prev: Option<&DepGraph>) -> DepGraph {
         let info = system.info();
         let hosts = default_hosts(system);
         let proc_names: Vec<String> = system
@@ -211,11 +244,26 @@ impl DepGraph {
             .iter()
             .map(|p| p.name().to_string())
             .collect();
+        let is_global = |ri: usize| info.all_usage()[ri].scope.is_global();
 
-        let tasks: Vec<TaskNode> = system
+        // Edits keep surviving tasks in order: the slot after the last
+        // match is tried before the name index.
+        let mut next = 0;
+        let tasks: Vec<Arc<TaskNode>> = system
             .tasks()
             .iter()
             .map(|t| {
+                let old = prev.and_then(|p| {
+                    let at = match p.tasks.get(next) {
+                        Some(n) if *n.name == *t.name() => next,
+                        _ => p.task_idx(t.name())?,
+                    };
+                    next = at + 1;
+                    Some(&p.tasks[at])
+                });
+                if let Some(node) = old.filter(|n| n.still_describes(t, is_global)) {
+                    return Arc::clone(node);
+                }
                 let mut resources: Vec<usize> = info
                     .task_use(t.id())
                     .sections
@@ -227,16 +275,19 @@ impl DepGraph {
                 let globals = resources
                     .iter()
                     .copied()
-                    .filter(|&ri| info.all_usage()[ri].scope.is_global())
+                    .filter(|&r| is_global(r))
                     .collect();
-                TaskNode {
-                    name: t.name().to_string(),
+                Arc::new(TaskNode {
+                    name: Arc::clone(t.shared_name()),
                     proc: t.processor().index(),
+                    period: t.period().ticks(),
+                    deadline: t.deadline().ticks(),
+                    offset: t.offset().ticks(),
+                    body: t.body().clone(),
                     suspends: info.task_use(t.id()).suspension_count > 0,
                     resources,
                     globals,
-                    fingerprint: fingerprint(t),
-                }
+                })
             })
             .collect();
 
@@ -285,7 +336,10 @@ impl DepGraph {
                             } else {
                                 b1
                             };
-                            (tasks[ui].name.clone(), best.map(|v| tasks[v].name.clone()))
+                            (
+                                Arc::clone(&tasks[ui].name),
+                                best.map(|v| Arc::clone(&tasks[v].name)),
+                            )
                         })
                         .collect()
                 } else {
@@ -309,8 +363,8 @@ impl DepGraph {
             v.sort_by_key(|&i| std::cmp::Reverse(system.tasks()[i].priority()));
         }
 
-        let mut by_name: Vec<usize> = (0..tasks.len()).collect();
-        by_name.sort_unstable_by(|&a, &b| tasks[a].name.cmp(&tasks[b].name));
+        // Sorted once per system version, by its info.
+        let by_name: Vec<usize> = (info.tasks_by_name().iter()).map(|&i| i as usize).collect();
         let duplicate_tasks = by_name
             .windows(2)
             .any(|w| tasks[w[0]].name == tasks[w[1]].name);
@@ -349,6 +403,15 @@ impl DepGraph {
         self.duplicate_tasks
     }
 
+    /// How many task nodes another graph version holds too. Counted
+    /// while the hint a graph was built from is alive, that is how many
+    /// nodes the build took over instead of making.
+    pub fn shared_nodes(&self) -> usize {
+        (self.tasks.iter())
+            .filter(|n| Arc::strong_count(n) > 1)
+            .count()
+    }
+
     /// The DPCP host processor of `resource`, if it is used.
     pub fn host_of(&self, resource: &str) -> Option<&str> {
         let r = self.resources.iter().find(|r| r.name == resource)?;
@@ -357,7 +420,7 @@ impl DepGraph {
 
     fn task_idx(&self, name: &str) -> Option<usize> {
         self.by_name
-            .binary_search_by(|&i| self.tasks[i].name.as_str().cmp(name))
+            .binary_search_by(|&i| (*self.tasks[i].name).cmp(name))
             .ok()
             .map(|pos| self.by_name[pos])
     }
@@ -375,7 +438,7 @@ impl DepGraph {
     ) -> impl Iterator<Item = &'a str> + 'a {
         self.by_prio
             .iter()
-            .map(|&i| self.tasks[i].name.as_str())
+            .map(|&i| &*self.tasks[i].name)
             .filter(|n| !skip.contains(*n))
     }
 }
@@ -486,27 +549,27 @@ pub fn dirty_set(old: &DepGraph, new: &DepGraph, edit: &Edit) -> DirtySet {
         match (ot, nt) {
             (Some(o), Some(n)) => match o.name.cmp(&n.name) {
                 std::cmp::Ordering::Equal => {
-                    if o.fingerprint != n.fingerprint {
-                        changed.insert(o.name.clone());
+                    if !o.same_shape(n) {
+                        changed.insert(o.name.to_string());
                     }
                     oi += 1;
                     ni += 1;
                 }
                 std::cmp::Ordering::Less => {
-                    changed.insert(o.name.clone());
+                    changed.insert(o.name.to_string());
                     oi += 1;
                 }
                 std::cmp::Ordering::Greater => {
-                    changed.insert(n.name.clone());
+                    changed.insert(n.name.to_string());
                     ni += 1;
                 }
             },
             (Some(o), None) => {
-                changed.insert(o.name.clone());
+                changed.insert(o.name.to_string());
                 oi += 1;
             }
             (None, Some(n)) => {
-                changed.insert(n.name.clone());
+                changed.insert(n.name.to_string());
                 ni += 1;
             }
             (None, None) => unreachable!(),
@@ -537,10 +600,10 @@ pub fn dirty_set(old: &DepGraph, new: &DepGraph, edit: &Edit) -> DirtySet {
         if o.scope != n.scope {
             dirty.resources.insert(o.name.clone());
             for &u in &o.users {
-                changed.insert(old.tasks[u].name.clone());
+                changed.insert(old.tasks[u].name.to_string());
             }
             for &u in &n.users {
-                changed.insert(new.tasks[u].name.clone());
+                changed.insert(new.tasks[u].name.to_string());
             }
         }
     }
@@ -620,7 +683,7 @@ pub fn dirty_set(old: &DepGraph, new: &DepGraph, edit: &Edit) -> DirtySet {
         for g in [old, new] {
             let Some(ri) = g.res_idx(rn) else { continue };
             for &u in &g.resources[ri].users {
-                dirty.tasks.insert(g.tasks[u].name.clone());
+                dirty.tasks.insert(g.tasks[u].name.to_string());
             }
         }
         let hosts: Vec<usize> = [old, new]
@@ -630,12 +693,12 @@ pub fn dirty_set(old: &DepGraph, new: &DepGraph, edit: &Edit) -> DirtySet {
         for g in [old, new] {
             for &h in &hosts {
                 for &t in &g.proc_tasks[h] {
-                    dirty.tasks.insert(g.tasks[t].name.clone());
+                    dirty.tasks.insert(g.tasks[t].name.to_string());
                 }
                 for r in &g.resources {
                     if r.host == Some(h) {
                         for &u in &r.users {
-                            dirty.tasks.insert(g.tasks[u].name.clone());
+                            dirty.tasks.insert(g.tasks[u].name.to_string());
                         }
                     }
                 }
@@ -647,7 +710,7 @@ pub fn dirty_set(old: &DepGraph, new: &DepGraph, edit: &Edit) -> DirtySet {
     for (gi, g) in [old, new].into_iter().enumerate() {
         for (ti, &m) in marks.tasks[gi].iter().enumerate() {
             if m {
-                dirty.tasks.insert(g.tasks[ti].name.clone());
+                dirty.tasks.insert(g.tasks[ti].name.to_string());
             }
         }
         for (pi, &m) in marks.procs[gi].iter().enumerate() {
@@ -670,43 +733,6 @@ pub fn dirty_set(old: &DepGraph, new: &DepGraph, edit: &Edit) -> DirtySet {
     }
 
     dirty
-}
-
-/// FNV-1a over the analysis-relevant shape of a task.
-fn fingerprint(t: &mpcp_model::Task) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut put = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    put(t.processor().index() as u64);
-    put(t.period().ticks());
-    put(t.deadline().ticks());
-    put(t.offset().ticks());
-    fn segs(put: &mut impl FnMut(u64), ss: &[Segment]) {
-        for s in ss {
-            match s {
-                Segment::Compute(d) => {
-                    put(1);
-                    put(d.ticks());
-                }
-                Segment::Suspend(d) => {
-                    put(2);
-                    put(d.ticks());
-                }
-                Segment::Critical(r, body) => {
-                    put(3);
-                    put(r.index() as u64);
-                    segs(put, body);
-                    put(4);
-                }
-            }
-        }
-    }
-    segs(&mut put, t.body().segments());
-    h
 }
 
 #[cfg(test)]
@@ -757,10 +783,78 @@ mod tests {
         base_plus(Some(("t3", body)))
     }
 
+    /// A graph built with the previous version as a hint equals the one
+    /// built alone, and takes over exactly the nodes whose every input
+    /// compared equal — one edit per input here, and one task whose
+    /// only change is the scope of a semaphore under it.
+    #[test]
+    fn hinted_build_shares_only_nodes_whose_inputs_are_unchanged() {
+        let base = base();
+        let old = DepGraph::build(&base, None);
+        let t1 = &base.tasks()[1];
+        let edits: [(&str, mpcp_model::TaskDef, usize); 7] = [
+            ("nothing", t1.to_def(), 3),
+            ("period", t1.to_def().period(250), 2),
+            ("deadline", t1.to_def().deadline(150), 2),
+            ("offset", t1.to_def().offset(7), 2),
+            (
+                "processor",
+                {
+                    let p2 = base.processors()[2].id();
+                    mpcp_model::TaskDef::new("t1", p2)
+                        .period(200)
+                        .priority(2)
+                        .body(t1.body().clone())
+                },
+                2,
+            ),
+            // An equal body in an allocation of its own.
+            (
+                "body",
+                {
+                    let copy = Body::from_segments(t1.body().segments().to_vec());
+                    assert_eq!(&copy, t1.body());
+                    t1.to_def().body(copy)
+                },
+                2,
+            ),
+            // t1 takes SL too, which t2 holds on another processor: SL
+            // turns global under t2, which did not change.
+            (
+                "scope",
+                {
+                    let [sg, sl] = [0, 1].map(mpcp_model::ResourceId::from_index);
+                    let body = Body::builder()
+                        .critical(sg, |c| c.compute(3))
+                        .critical(sl, |c| c.compute(1));
+                    t1.to_def().body(body.build())
+                },
+                1,
+            ),
+        ];
+        for (what, def, shared) in edits {
+            let defs = [base.tasks()[0].to_def(), def, base.tasks()[2].to_def()];
+            let next = base.with_tasks(defs).unwrap();
+            let hinted = DepGraph::build(&next, Some(&old));
+            assert_eq!(hinted.shared_nodes(), shared, "{what}");
+            assert_eq!(hinted, DepGraph::build(&next.detached(), None), "{what}");
+        }
+        // A removal from the front shifts every id; nodes carry none.
+        // (t2, the bystander, goes: without t0 or t1 SG would turn local
+        // under the other.)
+        let [t0, t1, t2] = [0, 1, 2].map(|i| base.tasks()[i].to_def());
+        let rotated = base.with_tasks([t2, t0.clone(), t1.clone()]).unwrap();
+        let old = DepGraph::build(&rotated, None);
+        let next = base.with_tasks([t0, t1]).unwrap();
+        let hinted = DepGraph::build(&next, Some(&old));
+        assert_eq!(hinted.shared_nodes(), 2);
+        assert_eq!(hinted, DepGraph::build(&next.detached(), None));
+    }
+
     #[test]
     fn add_task_dirties_sharers_but_not_bystanders() {
-        let old = DepGraph::build(&base());
-        let new = DepGraph::build(&with_t3());
+        let old = DepGraph::build(&base(), None);
+        let new = DepGraph::build(&with_t3(), None);
         let d = dirty_set(&old, &new, &Edit::AddTask("t3".into()));
         assert!(!d.full);
         for t in ["t0", "t1", "t3"] {
@@ -775,11 +869,9 @@ mod tests {
 
     #[test]
     fn section_free_task_dirties_itself_and_its_rows_only() {
-        let old = DepGraph::build(&base());
-        let new = DepGraph::build(&base_plus(Some((
-            "extra",
-            Body::builder().compute(5).build(),
-        ))));
+        let old = DepGraph::build(&base(), None);
+        let extra = base_plus(Some(("extra", Body::builder().compute(5).build())));
+        let new = DepGraph::build(&extra, None);
         for (a, b, edit) in [
             (&old, &new, Edit::AddTask("extra".into())),
             (&new, &old, Edit::RemoveTask("extra".into())),
@@ -796,7 +888,7 @@ mod tests {
         let suspending = base_plus(Some(("extra", body)));
         let d = dirty_set(
             &old,
-            &DepGraph::build(&suspending),
+            &DepGraph::build(&suspending, None),
             &Edit::AddTask("extra".into()),
         );
         assert!(d.tasks.contains("t1"), "{d:?}");
@@ -805,9 +897,9 @@ mod tests {
 
     #[test]
     fn removal_is_detected_without_the_edit_naming_it() {
-        let old = DepGraph::build(&with_t3());
-        let new = DepGraph::build(&base());
-        // Mislabel the edit entirely; the fingerprint diff still finds t3.
+        let old = DepGraph::build(&with_t3(), None);
+        let new = DepGraph::build(&base(), None);
+        // Mislabel the edit entirely; the graph diff still finds t3.
         let d = dirty_set(&old, &new, &Edit::ModifyTask("t1".into()));
         assert!(!d.full);
         assert!(d.tasks.contains("t3"));
@@ -849,8 +941,8 @@ mod tests {
                 .body(Body::builder().critical(sl, |c| c.compute(2)).build()),
         );
         let new = b.build().unwrap();
-        let old = DepGraph::build(&base());
-        let new = DepGraph::build(&new);
+        let old = DepGraph::build(&base(), None);
+        let new = DepGraph::build(&new, None);
         let d = dirty_set(&old, &new, &Edit::AddTask("t4".into()));
         assert!(!d.full);
         assert!(d.tasks.contains("t2"), "flipped resource user stayed clean");
@@ -878,8 +970,8 @@ mod tests {
             );
             b.build().unwrap()
         };
-        let old = DepGraph::build(&base());
-        let new = DepGraph::build(&two);
+        let old = DepGraph::build(&base(), None);
+        let new = DepGraph::build(&two, None);
         assert!(dirty_set(&old, &new, &Edit::ModifyTask("a".into())).full);
     }
 
@@ -909,8 +1001,8 @@ mod tests {
             );
             b.build().unwrap()
         };
-        let old = DepGraph::build(&make(3, 2));
-        let new = DepGraph::build(&make(2, 3));
+        let old = DepGraph::build(&make(3, 2), None);
+        let new = DepGraph::build(&make(2, 3), None);
         // The edit names only c; a and b swapped order behind its back.
         assert!(dirty_set(&old, &new, &Edit::ModifyTask("c".into())).full);
     }
@@ -918,7 +1010,7 @@ mod tests {
     #[test]
     fn rehost_dirties_both_host_processors() {
         let sys = with_t3();
-        let g = DepGraph::build(&sys);
+        let g = DepGraph::build(&sys, None);
         // Host of SG is the processor of its highest-priority user t3 (P1).
         assert_eq!(g.host_of("SG"), Some("P1"));
         let d = dirty_set(&g, &g, &Edit::RehostResource("SG".into()));

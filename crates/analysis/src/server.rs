@@ -75,7 +75,7 @@ impl PollingServer {
         processor: mpcp_model::ProcessorId,
         priority: u32,
     ) -> TaskDef {
-        TaskDef::new(name, processor)
+        TaskDef::new(name.into(), processor)
             .period(self.period.ticks())
             .priority(priority)
             .body(

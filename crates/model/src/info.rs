@@ -4,6 +4,8 @@ use crate::ids::{ProcessorId, ResourceId, TaskId};
 use crate::segment::CriticalSection;
 use crate::system::System;
 use crate::time::Dur;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Where a resource's users live: on one processor, on several, or nowhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,11 +46,12 @@ pub struct ResourceUsage {
     pub longest_cs: Dur,
 }
 
-/// Per-task critical-section facts split by resource scope.
+/// Per-task critical-section facts split by resource scope: a pure
+/// function of the task's body and of the scope of each resource the
+/// body names — no task id in it — so versions of an edited system
+/// share the value for every task that kept both.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskResourceUse {
-    /// The task described.
-    pub task: TaskId,
     /// Critical sections on **global** resources (outermost only), in lock
     /// order. Its length is the paper's `NC_i` (number of gcs's of the
     /// task).
@@ -96,7 +99,7 @@ impl TaskResourceUse {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemInfo {
     usage: Vec<ResourceUsage>,
-    task_use: Vec<TaskResourceUse>,
+    task_use: Vec<Arc<TaskResourceUse>>,
     /// Task indices sorted by task name (ties in declaration order).
     pub(crate) tasks_by_name: Vec<u32>,
     /// Resource indices sorted by resource name.
@@ -106,33 +109,56 @@ pub struct SystemInfo {
 }
 
 impl SystemInfo {
-    pub(crate) fn compute(system: &System) -> SystemInfo {
+    /// The one constructor. `prev`, a previous version of the system, is
+    /// a hint that changes the cost and never the value: a task's
+    /// [`TaskResourceUse`] is taken from its info only where the inputs
+    /// the part is a pure function of compare equal — the body is the
+    /// same allocation and every resource it names kept its scope — and
+    /// `None` is the build from scratch.
+    pub(crate) fn compute(system: &System, prev: Option<&System>) -> SystemInfo {
+        let tasks = system.tasks();
         let n_res = system.resources().len();
-        let mut users: Vec<Vec<TaskId>> = vec![Vec::new(); n_res];
-        let mut longest: Vec<Dur> = vec![Dur::ZERO; n_res];
 
-        // Walk each body exactly once; the resulting section lists are
-        // cached in `task_use` so downstream passes never re-walk.
-        let per_task: Vec<Vec<CriticalSection>> = system
-            .tasks()
+        // The facts of `prev`'s task of the same name and body, if any.
+        let mut next = 0;
+        let carried: Vec<Option<&Arc<TaskResourceUse>>> = tasks
             .iter()
-            .map(|task| task.body().critical_sections())
+            .map(|t| {
+                let p = prev?;
+                let at = p.task_index_near(next, t.name())?;
+                next = at + 1;
+                let same = p.tasks()[at].body().is_same_allocation(t.body());
+                same.then(|| &p.info().task_use[at])
+            })
             .collect();
 
-        for (task, sections) in system.tasks().iter().zip(&per_task) {
-            for cs in sections {
+        // Walk each body exactly once — or not at all where the previous
+        // version already did; the section lists are cached in
+        // `task_use` so downstream passes never re-walk.
+        let per_task: Vec<Cow<'_, [CriticalSection]>> = (tasks.iter().zip(&carried))
+            .map(|(t, carried)| match carried {
+                Some(tu) => Cow::Borrowed(&tu.sections[..]),
+                None => Cow::Owned(t.body().critical_sections()),
+            })
+            .collect();
+
+        let mut users: Vec<Vec<TaskId>> = vec![Vec::new(); n_res];
+        let mut longest: Vec<Dur> = vec![Dur::ZERO; n_res];
+        for (task, sections) in tasks.iter().zip(&per_task) {
+            for cs in sections.iter() {
                 let ri = cs.resource.index();
-                if !users[ri].contains(&task.id()) {
+                // Tasks are visited in id order: a repeat is the last entry.
+                if users[ri].last() != Some(&task.id()) {
                     users[ri].push(task.id());
                 }
                 longest[ri] = longest[ri].max(cs.duration);
             }
         }
 
-        let usage: Vec<ResourceUsage> = (0..n_res)
-            .map(|ri| {
-                let resource = ResourceId::from_index(ri as u32);
-                let mut us = users[ri].clone();
+        let usage: Vec<ResourceUsage> = users
+            .into_iter()
+            .enumerate()
+            .map(|(ri, mut us)| {
                 us.sort_by_key(|t| std::cmp::Reverse(system.task(*t).priority()));
                 let mut procs: Vec<ProcessorId> =
                     us.iter().map(|t| system.task(*t).processor()).collect();
@@ -144,7 +170,7 @@ impl SystemInfo {
                     _ => Scope::Global,
                 };
                 ResourceUsage {
-                    resource,
+                    resource: ResourceId::from_index(ri as u32),
                     scope,
                     users: us,
                     longest_cs: longest[ri],
@@ -152,11 +178,19 @@ impl SystemInfo {
             })
             .collect();
 
-        let task_use = system
-            .tasks()
-            .iter()
-            .zip(per_task)
-            .map(|(task, sections)| {
+        let task_use = per_task
+            .into_iter()
+            .enumerate()
+            .map(|(i, sections)| {
+                if let (Some(tu), Some(p)) = (carried[i], prev) {
+                    let kept = |cs: &CriticalSection| {
+                        p.info().scope(cs.resource) == usage[cs.resource.index()].scope
+                    };
+                    if tu.sections.iter().all(kept) {
+                        return Arc::clone(tu);
+                    }
+                }
+                let sections = sections.into_owned();
                 let mut global_sections = Vec::new();
                 let mut local_sections = Vec::new();
                 for cs in &sections {
@@ -175,14 +209,13 @@ impl SystemInfo {
                     global_sections.iter().map(|cs| cs.resource).collect();
                 global_resources.sort_unstable();
                 global_resources.dedup();
-                TaskResourceUse {
-                    task: task.id(),
+                Arc::new(TaskResourceUse {
                     global_sections,
                     local_sections,
                     sections,
                     global_resources,
-                    suspension_count: task.body().suspension_count(),
-                }
+                    suspension_count: tasks[i].body().suspension_count(),
+                })
             })
             .collect();
 
@@ -191,7 +224,7 @@ impl SystemInfo {
             v.sort_by_key(|&i| name(i as usize));
             v
         }
-        let tasks_by_name = sorted_by(system.tasks().len(), |i| system.tasks()[i].name());
+        let tasks_by_name = sorted_by(tasks.len(), |i| tasks[i].name());
         let resources_by_name =
             sorted_by(system.resources().len(), |i| system.resources()[i].name());
         let processors_by_name =
@@ -242,8 +275,13 @@ impl SystemInfo {
     }
 
     /// Critical-section facts for every task, indexed by [`TaskId`].
-    pub fn all_task_use(&self) -> &[TaskResourceUse] {
+    pub fn all_task_use(&self) -> &[Arc<TaskResourceUse>] {
         &self.task_use
+    }
+
+    /// Task indices sorted by task name, ties in declaration order.
+    pub fn tasks_by_name(&self) -> &[u32] {
+        &self.tasks_by_name
     }
 
     /// Global resources, in id order.

@@ -10,6 +10,7 @@
 
 use crate::ids::ResourceId;
 use crate::time::Dur;
+use std::sync::Arc;
 
 /// One step of a job body.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -50,9 +51,14 @@ impl Segment {
 ///     .build();
 /// assert_eq!(body.wcet().ticks(), 7);
 /// ```
+///
+/// The top-level segments sit behind an [`Arc`]: a clone is a handle on
+/// the same allocation, which is how successive versions of an edited
+/// system share the bodies that did not change
+/// ([`Body::is_same_allocation`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Body {
-    segments: Vec<Segment>,
+    segments: Arc<[Segment]>,
 }
 
 /// A critical section found in a body, with derived facts used by the
@@ -93,9 +99,20 @@ impl Body {
         }
     }
 
-    /// Creates a body from raw segments.
-    pub fn from_segments(segments: Vec<Segment>) -> Self {
-        Body { segments }
+    /// Creates a body from raw segments. Collecting an iterator of known
+    /// length straight into an `Arc<[Segment]>` costs one allocation; a
+    /// `Vec` is copied over.
+    pub fn from_segments(segments: impl Into<Arc<[Segment]>>) -> Self {
+        Body {
+            segments: segments.into(),
+        }
+    }
+
+    /// Whether `self` and `other` are handles on one allocation — then
+    /// they are equal, and whatever was derived from one holds for the
+    /// other.
+    pub fn is_same_allocation(&self, other: &Body) -> bool {
+        Arc::ptr_eq(&self.segments, &other.segments)
     }
 
     /// The top-level segments in execution order.
@@ -216,10 +233,57 @@ impl Body {
     /// section on the same `r` — a self-deadlock the paper assumes away
     /// (§3.1).
     pub fn has_self_nesting(&self) -> bool {
-        self.critical_sections()
-            .iter()
-            .any(|cs| cs.enclosing.contains(&cs.resource))
+        self.fault(usize::MAX) == Some(BodyFault::SelfNesting)
     }
+
+    /// What [`SystemBuilder::build`](crate::SystemBuilder::build) refuses
+    /// a body for, given the size of the resource table: the first
+    /// section (in lock order) on a resource outside it, or else any
+    /// self-nesting. One walk over the segments, no allocation — the
+    /// enclosing sections are a list through the recursion's own frames.
+    pub(crate) fn fault(&self, resources: usize) -> Option<BodyFault> {
+        struct Held<'a> {
+            resource: ResourceId,
+            outer: Option<&'a Held<'a>>,
+        }
+        fn walk(
+            segs: &[Segment],
+            held: Option<&Held<'_>>,
+            resources: usize,
+            self_nesting: &mut bool,
+        ) -> Result<(), ResourceId> {
+            for seg in segs {
+                if let Segment::Critical(res, body) = seg {
+                    if res.index() >= resources {
+                        return Err(*res);
+                    }
+                    let mut outer = held;
+                    while let Some(h) = outer {
+                        *self_nesting |= h.resource == *res;
+                        outer = h.outer;
+                    }
+                    let inner = Held {
+                        resource: *res,
+                        outer: held,
+                    };
+                    walk(body, Some(&inner), resources, self_nesting)?;
+                }
+            }
+            Ok(())
+        }
+        let mut self_nesting = false;
+        match walk(&self.segments, None, resources, &mut self_nesting) {
+            Err(unknown) => Some(BodyFault::UnknownResource(unknown)),
+            Ok(()) => self_nesting.then_some(BodyFault::SelfNesting),
+        }
+    }
+}
+
+/// See [`Body::fault`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BodyFault {
+    UnknownResource(ResourceId),
+    SelfNesting,
 }
 
 /// Incremental builder for [`Body`]; see [`Body::builder`].
@@ -254,9 +318,7 @@ impl BodyBuilder {
 
     /// Finishes the body.
     pub fn build(self) -> Body {
-        Body {
-            segments: self.segments,
-        }
+        Body::from_segments(self.segments)
     }
 }
 

@@ -5,7 +5,7 @@ use crate::ids::{ProcessorId, ResourceId, TaskId};
 use crate::info::SystemInfo;
 use crate::priority::Priority;
 use crate::rm::rate_monotonic_order;
-use crate::segment::Body;
+use crate::segment::{Body, BodyFault};
 use crate::task::Task;
 use crate::time::{Dur, Time};
 use std::sync::{Arc, OnceLock};
@@ -59,7 +59,7 @@ impl Resource {
 /// rate-monotonic priority).
 #[derive(Debug, Clone)]
 pub struct TaskDef {
-    name: String,
+    name: Arc<str>,
     processor: ProcessorId,
     period: Dur,
     deadline: Option<Dur>,
@@ -71,7 +71,7 @@ pub struct TaskDef {
 
 impl TaskDef {
     /// Starts a definition for a task named `name` bound to `processor`.
-    pub fn new(name: impl Into<String>, processor: ProcessorId) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, processor: ProcessorId) -> Self {
         TaskDef {
             name: name.into(),
             processor,
@@ -232,16 +232,12 @@ impl SystemBuilder {
                     processor: def.processor,
                 });
             }
-            for res in def.body.resources_used() {
-                if res.index() >= self.resources.len() {
-                    return Err(ModelError::UnknownResource {
-                        task: id,
-                        resource: res,
-                    });
+            match def.body.fault(self.resources.len()) {
+                Some(BodyFault::UnknownResource(resource)) => {
+                    return Err(ModelError::UnknownResource { task: id, resource });
                 }
-            }
-            if def.body.has_self_nesting() {
-                return Err(ModelError::SelfNesting { task: id });
+                Some(BodyFault::SelfNesting) => return Err(ModelError::SelfNesting { task: id }),
+                None => {}
             }
             if let Some(times) = &def.arrivals {
                 if times.windows(2).any(|w| w[0] >= w[1]) {
@@ -455,7 +451,27 @@ impl System {
     /// critical-section facts. Computed once per system (clones share
     /// the cache).
     pub fn info(&self) -> &SystemInfo {
-        self.info.get_or_init(|| SystemInfo::compute(self))
+        self.info.get_or_init(|| SystemInfo::compute(self, None))
+    }
+
+    /// [`System::info`], computed — unless it already has been — with
+    /// `prev`, the version this system was edited from, as a hint: the
+    /// per-task facts of every task that kept its body and its
+    /// resources' scopes are shared with `prev`'s info, not derived
+    /// again. The value is the one [`System::info`] alone computes.
+    pub fn info_after(&self, prev: &System) -> &SystemInfo {
+        self.info
+            .get_or_init(|| SystemInfo::compute(self, Some(prev)))
+    }
+
+    /// A copy that shares this system's inputs — tables, names, bodies —
+    /// and none of its derived state: its [`System::info`] is computed
+    /// from scratch. What a differential check must recompute from.
+    pub fn detached(&self) -> System {
+        System {
+            info: Arc::new(OnceLock::new()),
+            ..self.clone()
+        }
     }
 
     /// Index of the task named `name` (the first in declaration order
@@ -465,6 +481,17 @@ impl System {
         let pos = order.partition_point(|&i| self.tasks[i as usize].name() < name);
         let i = *order.get(pos)? as usize;
         (self.tasks[i].name() == name).then_some(i)
+    }
+
+    /// [`System::task_index_by_name`], trying slot `guess` first. Walking
+    /// an edited version's tasks with `guess` one past the last hit finds
+    /// each in the version before without a search: edits keep the
+    /// surviving tasks in order.
+    pub fn task_index_near(&self, guess: usize, name: &str) -> Option<usize> {
+        match self.tasks.get(guess) {
+            Some(t) if t.name() == name => Some(guess),
+            _ => self.task_index_by_name(name),
+        }
     }
 
     /// Index of the resource named `name`, via the cached name-sorted

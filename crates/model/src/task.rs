@@ -4,6 +4,7 @@ use crate::ids::{ProcessorId, TaskId};
 use crate::priority::Priority;
 use crate::segment::Body;
 use crate::time::{Dur, Time};
+use std::sync::Arc;
 
 /// A periodic task, statically bound to a processor (§3.2), with a fixed
 /// priority and a [`Body`] executed by each of its jobs.
@@ -11,10 +12,13 @@ use crate::time::{Dur, Time};
 /// Tasks are created through [`SystemBuilder`](crate::SystemBuilder), which
 /// validates the definition and assigns rate-monotonic priorities if none
 /// were given explicitly.
+///
+/// The name and the body sit behind [`Arc`]s, so a task carried into an
+/// edited system ([`Task::to_def`]) shares both with the original.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Task {
     pub(crate) id: TaskId,
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) processor: ProcessorId,
     pub(crate) period: Dur,
     pub(crate) deadline: Dur,
@@ -32,6 +36,11 @@ impl Task {
 
     /// Human-readable name.
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The name as the shared handle the task holds it by.
+    pub fn shared_name(&self) -> &Arc<str> {
         &self.name
     }
 

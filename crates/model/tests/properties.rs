@@ -101,6 +101,63 @@ fn depth_partition() {
     });
 }
 
+/// The builder's one validation walk refuses exactly what the
+/// definitions over [`Body::critical_sections`] refuse: the first
+/// section in lock order on a resource outside the table, or else any
+/// section enclosed by one on its own resource.
+#[test]
+fn body_validation_matches_the_section_list_definitions() {
+    fn raw(rng: &mut Rng, depth: u32) -> Vec<Segment> {
+        (0..rng.range_usize(0, 3))
+            .map(|_| match rng.range_u32(0, if depth == 0 { 0 } else { 2 }) {
+                0 => Segment::Compute(Dur::new(1)),
+                _ => Segment::Critical(
+                    ResourceId::from_index(rng.range_u32(0, 4)),
+                    raw(rng, depth - 1),
+                ),
+            })
+            .collect()
+    }
+    let mut seen = [0u32; 3];
+    cases(256, 0x030D_0007, |rng| {
+        let body = Body::from_segments(raw(rng, 3));
+        let table = rng.range_usize(3, 5);
+        let expected = match body.resources_used().iter().find(|r| r.index() >= table) {
+            Some(&resource) => Err(mpcp_model::ModelError::UnknownResource {
+                task: mpcp_model::TaskId::from_index(0),
+                resource,
+            }),
+            None if body
+                .critical_sections()
+                .iter()
+                .any(|cs| cs.enclosing.contains(&cs.resource)) =>
+            {
+                Err(mpcp_model::ModelError::SelfNesting {
+                    task: mpcp_model::TaskId::from_index(0),
+                })
+            }
+            None => Ok(()),
+        };
+        seen[match expected {
+            Ok(()) => 0,
+            Err(mpcp_model::ModelError::SelfNesting { .. }) => 1,
+            Err(_) => 2,
+        }] += 1;
+        assert_eq!(body.has_self_nesting(), {
+            let sections = body.critical_sections();
+            sections
+                .iter()
+                .any(|cs| cs.enclosing.contains(&cs.resource))
+        });
+        let mut b = System::builder();
+        let p = b.add_processor("P0");
+        b.add_resources(table);
+        b.add_task(TaskDef::new("t", p).period(100).body(body));
+        assert_eq!(b.build().map(|_| ()), expected);
+    });
+    assert!(seen.iter().all(|&n| n >= 10), "{seen:?}");
+}
+
 /// A system built from random bodies validates and derives consistent
 /// info: every used resource has users and a scope; every gcs a task
 /// reports is on a Global resource.
@@ -137,6 +194,76 @@ fn system_info_is_consistent() {
             }
         }
     });
+}
+
+/// `SystemInfo` computed with the previous version as a hint equals the
+/// one computed from scratch, after every edit of random scripts that
+/// hit what sharing could get wrong: removals from the middle (every
+/// later id shifts), bodies replaced, tasks moved across processors
+/// (scopes flip under tasks that did not change), repeated names and
+/// reorderings (the hint's tasks are not where the walk expects them).
+#[test]
+fn info_built_after_a_previous_version_equals_info_built_alone() {
+    let (mut shared, mut built) = (0usize, 0usize);
+    cases(48, 0x030D_0008, |rng| {
+        let mut b = System::builder();
+        let procs = b.add_processors(3);
+        b.add_resources(3);
+        for i in 0..rng.range_usize(2, 6) {
+            b.add_task(
+                TaskDef::new(format!("t{}", i % 4), procs[i % 3])
+                    .period(100 + i as u64)
+                    .body(random_body(rng, 3, 2)),
+            );
+        }
+        let mut sys = b.build().expect("valid random system");
+        sys.info();
+        let mut level = 1_000;
+        for step in 0..24 {
+            let mut defs: Vec<TaskDef> = sys.tasks().iter().map(mpcp_model::Task::to_def).collect();
+            let at = rng.range_usize(0, defs.len() - 1);
+            let task = &sys.tasks()[at];
+            level += 1;
+            match rng.range_usize(0, 5) {
+                0 if defs.len() > 1 => drop(defs.remove(at)),
+                1 => defs.push(
+                    // Sometimes a name the system already has.
+                    TaskDef::new(format!("t{}", rng.range_usize(0, 7)), procs[step % 3])
+                        .period(50 + step as u64)
+                        .priority(level)
+                        .body(random_body(rng, 3, 2)),
+                ),
+                2 => defs[at] = task.to_def().body(random_body(rng, 3, 2)),
+                3 => {
+                    // Same body, same name, another processor.
+                    let mut moved = TaskDef::new(task.name(), procs[rng.range_usize(0, 2)])
+                        .period(task.period().ticks())
+                        .priority(task.priority().level())
+                        .body(task.body().clone());
+                    if rng.chance(0.5) {
+                        moved = moved.offset(3);
+                    }
+                    defs[at] = moved;
+                }
+                4 => defs.swap(0, at),
+                _ => defs.rotate_left(at),
+            }
+            let next = sys.with_tasks(defs).expect("edits keep the system valid");
+            let alone = next.detached();
+            assert_eq!(next.info_after(&sys), alone.info(), "step {step}");
+            let before = sys.info().all_task_use();
+            for part in next.info().all_task_use() {
+                let was_there = before.iter().any(|b| std::sync::Arc::ptr_eq(part, b));
+                *(if was_there { &mut shared } else { &mut built }) += 1;
+            }
+            sys = next;
+        }
+    });
+    // The hint did something, and not everything.
+    assert!(
+        shared > 1_000 && built > 500,
+        "{shared} shared, {built} built"
+    );
 }
 
 /// Rate-monotonic order sorts periods non-decreasingly and is a

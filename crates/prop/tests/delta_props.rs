@@ -5,13 +5,31 @@
 //! `delta/divergence` oracle arm spot-check; here it is driven with
 //! randomized interleavings of add / remove / modify edits.
 
-use mpcp_analysis::Edit;
+use mpcp_analysis::{DepGraph, Edit};
 use mpcp_model::System;
 use mpcp_prop::cases;
 use mpcp_taskgen::{generate, WorkloadConfig};
 use mpcp_verify::{
     full_snapshot_json, with_scaled_period, with_task_from, without_task, IncrementalAnalysis,
 };
+
+/// The engine's snapshot against the from-scratch one — and, since the
+/// engine derives each version's facts and graph by sharing with the
+/// version before, those two against the same built alone.
+fn certify(engine: &IncrementalAnalysis, context: &str) {
+    assert_eq!(
+        engine.snapshot_json(),
+        full_snapshot_json(engine.system()),
+        "{context}: snapshot diverged"
+    );
+    let alone = engine.system().detached();
+    assert_eq!(engine.system().info(), alone.info(), "{context}: info");
+    assert_eq!(
+        *engine.graph(),
+        DepGraph::build(&alone, None),
+        "{context}: graph"
+    );
+}
 
 fn workload(rng: &mut mpcp_prop::Rng) -> (System, u64) {
     let seed = rng.range_u64(0, 99_999);
@@ -60,12 +78,7 @@ fn random_edit_scripts_stay_certified() {
                 (next, Edit::ModifyTask(name))
             };
             engine.apply(next, &edit);
-            let got = engine.snapshot_json();
-            let want = full_snapshot_json(engine.system());
-            assert_eq!(
-                got, want,
-                "seed {seed}, step {step}: snapshot diverged after {edit}"
-            );
+            certify(&engine, &format!("seed {seed}, step {step}, {edit}"));
         }
     });
 }
@@ -90,11 +103,7 @@ fn drain_and_refill_scripts_stay_certified() {
             .map(|t| t.name().to_owned())
             .collect();
         let check = |engine: &IncrementalAnalysis, step: &str| {
-            assert_eq!(
-                engine.snapshot_json(),
-                full_snapshot_json(engine.system()),
-                "seed {seed}: snapshot diverged after {step}"
-            );
+            certify(engine, &format!("seed {seed}, {step}"));
         };
         // Drain to a single task…
         while names.len() > 1 {
@@ -239,11 +248,7 @@ fn section_free_edit_scripts_stay_certified() {
                 }
             };
             engine.apply(next, &edit);
-            assert_eq!(
-                engine.snapshot_json(),
-                full_snapshot_json(engine.system()),
-                "seed {seed}, step {step}: snapshot diverged after {edit}"
-            );
+            certify(&engine, &format!("seed {seed}, step {step}, {edit}"));
         }
     });
 }

@@ -31,8 +31,8 @@ const SHARDS: usize = 16;
 /// renders — the server owns the response shape.
 #[derive(Debug)]
 pub struct CachedAnalysis {
-    /// The analysis verdict and breakdown (shared with sessions).
-    pub result: Arc<AdmissionResult>,
+    /// The analysis verdict and breakdown.
+    pub result: AdmissionResult,
     /// Render memo, filled by the first response that needs it.
     pub rendered: OnceLock<String>,
 }
@@ -40,7 +40,7 @@ pub struct CachedAnalysis {
 impl CachedAnalysis {
     fn new(result: AdmissionResult) -> Self {
         CachedAnalysis {
-            result: Arc::new(result),
+            result,
             rendered: OnceLock::new(),
         }
     }

@@ -44,6 +44,7 @@ pub mod persist;
 pub mod pool;
 pub mod proto;
 mod reactor;
+pub mod reply;
 pub mod server;
 pub mod session;
 pub mod sys;

@@ -615,13 +615,13 @@ fn drive(conn: &mut Conn, state: &Arc<ServerState>, queues: &Arc<ShardQueues>, c
                 let job_state = Arc::clone(state);
                 let job_queues = Arc::clone(queues);
                 let gen = conn.gen;
-                let batch_len = batch.len();
-                let job_batch: Vec<(u64, Request, Instant)> =
-                    batch.iter().map(|(s, r, t)| (*s, r.clone(), *t)).collect();
+                // The batch moves into the job; the overload arm below
+                // answers by sequence number alone.
+                let seqs: Vec<u64> = batch.iter().map(|(seq, ..)| *seq).collect();
                 let dispatched = state.pool().try_execute(move || {
-                    let mut out = Vec::with_capacity(job_batch.len());
-                    let last = job_batch.len() - 1;
-                    for (i, (seq, req, enqueued)) in job_batch.into_iter().enumerate() {
+                    let mut out = Vec::with_capacity(batch.len());
+                    let last = batch.len() - 1;
+                    for (i, (seq, req, enqueued)) in batch.into_iter().enumerate() {
                         let line = server::execute_pooled(&req, enqueued, &job_state);
                         out.push(Completion::new(conn_id, gen, seq, line, i == last));
                     }
@@ -633,8 +633,8 @@ fn drive(conn: &mut Conn, state: &Arc<ServerState>, queues: &Arc<ShardQueues>, c
                         return;
                     }
                     Err(_) => {
-                        state.count_overloaded(batch_len as u64);
-                        for (seq, ..) in batch {
+                        state.count_overloaded(seqs.len() as u64);
+                        for seq in seqs {
                             fill_error(
                                 conn,
                                 seq,

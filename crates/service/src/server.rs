@@ -26,10 +26,9 @@ use crate::persist::Persistence;
 use crate::pool::WorkerPool;
 use crate::proto::{error_response, AdmissionProtocol, ErrorCode, Request};
 use crate::reactor::{self, ShardQueues};
-use crate::session::{
-    analyze, analyze_incremental, analyze_with, engine_for, AdmissionResult, SessionMap,
-};
-use crate::wire::SystemSpec;
+use crate::reply::{admission_line, admission_suffix};
+use crate::session::{analyze, analyze_with, engine_for, engine_verdict, Session, SessionMap};
+use crate::wire::{self, SystemSpec, TaskSpec};
 use mpcp_analysis::Edit;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -170,16 +169,10 @@ impl ServerState {
     /// Appends a committed mutation to the journal, if persistence is
     /// on. Called with the session lock held so journal order matches
     /// commit order per session; the journal mutex is a leaf lock.
-    fn journal_commit(
-        &self,
-        op: &'static str,
-        session: &str,
-        protocol: AdmissionProtocol,
-        result: &AdmissionResult,
-    ) {
-        if let Some(p) = &self.persist {
+    fn journal_commit(&self, op: &'static str, name: &str, session: &Session) {
+        if let (Some(p), Some(admitted)) = (&self.persist, session.admitted) {
             // Best-effort: a full disk must not take down admission.
-            let _ = p.record(session, op, protocol, result.admitted, &result.analyzed);
+            let _ = p.record(name, op, session.protocol, admitted, &session.spec);
         }
     }
 }
@@ -203,6 +196,23 @@ impl ServerHandle {
     pub fn shutdown(mut self) {
         begin_shutdown(&self.state);
         self.join_all();
+    }
+
+    /// Runs `request` on the calling thread through the function a pool
+    /// worker calls, deadline checks included — a request without the
+    /// reactor and the socket around it, for tests and measurements.
+    /// `query` and `shutdown` are answered as the reactor answers them.
+    pub fn execute(&self, request: &Request) -> Vec<u8> {
+        match request {
+            Request::Query { session } => query_response(&self.state, session.as_deref())
+                .encode()
+                .into_bytes(),
+            Request::Shutdown => {
+                begin_shutdown(&self.state);
+                shutdown_response().encode().into_bytes()
+            }
+            pooled => execute_pooled(pooled, Instant::now(), &self.state),
+        }
     }
 
     /// Blocks until the server shuts down (via a `shutdown` request).
@@ -272,19 +282,9 @@ pub fn spawn(config: &ServerConfig) -> io::Result<ServerHandle> {
     for r in restored {
         let entry = state.sessions.get_or_create(&r.name);
         let mut s = entry.lock().unwrap_or_else(PoisonError::into_inner);
-        s.spec = r.spec.clone();
+        s.spec = r.spec;
         s.protocol = r.protocol;
-        s.last = Some(Arc::new(AdmissionResult {
-            admitted: r.admitted,
-            schedulable: r.admitted,
-            lint_errors: 0,
-            lint_warnings: 0,
-            reasons: Vec::new(),
-            tasks: Vec::new(),
-            allocation: None,
-            analyzed: r.spec,
-        }));
-        s.engine = None;
+        s.admitted = Some(r.admitted);
     }
     let mut queues = Vec::with_capacity(shard_count);
     let mut shard_handles = Vec::with_capacity(shard_count);
@@ -380,12 +380,8 @@ fn run_pooled(request: &Request, state: &Arc<ServerState>) -> String {
             if result.admitted {
                 let slot = state.sessions.get_or_create(session);
                 let mut s = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                s.spec = result.analyzed.clone();
                 s.protocol = *protocol;
-                s.last = Some(Arc::clone(result));
-                // A full-path commit invalidates any incremental state.
-                s.engine = None;
-                state.journal_commit("submit", session, *protocol, result);
+                commit_full(state, "submit", session, &mut s, &entry);
             }
             admission_line(
                 "submit",
@@ -395,147 +391,193 @@ fn run_pooled(request: &Request, state: &Arc<ServerState>) -> String {
             )
         }
         Request::AddTask { session, task } => {
-            let Some(entry) = state.sessions.get(session) else {
-                return unknown_session(session).encode();
-            };
-            // Hold the session lock across analyze-then-commit so the
-            // check and the commit are one atomic step per session.
-            let mut s = entry.lock().unwrap_or_else(PoisonError::into_inner);
-            let candidate = s.with_task(task.clone());
-            let protocol = s.protocol;
-            // The incremental engine computes MPCP bounds; sessions
-            // admitted under another analysis take the full path.
-            if state.incremental && protocol == AdmissionProtocol::Mpcp {
-                if s.engine.is_none() {
-                    s.engine = engine_for(&s.spec);
-                }
-                if let Some(engine) = s.engine.as_ref() {
-                    let edit = Edit::AddTask(task.name.clone());
-                    if let Some((result, next)) = analyze_incremental(engine, &candidate, &edit) {
-                        if let Some(divergence) = sampled_audit(state, &candidate, &result) {
-                            return divergence.encode();
-                        }
-                        let result = Arc::new(result);
-                        if result.admitted {
-                            s.spec = committed_spec(candidate, &result);
-                            s.last = Some(Arc::clone(&result));
-                            s.engine = Some(next);
-                            state.journal_commit("add-task", session, protocol, &result);
-                        }
-                        let suffix = admission_suffix(&result);
-                        return admission_line("add-task", session, "delta", &suffix);
-                    }
-                }
-            }
-            let key = AnalysisCache::key(&candidate, None, protocol);
-            let (entry, cache_hit) = state
-                .cache
-                .get_or_compute(key, || analyze_with(&candidate, None, protocol));
-            let result = &entry.result;
-            if result.admitted {
-                s.spec = committed_spec(candidate, result);
-                s.last = Some(Arc::clone(result));
-                s.engine = None;
-                state.journal_commit("add-task", session, protocol, result);
-            }
-            admission_line(
-                "add-task",
-                session,
-                if cache_hit { "hit" } else { "miss" },
-                cached_suffix(&entry),
-            )
+            let (op, name, add) = ("add-task", task.name.as_str(), Some(task));
+            run_edit(state, session, &SessionEdit { op, name, add })
         }
         Request::RemoveTask { session, task } => {
-            let Some(entry) = state.sessions.get(session) else {
-                return unknown_session(session).encode();
-            };
-            let mut s = entry.lock().unwrap_or_else(PoisonError::into_inner);
-            let Some(candidate) = s.without_task(task) else {
-                return error_response(
-                    ErrorCode::UnknownTask,
-                    &format!("no task {task:?} in session {session:?}"),
-                )
-                .encode();
-            };
-            let protocol = s.protocol;
-            if state.incremental && protocol == AdmissionProtocol::Mpcp {
-                if s.engine.is_none() {
-                    s.engine = engine_for(&s.spec);
-                }
-                if let Some(engine) = s.engine.as_ref() {
-                    let edit = Edit::RemoveTask(task.clone());
-                    if let Some((result, next)) = analyze_incremental(engine, &candidate, &edit) {
-                        if let Some(divergence) = sampled_audit(state, &candidate, &result) {
-                            return divergence.encode();
-                        }
-                        let result = Arc::new(result);
-                        // Withdrawal always commits; the verdict reports
-                        // the state the session is now in.
-                        s.spec = committed_spec(candidate, &result);
-                        s.last = Some(Arc::clone(&result));
-                        s.engine = Some(next);
-                        state.journal_commit("remove-task", session, protocol, &result);
-                        let suffix = admission_suffix(&result);
-                        return admission_line("remove-task", session, "delta", &suffix);
-                    }
-                }
-            }
-            let key = AnalysisCache::key(&candidate, None, protocol);
-            let (entry, cache_hit) = state
-                .cache
-                .get_or_compute(key, || analyze_with(&candidate, None, protocol));
-            let result = &entry.result;
-            // Withdrawal always commits; the verdict reports the state
-            // the session is now in.
-            s.spec = committed_spec(candidate, result);
-            s.last = Some(Arc::clone(result));
-            s.engine = None;
-            state.journal_commit("remove-task", session, protocol, result);
-            admission_line(
-                "remove-task",
-                session,
-                if cache_hit { "hit" } else { "miss" },
-                cached_suffix(&entry),
-            )
+            let (op, name, add) = ("remove-task", task.as_str(), None);
+            run_edit(state, session, &SessionEdit { op, name, add })
         }
         Request::Query { .. } | Request::Shutdown => unreachable!("handled by the reactor"),
     }
 }
 
-/// Counts an incrementally-served request and, every
-/// [`ServerConfig::audit_every`]-th one, re-runs the full analysis and
-/// compares. `Some(error)` means a divergence was caught: the caller
-/// must answer it and commit nothing.
-fn sampled_audit(
-    state: &Arc<ServerState>,
-    candidate: &SystemSpec,
-    incremental: &AdmissionResult,
-) -> Option<Value> {
-    let served = state.stats.delta.fetch_add(1, Ordering::Relaxed);
-    if state.audit_every == 0 || !served.is_multiple_of(state.audit_every) {
-        return None;
-    }
-    state.stats.audits.fetch_add(1, Ordering::Relaxed);
-    let full = analyze(candidate, None);
-    if full == *incremental {
-        return None;
-    }
-    state.stats.audit_failures.fetch_add(1, Ordering::Relaxed);
-    Some(error_response(
-        ErrorCode::AuditDivergence,
-        "incremental analysis diverged from a full recompute; nothing committed",
-    ))
+/// A full-path commit: the session takes the analyzed system whole, and
+/// whatever tracked the previous one incrementally is dropped.
+fn commit_full(
+    state: &ServerState,
+    op: &'static str,
+    name: &str,
+    s: &mut Session,
+    entry: &CachedAnalysis,
+) {
+    s.spec = entry.result.analyzed.clone();
+    s.admitted = Some(entry.result.admitted);
+    s.engine = None;
+    s.rows.clear();
+    state.journal_commit(op, name, s);
 }
 
-/// The spec a session commits for `result`: the analyzed system. An edit
-/// of a committed session almost always analyzes exactly its candidate,
-/// and then the candidate — already a private copy — moves in, saving a
-/// whole-session clone per commit.
-fn committed_spec(candidate: SystemSpec, result: &AdmissionResult) -> SystemSpec {
-    if candidate == result.analyzed {
-        candidate
-    } else {
-        result.analyzed.clone()
+/// One `add-task` (`add` is the task) or `remove-task`, by reference
+/// into its request.
+struct SessionEdit<'a> {
+    op: &'static str,
+    name: &'a str,
+    add: Option<&'a TaskSpec>,
+}
+
+/// The candidate spec of `edit`, as a copy: the full path's cache key
+/// and the audit's input. `None` when there is no such task to remove.
+fn candidate(s: &Session, edit: &SessionEdit<'_>) -> Option<SystemSpec> {
+    match edit.add {
+        Some(task) => Some(s.with_task(task.clone())),
+        None => s.without_task(edit.name),
+    }
+}
+
+fn run_edit(state: &Arc<ServerState>, session: &str, edit: &SessionEdit<'_>) -> String {
+    let Some(entry) = state.sessions.get(session) else {
+        return unknown_session(session).encode();
+    };
+    // Hold the session lock across analyze-then-commit so the check and
+    // the commit are one atomic step per session.
+    let mut guard = entry.lock().unwrap_or_else(PoisonError::into_inner);
+    let s = &mut *guard;
+    // The incremental engine computes MPCP bounds; sessions admitted
+    // under another analysis take the full path.
+    if state.incremental && s.protocol == AdmissionProtocol::Mpcp {
+        if s.engine.is_none() {
+            s.engine = engine_for(&s.spec);
+        }
+        if let Some(reply) = edit_incrementally(state, session, s, edit) {
+            return reply;
+        }
+    }
+    let Some(candidate) = candidate(s, edit) else {
+        return error_response(
+            ErrorCode::UnknownTask,
+            &format!("no task {:?} in session {session:?}", edit.name),
+        )
+        .encode();
+    };
+    let key = AnalysisCache::key(&candidate, None, s.protocol);
+    let (entry, cache_hit) = state
+        .cache
+        .get_or_compute(key, || analyze_with(&candidate, None, s.protocol));
+    // Withdrawal always commits; the verdict reports the state the
+    // session is now in.
+    if entry.result.admitted || edit.add.is_none() {
+        commit_full(state, edit.op, session, s, &entry);
+    }
+    let tag = if cache_hit { "hit" } else { "miss" };
+    admission_line(edit.op, session, tag, cached_suffix(&entry))
+}
+
+/// Serves `edit` from the session's engine, or returns `None` — the
+/// session untouched — when the full path must: there is no engine, the
+/// candidate is empty, repeats a name or removes an unknown one, or it
+/// does not build (the full path says why). Nothing of the session is
+/// written before the verdict is in: the pool survives a panicking job,
+/// so a tentative write would outlive one.
+fn edit_incrementally(
+    state: &ServerState,
+    name: &str,
+    s: &mut Session,
+    edit: &SessionEdit<'_>,
+) -> Option<String> {
+    let engine = s.engine.as_ref()?;
+    let tasks = &s.spec.tasks;
+    // An engine exists only for sessions without a repeated name, and
+    // its system lists the spec's tasks in the spec's order: the
+    // candidate repeats a name iff the new one is already there.
+    let at = engine.system().task_index_by_name(edit.name);
+    let empties = edit.add.is_none() && tasks.len() == 1;
+    if at.is_some() == edit.add.is_some() || empties {
+        return None;
+    }
+    let kept = (tasks.iter().enumerate())
+        .filter(|(i, _)| Some(*i) != at)
+        .map(|(_, t)| t);
+    let system = wire::build_system(
+        &s.spec.processors,
+        &s.spec.resources,
+        kept.chain(edit.add),
+        Some(engine.system()),
+    )
+    .ok()?;
+    let mut next = engine.clone();
+    next.apply(
+        system,
+        &match edit.add {
+            Some(_) => Edit::AddTask(edit.name.to_owned()),
+            None => Edit::RemoveTask(edit.name.to_owned()),
+        },
+    );
+    let (head, bounds) = engine_verdict(&next);
+    // The session's spec is always what `SystemSpec::from_system` makes
+    // of its system — the journal, `query` and the next `submit`'s cache
+    // key see it. That function drops a `deadline == period` task by
+    // task but spells priorities out for all tasks or none, so "the spec
+    // plus or minus the one task" is its value exactly while no task
+    // carries a priority; any other session takes it whole.
+    let plain = |t: &TaskSpec| t.priority.is_none() && t.deadline != Some(t.period);
+    let patched = tasks.iter().all(plain) && edit.add.is_none_or(|t| t.priority.is_none());
+    let whole = (!patched).then(|| SystemSpec::from_system(next.system()));
+    let reply = s
+        .rows
+        .assemble((edit.op, name), &head, bounds.as_ref(), next.system());
+
+    // Every `audit_every`-th incremental answer is checked, before
+    // anything is committed, against the full analysis of a candidate
+    // built the long way: the reply's bytes, and the spec about to be
+    // committed.
+    let served = state.stats.delta.fetch_add(1, Ordering::Relaxed);
+    if state.audit_every != 0 && served.is_multiple_of(state.audit_every) {
+        state.stats.audits.fetch_add(1, Ordering::Relaxed);
+        let full = analyze(&candidate(s, edit)?, None);
+        let mut committed = s.spec.clone();
+        commit_edit(&mut committed, whole.clone(), edit, at);
+        if reply != admission_line(edit.op, name, "delta", &admission_suffix(&full))
+            || committed != full.analyzed
+        {
+            state.stats.audit_failures.fetch_add(1, Ordering::Relaxed);
+            s.rows.clear();
+            let what = "incremental analysis diverged from a full recompute; nothing committed";
+            return Some(error_response(ErrorCode::AuditDivergence, what).encode());
+        }
+    }
+
+    let joins = edit.add.is_some() && head.admitted;
+    // Withdrawal always commits; the verdict reports the state the
+    // session is now in.
+    if joins || edit.add.is_none() {
+        commit_edit(&mut s.spec, whole, edit, at);
+        s.admitted = Some(head.admitted);
+        s.engine = Some(next);
+        state.journal_commit(edit.op, name, s);
+    }
+    if !joins {
+        s.rows.forget(edit.name);
+    }
+    Some(reply)
+}
+
+/// Commits an incremental `edit` to `spec`: `whole` if given, else the
+/// task pushed (its `deadline == period` dropped, as `from_system`
+/// would) or the one at `at` removed.
+fn commit_edit(
+    spec: &mut SystemSpec,
+    whole: Option<SystemSpec>,
+    edit: &SessionEdit<'_>,
+    at: Option<usize>,
+) {
+    match (whole, edit.add) {
+        (Some(whole), _) => *spec = whole,
+        (None, Some(task)) => spec.tasks.push(TaskSpec {
+            deadline: task.deadline.filter(|d| *d != task.period),
+            ..task.clone()
+        }),
+        (None, None) => drop(spec.tasks.remove(at.expect("a removal found its task"))),
     }
 }
 
@@ -544,24 +586,6 @@ fn unknown_session(session: &str) -> Value {
         ErrorCode::UnknownSession,
         &format!("no session {session:?}; submit a system first"),
     )
-}
-
-/// Assembles an admission response: the request-dependent prefix
-/// (`ok`, `op`, `session`, `cache`) plus the result-dependent `suffix`
-/// rendered by [`admission_suffix`]. Consumers read fields by name, so
-/// putting the per-request fields first is a pure serving optimization:
-/// cache hits append a memoized suffix instead of re-encoding it.
-fn admission_line(op: &'static str, session: &str, cache: &'static str, suffix: &str) -> String {
-    let mut out = String::with_capacity(40 + session.len() + suffix.len());
-    out.push_str("{\"ok\":true,\"op\":\"");
-    out.push_str(op);
-    out.push_str("\",\"session\":");
-    let _ = json::write_str(session, &mut out);
-    out.push_str(",\"cache\":\"");
-    out.push_str(cache);
-    out.push_str("\",");
-    out.push_str(suffix);
-    out
 }
 
 /// The memoized suffix for a cached analysis, rendered on first use.
@@ -573,83 +597,6 @@ fn cached_suffix(entry: &CachedAnalysis) -> &str {
         suffix.shrink_to_fit();
         suffix
     })
-}
-
-/// Renders the result-dependent tail of an admission response —
-/// everything from `"verdict"` through the closing brace — straight
-/// into one string, byte for byte what encoding the same fields as a
-/// [`Value::Obj`] and dropping its opening brace would give (asserted by
-/// test): a reply names every task of the system, so a tree of keyed
-/// values per row costs more than the analysis of a small edit.
-fn admission_suffix(result: &AdmissionResult) -> String {
-    // Infallible: every sink below is the one `String`.
-    fn num(n: f64, out: &mut String) {
-        let _ = json::write_num(n, out);
-    }
-    fn text(s: &str, out: &mut String) {
-        let _ = json::write_str(s, out);
-    }
-    fn flag(b: bool) -> &'static str {
-        if b {
-            "true"
-        } else {
-            "false"
-        }
-    }
-    fn list<T>(items: &[T], out: &mut String, mut each: impl FnMut(&T, &mut String)) {
-        out.push('[');
-        for (i, item) in items.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            each(item, out);
-        }
-        out.push(']');
-    }
-
-    let mut suffix = String::with_capacity(128 + 160 * result.tasks.len());
-    let out = &mut suffix;
-    out.push_str("\"verdict\":\"");
-    out.push_str(if result.admitted { "admit" } else { "reject" });
-    out.push_str("\",\"schedulable\":");
-    out.push_str(flag(result.schedulable));
-    out.push_str(",\"lint\":{\"errors\":");
-    num(result.lint_errors as f64, out);
-    out.push_str(",\"warnings\":");
-    num(result.lint_warnings as f64, out);
-    out.push_str("},\"reasons\":");
-    list(&result.reasons, out, |r, out| text(r, out));
-    out.push_str(",\"tasks\":");
-    list(&result.tasks, out, |t, out| {
-        out.push_str("{\"name\":");
-        text(&t.name, out);
-        out.push_str(",\"processor\":");
-        text(&t.processor, out);
-        out.push_str(",\"period\":");
-        num(t.period as f64, out);
-        out.push_str(",\"wcet\":");
-        num(t.wcet as f64, out);
-        out.push_str(",\"blocking\":");
-        num(t.blocking as f64, out);
-        out.push_str(",\"demand\":");
-        num(t.demand, out);
-        out.push_str(",\"bound\":");
-        num(t.bound, out);
-        out.push_str(",\"ok\":");
-        out.push_str(flag(t.ok));
-        out.push('}');
-    });
-    if let Some(a) = &result.allocation {
-        out.push_str(",\"allocation\":{\"heuristic\":");
-        text(a.heuristic, out);
-        out.push_str(",\"per_processor_utilization\":");
-        list(&a.per_processor_utilization, out, |u, out| num(*u, out));
-        out.push_str(",\"global_resources\":");
-        num(a.global_resources as f64, out);
-        out.push('}');
-    }
-    out.push('}');
-    suffix
 }
 
 pub(crate) fn query_response(state: &Arc<ServerState>, session: Option<&str>) -> Value {
@@ -733,6 +680,10 @@ pub(crate) fn query_response(state: &Arc<ServerState>, session: Option<&str>) ->
                                 Value::from(e.processors_recomputed),
                             ),
                             ("processors_reused", Value::from(e.processors_reused)),
+                            ("tasks_shared", Value::from(e.tasks_shared)),
+                            ("tasks_rebuilt", Value::from(e.tasks_rebuilt)),
+                            ("rows_rendered", Value::from(s.rows.rendered)),
+                            ("rows_reused", Value::from(s.rows.reused)),
                         ])
                     }),
                 ));
@@ -744,9 +695,9 @@ pub(crate) fn query_response(state: &Arc<ServerState>, session: Option<&str>) ->
                         ("processors", Value::from(s.spec.processors.len())),
                         (
                             "verdict",
-                            match &s.last {
-                                Some(r) if r.admitted => Value::str("admit"),
-                                Some(_) => Value::str("reject"),
+                            match s.admitted {
+                                Some(true) => Value::str("admit"),
+                                Some(false) => Value::str("reject"),
                                 None => Value::Null,
                             },
                         ),
@@ -850,143 +801,6 @@ mod tests {
             ..ServerConfig::default()
         })
         .expect("bind test server")
-    }
-
-    /// The suffix as the parent commit rendered it: a [`Value`] tree,
-    /// encoded, minus its opening brace.
-    fn reference_suffix(result: &AdmissionResult) -> String {
-        let mut pairs: Vec<(String, Value)> = vec![
-            (
-                "verdict".into(),
-                Value::str(if result.admitted { "admit" } else { "reject" }),
-            ),
-            ("schedulable".into(), Value::Bool(result.schedulable)),
-            (
-                "lint".into(),
-                Value::obj([
-                    ("errors", Value::from(result.lint_errors)),
-                    ("warnings", Value::from(result.lint_warnings)),
-                ]),
-            ),
-            (
-                "reasons".into(),
-                Value::Arr(result.reasons.iter().map(Value::str).collect()),
-            ),
-            (
-                "tasks".into(),
-                Value::Arr(
-                    result
-                        .tasks
-                        .iter()
-                        .map(|t| {
-                            Value::obj([
-                                ("name", Value::str(t.name.clone())),
-                                ("processor", Value::str(t.processor.clone())),
-                                ("period", Value::from(t.period)),
-                                ("wcet", Value::from(t.wcet)),
-                                ("blocking", Value::from(t.blocking)),
-                                ("demand", Value::from(t.demand)),
-                                ("bound", Value::from(t.bound)),
-                                ("ok", Value::Bool(t.ok)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ];
-        if let Some(a) = &result.allocation {
-            pairs.push((
-                "allocation".into(),
-                Value::obj([
-                    ("heuristic", Value::str(a.heuristic)),
-                    (
-                        "per_processor_utilization",
-                        Value::Arr(
-                            a.per_processor_utilization
-                                .iter()
-                                .map(|u| Value::Num(*u))
-                                .collect(),
-                        ),
-                    ),
-                    ("global_resources", Value::from(a.global_resources)),
-                ]),
-            ));
-        }
-        Value::Obj(pairs).encode()[1..].to_owned()
-    }
-
-    #[test]
-    fn streamed_suffix_equals_the_value_tree_encoding() {
-        use crate::session::{AllocSummary, TaskVerdict};
-        // xorshift: seeded, dependency-free.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let names = [
-            "plain",
-            "quo\"te",
-            "back\\slash",
-            "tab\tnew\nline",
-            "ctl\u{1}\u{1f}",
-            "unicode-é-日本",
-            "",
-        ];
-        let floats = [
-            0.0,
-            1.0,
-            -3.0,
-            0.75,
-            0.1 + 0.2,
-            0.828_427_124_746_190_1,
-            9.007_199_254_740_992e15,
-            1.0e21,
-            1.5e-9,
-            f64::NAN,
-            f64::INFINITY,
-        ];
-        for case in 0..200 {
-            let n_tasks = if case == 0 { 0 } else { next() % 6 };
-            let tasks = (0..n_tasks)
-                .map(|_| TaskVerdict {
-                    name: names[next() as usize % names.len()].to_owned(),
-                    processor: names[next() as usize % names.len()].to_owned(),
-                    period: next() % 100_000,
-                    wcet: next() % 1_000,
-                    blocking: next() >> (next() % 64),
-                    demand: floats[next() as usize % floats.len()],
-                    bound: floats[next() as usize % floats.len()],
-                    ok: next() % 2 == 0,
-                })
-                .collect();
-            let allocation = (next() % 3 == 0).then(|| AllocSummary {
-                heuristic: "first-fit-decreasing",
-                per_processor_utilization: (0..next() % 4)
-                    .map(|_| floats[next() as usize % floats.len()])
-                    .collect(),
-                global_resources: next() as usize % 9,
-            });
-            let result = AdmissionResult {
-                admitted: next() % 2 == 0,
-                schedulable: next() % 2 == 0,
-                lint_errors: next() as usize % 4,
-                lint_warnings: next() as usize % 4,
-                reasons: (0..next() % 3)
-                    .map(|_| names[next() as usize % names.len()].to_owned())
-                    .collect(),
-                tasks,
-                allocation,
-                analyzed: SystemSpec::default(),
-            };
-            assert_eq!(
-                admission_suffix(&result),
-                reference_suffix(&result),
-                "case {case}: {result:?}"
-            );
-        }
     }
 
     #[test]

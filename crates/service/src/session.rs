@@ -14,7 +14,8 @@
 //! session exactly as it was.
 
 use crate::proto::{AdmissionProtocol, AllocDirective};
-use crate::wire::{SystemSpec, TaskSpec};
+use crate::reply::RowCache;
+use crate::wire::{self, SystemSpec, TaskSpec};
 use mpcp_analysis::{BlockingConfig, BoundSet, Edit};
 use mpcp_model::System;
 use mpcp_verify::{IncrementalAnalysis, Severity};
@@ -153,10 +154,10 @@ pub fn analyze_with(
         .collect();
 
     let (schedulable, tasks) = match protocol.bounds(&system, BlockingConfig::paper()) {
-        Ok(set) => (
-            set.schedulable(),
-            task_verdicts(&system, &set, &mut reasons),
-        ),
+        Ok(set) => {
+            push_row_reasons(&system, &set, &mut reasons);
+            (set.schedulable(), task_verdicts(&system, &set))
+        }
         Err(e) => {
             reasons.push(format!("analysis rejected the system: {e}"));
             (false, Vec::new())
@@ -175,27 +176,30 @@ pub fn analyze_with(
     }
 }
 
-/// [`TaskVerdict`]s from a [`BoundSet`]'s rows, with one rejection
-/// reason per failed row.
-fn task_verdicts(system: &System, set: &BoundSet, reasons: &mut Vec<String>) -> Vec<TaskVerdict> {
+/// One rejection reason per failed row of `set`, in row order.
+fn push_row_reasons(system: &System, set: &BoundSet, reasons: &mut Vec<String>) {
     // MPCP replies predate protocol selection and name the theorem.
     let label = if set.analysis() == AdmissionProtocol::Mpcp {
         "theorem3"
     } else {
         set.analysis().name()
     };
+    for row in set.per_task().iter().filter(|row| !row.ok) {
+        reasons.push(format!(
+            "{label}: task {} demand {:.3} exceeds bound {:.3}",
+            system.task(row.task).name(),
+            row.demand,
+            row.bound
+        ));
+    }
+}
+
+/// [`TaskVerdict`]s from a [`BoundSet`]'s rows.
+fn task_verdicts(system: &System, set: &BoundSet) -> Vec<TaskVerdict> {
     set.per_task()
         .iter()
         .map(|row| {
             let t = system.task(row.task);
-            if !row.ok {
-                reasons.push(format!(
-                    "{label}: task {} demand {:.3} exceeds bound {:.3}",
-                    t.name(),
-                    row.demand,
-                    row.bound
-                ));
-            }
             TaskVerdict {
                 name: t.name().to_owned(),
                 processor: system.processor(row.processor).name().to_owned(),
@@ -210,8 +214,8 @@ fn task_verdicts(system: &System, set: &BoundSet, reasons: &mut Vec<String>) -> 
         .collect()
 }
 
-/// One live session: the currently committed system and its last
-/// admission result.
+/// One live session: the currently committed system and the verdict it
+/// was committed under.
 #[derive(Default)]
 pub struct Session {
     /// The committed system description.
@@ -219,12 +223,16 @@ pub struct Session {
     /// The analysis the session was admitted under; `add-task` and
     /// `remove-task` re-admission uses the same one.
     pub protocol: AdmissionProtocol,
-    /// Result of the last committed analysis.
-    pub last: Option<Arc<AdmissionResult>>,
+    /// Whether the last committed analysis admitted the system; `None`
+    /// until something is committed.
+    pub admitted: Option<bool>,
     /// Incremental engine tracking the committed system. `None` until
     /// an `add-task`/`remove-task` first needs it, and reset to `None`
     /// whenever a full-path commit (e.g. `submit`) replaces the spec.
     pub engine: Option<IncrementalAnalysis>,
+    /// Rendered rows of the session's incremental replies; emptied
+    /// along with `engine`.
+    pub rows: RowCache,
 }
 
 impl fmt::Debug for Session {
@@ -232,9 +240,9 @@ impl fmt::Debug for Session {
         f.debug_struct("Session")
             .field("spec", &self.spec)
             .field("protocol", &self.protocol)
-            .field("last", &self.last)
+            .field("admitted", &self.admitted)
             .field("engine", &self.engine.as_ref().map(|_| "..."))
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -290,48 +298,65 @@ pub fn analyze_incremental(
     if candidate.tasks.is_empty() || has_duplicate_names(candidate) {
         return None;
     }
-    let system = candidate.to_system().ok()?;
+    let system = wire::build_system(
+        &candidate.processors,
+        &candidate.resources,
+        &candidate.tasks,
+        Some(engine.system()),
+    )
+    .ok()?;
     let mut next = engine.clone();
     next.apply(system, edit);
     let result = admission_from_engine(&next);
     Some((result, next))
 }
 
-/// Renders an engine's cached state as an [`AdmissionResult`],
-/// replicating [`analyze`]'s reason strings and field values exactly.
-fn admission_from_engine(engine: &IncrementalAnalysis) -> AdmissionResult {
-    let system = engine.system();
-    let analyzed = SystemSpec::from_system(system);
+/// Reads an engine's cached state as the verdict [`analyze`] reaches on
+/// the engine's system — reason strings, their order and every field
+/// value replicated exactly — short of the two parts that cost a line
+/// per task: the rows stay in the engine's own terms, beside the result
+/// (`None` when the analysis refused the system), and `tasks` and
+/// `analyzed` are left empty.
+pub(crate) fn engine_verdict(engine: &IncrementalAnalysis) -> (AdmissionResult, Option<BoundSet>) {
     let report = engine.report();
     let lint_errors = report.count(Severity::Error);
-    let lint_warnings = report.count(Severity::Warning);
     let mut reasons: Vec<String> = report
         .diagnostics()
         .iter()
         .filter(|d| d.severity == Severity::Error)
         .map(|d| format!("{}: {}", d.code, d.message))
         .collect();
-
-    let (schedulable, tasks) = match engine.bounds() {
-        Some(set) => (set.schedulable(), task_verdicts(system, &set, &mut reasons)),
-        None => {
-            reasons.push(format!(
-                "analysis rejected the system: {}",
-                engine.analysis_error().unwrap_or("analysis unavailable")
-            ));
-            (false, Vec::new())
-        }
-    };
-
-    AdmissionResult {
+    let bounds = engine.bounds();
+    match &bounds {
+        Some(set) => push_row_reasons(engine.system(), set, &mut reasons),
+        None => reasons.push(format!(
+            "analysis rejected the system: {}",
+            engine.analysis_error().unwrap_or("analysis unavailable")
+        )),
+    }
+    let schedulable = bounds.as_ref().is_some_and(BoundSet::schedulable);
+    let head = AdmissionResult {
         admitted: lint_errors == 0 && schedulable,
         schedulable,
         lint_errors,
-        lint_warnings,
+        lint_warnings: report.count(Severity::Warning),
         reasons,
-        tasks,
+        tasks: Vec::new(),
         allocation: None,
-        analyzed,
+        analyzed: SystemSpec::default(),
+    };
+    (head, bounds)
+}
+
+/// [`engine_verdict`] made whole: the [`AdmissionResult`] of the
+/// engine's system.
+fn admission_from_engine(engine: &IncrementalAnalysis) -> AdmissionResult {
+    let system = engine.system();
+    let (head, bounds) = engine_verdict(engine);
+    AdmissionResult {
+        tasks: bounds.map_or_else(Vec::new, |set| task_verdicts(system, &set)),
+        analyzed: SystemSpec::from_system(system),
+        ..head
     }
 }
 

@@ -24,6 +24,7 @@
 use crate::json::{Fnv1a, Value};
 use mpcp_model::{Body, Segment, System, TaskDef};
 use std::fmt;
+use std::sync::Arc;
 
 /// A wire-format error: what was wrong and where.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,43 +148,7 @@ impl SystemSpec {
     /// A [`WireError`] for out-of-range processor/resource indices or
     /// any [`mpcp_model::ModelError`] from the builder.
     pub fn to_system(&self) -> Result<System, WireError> {
-        let mut b = System::builder();
-        for name in &self.processors {
-            b.add_processor(name.clone());
-        }
-        let resources: Vec<_> = self
-            .resources
-            .iter()
-            .map(|name| b.add_resource(name.clone()))
-            .collect();
-        for t in &self.tasks {
-            if t.processor >= self.processors.len() {
-                return err(format!(
-                    "task {:?}: processor index {} out of range ({} processors)",
-                    t.name,
-                    t.processor,
-                    self.processors.len()
-                ));
-            }
-            // The builder hands out dense ids in insertion order, so the
-            // wire index is exactly the processor id.
-            let mut def = TaskDef::new(
-                t.name.clone(),
-                mpcp_model::ProcessorId::from_index(t.processor as u32),
-            )
-            .period(t.period)
-            .offset(t.offset);
-            if let Some(d) = t.deadline {
-                def = def.deadline(d);
-            }
-            if let Some(p) = t.priority {
-                def = def.priority(p);
-            }
-            let body = Body::from_segments(segs_to_model(&t.name, &t.body, resources.len())?);
-            b.add_task(def.body(body));
-        }
-        b.build()
-            .map_err(|e| WireError(format!("invalid system: {e}")))
+        build_system(&self.processors, &self.resources, &self.tasks, None)
     }
 
     /// Canonical JSON encoding of this spec.
@@ -269,6 +234,93 @@ impl SystemSpec {
     }
 }
 
+/// The one spec → [`System`] constructor: the system over the given
+/// name tables with `tasks` as its task list — a spec's own
+/// ([`SystemSpec::to_system`]), or a session's plus or minus one, so no
+/// spec is copied to try an edit.
+///
+/// `prev`, a system built from an earlier version of the spec, is a hint
+/// that changes the cost and never the value: a task takes over the name
+/// and the body — the allocations — of `prev`'s task of that name where
+/// the bodies compare structurally equal, and what is derived per body
+/// ([`System::info_after`]) is then shared in turn. Ignored unless its
+/// resource table is as long as this one, so that a shared body's
+/// indices are in range like everyone else's.
+///
+/// # Errors
+///
+/// As [`SystemSpec::to_system`].
+pub(crate) fn build_system<'a>(
+    processors: &[String],
+    resources: &[String],
+    tasks: impl IntoIterator<Item = &'a TaskSpec>,
+    prev: Option<&System>,
+) -> Result<System, WireError> {
+    let prev = prev.filter(|p| p.resources().len() == resources.len());
+    let mut b = System::builder();
+    for name in processors {
+        b.add_processor(name.clone());
+    }
+    for name in resources {
+        b.add_resource(name.clone());
+    }
+    let mut next = 0;
+    for t in tasks {
+        if t.processor >= processors.len() {
+            return err(format!(
+                "task {:?}: processor index {} out of range ({} processors)",
+                t.name,
+                t.processor,
+                processors.len()
+            ));
+        }
+        let old = prev.and_then(|p| {
+            let at = p.task_index_near(next, &t.name)?;
+            next = at + 1;
+            Some(&p.tasks()[at])
+        });
+        // The builder hands out dense ids in insertion order, so the
+        // wire index is exactly the processor id.
+        let processor = mpcp_model::ProcessorId::from_index(t.processor as u32);
+        let mut def = match old {
+            Some(o) => TaskDef::new(Arc::clone(o.shared_name()), processor),
+            None => TaskDef::new(t.name.as_str(), processor),
+        }
+        .period(t.period)
+        .offset(t.offset);
+        if let Some(d) = t.deadline {
+            def = def.deadline(d);
+        }
+        if let Some(p) = t.priority {
+            def = def.priority(p);
+        }
+        let body = match old.filter(|o| same_body(&t.body, o.body().segments())) {
+            Some(o) => o.body().clone(),
+            None => {
+                check_resources(&t.name, &t.body, resources.len())?;
+                // Known length: one allocation, no `Vec` in between.
+                Body::from_segments(t.body.iter().map(seg_to_model).collect::<Arc<[_]>>())
+            }
+        };
+        b.add_task(def.body(body));
+    }
+    b.build()
+        .map_err(|e| WireError(format!("invalid system: {e}")))
+}
+
+/// Whether a wire body and a model body are the same segment tree.
+fn same_body(spec: &[SegSpec], model: &[Segment]) -> bool {
+    spec.len() == model.len()
+        && spec.iter().zip(model).all(|pair| match pair {
+            (SegSpec::Compute(a), Segment::Compute(b))
+            | (SegSpec::Suspend(a), Segment::Suspend(b)) => *a == b.ticks(),
+            (SegSpec::Critical(r, a), Segment::Critical(q, b)) => {
+                *r == q.index() && same_body(a, b)
+            }
+            _ => false,
+        })
+}
+
 fn write_name_list<W: fmt::Write>(names: &[String], out: &mut W) -> fmt::Result {
     for (i, n) in names.iter().enumerate() {
         if i > 0 {
@@ -349,28 +401,31 @@ fn segs_from_body(segments: &[Segment]) -> Vec<SegSpec> {
         .collect()
 }
 
-fn segs_to_model(
-    task: &str,
-    segs: &[SegSpec],
-    resources: usize,
-) -> Result<Vec<Segment>, WireError> {
-    segs.iter()
-        .map(|s| match s {
-            SegSpec::Compute(d) => Ok(Segment::Compute(mpcp_model::Dur::new(*d))),
-            SegSpec::Suspend(d) => Ok(Segment::Suspend(mpcp_model::Dur::new(*d))),
-            SegSpec::Critical(r, body) => {
-                if *r >= resources {
-                    return err(format!(
-                        "task {task:?}: resource index {r} out of range ({resources} resources)"
-                    ));
-                }
-                Ok(Segment::Critical(
-                    mpcp_model::ResourceId::from_index(*r as u32),
-                    segs_to_model(task, body, resources)?,
-                ))
+/// The wire's own range check of a body's resource indices, in lock
+/// order; [`seg_to_model`] relies on it.
+fn check_resources(task: &str, segs: &[SegSpec], resources: usize) -> Result<(), WireError> {
+    for s in segs {
+        if let SegSpec::Critical(r, body) = s {
+            if *r >= resources {
+                return err(format!(
+                    "task {task:?}: resource index {r} out of range ({resources} resources)"
+                ));
             }
-        })
-        .collect()
+            check_resources(task, body, resources)?;
+        }
+    }
+    Ok(())
+}
+
+fn seg_to_model(s: &SegSpec) -> Segment {
+    match s {
+        SegSpec::Compute(d) => Segment::Compute(mpcp_model::Dur::new(*d)),
+        SegSpec::Suspend(d) => Segment::Suspend(mpcp_model::Dur::new(*d)),
+        SegSpec::Critical(r, body) => Segment::Critical(
+            mpcp_model::ResourceId::from_index(*r as u32),
+            body.iter().map(seg_to_model).collect(),
+        ),
+    }
 }
 
 fn seg_to_json(s: &SegSpec) -> Value {
@@ -627,6 +682,97 @@ mod tests {
                 crate::json::fnv1a(s.to_json().encode().as_bytes()),
                 "streaming hash diverged for {s:?}"
             );
+        }
+    }
+
+    /// A system built with a previous version as a hint equals the one
+    /// built alone — errors and their text included — after every step
+    /// of a script that removes from the middle, reorders, repeats a
+    /// name, rewrites a body and resizes the resource table; and it
+    /// takes over exactly the bodies that compare equal.
+    #[test]
+    fn a_system_built_after_a_previous_version_equals_one_built_alone() {
+        let task = |name: &str, period, body| TaskSpec {
+            name: name.into(),
+            processor: 0,
+            period,
+            deadline: None,
+            offset: 0,
+            priority: None,
+            body,
+        };
+        let nested = vec![
+            SegSpec::Compute(1),
+            SegSpec::Critical(0, vec![SegSpec::Suspend(1), SegSpec::Critical(1, vec![])]),
+        ];
+        let mut spec = SystemSpec {
+            processors: vec!["P0".into()],
+            resources: vec!["S0".into(), "S1".into()],
+            tasks: vec![
+                task("a", 10, nested.clone()),
+                task("b", 20, vec![SegSpec::Compute(2)]),
+                task(
+                    "c",
+                    30,
+                    vec![SegSpec::Critical(1, vec![SegSpec::Compute(1)])],
+                ),
+                task("d", 40, vec![]),
+            ],
+        };
+        type Step = (&'static str, fn(&mut SystemSpec), Option<usize>);
+        // Each step with the number of bodies it must share (`None`:
+        // the spec does not build).
+        let steps: [Step; 11] = [
+            ("nothing", |_| {}, Some(4)),
+            ("push", |s| s.tasks.push(s.tasks[1].clone()), Some(5)),
+            ("rename the copy", |s| s.tasks[4].name = "e".into(), Some(4)),
+            (
+                "remove from the middle",
+                |s| drop(s.tasks.remove(1)),
+                Some(4),
+            ),
+            ("reorder", |s| s.tasks.swap(0, 3), Some(4)),
+            ("period only", |s| s.tasks[0].period = 15, Some(4)),
+            (
+                "compute for suspend",
+                |s| s.tasks[3].body[1] = SegSpec::Compute(9),
+                Some(3),
+            ),
+            (
+                "resource out of range",
+                |s| s.tasks[1].body = vec![SegSpec::Critical(2, vec![])],
+                None,
+            ),
+            ("a longer table", |s| s.resources.push("S2".into()), Some(0)),
+            (
+                "self nesting",
+                |s| {
+                    s.tasks[2].body =
+                        vec![SegSpec::Critical(2, vec![SegSpec::Critical(2, vec![])])];
+                },
+                None,
+            ),
+            (
+                "back in range",
+                |s| s.tasks[2].body = vec![SegSpec::Critical(2, vec![])],
+                Some(3),
+            ),
+        ];
+        let mut prev = spec.to_system().unwrap();
+        for (what, step, shared) in steps {
+            step(&mut spec);
+            let alone = spec.to_system();
+            let hinted = build_system(&spec.processors, &spec.resources, &spec.tasks, Some(&prev));
+            assert_eq!(hinted, alone, "{what}");
+            assert_eq!(hinted.is_ok(), shared.is_some(), "{what}: {hinted:?}");
+            let Ok(next) = hinted else { continue };
+            let taken = |t: &mpcp_model::Task| {
+                let old = prev.tasks().iter().find(|o| o.name() == t.name());
+                old.is_some_and(|o| o.body().is_same_allocation(t.body()))
+            };
+            let count = next.tasks().iter().filter(|t| taken(t)).count();
+            assert_eq!(Some(count), shared, "{what}");
+            prev = next;
         }
     }
 

@@ -45,6 +45,11 @@ pub struct EngineStats {
     pub processors_recomputed: u64,
     /// Processors whose cached rows were reused.
     pub processors_reused: u64,
+    /// Tasks whose dependency-graph node an edited system took over
+    /// from the version before it.
+    pub tasks_shared: u64,
+    /// Tasks whose node an edit built.
+    pub tasks_rebuilt: u64,
 }
 
 impl EngineStats {
@@ -190,7 +195,7 @@ impl IncrementalAnalysis {
     /// caches by name, so duplicate names have no incremental story
     /// (callers should fall back to plain full analysis).
     pub fn new(system: System) -> Result<IncrementalAnalysis, String> {
-        let graph = DepGraph::build(&system);
+        let graph = DepGraph::build(&system, None);
         if graph.has_duplicate_task_names() {
             return Err("duplicate task names; incremental analysis needs unique names".into());
         }
@@ -218,6 +223,11 @@ impl IncrementalAnalysis {
     /// The system the cached state describes.
     pub fn system(&self) -> &System {
         &self.system
+    }
+
+    /// The dependency graph of [`IncrementalAnalysis::system`].
+    pub fn graph(&self) -> &DepGraph {
+        &self.graph
     }
 
     /// The merged lint report.
@@ -251,8 +261,17 @@ impl IncrementalAnalysis {
     /// units `edit` can affect per the dependency graph. The edit is a
     /// *hint*: misdeclared edits are caught by the graph diff and only
     /// widen the dirty set (or force a full recompute), never shrink it.
+    ///
+    /// The new system's derived facts and graph are built with the
+    /// engine's own as hints ([`System::info_after`],
+    /// [`DepGraph::build`]): whatever describes a task the edit left
+    /// alone is shared with the previous version, not derived again.
     pub fn apply(&mut self, new_system: System, edit: &Edit) {
-        let new_graph = DepGraph::build(&new_system);
+        new_system.info_after(&self.system);
+        let new_graph = DepGraph::build(&new_system, Some(&self.graph));
+        let shared = new_graph.shared_nodes();
+        self.stats.tasks_shared += shared as u64;
+        self.stats.tasks_rebuilt += (new_graph.task_count() - shared) as u64;
         let dirty = if new_graph.has_duplicate_task_names() {
             mpcp_analysis::DirtySet::full()
         } else {
@@ -314,8 +333,12 @@ fn lint_report_full(system: &System) -> Report {
 /// `system`, sharing no cached state with any engine. The differential
 /// oracle: a correct incremental engine matches this byte for byte.
 pub fn full_snapshot_json(system: &System) -> String {
+    // An engine derives its system's facts by sharing with the previous
+    // version's; the reference derives its own, or a wrong sharing rule
+    // would corrupt both sides of the comparison alike.
+    let system = &system.detached();
     let report = lint_report_full(system);
-    let graph = DepGraph::build(system);
+    let graph = DepGraph::build(system, None);
     if graph.has_duplicate_task_names() {
         return render_snapshot(system, &report, Some(DUP_NAMES_ERROR), None);
     }
@@ -572,6 +595,11 @@ mod tests {
         for (edit, next) in script {
             engine.apply(next.clone(), &edit);
             assert_eq!(engine.snapshot_json(), full_snapshot_json(&next), "{edit}");
+            // What the engine derived by sharing with the version before
+            // is what the same system derives alone.
+            let alone = next.detached();
+            assert_eq!(engine.system().info(), alone.info(), "{edit}");
+            assert_eq!(*engine.graph(), DepGraph::build(&alone, None), "{edit}");
         }
         // Re-added tasks move to the end and keep their doubled
         // periods; bodies are back to the originals.

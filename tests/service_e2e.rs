@@ -616,6 +616,16 @@ fn query_reports_engine_and_journal_work_per_edit() {
     assert_eq!(moved("engine", "tasks_reused"), 3);
     assert_eq!(moved("engine", "processors_recomputed"), 1);
     assert_eq!(moved("engine", "processors_reused"), 1);
+    // The edited version shares the three tasks it did not touch with
+    // the one before it, and its reply re-renders at most the rows of
+    // the edited processor (b, c and d sit on P1).
+    assert_eq!(moved("engine", "tasks_rebuilt"), 1);
+    assert_eq!(moved("engine", "tasks_shared"), 3);
+    assert!(moved("engine", "rows_rendered") <= 3, "{second:?}");
+    assert_eq!(
+        moved("engine", "rows_rendered") + moved("engine", "rows_reused"),
+        4
+    );
     assert_eq!(moved("persist", "records_delta"), 1);
     assert_eq!(moved("persist", "records_full"), 0);
     assert!(moved("persist", "bytes") < 200, "{second:?}");
