@@ -157,11 +157,10 @@ pub fn single_occupancy(trace: &Trace, system: &System) -> Result<(), CheckError
     Ok(())
 }
 
-/// Streaming tripwire for [`single_occupancy`]: watches the *unmerged*
-/// slice stream. The engine emits each processor's slices in start
-/// order, and contiguous-slice merging never merges an overlap away, so
-/// any overlap the post-hoc sorted check would find trips this core
-/// too.
+/// Streaming tripwire for [`single_occupancy`]: watches the slices as
+/// they close. The engine closes each processor's slices in start
+/// order, so any overlap the post-hoc sorted check would find trips
+/// this core too.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct OccupancyCheck {
     /// Last slice seen per `ProcessorId::index()`.
@@ -180,7 +179,7 @@ impl OccupancyCheck {
             self.last.resize(i + 1, None);
         }
         if let Some(prev) = self.last[i] {
-            if prev.start + prev.dur > slice.start {
+            if slice.start.saturating_duration_since(prev.start) < prev.dur {
                 self.error = Some(err(
                     slice.start,
                     format!(
@@ -425,11 +424,14 @@ pub fn priority_floor(trace: &Trace, system: &System) -> Result<(), CheckError> 
     core.into_result()
 }
 
-/// Streaming core of [`spin_occupancy`]. Watches the *unmerged* slice
-/// stream the engine emits, where every slice starts at or after the
-/// events of its start instant — so tracking just the current spinner
-/// per processor is exact. (The post-hoc function works on recorded,
-/// possibly merged slices and uses interval overlap instead.)
+/// Streaming core of [`spin_occupancy`]. Does not watch slices, which
+/// close long after the fact: whenever time is about to move, the
+/// engine shows it the occupant of every processor an event of the
+/// instant concerned, after those events — so tracking just the current
+/// spinner per processor is exact. A spinner is set by an event on its
+/// own processor and an occupant changes only there, so a processor not
+/// shown would pass as it passed when last shown. (The post-hoc function
+/// works on recorded slices and uses interval overlap instead.)
 #[derive(Debug, Clone)]
 pub(crate) struct SpinCheck {
     res_global: Vec<bool>,
@@ -495,23 +497,27 @@ impl SpinCheck {
         }
     }
 
+    /// `occupant` holds `processor` (or nobody does) from `now` until
+    /// the next instant.
     #[inline]
-    pub(crate) fn on_slice(&mut self, slice: &Slice) {
+    pub(crate) fn on_occupant(
+        &mut self,
+        processor: ProcessorId,
+        occupant: Option<JobId>,
+        now: Time,
+    ) {
         if self.error.is_some() {
             return;
         }
-        let Some(&Some(spinner)) = self.spinning.get(slice.processor.index()) else {
+        let Some(&Some(spinner)) = self.spinning.get(processor.index()) else {
             return;
         };
-        if slice.job != Some(spinner) {
+        if occupant != Some(spinner) {
             self.error = Some(err(
-                slice.start,
-                match slice.job {
-                    Some(j) => format!(
-                        "{} ran {j} while {spinner} spin-waits there",
-                        slice.processor
-                    ),
-                    None => format!("{} idled while {spinner} spin-waits there", slice.processor),
+                now,
+                match occupant {
+                    Some(j) => format!("{processor} ran {j} while {spinner} spin-waits there"),
+                    None => format!("{processor} idled while {spinner} spin-waits there"),
                 },
             ));
         }

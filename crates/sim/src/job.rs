@@ -2,6 +2,8 @@
 
 use crate::op::{Op, Program};
 use mpcp_model::{Dur, JobId, Priority, ProcessorId, ResourceId, Time};
+#[cfg(any(test, debug_assertions))]
+use std::sync::atomic::Ordering::Relaxed;
 
 /// Scheduling state of an active job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,8 +49,9 @@ pub struct JobState {
     /// Index of the current operation.
     pub pc: usize,
     /// Remaining time of the current [`Op::Compute`], if `pc` points at
-    /// one.
-    pub remaining: Dur,
+    /// one. Crate-private because it lags the clock while the job runs,
+    /// as the blocking counters below do while it waits.
+    pub(crate) remaining: Dur,
     /// Scheduling state.
     pub state: ExecState,
     /// Whether a [`ExecState::Blocked`] wait busy-waits: the job remains a
@@ -155,7 +158,7 @@ pub(crate) struct Runner {
 }
 
 /// One processor's run queue, with the open accounting interval of the
-/// jobs waiting on it.
+/// jobs waiting on it and of the job running on it.
 #[derive(Debug, Default)]
 struct RunQueue {
     /// Live slots placed on this processor, in no particular order (the
@@ -166,14 +169,19 @@ struct RunQueue {
     /// The instant up to which the waiting jobs' blocking counters are
     /// settled; no state, placement or runner here has changed since.
     settled: Time,
+    /// The instant up to which the runner's own progress (`remaining`,
+    /// or a spinner's blocking) is settled: ahead of `settled` when only
+    /// its compute op ended since, and the current instant exactly when
+    /// this processor is in [`Jobs::dirty`].
+    progress: Time,
     /// Whether a scheduler input here changed since the last reschedule.
     marked: bool,
 }
 
 /// `job`'s `[blocked_local, blocked_global, lower_interference]` after
 /// `dt` more spent while `runner` holds its processor. A runner's own
-/// accrual — a spinner burning its processor — is the engine's
-/// per-processor pass, so `job` being the runner adds nothing here.
+/// accrual — a spinner burning its processor — is [`RunQueue::progress`]'s
+/// interval, so `job` being the runner adds nothing here.
 fn accrued(job: &JobState, runner: Option<Runner>, dt: Dur) -> [Dur; 3] {
     let [mut local, mut global, mut lower] = [
         job.blocked_local,
@@ -210,14 +218,19 @@ fn accrued(job: &JobState, runner: Option<Runner>, dt: Dur) -> [Dur; 3] {
 /// per task the live `(instance, slot)` pairs (one or two entries), per
 /// processor the live slots placed there (its run queue).
 ///
-/// The run queues also carry the blocking accounting: a waiting job's
-/// counters do not tick with the clock; each processor remembers up to
-/// when its queue is settled and who has held it since, and `touch`
-/// adds the whole interval just before anything there changes. `touch`
-/// also marks the processor for the next reschedule, so it is the one
-/// gate every write to a scheduler input passes through: `touch_mut`
-/// (`state`, `spin`, `effective_priority`), `set_processor`,
-/// `set_runner`, `release` and `remove`.
+/// The run queues also carry the accounting: neither a waiting job's
+/// blocking counters nor the runner's `remaining` tick with the clock;
+/// each processor remembers up to when its queue and its runner are
+/// settled and who has held it since, and `touch` applies the whole
+/// interval just before anything there changes. `touch` also marks the
+/// processor for the next reschedule and enters it in the instant's
+/// dirty set, so it is the one gate every write to a scheduler input
+/// passes through: `touch_mut` (`state`, `spin`, `effective_priority`),
+/// `set_processor`, `set_runner`, `release` and `remove`. A processor
+/// nobody touched and whose compute op did not end has a runner in
+/// mid-compute (or spinning, or none): nothing to execute or reschedule,
+/// the same compute end and occupant as before — an instant visits the
+/// dirty set, not the machine.
 #[derive(Debug, Default)]
 pub struct Jobs {
     /// Slot storage; slots listed in `free` retain stale state (kept
@@ -230,6 +243,15 @@ pub struct Jobs {
     by_task: Vec<Vec<(u32, u32)>>,
     /// Run queue per `ProcessorId::index()`.
     queues: Vec<RunQueue>,
+    /// Per processor, the instant its runner's current [`Op::Compute`]
+    /// ends ([`Time::MAX`] when it idles or spins): the engine's cache,
+    /// which it refreshes for every dirty processor as an instant ends.
+    compute_ends: Vec<Time>,
+    /// The processors touched, or whose compute op ended, in the current
+    /// instant, ascending — and all of them at time zero, when "settled
+    /// up to now" does not yet mean "seen". (One too many costs a
+    /// glance; one too few, an event.)
+    dirty: Vec<u32>,
     /// Whether waiting jobs accrue blocking at all (static binding).
     accounting: bool,
     /// Jobs whose program counter may have reached the end since the
@@ -237,6 +259,45 @@ pub struct Jobs {
     /// here, so the engine's sweep is O(1) on the (common) rounds where
     /// nothing completed instead of a scan of the whole table.
     pub(crate) done_candidates: Vec<JobId>,
+    /// Jobs the step loop dereferenced by slot — `touch` and the
+    /// scheduler walking one queue apart: what a pass over the machine
+    /// multiplies by `m`.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) visits: std::sync::atomic::AtomicU64,
+}
+
+/// Brings the progress of `q`'s runner up to `now`: a spinner burns its
+/// processor, so its whole interval is semaphore blocking; anyone else
+/// has computed for it. The end of a compute op with more ops to come
+/// takes the invisible pc advance here instead of spending a fixpoint
+/// round on it; completing advances stay in the fixpoint, preserving
+/// completion order.
+fn settle_runner(slots: &mut [JobState], q: &mut RunQueue, now: Time) {
+    // `progress <= now` (checked after every debug step); `-` is a call.
+    let dt = now.saturating_duration_since(q.progress);
+    q.progress = now;
+    let Some(Runner { slot, .. }) = q.runner else {
+        return;
+    };
+    if dt.is_zero() {
+        // Settled when its op ended this instant; it may be at any op.
+        return;
+    }
+    let job = &mut slots[slot as usize];
+    if let ExecState::Blocked { global, .. } = job.state {
+        debug_assert!(job.spin, "non-spin blocked job was dispatched");
+        if global {
+            job.blocked_global += dt;
+        } else {
+            job.blocked_local += dt;
+        }
+    } else {
+        debug_assert!(job.remaining >= dt, "runner advanced past op end");
+        job.remaining = job.remaining.saturating_sub(dt);
+        if job.remaining.is_zero() && job.pc + 1 < job.program.len() {
+            job.advance_pc();
+        }
+    }
 }
 
 impl Jobs {
@@ -252,10 +313,16 @@ impl Jobs {
         self.queues.resize_with(processors, RunQueue::default);
         for q in &mut self.queues {
             q.slots.clear();
-            (q.runner, q.settled, q.marked) = (None, Time::ZERO, false);
+            (q.runner, q.settled, q.progress, q.marked) = (None, Time::ZERO, Time::ZERO, false);
         }
+        self.compute_ends.clear();
+        self.compute_ends.resize(processors, Time::MAX);
+        self.dirty.clear();
+        self.dirty.extend(0..processors as u32);
         self.accounting = accounting;
         self.done_candidates.clear();
+        #[cfg(any(test, debug_assertions))]
+        self.visits.store(0, Relaxed);
     }
 
     /// The slot index of `id`, if active: stable for the lifetime of the
@@ -301,28 +368,74 @@ impl Jobs {
     }
 
     /// Settles the blocking counters of the jobs waiting on processor
-    /// `p` up to `now` and marks `p` for the next reschedule. Call it
-    /// *before* changing anything the accounting predicate or the
-    /// scheduler reads there: the interval `[settled, now)` is charged
-    /// by the state it finds. Further calls in the same instant find an
-    /// empty interval.
+    /// `p` and the progress of its runner up to `now`, marks `p` for the
+    /// next reschedule and enters it in the dirty set. Call it *before*
+    /// changing anything the accounting predicate or the scheduler reads
+    /// there: the interval `[settled, now)` is charged by the state it
+    /// finds. Further calls in the same instant only mark, inline.
+    #[inline]
     pub(crate) fn touch(&mut self, p: usize, now: Time) {
-        let q = &mut self.queues[p];
-        if q.settled < now {
-            if self.accounting {
-                let dt = now - q.settled;
-                for &slot in &q.slots {
-                    let job = &mut self.slots[slot as usize];
-                    [
-                        job.blocked_local,
-                        job.blocked_global,
-                        job.lower_interference,
-                    ] = accrued(job, q.runner, dt);
-                }
-            }
-            q.settled = now;
+        if self.queues[p].settled < now {
+            self.settle(p, now);
         }
-        q.marked = true;
+        self.queues[p].marked = true;
+    }
+
+    /// The first [`Jobs::touch`] of processor `p` in the instant `now`.
+    fn settle(&mut self, p: usize, now: Time) {
+        let q = &mut self.queues[p];
+        if self.accounting {
+            let dt = now - q.settled;
+            for &slot in &q.slots {
+                let job = &mut self.slots[slot as usize];
+                [
+                    job.blocked_local,
+                    job.blocked_global,
+                    job.lower_interference,
+                ] = accrued(job, q.runner, dt);
+            }
+        }
+        q.settled = now;
+        if q.progress < now {
+            settle_runner(&mut self.slots, q, now);
+            let at = self.dirty.partition_point(|&d| (d as usize) < p);
+            self.dirty.insert(at, p as u32);
+        }
+    }
+
+    /// Time moves to `now`: lowers the dirty set of the instant left
+    /// behind, then settles — and enters in the new one — the runner of
+    /// every processor whose compute op ends at `now`. One job each, not
+    /// its queue: nothing the waiters' predicate reads has changed.
+    pub(crate) fn enter_instant(&mut self, now: Time) {
+        self.dirty.clear();
+        for p in 0..self.compute_ends.len() {
+            if self.compute_ends[p] == now {
+                settle_runner(&mut self.slots, &mut self.queues[p], now);
+                self.dirty.push(p as u32);
+                self.visit();
+            }
+        }
+    }
+
+    /// The `i`-th processor of the dirty set, ascending. A walk `i = 0,
+    /// 1, …` may touch the processor it is at, and stops once it has
+    /// touched another.
+    #[inline]
+    pub(crate) fn dirty(&self, i: usize) -> Option<usize> {
+        self.dirty.get(i).map(|&p| p as usize)
+    }
+
+    /// The earliest instant a runner's compute op ends, if any computes
+    /// — once every dirty processor had its [`Jobs::set_compute_end`].
+    pub(crate) fn next_compute_end(&self) -> Option<Time> {
+        let end = self.compute_ends.iter().copied().min();
+        end.filter(|&t| t < Time::MAX)
+    }
+
+    /// Records when the compute op of `p`'s runner will end.
+    pub(crate) fn set_compute_end(&mut self, p: usize, end: Time) {
+        self.compute_ends[p] = end;
     }
 
     /// [`Jobs::expect_mut`] for a write to `state`, `spin` or
@@ -340,15 +453,22 @@ impl Jobs {
 
     /// `job`'s `[blocked_local, blocked_global, lower_interference]` as
     /// of `now`: the settled counters plus the interval still open on
-    /// its processor.
+    /// its processor — the queue's for a waiting job, the runner's own
+    /// for a spinner holding it.
     pub fn blocking_at(&self, job: &JobState, now: Time) -> [Dur; 3] {
         let q = &self.queues[job.processor.index()];
         let open = self.accounting && q.settled < now;
-        accrued(
+        let mut counters = accrued(
             job,
             q.runner,
             if open { now - q.settled } else { Dur::ZERO },
-        )
+        );
+        if let (Some(r), ExecState::Blocked { global, .. }) = (q.runner, job.state) {
+            if r.id == job.id {
+                counters[usize::from(global)] += now - q.progress;
+            }
+        }
+        counters
     }
 
     /// Activates `job`, just released (`job.release` is the current
@@ -459,8 +579,15 @@ impl Jobs {
         &mut self.queues[p].marked
     }
 
+    #[inline]
+    fn visit(&self) {
+        #[cfg(any(test, debug_assertions))]
+        self.visits.fetch_add(1, Relaxed);
+    }
+
     /// Direct slot access (the slot must be live).
     pub(crate) fn by_slot(&self, slot: u32) -> &JobState {
+        self.visit();
         &self.slots[slot as usize]
     }
 
@@ -468,6 +595,7 @@ impl Jobs {
     /// the scheduler does not read (`held`, `pc`, `remaining`,
     /// `miss_recorded`); its inputs go through [`Jobs::touch_mut`].
     pub(crate) fn by_slot_mut(&mut self, slot: u32) -> &mut JobState {
+        self.visit();
         &mut self.slots[slot as usize]
     }
 
@@ -492,8 +620,9 @@ impl Jobs {
     /// Walks both indices (without allocating): every live slot is on
     /// exactly one task list, under its own id, and exactly once on the
     /// run queue of its `processor` and on no other; every runner is a
-    /// live job placed where it runs; no queue is settled past `now`.
-    /// Debug builds run it after every engine step.
+    /// live job placed where it runs; no queue is settled past its
+    /// runner, no runner past `now`, and one settled up to `now` is in
+    /// the dirty set. Debug builds run it after every engine step.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn assert_consistent(&self, now: Time) {
         let mut listed = 0;
@@ -512,11 +641,22 @@ impl Jobs {
         // own queue: no queue holds anything else.
         let queued: usize = self.queues.iter().map(|q| q.slots.len()).sum();
         assert_eq!((listed, queued), (self.len(), self.len()));
+        assert!(self.dirty.windows(2).all(|w| w[0] < w[1]), "dirty unsorted");
         for (p, q) in self.queues.iter().enumerate() {
-            assert!(q.settled <= now, "queue {p} settled past {now}");
+            assert!(
+                q.settled <= q.progress && q.progress <= now,
+                "queue {p} settled to {}, its runner to {}, at {now}",
+                q.settled,
+                q.progress
+            );
+            let entered = self.dirty.contains(&(p as u32));
+            assert!(
+                entered || q.progress < now,
+                "{p} settled behind the dirty set"
+            );
             if let Some(r) = q.runner {
                 assert_eq!(self.slot_of(r.id), Some(r.slot), "runner of {p}");
-                assert_eq!(self.by_slot(r.slot).processor.index(), p);
+                assert_eq!(self.slots[r.slot as usize].processor.index(), p);
             }
         }
     }
@@ -648,6 +788,7 @@ mod tests {
         // [0, 4): hi is ready under the lower-priority runner lo.
         assert_eq!(at(&jobs, hi, 4), [0, 0, 4]);
         assert_eq!(jobs.expect(hi).lower_interference, Dur::ZERO, "read only");
+        jobs.enter_instant(Time::new(4));
         jobs.touch_mut(hi, Time::new(4)).state = global_wait();
         assert_eq!(at(&jobs, hi, 4), [0, 0, 4], "charged as ready, not blocked");
         jobs.touch_mut(hi, Time::new(4)).spin = true; // second touch: dt = 0
@@ -667,6 +808,7 @@ mod tests {
         let (hi_slot, lo_slot) = (jobs.slot_of(hi).unwrap(), jobs.slot_of(lo).unwrap());
         jobs.set_runner(0, Some((lo, lo_slot)), Time::ZERO);
         *jobs.marked(0) = false;
+        jobs.enter_instant(Time::new(5));
         jobs.set_runner(0, Some((hi, hi_slot)), Time::new(5));
         assert!(*jobs.marked(0));
         // hi waited [0, 5) under lo; lo has waited since under hi, which
@@ -685,17 +827,76 @@ mod tests {
         jobs.touch_mut(other, Time::ZERO).state = global_wait();
         // other waits on P1 during [0, 3), then moves to P0 and keeps
         // waiting there: one uninterrupted global wait.
+        jobs.enter_instant(Time::new(3));
         jobs.set_processor(other, ProcessorId::from_index(0), Time::new(3));
         assert_eq!(jobs.expect(other).blocked_global, Dur::new(3));
         assert_eq!(jobs.queued(0).count(), 3);
         assert_eq!(jobs.queued(1).count(), 0);
         assert!(*jobs.marked(0) && *jobs.marked(1));
         jobs.assert_consistent(Time::new(3));
+        jobs.enter_instant(Time::new(6));
         let gone = jobs.remove(other, Time::new(6)).unwrap();
         assert_eq!(gone.blocked_global, Dur::new(6));
         // Its removal settled the rest of P0's queue too.
         assert_eq!(jobs.expect(hi).lower_interference, Dur::new(6));
         jobs.assert_consistent(Time::new(6));
+    }
+
+    /// A runner's `remaining` does not tick either: a touch of its
+    /// processor brings it up to date; the end of its op settles it —
+    /// it alone, not the queue behind it — folds the pc advance when
+    /// more ops follow, and puts the processor in the new instant's
+    /// dirty set.
+    #[test]
+    fn a_runner_progresses_when_touched_or_when_its_op_ends() {
+        let (mut jobs, [hi, lo, other]) = three_jobs(true);
+        let two_ops = program(Body::builder().compute(9).suspend(2).build());
+        jobs.expect_mut(other).program = two_ops;
+        for (p, id) in [(0, hi), (1, other)] {
+            let slot = jobs.slot_of(id).unwrap();
+            jobs.set_runner(p, Some((id, slot)), Time::ZERO);
+            jobs.set_compute_end(p, Time::new(9));
+        }
+        assert_eq!(jobs.next_compute_end(), Some(Time::new(9)));
+        jobs.enter_instant(Time::new(4));
+        assert_eq!(jobs.dirty(0), None, "nothing ends at 4");
+        jobs.touch_mut(lo, Time::new(4)).state = global_wait();
+        assert_eq!((jobs.dirty(0), jobs.dirty(1)), (Some(0), None));
+        assert_eq!(jobs.expect(hi).remaining, Dur::new(5));
+        assert_eq!(jobs.expect(other).remaining, Dur::new(9), "P1 untouched");
+        jobs.enter_instant(Time::new(9));
+        assert_eq!((jobs.dirty(0), jobs.dirty(1)), (Some(0), Some(1)));
+        assert_eq!(
+            (jobs.expect(hi).remaining, jobs.expect(hi).pc),
+            (Dur::ZERO, 0)
+        );
+        assert_eq!(
+            (jobs.expect(other).remaining, jobs.expect(other).pc),
+            (Dur::ZERO, 1)
+        );
+        // lo's wait is still open since 4; reading it adds the interval.
+        assert_eq!(jobs.expect(lo).blocked_global, Dur::ZERO);
+        assert_eq!(at(&jobs, lo, 9), [0, 5, 0]);
+        jobs.assert_consistent(Time::new(9));
+    }
+
+    /// A spinner holding its processor accrues blocking over the
+    /// runner's own interval: read with the open part, settled when its
+    /// processor is next touched.
+    #[test]
+    fn a_spinning_runner_accrues_its_own_interval() {
+        let (mut jobs, [hi, ..]) = three_jobs(true);
+        let slot = jobs.slot_of(hi).unwrap();
+        jobs.set_runner(0, Some((hi, slot)), Time::ZERO);
+        let job = jobs.touch_mut(hi, Time::ZERO);
+        (job.state, job.spin) = (global_wait(), true);
+        assert_eq!(at(&jobs, hi, 6), [0, 6, 0]);
+        assert_eq!(jobs.expect(hi).blocked_global, Dur::ZERO, "read only");
+        jobs.enter_instant(Time::new(6));
+        let job = jobs.touch_mut(hi, Time::new(6));
+        (job.state, job.spin) = (ExecState::Ready, false);
+        assert_eq!(jobs.expect(hi).blocked_global, Dur::new(6));
+        assert_eq!(at(&jobs, hi, 8), [0, 6, 0]);
     }
 
     /// Dynamic binding measures no blocking.
@@ -705,6 +906,7 @@ mod tests {
         let lo_slot = jobs.slot_of(lo).unwrap();
         jobs.set_runner(0, Some((lo, lo_slot)), Time::ZERO);
         assert_eq!(at(&jobs, hi, 9), [0, 0, 0]);
+        jobs.enter_instant(Time::new(9));
         jobs.touch(0, Time::new(9));
         assert_eq!(at(&jobs, hi, 9), [0, 0, 0]);
     }

@@ -4,12 +4,12 @@
 //!
 //! A [`Monitor`] is attached to a simulator with
 //! [`Simulator::set_monitor`](crate::Simulator::set_monitor); the engine
-//! then feeds it every event and occupancy slice as they are emitted,
-//! even when trace recording is disabled. Clean runs therefore never
-//! materialize a trace at all — the sweep's fast path simulates with
-//! recording off, and only re-simulates with capture enabled when the
-//! monitor reports a violation (so the shrinker and the report see the
-//! exact post-hoc results, byte for byte).
+//! then feeds it every event as it is emitted and every occupancy slice
+//! as it closes, even when trace recording is disabled. Clean runs
+//! therefore never materialize a trace at all — the sweep's fast path
+//! simulates with recording off, and only re-simulates with capture
+//! enabled when the monitor reports a violation (so the shrinker and the
+//! report see the exact post-hoc results, byte for byte).
 //!
 //! The monitor reuses the streaming cores behind the post-hoc
 //! predicates, so the online and offline verdicts agree by
@@ -173,9 +173,12 @@ impl Monitor {
     #[inline]
     pub(crate) fn on_slice(&mut self, slice: &Slice) {
         self.occupancy.on_slice(slice);
-        if let Some(c) = &mut self.spin {
-            c.on_slice(slice);
-        }
+    }
+
+    /// The core that wants to see who holds a processor whenever time
+    /// is about to move ([`SpinCheck::on_occupant`]), when enabled.
+    pub(crate) fn spin_check(&mut self) -> Option<&mut SpinCheck> {
+        self.spin.as_mut()
     }
 
     /// The first violation of any enabled structural check, in the

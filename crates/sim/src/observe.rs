@@ -11,7 +11,6 @@
 use crate::event::EventKind;
 use crate::trace::Trace;
 use mpcp_model::{Dur, JobId, System, Time};
-use std::collections::HashMap;
 
 /// Global-semaphore waiting time per job, reconstructed from a
 /// [`Trace`].
@@ -23,8 +22,13 @@ use std::collections::HashMap;
 /// [`ObservedBlocking::settled`].
 #[derive(Debug, Clone, Default)]
 pub struct ObservedBlocking {
-    total: HashMap<JobId, Dur>,
-    open: HashMap<JobId, Time>,
+    /// Per `TaskId::index()`, `(instance, settled wait)` of the jobs
+    /// that ever waited, in instance order.
+    total: Vec<Vec<(u32, Dur)>>,
+    /// The waits open right now, with their start: as many entries as
+    /// jobs are blocked on a global semaphore, so every grant — most
+    /// close no wait at all — looks through a handful, hashing nothing.
+    open: Vec<(JobId, Time)>,
 }
 
 impl ObservedBlocking {
@@ -50,12 +54,26 @@ impl ObservedBlocking {
         res_global: &[bool],
     ) {
         match *kind {
-            EventKind::LockBlocked { resource, .. } if res_global[resource.index()] => {
-                self.open.entry(job).or_insert(time);
+            // A job that blocks again while waiting is still in the wait
+            // it opened first.
+            EventKind::LockBlocked { resource, .. }
+                if res_global[resource.index()] && !self.open.iter().any(|&(j, _)| j == job) =>
+            {
+                self.open.push((job, time));
             }
             EventKind::HandedOff { .. } | EventKind::LockGranted { .. } | EventKind::Woken => {
-                if let Some(start) = self.open.remove(&job) {
-                    *self.total.entry(job).or_insert(Dur::ZERO) += time - start;
+                let Some(at) = self.open.iter().position(|&(j, _)| j == job) else {
+                    return;
+                };
+                let (_, start) = self.open.swap_remove(at);
+                let t = job.task.index();
+                if t >= self.total.len() {
+                    self.total.resize_with(t + 1, Vec::new);
+                }
+                let waits = &mut self.total[t];
+                match waits.binary_search_by_key(&job.instance, |&(i, _)| i) {
+                    Ok(at) => waits[at].1 += time - start,
+                    Err(at) => waits.insert(at, (job.instance, time - start)),
                 }
             }
             _ => {}
@@ -65,10 +83,15 @@ impl ObservedBlocking {
     /// The job's total settled global wait; zero if it never blocked,
     /// `None` if a wait was still open when the trace ended.
     pub fn settled(&self, job: JobId) -> Option<Dur> {
-        if self.open.contains_key(&job) {
+        if self.open.iter().any(|&(j, _)| j == job) {
             return None;
         }
-        Some(self.total.get(&job).copied().unwrap_or(Dur::ZERO))
+        let waits = self
+            .total
+            .get(job.task.index())
+            .map_or(&[][..], Vec::as_slice);
+        let at = waits.binary_search_by_key(&job.instance, |&(i, _)| i);
+        Some(at.map_or(Dur::ZERO, |at| waits[at].1))
     }
 
     /// Number of jobs whose wait was still open at the end of the
@@ -84,6 +107,7 @@ mod tests {
     use crate::engine::{SimConfig, Simulator};
     use crate::policy::{Ctx, LockResult, Protocol};
     use mpcp_model::{Body, ResourceId, System, TaskDef, TaskId};
+    use std::collections::HashMap;
 
     fn jid(t: u32, i: u32) -> JobId {
         JobId::new(TaskId::from_index(t), i)
@@ -178,5 +202,39 @@ mod tests {
         let ob = ObservedBlocking::from_trace(sim.trace(), &sys);
         assert_eq!(ob.settled(jid(1, 0)), None);
         assert_eq!(ob.unsettled_jobs(), 1);
+    }
+
+    /// Two jobs of one task can wait at once (the first overran into the
+    /// second's period), their waits can close in either order, and a
+    /// job can wait more than once: totals are per job all the same.
+    #[test]
+    fn waits_are_kept_per_job_not_per_task() {
+        let global = [true];
+        let resource = ResourceId::from_index(0);
+        let blocked = EventKind::LockBlocked {
+            resource,
+            holder: None,
+        };
+        let granted = EventKind::LockGranted { resource };
+        let mut ob = ObservedBlocking::default();
+        let feed = |ob: &mut ObservedBlocking, t: u64, job: JobId, kind: &EventKind| {
+            ob.on_event(Time::new(t), job, kind, &global);
+        };
+        feed(&mut ob, 1, jid(2, 0), &blocked);
+        feed(&mut ob, 3, jid(2, 1), &blocked);
+        feed(&mut ob, 4, jid(2, 1), &blocked); // still the wait opened at 3
+        feed(&mut ob, 5, jid(0, 7), &granted); // never waited: closes nothing
+        feed(&mut ob, 6, jid(2, 1), &EventKind::Woken);
+        feed(&mut ob, 7, jid(2, 1), &blocked);
+        assert_eq!(ob.unsettled_jobs(), 2);
+        assert_eq!(ob.settled(jid(2, 0)), None);
+        feed(&mut ob, 9, jid(2, 1), &granted);
+        feed(&mut ob, 9, jid(2, 0), &granted);
+        assert_eq!(ob.settled(jid(2, 0)), Some(Dur::new(8)));
+        assert_eq!(ob.settled(jid(2, 1)), Some(Dur::new(3 + 2)));
+        assert_eq!(ob.settled(jid(2, 2)), Some(Dur::ZERO));
+        assert_eq!(ob.settled(jid(0, 7)), Some(Dur::ZERO));
+        assert_eq!(ob.settled(jid(5, 0)), Some(Dur::ZERO));
+        assert_eq!(ob.unsettled_jobs(), 0);
     }
 }

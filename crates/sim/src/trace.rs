@@ -17,10 +17,10 @@ pub enum Band {
     GlobalCs,
 }
 
-/// An interval during which one processor ran one job (or idled) without
-/// change — maximal on a uniprocessor only: recording merges a slice into
-/// the *last recorded* one, and with two or more processors the per-step
-/// slices interleave, so [`Trace::slices`] is the unmerged per-step stream.
+/// A maximal interval during which one processor ran one job in one
+/// band (or idled): the slice before it and the slice after it on the
+/// same processor differ in `job` or `band`, whatever the number of
+/// processors and however many event instants fall inside.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slice {
     /// The processor.
@@ -44,6 +44,9 @@ pub struct Slice {
 pub struct Trace {
     events: Vec<TraceEvent>,
     slices: Vec<Slice>,
+    /// Per `ProcessorId::index()`, the slice still open there (`dur`
+    /// zero: not known until the occupant or the band changes).
+    open: Vec<Slice>,
     enabled: bool,
     monitor: Option<Monitor>,
 }
@@ -53,6 +56,7 @@ impl Default for Trace {
         Trace {
             events: Vec::new(),
             slices: Vec::new(),
+            open: Vec::new(),
             enabled: true,
             monitor: None,
         }
@@ -70,12 +74,21 @@ impl Trace {
         self.enabled = enabled;
     }
 
-    /// Clears all recorded data for a fresh run, retaining buffer
-    /// capacity, and sets whether recording is enabled. Detaches any
-    /// monitor: it is specific to one system and run.
-    pub(crate) fn reset_for_run(&mut self, enabled: bool) {
+    /// Clears all recorded data for a fresh run on `processors`
+    /// processors, all idle from time zero, retaining buffer capacity,
+    /// and sets whether recording is enabled. Detaches any monitor: it
+    /// is specific to one system and run.
+    pub(crate) fn reset_for_run(&mut self, enabled: bool, processors: usize) {
         self.events.clear();
         self.slices.clear();
+        self.open.clear();
+        self.open.extend((0..processors).map(|p| Slice {
+            processor: ProcessorId::from_index(p as u32),
+            job: None,
+            start: Time::ZERO,
+            dur: Dur::ZERO,
+            band: Band::Normal,
+        }));
         self.enabled = enabled;
         self.monitor = None;
     }
@@ -86,6 +99,10 @@ impl Trace {
 
     pub(crate) fn monitor(&self) -> Option<&Monitor> {
         self.monitor.as_ref()
+    }
+
+    pub(crate) fn monitor_mut(&mut self) -> Option<&mut Monitor> {
+        self.monitor.as_mut()
     }
 
     /// Whether occupancy slices have any consumer at all. When neither
@@ -110,6 +127,44 @@ impl Trace {
         }
     }
 
+    /// From `now` on `processor` runs `job` in `band` (or idles). If
+    /// that is a change, the slice open there closes and a new one
+    /// opens; if not, the open slice simply goes on.
+    #[inline]
+    pub(crate) fn occupy(
+        &mut self,
+        processor: ProcessorId,
+        job: Option<JobId>,
+        band: Band,
+        now: Time,
+    ) {
+        let open = &mut self.open[processor.index()];
+        if (open.job, open.band) != (job, band) {
+            let closed = Slice {
+                // `start` was `now` once; `-` is a call into another crate.
+                dur: now.saturating_duration_since(open.start),
+                ..*open
+            };
+            (open.job, open.band, open.start) = (job, band, now);
+            self.push_slice(closed);
+        }
+    }
+
+    /// Closes every open slice at `now`, the end of the run.
+    pub(crate) fn close_slices(&mut self, now: Time) {
+        for p in 0..self.open.len() {
+            let open = &mut self.open[p];
+            let closed = Slice {
+                dur: now - open.start,
+                ..*open
+            };
+            open.start = now;
+            self.push_slice(closed);
+        }
+    }
+
+    /// The one way a closed slice reaches its consumers: the monitor,
+    /// then the recording. An empty one reaches neither.
     #[inline]
     pub(crate) fn push_slice(&mut self, slice: Slice) {
         if slice.dur.is_zero() {
@@ -118,20 +173,9 @@ impl Trace {
         if let Some(m) = &mut self.monitor {
             m.on_slice(&slice);
         }
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.slices.push(slice);
         }
-        if let Some(last) = self.slices.last_mut() {
-            if last.processor == slice.processor
-                && last.job == slice.job
-                && last.band == slice.band
-                && last.start + last.dur == slice.start
-            {
-                last.dur += slice.dur;
-                return;
-            }
-        }
-        self.slices.push(slice);
     }
 
     /// All events in time order (ties in emission order).
@@ -139,7 +183,11 @@ impl Trace {
         &self.events
     }
 
-    /// All occupancy slices.
+    /// The occupancy slices closed so far: each is recorded at the
+    /// instant its processor's occupant or band changes (so in order of
+    /// their end), the rest when the run ends — at the `step()` that
+    /// returns `false`. A processor's slices are in time order and cover
+    /// it from time zero without gap or overlap.
     pub fn slices(&self) -> &[Slice] {
         &self.slices
     }
@@ -415,33 +463,42 @@ mod tests {
         JobId::first(TaskId::from_index(t))
     }
 
+    /// A slice is recorded when the occupant or the band changes, not
+    /// when an instant merely passes; the end of the run closes the
+    /// rest, once.
     #[test]
-    fn slices_merge_when_contiguous() {
+    fn a_slice_closes_when_its_processor_changes_hands() {
         let mut tr = Trace::new();
-        let p = ProcessorId::from_index(0);
-        tr.push_slice(Slice {
-            processor: p,
-            job: Some(jid(0)),
-            start: Time::new(0),
-            dur: Dur::new(3),
-            band: Band::Normal,
-        });
-        tr.push_slice(Slice {
-            processor: p,
-            job: Some(jid(0)),
-            start: Time::new(3),
-            dur: Dur::new(2),
-            band: Band::Normal,
-        });
-        tr.push_slice(Slice {
-            processor: p,
-            job: Some(jid(0)),
-            start: Time::new(5),
-            dur: Dur::new(1),
-            band: Band::GlobalCs,
-        });
-        assert_eq!(tr.slices().len(), 2);
-        assert_eq!(tr.slices()[0].dur, Dur::new(5));
+        tr.reset_for_run(true, 2);
+        let p = ProcessorId::from_index;
+        tr.occupy(p(0), Some(jid(0)), Band::Normal, Time::new(0));
+        tr.occupy(p(0), Some(jid(0)), Band::Normal, Time::new(3));
+        tr.occupy(p(1), Some(jid(1)), Band::Normal, Time::new(3));
+        tr.occupy(p(0), Some(jid(0)), Band::GlobalCs, Time::new(5));
+        tr.close_slices(Time::new(6));
+        tr.close_slices(Time::new(6));
+        let got: Vec<_> = tr
+            .slices()
+            .iter()
+            .map(|s| {
+                (
+                    s.processor.index(),
+                    s.job,
+                    s.start.ticks(),
+                    s.dur.ticks(),
+                    s.band,
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (1, None, 0, 3, Band::Normal),
+                (0, Some(jid(0)), 0, 5, Band::Normal),
+                (0, Some(jid(0)), 5, 1, Band::GlobalCs),
+                (1, Some(jid(1)), 3, 3, Band::Normal),
+            ]
+        );
     }
 
     #[test]

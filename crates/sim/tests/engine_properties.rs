@@ -2,9 +2,12 @@
 //! trivial always-grant protocol so only scheduling semantics are under
 //! test.
 
+use mpcp_dga::{horizon_capped, DgaReplay, DgaSchedule};
 use mpcp_model::{Body, Dur, JobId, ResourceId, System, TaskDef, Time};
 use mpcp_prop::{cases, Rng};
-use mpcp_sim::{Ctx, LockResult, Protocol, SimConfig, Simulator};
+use mpcp_protocols::ProtocolKind;
+use mpcp_sim::{Ctx, LockResult, Monitor, Protocol, SimConfig, Simulator, Slice};
+use mpcp_taskgen::{generate, WorkloadConfig};
 
 struct AlwaysGrant;
 impl Protocol for AlwaysGrant {
@@ -261,4 +264,104 @@ fn dynamic_binding_keeps_the_job_table_consistent() {
         }
         assert!(!sim.records().is_empty());
     });
+}
+
+/// `system` with `extra` more processors, none of which has a task.
+fn padded(system: &System, extra: usize) -> System {
+    let mut b = System::builder();
+    b.add_processors(system.processors().len() + extra);
+    for r in system.resources() {
+        b.add_resource(r.name());
+    }
+    for t in system.tasks() {
+        b.add_task(t.to_def());
+    }
+    b.build().unwrap()
+}
+
+/// Everything a monitored, recorded run shows but its slices, as
+/// comparable text; the slices; the instant it ended.
+type Observed = (String, Vec<Slice>, Time);
+
+fn observe(system: &System, kind: ProtocolKind, horizon: Time) -> Option<Observed> {
+    let mut monitor = Monitor::new(system, kind.monitor_spec());
+    let protocol: Box<dyn Protocol> = if kind == ProtocolKind::Dga {
+        // Nested sections are outside DGA's model: no schedule, no run.
+        let schedule = DgaSchedule::compute(system, horizon).ok()?;
+        monitor.set_conformance(schedule.expected_grants());
+        Box::new(DgaReplay::from_schedule(schedule))
+    } else {
+        kind.build()
+    };
+    let mut sim = Simulator::with_config(system, protocol, SimConfig::until(horizon.ticks()));
+    sim.set_monitor(monitor);
+    sim.run();
+    let mon = sim.monitor().unwrap();
+    let settled: Vec<_> = sim
+        .records()
+        .iter()
+        .map(|r| mon.observed().map(|ob| ob.settled(r.id)))
+        .collect();
+    let shown = format!(
+        "{:?}\n{:?}\n{:?}\n{:?} {settled:?}",
+        sim.trace().events(),
+        sim.records(),
+        sim.metrics(),
+        mon.error(),
+    );
+    Some((shown, sim.trace().slices().to_vec(), sim.now()))
+}
+
+/// Processors without a task are free, and cannot change a byte: the
+/// same system on a machine 16 or 70 processors wider (past one machine
+/// word) shows the same events, records, metrics and monitor verdict
+/// under every protocol, the same slices on the processors that have
+/// tasks, and on each added processor one idle slice from zero to the
+/// end of the run.
+#[test]
+fn task_less_processors_change_nothing() {
+    let base = |procs, tasks| {
+        WorkloadConfig::default()
+            .processors(procs)
+            .tasks_per_processor(tasks)
+            .resources(1, 2)
+            .sections(0, 2)
+    };
+    let mut systems = Vec::new();
+    for k in 0..3u64 {
+        let util = 0.35 + 0.1 * k as f64;
+        systems.push(generate(&base(4, 3).utilization(util), 7000 + k));
+        let wide = base(8, 8).global_sections(2).periods(500, 5000);
+        systems.push(generate(&wide.utilization(util), 7100 + k));
+        let susp = base(3, 3).suspensions(0.4).nesting(0.3 * (k % 2) as f64);
+        systems.push(generate(&susp.utilization(util), 7200 + k));
+    }
+    let mut compared = 0;
+    for system in &systems {
+        let m = system.processors().len();
+        let horizon = horizon_capped(system, 6_000);
+        for kind in ProtocolKind::ALL {
+            let narrow = observe(system, kind, horizon);
+            for extra in [16, 70] {
+                let wide = observe(&padded(system, extra), kind, horizon);
+                let (Some((shown, slices, end)), Some((wide_shown, wide_slices, wide_end))) =
+                    (&narrow, &wide)
+                else {
+                    assert!(narrow.is_none() && wide.is_none(), "{kind} +{extra}");
+                    continue;
+                };
+                assert_eq!((wide_shown, wide_end), (shown, end), "{kind} +{extra}");
+                let (busy, idle): (Vec<Slice>, Vec<Slice>) =
+                    wide_slices.iter().partition(|s| s.processor.index() < m);
+                assert_eq!(&busy, slices, "{kind} +{extra}");
+                assert_eq!(idle.len(), extra, "{kind} +{extra}");
+                for (p, s) in idle.iter().enumerate() {
+                    assert_eq!((s.processor.index(), s.job), (m + p, None));
+                    assert_eq!((s.start, s.start + s.dur), (Time::ZERO, *end));
+                }
+                compared += 1;
+            }
+        }
+    }
+    assert!(compared > 100, "only {compared} padded runs compared");
 }

@@ -13,6 +13,15 @@
 //! The sweep and shootout report hashes only see verdict bits; this
 //! file sees the streams.
 //!
+//! The golden's slice columns were recorded when the engine pushed one
+//! slice per processor per step (merged only with the globally last
+//! one, so on a uniprocessor only). The engine now records a
+//! processor's slice when it closes, maximal for every `m`; the test
+//! drives `step()` itself, notes every instant, and cuts the recorded
+//! timelines back into that per-step stream ([`per_step_stream`])
+//! before counting and hashing — so the file does not move, and the
+//! same test passes on the engine it was recorded from.
+//!
 //! [`TraceEvent`]: mpcp::sim::TraceEvent
 //! [`Slice`]: mpcp::sim::Slice
 //! [`JobRecord`]: mpcp::sim::JobRecord
@@ -20,9 +29,10 @@
 
 use mpcp::dga::{horizon_capped, DgaReplay, DgaSchedule};
 use mpcp::model::System;
+use mpcp::model::Time;
 use mpcp::protocols::ProtocolKind;
 use mpcp::service::json::Fnv1a;
-use mpcp::sim::{Binding, Monitor, Protocol, SimConfig, Simulator};
+use mpcp::sim::{Binding, Monitor, Protocol, SimConfig, Simulator, Slice};
 use mpcp::taskgen::{generate, paper, WorkloadConfig};
 use std::fmt::{Debug, Write as _};
 
@@ -83,6 +93,71 @@ fn hash_all<T: Debug>(items: impl IntoIterator<Item = T>) -> u64 {
     h.finish()
 }
 
+fn continues(last: &Slice, next: &Slice) -> bool {
+    (last.processor, last.job, last.band) == (next.processor, next.job, next.band)
+        && last.start + last.dur == next.start
+}
+
+/// The per-step slice stream the golden was recorded from, rebuilt from
+/// what the engine recorded: per processor the recorded slices
+/// coalesced into a timeline that must cover `[instants[0],
+/// instants.last())` without gap or overlap; then per step interval,
+/// per processor in order, the covering slice cut to the interval,
+/// pushed through the recorder's old rule (merge into the *globally*
+/// last slice when it continues it — which only ever fires at m = 1).
+/// Panics unless the recorded stream is already maximal per processor,
+/// i.e. coalescing found nothing to merge.
+fn per_step_stream(recorded: &[Slice], processors: usize, instants: &[Time]) -> Vec<Slice> {
+    let mut timelines: Vec<Vec<Slice>> = vec![Vec::new(); processors];
+    for s in recorded {
+        let timeline = &mut timelines[s.processor.index()];
+        match timeline.last_mut() {
+            Some(last) if continues(last, s) => last.dur += s.dur,
+            _ => timeline.push(*s),
+        }
+    }
+    let (start, end) = (instants[0], *instants.last().unwrap());
+    for (p, timeline) in timelines.iter().enumerate() {
+        let mut at = start;
+        for s in timeline {
+            assert_eq!(s.start, at, "P{p}: gap or overlap before {s:?}");
+            at = s.start + s.dur;
+        }
+        assert_eq!(at, end, "P{p}: timeline ends early");
+    }
+    let coalesced: usize = timelines.iter().map(Vec::len).sum();
+    assert_eq!(
+        coalesced,
+        recorded.len(),
+        "recorded slices are not maximal per processor"
+    );
+
+    let mut out: Vec<Slice> = Vec::new();
+    let mut cursor = vec![0usize; processors];
+    for step in instants.windows(2) {
+        for (timeline, at) in timelines.iter().zip(&mut cursor) {
+            while timeline[*at].start + timeline[*at].dur <= step[0] {
+                *at += 1;
+            }
+            let cover = timeline[*at];
+            assert!(
+                cover.start <= step[0] && cover.start + cover.dur >= step[1],
+                "{cover:?} changes inside the step {step:?}"
+            );
+            let cut = Slice {
+                start: step[0],
+                dur: step[1] - step[0],
+                ..cover
+            };
+            match out.last_mut() {
+                Some(last) if continues(last, &cut) => last.dur += cut.dur,
+                _ => out.push(cut),
+            }
+        }
+    }
+    out
+}
+
 /// One recorded, monitored run rendered as one golden line.
 fn run_line(
     out: &mut String,
@@ -95,8 +170,18 @@ fn run_line(
 ) {
     let mut sim = Simulator::with_config(system, protocol, config);
     sim.set_monitor(monitor);
-    sim.run();
+    let mut instants = vec![sim.now()];
+    loop {
+        let more = sim.step();
+        if sim.now() > *instants.last().unwrap() {
+            instants.push(sim.now());
+        }
+        if !more {
+            break;
+        }
+    }
     let trace = sim.trace();
+    let slices = per_step_stream(trace.slices(), system.processors().len(), &instants);
     let mon = sim.monitor().expect("monitor attached");
     let settled = sim
         .records()
@@ -109,10 +194,10 @@ fn run_line(
         sim.now().ticks(),
         sim.misses(),
         trace.events().len(),
-        trace.slices().len(),
+        slices.len(),
         sim.records().len(),
         hash_all(trace.events()),
-        hash_all(trace.slices()),
+        hash_all(&slices),
         hash_all(sim.records()),
         hash_all([sim.metrics()]),
         hash_all(
