@@ -4,10 +4,18 @@
 
 use mpcp_model::{Body, Dur, JobId, Priority, System, TaskDef, TaskId, Time};
 use mpcp_protocols::{Dpcp, Mpcp, NonPreemptiveCs, Pip, ProtocolKind, RawSemaphores};
-use mpcp_sim::{EventKind, SimConfig, Simulator};
+use mpcp_sim::{EventKind, Monitor, MonitorSpec, SimConfig, Simulator, Trace};
 
 fn jid(t: u32, i: u32) -> JobId {
     JobId::new(TaskId::from_index(t), i)
+}
+
+/// Mutual exclusion (and single occupancy) held over the recorded run.
+#[track_caller]
+fn assert_mutual_exclusion(sys: &System, trace: &Trace) {
+    let mut monitor = Monitor::new(sys, MonitorSpec::default());
+    monitor.replay(trace);
+    assert_eq!(monitor.violations().collect::<Vec<_>>(), []);
 }
 
 /// MPCP with (ordered) nested global sections: the priority boost stacks
@@ -99,7 +107,7 @@ fn mpcp_global_inside_local() {
     sim.run_until(100);
     assert_eq!(sim.misses(), 0);
     assert_eq!(sim.records().len(), 3);
-    mpcp_sim::check::mutual_exclusion(sim.trace()).unwrap();
+    assert_mutual_exclusion(&sys, sim.trace());
 }
 
 /// PIP: a job holding two semaphores inherits from waiters on both and
@@ -157,7 +165,7 @@ fn pip_multi_semaphore_inheritance_steps_down() {
     // S2 released at t=6 (inner cs 2..6): still 9 because high waits.
     assert_eq!(p_of(Time::new(7)), Priority::task(9));
     assert_eq!(sim.misses(), 0);
-    mpcp_sim::check::mutual_exclusion(tr).unwrap();
+    assert_mutual_exclusion(&sys, tr);
 }
 
 /// DPCP: a job that *blocks* on a remote-hosted semaphore still returns

@@ -1,20 +1,17 @@
-//! Machine-checkable protocol invariants over recorded traces.
+//! The protocol invariants, one streaming core each.
 //!
 //! Every synchronization protocol, whatever its policy, must satisfy a
-//! set of structural properties; these checkers verify them post-hoc on
-//! any [`Trace`]. They are used by the property-based test suite to
-//! validate all six protocol implementations on randomly generated
-//! systems.
-//!
-//! Each event-based predicate is implemented as a small *streaming
-//! core* — a struct fed one event at a time that retains the first
-//! violation. The public post-hoc functions fold a recorded trace
-//! through the same core that a [`Monitor`](crate::Monitor) runs
-//! online, so the two paths cannot drift: a sweep's fast pass (no trace
-//! recorded) and its captured re-run check identical logic.
+//! set of structural properties. Each is a small struct fed one event
+//! (or slice, or occupant) at a time that retains its first violation.
+//! [`Monitor`](crate::Monitor) owns the cores, selects them by
+//! [`MonitorSpec`](crate::MonitorSpec) and is the only thing that feeds
+//! them: live from the engine, or from a recorded trace through
+//! [`Monitor::replay`](crate::Monitor::replay). All nine
+//! `ProtocolKind`s, the sweep oracle and the model checker are judged
+//! by these structs and nothing else.
 
 use crate::event::EventKind;
-use crate::trace::{Slice, Trace};
+use crate::trace::Slice;
 use mpcp_model::{JobId, Priority, ProcessorId, ResourceId, System, Time};
 use std::error::Error;
 use std::fmt;
@@ -49,8 +46,10 @@ fn err(time: Time, message: String) -> CheckError {
     CheckError { time, message }
 }
 
-/// Streaming core of [`mutual_exclusion`]. Indexed by resource, so a
-/// recycled instance performs no steady-state allocation.
+/// `mutual_exclusion`: no two jobs hold the same semaphore
+/// simultaneously, every release is by the holder, and a job completes
+/// holding nothing. Indexed by resource, so a recycled instance performs
+/// no steady-state allocation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MutexCheck {
     /// Current holder per `ResourceId::index()`.
@@ -105,62 +104,11 @@ impl MutexCheck {
     pub(crate) fn error(&self) -> Option<&CheckError> {
         self.error.as_ref()
     }
-
-    fn into_result(self) -> Result<(), CheckError> {
-        self.error.map_or(Ok(()), Err)
-    }
 }
 
-/// No two jobs hold the same semaphore simultaneously, every release is
-/// by the holder, and lock/unlock pairs balance per job.
-///
-/// # Errors
-///
-/// Returns the first violation found.
-pub fn mutual_exclusion(trace: &Trace) -> Result<(), CheckError> {
-    let mut core = MutexCheck::default();
-    for e in trace.events() {
-        core.on_event(e.time, e.job, &e.kind);
-    }
-    core.into_result()
-}
-
-/// Each processor runs at most one job at a time and occupancy slices do
-/// not overlap.
-///
-/// # Errors
-///
-/// Returns the first violation found.
-pub fn single_occupancy(trace: &Trace, system: &System) -> Result<(), CheckError> {
-    for proc in system.processors() {
-        let mut slices: Vec<_> = trace
-            .slices()
-            .iter()
-            .filter(|s| s.processor == proc.id())
-            .collect();
-        slices.sort_by_key(|s| s.start);
-        for w in slices.windows(2) {
-            let end = w[0].start + w[0].dur;
-            if end > w[1].start {
-                return Err(err(
-                    w[1].start,
-                    format!(
-                        "overlapping slices on {}: {:?} and {:?}",
-                        proc.name(),
-                        w[0],
-                        w[1]
-                    ),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Streaming tripwire for [`single_occupancy`]: watches the slices as
-/// they close. The engine closes each processor's slices in start
-/// order, so any overlap the post-hoc sorted check would find trips
-/// this core too.
+/// `single_occupancy`: each processor runs at most one job at a time —
+/// a processor's occupancy slices, seen in start order (the order the
+/// engine closes them in), do not overlap.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct OccupancyCheck {
     /// Last slice seen per `ProcessorId::index()`.
@@ -198,7 +146,10 @@ impl OccupancyCheck {
     }
 }
 
-/// Streaming core of [`priority_ordered_handoffs`].
+/// `priority_ordered_handoffs`: a semaphore is handed to the
+/// highest-assigned-priority waiter queued at that moment (§5 rule 7).
+/// Protocols with FIFO queues (the raw baseline) legitimately fail this
+/// — that *is* the paper's point.
 #[derive(Debug, Clone)]
 pub(crate) struct HandoffCheck {
     /// Assigned priority per `TaskId::index()`.
@@ -270,30 +221,14 @@ impl HandoffCheck {
     pub(crate) fn error(&self) -> Option<&CheckError> {
         self.error.as_ref()
     }
-
-    fn into_result(self) -> Result<(), CheckError> {
-        self.error.map_or(Ok(()), Err)
-    }
 }
 
-/// Hand-offs of a semaphore go to the highest-assigned-priority waiter
-/// queued at that moment (§5 rule 7). Protocols with FIFO queues (the
-/// raw baseline) legitimately fail this — that *is* the paper's point.
-///
-/// # Errors
-///
-/// Returns the first violation found.
-pub fn priority_ordered_handoffs(trace: &Trace, system: &System) -> Result<(), CheckError> {
-    let mut core = HandoffCheck::new(system);
-    for e in trace.events() {
-        core.on_event(e.time, e.job, &e.kind);
-    }
-    core.into_result()
-}
-
-/// Streaming core of [`gcs_preemption_discipline`]. Holds a flat
-/// `(job, resource)` multiset — at most a handful of entries live at
-/// once, so linear scans beat a map and the buffer is reusable.
+/// `gcs_preemption_discipline`, Theorem 2's structural form: while a job
+/// holds a *global* semaphore, any job preempting it must itself hold a
+/// global semaphore (a gcs can only be preempted by a higher-priority
+/// gcs, never by task code). Holds a flat `(job, resource)` multiset —
+/// at most a handful of entries live at once, so linear scans beat a
+/// map and the buffer is reusable.
 #[derive(Debug, Clone)]
 pub(crate) struct GcsCheck {
     res_global: Vec<bool>,
@@ -346,28 +281,10 @@ impl GcsCheck {
     pub(crate) fn error(&self) -> Option<&CheckError> {
         self.error.as_ref()
     }
-
-    fn into_result(self) -> Result<(), CheckError> {
-        self.error.map_or(Ok(()), Err)
-    }
 }
 
-/// Theorem 2's structural form: while a job holds a *global* semaphore,
-/// any job preempting it must itself hold a global semaphore (a gcs can
-/// only be preempted by a higher-priority gcs, never by task code).
-///
-/// # Errors
-///
-/// Returns the first violation found.
-pub fn gcs_preemption_discipline(trace: &Trace, system: &System) -> Result<(), CheckError> {
-    let mut core = GcsCheck::new(system);
-    for e in trace.events() {
-        core.on_event(e.time, e.job, &e.kind);
-    }
-    core.into_result()
-}
-
-/// Streaming core of [`priority_floor`].
+/// `priority_floor`: a job's priority never drops below its assigned
+/// priority.
 #[derive(Debug, Clone)]
 pub(crate) struct FloorCheck {
     /// Assigned priority per `TaskId::index()`.
@@ -405,33 +322,19 @@ impl FloorCheck {
     pub(crate) fn error(&self) -> Option<&CheckError> {
         self.error.as_ref()
     }
-
-    fn into_result(self) -> Result<(), CheckError> {
-        self.error.map_or(Ok(()), Err)
-    }
 }
 
-/// A job's priority never drops below its assigned priority.
-///
-/// # Errors
-///
-/// Returns the first violation found.
-pub fn priority_floor(trace: &Trace, system: &System) -> Result<(), CheckError> {
-    let mut core = FloorCheck::new(system);
-    for e in trace.events() {
-        core.on_event(e.time, e.job, &e.kind);
-    }
-    core.into_result()
-}
-
-/// Streaming core of [`spin_occupancy`]. Does not watch slices, which
-/// close long after the fact: whenever time is about to move, the
-/// engine shows it the occupant of every processor an event of the
-/// instant concerned, after those events — so tracking just the current
-/// spinner per processor is exact. A spinner is set by an event on its
-/// own processor and an occupant changes only there, so a processor not
-/// shown would pass as it passed when last shown. (The post-hoc function
-/// works on recorded slices and uses interval overlap instead.)
+/// `spin_occupancy`: while a job busy-waits on a global semaphore
+/// ([`LockResult::Spin`](crate::LockResult::Spin)), its home processor
+/// runs that job and nothing else (MSRP's non-preemptable request rule),
+/// so a foreign job running there — or the processor idling — is a
+/// violation. Does not watch slices, which close long after the fact:
+/// whenever time is about to move, the engine shows it the occupant of
+/// every processor an event of the instant concerned, after those events
+/// — so tracking just the current spinner per processor is exact. A
+/// spinner is set by an event on its own processor and an occupant
+/// changes only there, so a processor not shown would pass as it passed
+/// when last shown — which is why a replay may show every processor.
 #[derive(Debug, Clone)]
 pub(crate) struct SpinCheck {
     res_global: Vec<bool>,
@@ -528,86 +431,11 @@ impl SpinCheck {
     }
 }
 
-/// A spin window reconstructed from the event stream: `job` busy-waits
-/// on `processor` from `start` until `end` (`None` = still spinning at
-/// the end of the trace).
-struct SpinWindow {
-    processor: ProcessorId,
-    job: JobId,
-    start: Time,
-    end: Option<Time>,
-}
-
-fn close_spin_windows(windows: &mut [SpinWindow], job: JobId, at: Time) {
-    for w in windows.iter_mut() {
-        if w.job == job && w.end.is_none() {
-            w.end = Some(at);
-        }
-    }
-}
-
-/// While a job busy-waits on a global semaphore ([`LockResult::Spin`]),
-/// its home processor runs that job and nothing else: a spinner
-/// occupies its processor (MSRP's non-preemptable request rule), so a
-/// foreign job running there — or the processor idling — during a spin
-/// window is a violation.
-///
-/// [`LockResult::Spin`]: crate::LockResult::Spin
-///
-/// # Errors
-///
-/// Returns the first violation found.
-pub fn spin_occupancy(trace: &Trace, system: &System) -> Result<(), CheckError> {
-    let res_global = res_global_map(system);
-    let home: Vec<ProcessorId> = system
-        .tasks()
-        .iter()
-        .map(mpcp_model::Task::processor)
-        .collect();
-    let mut windows: Vec<SpinWindow> = Vec::new();
-    for e in trace.events() {
-        match e.kind {
-            EventKind::LockBlocked { resource, .. }
-                if res_global.get(resource.index()).copied().unwrap_or(false) =>
-            {
-                windows.push(SpinWindow {
-                    processor: home[e.job.task.index()],
-                    job: e.job,
-                    start: e.time,
-                    end: None,
-                });
-            }
-            EventKind::HandedOff { .. } | EventKind::Woken | EventKind::Completed { .. } => {
-                close_spin_windows(&mut windows, e.job, e.time);
-            }
-            _ => {}
-        }
-    }
-    let mut first: Option<CheckError> = None;
-    for s in trace.slices() {
-        let s_end = s.start + s.dur;
-        for w in &windows {
-            if w.processor != s.processor || s.job == Some(w.job) {
-                continue;
-            }
-            let overlaps = s_end > w.start && w.end.is_none_or(|we| s.start < we);
-            if !overlaps {
-                continue;
-            }
-            let at = s.start.max(w.start);
-            let msg = match s.job {
-                Some(j) => format!("{} ran {j} while {} spin-waits there", w.processor, w.job),
-                None => format!("{} idled while {} spin-waits there", w.processor, w.job),
-            };
-            if first.as_ref().is_none_or(|f| at < f.time) {
-                first = Some(err(at, msg));
-            }
-        }
-    }
-    first.map_or(Ok(()), Err)
-}
-
-/// Streaming core of [`boost_while_holding`].
+/// `boost_while_holding`: while a job holds a *global* semaphore its
+/// effective priority lies in the global band. Boosting protocols
+/// (MSRP's non-preemptable sections, FMLP+'s priority-boosted sections)
+/// never expose a holder at a task-band priority — not even between the
+/// hand-off and its first subsequent slice.
 #[derive(Debug, Clone)]
 pub(crate) struct BoostCheck {
     res_global: Vec<bool>,
@@ -686,32 +514,11 @@ impl BoostCheck {
     pub(crate) fn error(&self) -> Option<&CheckError> {
         self.error.as_ref()
     }
-
-    fn into_result(self) -> Result<(), CheckError> {
-        self.error.map_or(Ok(()), Err)
-    }
-}
-
-/// While a job holds a *global* semaphore its effective priority lies in
-/// the global band: boosting protocols (MSRP's non-preemptable sections,
-/// FMLP+'s priority-boosted sections) never expose a holder at a
-/// task-band priority — not even between the hand-off and its first
-/// subsequent slice.
-///
-/// # Errors
-///
-/// Returns the first violation found.
-pub fn boost_while_holding(trace: &Trace, system: &System) -> Result<(), CheckError> {
-    let mut core = BoostCheck::new(system);
-    for e in trace.events() {
-        core.on_event(e.time, e.job, &e.kind);
-    }
-    core.into_result()
 }
 
 /// The expected per-resource grant order (and optionally instants) of
 /// an offline critical-section schedule, as checked by
-/// [`schedule_conformance`].
+/// [`Monitor::set_conformance`](crate::Monitor::set_conformance).
 ///
 /// `per_resource[r.index()]` lists, in order, which job must receive
 /// the `r`-th semaphore next and — when the schedule pins an exact
@@ -723,7 +530,11 @@ pub struct ExpectedGrants {
     pub per_resource: Vec<Vec<(JobId, Option<Time>)>>,
 }
 
-/// Streaming core of [`schedule_conformance`].
+/// `schedule_conformance`: every semaphore grant follows the expected
+/// offline schedule — right job, right order, and, when the schedule
+/// pins a start slot, right instant. Grants to unscheduled resources or
+/// past the end of a resource's schedule are violations; *missing*
+/// grants are not (a horizon may truncate the tail of a schedule).
 #[derive(Debug, Clone)]
 pub(crate) struct ConformanceCheck {
     expected: ExpectedGrants,
@@ -787,482 +598,5 @@ impl ConformanceCheck {
 
     pub(crate) fn error(&self) -> Option<&CheckError> {
         self.error.as_ref()
-    }
-
-    fn into_result(self) -> Result<(), CheckError> {
-        self.error.map_or(Ok(()), Err)
-    }
-}
-
-/// Every semaphore grant in the trace follows the expected offline
-/// schedule: right job, right order, and — when the schedule pins a
-/// start slot — right instant. Grants to unscheduled resources or past
-/// the end of a resource's schedule are violations; *missing* grants
-/// are not (a horizon may truncate the tail of a schedule).
-///
-/// # Errors
-///
-/// Returns the first violation found.
-pub fn schedule_conformance(trace: &Trace, expected: &ExpectedGrants) -> Result<(), CheckError> {
-    let mut core = ConformanceCheck::new(expected.clone());
-    for e in trace.events() {
-        core.on_event(e.time, e.job, &e.kind);
-    }
-    core.into_result()
-}
-
-/// Runs every invariant applicable to the shared-memory protocol.
-///
-/// # Errors
-///
-/// Returns the first violation found.
-pub fn check_mpcp_trace(trace: &Trace, system: &System) -> Result<(), CheckError> {
-    mutual_exclusion(trace)?;
-    single_occupancy(trace, system)?;
-    priority_ordered_handoffs(trace, system)?;
-    gcs_preemption_discipline(trace, system)?;
-    priority_floor(trace, system)?;
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::trace::{Band, Slice};
-    use mpcp_model::{Body, Dur, System, TaskDef, TaskId};
-
-    fn jid(i: u32) -> JobId {
-        JobId::first(TaskId::from_index(i))
-    }
-    fn res(i: u32) -> ResourceId {
-        ResourceId::from_index(i)
-    }
-
-    fn two_task_system() -> System {
-        let mut b = System::builder();
-        let p = b.add_processors(2);
-        let s = b.add_resource("S");
-        b.add_task(
-            TaskDef::new("a", p[0])
-                .period(10)
-                .priority(2)
-                .body(Body::builder().critical(s, |c| c.compute(1)).build()),
-        );
-        b.add_task(
-            TaskDef::new("b", p[1])
-                .period(20)
-                .priority(1)
-                .body(Body::builder().critical(s, |c| c.compute(1)).build()),
-        );
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn mutual_exclusion_detects_double_grant() {
-        let mut tr = Trace::new();
-        tr.push(
-            Time::new(0),
-            jid(0),
-            EventKind::LockGranted { resource: res(0) },
-        );
-        tr.push(
-            Time::new(1),
-            jid(1),
-            EventKind::LockGranted { resource: res(0) },
-        );
-        let e = mutual_exclusion(&tr).unwrap_err();
-        assert!(e.to_string().contains("while"));
-    }
-
-    #[test]
-    fn mutual_exclusion_detects_foreign_release() {
-        let mut tr = Trace::new();
-        tr.push(
-            Time::new(0),
-            jid(0),
-            EventKind::LockGranted { resource: res(0) },
-        );
-        tr.push(
-            Time::new(1),
-            jid(1),
-            EventKind::Unlocked { resource: res(0) },
-        );
-        assert!(mutual_exclusion(&tr).is_err());
-        let mut tr2 = Trace::new();
-        tr2.push(
-            Time::new(0),
-            jid(0),
-            EventKind::Unlocked { resource: res(0) },
-        );
-        assert!(mutual_exclusion(&tr2).is_err());
-    }
-
-    #[test]
-    fn mutual_exclusion_detects_completion_with_lock() {
-        let mut tr = Trace::new();
-        tr.push(
-            Time::new(0),
-            jid(0),
-            EventKind::LockGranted { resource: res(0) },
-        );
-        tr.push(
-            Time::new(1),
-            jid(0),
-            EventKind::Completed {
-                response: Dur::new(1),
-            },
-        );
-        assert!(mutual_exclusion(&tr).is_err());
-    }
-
-    #[test]
-    fn handoff_order_detects_inversion() {
-        let sys = two_task_system();
-        let mut tr = Trace::new();
-        tr.push(
-            Time::new(0),
-            jid(0),
-            EventKind::LockBlocked {
-                resource: res(0),
-                holder: None,
-            },
-        );
-        tr.push(
-            Time::new(1),
-            jid(1),
-            EventKind::LockBlocked {
-                resource: res(0),
-                holder: None,
-            },
-        );
-        // Hand to the lower-priority waiter (task 1) while task 0 waits.
-        tr.push(
-            Time::new(2),
-            jid(1),
-            EventKind::HandedOff {
-                resource: res(0),
-                to: jid(1),
-            },
-        );
-        assert!(priority_ordered_handoffs(&tr, &sys).is_err());
-    }
-
-    #[test]
-    fn handoff_to_non_waiter_is_flagged() {
-        let sys = two_task_system();
-        let mut tr = Trace::new();
-        tr.push(
-            Time::new(0),
-            jid(1),
-            EventKind::HandedOff {
-                resource: res(0),
-                to: jid(1),
-            },
-        );
-        assert!(priority_ordered_handoffs(&tr, &sys).is_err());
-    }
-
-    #[test]
-    fn priority_floor_detects_underrun() {
-        let sys = two_task_system();
-        let mut tr = Trace::new();
-        tr.push(
-            Time::new(0),
-            jid(0),
-            EventKind::PriorityChanged {
-                from: Priority::task(2),
-                to: Priority::task(0),
-            },
-        );
-        assert!(priority_floor(&tr, &sys).is_err());
-    }
-
-    #[test]
-    fn overlapping_slices_detected() {
-        let sys = two_task_system();
-        let mut tr = Trace::new();
-        tr.push_slice(Slice {
-            processor: sys.processors()[0].id(),
-            job: Some(jid(0)),
-            start: Time::new(0),
-            dur: Dur::new(5),
-            band: Band::Normal,
-        });
-        tr.push_slice(Slice {
-            processor: sys.processors()[0].id(),
-            job: Some(jid(1)),
-            start: Time::new(3),
-            dur: Dur::new(5),
-            band: Band::Normal,
-        });
-        assert!(single_occupancy(&tr, &sys).is_err());
-    }
-
-    #[test]
-    fn spin_occupancy_flags_foreign_and_idle_slices() {
-        let sys = two_task_system();
-        let p0 = sys.processors()[0].id();
-        // jid(0) (home P0) spins on the global S from t=2; a foreign job
-        // runs on P0 inside the window.
-        let mut tr = Trace::new();
-        tr.push(
-            Time::new(2),
-            jid(0),
-            EventKind::LockBlocked {
-                resource: res(0),
-                holder: Some(jid(1)),
-            },
-        );
-        tr.push_slice(Slice {
-            processor: p0,
-            job: Some(jid(1)),
-            start: Time::new(2),
-            dur: Dur::new(2),
-            band: Band::Normal,
-        });
-        assert!(spin_occupancy(&tr, &sys).is_err());
-        // An idle slice inside an (unclosed) window is a violation too.
-        let mut tr2 = Trace::new();
-        tr2.push(
-            Time::new(2),
-            jid(0),
-            EventKind::LockBlocked {
-                resource: res(0),
-                holder: None,
-            },
-        );
-        tr2.push_slice(Slice {
-            processor: p0,
-            job: None,
-            start: Time::new(3),
-            dur: Dur::new(1),
-            band: Band::Normal,
-        });
-        assert!(spin_occupancy(&tr2, &sys).is_err());
-    }
-
-    #[test]
-    fn spin_occupancy_accepts_spinner_until_handoff() {
-        let sys = two_task_system();
-        let p0 = sys.processors()[0].id();
-        let mut tr = Trace::new();
-        tr.push(
-            Time::new(2),
-            jid(0),
-            EventKind::LockBlocked {
-                resource: res(0),
-                holder: Some(jid(1)),
-            },
-        );
-        tr.push_slice(Slice {
-            processor: p0,
-            job: Some(jid(0)),
-            start: Time::new(2),
-            dur: Dur::new(3),
-            band: Band::GlobalCs,
-        });
-        tr.push(
-            Time::new(5),
-            jid(0),
-            EventKind::HandedOff {
-                resource: res(0),
-                to: jid(0),
-            },
-        );
-        // The window closed at 5: other occupants are fine afterwards.
-        tr.push_slice(Slice {
-            processor: p0,
-            job: Some(jid(1)),
-            start: Time::new(6),
-            dur: Dur::new(1),
-            band: Band::Normal,
-        });
-        spin_occupancy(&tr, &sys).unwrap();
-    }
-
-    #[test]
-    fn boost_flags_unboosted_holder() {
-        let sys = two_task_system();
-        let mut tr = Trace::new();
-        // Granted the global S while still at the task-band base.
-        tr.push(
-            Time::new(0),
-            jid(0),
-            EventKind::LockGranted { resource: res(0) },
-        );
-        assert!(boost_while_holding(&tr, &sys).is_err());
-    }
-
-    #[test]
-    fn boost_flags_restore_before_release() {
-        let sys = two_task_system();
-        let mut tr = Trace::new();
-        tr.push(
-            Time::new(0),
-            jid(0),
-            EventKind::PriorityChanged {
-                from: Priority::task(2),
-                to: Priority::global(9),
-            },
-        );
-        tr.push(
-            Time::new(0),
-            jid(0),
-            EventKind::LockGranted { resource: res(0) },
-        );
-        // Dropping back to the task band while still holding S.
-        tr.push(
-            Time::new(2),
-            jid(0),
-            EventKind::PriorityChanged {
-                from: Priority::global(9),
-                to: Priority::task(2),
-            },
-        );
-        assert!(boost_while_holding(&tr, &sys).is_err());
-    }
-
-    #[test]
-    fn boost_accepts_boost_before_grant_restore_after_release() {
-        let sys = two_task_system();
-        let mut tr = Trace::new();
-        tr.push(
-            Time::new(0),
-            jid(0),
-            EventKind::PriorityChanged {
-                from: Priority::task(2),
-                to: Priority::global(9),
-            },
-        );
-        tr.push(
-            Time::new(0),
-            jid(0),
-            EventKind::LockGranted { resource: res(0) },
-        );
-        tr.push(
-            Time::new(3),
-            jid(0),
-            EventKind::Unlocked { resource: res(0) },
-        );
-        tr.push(
-            Time::new(3),
-            jid(0),
-            EventKind::PriorityChanged {
-                from: Priority::global(9),
-                to: Priority::task(2),
-            },
-        );
-        boost_while_holding(&tr, &sys).unwrap();
-    }
-
-    #[test]
-    fn conformance_accepts_matching_grants() {
-        let expected = ExpectedGrants {
-            per_resource: vec![vec![
-                (jid(0), Some(Time::new(0))),
-                (jid(1), None), // order-only entry
-            ]],
-        };
-        let mut tr = Trace::new();
-        tr.push(
-            Time::new(0),
-            jid(0),
-            EventKind::LockGranted { resource: res(0) },
-        );
-        tr.push(
-            Time::new(5),
-            jid(1),
-            EventKind::HandedOff {
-                resource: res(0),
-                to: jid(1),
-            },
-        );
-        schedule_conformance(&tr, &expected).unwrap();
-    }
-
-    #[test]
-    fn conformance_flags_wrong_job_wrong_slot_and_overrun() {
-        let expected = ExpectedGrants {
-            per_resource: vec![vec![(jid(0), Some(Time::new(2)))]],
-        };
-        // Wrong job.
-        let mut tr = Trace::new();
-        tr.push(
-            Time::new(2),
-            jid(1),
-            EventKind::LockGranted { resource: res(0) },
-        );
-        assert!(schedule_conformance(&tr, &expected).is_err());
-        // Right job, wrong instant.
-        let mut tr = Trace::new();
-        tr.push(
-            Time::new(3),
-            jid(0),
-            EventKind::LockGranted { resource: res(0) },
-        );
-        assert!(schedule_conformance(&tr, &expected).is_err());
-        // Grant past the end of the schedule.
-        let mut tr = Trace::new();
-        tr.push(
-            Time::new(2),
-            jid(0),
-            EventKind::LockGranted { resource: res(0) },
-        );
-        tr.push(
-            Time::new(4),
-            jid(0),
-            EventKind::LockGranted { resource: res(0) },
-        );
-        assert!(schedule_conformance(&tr, &expected).is_err());
-        // Grant on a resource the schedule never mentions.
-        let mut tr = Trace::new();
-        tr.push(
-            Time::new(0),
-            jid(0),
-            EventKind::LockGranted { resource: res(7) },
-        );
-        assert!(schedule_conformance(&tr, &expected).is_err());
-    }
-
-    #[test]
-    fn conformance_allows_truncated_tail() {
-        let expected = ExpectedGrants {
-            per_resource: vec![vec![
-                (jid(0), Some(Time::new(0))),
-                (jid(1), Some(Time::new(9))),
-            ]],
-        };
-        let mut tr = Trace::new();
-        tr.push(
-            Time::new(0),
-            jid(0),
-            EventKind::LockGranted { resource: res(0) },
-        );
-        // The second grant never happens (horizon cut) — still clean.
-        schedule_conformance(&tr, &expected).unwrap();
-    }
-
-    #[test]
-    fn clean_trace_passes_all() {
-        let sys = two_task_system();
-        let mut tr = Trace::new();
-        tr.push(
-            Time::new(0),
-            jid(0),
-            EventKind::LockGranted { resource: res(0) },
-        );
-        tr.push(
-            Time::new(1),
-            jid(0),
-            EventKind::Unlocked { resource: res(0) },
-        );
-        tr.push(
-            Time::new(2),
-            jid(0),
-            EventKind::Completed {
-                response: Dur::new(2),
-            },
-        );
-        check_mpcp_trace(&tr, &sys).unwrap();
     }
 }

@@ -244,7 +244,12 @@ impl<P: Protocol> Simulator<P> {
         self.protocol
     }
 
-    /// The recorded trace so far.
+    /// The recorded trace so far. Events are there as soon as they
+    /// happen; a processor's occupancy slice appears when it *closes* —
+    /// its occupant or band changes, or the run ends (the `step()` that
+    /// returns `false`) — so mid-run the stretch each processor is in is
+    /// not in [`Trace::slices`] yet, and [`Monitor::replay`] of an
+    /// unfinished run takes it as unknown.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }

@@ -1,19 +1,15 @@
-//! Streaming invariant monitoring: run the [`check`](crate::check)
-//! predicates *while the simulation executes* instead of post-hoc on a
-//! recorded [`Trace`](crate::Trace).
+//! The one judge of an execution: the [`check`](crate::check) cores,
+//! fed *while the simulation executes* or from a recorded
+//! [`Trace`].
 //!
 //! A [`Monitor`] is attached to a simulator with
 //! [`Simulator::set_monitor`](crate::Simulator::set_monitor); the engine
 //! then feeds it every event as it is emitted and every occupancy slice
-//! as it closes, even when trace recording is disabled. Clean runs
-//! therefore never materialize a trace at all — the sweep's fast path
-//! simulates with recording off, and only re-simulates with capture
-//! enabled when the monitor reports a violation (so the shrinker and the
-//! report see the exact post-hoc results, byte for byte).
-//!
-//! The monitor reuses the streaming cores behind the post-hoc
-//! predicates, so the online and offline verdicts agree by
-//! construction.
+//! as it closes, even when trace recording is disabled, so a run never
+//! has to materialize a trace to be judged. [`Monitor::replay`] folds a
+//! recorded trace through the same cores in the same order — the only
+//! function that reads a trace to check it — and
+//! [`Monitor::violations`] reads the verdict out either way.
 
 use crate::check::{
     res_global_map, BoostCheck, CheckError, ConformanceCheck, ExpectedGrants, FloorCheck, GcsCheck,
@@ -21,7 +17,7 @@ use crate::check::{
 };
 use crate::event::EventKind;
 use crate::observe::ObservedBlocking;
-use crate::trace::Slice;
+use crate::trace::{Slice, Trace};
 use mpcp_model::{JobId, System, Time};
 
 /// Which optional checks a [`Monitor`] runs. Mutual exclusion and
@@ -105,10 +101,10 @@ impl Monitor {
     }
 
     /// Additionally check every semaphore grant against an offline
-    /// schedule's [`ExpectedGrants`] (the streaming form of
-    /// [`schedule_conformance`](crate::check::schedule_conformance)).
-    /// The expected-grant data is per-run, so it rides on the monitor
-    /// rather than the [`MonitorSpec`].
+    /// schedule's [`ExpectedGrants`]: right job, right order and, where
+    /// the schedule pins a slot, right instant. The expected-grant data
+    /// is per-run, so it rides on the monitor rather than the
+    /// [`MonitorSpec`].
     pub fn set_conformance(&mut self, expected: ExpectedGrants) {
         self.conformance = Some(ConformanceCheck::new(expected));
     }
@@ -181,21 +177,93 @@ impl Monitor {
         self.spin.as_mut()
     }
 
-    /// The first violation of any enabled structural check, in the
-    /// canonical check order (mutual exclusion, occupancy, hand-offs,
-    /// gcs discipline, priority floor, schedule conformance, spin
-    /// occupancy, boost-while-holding). `None` when the run is clean so
-    /// far.
+    /// Judges a recorded run: feeds `trace` to the cores as the engine
+    /// fed them live, so a fresh monitor of the same spec ends with the
+    /// violations and observed waits the run's own monitor ended with.
+    /// Events go in recorded order and each processor's slices in start
+    /// order. The spin check is shown every processor's occupant at
+    /// every event instant and slice start, after that instant's
+    /// events; slices are recorded when they *close*, so the occupant is
+    /// looked up by time, and an instant no recorded slice covers (the
+    /// end of the run, a trace without slices) is unknown and shown as
+    /// nothing — never as idle. (Live, the spin check is shown only the
+    /// processors an instant touched: the same thing as long as a job
+    /// blocks on its home processor, which holds wherever jobs spin.)
+    pub fn replay(&mut self, trace: &Trace) {
+        let mut lanes: Vec<Vec<Slice>> = Vec::new();
+        for s in trace.slices() {
+            let p = s.processor.index();
+            if p >= lanes.len() {
+                lanes.resize_with(p + 1, Vec::new);
+            }
+            lanes[p].push(*s);
+        }
+        for lane in &mut lanes {
+            lane.sort_by_key(|s| s.start);
+            for s in lane.iter() {
+                self.on_slice(s);
+            }
+        }
+        let mut instants: Vec<Time> = (trace.events().iter().map(|e| e.time))
+            .chain(trace.slices().iter().map(|s| s.start))
+            .collect();
+        instants.sort_unstable();
+        instants.dedup();
+        let mut events = trace.events().iter().peekable();
+        for now in instants {
+            while let Some(e) = events.next_if(|e| e.time <= now) {
+                self.on_event(e.time, e.job, &e.kind);
+            }
+            let Some(spin) = &mut self.spin else { continue };
+            for lane in &lanes {
+                let open = lane[..lane.partition_point(|s| s.start <= now)].last();
+                if let Some(s) = open.filter(|s| now < s.start + s.dur) {
+                    spin.on_occupant(s.processor, s.job, now);
+                }
+            }
+        }
+    }
+
+    /// Every enabled check that fired, by name, with its first
+    /// violation, in the canonical order. Empty when the run is clean
+    /// so far.
+    pub fn violations(&self) -> impl Iterator<Item = (&'static str, &CheckError)> {
+        [
+            ("mutual_exclusion", self.mutex.error()),
+            ("single_occupancy", self.occupancy.error()),
+            (
+                "priority_ordered_handoffs",
+                self.handoff.as_ref().and_then(HandoffCheck::error),
+            ),
+            (
+                "gcs_preemption_discipline",
+                self.gcs.as_ref().and_then(GcsCheck::error),
+            ),
+            (
+                "priority_floor",
+                self.floor.as_ref().and_then(FloorCheck::error),
+            ),
+            (
+                "spin_occupancy",
+                self.spin.as_ref().and_then(SpinCheck::error),
+            ),
+            (
+                "boost_while_holding",
+                self.boost.as_ref().and_then(BoostCheck::error),
+            ),
+            (
+                "schedule_conformance",
+                self.conformance.as_ref().and_then(ConformanceCheck::error),
+            ),
+        ]
+        .into_iter()
+        .filter_map(|(name, error)| Some((name, error?)))
+    }
+
+    /// The first of [`Monitor::violations`]; `None` when the run is
+    /// clean so far.
     pub fn error(&self) -> Option<&CheckError> {
-        self.mutex
-            .error()
-            .or_else(|| self.occupancy.error())
-            .or_else(|| self.handoff.as_ref().and_then(HandoffCheck::error))
-            .or_else(|| self.gcs.as_ref().and_then(GcsCheck::error))
-            .or_else(|| self.floor.as_ref().and_then(FloorCheck::error))
-            .or_else(|| self.conformance.as_ref().and_then(ConformanceCheck::error))
-            .or_else(|| self.spin.as_ref().and_then(SpinCheck::error))
-            .or_else(|| self.boost.as_ref().and_then(BoostCheck::error))
+        self.violations().next().map(|(_, e)| e)
     }
 
     /// Whether no enabled structural check has fired.
@@ -203,8 +271,8 @@ impl Monitor {
         self.error().is_none()
     }
 
-    /// The streaming [`ObservedBlocking`] reconstruction, when enabled
-    /// by [`MonitorSpec::observed_blocking`].
+    /// The [`ObservedBlocking`] reconstruction, when enabled by
+    /// [`MonitorSpec::observed_blocking`].
     pub fn observed(&self) -> Option<&ObservedBlocking> {
         self.observed.as_ref()
     }
@@ -213,10 +281,10 @@ impl Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check;
     use crate::engine::{SimConfig, Simulator};
     use crate::policy::{Ctx, LockResult, Protocol};
-    use mpcp_model::{Body, ResourceId, System, TaskDef};
+    use crate::trace::Band;
+    use mpcp_model::{Body, Dur, Priority, ProcessorId, ResourceId, System, TaskDef, TaskId};
     use std::collections::HashMap;
 
     /// FIFO grant/handoff — produces blocks and hand-offs (including
@@ -292,47 +360,426 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The streaming monitor on a capture-free run reaches the same
-    /// verdicts as the post-hoc predicates on a captured run, and the
-    /// streaming blocking reconstruction matches `from_trace` exactly.
-    #[test]
-    fn streaming_matches_post_hoc() {
-        let sys = contended_system();
-        let mut captured = Simulator::with_config(&sys, Fifo::new(), SimConfig::until(120));
-        captured.run();
-        let trace = captured.trace();
+    // -----------------------------------------------------------------
+    // Each core against hand-made traces, through `replay`: the spec
+    // enables the one check under test, and exactly that name must fire.
+    // -----------------------------------------------------------------
 
-        let mut streaming = Simulator::with_config(
-            &sys,
-            Fifo::new(),
-            SimConfig {
-                record_trace: false,
-                ..SimConfig::until(120)
-            },
+    fn jid(i: u32) -> JobId {
+        JobId::first(TaskId::from_index(i))
+    }
+    fn res(i: u32) -> ResourceId {
+        ResourceId::from_index(i)
+    }
+    fn granted(r: u32) -> EventKind {
+        EventKind::LockGranted { resource: res(r) }
+    }
+    fn blocked(r: u32, holder: Option<JobId>) -> EventKind {
+        EventKind::LockBlocked {
+            resource: res(r),
+            holder,
+        }
+    }
+    fn handed(r: u32, to: JobId) -> EventKind {
+        EventKind::HandedOff {
+            resource: res(r),
+            to,
+        }
+    }
+    fn repriced(from: Priority, to: Priority) -> EventKind {
+        EventKind::PriorityChanged { from, to }
+    }
+    fn slice(processor: u32, job: Option<JobId>, start: u64, dur: u64, band: Band) -> Slice {
+        Slice {
+            processor: ProcessorId::from_index(processor),
+            job,
+            start: Time::new(start),
+            dur: Dur::new(dur),
+            band,
+        }
+    }
+
+    fn trace_of(events: &[(u64, JobId, EventKind)], slices: &[Slice]) -> Trace {
+        let mut tr = Trace::new();
+        for &(t, job, kind) in events {
+            tr.push(Time::new(t), job, kind);
+        }
+        for &s in slices {
+            tr.push_slice(s);
+        }
+        tr
+    }
+
+    /// Task `a` (priority 2) on P0 and `b` (priority 1) on P1 share the
+    /// therefore global semaphore `S`.
+    fn two_task_system() -> System {
+        let mut b = System::builder();
+        let p = b.add_processors(2);
+        let s = b.add_resource("S");
+        b.add_task(
+            TaskDef::new("a", p[0])
+                .period(10)
+                .priority(2)
+                .body(Body::builder().critical(s, |c| c.compute(1)).build()),
         );
-        streaming.set_monitor(Monitor::new(&sys, MonitorSpec::all()));
-        streaming.run();
-        assert!(streaming.trace().events().is_empty(), "no trace captured");
-        let mon = streaming.monitor().expect("monitor attached");
+        b.add_task(
+            TaskDef::new("b", p[1])
+                .period(20)
+                .priority(1)
+                .body(Body::builder().critical(s, |c| c.compute(1)).build()),
+        );
+        b.build().unwrap()
+    }
 
-        // Post-hoc verdicts on the captured run, in canonical order.
-        let post_hoc = check::mutual_exclusion(trace)
-            .and_then(|()| check::single_occupancy(trace, &sys))
-            .and_then(|()| check::priority_ordered_handoffs(trace, &sys))
-            .and_then(|()| check::gcs_preemption_discipline(trace, &sys))
-            .and_then(|()| check::priority_floor(trace, &sys));
-        match post_hoc {
-            Ok(()) => assert!(mon.is_clean()),
-            Err(e) => assert_eq!(mon.error(), Some(&e)),
+    /// The one helper: `trace` replayed under `spec` (and `expected`,
+    /// if any) on the two-task system; the violations, messages owned.
+    fn judged(
+        spec: MonitorSpec,
+        expected: Option<&ExpectedGrants>,
+        trace: &Trace,
+    ) -> Vec<(&'static str, String)> {
+        let mut m = Monitor::new(&two_task_system(), spec);
+        if let Some(expected) = expected {
+            m.set_conformance(expected.clone());
         }
+        m.replay(trace);
+        assert_eq!(m.error(), m.violations().next().map(|(_, e)| e));
+        assert_eq!(m.is_clean(), m.violations().next().is_none());
+        m.violations().map(|(n, e)| (n, e.to_string())).collect()
+    }
 
-        let from_trace = crate::ObservedBlocking::from_trace(trace, &sys);
-        let streamed = mon.observed().expect("observed enabled");
-        assert_eq!(streamed.unsettled_jobs(), from_trace.unsettled_jobs());
-        for r in captured.records() {
-            assert_eq!(streamed.settled(r.id), from_trace.settled(r.id));
-            assert_eq!(streamed.settled(r.id), Some(r.blocked_global));
+    /// Exactly `name` fired, and its message contains `needle`.
+    #[track_caller]
+    fn assert_fired(got: &[(&'static str, String)], name: &str, needle: &str) {
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0].0, name);
+        assert!(got[0].1.contains(needle), "{got:?}");
+    }
+
+    /// The default spec — mutual exclusion and single occupancy, which
+    /// every monitor runs — plus what `set` turns on.
+    fn checking(set: impl FnOnce(&mut MonitorSpec)) -> MonitorSpec {
+        let mut spec = MonitorSpec::default();
+        set(&mut spec);
+        spec
+    }
+
+    #[test]
+    fn mutual_exclusion_detects_double_grant() {
+        let tr = trace_of(&[(0, jid(0), granted(0)), (1, jid(1), granted(0))], &[]);
+        assert_fired(
+            &judged(MonitorSpec::default(), None, &tr),
+            "mutual_exclusion",
+            "while",
+        );
+    }
+
+    #[test]
+    fn mutual_exclusion_detects_foreign_release() {
+        let unlocked = EventKind::Unlocked { resource: res(0) };
+        let tr = trace_of(&[(0, jid(0), granted(0)), (1, jid(1), unlocked)], &[]);
+        assert_fired(
+            &judged(MonitorSpec::default(), None, &tr),
+            "mutual_exclusion",
+            "held by",
+        );
+        let tr = trace_of(&[(0, jid(0), unlocked)], &[]);
+        assert_fired(
+            &judged(MonitorSpec::default(), None, &tr),
+            "mutual_exclusion",
+            "free semaphore",
+        );
+    }
+
+    #[test]
+    fn mutual_exclusion_detects_completion_with_lock() {
+        let done = EventKind::Completed {
+            response: Dur::new(1),
+        };
+        let tr = trace_of(&[(0, jid(0), granted(0)), (1, jid(0), done)], &[]);
+        assert_fired(
+            &judged(MonitorSpec::default(), None, &tr),
+            "mutual_exclusion",
+            "completed",
+        );
+    }
+
+    #[test]
+    fn handoff_order_detects_inversion() {
+        // Hand to the lower-priority waiter (task 1) while task 0 waits.
+        let tr = trace_of(
+            &[
+                (0, jid(0), blocked(0, None)),
+                (1, jid(1), blocked(0, None)),
+                (2, jid(1), handed(0, jid(1))),
+            ],
+            &[],
+        );
+        assert_fired(
+            &judged(checking(|s| s.handoffs = true), None, &tr),
+            "priority_ordered_handoffs",
+            "over a waiter",
+        );
+        // A spec without the check does not run it.
+        assert_eq!(judged(MonitorSpec::default(), None, &tr), []);
+    }
+
+    #[test]
+    fn handoff_to_non_waiter_is_flagged() {
+        let tr = trace_of(&[(0, jid(1), handed(0, jid(1)))], &[]);
+        assert_fired(
+            &judged(checking(|s| s.handoffs = true), None, &tr),
+            "priority_ordered_handoffs",
+            "non-waiter",
+        );
+    }
+
+    #[test]
+    fn priority_floor_detects_underrun() {
+        let spec = MonitorSpec {
+            priority_floor: true,
+            ..MonitorSpec::default()
+        };
+        let drop = repriced(Priority::task(2), Priority::task(0));
+        let tr = trace_of(&[(0, jid(0), drop)], &[]);
+        assert_fired(&judged(spec, None, &tr), "priority_floor", "below");
+    }
+
+    /// Slices reach the occupancy core per processor in start order,
+    /// whatever order they were recorded in.
+    #[test]
+    fn overlapping_slices_detected() {
+        let (a, b) = (
+            slice(0, Some(jid(0)), 0, 5, Band::Normal),
+            slice(0, Some(jid(1)), 3, 5, Band::Normal),
+        );
+        for slices in [[a, b], [b, a]] {
+            let got = judged(MonitorSpec::default(), None, &trace_of(&[], &slices));
+            assert_fired(&got, "single_occupancy", "overlapping");
         }
+        // Back to back, recorded out of order, on two processors: clean.
+        let tidy = [
+            slice(0, Some(jid(1)), 5, 2, Band::Normal),
+            slice(1, None, 0, 7, Band::Normal),
+            slice(0, Some(jid(0)), 0, 5, Band::Normal),
+        ];
+        assert_eq!(
+            judged(MonitorSpec::default(), None, &trace_of(&[], &tidy)),
+            []
+        );
+    }
+
+    #[test]
+    fn spin_occupancy_flags_foreign_and_idle_slices() {
+        // jid(0) (home P0) spins on the global S from t=2; a foreign job
+        // runs on P0 inside the window.
+        let spins = [(2, jid(0), blocked(0, Some(jid(1))))];
+        let foreign = [slice(0, Some(jid(1)), 2, 2, Band::Normal)];
+        let got = judged(
+            checking(|s| s.spin_occupancy = true),
+            None,
+            &trace_of(&spins, &foreign),
+        );
+        assert_fired(&got, "spin_occupancy", "ran");
+        // An idle slice inside an (unclosed) window is a violation too:
+        // found at its start, an instant no event marks.
+        let idle = [slice(0, None, 3, 1, Band::Normal)];
+        let got = judged(
+            checking(|s| s.spin_occupancy = true),
+            None,
+            &trace_of(&spins, &idle),
+        );
+        assert_fired(&got, "spin_occupancy", "3: P0 idled");
+    }
+
+    /// The occupant is looked up by time, not by position: the slice a
+    /// spinner is preempted *in* was recorded after the event, and one
+    /// that closed before the spin began says nothing about it.
+    #[test]
+    fn spin_occupancy_accepts_spinner_until_handoff() {
+        let tr = trace_of(
+            &[
+                (2, jid(0), blocked(0, Some(jid(1)))),
+                (5, jid(0), handed(0, jid(0))),
+            ],
+            &[
+                slice(0, Some(jid(1)), 0, 2, Band::Normal),
+                slice(0, Some(jid(0)), 2, 3, Band::GlobalCs),
+                // The window closed at 5: other occupants are fine
+                // afterwards, and nothing covers [5, 6).
+                slice(0, Some(jid(1)), 6, 1, Band::Normal),
+            ],
+        );
+        assert_eq!(judged(checking(|s| s.spin_occupancy = true), None, &tr), []);
+    }
+
+    /// No recorded slice covers the instant: the occupant is unknown,
+    /// not idle.
+    #[test]
+    fn spin_occupancy_takes_an_uncovered_instant_as_unknown() {
+        let tr = trace_of(&[(2, jid(0), blocked(0, None))], &[]);
+        assert_eq!(judged(checking(|s| s.spin_occupancy = true), None, &tr), []);
+    }
+
+    #[test]
+    fn boost_flags_unboosted_holder() {
+        // Granted the global S while still at the task-band base.
+        let tr = trace_of(&[(0, jid(0), granted(0))], &[]);
+        assert_fired(
+            &judged(checking(|s| s.boost_while_holding = true), None, &tr),
+            "boost_while_holding",
+            "holds",
+        );
+    }
+
+    #[test]
+    fn boost_flags_restore_before_release() {
+        let (base, up) = (Priority::task(2), Priority::global(9));
+        // Dropping back to the task band while still holding S.
+        let tr = trace_of(
+            &[
+                (0, jid(0), repriced(base, up)),
+                (0, jid(0), granted(0)),
+                (2, jid(0), repriced(up, base)),
+            ],
+            &[],
+        );
+        assert_fired(
+            &judged(checking(|s| s.boost_while_holding = true), None, &tr),
+            "boost_while_holding",
+            "2:",
+        );
+    }
+
+    #[test]
+    fn boost_accepts_boost_before_grant_restore_after_release() {
+        let (base, up) = (Priority::task(2), Priority::global(9));
+        let tr = trace_of(
+            &[
+                (0, jid(0), repriced(base, up)),
+                (0, jid(0), granted(0)),
+                (3, jid(0), EventKind::Unlocked { resource: res(0) }),
+                (3, jid(0), repriced(up, base)),
+            ],
+            &[],
+        );
+        assert_eq!(
+            judged(checking(|s| s.boost_while_holding = true), None, &tr),
+            []
+        );
+    }
+
+    #[test]
+    fn conformance_accepts_matching_grants() {
+        let expected = ExpectedGrants {
+            per_resource: vec![vec![
+                (jid(0), Some(Time::new(0))),
+                (jid(1), None), // order-only entry
+            ]],
+        };
+        let unlocked = EventKind::Unlocked { resource: res(0) };
+        let tr = trace_of(
+            &[
+                (0, jid(0), granted(0)),
+                (5, jid(0), unlocked),
+                (5, jid(1), handed(0, jid(1))),
+            ],
+            &[],
+        );
+        assert_eq!(judged(MonitorSpec::default(), Some(&expected), &tr), []);
+    }
+
+    #[test]
+    fn conformance_flags_wrong_job_wrong_slot_and_overrun() {
+        let expected = ExpectedGrants {
+            per_resource: vec![vec![(jid(0), Some(Time::new(2)))]],
+        };
+        let unlocked = EventKind::Unlocked { resource: res(0) };
+        for (events, needle) in [
+            (vec![(2, jid(1), granted(0))], "schedule says"),
+            (vec![(3, jid(0), granted(0))], "scheduled for"),
+            (
+                vec![
+                    (2, jid(0), granted(0)),
+                    (3, jid(0), unlocked),
+                    (4, jid(0), granted(0)),
+                ],
+                "beyond the schedule",
+            ),
+            // A resource the schedule never mentions.
+            (vec![(0, jid(0), granted(7))], "never grants"),
+        ] {
+            let got = judged(
+                MonitorSpec::default(),
+                Some(&expected),
+                &trace_of(&events, &[]),
+            );
+            assert_fired(&got, "schedule_conformance", needle);
+        }
+    }
+
+    #[test]
+    fn conformance_allows_truncated_tail() {
+        let expected = ExpectedGrants {
+            per_resource: vec![vec![
+                (jid(0), Some(Time::new(0))),
+                (jid(1), Some(Time::new(9))),
+            ]],
+        };
+        // The second grant never happens (horizon cut) — still clean.
+        let tr = trace_of(&[(0, jid(0), granted(0))], &[]);
+        assert_eq!(judged(MonitorSpec::default(), Some(&expected), &tr), []);
+    }
+
+    /// What `check_mpcp_trace` ran: the always-on pair plus hand-offs,
+    /// gcs discipline and the floor.
+    #[test]
+    fn clean_trace_passes_all() {
+        let spec = MonitorSpec {
+            handoffs: true,
+            gcs_discipline: true,
+            priority_floor: true,
+            ..MonitorSpec::default()
+        };
+        let done = EventKind::Completed {
+            response: Dur::new(2),
+        };
+        let tr = trace_of(
+            &[
+                (0, jid(0), granted(0)),
+                (1, jid(0), EventKind::Unlocked { resource: res(0) }),
+                (2, jid(0), done),
+            ],
+            &[slice(0, Some(jid(0)), 0, 2, Band::Normal)],
+        );
+        assert_eq!(judged(spec, None, &tr), []);
+    }
+
+    /// Several cores fire on one trace: every one is read out, in the
+    /// canonical order, and `error()` is the first.
+    #[test]
+    fn violations_lists_every_core_that_fired_in_order() {
+        let tr = trace_of(
+            &[
+                (0, jid(1), handed(0, jid(1))),
+                (1, jid(0), granted(0)),
+                (4, jid(0), repriced(Priority::task(2), Priority::task(0))),
+            ],
+            &[],
+        );
+        let names: Vec<_> = judged(MonitorSpec::all(), None, &tr)
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "mutual_exclusion",
+                "priority_ordered_handoffs",
+                "priority_floor",
+                "boost_while_holding"
+            ]
+        );
     }
 
     /// Disabled checks stay off: a spec without hand-off checking is

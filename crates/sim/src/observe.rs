@@ -1,26 +1,28 @@
-//! Per-job observed-blocking extraction from recorded traces.
+//! Per-job observed-blocking extraction from the event stream.
 //!
 //! The engine accounts blocking while it runs (see
 //! [`JobRecord`](crate::JobRecord)); this module re-derives the same
-//! quantity *post-hoc* from the event trace alone. Having two
-//! independent implementations of "how long did this job wait on global
-//! semaphores" turns the pair into a differential oracle: the sweep
-//! engine cross-checks them on every scenario, so a bookkeeping bug in
-//! either path surfaces as a mismatch.
+//! quantity from the events alone, as a consumer a
+//! [`Monitor`](crate::Monitor) feeds when its spec sets
+//! `observed_blocking` — live, or from a recorded trace through
+//! [`Monitor::replay`](crate::Monitor::replay). Having two independent
+//! implementations of "how long did this job wait on global semaphores"
+//! turns the pair into a differential oracle: the sweep engine
+//! cross-checks them on every scenario, so a bookkeeping bug in either
+//! path surfaces as a mismatch.
 
 use crate::event::EventKind;
-use crate::trace::Trace;
-use mpcp_model::{Dur, JobId, System, Time};
+use mpcp_model::{Dur, JobId, Time};
 
-/// Global-semaphore waiting time per job, reconstructed from a
-/// [`Trace`].
+/// Global-semaphore waiting time per job, reconstructed from the event
+/// stream.
 ///
 /// A wait opens at a `LockBlocked` event on a *global* resource and
 /// closes at the next `HandedOff`/`LockGranted`/`Woken` event of the
 /// same job. Jobs whose last wait never closed (the horizon cut in
 /// mid-wait) are reported as unsettled and excluded from
 /// [`ObservedBlocking::settled`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObservedBlocking {
     /// Per `TaskId::index()`, `(instance, settled wait)` of the jobs
     /// that ever waited, in instance order.
@@ -32,20 +34,9 @@ pub struct ObservedBlocking {
 }
 
 impl ObservedBlocking {
-    /// Reconstructs global waiting times from `trace`.
-    pub fn from_trace(trace: &Trace, system: &System) -> ObservedBlocking {
-        let res_global = crate::check::res_global_map(system);
-        let mut ob = ObservedBlocking::default();
-        for e in trace.events() {
-            ob.on_event(e.time, e.job, &e.kind, &res_global);
-        }
-        ob
-    }
-
-    /// Streaming form of [`ObservedBlocking::from_trace`]: feed every
-    /// event in emission order. `res_global` classifies resources by
-    /// index (see `check::res_global_map`); both paths fold events
-    /// through this one function, so they cannot diverge.
+    /// Fed every event in emission order by [`Monitor`](crate::Monitor).
+    /// `res_global` classifies resources by index (see
+    /// `check::res_global_map`).
     pub(crate) fn on_event(
         &mut self,
         time: Time,
@@ -105,6 +96,7 @@ impl ObservedBlocking {
 mod tests {
     use super::*;
     use crate::engine::{SimConfig, Simulator};
+    use crate::monitor::{Monitor, MonitorSpec};
     use crate::policy::{Ctx, LockResult, Protocol};
     use mpcp_model::{Body, ResourceId, System, TaskDef, TaskId};
     use std::collections::HashMap;
@@ -165,6 +157,18 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The reconstruction of a recorded run: `replay` with
+    /// `observed_blocking` on.
+    fn observed(sim: &Simulator<Fifo>, sys: &System) -> ObservedBlocking {
+        let spec = MonitorSpec {
+            observed_blocking: true,
+            ..MonitorSpec::default()
+        };
+        let mut monitor = Monitor::new(sys, spec);
+        monitor.replay(sim.trace());
+        monitor.observed().expect("enabled above").clone()
+    }
+
     #[test]
     fn trace_derived_wait_matches_engine_accounting() {
         let sys = contended_system();
@@ -176,7 +180,7 @@ mod tests {
             },
         );
         sim.run_until(100);
-        let ob = ObservedBlocking::from_trace(sim.trace(), &sys);
+        let ob = observed(&sim, &sys);
         // b requests at 1, is handed the lock at 4: waited 3.
         assert_eq!(ob.settled(jid(1, 0)), Some(Dur::new(3)));
         assert_eq!(ob.settled(jid(0, 0)), Some(Dur::ZERO));
@@ -199,7 +203,7 @@ mod tests {
         );
         sim.run();
         // At t=3, a still holds S and b is mid-wait.
-        let ob = ObservedBlocking::from_trace(sim.trace(), &sys);
+        let ob = observed(&sim, &sys);
         assert_eq!(ob.settled(jid(1, 0)), None);
         assert_eq!(ob.unsettled_jobs(), 1);
     }

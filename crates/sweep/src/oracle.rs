@@ -1,12 +1,12 @@
 //! The differential oracle: one scenario, every protocol, analysis vs
 //! simulation.
 //!
-//! For each generated system the oracle runs a bounded-horizon
-//! simulation per protocol with a streaming monitor checking the
-//! structural trace invariants that protocol promises
-//! ([`ProtocolKind::monitor_spec`], the table `mpcp_verify`'s profiles
-//! project), and then cross-checks the analytical results against
-//! observed behaviour. Every protocol with an admission analysis
+//! For each generated system the oracle runs one bounded-horizon
+//! simulation per protocol, trace recording off, with a [`Monitor`]
+//! judging the structural invariants that protocol promises
+//! ([`ProtocolKind::monitor_spec`], the table `mpcp_verify`'s model
+//! checker reads too), and then cross-checks the analytical results
+//! against observed behaviour. Every protocol with an admission analysis
 //! ([`ProtocolKind::analysis`] — MPCP, DPCP, MSRP, FMLP+) goes through
 //! the same arm over its [`BoundSet`] (carry-in counts):
 //!
@@ -34,7 +34,7 @@
 //!   `rta_accepted` acceptance-ratio curves.
 //! * **Trace accounting** — the engine's per-job `blocked_global`
 //!   bookkeeping must equal the waiting time re-derived independently
-//!   from the event trace ([`ObservedBlocking`]).
+//!   from the event stream ([`mpcp_sim::ObservedBlocking`]).
 //! * **Schedule conformance (DGA)** — the dependency-graph arm first
 //!   constructs an offline critical-section schedule
 //!   ([`DgaSchedule::compute`]), then replays it; every semaphore grant
@@ -49,7 +49,7 @@ use mpcp_analysis::{
 use mpcp_dga::{DgaReplay, DgaSchedule};
 use mpcp_model::{Dur, System, Time};
 use mpcp_protocols::ProtocolKind;
-use mpcp_sim::{check, Metrics, Monitor, ObservedBlocking, Protocol, SimConfig, Simulator};
+use mpcp_sim::{Metrics, Monitor, Protocol, SimConfig, Simulator};
 use mpcp_taskgen::Scenario;
 use std::sync::Arc;
 
@@ -342,15 +342,6 @@ pub fn evaluate_system(system: &System, cfg: &SweepConfig) -> (bool, Vec<Protoco
 }
 
 /// [`evaluate_system`] with caller-provided scratch.
-///
-/// Trace-lazy: each protocol first simulates with trace recording *off*
-/// and a streaming [`Monitor`] running that protocol's invariant
-/// profile online, so clean scenarios never materialize a trace. Only
-/// when a streaming check fires does the arm re-simulate with capture
-/// enabled and replay the post-hoc predicates — the simulation is
-/// deterministic, so the captured run reproduces the violation exactly
-/// and the reported outcome (and any trace the shrinker later sees) is
-/// byte-identical to an always-captured oracle.
 pub fn evaluate_system_in(
     ws: &mut Workspace,
     system: &System,
@@ -365,15 +356,14 @@ pub fn evaluate_system_in(
         .protocols
         .iter()
         .map(|&kind| {
-            let proto = kind.name();
             // DGA: construct the offline schedule first — its
             // feasibility verdict is this arm's analysis side, its
             // slots the replay's script. Systems outside DGA's model
             // (nested sections) skip the arm entirely.
             let dga = if kind == ProtocolKind::Dga {
                 match DgaSchedule::compute(system, Time::new(horizon)) {
-                    // Shared, not cloned: the replay (and a capture
-                    // re-run) read the same schedule the checks below do.
+                    // Shared, not cloned: the replay reads the same
+                    // schedule the checks of the arm do.
                     Ok(s) => Some(Arc::new(s)),
                     Err(_) => {
                         return ProtocolOutcome {
@@ -389,190 +379,160 @@ pub fn evaluate_system_in(
             } else {
                 None
             };
-            let build = || -> Box<dyn Protocol> {
-                match &dga {
-                    Some(s) => Box::new(DgaReplay::from_shared(Arc::clone(s))),
-                    None => kind.build(),
-                }
+            let policy: Box<dyn Protocol> = match &dga {
+                Some(s) => Box::new(DgaReplay::from_shared(Arc::clone(s))),
+                None => kind.build(),
             };
-            // Fast pass: no trace, invariants checked online. The spec
-            // is per-policy ([`ProtocolKind::monitor_spec`]) and also
-            // gates the post-hoc profile below, so the two cannot
-            // drift.
-            let spec = kind.monitor_spec();
-            let sim = ws.sim(
+            let run = Run {
                 system,
-                build(),
-                SimConfig {
-                    record_trace: false,
-                    ..SimConfig::until(horizon)
-                },
-            );
-            let mut monitor = Monitor::new(system, spec);
-            if let Some(s) = &dga {
-                monitor.set_conformance(s.expected_grants());
-            }
-            sim.set_monitor(monitor);
-            sim.run();
+                cfg,
+                horizon,
+                mpcp: mpcp.as_ref(),
+            };
+            run.arm(ws, kind, policy, dga.as_deref())
+        })
+        .collect();
+    (mpcp.is_some(), outcomes)
+}
 
-            let mut violations = Vec::new();
-            if !sim.monitor().is_some_and(Monitor::is_clean) {
-                // A streaming check fired: re-simulate with capture and
-                // run the full post-hoc profile on the recorded trace,
-                // mirroring verify's profiles.
-                sim.reset(
-                    system,
-                    build(),
-                    SimConfig {
-                        record_trace: true,
-                        ..SimConfig::until(horizon)
-                    },
-                );
-                sim.run();
-                let trace = sim.trace();
-                let mut checks: Vec<(&'static str, Result<(), check::CheckError>)> = vec![
-                    ("mutual_exclusion", check::mutual_exclusion(trace)),
-                    ("single_occupancy", check::single_occupancy(trace, system)),
-                ];
-                if spec.handoffs {
-                    checks.push((
-                        "priority_ordered_handoffs",
-                        check::priority_ordered_handoffs(trace, system),
-                    ));
-                }
-                if spec.gcs_discipline {
-                    checks.push((
-                        "gcs_preemption_discipline",
-                        check::gcs_preemption_discipline(trace, system),
-                    ));
-                }
-                if spec.priority_floor {
-                    checks.push(("priority_floor", check::priority_floor(trace, system)));
-                }
-                if spec.spin_occupancy {
-                    checks.push(("spin_occupancy", check::spin_occupancy(trace, system)));
-                }
-                if spec.boost_while_holding {
-                    checks.push((
-                        "boost_while_holding",
-                        check::boost_while_holding(trace, system),
-                    ));
-                }
-                if let Some(s) = &dga {
-                    checks.push((
-                        "schedule_conformance",
-                        check::schedule_conformance(trace, &s.expected_grants()),
-                    ));
-                }
-                for (name, result) in checks {
-                    if let Err(e) = result {
-                        violations.push(ViolationKind::Invariant {
+/// What every arm of one scenario shares.
+struct Run<'a> {
+    system: &'a System,
+    cfg: &'a SweepConfig,
+    horizon: u64,
+    /// MPCP's bounds, when the system is analyzable.
+    mpcp: Option<&'a BoundSet>,
+}
+
+impl Run<'_> {
+    /// One protocol's arm: `policy` simulated once — no trace, one
+    /// [`Monitor`] of `kind`'s spec attached — and judged as `kind`.
+    /// Structural violations and observed waits are read straight off
+    /// that monitor; a recorded trace would say the same
+    /// ([`Monitor::replay`]), so none is ever made.
+    fn arm(
+        &self,
+        ws: &mut Workspace,
+        kind: ProtocolKind,
+        policy: Box<dyn Protocol>,
+        dga: Option<&DgaSchedule>,
+    ) -> ProtocolOutcome {
+        let Run {
+            system,
+            cfg,
+            horizon,
+            mpcp,
+        } = *self;
+        let proto = kind.name();
+        let sim = ws.sim(
+            system,
+            policy,
+            SimConfig {
+                record_trace: false,
+                ..SimConfig::until(horizon)
+            },
+        );
+        let mut monitor = Monitor::new(system, kind.monitor_spec());
+        if let Some(s) = dga {
+            monitor.set_conformance(s.expected_grants());
+        }
+        sim.set_monitor(monitor);
+        sim.run();
+        let monitor = sim.monitor().expect("attached above");
+        let mut violations: Vec<ViolationKind> = monitor
+            .violations()
+            .map(|(check, e)| ViolationKind::Invariant {
+                protocol: proto,
+                check,
+                message: e.to_string(),
+            })
+            .collect();
+
+        let metrics = sim.metrics();
+        let mut analysis_accepted = None;
+        let mut rta_accepted = None;
+        let own;
+        let bounds = match kind.analysis() {
+            Some(Analysis::Mpcp) => mpcp,
+            Some(other) => {
+                own = other.bounds(system, BlockingConfig::sound()).ok();
+                own.as_ref()
+            }
+            None => None,
+        };
+        if let Some(set) = bounds {
+            analysis_accepted = Some(set.schedulable());
+            // The RTA recurrence is formulated for (and reported
+            // under) MPCP only: pair it with the factors-only
+            // blocking, as its contract specifies — the deferred
+            // penalty is modelled as release jitter instead.
+            let response = (kind == ProtocolKind::Mpcp).then(|| {
+                let factors: Vec<Dur> = set.per_task().iter().map(TaskBounds::factors).collect();
+                response_times_suspension_aware(system, &factors)
+            });
+            rta_accepted = response.as_ref().map(|r| r.iter().all(Option::is_some));
+            bounds_arm(
+                proto,
+                set,
+                response.as_deref().filter(|_| cfg.check_response),
+                &metrics,
+                &mut violations,
+            );
+        }
+        if let Some(s) = dga {
+            // DGA's "analysis" is the constructed schedule's
+            // feasibility, and its per-task bounds are exact for
+            // the replay — compare unconditionally (no no-backlog
+            // precondition: the schedule *is* the execution).
+            analysis_accepted = Some(s.accepted);
+            for t in system.tasks() {
+                let m = metrics.task(t.id());
+                if let Some(wcr) = s.bounds[t.id().index()].wcr {
+                    if m.max_response > wcr {
+                        violations.push(ViolationKind::ResponseBound {
                             protocol: proto,
-                            check: name,
-                            message: e.to_string(),
+                            task: t.id().index(),
+                            measured: m.max_response.ticks(),
+                            bound: wcr.ticks(),
                         });
                     }
                 }
             }
-
-            let metrics = sim.metrics();
-            let mut analysis_accepted = None;
-            let mut rta_accepted = None;
-            let own;
-            let bounds = match kind.analysis() {
-                Some(Analysis::Mpcp) => mpcp.as_ref(),
-                Some(other) => {
-                    own = other.bounds(system, BlockingConfig::sound()).ok();
-                    own.as_ref()
-                }
-                None => None,
-            };
-            if let Some(set) = bounds {
-                analysis_accepted = Some(set.schedulable());
-                // The RTA recurrence is formulated for (and reported
-                // under) MPCP only: pair it with the factors-only
-                // blocking, as its contract specifies — the deferred
-                // penalty is modelled as release jitter instead.
-                let response = (kind == ProtocolKind::Mpcp).then(|| {
-                    let factors: Vec<Dur> =
-                        set.per_task().iter().map(TaskBounds::factors).collect();
-                    response_times_suspension_aware(system, &factors)
+            if s.accepted && sim.misses() > 0 {
+                violations.push(ViolationKind::AcceptedButMissed {
+                    protocol: proto,
+                    misses: sim.misses(),
                 });
-                rta_accepted = response.as_ref().map(|r| r.iter().all(Option::is_some));
-                bounds_arm(
-                    proto,
-                    set,
-                    response.as_deref().filter(|_| cfg.check_response),
-                    &metrics,
-                    &mut violations,
-                );
             }
-            if let Some(s) = &dga {
-                // DGA's "analysis" is the constructed schedule's
-                // feasibility, and its per-task bounds are exact for
-                // the replay — compare unconditionally (no no-backlog
-                // precondition: the schedule *is* the execution).
-                analysis_accepted = Some(s.accepted);
-                for t in system.tasks() {
-                    let m = metrics.task(t.id());
-                    if let Some(wcr) = s.bounds[t.id().index()].wcr {
-                        if m.max_response > wcr {
-                            violations.push(ViolationKind::ResponseBound {
-                                protocol: proto,
-                                task: t.id().index(),
-                                measured: m.max_response.ticks(),
-                                bound: wcr.ticks(),
-                            });
-                        }
-                    }
-                }
-                if s.accepted && sim.misses() > 0 {
-                    violations.push(ViolationKind::AcceptedButMissed {
-                        protocol: proto,
-                        misses: sim.misses(),
-                    });
-                }
-            }
-            if spec.observed_blocking {
-                // Differential accounting check: engine vs trace —
-                // streamed on the fast pass, re-derived from the
-                // captured trace after a re-simulation. Both fold the
-                // identical event sequence through one function.
-                let rederived;
-                let observed = match sim.monitor().and_then(Monitor::observed) {
-                    Some(ob) => ob,
-                    None => {
-                        rederived = ObservedBlocking::from_trace(sim.trace(), system);
-                        &rederived
-                    }
-                };
-                for r in sim.records() {
-                    if let Some(derived) = observed.settled(r.id) {
-                        if derived != r.blocked_global {
-                            violations.push(ViolationKind::TraceAccounting {
-                                protocol: proto,
-                                task: r.id.task.index(),
-                                instance: r.id.instance,
-                                trace: derived.ticks(),
-                                engine: r.blocked_global.ticks(),
-                            });
-                        }
+        }
+        if let Some(observed) = monitor.observed() {
+            // Differential accounting check: the engine's bookkeeping
+            // against the waits the monitor re-derived from the events.
+            for r in sim.records() {
+                if let Some(derived) = observed.settled(r.id) {
+                    if derived != r.blocked_global {
+                        violations.push(ViolationKind::TraceAccounting {
+                            protocol: proto,
+                            task: r.id.task.index(),
+                            instance: r.id.instance,
+                            trace: derived.ticks(),
+                            engine: r.blocked_global.ticks(),
+                        });
                     }
                 }
             }
+        }
 
-            let completed = metrics.per_task().iter().map(|m| m.completed).sum();
-            ProtocolOutcome {
-                protocol: kind,
-                misses: sim.misses(),
-                completed,
-                analysis_accepted,
-                rta_accepted,
-                violations,
-            }
-        })
-        .collect();
-    (mpcp.is_some(), outcomes)
+        let completed = metrics.per_task().iter().map(|m| m.completed).sum();
+        ProtocolOutcome {
+            protocol: kind,
+            misses: sim.misses(),
+            completed,
+            analysis_accepted,
+            rta_accepted,
+            violations,
+        }
+    }
 }
 
 /// The one analysis-vs-simulation arm, shared by every protocol with a
@@ -764,6 +724,70 @@ mod tests {
         bounds_arm("mpcp", &set, Some(&tight), &metrics, &mut violations);
         let codes: Vec<String> = violations.iter().map(ViolationKind::code).collect();
         assert_eq!(codes, ["mpcp/response-bound"]);
+    }
+
+    /// The violation path, which no generated scenario reaches: raw FIFO
+    /// semaphores simulated under MPCP's name and spec. Behind a long
+    /// holder the lower-priority waiter queues first and FIFO serves it
+    /// first. The arm's invariant rows are the monitor's read-out of a
+    /// recorded run of the same policy, name for name.
+    #[test]
+    fn a_wrong_policy_is_reported_under_the_monitors_names() {
+        use mpcp_model::{Body, TaskDef};
+        let mut b = System::builder();
+        let p = b.add_processors(3);
+        let s = b.add_resource("SG");
+        for (i, (name, before, inside)) in [("holder", 0, 10), ("low", 1, 2), ("high", 2, 2)]
+            .into_iter()
+            .enumerate()
+        {
+            let body = Body::builder()
+                .compute(before)
+                .critical(s, |c| c.compute(inside))
+                .build();
+            b.add_task(
+                TaskDef::new(name, p[i])
+                    .period(30)
+                    .priority(1 + i as u32)
+                    .body(body),
+            );
+        }
+        let sys = b.build().unwrap();
+        let cfg = small_cfg();
+        let mpcp = Analysis::Mpcp.bounds(&sys, BlockingConfig::sound()).ok();
+        let run = Run {
+            system: &sys,
+            cfg: &cfg,
+            horizon: horizon_for(&sys, cfg.horizon_cap),
+            mpcp: mpcp.as_ref(),
+        };
+        let (kind, wrong) = (ProtocolKind::Mpcp, ProtocolKind::Raw);
+        let outcome = run.arm(&mut Workspace::default(), kind, wrong.build(), None);
+
+        let mut recorded =
+            Simulator::with_config(&sys, wrong.build(), SimConfig::until(run.horizon));
+        recorded.run();
+        let mut judge = Monitor::new(&sys, kind.monitor_spec());
+        judge.replay(recorded.trace());
+        let want: Vec<ViolationKind> = judge
+            .violations()
+            .map(|(check, e)| ViolationKind::Invariant {
+                protocol: "mpcp",
+                check,
+                message: e.to_string(),
+            })
+            .collect();
+        let got: Vec<ViolationKind> = outcome
+            .violations
+            .into_iter()
+            .filter(|v| matches!(v, ViolationKind::Invariant { .. }))
+            .collect();
+        assert_eq!(got, want);
+        let codes: Vec<String> = got.iter().map(ViolationKind::code).collect();
+        assert!(
+            codes.contains(&"mpcp/invariant:priority_ordered_handoffs".to_owned()),
+            "{codes:?}"
+        );
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! times are fixed, so the reachable executions are exactly the
 //! release-phasing variants. The checker enumerates every combination
 //! of per-task release offsets on a grid ([`CheckerConfig::max_offset`]
-//! / [`CheckerConfig::offset_step`]), simulates each variant, and runs
-//! the recorded trace through the structural invariants of
-//! [`mpcp_sim::check`] — plus, for MPCP, a cross-check that observed
-//! blocking never exceeds the §5.1 analytical bound `B_i`.
+//! / [`CheckerConfig::offset_step`]) and simulates each variant with an
+//! [`mpcp_sim::Monitor`] attached — the judge the sweep oracle uses, so
+//! every invariant a protocol's [`MonitorSpec`] promises is demanded
+//! here under the same name — plus, for MPCP, a cross-check that
+//! observed blocking never exceeds the §5.1 analytical bound `B_i`.
 //!
 //! The *small-scope hypothesis*: most protocol bugs already show up on
 //! systems of a handful of tasks within a couple of hyperperiods, so
@@ -17,7 +18,7 @@ use crate::diag::{Diagnostic, Report, Severity};
 use mpcp_analysis::{Analysis, BlockingConfig};
 use mpcp_model::{Dur, System, Time};
 use mpcp_protocols::ProtocolKind;
-use mpcp_sim::{check, Protocol, SimConfig, Simulator};
+use mpcp_sim::{Monitor, MonitorSpec, Protocol, SimConfig, Simulator};
 
 /// Scope bounds for an exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +63,8 @@ pub struct Violation {
     pub protocol: String,
     /// The per-task release offsets (in task order) of the variant.
     pub offsets: Vec<u64>,
-    /// Which invariant failed.
+    /// Which invariant failed: a name [`Monitor::violations`] reports,
+    /// or the checker's own `blocking-bound`.
     pub invariant: &'static str,
     /// When in the execution the violation was observed.
     pub time: Time,
@@ -87,58 +89,6 @@ impl Exploration {
     /// Whether every explored execution satisfied every invariant.
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
-    }
-}
-
-/// Which trace invariants to demand of a protocol. Mutual exclusion
-/// and single occupancy are always checked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InvariantProfile {
-    /// Semaphores hand off to the highest-priority waiter.
-    pub handoff_order: bool,
-    /// Theorem 2's gcs preemption discipline (only gcs preempt gcs).
-    pub gcs_discipline: bool,
-    /// Effective priority never drops below the base priority.
-    pub priority_floor: bool,
-    /// Observed blocking stays within the §5.1 bound `B_i`.
-    pub blocking_bound: bool,
-}
-
-impl InvariantProfile {
-    /// Everything the MPCP must satisfy.
-    pub fn mpcp() -> Self {
-        InvariantProfile {
-            handoff_order: true,
-            gcs_discipline: true,
-            priority_floor: true,
-            blocking_bound: true,
-        }
-    }
-
-    /// Only the universal invariants (mutual exclusion, occupancy).
-    pub fn minimal() -> Self {
-        InvariantProfile {
-            handoff_order: false,
-            gcs_discipline: false,
-            priority_floor: false,
-            blocking_bound: false,
-        }
-    }
-
-    /// What each built-in protocol promises: a projection of
-    /// [`ProtocolKind::monitor_spec`], the one invariant table the sweep
-    /// monitor also runs, so the two cannot disagree (the sweep
-    /// additionally streams spin occupancy, boost-while-holding and DGA
-    /// schedule conformance, which have no post-hoc profile here). The
-    /// blocking-bound cross-check is MPCP's.
-    pub fn for_kind(kind: ProtocolKind) -> Self {
-        let spec = kind.monitor_spec();
-        InvariantProfile {
-            handoff_order: spec.handoffs,
-            gcs_discipline: spec.gcs_discipline,
-            priority_floor: spec.priority_floor,
-            blocking_bound: kind == ProtocolKind::Mpcp,
-        }
     }
 }
 
@@ -204,22 +154,24 @@ impl Iterator for OffsetGrid {
 }
 
 /// Explores every release-phasing variant of `system` under a custom
-/// protocol factory and invariant profile. `protocol_name` labels the
-/// produced [`Violation`]s.
+/// protocol factory, demanding the invariants of `spec` and, with
+/// `blocking_bound`, that observed blocking stays within the §5.1 bound
+/// `B_i`. `protocol_name` labels the produced [`Violation`]s.
 ///
 /// This is the general entry point; [`explore`] covers the built-in
-/// protocols. Passing a *wrong* factory for a profile — say, raw FIFO
-/// semaphores checked against [`InvariantProfile::mpcp`] — is how the
-/// checker's own sensitivity is validated.
+/// protocols. Passing a *wrong* factory for a spec — say, raw FIFO
+/// semaphores judged by MPCP's — is how the checker's own sensitivity
+/// is validated.
 pub fn explore_with(
     system: &System,
     config: &CheckerConfig,
-    profile: InvariantProfile,
+    spec: MonitorSpec,
+    blocking_bound: bool,
     protocol_name: &str,
     mut factory: impl FnMut() -> Box<dyn Protocol>,
 ) -> Exploration {
     let horizon = config.resolved_horizon(system);
-    let bounds: Option<Vec<Dur>> = if profile.blocking_bound {
+    let bounds: Option<Vec<Dur>> = if blocking_bound {
         Analysis::Mpcp
             .bounds(system, BlockingConfig::sound())
             .ok()
@@ -242,7 +194,12 @@ pub fn explore_with(
         }
         exploration.variants += 1;
         let variant = with_offsets(system, &deltas);
-        let mut sim = Simulator::with_config(&variant, factory(), SimConfig::until(horizon));
+        let run = SimConfig {
+            record_trace: false,
+            ..SimConfig::until(horizon)
+        };
+        let mut sim = Simulator::with_config(&variant, factory(), run);
+        sim.set_monitor(Monitor::new(&variant, spec));
         sim.run();
 
         let mut fail = |invariant: &'static str, time: Time, message: String| {
@@ -255,26 +212,8 @@ pub fn explore_with(
             });
         };
 
-        if let Err(e) = check::mutual_exclusion(sim.trace()) {
-            fail("mutual-exclusion", e.time, e.message);
-        }
-        if let Err(e) = check::single_occupancy(sim.trace(), &variant) {
-            fail("single-occupancy", e.time, e.message);
-        }
-        if profile.handoff_order {
-            if let Err(e) = check::priority_ordered_handoffs(sim.trace(), &variant) {
-                fail("priority-ordered-handoffs", e.time, e.message);
-            }
-        }
-        if profile.gcs_discipline {
-            if let Err(e) = check::gcs_preemption_discipline(sim.trace(), &variant) {
-                fail("gcs-preemption-discipline", e.time, e.message);
-            }
-        }
-        if profile.priority_floor {
-            if let Err(e) = check::priority_floor(sim.trace(), &variant) {
-                fail("priority-floor", e.time, e.message);
-            }
+        for (invariant, e) in sim.monitor().expect("attached above").violations() {
+            fail(invariant, e.time, e.message.clone());
         }
         if let Some(bounds) = &bounds {
             let metrics = sim.metrics();
@@ -301,7 +240,8 @@ pub fn explore_with(
 
 /// Explores every release-phasing variant of `system` under one
 /// built-in protocol, checking the invariants that protocol promises
-/// ([`InvariantProfile::for_kind`]).
+/// ([`ProtocolKind::monitor_spec`]); the blocking-bound cross-check is
+/// MPCP's.
 pub fn explore(system: &System, kind: ProtocolKind, config: &CheckerConfig) -> Exploration {
     // Offline dependency-graph scheduling needs outermost-only
     // sections; report nested-section systems as unexplored (zero
@@ -322,7 +262,8 @@ pub fn explore(system: &System, kind: ProtocolKind, config: &CheckerConfig) -> E
     explore_with(
         system,
         config,
-        InvariantProfile::for_kind(kind),
+        kind.monitor_spec(),
+        kind == ProtocolKind::Mpcp,
         kind.name(),
         || kind.build(),
     )

@@ -11,9 +11,10 @@
 //!   and global sections that already exceed a user's deadline. Run
 //!   [`lint_system`] and render the [`Report`] for humans or as JSON.
 //! * **[`checker`]** — exhaustive exploration of every release-phasing
-//!   variant of a small system, with each execution's trace checked
-//!   against the structural invariants of [`mpcp_sim::check`] and (for
-//!   MPCP) the §5.1 blocking bound. Run [`checker::explore_all`] and
+//!   variant of a small system, each execution judged by the
+//!   [`mpcp_sim::Monitor`] of its protocol's
+//!   [`monitor_spec`](mpcp_protocols::ProtocolKind::monitor_spec) and
+//!   (for MPCP) against the §5.1 blocking bound. Run [`checker::explore_all`] and
 //!   turn the results into diagnostics with [`checker::report`].
 //!
 //! Both are wired into the CLI as `mpcp lint` and `mpcp verify`, which
@@ -54,7 +55,7 @@ pub mod delta;
 pub mod diag;
 pub mod lint;
 
-pub use checker::{CheckerConfig, Exploration, InvariantProfile, Violation};
+pub use checker::{CheckerConfig, Exploration, Violation};
 pub use delta::{
     audit_script, full_snapshot_json, with_body, with_scaled_period, with_task_from, without_task,
     EngineStats, IncrementalAnalysis,

@@ -1,12 +1,13 @@
 //! Small-scope model checking acceptance: the exhaustive exploration
-//! passes for every protocol on several small systems, and detects a
-//! seeded protocol mutation (FIFO hand-off where the MPCP's
-//! priority-queued hand-off is required).
+//! passes for every protocol on several small systems, and detects
+//! seeded protocol mutations (FIFO hand-off where the MPCP's
+//! priority-queued hand-off is required; no boost where MSRP's
+//! non-preemptable sections are).
 
 use mpcp_model::{Body, System, TaskDef};
 use mpcp_protocols::ProtocolKind;
 use mpcp_verify::checker::{explore, explore_all, explore_with, report};
-use mpcp_verify::{CheckerConfig, InvariantProfile};
+use mpcp_verify::CheckerConfig;
 
 fn small_config() -> CheckerConfig {
     CheckerConfig {
@@ -176,7 +177,8 @@ fn fifo_handoff_mutation_is_detected() {
     let mutated = explore_with(
         &sys,
         &small_config(),
-        InvariantProfile::mpcp(),
+        ProtocolKind::Mpcp.monitor_spec(),
+        true,
         "raw-as-mpcp",
         || ProtocolKind::Raw.build(),
     );
@@ -185,7 +187,7 @@ fn fifo_handoff_mutation_is_detected() {
         mutated
             .violations
             .iter()
-            .any(|v| v.invariant == "priority-ordered-handoffs"),
+            .any(|v| v.invariant == "priority_ordered_handoffs"),
         "wrong invariant flagged: {:?}",
         mutated.violations.first()
     );
@@ -197,7 +199,41 @@ fn fifo_handoff_mutation_is_detected() {
     // And the violations surface as error diagnostics.
     let r = report(&[mutated]);
     assert!(r.has_errors());
-    assert!(r.render_human().contains("priority-ordered-handoffs"));
+    assert!(r.render_human().contains("priority_ordered_handoffs"));
+}
+
+/// The model checker demands what the sweep's monitor demands: raw
+/// semaphores never boost a holder, so judged by MSRP's spec they break
+/// boost-while-holding — an invariant the checker did not run before it
+/// took a `MonitorSpec` — while genuine MSRP and FMLP+, both promising
+/// it, stay clean on every small-scope system of this file
+/// (`all_protocols_pass_on_small_systems`).
+#[test]
+fn unboosted_holder_mutation_is_detected() {
+    let mutated = explore_with(
+        &sys_shared_global(),
+        &small_config(),
+        ProtocolKind::Msrp.monitor_spec(),
+        false,
+        "raw-as-msrp",
+        || ProtocolKind::Raw.build(),
+    );
+    assert!(
+        mutated
+            .violations
+            .iter()
+            .any(|v| v.invariant == "boost_while_holding"),
+        "wrong invariant flagged: {:?}",
+        mutated.violations.first()
+    );
+    assert!(report(&[mutated])
+        .render_human()
+        .contains("raw-as-msrp: boost_while_holding violated at t="));
+
+    // So `all_protocols_pass_on_small_systems` is not vacuous for them.
+    assert!(ProtocolKind::Msrp.monitor_spec().boost_while_holding);
+    assert!(ProtocolKind::Fmlp.monitor_spec().boost_while_holding);
+    assert!(ProtocolKind::Msrp.monitor_spec().spin_occupancy);
 }
 
 /// The variant cap truncates instead of hanging, and says so.

@@ -7,6 +7,12 @@
 # `benches/` and `examples/` directories are not looked at. The frozen
 # `benchmark/` harness is not part of the workspace and is not counted.
 #
+# The workspace total is a ratchet: `scripts/loc.max` (of the tree
+# being counted) holds the ceiling, one number, and the script exits 1
+# above it. A change that must grow the workspace raises the number in
+# its own diff; one that shrinks it lowers the number to what it
+# reached. A tree without the file is only counted.
+#
 # usage: scripts/loc.sh [REPO_ROOT]     (default: the checkout this
 #                                        script lives in)
 set -euo pipefail
@@ -36,3 +42,10 @@ for dir in . crates/*/; do
     printf '%-16s %8d\n' "$name" "$lines"
 done
 printf '%-16s %8d\n' workspace "$total"
+if [ -f scripts/loc.max ]; then
+    max=$(tr -dc 0-9 < scripts/loc.max)
+    if [ "$total" -gt "$max" ]; then
+        echo "FAIL: workspace has $total non-test lines, ceiling is $max (scripts/loc.max)" >&2
+        exit 1
+    fi
+fi

@@ -7,7 +7,17 @@ use mpcp::analysis::{
 };
 use mpcp::model::{Body, System, TaskDef};
 use mpcp::protocols::ProtocolKind;
-use mpcp::sim::{check, SimConfig, Simulator};
+use mpcp::sim::{Monitor, MonitorSpec, Protocol, SimConfig, Simulator};
+
+/// The names of the checks that fire when the recorded run is replayed
+/// under `spec` (mutual exclusion and single occupancy always run).
+fn fired<P: Protocol>(sys: &System, sim: &Simulator<P>, spec: MonitorSpec) -> Vec<&'static str> {
+    let mut monitor = Monitor::new(sys, spec);
+    monitor.replay(sim.trace());
+    monitor.violations().map(|(name, _)| name).collect()
+}
+
+const NONE: [&str; 0] = [];
 
 /// Opposite-order nesting across two processors.
 fn cyclic_system() -> System {
@@ -80,7 +90,7 @@ fn cyclic_order_deadlocks_in_simulation() {
     assert!(first_x.is_none(), "x should deadlock");
     assert!(first_y.is_none(), "y should deadlock");
     // Mutual exclusion still holds even in the deadlocked state.
-    check::mutual_exclusion(sim.trace()).unwrap();
+    assert_eq!(fired(&sys, &sim, MonitorSpec::default()), NONE);
 }
 
 /// Same-order nesting runs to completion and keeps every invariant.
@@ -91,8 +101,11 @@ fn ordered_nesting_completes() {
     sim.run();
     assert!(sim.records().len() >= 6, "both tasks complete repeatedly");
     assert_eq!(sim.misses(), 0);
-    check::mutual_exclusion(sim.trace()).unwrap();
-    check::priority_ordered_handoffs(sim.trace(), &sys).unwrap();
+    let handoffs = MonitorSpec {
+        handoffs: true,
+        ..MonitorSpec::default()
+    };
+    assert_eq!(fired(&sys, &sim, handoffs), NONE);
 }
 
 /// Collapsing rewrites the cyclic system into a deadlock-free one whose
@@ -119,7 +132,10 @@ fn collapsing_cures_the_deadlock() {
         "collapsed system completes jobs: {}",
         sim.records().len()
     );
-    check::check_mpcp_trace(sim.trace(), &collapsed).unwrap();
+    // Everything MPCP promises: hand-offs, gcs discipline, the floor.
+    let mpcp = ProtocolKind::Mpcp.monitor_spec();
+    assert!(mpcp.handoffs && mpcp.gcs_discipline && mpcp.priority_floor);
+    assert_eq!(fired(&collapsed, &sim, mpcp), NONE);
 }
 
 /// DPCP with co-hosted semaphores serializes the sections on one
@@ -132,5 +148,5 @@ fn ordered_nesting_completes_under_dpcp() {
     let mut sim = Simulator::with_config(&sys, ProtocolKind::Dpcp.build(), SimConfig::until(400));
     sim.run();
     assert!(sim.records().len() >= 6);
-    check::mutual_exclusion(sim.trace()).unwrap();
+    assert_eq!(fired(&sys, &sim, MonitorSpec::default()), NONE);
 }

@@ -2,18 +2,18 @@
 //! mutual exclusion and single occupancy on arbitrary generated systems;
 //! the priority-queued ones must hand off in priority order; MPCP must
 //! additionally satisfy the gcs preemption discipline (Theorem 2) and
-//! never let a priority drop below its floor.
+//! never let a priority drop below its floor. One judge throughout:
+//! `Monitor::replay` of the recorded trace, `violations()` read out by
+//! name — and, last in this file, the certificate that a live monitor
+//! on a capture-free run says exactly the same.
 
+use mpcp::model::System;
 use mpcp::protocols::ProtocolKind;
-use mpcp::sim::{check, SimConfig, Simulator};
+use mpcp::sim::{Monitor, MonitorSpec, Protocol, SimConfig, Simulator};
 use mpcp::taskgen::{generate, WorkloadConfig};
 use mpcp_prop::cases;
 
-fn run(
-    kind: ProtocolKind,
-    seed: u64,
-    nesting: f64,
-) -> (mpcp::model::System, Simulator<Box<dyn mpcp::sim::Protocol>>) {
+fn system(seed: u64, nesting: f64) -> System {
     let cfg = WorkloadConfig::default()
         .processors(3)
         .tasks_per_processor(3)
@@ -22,10 +22,37 @@ fn run(
         .sections(0, 3)
         .section_len(0.03, 0.12)
         .nesting(nesting);
-    let sys = generate(&cfg, seed);
+    generate(&cfg, seed)
+}
+
+fn run(kind: ProtocolKind, seed: u64, nesting: f64) -> (System, Simulator<Box<dyn Protocol>>) {
+    let sys = system(seed, nesting);
     let mut sim = Simulator::with_config(&sys, kind.build(), SimConfig::until(20_000));
     sim.run();
     (sys, sim)
+}
+
+/// The one helper: the recorded run replayed under `spec`; the names of
+/// the checks that fired and each one's first violation, rendered.
+fn judged<P: Protocol>(
+    sys: &System,
+    sim: &Simulator<P>,
+    spec: MonitorSpec,
+) -> Vec<(&'static str, String)> {
+    let mut monitor = Monitor::new(sys, spec);
+    monitor.replay(sim.trace());
+    monitor
+        .violations()
+        .map(|(name, e)| (name, e.to_string()))
+        .collect()
+}
+
+/// The default spec — mutual exclusion and single occupancy, which
+/// every monitor runs — plus what `set` turns on.
+fn checking(set: impl FnOnce(&mut MonitorSpec)) -> MonitorSpec {
+    let mut spec = MonitorSpec::default();
+    set(&mut spec);
+    spec
 }
 
 #[test]
@@ -34,10 +61,11 @@ fn every_protocol_keeps_mutual_exclusion() {
         let seed = rng.range_u64(0, 99_999);
         for kind in ProtocolKind::ALL {
             let (sys, sim) = run(kind, seed, 0.0);
-            check::mutual_exclusion(sim.trace())
-                .unwrap_or_else(|e| panic!("seed {seed}, {kind}: {e}"));
-            check::single_occupancy(sim.trace(), &sys)
-                .unwrap_or_else(|e| panic!("seed {seed}, {kind}: {e}"));
+            assert_eq!(
+                judged(&sys, &sim, MonitorSpec::default()),
+                [],
+                "seed {seed}, {kind}"
+            );
         }
     });
 }
@@ -54,18 +82,32 @@ fn priority_queued_protocols_hand_off_in_order() {
             ProtocolKind::DirectPcp,
         ] {
             let (sys, sim) = run(kind, seed, 0.0);
-            check::priority_ordered_handoffs(sim.trace(), &sys)
-                .unwrap_or_else(|e| panic!("seed {seed}, {kind}: {e}"));
+            assert_eq!(
+                judged(&sys, &sim, checking(|s| s.handoffs = true)),
+                [],
+                "seed {seed}, {kind}"
+            );
         }
     });
 }
 
+/// Everything MPCP promises besides the blocking reconstruction: the
+/// always-on pair, hand-off order, gcs discipline, the priority floor.
+fn mpcp_structural() -> MonitorSpec {
+    MonitorSpec {
+        observed_blocking: false,
+        ..ProtocolKind::Mpcp.monitor_spec()
+    }
+}
+
 #[test]
 fn mpcp_satisfies_all_invariants() {
+    let spec = mpcp_structural();
+    assert!(spec.handoffs && spec.gcs_discipline && spec.priority_floor);
     cases(20, 0x1D_03, |rng| {
         let seed = rng.range_u64(0, 99_999);
         let (sys, sim) = run(ProtocolKind::Mpcp, seed, 0.0);
-        check::check_mpcp_trace(sim.trace(), &sys).unwrap();
+        assert_eq!(judged(&sys, &sim, spec), [], "seed {seed}");
         assert!(!sim.records().is_empty(), "seed {seed}");
     });
 }
@@ -75,14 +117,15 @@ fn mpcp_satisfies_all_invariants() {
 /// is deadlock-safe by construction in the generator).
 #[test]
 fn mpcp_invariants_hold_with_nesting() {
+    let spec = MonitorSpec {
+        gcs_discipline: false,
+        ..mpcp_structural()
+    };
     cases(20, 0x1D_04, |rng| {
         let seed = rng.range_u64(0, 99_999);
         let nest = rng.range_f64(0.2, 1.0);
         let (sys, sim) = run(ProtocolKind::Mpcp, seed, nest);
-        check::mutual_exclusion(sim.trace()).unwrap();
-        check::single_occupancy(sim.trace(), &sys).unwrap();
-        check::priority_ordered_handoffs(sim.trace(), &sys).unwrap();
-        check::priority_floor(sim.trace(), &sys).unwrap();
+        assert_eq!(judged(&sys, &sim, spec), [], "seed {seed}");
     });
 }
 
@@ -90,14 +133,14 @@ fn mpcp_invariants_hold_with_nesting() {
 /// confirming the checker has teeth.
 #[test]
 fn raw_semaphores_violate_handoff_order_somewhere() {
-    let mut violated = false;
-    for seed in 0..200u64 {
+    let violated = (0..200u64).any(|seed| {
         let (sys, sim) = run(ProtocolKind::Raw, seed, 0.0);
-        if check::priority_ordered_handoffs(sim.trace(), &sys).is_err() {
-            violated = true;
-            break;
-        }
-    }
+        let fired = judged(&sys, &sim, checking(|s| s.handoffs = true));
+        assert!(fired
+            .iter()
+            .all(|(name, _)| *name == "priority_ordered_handoffs"));
+        !fired.is_empty()
+    });
     assert!(
         violated,
         "FIFO hand-off should produce at least one priority inversion in 200 systems"
@@ -109,11 +152,11 @@ fn raw_semaphores_violate_handoff_order_somewhere() {
 /// never idles) on its home processor while it spins.
 #[test]
 fn msrp_spinners_hold_their_processor() {
+    let spec = checking(|s| (s.spin_occupancy, s.priority_floor) = (true, true));
     cases(20, 0x1D_05, |rng| {
         let seed = rng.range_u64(0, 99_999);
         let (sys, sim) = run(ProtocolKind::Msrp, seed, 0.0);
-        check::spin_occupancy(sim.trace(), &sys).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        check::priority_floor(sim.trace(), &sys).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert_eq!(judged(&sys, &sim, spec), [], "seed {seed}");
     });
 }
 
@@ -124,8 +167,11 @@ fn fmlp_holders_are_always_boosted() {
     cases(20, 0x1D_06, |rng| {
         let seed = rng.range_u64(0, 99_999);
         let (sys, sim) = run(ProtocolKind::Fmlp, seed, 0.0);
-        check::boost_while_holding(sim.trace(), &sys)
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert_eq!(
+            judged(&sys, &sim, checking(|s| s.boost_while_holding = true)),
+            [],
+            "seed {seed}"
+        );
     });
 }
 
@@ -228,8 +274,8 @@ mod broken {
 /// Two tasks on different processors contending for one (therefore
 /// global) semaphore, plus a high-priority local competitor next to the
 /// spinner/holder under test.
-fn contended_system() -> mpcp::model::System {
-    use mpcp::model::{Body, System, TaskDef};
+fn contended_system() -> System {
+    use mpcp::model::{Body, TaskDef};
     let mut b = System::builder();
     let p = b.add_processors(2);
     let s = b.add_resource("SG");
@@ -268,16 +314,21 @@ fn spin_occupancy_fires_on_a_preemptible_spinner() {
         SimConfig::until(100),
     );
     sim.run();
-    let err = check::spin_occupancy(sim.trace(), &sys)
-        .expect_err("a preemptible spinner must violate spin occupancy");
-    assert!(
-        err.to_string().contains("spin-waits"),
-        "unexpected message: {err}"
+    assert_eq!(
+        judged(&sys, &sim, checking(|s| s.spin_occupancy = true)),
+        [(
+            "spin_occupancy",
+            "t=3: P0 ran J1.0 while J0.0 spin-waits there".to_owned()
+        )]
     );
 
     let mut real = Simulator::with_config(&sys, ProtocolKind::Msrp.build(), SimConfig::until(100));
     real.run();
-    check::spin_occupancy(real.trace(), &sys).expect("real MSRP keeps the invariant");
+    assert_eq!(
+        judged(&sys, &real, checking(|s| s.spin_occupancy = true)),
+        [],
+        "real MSRP keeps the invariant"
+    );
 }
 
 /// A holder that never boosts is observed inside its critical section
@@ -288,10 +339,127 @@ fn boost_check_fires_on_an_unboosted_holder() {
     let sys = contended_system();
     let mut sim = Simulator::with_config(&sys, broken::Unboosted::default(), SimConfig::until(100));
     sim.run();
-    check::boost_while_holding(sim.trace(), &sys)
-        .expect_err("an unboosted holder must violate the boost invariant");
+    let fired = judged(&sys, &sim, checking(|s| s.boost_while_holding = true));
+    assert_eq!(fired.len(), 1, "{fired:?}");
+    assert_eq!(fired[0].0, "boost_while_holding");
 
     let mut real = Simulator::with_config(&sys, ProtocolKind::Fmlp.build(), SimConfig::until(100));
     real.run();
-    check::boost_while_holding(real.trace(), &sys).expect("real FMLP+ keeps the invariant");
+    assert_eq!(
+        judged(&sys, &real, checking(|s| s.boost_while_holding = true)),
+        [],
+        "real FMLP+ keeps the invariant"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Streaming ≡ replay: the certificate that lets the sweep oracle judge a
+// capture-free run and never re-simulate. Not the first error — the
+// whole list of violations (names, times, messages) and the whole
+// blocking reconstruction.
+// ---------------------------------------------------------------------
+
+/// `(violations, observed blocking)` of a live monitor on a run that
+/// records nothing, and of a fresh monitor replaying a recorded run of
+/// the same system under the same policy.
+fn assert_streaming_equals_replay<P: Protocol>(
+    sys: &System,
+    spec: MonitorSpec,
+    mut policy: impl FnMut() -> P,
+    what: &str,
+) -> Vec<&'static str> {
+    let free = SimConfig {
+        record_trace: false,
+        ..SimConfig::until(20_000)
+    };
+    let mut streaming = Simulator::with_config(sys, policy(), free);
+    streaming.set_monitor(Monitor::new(sys, spec));
+    streaming.run();
+    assert!(streaming.trace().events().is_empty() && streaming.trace().slices().is_empty());
+    let live = streaming.monitor().expect("attached above");
+
+    let mut captured = Simulator::with_config(sys, policy(), SimConfig::until(20_000));
+    captured.run();
+    let mut replayed = Monitor::new(sys, spec);
+    replayed.replay(captured.trace());
+
+    let list = |m: &Monitor| -> Vec<(&'static str, mpcp::sim::check::CheckError)> {
+        m.violations().map(|(n, e)| (n, e.clone())).collect()
+    };
+    assert_eq!(list(live), list(&replayed), "{what}");
+    assert_eq!(live.error(), replayed.error(), "{what}");
+    assert_eq!(live.observed(), replayed.observed(), "{what}");
+    assert_eq!(live.observed().is_some(), spec.observed_blocking);
+    list(live).into_iter().map(|(name, _)| name).collect()
+}
+
+/// All nine kinds on the seeded systems of this file, each judged by
+/// its own spec (clean) and by every check at once (most kinds break a
+/// promise they never made — which is the point: the lists agree when
+/// they are long, too).
+#[test]
+fn streaming_monitor_equals_replay_for_every_kind() {
+    let mut fired_somewhere = Vec::new();
+    cases(8, 0x1D_07, |rng| {
+        let seed = rng.range_u64(0, 99_999);
+        let sys = system(seed, 0.0);
+        for kind in ProtocolKind::ALL {
+            let what = format!("seed {seed}, {kind}");
+            let own =
+                assert_streaming_equals_replay(&sys, kind.monitor_spec(), || kind.build(), &what);
+            assert_eq!(own, [] as [&str; 0], "{what}");
+            // The live spin check is shown the processors an instant
+            // touched, which presumes a job blocks on its home processor:
+            // a DPCP agent blocks away from home, so there the two agree
+            // that the check fires but not on when.
+            let every = MonitorSpec {
+                spin_occupancy: kind != ProtocolKind::Dpcp,
+                ..MonitorSpec::all()
+            };
+            fired_somewhere.extend(assert_streaming_equals_replay(
+                &sys,
+                every,
+                || kind.build(),
+                &what,
+            ));
+        }
+    });
+    for name in [
+        "priority_ordered_handoffs",
+        "gcs_preemption_discipline",
+        "spin_occupancy",
+        "boost_while_holding",
+    ] {
+        assert!(fired_somewhere.contains(&name), "{name} never fired");
+    }
+}
+
+/// The three saboteurs: raw FIFO judged by MPCP's spec (the oracle's
+/// violation path), a preemptible spinner, an unboosted holder.
+#[test]
+fn streaming_monitor_equals_replay_for_the_saboteurs() {
+    let mpcp = ProtocolKind::Mpcp.monitor_spec();
+    let inverted = (0..200u64).any(|seed| {
+        let what = format!("seed {seed}, raw as mpcp");
+        let raw = || ProtocolKind::Raw.build();
+        assert_streaming_equals_replay(&system(seed, 0.0), mpcp, raw, &what)
+            .contains(&"priority_ordered_handoffs")
+    });
+    assert!(inverted, "FIFO hand-off never inverted priority order");
+
+    let sys = contended_system();
+    let spin = assert_streaming_equals_replay(
+        &sys,
+        ProtocolKind::Msrp.monitor_spec(),
+        broken::PreemptibleSpin::default,
+        "preemptible spin",
+    );
+    assert!(spin.contains(&"spin_occupancy"), "{spin:?}");
+    let boost = assert_streaming_equals_replay(
+        &sys,
+        ProtocolKind::Fmlp.monitor_spec(),
+        broken::Unboosted::default,
+        "unboosted",
+    );
+    assert_eq!(boost, ["boost_while_holding"]);
 }
