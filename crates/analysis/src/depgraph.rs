@@ -388,16 +388,6 @@ impl DepGraph {
         self.tasks.len()
     }
 
-    /// Number of resources.
-    pub fn resource_count(&self) -> usize {
-        self.resources.len()
-    }
-
-    /// Number of processors.
-    pub fn processor_count(&self) -> usize {
-        self.proc_names.len()
-    }
-
     /// Whether two tasks share a name, defeating name-keyed caching.
     pub fn has_duplicate_task_names(&self) -> bool {
         self.duplicate_tasks

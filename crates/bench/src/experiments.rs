@@ -5,10 +5,11 @@
 
 use crate::paper;
 use mpcp_analysis::{self as analysis, Analysis, BlockingConfig, BoundSet};
-use mpcp_model::{Dur, Machine, System, TaskDef, TaskId, Time};
+use mpcp_model::{Dur, JobId, Machine, Priority, ProcessorId, System, Task, TaskDef, TaskId, Time};
 use mpcp_protocols::ProtocolKind;
-use mpcp_sim::{Binding, SimConfig, Simulator};
+use mpcp_sim::{Band, SimConfig, Simulator, Slice};
 use mpcp_taskgen::{generate, WorkloadConfig};
+use std::cmp::Reverse;
 use std::fmt::Write as _;
 
 /// Sum over tasks of the blocking bound, in ticks.
@@ -139,30 +140,91 @@ pub fn e6_machine_diagram() -> String {
     )
 }
 
-/// Dhall-effect data point: deadline misses under each binding for `m`
-/// processors.
+/// Global fixed-priority scheduling of a resource-free `system` over
+/// `[0, horizon)`, tick by tick: the `m` highest-priority ready jobs
+/// (ties: earlier release, then lower id) hold the `m` processors; one
+/// that keeps running keeps its processor, the others take the lowest
+/// free ones. As in the engine, completing takes a processor: a job
+/// preempted at the instant its work ends completes when it is next
+/// dispatched. Returns the deadline misses (one per job still live at
+/// its deadline) and one slice per busy processor per tick, in time
+/// order.
+pub fn global_fp(system: &System, horizon: u64) -> (u64, Vec<Slice>) {
+    struct Job {
+        id: JobId,
+        priority: Priority,
+        release: Time,
+        deadline: Time,
+        left: u64,
+    }
+    let resource_free = |t: &Task| t.body().resources_used().is_empty();
+    assert!(system.tasks().iter().all(resource_free), "resource-free");
+    let m = system.processors().len();
+    let mut instance = vec![0u32; system.tasks().len()];
+    let mut live: Vec<Job> = Vec::new();
+    let mut on: Vec<Option<JobId>> = vec![None; m];
+    let (mut misses, mut slices) = (0, Vec::new());
+    for t in (0..horizon).map(Time::new) {
+        for task in system.tasks() {
+            let k = &mut instance[task.id().index()];
+            if task.try_release_of(*k) == Some(t) {
+                live.push(Job {
+                    id: JobId::new(task.id(), *k),
+                    priority: task.priority(),
+                    release: t,
+                    deadline: t + task.deadline(),
+                    left: task.wcet().ticks(),
+                });
+                *k += 1;
+            }
+        }
+        live.sort_by_key(|j| (Reverse(j.priority), j.release, j.id));
+        loop {
+            let top = &live[..m.min(live.len())];
+            for held in &mut on {
+                *held = held.filter(|id| top.iter().any(|j| j.id == *id));
+            }
+            for job in top {
+                if !on.contains(&Some(job.id)) {
+                    let free = on.iter().position(Option::is_none);
+                    on[free.expect("at most m jobs are chosen")] = Some(job.id);
+                }
+            }
+            // One completion at a time, lowest processor first; then the
+            // processors are handed out again.
+            let done = |id: &JobId| live.iter().position(|j| j.id == *id && j.left == 0);
+            match on.iter().flatten().find_map(done) {
+                Some(at) => live.remove(at),
+                None => break,
+            };
+        }
+        misses += live.iter().filter(|j| j.deadline == t).count() as u64;
+        for (p, id) in on.iter().enumerate() {
+            let Some(job) = live.iter_mut().find(|j| Some(j.id) == *id) else {
+                continue;
+            };
+            job.left -= 1;
+            slices.push(Slice {
+                processor: ProcessorId::from_index(p as u32),
+                job: *id,
+                start: t,
+                dur: Dur::new(1),
+                band: Band::Normal,
+            });
+        }
+    }
+    (misses, slices)
+}
+
+/// Dhall-effect data point for `m` processors: deadline misses under
+/// global scheduling ([`global_fp`]) and under static binding (the
+/// engine, heavy task on a processor of its own).
 pub fn dhall_misses(m: usize) -> (u64, u64) {
-    let dynamic = {
-        let sys = paper::dhall_system(m, false);
-        let mut sim = Simulator::with_config(
-            &sys,
-            ProtocolKind::Raw.build(),
-            SimConfig {
-                binding: Binding::Dynamic,
-                ..SimConfig::until(120)
-            },
-        );
-        sim.run();
-        sim.misses()
-    };
-    let static_ = {
-        let sys = paper::dhall_system(m, true);
-        let mut sim =
-            Simulator::with_config(&sys, ProtocolKind::Raw.build(), SimConfig::until(120));
-        sim.run();
-        sim.misses()
-    };
-    (dynamic, static_)
+    let (dynamic, _) = global_fp(&paper::dhall_system(m, false), 120);
+    let sys = paper::dhall_system(m, true);
+    let mut sim = Simulator::with_config(&sys, ProtocolKind::Raw.build(), SimConfig::until(120));
+    sim.run();
+    (dynamic, sim.misses())
 }
 
 /// E7 (§3.2): the Dhall effect — dynamic binding misses deadlines at low
@@ -763,10 +825,25 @@ mod tests {
         assert!(pip.ticks() > 4 * mpcp.ticks(), "pip {pip} vs mpcp {mpcp}");
     }
 
+    /// Global scheduling misses at every width, static binding at
+    /// none, and the loop never runs more than `m` jobs in a tick: each
+    /// on a processor of its own, no job on two.
     #[test]
-    fn dhall_dynamic_misses_static_does_not() {
-        let (dynamic, static_) = dhall_misses(4);
-        assert!(dynamic > 0);
-        assert_eq!(static_, 0);
+    fn dhall_misses_are_pinned_and_a_tick_runs_at_most_m_jobs() {
+        for m in [2usize, 4, 8] {
+            assert_eq!(dhall_misses(m), (3, 0), "m={m}");
+            let (_, slices) = global_fp(&paper::dhall_system(m, false), 120);
+            for t in (0..120).map(Time::new) {
+                let at_t = |s: &&Slice| s.start <= t && t < s.start + s.dur;
+                let running: Vec<&Slice> = slices.iter().filter(at_t).collect();
+                assert!(running.len() <= m, "m={m} t={t}: {running:?}");
+                for (i, a) in running.iter().enumerate() {
+                    assert!(a.processor.index() < m);
+                    for b in &running[i + 1..] {
+                        assert!(a.processor != b.processor && a.job != b.job, "t={t}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,412 +1,439 @@
 //! `mpcp` — command-line experiment runner for the MPCP reproduction.
 //!
-//! ```text
-//! mpcp exp <e1..e16|all>          regenerate a paper table/figure
-//! mpcp trace [--until T]          Example 4 schedule (Figure 5-1)
-//! mpcp sim [opts]                 simulate a random system
-//! mpcp dga [opts]                 offline dependency-graph schedule + bounds
-//! mpcp analyze [opts]             blocking bounds + Theorem 3 tables
-//! mpcp allocate [opts]            task allocation study
-//! mpcp lint [opts] [--json]       static checks of a system configuration
-//! mpcp verify [opts] [--json]     exhaustive small-scope model checking
-//! mpcp serve [opts]               online admission-control server
-//! mpcp loadgen [opts]             drive a server with a submission stream
-//! mpcp sweep [opts]               differential analysis-vs-simulation sweep
-//! mpcp shootout [opts]            acceptance curves for every protocol on one grid
-//! ```
+//! [`COMMANDS`] is the whole surface: every command, every flag it
+//! accepts — name, kind, default, help — and the function that runs it.
+//! Parsing, validation and `mpcp help` are generated from that table, so
+//! a flag is said once and an invocation the table does not describe is
+//! refused, not guessed at.
 
 use mpcp_alloc::{allocate, Heuristic};
 use mpcp_analysis::{self as analysis, Analysis, BlockingConfig};
+use mpcp_bench::{experiments, paper};
 use mpcp_dga::{DependencyGraph, DgaSchedule};
-use mpcp_model::Time;
+use mpcp_model::{System, Time};
 use mpcp_protocols::ProtocolKind;
 use mpcp_service::{LoadgenConfig, ServerConfig};
 use mpcp_sim::{SimConfig, Simulator};
+use mpcp_sweep::SweepConfig;
 use mpcp_taskgen::{generate, WorkloadConfig};
-use std::collections::HashMap;
-use std::io::Write;
+use mpcp_verify::CheckerConfig;
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
+use table::*;
+use Kind::{Operand, Real, Switch, Text, Uint};
+
+/// How a flag is written, and what its value must look like.
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    /// Present or absent; takes no value.
+    Switch,
+    /// A non-negative integer.
+    Uint,
+    /// A number.
+    Real,
+    /// Any text; the command says what it accepts.
+    Text,
+    /// Not a `--flag`: the one bare word the command requires.
+    Operand,
+}
+
+/// What leaving a flag out means, as the text the user could have typed.
+/// `None`: nothing, or a value the command works out (the help says
+/// which).
+type Absent = Option<fn() -> String>;
+
+/// [`Absent`] meaning `$value`: a literal of the CLI's own choosing, or a
+/// field of a config type's `Default`.
+macro_rules! of {
+    ($value:expr) => {
+        Some(|| $value.to_string())
+    };
+}
+
+#[derive(Clone, Copy)]
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    default: Absent,
+    help: &'static str,
+}
+
+const fn flag(name: &'static str, kind: Kind, default: Absent, help: &'static str) -> Flag {
+    Flag {
+        name,
+        kind,
+        default,
+        help,
+    }
+}
+
+impl Flag {
+    /// This flag where a command means another default by it.
+    const fn or(self, default: Absent) -> Flag {
+        Flag { default, ..self }
+    }
+
+    /// This flag where a command means something else by it.
+    const fn says(self, help: &'static str) -> Flag {
+        Flag { help, ..self }
+    }
+}
+
+/// Flags several commands accept, documented once.
+struct Group {
+    name: &'static str,
+    flags: &'static [Flag],
+}
+
+struct Command {
+    name: &'static str,
+    summary: &'static str,
+    run: fn(&Args) -> Result<ExitCode, String>,
+    /// Its own flags; no name repeats one of its groups'.
+    flags: &'static [Flag],
+    groups: &'static [&'static Group],
+}
+
+/// One row per flag, group and command.
+#[rustfmt::skip]
+mod table {
+    use super::*;
+
+    pub const ID: Flag = flag("id", Operand, None, "an experiment of the list below");
+    pub const SEED: Flag = flag("seed", Uint, of!(1), "generator seed");
+    pub const PROCS: Flag = flag("procs", Uint, of!(4), "processors");
+    pub const TASKS: Flag = flag("tasks", Uint, of!(4), "tasks per processor");
+    pub const UTIL: Flag = flag("util", Real, of!(0.4), "utilization per processor");
+    pub const GLOBALS: Flag = flag("globals", Uint, of!(2), "global semaphores");
+    pub const LOCALS: Flag = flag("locals", Uint, of!(1), "local semaphores per processor");
+    pub const GSECTIONS: Flag = flag("gsections", Uint, of!(0), "force ≥N global critical sections per job");
+    pub const EXAMPLE: Flag = flag("example", Text, None, "paper example 1|2|3 or `deadlock` (a broken demo), not a random system");
+    pub const JSON: Flag = flag("json", Switch, None, "machine-readable output");
+    pub const CSV: Flag = flag("csv", Switch, None, "comma-separated output");
+    pub const PROTOCOL: Flag = flag("protocol", Text, None, "one protocol of the list below");
+    pub const UNTIL: Flag = flag("until", Uint, of!(100_000), "simulation horizon");
+    pub const GANTT: Flag = flag("gantt", Switch, None, "also print the schedule as a Gantt chart");
+    pub const WINDOW: Flag = flag("window", Uint, of!(200), "ticks the Gantt chart shows");
+    pub const HORIZON: Flag = flag("horizon", Uint, of!(SweepConfig::default().horizon_cap), "per-scenario simulation cap");
+    pub const SCENARIOS: Flag = flag("scenarios", Uint, of!(SweepConfig::default().scenarios), "scenarios to run");
+    pub const JOBS: Flag = flag("jobs", Uint, of!(SweepConfig::default().jobs), "worker threads; the report is identical for any value");
+    pub const UTIL_LO: Flag = flag("util-lo", Real, of!(SweepConfig::default().util_lo), "lowest utilization of the grid");
+    pub const UTIL_HI: Flag = flag("util-hi", Real, of!(SweepConfig::default().util_hi), "highest utilization of the grid");
+    pub const UTIL_STEPS: Flag = flag("util-steps", Uint, of!(SweepConfig::default().util_steps), "grid points");
+    pub const AUDIT_STRIDE: Flag = flag("audit-stride", Uint, of!(SweepConfig::default().audit_stride), "audit every Nth scenario by index (--jobs-independent)");
+    pub const NO_SHRINK: Flag = flag("no-shrink", Switch, None, "skip counterexample minimization");
+    pub const CHECK_RESPONSE: Flag = flag("check-response", Switch, None, "treat the (advisory) RTA response comparison as a hard oracle");
+    pub const MAX_OFFSET: Flag = flag("max-offset", Uint, of!(CheckerConfig::default().max_offset), "largest release offset tried");
+    pub const STEP: Flag = flag("step", Uint, of!(CheckerConfig::default().offset_step), "release-offset grid step");
+    pub const MAX_VARIANTS: Flag = flag("max-variants", Uint, of!(CheckerConfig::default().max_variants), "enumeration cap");
+    pub const STEPS: Flag = flag("steps", Uint, None, "tasks the edit script cycles through (default: all)");
+    pub const PORT: Flag = flag("port", Uint, None, "127.0.0.1:N in place of --addr (0: an ephemeral port)");
+    pub const ADDR: Flag = flag("addr", Text, of!(ServerConfig::default().addr), "address to bind, or to drive");
+    pub const WORKERS: Flag = flag("workers", Uint, of!(ServerConfig::default().workers), "analysis worker threads");
+    pub const QUEUE: Flag = flag("queue", Uint, of!(ServerConfig::default().queue_cap), "pending-request bound");
+    pub const DEADLINE_MS: Flag = flag("deadline-ms", Uint, of!(ServerConfig::default().deadline.as_millis()), "per-request deadline");
+    pub const CACHE: Flag = flag("cache", Uint, of!(ServerConfig::default().cache_capacity), "analysis-cache entries");
+    pub const NO_INCREMENTAL: Flag = flag("no-incremental", Switch, None, "full analysis for every add-task/remove-task");
+    pub const AUDIT_EVERY: Flag = flag("audit-every", Uint, of!(ServerConfig::default().audit_every), "audit every Nth incremental result (0: never)");
+    pub const SHARDS: Flag = flag("shards", Uint, of!(ServerConfig::default().shards), "reactor event-loop shards");
+    pub const MAX_PIPELINE: Flag = flag("max-pipeline", Uint, of!(ServerConfig::default().max_pipeline), "per-connection in-flight bound");
+    pub const READ_DEADLINE_MS: Flag = flag("read-deadline-ms", Uint, of!(ServerConfig::default().read_deadline.as_millis()), "slow-loris partial-line deadline (0: none)");
+    pub const IDLE_MS: Flag = flag("idle-ms", Uint, of!(ServerConfig::default().idle_timeout.as_millis()), "drop connections idle this long (0: never)");
+    pub const PERSIST: Flag = flag("persist", Text, None, "directory of the session journal and snapshots, replayed on startup");
+    pub const SNAPSHOT_EVERY: Flag = flag("snapshot-every", Uint, of!(ServerConfig::default().snapshot_every), "journal entries per snapshot compaction");
+    pub const REQUESTS: Flag = flag("requests", Uint, of!(LoadgenConfig::default().requests), "requests to send");
+    pub const CONNECTIONS: Flag = flag("connections", Uint, of!(LoadgenConfig::default().connections), "client connections");
+    pub const RATE: Flag = flag("rate", Uint, of!(LoadgenConfig::default().rate), "target req/s (0: unpaced)");
+    pub const PIPELINE: Flag = flag("pipeline", Uint, of!(LoadgenConfig::default().pipeline), "requests in flight per connection");
+    pub const OPEN: Flag = flag("open", Switch, None, "open-loop arrivals: latency from the schedule, needs --rate");
+    pub const UNIQUE: Flag = flag("unique", Uint, of!(LoadgenConfig::default().unique), "distinct systems to cycle");
+
+    /// The seeded `taskgen` system most commands work on.
+    pub const RANDOM_SYSTEM: Group = Group { name: "random-system", flags: &[SEED, PROCS, TASKS, UTIL, GLOBALS, LOCALS, GSECTIONS] };
+    pub const TARGET: Group = Group { name: "target", flags: &[EXAMPLE] };
+    /// The scenario family of `sweep` and `shootout`: seed, workers, horizon, the
+    /// utilization grid, and the system shape at each of its points.
+    pub const GRID: Group = Group { name: "grid", flags: &[
+        SEED.or(of!(SweepConfig::default().seed)), JOBS, HORIZON, UTIL_LO, UTIL_HI, UTIL_STEPS, PROCS,
+        TASKS.or(of!(SweepConfig::default().workload.tasks_per_processor)), GLOBALS, LOCALS, GSECTIONS,
+    ] };
+    pub const REPORT_FORMAT: Group = Group { name: "report-format", flags: &[JSON, CSV] };
+    pub const GROUPS: [&Group; 4] = [&RANDOM_SYSTEM, &TARGET, &GRID, &REPORT_FORMAT];
+
+    pub const COMMANDS: [Command; 13] = [
+        Command { name: "exp", summary: "regenerate a paper table/figure", run: run_exp, flags: &[ID], groups: &[] },
+        Command { name: "trace", summary: "Example 4 schedule under MPCP (Figure 5-1)", run: run_trace,
+            flags: &[UNTIL.or(of!(20)), CSV.says("events, then slices, as CSV")], groups: &[] },
+        Command { name: "sim", summary: "simulate a random system", run: run_sim,
+            flags: &[PROTOCOL.or(of!(ProtocolKind::Mpcp)), UNTIL, GANTT, WINDOW], groups: &[&RANDOM_SYSTEM] },
+        Command { name: "dga", summary: "offline dependency-graph schedule and bounds; nonzero exit on a miss", run: run_dga,
+            flags: &[HORIZON.or(None).says("schedule horizon (default: two hyperperiods, capped)")], groups: &[&RANDOM_SYSTEM] },
+        Command { name: "analyze", summary: "blocking bounds and Theorem 3 tables", run: run_analyze, flags: &[], groups: &[&RANDOM_SYSTEM] },
+        Command { name: "allocate", summary: "compare allocation heuristics", run: run_allocate, flags: &[], groups: &[&RANDOM_SYSTEM] },
+        Command { name: "lint", summary: "static checks; nonzero exit on errors", run: run_lint,
+            flags: &[JSON], groups: &[&TARGET, &RANDOM_SYSTEM] },
+        Command { name: "verify", summary: "lints + exhaustive small-scope model check", run: run_verify,
+            flags: &[JSON, PROTOCOL.says("one protocol of the list below (default: each)"), MAX_OFFSET, STEP, MAX_VARIANTS,
+                HORIZON.or(of!(CheckerConfig::default().horizon)).says("ticks per variant (0: two hyperperiods)")],
+            groups: &[&TARGET, &RANDOM_SYSTEM] },
+        Command { name: "audit", summary: "certify incremental analysis against full recompute; nonzero exit if they differ",
+            run: run_audit, flags: &[STEPS], groups: &[&TARGET, &RANDOM_SYSTEM] },
+        Command { name: "serve", summary: "online admission-control server (NDJSON/TCP)", run: run_serve,
+            flags: &[PORT, ADDR, WORKERS, QUEUE, DEADLINE_MS, CACHE, NO_INCREMENTAL, AUDIT_EVERY, SHARDS, MAX_PIPELINE,
+                READ_DEADLINE_MS, IDLE_MS, PERSIST, SNAPSHOT_EVERY],
+            groups: &[] },
+        Command { name: "loadgen", summary: "drive a server with a submission stream", run: run_loadgen,
+            flags: &[PORT, ADDR, REQUESTS, CONNECTIONS, RATE, PIPELINE, OPEN, UNIQUE, JSON,
+                SEED.or(of!(LoadgenConfig::default().seed)), PROCS, TASKS, UTIL, GLOBALS, LOCALS, GSECTIONS],
+            groups: &[] },
+        Command { name: "sweep", summary: "differential analysis-vs-simulation sweep; nonzero exit on oracle violations", run: run_sweep,
+            flags: &[SCENARIOS, PROTOCOL.says("one protocol of the list below (default: the sweep set)"), AUDIT_STRIDE, NO_SHRINK, CHECK_RESPONSE],
+            groups: &[&GRID, &REPORT_FORMAT] },
+        Command { name: "shootout", summary: "acceptance curves for every protocol on one grid; nonzero exit on oracle violations",
+            run: run_shootout, flags: &[SCENARIOS.or(of!(200))], groups: &[&GRID, &REPORT_FORMAT] },
+    ];
+}
+
+impl Flag {
+    /// The flag as the help and the errors write it.
+    fn spelling(&self) -> String {
+        match self.kind {
+            Switch => format!("--{}", self.name),
+            Uint => format!("--{} N", self.name),
+            Real => format!("--{} U", self.name),
+            Text => format!("--{} S", self.name),
+            Operand => format!("<{}>", self.name),
+        }
+    }
+}
+
+impl Command {
+    /// Every flag the command accepts: its own, then its groups'.
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        let shared = self.groups.iter().flat_map(|g| g.flags);
+        self.flags.iter().chain(shared)
+    }
+}
+
+fn section(out: &mut String, title: &str, flags: &[Flag]) {
+    let _ = writeln!(out, "\n{title} options:");
+    for flag in flags {
+        let default = flag.default.map(|d| format!(" (default {})", d()));
+        let default = default.unwrap_or_default();
+        let _ = writeln!(out, "  {:<20} {}{default}", flag.spelling(), flag.help);
+    }
+}
+
+fn usage() -> String {
+    let mut out = String::from(
+        "mpcp — real-time synchronization protocols for shared memory multiprocessors\n\nusage:\n",
+    );
+    for command in &COMMANDS {
+        let operand = command.flags.iter().find(|f| f.kind == Operand);
+        let tail = operand.map_or("[opts]".to_owned(), Flag::spelling);
+        let synopsis = format!("mpcp {} {tail}", command.name);
+        let _ = writeln!(out, "  {synopsis:<20} {}", command.summary);
+    }
+    for command in &COMMANDS {
+        section(&mut out, command.name, command.flags);
+        for group in command.groups {
+            let _ = writeln!(out, "  and the {} options", group.name);
+        }
+    }
+    for group in GROUPS {
+        section(&mut out, group.name, group.flags);
+    }
+    let _ = writeln!(out, "\nexperiments: {} all", experiments::IDS.join(" "));
+    let _ = writeln!(
+        out,
+        "protocols: {} (the sweep set: {})",
+        protocol_names(&ProtocolKind::ALL, "|"),
+        protocol_names(&SweepConfig::default().protocols, " ")
+    );
+    out
+}
+
+/// One invocation the table accepts: every flag given is one `command`
+/// declares, with a value of its kind.
+struct Args {
+    command: &'static Command,
+    given: Vec<(&'static str, String)>,
+}
+
+fn parse(command: &'static Command, words: &[String]) -> Result<Args, String> {
+    let mut given: Vec<(&'static str, String)> = Vec::new();
+    let vacant = |given: &[(&str, String)]| {
+        let mut operands = command.flags().filter(|f| f.kind == Operand);
+        operands.find(|f| given.iter().all(|(name, _)| *name != f.name))
+    };
+    let mut words = words.iter().peekable();
+    while let Some(word) = words.next() {
+        let Some(name) = word.strip_prefix("--") else {
+            let operand = vacant(&given).ok_or_else(|| format!("unexpected argument {word:?}"))?;
+            given.push((operand.name, word.clone()));
+            continue;
+        };
+        let mut flags = command.flags().filter(|f| f.kind != Operand);
+        let flag = flags.find(|f| f.name == name);
+        let flag = flag.ok_or_else(|| format!("unknown flag --{name}"))?;
+        let value = if flag.kind == Switch {
+            String::new()
+        } else {
+            let value = words.next_if(|v| !v.starts_with("--"));
+            value
+                .ok_or_else(|| format!("flag --{name} requires a value"))?
+                .clone()
+        };
+        let wanted = match flag.kind {
+            Uint if value.parse::<u64>().is_err() => "a non-negative integer",
+            Real if value.parse::<f64>().is_err() => "a number",
+            _ => {
+                given.push((flag.name, value));
+                continue;
+            }
+        };
+        return Err(format!("--{name} takes {wanted}, not {value:?}"));
+    }
+    match vacant(&given) {
+        Some(missing) => Err(format!("missing <{}>", missing.name)),
+        None => Ok(Args { command, given }),
+    }
+}
+
+impl Args {
+    /// `flag` as the command declares it, and what the user wrote for it
+    /// (the last time, if repeated).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the command does not declare `flag`: a value read that
+    /// way could have been neither given nor checked nor documented.
+    fn look_up(&self, flag: &Flag) -> (&'static Flag, Option<&str>) {
+        let name = self.command.name;
+        let declared = self.command.flags().find(|f| f.name == flag.name);
+        let declared = declared.unwrap_or_else(|| panic!("mpcp {name} reads --{}", flag.name));
+        let mut matches = self.given.iter().rev().filter(|(n, _)| *n == flag.name);
+        (declared, matches.next().map(|(_, value)| value.as_str()))
+    }
+
+    /// Whether `flag` is on the command line.
+    fn on(&self, flag: &Flag) -> bool {
+        self.look_up(flag).1.is_some()
+    }
+
+    /// The value of `flag`: what the user wrote, else the default this
+    /// command declares for it, if any.
+    fn opt<T: FromStr>(&self, flag: &Flag) -> Option<T> {
+        let (declared, given) = self.look_up(flag);
+        let text = given.map_or_else(|| declared.default.map(|d| d()), |v| Some(v.to_owned()))?;
+        let value = text.parse().ok();
+        Some(value.unwrap_or_else(|| panic!("--{} {text:?} is not of its kind", flag.name)))
+    }
+
+    /// [`Args::opt`] of a flag declared with a default, or required.
+    fn get<T: FromStr>(&self, flag: &Flag) -> T {
+        let value = self.opt(flag);
+        value.unwrap_or_else(|| panic!("--{} has no default", flag.name))
+    }
+}
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let words: Vec<String> = std::env::args().skip(1).collect();
+    let name = words.first().map_or("help", String::as_str);
+    if matches!(name, "help" | "--help" | "-h") {
         print!("{}", usage());
         return ExitCode::SUCCESS;
+    }
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        eprintln!("unknown command {name:?}\n{}", usage());
+        return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(&args[1..]) {
-        Ok(flags) => flags,
+    let refused = |e| {
+        let accepted: Vec<String> = command.flags().map(Flag::spelling).collect();
+        let accepted = accepted.join(", ");
+        format!("mpcp {name}: {e}\nmpcp {name} accepts: {accepted} (see `mpcp help`)")
+    };
+    let outcome = parse(command, &words[1..]).map_err(refused);
+    match outcome.and_then(|args| (command.run)(&args)) {
+        Ok(code) => code,
         Err(e) => {
-            eprintln!("{e}\n{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
-    match cmd.as_str() {
-        "exp" => {
-            let Some(id) = args.get(1) else {
-                eprintln!("usage: mpcp exp <e1..e16|all>");
-                return ExitCode::FAILURE;
-            };
-            match mpcp_bench::experiments::by_name(id) {
-                Some(report) => {
-                    println!("{report}");
-                    ExitCode::SUCCESS
-                }
-                None => {
-                    eprintln!(
-                        "unknown experiment {id:?}; known: {} or all",
-                        mpcp_bench::experiments::IDS.join(", ")
-                    );
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "trace" => {
-            let until = flag_u64(&flags, "until", 20);
-            let (sys, _) = mpcp_bench::paper::example3();
-            let mut sim = Simulator::new(&sys, ProtocolKind::Mpcp.build());
-            sim.run_until(until);
-            if flags.contains_key("csv") {
-                print!("{}", mpcp_sim::export::events_csv(sim.trace()));
-                print!("{}", mpcp_sim::export::slices_csv(sim.trace()));
-                return ExitCode::SUCCESS;
-            }
-            println!(
-                "{}",
-                sim.trace().gantt(&sys, Time::ZERO, Time::new(until), 1)
-            );
-            println!(
-                "{}",
-                sim.trace().job_gantt(&sys, Time::ZERO, Time::new(until), 1)
-            );
-            println!("{}", sim.trace().event_log());
-            println!("{}", sim.metrics());
-            ExitCode::SUCCESS
-        }
-        "sim" => {
-            let (sys, seed) = build_system(&flags);
-            let kind = match flag_protocol(&flags) {
-                Ok(kind) => kind.unwrap_or(ProtocolKind::Mpcp),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if kind == ProtocolKind::Dga
-                && sys.tasks().iter().any(|t| t.body().has_nested_sections())
-            {
-                eprintln!("dga: not applicable: the system has nested critical sections");
-                return ExitCode::FAILURE;
-            }
-            let until = flag_u64(&flags, "until", 100_000);
-            let mut sim = Simulator::with_config(
-                &sys,
-                kind.build(),
-                SimConfig {
-                    record_trace: flags.contains_key("gantt"),
-                    ..SimConfig::until(until)
-                },
-            );
-            sim.run();
-            println!(
-                "protocol {kind}, seed {seed}, {} tasks on {} processors, until t={until}",
-                sys.tasks().len(),
-                sys.processors().len()
-            );
-            if flags.contains_key("gantt") {
-                let window = flag_u64(&flags, "window", 200).min(until);
-                println!(
-                    "{}",
-                    sim.trace().gantt(&sys, Time::ZERO, Time::new(window), 1)
-                );
-            }
-            println!("{}", sim.metrics());
-            ExitCode::SUCCESS
-        }
-        "dga" => {
-            let (sys, seed) = build_system(&flags);
-            let default_horizon = mpcp_dga::default_horizon(&sys).ticks();
-            let horizon = Time::new(flag_u64(&flags, "horizon", default_horizon));
-            run_dga(&sys, seed, horizon)
-        }
-        "analyze" => {
-            let (sys, seed) = build_system(&flags);
-            println!("seed {seed}");
-            println!("{}", analysis::report::ceiling_table(&sys));
-            println!("{}", analysis::report::gcs_priority_table(&sys));
-            match Analysis::Mpcp.bounds(&sys, BlockingConfig::paper()) {
-                Ok(mpcp) => {
-                    println!("MPCP blocking bounds (§5.1):");
-                    println!("{}", analysis::report::blocking_table(&sys, &mpcp));
-                    println!("Theorem 3:");
-                    println!("{}", analysis::report::sched_table(&sys, &mpcp));
-                    let dpcp = Analysis::Dpcp
-                        .bounds(&sys, BlockingConfig::paper())
-                        .expect("same preconditions");
-                    println!("DPCP blocking bounds (§5.2 comparison):");
-                    println!("{}", analysis::report::blocking_table(&sys, &dpcp));
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("analysis rejected the system: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "allocate" => {
-            let (sys, seed) = build_system(&flags);
-            let m = flag_u64(&flags, "procs", 4) as usize;
-            println!(
-                "seed {seed}: allocating {} tasks onto {m} processors",
-                sys.tasks().len()
-            );
-            println!(
-                "{:<10} {:>8} {:>12} {:>12}",
-                "heuristic", "globals", "max util", "schedulable"
-            );
-            for h in Heuristic::ALL {
-                match allocate(&sys, m, h) {
-                    Ok(a) => {
-                        let max_u = a
-                            .per_processor_utilization
-                            .iter()
-                            .cloned()
-                            .fold(0.0f64, f64::max);
-                        println!(
-                            "{:<10} {:>8} {:>12.3} {:>12}",
-                            h.name(),
-                            a.global_resources,
-                            max_u,
-                            if a.schedulable { "yes" } else { "no" }
-                        );
-                    }
-                    Err(e) => println!("{:<10} failed: {e}", h.name()),
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        "lint" => {
-            let (sys, label) = match lint_target(&flags) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let report = mpcp_verify::lint_system(&sys);
-            eprintln!("linting {label}");
-            if flags.contains_key("json") {
-                print!("{}", report.render_json());
-            } else {
-                print!("{}", report.render_human());
-            }
-            if report.has_errors() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        "verify" => {
-            let (sys, label) = match lint_target(&flags) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let config = mpcp_verify::CheckerConfig {
-                horizon: flag_u64(&flags, "horizon", 0),
-                max_offset: flag_u64(&flags, "max-offset", 2),
-                offset_step: flag_u64(&flags, "step", 1),
-                max_variants: flag_u64(&flags, "max-variants", 4096) as usize,
-            };
-            eprintln!("verifying {label}");
-            let lint_report = mpcp_verify::lint_system(&sys);
-            let explorations = match flag_protocol(&flags) {
-                Ok(Some(kind)) => vec![mpcp_verify::checker::explore(&sys, kind, &config)],
-                Ok(None) => mpcp_verify::checker::explore_all(&sys, &config),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mut report = lint_report;
-            for d in mpcp_verify::checker::report(&explorations).diagnostics() {
-                report.push(d.clone());
-            }
-            if flags.contains_key("json") {
-                print!("{}", report.render_json());
-            } else {
-                for ex in &explorations {
-                    eprintln!(
-                        "{:<16} {:>6} variants  {}",
-                        ex.protocol,
-                        ex.variants,
-                        if ex.passed() { "ok" } else { "VIOLATED" }
-                    );
-                }
-                print!("{}", report.render_human());
-            }
-            if report.has_errors() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        "serve" => {
-            let config = ServerConfig {
-                addr: flags
-                    .get("addr")
-                    .cloned()
-                    .unwrap_or_else(|| format!("127.0.0.1:{}", flag_u64(&flags, "port", 7171))),
-                workers: flag_u64(&flags, "workers", ServerConfig::default().workers as u64)
-                    as usize,
-                queue_cap: flag_u64(&flags, "queue", 64) as usize,
-                deadline: Duration::from_millis(flag_u64(&flags, "deadline-ms", 1000)),
-                cache_capacity: flag_u64(&flags, "cache", 4096) as usize,
-                incremental: !flags.contains_key("no-incremental"),
-                audit_every: flag_u64(&flags, "audit-every", 64),
-                shards: flag_u64(&flags, "shards", ServerConfig::default().shards as u64) as usize,
-                max_pipeline: flag_u64(&flags, "max-pipeline", 128) as usize,
-                read_deadline: Duration::from_millis(flag_u64(&flags, "read-deadline-ms", 30_000)),
-                idle_timeout: Duration::from_millis(flag_u64(&flags, "idle-ms", 0)),
-                persist_dir: flags.get("persist").map(std::path::PathBuf::from),
-                snapshot_every: flag_u64(&flags, "snapshot-every", 4096),
-            };
-            match mpcp_service::spawn(&config) {
-                Ok(handle) => {
-                    // The smoke script and tests parse this exact line to
-                    // learn the ephemeral port, so flush it eagerly.
-                    println!("mpcp-service listening on {}", handle.local_addr());
-                    let _ = std::io::stdout().flush();
-                    handle.join();
-                    println!("mpcp-service stopped");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("serve: cannot bind {}: {e}", config.addr);
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "loadgen" => {
-            let config = LoadgenConfig {
-                addr: flags
-                    .get("addr")
-                    .cloned()
-                    .unwrap_or_else(|| format!("127.0.0.1:{}", flag_u64(&flags, "port", 7171))),
-                requests: flag_u64(&flags, "requests", 200) as usize,
-                connections: flag_u64(&flags, "connections", 4) as usize,
-                rate: flag_u64(&flags, "rate", 0),
-                unique: flag_u64(&flags, "unique", 8) as usize,
-                workload: workload_config(&flags, 4),
-                seed: flag_u64(&flags, "seed", 42),
-                pipeline: flag_u64(&flags, "pipeline", 1) as usize,
-                open: flags.contains_key("open"),
-            };
-            match mpcp_service::loadgen::run(&config) {
-                Ok(report) => {
-                    if flags.contains_key("json") {
-                        println!("{}", report.render_json().encode());
-                    } else {
-                        print!("{}", report.render_text());
-                    }
-                    if report.errors > 0 {
-                        ExitCode::FAILURE
-                    } else {
-                        ExitCode::SUCCESS
-                    }
-                }
-                Err(e) => {
-                    eprintln!("loadgen: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "sweep" => {
-            let mut config = sweep_config(&flags, 1000);
-            config.audit_stride =
-                flag_u64(&flags, "audit-stride", config.audit_stride as u64) as usize;
-            config.shrink = !flags.contains_key("no-shrink");
-            config.check_response = flags.contains_key("check-response");
-            match flag_protocol(&flags) {
-                Ok(Some(kind)) => config.protocols = vec![kind],
-                Ok(None) => {}
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            let report = mpcp_sweep::run(&config);
-            if flags.contains_key("json") {
-                println!("{}", report.to_json().encode());
-            } else if flags.contains_key("csv") {
-                print!("{}", report.csv());
-            } else {
-                print!("{}", report.render_text());
-            }
-            eprintln!("report hash: {:016x}", report.hash());
-            if report.violations.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("sweep: {} oracle violation(s)", report.violations.len());
-                ExitCode::FAILURE
-            }
-        }
-        "shootout" => {
-            let report = mpcp_sweep::shootout(&sweep_config(&flags, 200));
-            if flags.contains_key("json") {
-                println!("{}", report.to_json().encode());
-            } else if flags.contains_key("csv") {
-                print!("{}", report.csv());
-            } else {
-                print!("{}", report.render_text());
-            }
-            eprintln!("report hash: {:016x}", report.hash());
-            if report.violations_total() == 0 {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!(
-                    "shootout: {} oracle violation(s)",
-                    report.violations_total()
-                );
-                ExitCode::FAILURE
-            }
-        }
-        "audit" => {
-            let (sys, label) = match lint_target(&flags) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let steps = flag_u64(&flags, "steps", sys.tasks().len() as u64) as usize;
-            run_audit(&sys, &label, steps)
-        }
-        "help" | "--help" | "-h" => {
-            print!("{}", usage());
-            ExitCode::SUCCESS
-        }
-        other => {
-            eprintln!("unknown command {other:?}\n{}", usage());
+            eprintln!("{e}");
             ExitCode::FAILURE
         }
     }
+}
+
+fn run_exp(args: &Args) -> Result<ExitCode, String> {
+    let id: String = args.get(&ID);
+    let report = experiments::by_name(&id).ok_or_else(|| {
+        let known = experiments::IDS.join(", ");
+        format!("unknown experiment {id:?}; known: {known} or all")
+    })?;
+    println!("{report}");
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_trace(args: &Args) -> Result<ExitCode, String> {
+    let until = args.get(&UNTIL);
+    let (sys, _) = paper::example3();
+    let mut sim = Simulator::new(&sys, ProtocolKind::Mpcp.build());
+    sim.run_until(until);
+    if args.on(&CSV) {
+        print!("{}", mpcp_sim::export::events_csv(sim.trace()));
+        print!("{}", mpcp_sim::export::slices_csv(sim.trace()));
+        return Ok(ExitCode::SUCCESS);
+    }
+    let (trace, end) = (sim.trace(), Time::new(until));
+    println!("{}", trace.gantt(&sys, Time::ZERO, end, 1));
+    println!("{}", trace.job_gantt(&sys, Time::ZERO, end, 1));
+    println!("{}", trace.event_log());
+    println!("{}", sim.metrics());
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_sim(args: &Args) -> Result<ExitCode, String> {
+    let (sys, seed) = random_system(args);
+    let kind = protocol(args)?.expect("declared with a default");
+    if !kind.applicable(&sys) {
+        return Err(format!(
+            "{kind}: not applicable: the system has nested critical sections"
+        ));
+    }
+    let until = args.get(&UNTIL);
+    let mut sim = Simulator::with_config(
+        &sys,
+        kind.build(),
+        SimConfig {
+            record_trace: args.on(&GANTT),
+            ..SimConfig::until(until)
+        },
+    );
+    sim.run();
+    println!(
+        "protocol {kind}, seed {seed}, {} tasks on {} processors, until t={until}",
+        sys.tasks().len(),
+        sys.processors().len()
+    );
+    if args.on(&GANTT) {
+        let window = Time::new(args.get::<u64>(&WINDOW).min(until));
+        println!("{}", sim.trace().gantt(&sys, Time::ZERO, window, 1));
+    }
+    println!("{}", sim.metrics());
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `mpcp dga`: build the per-resource dependency graph for a generated
 /// system, list-schedule its critical sections offline, and print the
 /// graph, the per-resource grant chains with their recorded slots, and
 /// the per-task response bounds the constructed schedule certifies.
-fn run_dga(sys: &mpcp_model::System, seed: u64, horizon: Time) -> ExitCode {
-    let graph = match DependencyGraph::build(sys, horizon) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("dga: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run_dga(args: &Args) -> Result<ExitCode, String> {
+    let (sys, seed) = &random_system(args);
+    let horizon = args.opt(&HORIZON).map(Time::new);
+    let horizon = horizon.unwrap_or_else(|| mpcp_dga::default_horizon(sys));
+    let graph = DependencyGraph::build(sys, horizon).map_err(|e| format!("dga: {e}"))?;
     let schedule = DgaSchedule::from_graph(sys, &graph, horizon);
     println!(
         "seed {seed}: {} critical-section vertices over {} resource chain(s), horizon t={}",
@@ -472,10 +499,215 @@ fn run_dga(sys: &mpcp_model::System, seed: u64, horizon: Time) -> ExitCode {
             "REJECTED (offline schedule misses a deadline)"
         }
     );
-    if schedule.accepted {
+    Ok(exit_code(schedule.accepted))
+}
+
+fn run_analyze(args: &Args) -> Result<ExitCode, String> {
+    let (sys, seed) = random_system(args);
+    println!("seed {seed}");
+    println!("{}", analysis::report::ceiling_table(&sys));
+    println!("{}", analysis::report::gcs_priority_table(&sys));
+    let mpcp = Analysis::Mpcp
+        .bounds(&sys, BlockingConfig::paper())
+        .map_err(|e| format!("analysis rejected the system: {e}"))?;
+    println!("MPCP blocking bounds (§5.1):");
+    println!("{}", analysis::report::blocking_table(&sys, &mpcp));
+    println!("Theorem 3:");
+    println!("{}", analysis::report::sched_table(&sys, &mpcp));
+    let dpcp = Analysis::Dpcp
+        .bounds(&sys, BlockingConfig::paper())
+        .expect("same preconditions");
+    println!("DPCP blocking bounds (§5.2 comparison):");
+    println!("{}", analysis::report::blocking_table(&sys, &dpcp));
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_allocate(args: &Args) -> Result<ExitCode, String> {
+    let (sys, seed) = random_system(args);
+    let m = args.get(&PROCS);
+    println!(
+        "seed {seed}: allocating {} tasks onto {m} processors",
+        sys.tasks().len()
+    );
+    println!(
+        "{:<10} {:>8} {:>12} {:>12}",
+        "heuristic", "globals", "max util", "schedulable"
+    );
+    for h in Heuristic::ALL {
+        match allocate(&sys, m, h) {
+            Ok(a) => {
+                let max_u = a
+                    .per_processor_utilization
+                    .iter()
+                    .cloned()
+                    .fold(0.0f64, f64::max);
+                println!(
+                    "{:<10} {:>8} {:>12.3} {:>12}",
+                    h.name(),
+                    a.global_resources,
+                    max_u,
+                    if a.schedulable { "yes" } else { "no" }
+                );
+            }
+            Err(e) => println!("{:<10} failed: {e}", h.name()),
+        }
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_lint(args: &Args) -> Result<ExitCode, String> {
+    let (sys, label) = target(args)?;
+    let report = mpcp_verify::lint_system(&sys);
+    eprintln!("linting {label}");
+    Ok(diagnostics(args, &report))
+}
+
+fn run_verify(args: &Args) -> Result<ExitCode, String> {
+    let (sys, label) = target(args)?;
+    let config = CheckerConfig {
+        horizon: args.get(&HORIZON),
+        max_offset: args.get(&MAX_OFFSET),
+        offset_step: args.get(&STEP),
+        max_variants: args.get(&MAX_VARIANTS),
+    };
+    eprintln!("verifying {label}");
+    let mut report = mpcp_verify::lint_system(&sys);
+    let explorations = match protocol(args)? {
+        Some(kind) => vec![mpcp_verify::checker::explore(&sys, kind, &config)],
+        None => mpcp_verify::checker::explore_all(&sys, &config),
+    };
+    for d in mpcp_verify::checker::report(&explorations).diagnostics() {
+        report.push(d.clone());
+    }
+    if !args.on(&JSON) {
+        for ex in &explorations {
+            eprintln!(
+                "{:<16} {:>6} variants  {}",
+                ex.protocol,
+                ex.variants,
+                if ex.passed() { "ok" } else { "VIOLATED" }
+            );
+        }
+    }
+    Ok(diagnostics(args, &report))
+}
+
+/// Prints what `lint` and `verify` found; errors make the exit nonzero.
+fn diagnostics(args: &Args, report: &mpcp_verify::Report) -> ExitCode {
+    if args.on(&JSON) {
+        print!("{}", report.render_json());
+    } else {
+        print!("{}", report.render_human());
+    }
+    exit_code(!report.has_errors())
+}
+
+fn exit_code(success: bool) -> ExitCode {
+    if success {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+fn run_serve(args: &Args) -> Result<ExitCode, String> {
+    let millis = |flag| Duration::from_millis(args.get(flag));
+    let config = ServerConfig {
+        addr: address(args),
+        workers: args.get(&WORKERS),
+        queue_cap: args.get(&QUEUE),
+        deadline: millis(&DEADLINE_MS),
+        cache_capacity: args.get(&CACHE),
+        incremental: !args.on(&NO_INCREMENTAL),
+        audit_every: args.get(&AUDIT_EVERY),
+        shards: args.get(&SHARDS),
+        max_pipeline: args.get(&MAX_PIPELINE),
+        read_deadline: millis(&READ_DEADLINE_MS),
+        idle_timeout: millis(&IDLE_MS),
+        persist_dir: args.opt(&PERSIST),
+        snapshot_every: args.get(&SNAPSHOT_EVERY),
+    };
+    let handle = mpcp_service::spawn(&config)
+        .map_err(|e| format!("serve: cannot bind {}: {e}", config.addr))?;
+    // The smoke script and tests parse this exact line to learn the
+    // ephemeral port, so flush it eagerly.
+    println!("mpcp-service listening on {}", handle.local_addr());
+    let _ = std::io::stdout().flush();
+    handle.join();
+    println!("mpcp-service stopped");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `--addr`, unless only `--port` is given.
+fn address(args: &Args) -> String {
+    match args.opt::<u64>(&PORT) {
+        Some(port) if !args.on(&ADDR) => format!("127.0.0.1:{port}"),
+        _ => args.get(&ADDR),
+    }
+}
+
+fn run_loadgen(args: &Args) -> Result<ExitCode, String> {
+    let config = LoadgenConfig {
+        addr: address(args),
+        requests: args.get(&REQUESTS),
+        connections: args.get(&CONNECTIONS),
+        rate: args.get(&RATE),
+        unique: args.get(&UNIQUE),
+        workload: shape(args).utilization(args.get(&UTIL)),
+        seed: args.get(&SEED),
+        pipeline: args.get(&PIPELINE),
+        open: args.on(&OPEN),
+    };
+    let report = mpcp_service::loadgen::run(&config).map_err(|e| format!("loadgen: {e}"))?;
+    if args.on(&JSON) {
+        println!("{}", report.render_json().encode());
+    } else {
+        print!("{}", report.render_text());
+    }
+    Ok(exit_code(report.errors == 0))
+}
+
+fn run_sweep(args: &Args) -> Result<ExitCode, String> {
+    let mut config = grid(args);
+    config.audit_stride = args.get(&AUDIT_STRIDE);
+    config.shrink = !args.on(&NO_SHRINK);
+    config.check_response = args.on(&CHECK_RESPONSE);
+    if let Some(kind) = protocol(args)? {
+        config.protocols = vec![kind];
+    }
+    let report = mpcp_sweep::run(&config);
+    let text = if args.on(&JSON) {
+        report.to_json().encode() + "\n"
+    } else if args.on(&CSV) {
+        report.csv()
+    } else {
+        report.render_text()
+    };
+    oracle_verdict(args, &text, report.hash(), report.violations.len() as u64)
+}
+
+fn run_shootout(args: &Args) -> Result<ExitCode, String> {
+    let report = mpcp_sweep::shootout(&grid(args));
+    let text = if args.on(&JSON) {
+        report.to_json().encode() + "\n"
+    } else if args.on(&CSV) {
+        report.csv()
+    } else {
+        report.render_text()
+    };
+    oracle_verdict(args, &text, report.hash(), report.violations_total())
+}
+
+/// The tail `sweep` and `shootout` share: the rendered report, its hash
+/// on stderr, and a nonzero exit when the oracle objected.
+fn oracle_verdict(args: &Args, text: &str, hash: u64, violations: u64) -> Result<ExitCode, String> {
+    print!("{text}");
+    eprintln!("report hash: {hash:016x}");
+    if violations == 0 {
+        Ok(ExitCode::SUCCESS)
+    } else {
+        let name = args.command.name;
+        Err(format!("{name}: {violations} oracle violation(s)"))
     }
 }
 
@@ -483,24 +715,16 @@ fn run_dga(sys: &mpcp_model::System, seed: u64, horizon: Time) -> ExitCode {
 /// deterministic edit script of [`mpcp_verify::audit_script`] and
 /// byte-compare its snapshot against an independent full recompute after
 /// every step. Any divergence is a hard failure.
-fn run_audit(sys: &mpcp_model::System, label: &str, steps: usize) -> ExitCode {
+fn run_audit(args: &Args) -> Result<ExitCode, String> {
     use mpcp_verify::{full_snapshot_json, IncrementalAnalysis};
     use std::time::Instant;
 
-    let mut engine = match IncrementalAnalysis::new(sys.clone()) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("audit: cannot build incremental engine: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let script = match mpcp_verify::audit_script(sys, steps) {
-        Ok(script) => script,
-        Err(e) => {
-            eprintln!("audit: cannot build the edit script: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (sys, label) = &target(args)?;
+    let steps = args.opt(&STEPS).unwrap_or(sys.tasks().len());
+    let mut engine = IncrementalAnalysis::new(sys.clone())
+        .map_err(|e| format!("audit: cannot build incremental engine: {e}"))?;
+    let script = mpcp_verify::audit_script(sys, steps)
+        .map_err(|e| format!("audit: cannot build the edit script: {e}"))?;
     let edits = script.len();
     eprintln!(
         "auditing {label}: {} tasks, {edits} edit(s)",
@@ -549,152 +773,12 @@ fn run_audit(sys: &mpcp_model::System, label: &str, steps: usize) -> ExitCode {
         stats.processors_reused,
     );
     if divergences == 0 {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
-        eprintln!("audit: {divergences} divergence(s) — incremental analysis is WRONG");
-        ExitCode::FAILURE
+        Err(format!(
+            "audit: {divergences} divergence(s) — incremental analysis is WRONG"
+        ))
     }
-}
-
-fn usage() -> String {
-    let sweep_default = protocol_names(&mpcp_sweep::SweepConfig::default().protocols, " ");
-    let all_protocols = protocol_names(&ProtocolKind::ALL, "|");
-    format!(
-        "mpcp — real-time synchronization protocols for shared memory multiprocessors\n\
-     \n\
-     usage:\n\
-     \x20 mpcp exp <e1..e16|all>      regenerate a paper table/figure\n\
-     \x20 mpcp trace [--until T]      Example 4 schedule under MPCP (Figure 5-1)\n\
-     \x20 mpcp sim [opts] [--gantt]   simulate a random system\n\
-     \x20 mpcp dga [opts]             offline dependency-graph schedule and bounds\n\
-     \x20 mpcp analyze [opts]         blocking bounds and Theorem 3 tables\n\
-     \x20 mpcp allocate [opts]        compare allocation heuristics\n\
-     \x20 mpcp lint [opts]            static checks; nonzero exit on errors\n\
-     \x20 mpcp verify [opts]          lints + exhaustive small-scope model check\n\
-     \x20 mpcp audit [opts]           certify incremental analysis against full recompute\n\
-     \x20 mpcp serve [opts]           online admission-control server (NDJSON/TCP)\n\
-     \x20 mpcp loadgen [opts]         drive a server with a submission stream\n\
-     \x20 mpcp sweep [opts]           differential analysis-vs-simulation sweep\n\
-     \x20 mpcp shootout [opts]        acceptance curves for every protocol on one grid\n\
-     \n\
-     sweep options:\n\
-     \x20 --scenarios N  (default 1000)  --seed N (default 42)\n\
-     \x20 --jobs N       worker threads (default 1; report is identical for any value)\n\
-     \x20 --util-lo U / --util-hi U / --util-steps N   utilization grid (0.30..0.75 by 10)\n\
-     \x20 --horizon T    per-scenario simulation cap (default 20000)\n\
-     \x20 --protocol P   restrict to one protocol (default: {sweep_default})\n\
-     \x20 --no-shrink    skip counterexample minimization\n\
-     \x20 --gsections N  force ≥N global critical sections per job (default 0)\n\
-     \x20 --audit-stride N  audit every Nth scenario by index (default 8; --jobs-independent)\n\
-     \x20 --check-response  treat the (advisory) RTA response comparison as a hard oracle\n\
-     \x20 --json / --csv machine-readable report; nonzero exit on oracle violations\n\
-     \n\
-     shootout options:\n\
-     \x20 --scenarios N  (default 200)  --seed N (default 42)  --jobs N (default 1)\n\
-     \x20 --util-lo U / --util-hi U / --util-steps N   utilization grid (0.30..0.75 by 10)\n\
-     \x20 --horizon T / --procs N / --tasks N / --globals N / --locals N / --gsections N\n\
-     \x20 --json / --csv machine-readable report; nonzero exit on oracle violations\n\
-     \x20 always runs every protocol; report is byte-identical for any --jobs\n\
-     \n\
-     serve options:\n\
-     \x20 --port N       (default 7171; 0 picks an ephemeral port)\n\
-     \x20 --addr A       full bind address (overrides --port)\n\
-     \x20 --workers N    analysis worker threads (default: CPU count)\n\
-     \x20 --queue N      pending-request bound (default 64)\n\
-     \x20 --deadline-ms N  per-request deadline (default 1000)\n\
-     \x20 --cache N      analysis-cache entries (default 4096)\n\
-     \x20 --no-incremental  full analysis for every add-task/remove-task\n\
-     \x20 --audit-every N   audit every Nth incremental result (default 64, 0 = off)\n\
-     \x20 --shards N     reactor event-loop shards (default: CPU count, max 4)\n\
-     \x20 --max-pipeline N  per-connection in-flight bound (default 128)\n\
-     \x20 --read-deadline-ms N  slow-loris partial-line deadline (default 30000, 0 = off)\n\
-     \x20 --idle-ms N    drop idle connections after N ms (default 0 = never)\n\
-     \x20 --persist DIR  session journal + snapshots, replayed on startup\n\
-     \x20 --snapshot-every N  journal entries per snapshot compaction (default 4096)\n\
-     \n\
-     audit options:\n\
-     \x20 --example X    paper example 1|2|3 (or the random-system options)\n\
-     \x20 --steps N      tasks to cycle through the edit script (default: all)\n\
-     \x20 exit is nonzero if any incremental snapshot differs from the full one\n\
-     \n\
-     loadgen options:\n\
-     \x20 --port N / --addr A         server to drive\n\
-     \x20 --requests N   (default 200)  --connections N (default 4)\n\
-     \x20 --rate R       target req/s, 0 = unpaced (default 0)\n\
-     \x20 --pipeline N   requests in flight per connection (default 1)\n\
-     \x20 --open         open-loop arrivals: latency from the schedule, needs --rate\n\
-     \x20 --unique N     distinct systems to cycle (default 8)\n\
-     \x20 --json         machine-readable report\n\
-     \x20 plus the random-system options below\n\
-     \n\
-     lint/verify options:\n\
-     \x20 --example X    paper example 1|2|3, or `deadlock` (a broken demo)\n\
-     \x20 --json         machine-readable diagnostics\n\
-     \x20 --max-offset N / --step N   release-offset grid (default 0..=2 by 1)\n\
-     \x20 --horizon T    ticks per variant (default: two hyperperiods)\n\
-     \x20 --max-variants N            enumeration cap (default 4096)\n\
-     \n\
-     dga options (plus the random-system options below):\n\
-     \x20 --horizon T    schedule horizon (default: two hyperperiods, capped at 20000)\n\
-     \x20 --gsections N  force ≥N global critical sections per job (default 0)\n\
-     \x20 exit is nonzero if the offline schedule misses a deadline\n\
-     \n\
-     random-system options (sim/dga/analyze/allocate):\n\
-     \x20 --seed N       (default 1)    --procs N      (default 4)\n\
-     \x20 --tasks N      per processor  (default 4)\n\
-     \x20 --util U       per processor  (default 0.4)\n\
-     \x20 --globals N    global semaphores (default 2)\n\
-     \x20 --locals N     local semaphores per processor (default 1)\n\
-     \x20 --gsections N  force ≥N global critical sections per job (default 0)\n\
-     \x20 --protocol P   {all_protocols}\n\
-     \x20 --until T      simulation horizon (default 100000)\n"
-    )
-}
-
-/// Flags that stand alone; every other `--flag` requires a value.
-const BOOL_FLAGS: &[&str] = &[
-    "json",
-    "gantt",
-    "csv",
-    "no-shrink",
-    "check-response",
-    "no-incremental",
-    "open",
-];
-
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            match args.get(i + 1).filter(|v| !v.starts_with("--")) {
-                Some(value) => {
-                    flags.insert(name.to_owned(), value.clone());
-                    i += 1;
-                }
-                None if BOOL_FLAGS.contains(&name) => {
-                    flags.insert(name.to_owned(), String::new());
-                }
-                None => return Err(format!("flag --{name} requires a value")),
-            }
-        }
-        i += 1;
-    }
-    Ok(flags)
-}
-
-fn flag_u64(flags: &HashMap<String, String>, name: &str, default: u64) -> u64 {
-    flags
-        .get(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn flag_f64(flags: &HashMap<String, String>, name: &str, default: f64) -> f64 {
-    flags
-        .get(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// `names` joined by `sep` — the protocol lists in the usage text and
@@ -704,35 +788,34 @@ fn protocol_names(kinds: &[ProtocolKind], sep: &str) -> String {
     names.join(sep)
 }
 
-/// The `--protocol` flag, if given.
-fn flag_protocol(flags: &HashMap<String, String>) -> Result<Option<ProtocolKind>, String> {
-    flags
-        .get("protocol")
-        .map(|v| {
-            v.parse().map_err(|_| {
-                format!(
-                    "unknown protocol {v:?}: expected {}",
-                    protocol_names(&ProtocolKind::ALL, "|")
-                )
-            })
+/// `--protocol`, given or by the command's default, if either.
+fn protocol(args: &Args) -> Result<Option<ProtocolKind>, String> {
+    let name: Option<String> = args.opt(&PROTOCOL);
+    name.map(|v| {
+        v.parse().map_err(|_| {
+            format!(
+                "unknown protocol {v:?}: expected {}",
+                protocol_names(&ProtocolKind::ALL, "|")
+            )
         })
-        .transpose()
+    })
+    .transpose()
 }
 
-/// System under `lint`/`verify`: `--example 1|2|3` picks a paper
-/// example, `--example deadlock` a deliberately broken demo system,
-/// no `--example` falls back to the random-system flags.
-fn lint_target(flags: &HashMap<String, String>) -> Result<(mpcp_model::System, String), String> {
-    match flags.get("example").map(String::as_str) {
-        Some("1") => Ok((mpcp_bench::paper::example1(40).0, "example 1".to_owned())),
-        Some("2") => Ok((mpcp_bench::paper::example2(40).0, "example 2".to_owned())),
-        Some("3") => Ok((mpcp_bench::paper::example3().0, "example 3".to_owned())),
+/// The `target` group: `--example 1|2|3` picks a paper example,
+/// `--example deadlock` a deliberately broken demo system, no
+/// `--example` the random system.
+fn target(args: &Args) -> Result<(System, String), String> {
+    match args.opt::<String>(&EXAMPLE).as_deref() {
+        Some("1") => Ok((paper::example1(40).0, "example 1".to_owned())),
+        Some("2") => Ok((paper::example2(40).0, "example 2".to_owned())),
+        Some("3") => Ok((paper::example3().0, "example 3".to_owned())),
         Some("deadlock") => Ok((deadlock_demo(), "deadlock demo".to_owned())),
         Some(other) => Err(format!(
             "unknown example {other:?}: expected 1, 2, 3 or deadlock"
         )),
         None => {
-            let (sys, seed) = build_system(flags);
+            let (sys, seed) = random_system(args);
             Ok((sys, format!("random system (seed {seed})")))
         }
     }
@@ -740,8 +823,8 @@ fn lint_target(flags: &HashMap<String, String>) -> Result<(mpcp_model::System, S
 
 /// Two tasks on two processors nesting the same global semaphores in
 /// opposite orders — the lock-order-cycle the V001 lint exists for.
-fn deadlock_demo() -> mpcp_model::System {
-    use mpcp_model::{Body, System, TaskDef};
+fn deadlock_demo() -> System {
+    use mpcp_model::{Body, TaskDef};
     let mut b = System::builder();
     let p = b.add_processors(2);
     let sa = b.add_resource("SA");
@@ -765,40 +848,144 @@ fn deadlock_demo() -> mpcp_model::System {
     b.build().expect("demo system is structurally valid")
 }
 
-/// The flags `sweep` and `shootout` share: workload shape, scenario
-/// budget (each has its own default), seed, workers, horizon and the
-/// utilization grid.
-fn sweep_config(flags: &HashMap<String, String>, scenarios: u64) -> mpcp_sweep::SweepConfig {
-    let d = mpcp_sweep::SweepConfig::default();
-    mpcp_sweep::SweepConfig {
-        // Its utilization is overridden per grid point.
-        workload: workload_config(flags, 3),
-        scenarios: flag_u64(flags, "scenarios", scenarios) as usize,
-        seed: flag_u64(flags, "seed", 42),
-        jobs: flag_u64(flags, "jobs", 1) as usize,
-        horizon_cap: flag_u64(flags, "horizon", d.horizon_cap),
-        util_lo: flag_f64(flags, "util-lo", d.util_lo),
-        util_hi: flag_f64(flags, "util-hi", d.util_hi),
-        util_steps: flag_u64(flags, "util-steps", d.util_steps as u64) as usize,
-        ..d
+/// The `grid` group, and `--scenarios` (each command declares its own).
+fn grid(args: &Args) -> SweepConfig {
+    SweepConfig {
+        workload: shape(args),
+        scenarios: args.get(&SCENARIOS),
+        seed: args.get(&SEED),
+        jobs: args.get(&JOBS),
+        horizon_cap: args.get(&HORIZON),
+        util_lo: args.get(&UTIL_LO),
+        util_hi: args.get(&UTIL_HI),
+        util_steps: args.get(&UTIL_STEPS),
+        ..SweepConfig::default()
     }
 }
 
-/// The random-system flags; `tasks` is the per-processor default.
-fn workload_config(flags: &HashMap<String, String>, tasks: u64) -> WorkloadConfig {
+/// The system shape every generator flag set shares; the utilization is
+/// the caller's (`--util`, or a grid point).
+fn shape(args: &Args) -> WorkloadConfig {
     WorkloadConfig::default()
-        .processors(flag_u64(flags, "procs", 4) as usize)
-        .tasks_per_processor(flag_u64(flags, "tasks", tasks) as usize)
-        .utilization(flag_f64(flags, "util", 0.4))
-        .resources(
-            flag_u64(flags, "locals", 1) as usize,
-            flag_u64(flags, "globals", 2) as usize,
-        )
+        .processors(args.get(&PROCS))
+        .tasks_per_processor(args.get(&TASKS))
+        .resources(args.get(&LOCALS), args.get(&GLOBALS))
         .sections(0, 2)
-        .global_sections(flag_u64(flags, "gsections", 0) as usize)
+        .global_sections(args.get(&GSECTIONS))
 }
 
-fn build_system(flags: &HashMap<String, String>) -> (mpcp_model::System, u64) {
-    let seed = flag_u64(flags, "seed", 1);
-    (generate(&workload_config(flags, 4), seed), seed)
+/// The `random-system` group: the generated system and its seed.
+fn random_system(args: &Args) -> (System, u64) {
+    let seed = args.get(&SEED);
+    let config = shape(args).utilization(args.get(&UTIL));
+    (generate(&config, seed), seed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn command(name: &str) -> &'static Command {
+        let found = COMMANDS.iter().find(|c| c.name == name);
+        found.unwrap_or_else(|| panic!("no command {name:?}"))
+    }
+
+    #[test]
+    fn every_flag_is_declared_once_per_command_with_a_default_of_its_kind() {
+        for command in &COMMANDS {
+            let flags: Vec<&Flag> = command.flags().collect();
+            for (i, flag) in flags.iter().enumerate() {
+                let again = flags[i + 1..].iter().any(|f| f.name == flag.name);
+                assert!(!again, "mpcp {}: --{} twice", command.name, flag.name);
+                let default = flag.default.map(|d| d());
+                let fits = match (flag.kind, &default) {
+                    (Switch | Operand, default) => default.is_none(),
+                    (Uint, Some(default)) => default.parse::<u64>().is_ok(),
+                    (Real, Some(default)) => default.parse::<f64>().is_ok(),
+                    _ => true,
+                };
+                assert!(fits, "mpcp {}: --{} {default:?}", command.name, flag.name);
+            }
+        }
+    }
+
+    /// Each section of the generated help — one per command, one per
+    /// group — spells each of its flags exactly once.
+    #[test]
+    fn usage_lists_every_flag_once_per_section() {
+        let text = usage();
+        let commands = COMMANDS.iter().map(|c| (c.name, c.flags));
+        for (title, flags) in commands.chain(GROUPS.iter().map(|g| (g.name, g.flags))) {
+            let header = format!("\n{title} options:\n");
+            let start = text
+                .find(&header)
+                .unwrap_or_else(|| panic!("no {header:?}"));
+            let body = &text[start + header.len()..];
+            let body = &body[..body.find("\n\n").unwrap_or(body.len())];
+            let listed = |line: &&str| line.starts_with("  --") || line.starts_with("  <");
+            assert_eq!(body.lines().filter(listed).count(), flags.len(), "{title}");
+            for flag in flags {
+                let spelled = |line: &&str| {
+                    let word = line.split_whitespace().next();
+                    word == Some(&format!("--{}", flag.name))
+                        || word == Some(&format!("<{}>", flag.name))
+                };
+                assert_eq!(
+                    body.lines().filter(spelled).count(),
+                    1,
+                    "{title}: {}",
+                    flag.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mpcp analyze reads --queue")]
+    fn reading_a_flag_the_command_does_not_declare_panics() {
+        let args = parse(command("analyze"), &[]).unwrap();
+        args.on(&QUEUE);
+    }
+
+    /// The `mpcp` invocations in `text` — what follows `marker`, up to
+    /// the first shell operator, continuation lines joined — each with
+    /// whether its line expects refusal (`! …`).
+    fn invocations(text: &str, marker: &str) -> Vec<(bool, Vec<String>)> {
+        let operator = |w: &&str| w.starts_with(['>', '|', '&', ';']) || w.starts_with("2>");
+        let joined = text.replace("\\\n", " ");
+        let lines = joined.lines().filter_map(|line| {
+            let (before, after) = line.split_once(marker)?;
+            let words = after.split_whitespace().take_while(|w| !operator(w));
+            let words = words.map(|w| w.trim_matches(['"', ')']).to_owned());
+            Some((before.trim_start().starts_with('!'), words.collect()))
+        });
+        lines.collect()
+    }
+
+    /// Everything CI, the smoke scripts and README's `$ mpcp` examples
+    /// run is an invocation the table accepts (or, after `!`, refuses).
+    #[test]
+    fn documented_invocations_parse() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let read =
+            |path: String| std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let mut found = invocations(
+            &read(format!("{root}/.github/workflows/ci.yml")),
+            "./target/release/mpcp ",
+        );
+        found.extend(invocations(&read(format!("{root}/README.md")), "$ mpcp "));
+        for script in std::fs::read_dir(format!("{root}/scripts")).unwrap() {
+            let path = script.unwrap().path();
+            found.extend(invocations(
+                &read(path.display().to_string()),
+                "\"$MPCP_BIN\" ",
+            ));
+        }
+        assert!(found.len() >= 20, "only {} invocations found", found.len());
+        assert!(found.iter().any(|(refused, _)| *refused));
+        for (refused, words) in found {
+            let outcome = parse(command(&words[0]), &words[1..]);
+            assert_eq!(outcome.is_err(), refused, "{words:?}: {:?}", outcome.err());
+        }
+    }
 }

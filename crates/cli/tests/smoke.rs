@@ -9,14 +9,24 @@ fn mpcp() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mpcp"))
 }
 
+const COMMANDS: [&str; 13] = [
+    "exp", "trace", "sim", "dga", "analyze", "allocate", "lint", "verify", "audit", "serve",
+    "loadgen", "sweep", "shootout",
+];
+
 #[test]
 fn no_arguments_prints_usage() {
     let out = mpcp().output().unwrap();
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    for cmd in ["exp", "trace", "lint", "verify", "serve", "loadgen"] {
-        assert!(text.contains(&format!("mpcp {cmd}")), "usage misses {cmd}");
+    for cmd in COMMANDS {
+        assert!(text.contains(&format!("mpcp {cmd} ")), "usage misses {cmd}");
+        let section = format!("\n{cmd} options:\n");
+        assert_eq!(text.matches(&section).count(), 1, "{section:?}");
     }
+    let ids = mpcp_bench::experiments::IDS.join(" ");
+    assert!(text.contains(&format!("experiments: {ids} all")), "{text}");
+    assert_eq!(mpcp().arg("help").output().unwrap().stdout, out.stdout);
 }
 
 #[test]
@@ -25,43 +35,121 @@ fn unknown_subcommand_fails_with_usage() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown command"), "{err}");
-    for cmd in ["exp", "trace", "lint", "verify", "serve", "loadgen"] {
-        assert!(err.contains(&format!("mpcp {cmd}")), "usage misses {cmd}");
+    for cmd in COMMANDS {
+        assert!(err.contains(&format!("mpcp {cmd} ")), "usage misses {cmd}");
     }
 }
 
+/// An invocation the command table does not describe is refused: the
+/// error names the command and the offending word, the flags the
+/// command does accept follow, and nothing runs.
 #[test]
-fn missing_flag_value_fails_with_usage() {
-    for args in [
-        &["sim", "--seed"][..],
-        &["analyze", "--procs"][..],
-        &["loadgen", "--requests"][..],
-        &["sim", "--seed", "--until", "10"][..],
+fn misuse_fails_naming_the_command_and_the_flag() {
+    for (args, complaint) in [
+        (&["sim", "--seed"][..], "flag --seed requires a value"),
+        (&["analyze", "--procs"][..], "flag --procs requires a value"),
+        (
+            &["loadgen", "--requests"][..],
+            "flag --requests requires a value",
+        ),
+        (
+            &["sim", "--seed", "--until", "10"][..],
+            "flag --seed requires a value",
+        ),
+        (&["sweep", "--scenaros", "3"][..], "unknown flag --scenaros"),
+        (
+            &["sweep", "--seed", "abc"][..],
+            "--seed takes a non-negative integer, not \"abc\"",
+        ),
+        (
+            &["sim", "--until", "50x"][..],
+            "--until takes a non-negative integer, not \"50x\"",
+        ),
+        (
+            &["sim", "--procs", "two"][..],
+            "--procs takes a non-negative integer, not \"two\"",
+        ),
+        (
+            &["sim", "--util", "half"][..],
+            "--util takes a number, not \"half\"",
+        ),
+        (
+            &["sim", "--frobnicate", "1"][..],
+            "unknown flag --frobnicate",
+        ),
+        (&["sim", "stray"][..], "unexpected argument \"stray\""),
+        (
+            &["lint", "--json", "yes"][..],
+            "unexpected argument \"yes\"",
+        ),
+        // A `serve` flag: known to the table, not to this command.
+        (&["analyze", "--queue", "8"][..], "unknown flag --queue"),
+        (&["exp"][..], "missing <id>"),
+        (&["exp", "e1", "e2"][..], "unexpected argument \"e2\""),
     ] {
         let out = mpcp().args(args).output().unwrap();
         assert!(!out.status.success(), "{args:?} should fail");
+        assert!(out.stdout.is_empty(), "{args:?} ran");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("requires a value"), "{args:?}: {err}");
-        assert!(err.contains("usage:"), "{args:?}: {err}");
+        let first = format!("mpcp {}: {complaint}\nmpcp {} accepts: ", args[0], args[0]);
+        assert!(err.starts_with(&first), "{args:?}: {err}");
     }
+    let out = mpcp().args(["trace", "--seed", "1"]).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("mpcp trace accepts: --until N, --csv (see"),
+        "{err}"
+    );
 }
 
 /// `--no-blocking-check` was parsed, documented and read by nothing: the
 /// model checker's blocking cross-check follows the protocol's invariant
-/// profile. The switch is gone from the usage text and from the flags
-/// that stand alone, so passing it is an error, not a silent no-op.
+/// profile. The switch is gone from the usage text and from the table,
+/// so passing it — bare or with a value — is an error, not a silent
+/// no-op.
 #[test]
 fn removed_no_blocking_check_flag_is_not_advertised() {
     let usage = mpcp().output().unwrap();
     let text = String::from_utf8_lossy(&usage.stdout);
     assert!(!text.contains("no-blocking-check"), "{text}");
-    let out = mpcp()
-        .args(["verify", "--example", "3", "--no-blocking-check"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("requires a value"), "{err}");
+    for tail in [
+        &["--no-blocking-check"][..],
+        &["--no-blocking-check", "1"][..],
+    ] {
+        let out = mpcp()
+            .args(["verify", "--example", "3"])
+            .args(tail)
+            .output()
+            .unwrap();
+        assert!(!out.status.success());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag --no-blocking-check"), "{err}");
+    }
+}
+
+/// Reading a flag the command did not declare panics (the value could
+/// not have been given, checked or documented), so one small run of
+/// every command that needs no server shows each reads only its own.
+#[test]
+fn every_command_reads_only_the_flags_it_declares() {
+    for args in [
+        &["exp", "e3"][..],
+        &["trace", "--csv"][..],
+        &["sim", "--gantt", "--until", "2000"][..],
+        &["dga", "--procs", "2", "--tasks", "2"][..],
+        &["analyze"][..],
+        &["allocate"][..],
+        &["lint", "--example", "1"][..],
+        &["verify", "--example", "3", "--max-offset", "0"][..],
+        &["audit", "--example", "3", "--steps", "1"][..],
+        &["sweep", "--scenarios", "4", "--csv"][..],
+        &["shootout", "--scenarios", "4", "--json"][..],
+    ] {
+        let out = mpcp().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(matches!(out.status.code(), Some(0 | 1)), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
 }
 
 #[test]
@@ -94,8 +182,8 @@ fn boolean_flags_do_not_need_values() {
         .unwrap();
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        !err.contains("requires a value"),
-        "--open rejected as a value flag: {err}"
+        err.starts_with("loadgen: "),
+        "--open rejected, or it swallowed --rate: {err}"
     );
 }
 

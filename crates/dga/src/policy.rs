@@ -31,9 +31,9 @@ use std::sync::Arc;
 /// How the replay policy obtains its chain orders and slots.
 #[derive(Debug, Clone)]
 enum Mode {
-    /// Compute a [`DgaSchedule`] in `init` (at the given horizon, or
-    /// [`default_horizon`]), then behave as `Replay`.
-    Auto { horizon: Option<Time> },
+    /// Compute a [`DgaSchedule`] in `init` (over [`default_horizon`]),
+    /// then behave as `Replay`.
+    Auto,
     /// Gate on chain order only and record the observed grant/release
     /// instants into the chains' (initially empty) slots.
     Construct(Vec<Vec<ChainEntry>>),
@@ -62,14 +62,7 @@ impl DgaReplay {
     /// critical sections); use [`DgaSchedule::compute`] first to handle
     /// that case gracefully.
     pub fn new() -> Self {
-        Self::with_mode(Mode::Auto { horizon: None })
-    }
-
-    /// Like [`DgaReplay::new`] with an explicit scheduling horizon.
-    pub fn with_horizon(horizon: u64) -> Self {
-        Self::with_mode(Mode::Auto {
-            horizon: Some(Time::new(horizon)),
-        })
+        Self::with_mode(Mode::Auto)
     }
 
     /// A replay policy for an already-computed schedule.
@@ -130,7 +123,7 @@ impl DgaReplay {
         match &self.mode {
             Mode::Construct(chains) => chains,
             Mode::Replay(s) => &s.chains,
-            Mode::Auto { .. } => &[],
+            Mode::Auto => &[],
         }
     }
 
@@ -198,9 +191,8 @@ impl Protocol for DgaReplay {
     }
 
     fn init(&mut self, system: &System) {
-        if let Mode::Auto { horizon } = &self.mode {
-            let h = horizon.unwrap_or_else(|| default_horizon(system));
-            let schedule = DgaSchedule::compute(system, h)
+        if let Mode::Auto = self.mode {
+            let schedule = DgaSchedule::compute(system, default_horizon(system))
                 .expect("DGA schedule construction failed (nested critical sections?)");
             self.mode = Mode::Replay(Arc::new(schedule));
         }

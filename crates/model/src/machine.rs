@@ -34,7 +34,6 @@ pub struct Machine {
     lock_overhead: Dur,
     unlock_overhead: Dur,
     bus_delay: Dur,
-    context_switch: Dur,
     shared_modules: u32,
 }
 
@@ -63,11 +62,6 @@ impl Machine {
         self.bus_delay
     }
 
-    /// Cost of a context switch (charged to the switched-in job).
-    pub fn context_switch(&self) -> Dur {
-        self.context_switch
-    }
-
     /// Number of shared memory modules on the bus (cosmetic; contention is
     /// folded into [`Machine::bus_delay`]).
     pub fn shared_modules(&self) -> u32 {
@@ -89,12 +83,6 @@ impl Machine {
     /// Sets the global-semaphore bus delay.
     pub fn with_bus_delay(mut self, ticks: u64) -> Self {
         self.bus_delay = Dur::new(ticks);
-        self
-    }
-
-    /// Sets the context-switch cost.
-    pub fn with_context_switch(mut self, ticks: u64) -> Self {
-        self.context_switch = Dur::new(ticks);
         self
     }
 
@@ -165,12 +153,8 @@ impl fmt::Display for Machine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "machine(lock={}, unlock={}, bus={}, ctx={}, modules={})",
-            self.lock_overhead,
-            self.unlock_overhead,
-            self.bus_delay,
-            self.context_switch,
-            self.shared_modules
+            "machine(lock={}, unlock={}, bus={}, modules={})",
+            self.lock_overhead, self.unlock_overhead, self.bus_delay, self.shared_modules
         )
     }
 }

@@ -92,11 +92,6 @@ impl Task {
         self.arrivals.as_deref()
     }
 
-    /// Whether this task releases jobs periodically (no arrival trace).
-    pub fn is_periodic(&self) -> bool {
-        self.arrivals.is_none()
-    }
-
     /// Release time of job `instance`; `None` past the end of an
     /// aperiodic task's arrival trace.
     pub fn try_release_of(&self, instance: u32) -> Option<Time> {

@@ -7,6 +7,7 @@
 use crate::{DirectPcp, Dpcp, FmlpPlus, Mpcp, Msrp, NonPreemptiveCs, Pip, RawSemaphores};
 use mpcp_analysis::Analysis;
 use mpcp_dga::DgaReplay;
+use mpcp_model::System;
 use mpcp_sim::{MonitorSpec, Protocol};
 use std::fmt;
 use std::str::FromStr;
@@ -98,6 +99,13 @@ impl ProtocolKind {
         }
     }
 
+    /// Whether `system` is inside this protocol's model. Offline
+    /// dependency-graph scheduling needs outermost-only sections; every
+    /// other protocol takes any valid system.
+    pub fn applicable(self, system: &System) -> bool {
+        self != ProtocolKind::Dga || !system.has_nested_sections()
+    }
+
     /// The [`MonitorSpec`] appropriate for traces of this protocol —
     /// the one invariant table: the sweep's streaming monitor runs it
     /// and `mpcp_verify`'s model-checker profile is a projection of it.
@@ -185,6 +193,30 @@ mod tests {
             .filter_map(ProtocolKind::analysis)
             .collect();
         assert_eq!(covered, Analysis::ALL);
+    }
+
+    #[test]
+    fn only_dga_refuses_nested_sections() {
+        use mpcp_model::{Body, TaskDef};
+        let system = |nested: bool| {
+            let mut b = System::builder();
+            let p = b.add_processor("P0");
+            let (sa, sb) = (b.add_resource("SA"), b.add_resource("SB"));
+            let body = Body::builder().critical(sa, |c| {
+                let c = c.compute(1);
+                if nested {
+                    c.critical(sb, |c| c.compute(1))
+                } else {
+                    c
+                }
+            });
+            b.add_task(TaskDef::new("t", p).period(100).body(body.build()));
+            b.build().unwrap()
+        };
+        for k in ProtocolKind::ALL {
+            assert!(k.applicable(&system(false)), "{k}");
+            assert_eq!(k.applicable(&system(true)), k != ProtocolKind::Dga, "{k}");
+        }
     }
 
     #[test]

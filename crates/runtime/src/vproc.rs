@@ -136,27 +136,6 @@ impl Runtime {
         }
     }
 
-    /// Spawns one job of `task` as an OS thread; it starts ready.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `task` does not belong to the runtime's system.
-    pub fn spawn_job(&self, task: TaskId) -> JoinHandle<()> {
-        self.spawn_job_repeated(task, 1)
-    }
-
-    /// Spawns a thread executing `iterations` jobs of `task`
-    /// back-to-back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `task` does not belong to the runtime's system or
-    /// `iterations` is zero.
-    pub fn spawn_job_repeated(&self, task: TaskId, iterations: u32) -> JoinHandle<()> {
-        let id = self.register(task);
-        self.spawn_registered(id, task, iterations)
-    }
-
     /// Registers an actor for one job of `task` without starting it, so
     /// a batch of jobs can be made visible to the admission rule before
     /// any of them runs (a simultaneous release).

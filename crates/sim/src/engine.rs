@@ -17,27 +17,16 @@ use crate::trace::{Band, Trace};
 use mpcp_model::{JobId, Machine, ProcessorId, System, TaskId, Time};
 use std::cmp::Reverse;
 
-/// How jobs are mapped to processors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Binding {
-    /// Each task runs only on its bound processor (§3.2; the protocol's
-    /// assumption).
-    #[default]
-    Static,
-    /// The `m` highest-priority ready jobs run on the `m` processors
-    /// (used to reproduce the Dhall-effect example of §3.2). Only systems
-    /// without resources are supported.
-    Dynamic,
-}
+/// Safety bound on protocol/scheduler interactions within one instant.
+const MAX_ROUNDS_PER_INSTANT: u32 = 1_000_000;
 
-/// Engine configuration.
+/// Engine configuration. Each task runs only on its bound processor
+/// (§3.2, the protocol's assumption).
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Simulation end time; the engine stops at the first instant `>=`
     /// this.
     pub horizon: Time,
-    /// Static or dynamic binding.
-    pub binding: Binding,
     /// Hardware overhead model folded into job programs.
     pub machine: Machine,
     /// Stop at the end of the instant in which a deadline miss occurs.
@@ -45,19 +34,15 @@ pub struct SimConfig {
     /// Record events and occupancy slices (disable for long statistical
     /// runs; metrics are collected either way).
     pub record_trace: bool,
-    /// Safety bound on protocol/scheduler interactions within one instant.
-    pub max_rounds_per_instant: u32,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             horizon: Time::new(u64::MAX / 4),
-            binding: Binding::Static,
             machine: Machine::new(),
             stop_on_miss: false,
             record_trace: true,
-            max_rounds_per_instant: 1_000_000,
         }
     }
 }
@@ -127,12 +112,6 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Creates a simulator with an explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Binding::Dynamic`] is combined with a system that uses
-    /// resources (dynamic binding is only provided for the resource-free
-    /// Dhall-effect demonstration).
     pub fn with_config(system: &System, protocol: P, config: SimConfig) -> Self {
         let mut sim = Simulator {
             system: system.clone(),
@@ -160,10 +139,6 @@ impl<P: Protocol> Simulator<P> {
     /// configuration, reusing all internal buffer capacity. Behaviorally
     /// identical to building a fresh simulator with
     /// [`Simulator::with_config`].
-    ///
-    /// # Panics
-    ///
-    /// As for [`Simulator::with_config`].
     pub fn reset(&mut self, system: &System, protocol: P, config: SimConfig) {
         self.system = system.clone();
         self.protocol = protocol;
@@ -176,15 +151,6 @@ impl<P: Protocol> Simulator<P> {
     fn init_run(&mut self) {
         let system = &self.system;
         let info = system.info();
-        if self.config.binding == Binding::Dynamic {
-            assert!(
-                system
-                    .tasks()
-                    .iter()
-                    .all(|t| t.body().resources_used().is_empty()),
-                "dynamic binding supports only resource-free systems"
-            );
-        }
         self.res_global.clear();
         self.res_global
             .extend((0..system.resources().len()).map(|i| {
@@ -207,11 +173,8 @@ impl<P: Protocol> Simulator<P> {
         }
         self.done_scratch.clear();
         self.now = Time::ZERO;
-        self.jobs.reset(
-            system.tasks().len(),
-            system.processors().len(),
-            self.config.binding == Binding::Static,
-        );
+        self.jobs
+            .reset(system.tasks().len(), system.processors().len());
         self.trace
             .reset_for_run(self.config.record_trace, system.processors().len());
         self.sleeps.clear();
@@ -482,7 +445,7 @@ impl<P: Protocol> Simulator<P> {
         loop {
             rounds += 1;
             assert!(
-                rounds <= self.config.max_rounds_per_instant,
+                rounds <= MAX_ROUNDS_PER_INSTANT,
                 "no scheduling fixpoint at {} (protocol livelock?)",
                 self.now
             );
@@ -542,15 +505,8 @@ impl<P: Protocol> Simulator<P> {
         any
     }
 
-    /// Picks runners on all processors, tracing preemptions and starts.
+    /// Picks runners, tracing preemptions and starts.
     fn reschedule(&mut self) {
-        match self.config.binding {
-            Binding::Static => self.reschedule_static(),
-            Binding::Dynamic => self.reschedule_dynamic(),
-        }
-    }
-
-    fn reschedule_static(&mut self) {
         // Only processors touched since the last reschedule can choose
         // differently: on the others every input of the key below is
         // what it was when their runner won. The tuple key reproduces
@@ -581,52 +537,6 @@ impl<P: Protocol> Simulator<P> {
             self.install_runner(pi, chosen);
             // Served — including the mark `install_runner` just left.
             *self.jobs.marked(pi) = false;
-        }
-    }
-
-    fn reschedule_dynamic(&mut self) {
-        let m = self.jobs.processors();
-        let mut ready: Vec<(mpcp_model::Priority, Reverse<Time>, Reverse<JobId>, JobId)> = self
-            .jobs
-            .iter()
-            .filter(|j| j.state == ExecState::Ready)
-            .map(|j| {
-                (
-                    j.effective_priority,
-                    Reverse(j.release),
-                    Reverse(j.id),
-                    j.id,
-                )
-            })
-            .collect();
-        ready.sort();
-        ready.reverse();
-        let selected: Vec<JobId> = ready.into_iter().take(m).map(|e| e.3).collect();
-
-        // Keep affinity: a selected job already running somewhere stays.
-        let mut assignment: Vec<Option<JobId>> = vec![None; m];
-        let mut unplaced = Vec::new();
-        for &id in &selected {
-            let cur = self.jobs.expect(id).processor.index();
-            if self.jobs.runner(cur).is_some_and(|r| r.id == id) && assignment[cur].is_none() {
-                assignment[cur] = Some(id);
-            } else {
-                unplaced.push(id);
-            }
-        }
-        for id in unplaced {
-            if let Some(slot) = assignment.iter().position(Option::is_none) {
-                assignment[slot] = Some(id);
-                self.jobs
-                    .set_processor(id, ProcessorId::from_index(slot as u32), self.now);
-            }
-        }
-        for (pi, chosen) in assignment.into_iter().enumerate() {
-            let chosen = chosen.map(|id| {
-                let slot = self.jobs.slot_of(id).expect("chosen job is active");
-                (id, slot)
-            });
-            self.install_runner(pi, chosen);
         }
     }
 
@@ -1115,36 +1025,6 @@ mod tests {
         sim.run();
         assert!(sim.now() <= Time::new(2));
         assert_eq!(sim.misses(), 1);
-    }
-
-    #[test]
-    fn dynamic_binding_uses_all_processors() {
-        let mut b = System::builder();
-        let p = b.add_processors(2);
-        let _ = p;
-        // Three equal tasks; under dynamic binding two run in parallel.
-        for i in 0..3 {
-            b.add_task(
-                TaskDef::new(format!("t{i}"), ProcessorId::from_index(0))
-                    .period(10)
-                    .priority(3 - i as u32)
-                    .body(Body::builder().compute(4).build()),
-            );
-        }
-        let sys = b.build().unwrap();
-        let mut sim = Simulator::with_config(
-            &sys,
-            Trivial::new(),
-            SimConfig {
-                binding: Binding::Dynamic,
-                ..SimConfig::until(10)
-            },
-        );
-        sim.run();
-        // t0 and t1 run 0..4; t2 runs 4..8.
-        assert_eq!(sim.trace().response_of(jid(0, 0)), Some(Dur::new(4)));
-        assert_eq!(sim.trace().response_of(jid(1, 0)), Some(Dur::new(4)));
-        assert_eq!(sim.trace().response_of(jid(2, 0)), Some(Dur::new(8)));
     }
 
     /// `system` with `extra` more processors, none of which has a task.

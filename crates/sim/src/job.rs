@@ -252,8 +252,6 @@ pub struct Jobs {
     /// up to now" does not yet mean "seen". (One too many costs a
     /// glance; one too few, an event.)
     dirty: Vec<u32>,
-    /// Whether waiting jobs accrue blocking at all (static binding).
-    accounting: bool,
     /// Jobs whose program counter may have reached the end since the
     /// last completion sweep. Every site that can complete a job pushes
     /// here, so the engine's sweep is O(1) on the (common) rounds where
@@ -303,9 +301,8 @@ fn settle_runner(slots: &mut [JobState], q: &mut RunQueue, now: Time) {
 impl Jobs {
     /// Deactivates all jobs and sizes the indices for a run over `tasks`
     /// tasks on `processors` processors, retaining slot and list buffers
-    /// for reuse. `accounting` is off under dynamic binding, which
-    /// measures no blocking.
-    pub(crate) fn reset(&mut self, tasks: usize, processors: usize, accounting: bool) {
+    /// for reuse.
+    pub(crate) fn reset(&mut self, tasks: usize, processors: usize) {
         self.free.clear();
         self.free.extend(0..self.slots.len() as u32);
         self.by_task.iter_mut().for_each(Vec::clear);
@@ -319,7 +316,6 @@ impl Jobs {
         self.compute_ends.resize(processors, Time::MAX);
         self.dirty.clear();
         self.dirty.extend(0..processors as u32);
-        self.accounting = accounting;
         self.done_candidates.clear();
         #[cfg(any(test, debug_assertions))]
         self.visits.store(0, Relaxed);
@@ -384,16 +380,14 @@ impl Jobs {
     /// The first [`Jobs::touch`] of processor `p` in the instant `now`.
     fn settle(&mut self, p: usize, now: Time) {
         let q = &mut self.queues[p];
-        if self.accounting {
-            let dt = now - q.settled;
-            for &slot in &q.slots {
-                let job = &mut self.slots[slot as usize];
-                [
-                    job.blocked_local,
-                    job.blocked_global,
-                    job.lower_interference,
-                ] = accrued(job, q.runner, dt);
-            }
+        let dt = now - q.settled;
+        for &slot in &q.slots {
+            let job = &mut self.slots[slot as usize];
+            [
+                job.blocked_local,
+                job.blocked_global,
+                job.lower_interference,
+            ] = accrued(job, q.runner, dt);
         }
         q.settled = now;
         if q.progress < now {
@@ -457,12 +451,7 @@ impl Jobs {
     /// for a spinner holding it.
     pub fn blocking_at(&self, job: &JobState, now: Time) -> [Dur; 3] {
         let q = &self.queues[job.processor.index()];
-        let open = self.accounting && q.settled < now;
-        let mut counters = accrued(
-            job,
-            q.runner,
-            if open { now - q.settled } else { Dur::ZERO },
-        );
+        let mut counters = accrued(job, q.runner, now.saturating_duration_since(q.settled));
         if let (Some(r), ExecState::Blocked { global, .. }) = (q.runner, job.state) {
             if r.id == job.id {
                 counters[usize::from(global)] += now - q.progress;
@@ -709,7 +698,7 @@ mod tests {
     #[test]
     fn release_reuses_slots_and_keeps_id_order() {
         let mut jobs = Jobs::default();
-        jobs.reset(3, 2, true);
+        jobs.reset(3, 2);
         let prog = program(Body::builder().compute(1).build());
         let jid = |t: u32, i: u32| JobId::new(TaskId::from_index(t), i);
         let release = |jobs: &mut Jobs, id: JobId| {
@@ -741,15 +730,15 @@ mod tests {
         assert!(!j.miss_recorded);
         jobs.assert_consistent(Time::ZERO);
         // reset() frees everything but keeps the slots.
-        jobs.reset(3, 2, true);
+        jobs.reset(3, 2);
         assert!(jobs.is_empty());
         assert_eq!(jobs.slots.len(), slots_before);
     }
 
     /// Two tasks on P0 (`hi` over `lo`) and one on P1, all released at 0.
-    fn three_jobs(accounting: bool) -> (Jobs, [JobId; 3]) {
+    fn three_jobs() -> (Jobs, [JobId; 3]) {
         let mut jobs = Jobs::default();
-        jobs.reset(3, 2, accounting);
+        jobs.reset(3, 2);
         let prog = program(Body::builder().compute(9).build());
         let ids = [0, 1, 2].map(|t| JobId::first(TaskId::from_index(t)));
         for (id, (proc, prio)) in ids.iter().zip([(0, 3), (0, 1), (1, 2)]) {
@@ -782,7 +771,7 @@ mod tests {
     /// further touch in the same instant — charges nothing.
     #[test]
     fn the_first_touch_of_an_instant_settles_with_the_state_it_finds() {
-        let (mut jobs, [hi, lo, _]) = three_jobs(true);
+        let (mut jobs, [hi, lo, _]) = three_jobs();
         let lo_slot = jobs.slot_of(lo).unwrap();
         jobs.set_runner(0, Some((lo, lo_slot)), Time::ZERO);
         // [0, 4): hi is ready under the lower-priority runner lo.
@@ -804,7 +793,7 @@ mod tests {
     /// runner, even if nothing else touched the processor this instant.
     #[test]
     fn set_runner_charges_the_closing_interval_to_the_old_runner() {
-        let (mut jobs, [hi, lo, _]) = three_jobs(true);
+        let (mut jobs, [hi, lo, _]) = three_jobs();
         let (hi_slot, lo_slot) = (jobs.slot_of(hi).unwrap(), jobs.slot_of(lo).unwrap());
         jobs.set_runner(0, Some((lo, lo_slot)), Time::ZERO);
         *jobs.marked(0) = false;
@@ -821,7 +810,7 @@ mod tests {
     /// migration settles both ends before the job changes queues.
     #[test]
     fn remove_and_set_processor_settle_first() {
-        let (mut jobs, [hi, lo, other]) = three_jobs(true);
+        let (mut jobs, [hi, lo, other]) = three_jobs();
         let lo_slot = jobs.slot_of(lo).unwrap();
         jobs.set_runner(0, Some((lo, lo_slot)), Time::ZERO);
         jobs.touch_mut(other, Time::ZERO).state = global_wait();
@@ -849,7 +838,7 @@ mod tests {
     /// dirty set.
     #[test]
     fn a_runner_progresses_when_touched_or_when_its_op_ends() {
-        let (mut jobs, [hi, lo, other]) = three_jobs(true);
+        let (mut jobs, [hi, lo, other]) = three_jobs();
         let two_ops = program(Body::builder().compute(9).suspend(2).build());
         jobs.expect_mut(other).program = two_ops;
         for (p, id) in [(0, hi), (1, other)] {
@@ -885,7 +874,7 @@ mod tests {
     /// processor is next touched.
     #[test]
     fn a_spinning_runner_accrues_its_own_interval() {
-        let (mut jobs, [hi, ..]) = three_jobs(true);
+        let (mut jobs, [hi, ..]) = three_jobs();
         let slot = jobs.slot_of(hi).unwrap();
         jobs.set_runner(0, Some((hi, slot)), Time::ZERO);
         let job = jobs.touch_mut(hi, Time::ZERO);
@@ -897,18 +886,6 @@ mod tests {
         (job.state, job.spin) = (ExecState::Ready, false);
         assert_eq!(jobs.expect(hi).blocked_global, Dur::new(6));
         assert_eq!(at(&jobs, hi, 8), [0, 6, 0]);
-    }
-
-    /// Dynamic binding measures no blocking.
-    #[test]
-    fn nothing_accrues_with_accounting_off() {
-        let (mut jobs, [hi, lo, _]) = three_jobs(false);
-        let lo_slot = jobs.slot_of(lo).unwrap();
-        jobs.set_runner(0, Some((lo, lo_slot)), Time::ZERO);
-        assert_eq!(at(&jobs, hi, 9), [0, 0, 0]);
-        jobs.enter_instant(Time::new(9));
-        jobs.touch(0, Time::new(9));
-        assert_eq!(at(&jobs, hi, 9), [0, 0, 0]);
     }
 
     #[test]

@@ -62,7 +62,7 @@ mod queue;
 mod trace;
 
 pub use check::ExpectedGrants;
-pub use engine::{Binding, SimConfig, Simulator};
+pub use engine::{SimConfig, Simulator};
 pub use event::{EventKind, TraceEvent};
 pub use job::{ExecState, JobState, Jobs};
 pub use metrics::{JobRecord, Metrics, TaskMetrics};

@@ -10,7 +10,7 @@ use crate::event::EventKind;
 use crate::job::{ExecState, JobState, Jobs};
 use crate::queue::MinHeap;
 use crate::trace::Trace;
-use mpcp_model::{JobId, Priority, ProcessorId, ResourceId, System, Task, Time};
+use mpcp_model::{JobId, Priority, ProcessorId, ResourceId, System, Time};
 
 /// Outcome of a lock request; see [`Protocol::on_lock`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,16 +54,6 @@ impl<'a> Ctx<'a> {
     /// The system under simulation.
     pub fn system(&self) -> &System {
         self.system
-    }
-
-    /// The task of `job`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job is not active.
-    #[track_caller]
-    pub fn task_of(&self, job: JobId) -> &Task {
-        self.system.task(job.task)
     }
 
     /// Immutable job state.
@@ -186,11 +176,6 @@ impl<'a> Ctx<'a> {
         self.trace.push(self.now, job, EventKind::Woken);
     }
 
-    /// Appends a custom event to the trace.
-    pub fn trace_event(&mut self, job: JobId, kind: EventKind) {
-        self.trace.push(self.now, job, kind);
-    }
-
     /// Requests a protocol wake-up: the engine calls
     /// [`Protocol::on_timer`] at the start of instant `at`, even if no
     /// release, wake-up or compute boundary falls there. Non-work-
@@ -298,7 +283,7 @@ mod tests {
         );
         let sys = b.build().unwrap();
         let mut jobs = Jobs::default();
-        jobs.reset(sys.tasks().len(), sys.processors().len(), true);
+        jobs.reset(sys.tasks().len(), sys.processors().len());
         for t in sys.tasks() {
             let prog = Program::flatten(t.body(), &Machine::new(), sys.info());
             jobs.release(JobState::new(

@@ -68,12 +68,6 @@ impl Trace {
         Trace::default()
     }
 
-    /// Enables or disables recording (metrics are unaffected; long
-    /// statistical runs disable recording to bound memory).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// Clears all recorded data for a fresh run on `processors`
     /// processors, all idle from time zero, retaining buffer capacity,
     /// and sets whether recording is enabled. Detaches any monitor: it

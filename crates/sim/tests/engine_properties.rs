@@ -229,43 +229,6 @@ fn a_machine_wider_than_a_word_reschedules_every_processor() {
     assert_eq!(preempted_on, (0..70).collect::<Vec<_>>());
 }
 
-/// Dynamic binding places jobs through the same setter migrations use:
-/// the indices stay consistent (debug builds walk them after every
-/// step), no blocking is measured, and no work is lost.
-#[test]
-fn dynamic_binding_keeps_the_job_table_consistent() {
-    cases(24, 0x51_06, |rng| {
-        let params = random_params(rng);
-        let mut b = System::builder();
-        let procs = b.add_processors(4);
-        for (i, &(period, wcet, offset)) in params.iter().enumerate() {
-            b.add_task(
-                TaskDef::new(format!("t{i}"), procs[i % 2])
-                    .period(period)
-                    .offset(offset)
-                    .body(Body::builder().compute(wcet).build()),
-            );
-        }
-        let sys = b.build().unwrap();
-        let mut sim = Simulator::with_config(
-            &sys,
-            AlwaysGrant,
-            SimConfig {
-                binding: mpcp_sim::Binding::Dynamic,
-                ..SimConfig::until(300)
-            },
-        );
-        sim.run();
-        for r in sim.records() {
-            // At most four tasks on four processors: nothing waits,
-            // wherever the tasks were nominally bound.
-            assert_eq!(r.response, sys.task(r.id.task).wcet(), "{}", r.id);
-            assert_eq!(r.measured_blocking(), Dur::ZERO);
-        }
-        assert!(!sim.records().is_empty());
-    });
-}
-
 /// `system` with `extra` more processors, none of which has a task.
 fn padded(system: &System, extra: usize) -> System {
     let mut b = System::builder();

@@ -243,15 +243,9 @@ pub fn explore_with(
 /// ([`ProtocolKind::monitor_spec`]); the blocking-bound cross-check is
 /// MPCP's.
 pub fn explore(system: &System, kind: ProtocolKind, config: &CheckerConfig) -> Exploration {
-    // Offline dependency-graph scheduling needs outermost-only
-    // sections; report nested-section systems as unexplored (zero
-    // variants) rather than letting schedule construction fail.
-    if kind == ProtocolKind::Dga
-        && system
-            .tasks()
-            .iter()
-            .any(|t| t.body().has_nested_sections())
-    {
+    // A system outside the protocol's model is reported as unexplored
+    // (zero variants) rather than letting schedule construction fail.
+    if !kind.applicable(system) {
         return Exploration {
             protocol: kind.name().to_owned(),
             variants: 0,

@@ -32,7 +32,7 @@ use mpcp::model::System;
 use mpcp::model::Time;
 use mpcp::protocols::ProtocolKind;
 use mpcp::service::json::Fnv1a;
-use mpcp::sim::{Binding, Monitor, Protocol, SimConfig, Simulator, Slice};
+use mpcp::sim::{Monitor, Protocol, SimConfig, Simulator, Slice};
 use mpcp::taskgen::{generate, paper, WorkloadConfig};
 use std::fmt::{Debug, Write as _};
 
@@ -263,22 +263,6 @@ fn render() -> String {
             Monitor::new(&system, ProtocolKind::Mpcp.monitor_spec()),
         );
     }
-    // E7: dynamic binding (resource-free Dhall system).
-    for m in [2usize, 4] {
-        let system = paper::dhall_system(m, false);
-        run_line(
-            &mut out,
-            &format!("dhall m={m}"),
-            "raw+dynamic",
-            &system,
-            ProtocolKind::Raw.build(),
-            SimConfig {
-                binding: Binding::Dynamic,
-                ..SimConfig::until(120)
-            },
-            Monitor::new(&system, ProtocolKind::Raw.monitor_spec()),
-        );
-    }
     out
 }
 
@@ -309,7 +293,6 @@ fn golden_covers_the_paths_under_change() {
         );
     }
     assert!(lines.iter().any(|l| l.contains("dga-schedule error")));
-    assert!(lines.iter().any(|l| l.contains("raw+dynamic")));
     // Some runs miss deadlines (so stop-on-miss actually stops early),
     // and some stop-on-miss runs reach the horizon.
     let stops: Vec<&&str> = lines
