@@ -2,9 +2,10 @@
 //! protocol (MPCP).
 //!
 //! This crate holds the *pure* pieces of the protocol defined in Rajkumar,
-//! ICDCS 1990 — everything that both the discrete-event simulator
-//! (`mpcp-sim` / `mpcp-protocols`) and the threaded runtime
-//! (`mpcp-runtime`) need, independent of how jobs are actually executed:
+//! ICDCS 1990 — everything the protocol policies (`mpcp-protocols`) need,
+//! independent of how jobs are actually executed (the discrete-event
+//! simulator and the threaded runtime both run those policies, through
+//! `mpcp-sim`):
 //!
 //! * [`CeilingTable`] — priority ceilings of local and global semaphores
 //!   (§4.4, Table 4-1): a local semaphore's ceiling is the highest priority

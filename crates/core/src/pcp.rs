@@ -9,8 +9,8 @@
 //! priority (inheritance is computed by the caller from the returned
 //! blocker).
 //!
-//! The struct is generic over the job token `J` so the simulator can use
-//! [`JobId`](mpcp_model::JobId) and the runtime can use thread identifiers.
+//! The struct is generic over the job token `J`; the protocol policies
+//! use [`JobId`](mpcp_model::JobId).
 
 use crate::error::CoreError;
 use mpcp_model::{Priority, ResourceId};

@@ -6,9 +6,8 @@
 //! priority (rule 6) and suspends. A release hands the semaphore directly
 //! to the highest-priority waiter (rule 7).
 //!
-//! [`GlobalSemaphore`] is the pure state machine shared by the simulator
-//! and the threaded runtime; `W` is the waiter token ([`JobId`] in the
-//! simulator, a thread handle in the runtime).
+//! [`GlobalSemaphore`] is a pure state machine; `W` is the waiter token
+//! ([`JobId`] in the protocol policies).
 //!
 //! [`JobId`]: mpcp_model::JobId
 

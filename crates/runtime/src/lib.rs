@@ -1,5 +1,5 @@
-//! Threaded MPCP runtime: virtual-processor scheduler and priority-queued
-//! lock primitives.
+//! Threaded MPCP runtime: the simulator's MPCP policy on virtual
+//! processors, and priority-queued lock primitives.
 //!
 //! Two layers, both implementing §5.4's "implementation considerations":
 //!
@@ -11,10 +11,11 @@
 //!   [`System`](mpcp_model::System)'s jobs as OS threads on *virtual
 //!   processors*, enforcing fixed-priority preemptive dispatching in user
 //!   space (portable substitute for the RT-kernel priorities the 1990
-//!   implementation assumed) and the complete shared-memory protocol:
-//!   local PCP, gcs priority boosting, prioritized global queues and
-//!   hand-offs. Executions produce an [`RtLog`] with machine-checkable
-//!   protocol invariants.
+//!   implementation assumed). The protocol is the simulator's own
+//!   [`Mpcp`](mpcp_protocols::Mpcp) policy, run by an
+//!   [`mpcp_sim::Host`]; an execution returns the host's
+//!   [`Trace`](mpcp_sim::Trace), which the simulator's
+//!   [`Monitor`](mpcp_sim::Monitor) judges like a simulated run.
 //!
 //! # Concurrency checking
 //!
@@ -23,7 +24,8 @@
 //! suite (and the service crate's) under **ThreadSanitizer**
 //! (`RUSTFLAGS=-Zsanitizer=thread` on nightly; see
 //! `.github/workflows/sanitizers.yml`) to catch data races that the
-//! type system cannot, e.g. in the spin/queue hand-off windows. Debug
+//! type system cannot, e.g. in the spin/queue hand-off windows or the
+//! [`Runtime`]'s waits on the host it shares among its threads. Debug
 //! builds also enforce a lock-order discipline for ceiling-tagged
 //! mutexes — see [`MpcpMutex::with_ceiling`].
 //!
@@ -53,11 +55,9 @@
 #![warn(missing_docs)]
 
 mod locks;
-mod log;
 mod monitor;
 mod vproc;
 
 pub use locks::{FifoMutex, FifoMutexGuard, MpcpMutex, MpcpMutexGuard};
-pub use log::{RtEvent, RtEventKind, RtLog};
 pub use monitor::Monitor;
 pub use vproc::Runtime;

@@ -82,8 +82,9 @@ struct Gate {
 /// rules 5–7, with the spin-then-queue entry of §5.4.
 ///
 /// Unlike the simulator this cannot raise the *scheduling* priority of
-/// the holder (that needs the [`vproc`](crate::Runtime) scheduler or an
-/// RT kernel); it provides the queueing and hand-off semantics for
+/// the holder (that needs the virtual processors of a
+/// [`Runtime`](crate::Runtime), which host the simulator's MPCP policy,
+/// or an RT kernel); it provides the queueing and hand-off semantics for
 /// ordinary threads.
 ///
 /// # Example
@@ -525,8 +526,10 @@ mod tests {
     fn panicked_holder_hands_off_to_queued_waiter() {
         let m = Arc::new(MpcpMutex::with_spin(0u32, 0));
         let mc = Arc::clone(&m);
+        let (held_tx, held) = std::sync::mpsc::channel();
         let holder = thread::spawn(move || {
             let _g = mc.lock(Priority::task(1));
+            held_tx.send(()).unwrap();
             // Panic only once a waiter is queued, so the unwind path
             // exercises the hand-off (not the uncontended release).
             while mc.queue_len() == 0 {
@@ -534,6 +537,9 @@ mod tests {
             }
             panic!("die holding the lock with a waiter queued");
         });
+        // A waiter spawned before the holder holds the lock can take it
+        // first; the holder would then wait for a queued waiter forever.
+        held.recv().unwrap();
         let waiter = {
             let m = Arc::clone(&m);
             thread::spawn(move || {

@@ -11,11 +11,10 @@ use crate::job::{ExecState, JobState, Jobs, Runner};
 use crate::metrics::{JobRecord, Metrics};
 use crate::monitor::Monitor;
 use crate::op::{Op, Program};
-use crate::policy::{Ctx, LockResult, Protocol};
+use crate::policy::{Ctx, Protocol};
 use crate::queue::MinHeap;
 use crate::trace::{Band, Trace};
 use mpcp_model::{JobId, Machine, ProcessorId, System, TaskId, Time};
-use std::cmp::Reverse;
 
 /// Safety bound on protocol/scheduler interactions within one instant.
 const MAX_ROUNDS_PER_INSTANT: u32 = 1_000_000;
@@ -82,7 +81,6 @@ pub struct Simulator<P> {
     system: System,
     config: SimConfig,
     protocol: P,
-    res_global: Vec<bool>,
     programs: Vec<Program>,
     now: Time,
     jobs: Jobs,
@@ -117,7 +115,6 @@ impl<P: Protocol> Simulator<P> {
             system: system.clone(),
             config,
             protocol,
-            res_global: Vec::new(),
             programs: Vec::new(),
             now: Time::ZERO,
             jobs: Jobs::default(),
@@ -151,12 +148,6 @@ impl<P: Protocol> Simulator<P> {
     fn init_run(&mut self) {
         let system = &self.system;
         let info = system.info();
-        self.res_global.clear();
-        self.res_global
-            .extend((0..system.resources().len()).map(|i| {
-                info.scope(mpcp_model::ResourceId::from_index(i as u32))
-                    .is_global()
-            }));
         self.programs.clear();
         let machine = &self.config.machine;
         self.programs.extend(
@@ -391,21 +382,10 @@ impl<P: Protocol> Simulator<P> {
                 self.releases.push((next, ti, instance + 1));
             }
             self.deadlines.push((abs_deadline, id));
-            self.jobs.release(JobState::new(
-                id,
-                home,
-                priority,
-                t_rel,
-                abs_deadline,
-                self.programs[ti as usize].clone(),
-            ));
-            if self.programs[ti as usize].is_empty() {
-                // Degenerate empty program: complete on release.
-                self.jobs.done_candidates.push(id);
-            }
-            self.trace.push(self.now, id, EventKind::Released);
+            let program = self.programs[ti as usize].clone();
+            let job = JobState::new(id, home, priority, t_rel, abs_deadline, program);
             let (protocol, mut ctx) = self.hook();
-            protocol.on_release(&mut ctx, id);
+            ctx.release(protocol, job);
             any = true;
         }
         any
@@ -421,15 +401,7 @@ impl<P: Protocol> Simulator<P> {
                 break;
             }
             self.sleeps.pop();
-            let job = self.jobs.touch_mut(id, self.now);
-            debug_assert!(matches!(job.state, ExecState::Sleeping { .. }));
-            job.state = ExecState::Ready;
-            let complete = job.is_complete();
-            self.trace.push(self.now, id, EventKind::Woken);
-            if complete {
-                // Suspension was the job's last op; it completes now.
-                self.jobs.done_candidates.push(id);
-            }
+            self.hook().1.wake(id);
             any = true;
         }
         any
@@ -508,12 +480,8 @@ impl<P: Protocol> Simulator<P> {
     /// Picks runners, tracing preemptions and starts.
     fn reschedule(&mut self) {
         // Only processors touched since the last reschedule can choose
-        // differently: on the others every input of the key below is
-        // what it was when their runner won. The tuple key reproduces
-        // the old `max_by` chain (priority, currently-running tie-break,
-        // earlier release wins, lower id wins); keys are distinct for
-        // distinct jobs, so the unique maximum does not depend on the
-        // order of the run queue.
+        // differently: on the others every input of the dispatch key is
+        // what it was when their runner won.
         let mut i = 0;
         while let Some(pi) = self.jobs.dirty(i) {
             i += 1;
@@ -521,19 +489,7 @@ impl<P: Protocol> Simulator<P> {
                 continue;
             }
             let current = self.jobs.runner(pi).map(|r| r.id);
-            let chosen = self
-                .jobs
-                .queued(pi)
-                .filter(|(_, j)| j.is_dispatchable())
-                .max_by_key(|(_, j)| {
-                    (
-                        j.effective_priority,
-                        Some(j.id) == current,
-                        Reverse(j.release),
-                        Reverse(j.id),
-                    )
-                })
-                .map(|(slot, j)| (j.id, slot));
+            let chosen = self.jobs.winner(pi, current);
             self.install_runner(pi, chosen);
             // Served — including the mark `install_runner` just left.
             *self.jobs.marked(pi) = false;
@@ -543,29 +499,11 @@ impl<P: Protocol> Simulator<P> {
     fn install_runner(&mut self, pi: usize, chosen: Option<(JobId, u32)>) {
         let proc = ProcessorId::from_index(pi as u32);
         let current = self.jobs.runner(pi).map(|r| r.id);
-        if chosen.map(|(id, _)| id) == current {
+        let to = chosen.map(|(id, _)| id);
+        if to == current {
             return;
         }
-        if let (Some(old), Some((new, _))) = (current, chosen) {
-            if self
-                .jobs
-                .get(old)
-                .is_some_and(|j| j.state == ExecState::Ready && j.processor == proc)
-            {
-                self.trace.push(
-                    self.now,
-                    old,
-                    EventKind::Preempted {
-                        processor: proc,
-                        by: new,
-                    },
-                );
-            }
-        }
-        if let Some((new, _)) = chosen {
-            self.trace
-                .push(self.now, new, EventKind::Started { processor: proc });
-        }
+        self.hook().1.switch(proc, current, to);
         self.jobs.set_runner(pi, chosen, self.now);
     }
 
@@ -607,21 +545,19 @@ impl<P: Protocol> Simulator<P> {
                 }
                 Some(Op::Suspend(d)) => {
                     let until = self.now + d;
-                    let job = self.jobs.touch_mut(id, self.now);
-                    job.state = ExecState::Sleeping { until };
-                    job.advance_pc();
+                    self.hook().1.suspend(id, until);
                     self.sleeps.push((until, id));
-                    self.trace
-                        .push(self.now, id, EventKind::SelfSuspended { until });
                     self.jobs.set_runner(pi, None, self.now);
                     return OpOutcome::Visible;
                 }
                 Some(Op::Lock(res)) => {
-                    self.do_lock(id, res);
+                    let (protocol, mut ctx) = self.hook();
+                    ctx.lock(protocol, id, res);
                     return OpOutcome::Visible;
                 }
                 Some(Op::Unlock(res)) => {
-                    self.do_unlock(id, res);
+                    let (protocol, mut ctx) = self.hook();
+                    ctx.unlock(protocol, id, res);
                     return OpOutcome::Visible;
                 }
             }
@@ -629,108 +565,24 @@ impl<P: Protocol> Simulator<P> {
         OpOutcome::Idle
     }
 
-    fn do_lock(&mut self, id: JobId, res: mpcp_model::ResourceId) {
-        self.trace
-            .push(self.now, id, EventKind::LockRequested { resource: res });
-        let (protocol, mut ctx) = self.hook();
-        match protocol.on_lock(&mut ctx, id, res) {
-            LockResult::Granted => {
-                let job = self.jobs.expect_mut(id);
-                job.held.push(res);
-                job.advance_pc();
-                let complete = job.is_complete();
-                self.trace
-                    .push(self.now, id, EventKind::LockGranted { resource: res });
-                if complete {
-                    // Unreachable for balanced programs; keeps the
-                    // completion-candidate invariant total.
-                    self.jobs.done_candidates.push(id);
-                }
-            }
-            LockResult::Blocked { holder } => {
-                let global = self.res_global[res.index()];
-                let job = self.jobs.touch_mut(id, self.now);
-                job.state = ExecState::Blocked {
-                    resource: res,
-                    global,
-                };
-                self.trace.push(
-                    self.now,
-                    id,
-                    EventKind::LockBlocked {
-                        resource: res,
-                        holder,
-                    },
-                );
-            }
-            LockResult::Spin { holder } => {
-                let global = self.res_global[res.index()];
-                let job = self.jobs.touch_mut(id, self.now);
-                job.state = ExecState::Blocked {
-                    resource: res,
-                    global,
-                };
-                job.spin = true;
-                self.trace.push(
-                    self.now,
-                    id,
-                    EventKind::LockBlocked {
-                        resource: res,
-                        holder,
-                    },
-                );
-            }
-        }
-    }
-
-    fn do_unlock(&mut self, id: JobId, res: mpcp_model::ResourceId) {
-        let job = self.jobs.expect_mut(id);
-        let pos = job
-            .held
-            .iter()
-            .rposition(|&r| r == res)
-            .unwrap_or_else(|| panic!("{id} unlocks {res} it does not hold"));
-        job.held.remove(pos);
-        job.advance_pc();
-        let complete = job.is_complete();
-        self.trace
-            .push(self.now, id, EventKind::Unlocked { resource: res });
-        if complete {
-            self.jobs.done_candidates.push(id);
-        }
-        let (protocol, mut ctx) = self.hook();
-        protocol.on_unlock(&mut ctx, id, res);
-    }
-
     fn complete_job(&mut self, id: JobId) {
-        let response = self.now - self.jobs.expect(id).release;
-        self.trace
-            .push(self.now, id, EventKind::Completed { response });
+        let now = self.now;
         let (protocol, mut ctx) = self.hook();
-        protocol.on_complete(&mut ctx, id);
-        // Recycle the slot after the hook (which may still mutate the
-        // job); removal settles the counters the record copies.
-        let job = self
-            .jobs
-            .remove(id, self.now)
-            .expect("completing job is active");
-        assert!(
-            job.held.is_empty(),
-            "{id} completed while holding {:?}",
-            job.held
-        );
-        let late = self.now > job.abs_deadline;
-        self.records.push(JobRecord {
+        let (job, response) = ctx.complete(protocol, id);
+        let late = now > job.abs_deadline;
+        let unrecorded = late && !job.miss_recorded;
+        let record = JobRecord {
             id,
             release: job.release,
-            completion: self.now,
+            completion: now,
             response,
             blocked_local: job.blocked_local,
             blocked_global: job.blocked_global,
             lower_interference: job.lower_interference,
             missed: job.miss_recorded || late,
-        });
-        if late && !job.miss_recorded {
+        };
+        self.records.push(record);
+        if unrecorded {
             // Normally check_deadlines fires at the deadline instant; this
             // covers a late completion in the same instant the horizon cut
             // in.

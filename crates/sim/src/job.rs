@@ -2,6 +2,7 @@
 
 use crate::op::{Op, Program};
 use mpcp_model::{Dur, JobId, Priority, ProcessorId, ResourceId, Time};
+use std::cmp::Reverse;
 #[cfg(any(test, debug_assertions))]
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -140,11 +141,6 @@ impl JobState {
             ExecState::Blocked { .. } => self.spin,
             ExecState::Sleeping { .. } => false,
         }
-    }
-
-    /// Whether the job currently holds any resource.
-    pub fn in_critical_section(&self) -> bool {
-        !self.held.is_empty()
     }
 }
 
@@ -562,6 +558,21 @@ impl Jobs {
             .map(move |&slot| (slot, &self.slots[slot as usize]))
     }
 
+    /// The job processor `p` dispatches, with its slot: of the
+    /// dispatchable jobs placed there, the one of the highest key —
+    /// effective priority, then holding `p` already (`current`), then
+    /// the earlier release, then the lower id. Keys are distinct for
+    /// distinct jobs, so the maximum does not depend on the queue's order.
+    #[inline]
+    pub(crate) fn winner(&self, p: usize, current: Option<JobId>) -> Option<(JobId, u32)> {
+        let rank = |j: &JobState| (j.effective_priority, Some(j.id) == current);
+        let key = |j: &JobState| (rank(j), Reverse((j.release, j.id)));
+        let chosen = self.queued(p).filter(|(_, j)| j.is_dispatchable());
+        chosen
+            .max_by_key(|(_, j)| key(j))
+            .map(|(slot, j)| (j.id, slot))
+    }
+
     /// Whether [`Jobs::touch`] has marked processor `p` since the flag
     /// was last lowered; the scheduler lowers it once it has served `p`.
     pub(crate) fn marked(&mut self, p: usize) -> &mut bool {
@@ -682,7 +693,7 @@ mod tests {
         assert_eq!(j.state, ExecState::Ready);
         assert_eq!(j.remaining, Dur::new(5));
         assert!(!j.is_complete());
-        assert!(!j.in_critical_section());
+        assert!(j.held.is_empty());
     }
 
     #[test]

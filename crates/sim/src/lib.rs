@@ -52,6 +52,7 @@ pub mod check;
 mod engine;
 mod event;
 pub mod export;
+mod host;
 mod job;
 mod metrics;
 mod monitor;
@@ -64,6 +65,7 @@ mod trace;
 pub use check::ExpectedGrants;
 pub use engine::{SimConfig, Simulator};
 pub use event::{EventKind, TraceEvent};
+pub use host::Host;
 pub use job::{ExecState, JobState, Jobs};
 pub use metrics::{JobRecord, Metrics, TaskMetrics};
 pub use monitor::{Monitor, MonitorSpec};

@@ -10,7 +10,7 @@ use crate::event::EventKind;
 use crate::job::{ExecState, JobState, Jobs};
 use crate::queue::MinHeap;
 use crate::trace::Trace;
-use mpcp_model::{JobId, Priority, ProcessorId, ResourceId, System, Time};
+use mpcp_model::{Dur, JobId, Priority, ProcessorId, ResourceId, System, Time};
 
 /// Outcome of a lock request; see [`Protocol::on_lock`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,11 +85,7 @@ impl<'a> Ctx<'a> {
     pub fn set_priority(&mut self, job: JobId, priority: Priority) {
         let from = self.jobs.expect(job).effective_priority;
         if from != priority {
-            self.trace.push(
-                self.now,
-                job,
-                EventKind::PriorityChanged { from, to: priority },
-            );
+            self.event(job, EventKind::PriorityChanged { from, to: priority });
             self.jobs.touch_mut(job, self.now).effective_priority = priority;
         }
     }
@@ -117,8 +113,7 @@ impl<'a> Ctx<'a> {
     pub fn set_processor(&mut self, job: JobId, processor: ProcessorId) {
         let from = self.jobs.expect(job).processor;
         if from != processor {
-            self.trace.push(
-                self.now,
+            self.event(
                 job,
                 EventKind::Migrated {
                     from,
@@ -148,8 +143,7 @@ impl<'a> Ctx<'a> {
         state.state = ExecState::Ready;
         state.spin = false;
         let complete = state.is_complete();
-        self.trace
-            .push(self.now, job, EventKind::HandedOff { resource, to: job });
+        self.event(job, EventKind::HandedOff { resource, to: job });
         if complete {
             // Unreachable for balanced programs (a V follows every P),
             // but keeps the completion-candidate invariant total.
@@ -173,7 +167,7 @@ impl<'a> Ctx<'a> {
         );
         state.state = ExecState::Ready;
         state.spin = false;
-        self.trace.push(self.now, job, EventKind::Woken);
+        self.event(job, EventKind::Woken);
     }
 
     /// Requests a protocol wake-up: the engine calls
@@ -187,6 +181,135 @@ impl<'a> Ctx<'a> {
     pub fn schedule_timer(&mut self, at: Time) {
         if at > self.now {
             self.timers.push(at);
+        }
+    }
+}
+
+/// The engine's half of each operation — the job-table bookkeeping and
+/// the trace events around the policy's hook — and the trace of a new
+/// dispatch winner: one copy, run by the [`Simulator`](crate::Simulator)
+/// and by the [`Host`](crate::Host).
+impl Ctx<'_> {
+    #[inline]
+    fn event(&mut self, job: JobId, kind: EventKind) {
+        self.trace.push(self.now, job, kind);
+    }
+
+    /// Activates `job`, released now, and tells the policy.
+    #[inline]
+    pub(crate) fn release<P: Protocol>(&mut self, protocol: &mut P, job: JobState) {
+        let (id, empty) = (job.id, job.program.is_empty());
+        self.jobs.release(job);
+        if empty {
+            // Degenerate empty program: complete on release.
+            self.jobs.done_candidates.push(id);
+        }
+        self.event(id, EventKind::Released);
+        protocol.on_release(self, id);
+    }
+
+    /// `job` starts the self-suspension at its program counter.
+    #[inline]
+    pub(crate) fn suspend(&mut self, job: JobId, until: Time) {
+        let state = self.jobs.touch_mut(job, self.now);
+        state.state = ExecState::Sleeping { until };
+        state.advance_pc();
+        self.event(job, EventKind::SelfSuspended { until });
+    }
+
+    /// The self-suspension of `job` ends.
+    #[inline]
+    pub(crate) fn wake(&mut self, job: JobId) {
+        let state = self.jobs.touch_mut(job, self.now);
+        debug_assert!(matches!(state.state, ExecState::Sleeping { .. }));
+        state.state = ExecState::Ready;
+        let complete = state.is_complete();
+        self.event(job, EventKind::Woken);
+        if complete {
+            // Suspension was the job's last op; it completes now.
+            self.jobs.done_candidates.push(job);
+        }
+    }
+
+    /// `job` executes `P(resource)`, the op at its program counter.
+    #[inline]
+    pub(crate) fn lock<P: Protocol>(
+        &mut self,
+        p: &mut P,
+        job: JobId,
+        resource: ResourceId,
+    ) -> LockResult {
+        self.event(job, EventKind::LockRequested { resource });
+        let result = p.on_lock(self, job, resource);
+        match result {
+            LockResult::Granted => {
+                let state = self.jobs.expect_mut(job);
+                state.held.push(resource);
+                state.advance_pc();
+                let complete = state.is_complete();
+                self.event(job, EventKind::LockGranted { resource });
+                if complete {
+                    // Unreachable for balanced programs; keeps the
+                    // completion-candidate invariant total.
+                    self.jobs.done_candidates.push(job);
+                }
+            }
+            LockResult::Blocked { holder } | LockResult::Spin { holder } => {
+                let global = self.system.info().scope(resource).is_global();
+                let state = self.jobs.touch_mut(job, self.now);
+                state.state = ExecState::Blocked { resource, global };
+                state.spin = matches!(result, LockResult::Spin { .. });
+                self.event(job, EventKind::LockBlocked { resource, holder });
+            }
+        }
+        result
+    }
+
+    /// `job` executes `V(resource)`, the op at its program counter.
+    #[inline]
+    pub(crate) fn unlock<P: Protocol>(&mut self, p: &mut P, job: JobId, resource: ResourceId) {
+        let state = self.jobs.expect_mut(job);
+        let pos = state.held.iter().rposition(|&r| r == resource);
+        let pos = pos.unwrap_or_else(|| panic!("{job} unlocks {resource} it does not hold"));
+        state.held.remove(pos);
+        state.advance_pc();
+        let complete = state.is_complete();
+        self.event(job, EventKind::Unlocked { resource });
+        if complete {
+            self.jobs.done_candidates.push(job);
+        }
+        p.on_unlock(self, job, resource);
+    }
+
+    /// `job`, past its last op, completes: the policy's hook, then the
+    /// slot is recycled. Returns the final state — counters settled up
+    /// to now, good until the next release — and the response time.
+    #[inline]
+    pub(crate) fn complete<P: Protocol>(&mut self, p: &mut P, job: JobId) -> (&JobState, Dur) {
+        let response = self.now - self.jobs.expect(job).release;
+        self.event(job, EventKind::Completed { response });
+        p.on_complete(self, job);
+        // Recycle the slot after the hook (which may still mutate the
+        // job); removal settles the counters the record copies.
+        let state = self.jobs.remove(job, self.now);
+        let state = state.expect("completing job is active");
+        let held = &state.held;
+        assert!(held.is_empty(), "{job} completed while holding {held:?}");
+        (state, response)
+    }
+
+    /// Processor `on` passes from `from` to `to` (`None` is idleness);
+    /// `from`, still ready there, was preempted.
+    #[inline]
+    pub(crate) fn switch(&mut self, on: ProcessorId, from: Option<JobId>, to: Option<JobId>) {
+        if let (Some(old), Some(by)) = (from, to) {
+            let placed = |j: &JobState| j.state == ExecState::Ready && j.processor == on;
+            if self.jobs.get(old).is_some_and(placed) {
+                self.event(old, EventKind::Preempted { processor: on, by });
+            }
+        }
+        if let Some(new) = to {
+            self.event(new, EventKind::Started { processor: on });
         }
     }
 }

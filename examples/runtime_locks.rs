@@ -5,7 +5,9 @@
 //! Run with `cargo run --example runtime_locks`.
 
 use mpcp::model::Priority;
+use mpcp::protocols::ProtocolKind;
 use mpcp::runtime::{MpcpMutex, Runtime};
+use mpcp::sim::Monitor;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,14 +37,13 @@ fn main() {
     // --- Full runtime: Example 3 on real threads ------------------------
     println!("\nrunning the Example 3 system on OS threads...");
     let (system, _) = mpcp_bench::paper::example3();
-    let rt = Runtime::new(&system);
-    let log = rt.run_all_once();
-    println!("jobs completed: {}", log.completions());
-    log.assert_mutual_exclusion();
-    log.assert_priority_ordered_handoffs();
-    println!("protocol invariants hold: mutual exclusion + priority-ordered hand-offs");
-    for e in log.events().iter().take(20) {
-        println!("  [{:>3}] {:?} {:?}", e.seq, e.task, e.kind);
+    let trace = Runtime::new(&system).run_all_once();
+    // Times are the host's logical clock: one tick per protocol call.
+    print!("{}", trace.event_log());
+    let mut monitor = Monitor::new(&system, ProtocolKind::Mpcp.monitor_spec());
+    monitor.replay(&trace);
+    match monitor.error() {
+        None => println!("monitor verdict: clean under MPCP's checks"),
+        Some(e) => panic!("monitor verdict: {e}"),
     }
-    println!("  ... ({} events total)", log.events().len());
 }

@@ -157,13 +157,19 @@ fn sim_and_runtime_agree_on_handoff_order() {
         .collect();
     assert_eq!(sim_order, vec![ex.tau[2], ex.tau[3], ex.tau[4]]);
     // The runtime is nondeterministic in *when* requests arrive, so only
-    // the invariant (priority order among simultaneous waiters) is
-    // checked there — see runtime_stress.rs. Here we confirm it also
-    // completes the same job set.
-    let rt = mpcp::runtime::Runtime::new(&sys);
-    let log = rt.run_all_once();
-    assert_eq!(log.completions(), sys.tasks().len());
-    log.assert_priority_ordered_handoffs();
+    // the invariants (priority order among simultaneous waiters, and the
+    // rest of MPCP's profile) are checked there — see runtime_stress.rs.
+    // Here we confirm it also completes the same job set, judged by the
+    // same monitor as the simulator.
+    let trace = mpcp::runtime::Runtime::new(&sys).run_all_once();
+    let mut monitor = mpcp::sim::Monitor::new(&sys, ProtocolKind::Mpcp.monitor_spec());
+    monitor.replay(&trace);
+    assert!(monitor.is_clean(), "{:?}", monitor.error());
+    let completed = trace
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, mpcp::sim::EventKind::Completed { .. }));
+    assert_eq!(completed.count(), sys.tasks().len());
 }
 
 /// Regression: DPCP factor 4′ must count *equal*-ceiling sections
