@@ -6,9 +6,9 @@
 //! is an OS thread, and the protocol is the simulator's
 //! [`Mpcp`] policy in an [`mpcp_sim::Host`] behind one mutex. A thread
 //! interprets its job's flattened program from the host's program
-//! counter and, before every compute tick and every operation, waits
-//! until the host dispatches its job on the job's processor; a
-//! self-suspension sleeps the thread. The host's trace is the
+//! counter and, before every compute tick, the end of a computation and
+//! every operation, waits until the host dispatches its job on the
+//! job's processor; a self-suspension sleeps the thread. The host's trace is the
 //! execution's record, judged by the simulator's
 //! [`Monitor`](mpcp_sim::Monitor) like any simulated run.
 
@@ -103,6 +103,7 @@ impl Runtime {
                     let mut host = drive(&inner, inner.hold(), job);
                     for _ in 1..iterations {
                         let job = host.release(job.task);
+                        inner.cv.notify_all();
                         host = drive(&inner, host, job);
                     }
                 })
@@ -136,26 +137,21 @@ impl Drop for Wake<'_> {
 }
 
 /// Runs `job` to completion, holding the host only between its steps;
-/// returns it held, right after the completion.
+/// returns it held, right after the completion. Completion is free: the
+/// host completes a job in the call that takes it past its last op.
 fn drive<'a>(inner: &'a Inner, mut host: Guard<'a>, job: JobId) -> Guard<'a> {
-    loop {
-        // Completion is free: a job past its last op completes in the
-        // same hold as that op, dispatched or not.
-        if host.jobs().expect(job).is_complete() {
-            host.complete(job);
-            inner.cv.notify_all();
-            return host;
-        }
+    while host.jobs().get(job).is_some() {
         host = dispatched(inner, host, job);
         match host.jobs().expect(job).current_op() {
             Some(Op::Compute(d)) => {
                 for _ in 0..d.ticks() {
-                    host = dispatched(inner, host, job);
                     drop(host);
                     // A tick of time: the other virtual processors' threads
                     // get to run, and to contend.
                     std::thread::yield_now();
-                    host = inner.hold();
+                    // Preempted meanwhile, the job executes the rest of
+                    // its computation, or ends it, when dispatched again.
+                    host = dispatched(inner, inner.hold(), job);
                 }
                 host.step(job);
             }
@@ -173,10 +169,11 @@ fn drive<'a>(inner: &'a Inner, mut host: Guard<'a>, job: JobId) -> Guard<'a> {
                 host.lock(job, resource);
             }
             Some(Op::Unlock(resource)) => host.unlock(job, resource),
-            None => unreachable!("{job} completes above"),
+            None => unreachable!("the host completes {job} past its last op"),
         }
         inner.cv.notify_all();
     }
+    host
 }
 
 /// Waits until the host dispatches `job` on its processor.

@@ -1,9 +1,10 @@
-//! CSV export of traces, for plotting outside Rust.
+//! CSV export of traces and metrics, for plotting outside Rust.
 //!
 //! The format is deliberately simple: a header row, comma separation, no
 //! quoting (all fields are numeric or identifier-shaped).
 
 use crate::event::EventKind;
+use crate::metrics::{JobRecord, Metrics};
 use crate::trace::{Band, Trace};
 use std::fmt::Write as _;
 
@@ -69,6 +70,48 @@ pub fn slices_csv(trace: &Trace) -> String {
             s.job.map(|j| j.to_string()).unwrap_or_default(),
             s.start.ticks(),
             s.dur.ticks(),
+        );
+    }
+    out
+}
+
+/// Completed-job records as CSV:
+/// `job,release,completion,response,blocked_local,blocked_global,lower_interference,missed`.
+pub fn records_csv(records: &[JobRecord]) -> String {
+    let mut out = String::from(
+        "job,release,completion,response,blocked_local,blocked_global,lower_interference,missed\n",
+    );
+    for r in records {
+        let _ = writeln!(
+            out,
+            "{},{},{},{},{},{},{},{}",
+            r.id,
+            r.release.ticks(),
+            r.completion.ticks(),
+            r.response.ticks(),
+            r.blocked_local.ticks(),
+            r.blocked_global.ticks(),
+            r.lower_interference.ticks(),
+            u8::from(r.missed),
+        );
+    }
+    out
+}
+
+/// Per-task metrics as CSV:
+/// `task,completed,misses,max_response,avg_response,max_blocking`.
+pub fn metrics_csv(metrics: &Metrics) -> String {
+    let mut out = String::from("task,completed,misses,max_response,avg_response,max_blocking\n");
+    for m in metrics.per_task() {
+        let _ = writeln!(
+            out,
+            "{},{},{},{},{:.3},{}",
+            m.task,
+            m.completed,
+            m.misses,
+            m.max_response.ticks(),
+            m.avg_response,
+            m.max_blocking.ticks(),
         );
     }
     out
@@ -143,5 +186,14 @@ mod tests {
             .map(|l| l.split(',').nth(3).unwrap().parse::<u64>().unwrap())
             .sum();
         assert_eq!(busy, 6); // 3 jobs × 2 ticks
+    }
+
+    #[test]
+    fn records_and_metrics_csv() {
+        let sim = run();
+        let rc = records_csv(sim.records());
+        assert_eq!(rc.lines().count(), 1 + 3);
+        let mc = metrics_csv(&sim.metrics());
+        assert!(mc.lines().nth(1).unwrap().starts_with("tau0,3,0,"));
     }
 }

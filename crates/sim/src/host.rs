@@ -13,9 +13,11 @@ use mpcp_model::{Dur, JobId, Machine, ProcessorId, ResourceId, System, Task, Tas
 /// at a time.
 ///
 /// Each call runs the engine's own code for its operation, hooks
-/// included, then re-picks with the engine's dispatch key the winner of
-/// every processor the operation touched, tracing `Started` and
-/// `Preempted` where one changes. Time is logical: one tick per call.
+/// included; completes, as the engine does, a job the operation took
+/// past its last op, dispatched or not; then re-picks with the engine's
+/// dispatch key the winner of every processor the operation touched,
+/// tracing `Started` and `Preempted` where one changes. Only a
+/// dispatched job executes an op. Time is logical: one tick per call.
 /// The winners are the host's own record — no job holds a processor in
 /// the table — so nothing progresses by itself: a job's program counter
 /// moves only when a call moves it. Timers a policy requests
@@ -90,42 +92,46 @@ impl<P: Protocol> Host<P> {
     /// counter, or into the self-suspension there — and, stepped again,
     /// out of it. Panics at any other op.
     pub fn step(&mut self, job: JobId) {
-        self.call(|_, ctx| {
-            let state = ctx.jobs.expect(job);
-            match (state.state, state.current_op()) {
-                (ExecState::Sleeping { .. }, _) => ctx.wake(job),
-                (ExecState::Ready, Some(Op::Suspend(d))) => ctx.suspend(job, ctx.now + d),
-                (ExecState::Ready, Some(Op::Compute(_))) => ctx.jobs.expect_mut(job).advance_pc(),
-                (state, op) => panic!("step: {job} is {state:?} at {op:?}"),
+        let state = self.jobs.expect(job);
+        match (state.state, state.current_op()) {
+            (ExecState::Sleeping { .. }, _) => self.call(|_, ctx| ctx.wake(job)),
+            (ExecState::Ready, Some(Op::Suspend(d))) => {
+                self.expect_op(job, Op::Suspend(d));
+                self.call(|_, ctx| ctx.suspend(job, ctx.now + d));
             }
-        });
+            (ExecState::Ready, Some(Op::Compute(d))) => {
+                self.expect_op(job, Op::Compute(d));
+                self.call(|_, ctx| {
+                    let state = ctx.jobs.expect_mut(job);
+                    state.advance_pc();
+                    if state.is_complete() {
+                        ctx.jobs.done_candidates.push(job);
+                    }
+                });
+            }
+            (state, op) => panic!("step: {job} is {state:?} at {op:?}"),
+        }
     }
 
     /// `job` executes `P(resource)`, which must be its next op.
     pub fn lock(&mut self, job: JobId, resource: ResourceId) -> LockResult {
-        self.expect_op(job, Some(Op::Lock(resource)));
+        self.expect_op(job, Op::Lock(resource));
         self.call(|protocol, ctx| ctx.lock(protocol, job, resource))
     }
 
     /// `job` executes `V(resource)`, which must be its next op.
     pub fn unlock(&mut self, job: JobId, resource: ResourceId) {
-        self.expect_op(job, Some(Op::Unlock(resource)));
+        self.expect_op(job, Op::Unlock(resource));
         self.call(|protocol, ctx| ctx.unlock(protocol, job, resource));
     }
 
-    /// `job`, which must be past its last op, completes.
-    pub fn complete(&mut self, job: JobId) {
-        self.expect_op(job, None);
-        self.call(|protocol, ctx| {
-            ctx.complete(protocol, job);
-        });
-    }
-
     #[track_caller]
-    fn expect_op(&self, job: JobId, op: Option<Op>) {
+    fn expect_op(&self, job: JobId, op: Op) {
         let state = self.jobs.expect(job);
         let at = (state.state, state.current_op());
-        assert_eq!(at, (ExecState::Ready, op), "{job} is elsewhere");
+        assert_eq!(at, (ExecState::Ready, Some(op)), "{job} is elsewhere");
+        let on = self.dispatched(state.processor);
+        assert_eq!(on, Some(job), "{job} is not dispatched");
     }
 
     /// One tick: `op`, then the dispatch key wherever `op` touched one
@@ -135,8 +141,14 @@ impl<P: Protocol> Host<P> {
         self.jobs.enter_instant(self.now);
         let (protocol, mut ctx) = self.hook();
         let result = op(protocol, &mut ctx);
-        // The caller completes its jobs; there is no sweep to feed.
-        self.jobs.done_candidates.clear();
+        while let Some(job) = self.jobs.done_candidates.pop() {
+            // A candidate push is a hint, not a promise; re-check.
+            let done = |j: &JobState| j.state == ExecState::Ready && j.is_complete();
+            if self.jobs.get(job).is_some_and(done) {
+                let (protocol, mut ctx) = self.hook();
+                ctx.complete(protocol, job);
+            }
+        }
         let mut i = 0;
         while let Some(p) = self.jobs.dirty(i) {
             i += 1;
@@ -281,18 +293,19 @@ mod tests {
         }
         host.step(jobs[0]);
         host.unlock(jobs[0], s);
+        // The `V(S)` was its last op: it completed in that call.
+        assert!(host.jobs().get(jobs[0]).is_none());
+        assert_eq!(host.dispatched(ProcessorId::from_index(0)), None);
         // The lower-priority waiter, first to arrive, has the semaphore
         // and its processor back, past its `P(S)`.
         assert_eq!(host.jobs().expect(jobs[1]).pc, 2);
         assert_eq!(host.dispatched(ProcessorId::from_index(1)), Some(jobs[1]));
-        host.complete(jobs[0]);
-        assert!(host.jobs().get(jobs[0]).is_none());
         let found = verdict(&system, &host);
         assert!(found.contains(&"priority_ordered_handoffs"), "{found:?}");
         assert!(!found.contains(&"mutual_exclusion"), "{found:?}");
         // One tick per call, in order.
         let times: Vec<Time> = host.trace().events().iter().map(|e| e.time).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(times.last(), Some(&Time::new(3 + 3 + 3 + 2 + 1)));
+        assert_eq!(times.last(), Some(&Time::new(3 + 3 + 3 + 2)));
     }
 }

@@ -142,6 +142,11 @@ impl JobState {
             ExecState::Sleeping { .. } => false,
         }
     }
+
+    /// Whether the job currently holds any resource.
+    pub fn in_critical_section(&self) -> bool {
+        !self.held.is_empty()
+    }
 }
 
 /// The job holding a processor: its id, its arena slot, and the
@@ -693,7 +698,7 @@ mod tests {
         assert_eq!(j.state, ExecState::Ready);
         assert_eq!(j.remaining, Dur::new(5));
         assert!(!j.is_complete());
-        assert!(j.held.is_empty());
+        assert!(!j.in_critical_section());
     }
 
     #[test]

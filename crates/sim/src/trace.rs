@@ -191,6 +191,11 @@ impl Trace {
         self.events.iter().filter(move |e| e.job == job)
     }
 
+    /// Events of any job of `task`, in order.
+    pub fn events_for_task(&self, task: TaskId) -> impl Iterator<Item = &TraceEvent> {
+        self.events.iter().filter(move |e| e.job.task == task)
+    }
+
     /// The first event matching `pred`, if any.
     pub fn find(&self, mut pred: impl FnMut(&TraceEvent) -> bool) -> Option<&TraceEvent> {
         self.events.iter().find(|e| pred(e))
@@ -520,6 +525,7 @@ mod tests {
         assert_eq!(tr.completion_of(jid(1)), None);
         assert_eq!(tr.deadline_misses(), 1);
         assert_eq!(tr.events_for(jid(0)).count(), 2);
+        assert_eq!(tr.events_for_task(TaskId::from_index(1)).count(), 1);
         assert!(tr
             .find(|e| matches!(e.kind, EventKind::DeadlineMiss))
             .is_some());

@@ -103,7 +103,8 @@ fn mpcp_mutex_heavy_contention() {
 /// decisions on the local semaphores, in the simulator's order. (Under
 /// those conditions no job is preempted inside a section, so none
 /// blocks: PCP blocking and retries need a later arrival or a
-/// suspension, which only the multiprocessor runs here bring.)
+/// suspension. `crates/sim/tests/host.rs` drives that path through the
+/// same host by hand.)
 #[test]
 fn uniprocessor_runtime_respects_priority() {
     let mut b = System::builder();
