@@ -4,9 +4,15 @@
 //! The workspace builds fully offline (no `serde`); this leaf crate is
 //! what every crate that speaks JSON links — the admission server's
 //! wire protocol, the sweep reports, `mpcp_verify`'s diagnostics. It
-//! has a recursive-descent parser hardened for network input (depth
-//! cap), an encoder whose output the parser round-trips bit-for-bit,
-//! and [`Fnv1a`], the one hash behind report hashes and cache keys.
+//! has one parser, hardened for network input (depth cap), that writes
+//! a flat tape: [`Doc::parse`] lays a document out as one `Vec` of
+//! entries whose strings borrow from the input, and its [`Node`] view
+//! reads it without copying. [`parse`] is that plus
+//! [`Node::to_value`], for callers that want an owned [`Value`] tree.
+//! [`JsonRef`] is what `&Value` and [`Node`] share, so a decoder has one
+//! body for both. Beside them: an encoder whose output the parser
+//! round-trips bit-for-bit, and [`Fnv1a`], the one hash behind report
+//! hashes and cache keys.
 //!
 //! Objects preserve insertion order (a `Vec` of pairs, not a map), so
 //! `encode(parse(s)) == encode(v)` is deterministic and suitable for
@@ -16,7 +22,7 @@
 
 use std::fmt;
 
-/// Maximum nesting depth accepted by [`parse`]; deeper input is
+/// Maximum nesting depth accepted by [`Doc::parse`]; deeper input is
 /// rejected rather than risking a stack overflow on hostile requests.
 pub const MAX_DEPTH: usize = 128;
 
@@ -85,12 +91,7 @@ impl Value {
     /// The numeric content as a non-negative integer, if it is one.
     #[inline]
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007_199_254_740_992e15 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(exact_u64)
     }
 
     /// The boolean content, if this is a boolean.
@@ -180,6 +181,12 @@ impl From<bool> for Value {
     fn from(b: bool) -> Value {
         Value::Bool(b)
     }
+}
+
+/// `n` as a non-negative integer, if it is one that `f64` holds exactly.
+#[inline]
+fn exact_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= 9.007_199_254_740_992e15).then_some(n as u64)
 }
 
 /// Encodes one number exactly as [`Value::encode`] does, so streaming
@@ -310,32 +317,231 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses one JSON value; trailing non-whitespace input is an error.
+/// Parses one JSON value into a [`Value`] tree: [`Doc::parse`], then
+/// [`Node::to_value`], so there is one grammar and one set of errors.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] describing the first offending byte for
 /// malformed input, nesting beyond [`MAX_DEPTH`], or trailing garbage.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after value"));
+    Doc::parse(input).map(|doc| doc.root().to_value())
+}
+
+/// Read access to a JSON value borrowed for `'v`: a `&`[`Value`] or a
+/// tape [`Node`]. A decoder written against it has one body for both.
+pub trait JsonRef<'v>: Copy {
+    /// First value under `key`, if this is an object that has it.
+    fn get(self, key: &str) -> Option<Self>;
+    /// The string content, if this is a string.
+    fn as_str(self) -> Option<&'v str>;
+    /// The numeric content as a non-negative integer, if it is one.
+    fn as_u64(self) -> Option<u64>;
+    /// The elements, if this is an array, in order.
+    fn items(self) -> Option<impl ExactSizeIterator<Item = Self>>;
+}
+
+impl<'v> JsonRef<'v> for &'v Value {
+    #[inline]
+    fn get(self, key: &str) -> Option<Self> {
+        Value::get(self, key)
     }
-    Ok(v)
+
+    #[inline]
+    fn as_str(self) -> Option<&'v str> {
+        Value::as_str(self)
+    }
+
+    #[inline]
+    fn as_u64(self) -> Option<u64> {
+        Value::as_u64(self)
+    }
+
+    #[inline]
+    fn items(self) -> Option<impl ExactSizeIterator<Item = Self>> {
+        self.as_arr().map(<[Value]>::iter)
+    }
+}
+
+/// A parsed document: one flat tape of entries in document order. A
+/// container's entry precedes its subtree (key, value, … for an object)
+/// and records its length and the index past it, so a reader steps over
+/// a value at once. Strings without escapes borrow from the input.
+#[derive(Debug)]
+pub struct Doc<'a> {
+    tape: Vec<Entry<'a>>,
+    /// The strings with escapes, decoded, back to back.
+    decoded: String,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Entry<'a> {
+    Null,
+    Bool(bool),
+    Num(f64),
+    /// A string without escapes, as it stands in the input.
+    Str(&'a str),
+    /// A string with escapes: `decoded[start..end]`.
+    Esc(usize, usize),
+    /// An array: element count, index past the subtree.
+    Arr(usize, usize),
+    /// An object: pair count, index past the subtree.
+    Obj(usize, usize),
+}
+
+impl<'a> Doc<'a> {
+    /// Parses one JSON value onto a tape; trailing non-whitespace input
+    /// is an error.
+    ///
+    /// # Errors
+    ///
+    /// As [`parse`].
+    pub fn parse(input: &'a str) -> Result<Doc<'a>, ParseError> {
+        // A request line spends at least two bytes, and usually five, on
+        // each entry: one allocation, at most one regrowth.
+        let (tape, decoded) = (Vec::with_capacity(input.len() / 4 + 2), String::new());
+        let doc = Doc { tape, decoded };
+        let mut p = Parser { input, pos: 0, doc };
+        p.skip_ws();
+        p.value(0)?;
+        p.skip_ws();
+        if p.pos != input.len() {
+            return Err(p.err("trailing characters after value"));
+        }
+        Ok(p.doc)
+    }
+
+    /// The document's value.
+    pub fn root(&self) -> Node<'_> {
+        Node { doc: self, at: 0 }
+    }
+}
+
+/// A value on a [`Doc`]'s tape, read through [`JsonRef`]: `Copy`, and
+/// reading a field neither copies a string nor allocates.
+#[derive(Debug, Clone, Copy)]
+pub struct Node<'d> {
+    doc: &'d Doc<'d>,
+    at: usize,
+}
+
+impl<'d> Node<'d> {
+    fn entry(self) -> Entry<'d> {
+        self.doc.tape[self.at]
+    }
+
+    /// An array's elements or an object's keys and values, in order.
+    fn children(self) -> impl ExactSizeIterator<Item = Node<'d>> {
+        let count = match self.entry() {
+            Entry::Arr(len, _) => len,
+            Entry::Obj(len, _) => 2 * len,
+            _ => 0,
+        };
+        let (doc, mut at) = (self.doc, self.at + 1);
+        (0..count).map(move |_| {
+            let node = Node { doc, at };
+            at = match node.entry() {
+                Entry::Arr(_, end) | Entry::Obj(_, end) => end,
+                _ => at + 1,
+            };
+            node
+        })
+    }
+
+    fn pairs(self) -> impl Iterator<Item = (&'d str, Node<'d>)> {
+        let mut children = self.children();
+        std::iter::from_fn(move || Some((children.next()?.as_str()?, children.next()?)))
+    }
+
+    /// The numeric content, if this is a number.
+    #[inline]
+    pub fn as_f64(self) -> Option<f64> {
+        match self.entry() {
+            Entry::Num(n) => Some(n),
+            _ => None,
+        }
+    }
+
+    /// The boolean content, if this is a boolean.
+    #[inline]
+    pub fn as_bool(self) -> Option<bool> {
+        match self.entry() {
+            Entry::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// This value as a [`Value`] tree.
+    pub fn to_value(self) -> Value {
+        match self.entry() {
+            Entry::Null => Value::Null,
+            Entry::Bool(b) => Value::Bool(b),
+            Entry::Num(n) => Value::Num(n),
+            Entry::Str(_) | Entry::Esc(..) => Value::str(self.as_str().unwrap_or_default()),
+            Entry::Arr(..) => Value::Arr(self.children().map(Node::to_value).collect()),
+            Entry::Obj(len, _) => {
+                let mut pairs = Vec::with_capacity(len);
+                pairs.extend(self.pairs().map(|(k, v)| (k.to_owned(), v.to_value())));
+                Value::Obj(pairs)
+            }
+        }
+    }
+}
+
+impl<'d> JsonRef<'d> for Node<'d> {
+    /// Every decoder's hot path: one pass over the keys, on the tape.
+    #[inline]
+    fn get(self, key: &str) -> Option<Self> {
+        let (tape, doc) = (&self.doc.tape[..], self.doc);
+        let Entry::Obj(len, _) = tape[self.at] else {
+            return None;
+        };
+        let mut at = self.at + 1;
+        for _ in 0..len {
+            let hit = match tape[at] {
+                Entry::Str(k) => k == key,
+                Entry::Esc(start, end) => &doc.decoded[start..end] == key,
+                _ => false,
+            };
+            at += 1;
+            if hit {
+                return Some(Node { doc, at });
+            }
+            at = match tape[at] {
+                Entry::Arr(_, end) | Entry::Obj(_, end) => end,
+                _ => at + 1,
+            };
+        }
+        None
+    }
+
+    #[inline]
+    fn as_str(self) -> Option<&'d str> {
+        match self.entry() {
+            Entry::Str(s) => Some(s),
+            Entry::Esc(start, end) => Some(&self.doc.decoded[start..end]),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn as_u64(self) -> Option<u64> {
+        self.as_f64().and_then(exact_u64)
+    }
+
+    #[inline]
+    fn items(self) -> Option<impl ExactSizeIterator<Item = Self>> {
+        matches!(self.entry(), Entry::Arr(..)).then(|| self.children())
+    }
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     pos: usize,
+    doc: Doc<'a>,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> ParseError {
         ParseError {
             message: message.to_owned(),
@@ -344,255 +550,201 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
+    }
+
+    /// Steps over one byte if `pred` holds for it.
+    fn eat(&mut self, pred: fn(u8) -> bool) -> bool {
+        let hit = self.peek().is_some_and(pred);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Steps over bytes while `pred` holds.
+    fn skip(&mut self, pred: fn(u8) -> bool) {
+        while self.eat(pred) {}
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+        self.skip(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
     }
 
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
+        if self.peek() != Some(b) {
+            return Err(self.err(&format!("expected {:?}", b as char)));
         }
+        self.pos += 1;
+        Ok(())
     }
 
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected {lit:?}")))
+    fn literal(&mut self, lit: &str, v: Entry<'a>) -> Result<Entry<'a>, ParseError> {
+        if !self.input[self.pos..].starts_with(lit) {
+            return Err(self.err(&format!("expected {lit:?}")));
         }
+        self.pos += lit.len();
+        Ok(v)
     }
 
-    fn value(&mut self, depth: usize) -> Result<Value, ParseError> {
+    /// Parses one value onto the tape.
+    fn value(&mut self, depth: usize) -> Result<(), ParseError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
-        }
+        let entry = match self.peek() {
+            Some(b'{') => return self.object(depth),
+            Some(b'[') => return self.array(depth),
+            Some(b'"') => self.string()?,
+            Some(b't') => self.literal("true", Entry::Bool(true))?,
+            Some(b'f') => self.literal("false", Entry::Bool(false))?,
+            Some(b'n') => self.literal("null", Entry::Null)?,
+            Some(b'-' | b'0'..=b'9') => Entry::Num(self.number()?),
+            Some(_) => return Err(self.err("unexpected character")),
+            None => return Err(self.err("unexpected end of input")),
+        };
+        self.doc.tape.push(entry);
+        Ok(())
     }
 
-    fn object(&mut self, depth: usize) -> Result<Value, ParseError> {
-        self.expect(b'{')?;
-        // Typical wire objects carry a handful of fields; reserving
-        // them up front skips the 1→2→4 regrowth copies.
-        let mut pairs = Vec::with_capacity(4);
+    /// A container: its entry, then its elements up to `close`, each
+    /// parsed by `element`; `entry` makes the entry of the count and end.
+    fn seq(
+        &mut self,
+        close: u8,
+        entry: fn(usize, usize) -> Entry<'a>,
+        mut element: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        let (at, mut len) = (self.doc.tape.len(), 0);
+        self.doc.tape.push(Entry::Null);
+        self.pos += 1;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value(depth + 1)?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(pairs));
+        if self.peek() != Some(close) {
+            loop {
+                self.skip_ws();
+                element(self)?;
+                len += 1;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b) if b == close => break,
+                    _ if close == b'}' => return Err(self.err("expected ',' or '}' in object")),
+                    _ => return Err(self.err("expected ',' or ']' in array")),
                 }
-                _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
+        self.pos += 1;
+        self.doc.tape[at] = entry(len, self.doc.tape.len());
+        Ok(())
     }
 
-    fn array(&mut self, depth: usize) -> Result<Value, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::with_capacity(4);
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
+    fn object(&mut self, depth: usize) -> Result<(), ParseError> {
+        self.seq(b'}', Entry::Obj, |p| {
+            let key = p.string()?;
+            p.doc.tape.push(key);
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            p.value(depth + 1)
+        })
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    fn array(&mut self, depth: usize) -> Result<(), ParseError> {
+        self.seq(b']', Entry::Arr, |p| p.value(depth + 1))
+    }
+
+    /// Borrows the string, or decodes it once a backslash turns up.
+    fn string(&mut self) -> Result<Entry<'a>, ParseError> {
         self.expect(b'"')?;
-        // Fast path: scan straight to the closing quote. Strings with
-        // no escapes — virtually all of them on this wire — copy out in
-        // one shot; the first backslash falls back to the char-by-char
-        // loop seeded with the clean prefix.
-        let start = self.pos;
+        let (input, mut run, mut escaped) = (self.input, self.pos, None);
         loop {
-            match self.bytes.get(self.pos) {
+            match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .expect("input is valid UTF-8")
-                        .to_owned();
+                    let clean = &input[run..self.pos];
                     self.pos += 1;
-                    return Ok(s);
+                    let Some(start) = escaped else {
+                        return Ok(Entry::Str(clean));
+                    };
+                    self.doc.decoded.push_str(clean);
+                    return Ok(Entry::Esc(start, self.doc.decoded.len()));
                 }
-                Some(b'\\') => break,
-                Some(&b) if b < 0x20 => return Err(self.err("unescaped control character")),
+                Some(b'\\') => {
+                    escaped.get_or_insert(self.doc.decoded.len());
+                    self.doc.decoded.push_str(&input[run..self.pos]);
+                    self.pos += 1;
+                    let c = self.escape()?;
+                    self.doc.decoded.push(c);
+                    run = self.pos;
+                }
+                Some(b) if b < 0x20 => return Err(self.err("unescaped control character")),
                 Some(_) => self.pos += 1,
             }
         }
-        let mut out = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("input is valid UTF-8")
-            .to_owned();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((cp - 0xD800) << 10)
-                                        + (lo.checked_sub(0xDC00).unwrap_or(0x10000));
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid unicode escape")),
-                            }
-                            continue; // hex4 advanced past the digits
-                        }
-                        _ => return Err(self.err("invalid escape")),
+    }
+
+    /// The character an escape stands for; `pos` is past the backslash.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                self.pos += 1;
+                let mut cp = self.hex4()?;
+                // A high surrogate needs an escaped low one, and only
+                // 0xDC00..=0xDFFF is low.
+                if (0xD800..0xDC00).contains(&cp) && self.input[self.pos..].starts_with("\\u") {
+                    self.pos += 2;
+                    let lo = self.hex4()?;
+                    if (0xDC00..0xE000).contains(&lo) {
+                        cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
                     }
-                    self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // remainder is valid UTF-8; find the char boundary).
-                    let rest = &self.bytes[self.pos..];
-                    let len = match rest[0] {
-                        b if b < 0x80 => {
-                            if b < 0x20 {
-                                return Err(self.err("unescaped control character"));
-                            }
-                            1
-                        }
-                        b if b >> 5 == 0b110 => 2,
-                        b if b >> 4 == 0b1110 => 3,
-                        _ => 4,
-                    };
-                    out.push_str(std::str::from_utf8(&rest[..len]).expect("input is valid UTF-8"));
-                    self.pos += len;
-                }
+                return char::from_u32(cp).ok_or_else(|| self.err("invalid unicode escape"));
             }
-        }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 
+    /// Four hex digits, and nothing else: no sign, no prefix.
     fn hex4(&mut self) -> Result<u32, ParseError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
+        let Some(digits) = self.input.as_bytes().get(self.pos..self.pos + 4) else {
             return Err(self.err("truncated unicode escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .ok()
-            .and_then(|s| u32::from_str_radix(s, 16).ok())
+        };
+        let cp = digits
+            .iter()
+            .try_fold(0, |cp, &b| Some(cp * 16 + char::from(b).to_digit(16)?))
             .ok_or_else(|| self.err("invalid unicode escape"))?;
-        self.pos = end;
-        Ok(hex)
+        self.pos += 4;
+        Ok(cp)
     }
 
-    fn number(&mut self) -> Result<Value, ParseError> {
+    fn number(&mut self) -> Result<f64, ParseError> {
         let start = self.pos;
-        // Fast path: a plain integer of at most 15 digits (exact in
-        // f64) skips the float parser entirely — the wire is almost all
-        // small non-negative integers (indices, periods, ticks).
-        if matches!(self.peek(), Some(b'0'..=b'9')) {
-            let mut n: u64 = 0;
-            let int_start = self.pos;
-            while let Some(&b @ b'0'..=b'9') = self.bytes.get(self.pos) {
-                if self.pos - int_start == 15 {
-                    break; // longer than 15 digits: take the full path
-                }
-                n = n * 10 + u64::from(b - b'0');
-                self.pos += 1;
-            }
-            if !matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E')) {
-                return Ok(Value::Num(n as f64));
-            }
-            self.pos = start;
+        let digit = |b: u8| b.is_ascii_digit();
+        self.eat(|b| b == b'-');
+        self.skip(digit);
+        let integer = self.pos;
+        if self.eat(|b| b == b'.') {
+            self.skip(digit);
         }
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        if self.eat(|b| matches!(b, b'e' | b'E')) {
+            self.eat(|b| matches!(b, b'+' | b'-'));
+            self.skip(digit);
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let text = &self.input[start..self.pos];
+        // A plain integer of at most 15 digits is exact in f64 and skips
+        // the float parser: the wire is almost all indices and ticks.
+        if self.pos == integer && (1..=15).contains(&text.len()) && !text.starts_with('-') {
+            return Ok(text.bytes().fold(0, |n, b| n * 10 + u64::from(b - b'0')) as f64);
         }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| self.err("invalid number"))
+        text.parse().map_err(|_| self.err("invalid number"))
     }
 }
 
@@ -673,6 +825,61 @@ mod tests {
         let err = parse(r#"{"a": nope}"#).unwrap_err();
         assert_eq!(err.offset, 6);
         assert!(err.to_string().contains("byte 6"));
+    }
+
+    /// `u32::from_str_radix` takes a leading `+`; four hex digits do not.
+    #[test]
+    fn a_unicode_escape_is_four_hex_digits() {
+        let err = parse(r#""\u+041""#).unwrap_err();
+        assert_eq!(err.to_string(), "invalid unicode escape at byte 3");
+        assert_eq!(parse(r#""\u0041""#).unwrap(), Value::str("A"));
+    }
+
+    /// Only 0xDC00..=0xDFFF is a low surrogate: anything else after a
+    /// high surrogate is an error, not a character.
+    #[test]
+    fn a_high_surrogate_pairs_only_with_a_low_one() {
+        for bad in [
+            r#""\uD800\uE000""#,
+            r#""\uD800\u0041""#,
+            r#""\uD800\uD800""#,
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "invalid unicode escape at byte 13",
+                "{bad}"
+            );
+        }
+        assert_eq!(parse(r#""\uD800\uDC00""#).unwrap(), Value::str("\u{10000}"));
+        assert_eq!(
+            parse(r#""\uDBFF\uDFFF""#).unwrap(),
+            Value::str("\u{10FFFF}")
+        );
+    }
+
+    /// The tape reads as the tree does: first of duplicate keys, exact
+    /// array lengths, clean strings borrowed from the input and escaped
+    /// ones decoded.
+    #[test]
+    fn the_tape_reads_as_the_tree() {
+        let text = r#"{"a":[1,{"b":null},[2,3]],"a":0,"s":"x\ty","t":"plain","n":-2.5}"#;
+        let doc = Doc::parse(text).unwrap();
+        let root = doc.root();
+        assert_eq!(root.to_value(), parse(text).unwrap());
+        let a = root.get("a").and_then(Node::items).unwrap();
+        assert_eq!(a.len(), 3);
+        let a: Vec<Node<'_>> = a.collect();
+        assert_eq!(a[0].as_u64(), Some(1));
+        assert_eq!(a[1].get("b").map(Node::to_value), Some(Value::Null));
+        assert_eq!(a[2].items().map(|i| i.len()), Some(2));
+        assert_eq!(root.get("s").and_then(Node::as_str), Some("x\ty"));
+        let plain = root.get("t").and_then(Node::as_str).unwrap();
+        assert!(text.as_bytes().as_ptr_range().contains(&plain.as_ptr()));
+        assert_eq!(root.get("n").and_then(Node::as_f64), Some(-2.5));
+        assert_eq!(root.get("n").and_then(Node::as_u64), None);
+        assert_eq!(root.get("missing").map(Node::to_value), None);
+        assert_eq!(a[0].get("a").map(Node::to_value), None);
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! loses nothing, a power failure may lose the tail — which the
 //! torn-tail truncation then recovers past.
 
-use crate::json::{self, Value};
+use crate::json::{self, Doc, JsonRef};
 use crate::proto::AdmissionProtocol;
 use crate::wire::{self, SystemSpec, TaskSpec};
 use std::collections::HashMap;
@@ -397,9 +397,11 @@ impl Entry {
     }
 }
 
-/// Parses one journal/snapshot line; `None` marks it corrupt.
+/// Parses one journal/snapshot line, decoding from its tape; `None`
+/// marks it corrupt.
 fn parse_line(line: &str) -> Option<Entry> {
-    let v = json::parse(line).ok()?;
+    let doc = Doc::parse(line).ok()?;
+    let v = doc.root();
     let admitted = match v.get("verdict")?.as_str()? {
         "admit" => true,
         "reject" => false,
@@ -411,8 +413,10 @@ fn parse_line(line: &str) -> Option<Entry> {
     };
     let payload = match (v.get("system"), v.get("task")) {
         (Some(system), _) => Payload::Full(SystemSpec::from_json(system).ok()?),
-        (None, Some(Value::Str(name))) => Payload::OneTask(OneTask::Remove(name.clone())),
-        (None, Some(task)) => Payload::OneTask(OneTask::Append(wire::task_from_json(task).ok()?)),
+        (None, Some(task)) => Payload::OneTask(match task.as_str() {
+            Some(name) => OneTask::Remove(name.to_owned()),
+            None => OneTask::Append(wire::task_from_json(task).ok()?),
+        }),
         (None, None) => return None,
     };
     Some(Entry {

@@ -7,7 +7,7 @@
 //! including overload ([`ErrorCode::Overloaded`]) and per-request
 //! deadline misses ([`ErrorCode::Deadline`]).
 
-use crate::json::Value;
+use crate::json::{JsonRef, Value};
 use crate::wire::{self, SystemSpec, TaskSpec};
 use mpcp_alloc::Heuristic;
 use std::fmt;
@@ -125,21 +125,22 @@ pub enum Request {
 }
 
 impl Request {
-    /// Parses a request from a decoded JSON value.
+    /// Parses a request from a JSON value: a `&`[`Value`] or, as the
+    /// server reads it, a [`Node`](crate::json::Node) of the line's tape.
     ///
     /// # Errors
     ///
     /// `(ErrorCode::BadRequest, reason)` for unknown ops or missing
     /// fields.
-    pub fn from_json(v: &Value) -> Result<Request, (ErrorCode, String)> {
+    pub fn from_json<'v, V: JsonRef<'v>>(v: V) -> Result<Request, (ErrorCode, String)> {
         let bad = |m: &str| (ErrorCode::BadRequest, m.to_owned());
         let op = v
             .get("op")
-            .and_then(Value::as_str)
+            .and_then(V::as_str)
             .ok_or_else(|| bad("request needs a string \"op\""))?;
         match op {
             "ping" => Ok(Request::Ping {
-                delay_ms: v.get("delay_ms").and_then(Value::as_u64).unwrap_or(0),
+                delay_ms: v.get("delay_ms").and_then(V::as_u64).unwrap_or(0),
             }),
             "submit" => {
                 let session = required_session(v)?;
@@ -152,7 +153,7 @@ impl Request {
                     None => None,
                     Some(a) => Some(parse_alloc(a)?),
                 };
-                let protocol = match v.get("protocol").and_then(Value::as_str) {
+                let protocol = match v.get("protocol").and_then(V::as_str) {
                     None => AdmissionProtocol::default(),
                     Some(p) => p
                         .parse()
@@ -177,13 +178,13 @@ impl Request {
                 let session = required_session(v)?;
                 let task = v
                     .get("task")
-                    .and_then(Value::as_str)
+                    .and_then(V::as_str)
                     .ok_or_else(|| bad("remove-task needs a task name in \"task\""))?
                     .to_owned();
                 Ok(Request::RemoveTask { session, task })
             }
             "query" => Ok(Request::Query {
-                session: v.get("session").and_then(Value::as_str).map(str::to_owned),
+                session: v.get("session").and_then(V::as_str).map(str::to_owned),
             }),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(bad(&format!(
@@ -193,9 +194,9 @@ impl Request {
     }
 }
 
-fn required_session(v: &Value) -> Result<String, (ErrorCode, String)> {
+fn required_session<'v, V: JsonRef<'v>>(v: V) -> Result<String, (ErrorCode, String)> {
     v.get("session")
-        .and_then(Value::as_str)
+        .and_then(V::as_str)
         .map(str::to_owned)
         .ok_or_else(|| {
             (
@@ -205,18 +206,14 @@ fn required_session(v: &Value) -> Result<String, (ErrorCode, String)> {
         })
 }
 
-fn parse_alloc(v: &Value) -> Result<AllocDirective, (ErrorCode, String)> {
+fn parse_alloc<'v, V: JsonRef<'v>>(v: V) -> Result<AllocDirective, (ErrorCode, String)> {
     let bad = |m: String| (ErrorCode::BadRequest, m);
     let processors = v
         .get("processors")
-        .and_then(Value::as_u64)
+        .and_then(V::as_u64)
         .ok_or_else(|| bad("\"allocate\" needs a \"processors\" count".into()))?
         as usize;
-    let heuristic = match v
-        .get("heuristic")
-        .and_then(Value::as_str)
-        .unwrap_or("affinity")
-    {
+    let heuristic = match v.get("heuristic").and_then(V::as_str).unwrap_or("affinity") {
         "ffd" => Heuristic::FirstFitDecreasing,
         "bfd" => Heuristic::BestFitDecreasing,
         "wfd" => Heuristic::WorstFitDecreasing,

@@ -35,6 +35,7 @@
 //! error is flushed. Accepted sockets run with `TCP_NODELAY` so
 //! pipelined responses are not delayed by Nagle batching.
 
+use crate::json::Doc;
 use crate::proto::{error_response, ErrorCode, Request};
 use crate::server::{self, ServerState, MAX_LINE_BYTES};
 use crate::sys::{Event, Interest, Poller};
@@ -536,22 +537,17 @@ fn process_line(
         return;
     }
     state.count_request();
-    let parsed = {
-        let bytes = &conn.rbuf[range];
-        match std::str::from_utf8(bytes) {
-            Err(_) => Err("request is not valid UTF-8".to_owned()),
-            Ok(text) => crate::json::parse(text).map_err(|e| e.to_string()),
-        }
+    // The request is decoded straight from the line's tape, which
+    // borrows the read buffer: no `Value` tree, no string copied twice.
+    let request = match std::str::from_utf8(&conn.rbuf[range]) {
+        Err(_) => Err((ErrorCode::Parse, "request is not valid UTF-8".to_owned())),
+        Ok(text) => match Doc::parse(text) {
+            Err(e) => Err((ErrorCode::Parse, e.to_string())),
+            Ok(doc) => Request::from_json(doc.root()),
+        },
     };
     let seq = conn.claim_slot();
-    let parsed = match parsed {
-        Ok(v) => v,
-        Err(msg) => {
-            fill_error(conn, seq, ErrorCode::Parse, &msg);
-            return;
-        }
-    };
-    match Request::from_json(&parsed) {
+    match request {
         Err((code, msg)) => fill_error(conn, seq, code, &msg),
         Ok(req @ (Request::Query { .. } | Request::Shutdown)) => {
             conn.inbox.push_back(InboxItem::Control(seq, req));

@@ -21,7 +21,7 @@
 //! spec, so equal submissions hash equally regardless of how the client
 //! formatted its JSON.
 
-use crate::json::{Fnv1a, Value};
+use crate::json::{Fnv1a, JsonRef, Value};
 use mpcp_model::{Body, Segment, System, TaskDef};
 use std::fmt;
 use std::sync::Arc;
@@ -179,26 +179,21 @@ impl SystemSpec {
         ])
     }
 
-    /// Parses a spec out of a JSON value.
+    /// Parses a spec out of a JSON value (a `&`[`Value`] or a tape
+    /// [`Node`](crate::json::Node)).
     ///
     /// # Errors
     ///
     /// A [`WireError`] naming the missing or ill-typed field.
-    pub fn from_json(v: &Value) -> Result<SystemSpec, WireError> {
-        let processors = name_list(v, "processors")?;
-        let resources = name_list(v, "resources")?;
-        let tasks = match v.get("tasks") {
-            Some(Value::Arr(items)) => items
-                .iter()
-                .map(task_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            Some(_) => return err("\"tasks\" must be an array"),
-            None => Vec::new(),
-        };
+    pub fn from_json<'v, V: JsonRef<'v>>(v: V) -> Result<SystemSpec, WireError> {
         Ok(SystemSpec {
-            processors,
-            resources,
-            tasks,
+            processors: name_list(v, "processors")?,
+            resources: name_list(v, "resources")?,
+            tasks: list(
+                v.get("tasks"),
+                || "\"tasks\" must be an array".into(),
+                task_from_json,
+            )?,
         })
     }
 
@@ -439,7 +434,7 @@ fn seg_to_json(s: &SegSpec) -> Value {
     }
 }
 
-fn seg_from_json(v: &Value) -> Result<SegSpec, WireError> {
+fn seg_from_json<'v, V: JsonRef<'v>>(v: V) -> Result<SegSpec, WireError> {
     if let Some(d) = v.get("compute") {
         return d
             .as_u64()
@@ -456,14 +451,8 @@ fn seg_from_json(v: &Value) -> Result<SegSpec, WireError> {
         let r = r
             .as_u64()
             .ok_or_else(|| WireError("\"critical\" must be a resource index".into()))?;
-        let body = match v.get("body") {
-            Some(Value::Arr(items)) => items
-                .iter()
-                .map(seg_from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            Some(_) => return err("critical \"body\" must be an array"),
-            None => Vec::new(),
-        };
+        let not_array = || "critical \"body\" must be an array".into();
+        let body = list(v.get("body"), not_array, seg_from_json)?;
         return Ok(SegSpec::Critical(r as usize, body));
     }
     err("segment must have \"compute\", \"suspend\" or \"critical\"")
@@ -493,20 +482,20 @@ fn task_to_json(t: &TaskSpec) -> Value {
 
 /// Parses one task out of its JSON object. Public because `add-task`
 /// requests carry a bare task, not a whole system.
-pub fn task_from_json(v: &Value) -> Result<TaskSpec, WireError> {
+pub fn task_from_json<'v, V: JsonRef<'v>>(v: V) -> Result<TaskSpec, WireError> {
     let name = v
         .get("name")
-        .and_then(Value::as_str)
+        .and_then(V::as_str)
         .ok_or_else(|| WireError("task needs a string \"name\"".into()))?
         .to_owned();
     let processor = v
         .get("processor")
-        .and_then(Value::as_u64)
+        .and_then(V::as_u64)
         .ok_or_else(|| WireError(format!("task {name:?} needs a \"processor\" index")))?
         as usize;
     let period = v
         .get("period")
-        .and_then(Value::as_u64)
+        .and_then(V::as_u64)
         .ok_or_else(|| WireError(format!("task {name:?} needs an integer \"period\"")))?;
     let deadline = match v.get("deadline") {
         None => None,
@@ -529,14 +518,8 @@ pub fn task_from_json(v: &Value) -> Result<TaskSpec, WireError> {
                 .ok_or_else(|| WireError(format!("task {name:?}: bad \"priority\"")))?,
         ),
     };
-    let body = match v.get("body") {
-        Some(Value::Arr(items)) => items
-            .iter()
-            .map(seg_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
-        Some(_) => return err(format!("task {name:?}: \"body\" must be an array")),
-        None => Vec::new(),
-    };
+    let not_array = || format!("task {name:?}: \"body\" must be an array");
+    let body = list(v.get("body"), not_array, seg_from_json)?;
     Ok(TaskSpec {
         name,
         processor,
@@ -548,19 +531,29 @@ pub fn task_from_json(v: &Value) -> Result<TaskSpec, WireError> {
     })
 }
 
-fn name_list(v: &Value, key: &str) -> Result<Vec<String>, WireError> {
-    match v.get(key) {
-        Some(Value::Arr(items)) => items
-            .iter()
-            .map(|i| {
-                i.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| WireError(format!("{key:?} entries must be strings")))
-            })
-            .collect(),
-        Some(_) => err(format!("{key:?} must be an array of names")),
-        None => Ok(Vec::new()),
+fn name_list<'v, V: JsonRef<'v>>(v: V, key: &str) -> Result<Vec<String>, WireError> {
+    let not_array = || format!("{key:?} must be an array of names");
+    list(v.get(key), not_array, |name| {
+        name.as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| WireError(format!("{key:?} entries must be strings")))
+    })
+}
+
+/// Decodes each element of an array with `f`, into a `Vec` of exactly
+/// their number; an absent array is empty.
+fn list<'v, V: JsonRef<'v>, T>(
+    v: Option<V>,
+    not_array: impl FnOnce() -> String,
+    mut f: impl FnMut(V) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let Some(v) = v else { return Ok(Vec::new()) };
+    let items = v.items().ok_or_else(|| WireError(not_array()))?;
+    let mut out = Vec::with_capacity(items.len());
+    for item in items {
+        out.push(f(item)?);
     }
+    Ok(out)
 }
 
 #[cfg(test)]

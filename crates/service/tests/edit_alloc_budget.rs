@@ -1,4 +1,5 @@
-//! Allocation budget of an incremental edit.
+//! Allocation budgets of an incremental edit and of decoding a submit
+//! line.
 //!
 //! An `add-task` / `remove-task` of a compute-only task recomputes one
 //! task and one processor, whatever the session's size; this test keeps
@@ -11,6 +12,7 @@
 //! derived facts, dependency graph, verdict rows and reply were each
 //! rebuilt for all 320 tasks.
 
+use mpcp_service::json::{Doc, Value};
 use mpcp_service::proto::AdmissionProtocol;
 use mpcp_service::{
     analyze, spawn, Request, SegSpec, ServerConfig, ServerHandle, SystemSpec, TaskSpec,
@@ -18,6 +20,7 @@ use mpcp_service::{
 use mpcp_taskgen::{generate, WorkloadConfig};
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -44,6 +47,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// The counter is global: the tests take turns, so neither counts the
+/// other's allocations.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Allocations allowed per edit.
 const BUDGET: u64 = 2_000;
@@ -110,6 +120,7 @@ fn counted(server: &ServerHandle, request: &Request) -> u64 {
 
 #[test]
 fn an_edit_of_a_320_task_session_stays_within_the_allocation_budget() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("mpcp-alloc-budget-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let server = spawn(&ServerConfig {
@@ -174,4 +185,72 @@ fn an_edit_of_a_320_task_session_stays_within_the_allocation_budget() {
     }
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Allocations allowed to parse one request line onto its tape.
+const PARSE_BUDGET: u64 = 4;
+
+/// Allocations allowed to parse and decode a submit line beyond those of
+/// a clone of the system it carries.
+const DECODE_OVERHEAD: u64 = 4;
+
+/// Decoding a submit line allocates what the request holds and little
+/// else. On 64 benchmark-shaped submit lines (the `serve-*` family: 4
+/// processors × 4 tasks, ~2 KB each), the tape takes at most
+/// [`PARSE_BUDGET`] allocations, and tape plus [`Request::from_json`] at
+/// most [`DECODE_OVERHEAD`] more than cloning the decoded [`SystemSpec`]
+/// (~60). Before the parser wrote a tape, `json::parse` built a `Value`
+/// tree of ~296 allocations per such line, and parse plus decode made
+/// ~365 (means over these 64 lines).
+#[test]
+fn decoding_a_submit_line_allocates_little_more_than_the_request() {
+    let _serial = serial();
+    let family = WorkloadConfig::default()
+        .processors(4)
+        .tasks_per_processor(4)
+        .utilization(0.4)
+        .resources(1, 2)
+        .sections(0, 2);
+    let (mut parsed, mut decoded, mut cloned) = (0, 0, 0);
+    for i in 0..64u64 {
+        let spec = SystemSpec::from_system(&generate(&family, 7 + i));
+        let line = Value::obj([
+            ("op", Value::str("submit")),
+            ("session", Value::str(format!("s{}", i % 16))),
+            ("system", spec.to_json()),
+        ])
+        .encode();
+        assert!((1_000..4_000).contains(&line.len()), "{} B", line.len());
+
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let doc = Doc::parse(&line).unwrap();
+        let parse = ALLOCS.load(Ordering::Relaxed) - before;
+        let request = Request::from_json(doc.root()).unwrap();
+        drop(doc);
+        let decode = ALLOCS.load(Ordering::Relaxed) - before;
+        let Request::Submit { system, .. } = &request else {
+            panic!("{request:?}")
+        };
+        assert_eq!(system, &spec);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let copy = system.clone();
+        let clone = ALLOCS.load(Ordering::Relaxed) - before;
+        drop(copy);
+
+        assert!(
+            parse <= PARSE_BUDGET,
+            "line {i}: {parse} allocations to parse"
+        );
+        assert!(
+            decode <= clone + DECODE_OVERHEAD,
+            "line {i}: {decode} allocations to parse and decode, {clone} to clone"
+        );
+        (parsed, decoded, cloned) = (parsed + parse, decoded + decode, cloned + clone);
+    }
+    println!(
+        "allocations per submit line: parse {:.2}, parse + decode {:.2}, clone {:.2}",
+        parsed as f64 / 64.0,
+        decoded as f64 / 64.0,
+        cloned as f64 / 64.0
+    );
 }
