@@ -51,7 +51,6 @@ impl DeltaStats {
 /// updated incrementally.
 #[derive(Debug, Clone)]
 pub struct DeltaBounds {
-    config: BlockingConfig,
     /// Finished [`BoundSet`] rows. Their `task`/`processor` ids are
     /// those of the update that wrote them and are re-stamped on read.
     /// Keyed by the tasks' own shared names: a transactional clone of
@@ -67,20 +66,7 @@ impl DeltaBounds {
     ///
     /// Same preconditions as [`crate::mpcp_bounds`].
     pub fn full(system: &System) -> Result<DeltaBounds, AnalysisError> {
-        DeltaBounds::full_with(system, BlockingConfig::paper())
-    }
-
-    /// [`DeltaBounds::full`] with an explicit configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same preconditions as [`crate::mpcp_bounds`].
-    pub fn full_with(
-        system: &System,
-        config: BlockingConfig,
-    ) -> Result<DeltaBounds, AnalysisError> {
         let mut this = DeltaBounds {
-            config,
             rows: BTreeMap::new(),
             stats: DeltaStats::default(),
         };
@@ -92,7 +78,7 @@ impl DeltaBounds {
     /// names (plus anything not cached yet) and dropping entries for
     /// tasks that no longer exist. On error the caches are unchanged
     /// and must be considered stale — rebuild with
-    /// [`DeltaBounds::full_with`] once the system is analyzable again.
+    /// [`DeltaBounds::full`] once the system is analyzable again.
     ///
     /// # Errors
     ///
@@ -126,7 +112,8 @@ impl DeltaBounds {
         let recompute = |this: &mut Self, idx: usize, stats: &mut DeltaStats| {
             stats.tasks_recomputed += 1;
             let terms: Terms =
-                BlockingBreakdown::compute(&facts, &facts.tasks[idx], this.config).terms();
+                BlockingBreakdown::compute(&facts, &facts.tasks[idx], BlockingConfig::paper())
+                    .terms();
             let task = &system.tasks()[idx];
             // The Theorem 3 half is filled in below: a dirty task's
             // processor is always dirty too.

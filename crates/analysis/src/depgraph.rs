@@ -402,12 +402,6 @@ impl DepGraph {
             .count()
     }
 
-    /// The DPCP host processor of `resource`, if it is used.
-    pub fn host_of(&self, resource: &str) -> Option<&str> {
-        let r = self.resources.iter().find(|r| r.name == resource)?;
-        r.host.map(|p| self.proc_names[p].as_str())
-    }
-
     fn task_idx(&self, name: &str) -> Option<usize> {
         self.by_name
             .binary_search_by(|&i| (*self.tasks[i].name).cmp(name))
@@ -1002,7 +996,8 @@ mod tests {
         let sys = with_t3();
         let g = DepGraph::build(&sys, None);
         // Host of SG is the processor of its highest-priority user t3 (P1).
-        assert_eq!(g.host_of("SG"), Some("P1"));
+        let sg = g.resources.iter().find(|r| r.name == "SG").unwrap();
+        assert_eq!(sg.host.map(|p| g.proc_names[p].as_str()), Some("P1"));
         let d = dirty_set(&g, &g, &Edit::RehostResource("SG".into()));
         assert!(!d.full);
         for t in ["t0", "t1", "t3"] {

@@ -58,7 +58,7 @@ impl PollingServer {
     ///
     /// Panics if `demand` is zero.
     #[track_caller]
-    pub fn worst_case_response(&self, demand: Dur, server_response: Dur) -> Dur {
+    fn worst_case_response(&self, demand: Dur, server_response: Dur) -> Dur {
         assert!(!demand.is_zero(), "zero-demand request");
         let polls = self.polls_needed(demand);
         // Miss the current poll entirely (one period), then (polls - 1)

@@ -1,7 +1,7 @@
 //! The per-experiment harness: one function per table/figure of the
-//! paper (see DESIGN.md's experiment index). Each returns a printable
-//! report; structured helpers used by the integration tests are public
-//! too.
+//! paper (see DESIGN.md's experiment index), reached through
+//! [`by_name`]. Each returns a printable report; the experiments and
+//! structured helpers the integration tests call are public too.
 
 use crate::paper;
 use mpcp_analysis::{self as analysis, Analysis, BlockingConfig, BoundSet};
@@ -104,7 +104,7 @@ pub fn e4_gcs_priority_table() -> String {
 }
 
 /// Runs the Example 4 schedule and returns the simulator for inspection.
-pub fn example4_simulation() -> Simulator<Box<dyn mpcp_sim::Protocol>> {
+fn example4_simulation() -> Simulator<Box<dyn mpcp_sim::Protocol>> {
     let (sys, _) = paper::example3();
     let mut sim = Simulator::new(&sys, ProtocolKind::Mpcp.build());
     sim.run_until(20);
@@ -133,7 +133,7 @@ pub fn e5_example4_trace() -> String {
 }
 
 /// E6 (Figure 4-1): the machine block diagram.
-pub fn e6_machine_diagram() -> String {
+fn e6_machine_diagram() -> String {
     format!(
         "E6 — Figure 4-1: shared-memory multiprocessor configuration\n{}",
         Machine::new().with_shared_modules(2).diagram(3)
@@ -289,7 +289,7 @@ pub fn validate_bounds_once(seed: u64) -> Vec<(TaskId, Dur, Dur)> {
 
 /// E8 (§5.1): the five blocking factors for the Example 3 system, plus a
 /// simulation-vs-bound validation over random systems.
-pub fn e8_blocking_factors() -> String {
+fn e8_blocking_factors() -> String {
     let (sys, _) = paper::example3();
     let bounds = Analysis::Mpcp
         .bounds(&sys, BlockingConfig::paper())
@@ -325,7 +325,7 @@ pub fn e8_blocking_factors() -> String {
 
 /// E9 (§5.2): MPCP vs DPCP blocking bounds while sweeping the fraction of
 /// critical sections that touch global semaphores.
-pub fn e9_mpcp_vs_dpcp() -> String {
+fn e9_mpcp_vs_dpcp() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -420,7 +420,7 @@ pub fn sched_fraction(util: f64, n: u64) -> (f64, f64, f64) {
 }
 
 /// E10 (Theorem 3 / §5.3): schedulability curves vs utilization.
-pub fn e10_schedulability_curves() -> String {
+fn e10_schedulability_curves() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -492,7 +492,7 @@ pub fn theorem1_point(n: usize) -> (Dur, Dur) {
 
 /// E11 (Theorem 1): a job suspending `n` times is blocked by at most
 /// `n+1` lower-priority critical sections.
-pub fn e11_theorem1() -> String {
+fn e11_theorem1() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -518,7 +518,7 @@ pub fn e11_theorem1() -> String {
 
 /// E12 (§5.1 nesting remark): blocking bounds after collapsing nested
 /// global sections into group locks, for increasing nesting probability.
-pub fn e12_nesting() -> String {
+fn e12_nesting() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -580,7 +580,7 @@ pub fn e12_nesting() -> String {
 /// E15 (§5.4 cost model): sensitivity of blocking and response times to
 /// the hardware overheads of Figure 4-1 — semaphore operation cost and
 /// backplane bus delay — on the Example 3 system.
-pub fn e15_overhead_sensitivity() -> String {
+fn e15_overhead_sensitivity() -> String {
     let (sys, _) = paper::example3();
     let mut out = String::new();
     let _ = writeln!(

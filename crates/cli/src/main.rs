@@ -102,68 +102,68 @@ struct Command {
 mod table {
     use super::*;
 
-    pub const ID: Flag = flag("id", Operand, None, "an experiment of the list below");
-    pub const SEED: Flag = flag("seed", Uint, of!(1), "generator seed");
-    pub const PROCS: Flag = flag("procs", Uint, of!(4), "processors");
-    pub const TASKS: Flag = flag("tasks", Uint, of!(4), "tasks per processor");
-    pub const UTIL: Flag = flag("util", Real, of!(0.4), "utilization per processor");
-    pub const GLOBALS: Flag = flag("globals", Uint, of!(2), "global semaphores");
-    pub const LOCALS: Flag = flag("locals", Uint, of!(1), "local semaphores per processor");
-    pub const GSECTIONS: Flag = flag("gsections", Uint, of!(0), "force ≥N global critical sections per job");
-    pub const EXAMPLE: Flag = flag("example", Text, None, "paper example 1|2|3 or `deadlock` (a broken demo), not a random system");
-    pub const JSON: Flag = flag("json", Switch, None, "machine-readable output");
-    pub const CSV: Flag = flag("csv", Switch, None, "comma-separated output");
-    pub const PROTOCOL: Flag = flag("protocol", Text, None, "one protocol of the list below");
-    pub const UNTIL: Flag = flag("until", Uint, of!(100_000), "simulation horizon");
-    pub const GANTT: Flag = flag("gantt", Switch, None, "also print the schedule as a Gantt chart");
-    pub const WINDOW: Flag = flag("window", Uint, of!(200), "ticks the Gantt chart shows");
-    pub const HORIZON: Flag = flag("horizon", Uint, of!(SweepConfig::default().horizon_cap), "per-scenario simulation cap");
-    pub const SCENARIOS: Flag = flag("scenarios", Uint, of!(SweepConfig::default().scenarios), "scenarios to run");
-    pub const JOBS: Flag = flag("jobs", Uint, of!(SweepConfig::default().jobs), "worker threads; the report is identical for any value");
-    pub const UTIL_LO: Flag = flag("util-lo", Real, of!(SweepConfig::default().util_lo), "lowest utilization of the grid");
-    pub const UTIL_HI: Flag = flag("util-hi", Real, of!(SweepConfig::default().util_hi), "highest utilization of the grid");
-    pub const UTIL_STEPS: Flag = flag("util-steps", Uint, of!(SweepConfig::default().util_steps), "grid points");
-    pub const AUDIT_STRIDE: Flag = flag("audit-stride", Uint, of!(SweepConfig::default().audit_stride), "audit every Nth scenario by index (--jobs-independent)");
-    pub const NO_SHRINK: Flag = flag("no-shrink", Switch, None, "skip counterexample minimization");
-    pub const CHECK_RESPONSE: Flag = flag("check-response", Switch, None, "treat the (advisory) RTA response comparison as a hard oracle");
-    pub const MAX_OFFSET: Flag = flag("max-offset", Uint, of!(CheckerConfig::default().max_offset), "largest release offset tried");
-    pub const STEP: Flag = flag("step", Uint, of!(CheckerConfig::default().offset_step), "release-offset grid step");
-    pub const MAX_VARIANTS: Flag = flag("max-variants", Uint, of!(CheckerConfig::default().max_variants), "enumeration cap");
-    pub const STEPS: Flag = flag("steps", Uint, None, "tasks the edit script cycles through (default: all)");
-    pub const PORT: Flag = flag("port", Uint, None, "127.0.0.1:N in place of --addr (0: an ephemeral port)");
-    pub const ADDR: Flag = flag("addr", Text, of!(ServerConfig::default().addr), "address to bind, or to drive");
-    pub const WORKERS: Flag = flag("workers", Uint, of!(ServerConfig::default().workers), "analysis worker threads");
-    pub const QUEUE: Flag = flag("queue", Uint, of!(ServerConfig::default().queue_cap), "pending-request bound");
-    pub const DEADLINE_MS: Flag = flag("deadline-ms", Uint, of!(ServerConfig::default().deadline.as_millis()), "per-request deadline");
-    pub const CACHE: Flag = flag("cache", Uint, of!(ServerConfig::default().cache_capacity), "analysis-cache entries");
-    pub const NO_INCREMENTAL: Flag = flag("no-incremental", Switch, None, "full analysis for every add-task/remove-task");
-    pub const AUDIT_EVERY: Flag = flag("audit-every", Uint, of!(ServerConfig::default().audit_every), "audit every Nth incremental result (0: never)");
-    pub const SHARDS: Flag = flag("shards", Uint, of!(ServerConfig::default().shards), "reactor event-loop shards");
-    pub const MAX_PIPELINE: Flag = flag("max-pipeline", Uint, of!(ServerConfig::default().max_pipeline), "per-connection in-flight bound");
-    pub const READ_DEADLINE_MS: Flag = flag("read-deadline-ms", Uint, of!(ServerConfig::default().read_deadline.as_millis()), "slow-loris partial-line deadline (0: none)");
-    pub const IDLE_MS: Flag = flag("idle-ms", Uint, of!(ServerConfig::default().idle_timeout.as_millis()), "drop connections idle this long (0: never)");
-    pub const PERSIST: Flag = flag("persist", Text, None, "directory of the session journal and snapshots, replayed on startup");
-    pub const SNAPSHOT_EVERY: Flag = flag("snapshot-every", Uint, of!(ServerConfig::default().snapshot_every), "journal entries per snapshot compaction");
-    pub const REQUESTS: Flag = flag("requests", Uint, of!(LoadgenConfig::default().requests), "requests to send");
-    pub const CONNECTIONS: Flag = flag("connections", Uint, of!(LoadgenConfig::default().connections), "client connections");
-    pub const RATE: Flag = flag("rate", Uint, of!(LoadgenConfig::default().rate), "target req/s (0: unpaced)");
-    pub const PIPELINE: Flag = flag("pipeline", Uint, of!(LoadgenConfig::default().pipeline), "requests in flight per connection");
-    pub const OPEN: Flag = flag("open", Switch, None, "open-loop arrivals: latency from the schedule, needs --rate");
-    pub const UNIQUE: Flag = flag("unique", Uint, of!(LoadgenConfig::default().unique), "distinct systems to cycle");
+    pub(super) const ID: Flag = flag("id", Operand, None, "an experiment of the list below");
+    pub(super) const SEED: Flag = flag("seed", Uint, of!(1), "generator seed");
+    pub(super) const PROCS: Flag = flag("procs", Uint, of!(4), "processors");
+    pub(super) const TASKS: Flag = flag("tasks", Uint, of!(4), "tasks per processor");
+    pub(super) const UTIL: Flag = flag("util", Real, of!(0.4), "utilization per processor");
+    pub(super) const GLOBALS: Flag = flag("globals", Uint, of!(2), "global semaphores");
+    pub(super) const LOCALS: Flag = flag("locals", Uint, of!(1), "local semaphores per processor");
+    pub(super) const GSECTIONS: Flag = flag("gsections", Uint, of!(0), "force ≥N global critical sections per job");
+    pub(super) const EXAMPLE: Flag = flag("example", Text, None, "paper example 1|2|3 or `deadlock` (a broken demo), not a random system");
+    pub(super) const JSON: Flag = flag("json", Switch, None, "machine-readable output");
+    pub(super) const CSV: Flag = flag("csv", Switch, None, "comma-separated output");
+    pub(super) const PROTOCOL: Flag = flag("protocol", Text, None, "one protocol of the list below");
+    pub(super) const UNTIL: Flag = flag("until", Uint, of!(100_000), "simulation horizon");
+    pub(super) const GANTT: Flag = flag("gantt", Switch, None, "also print the schedule as a Gantt chart");
+    pub(super) const WINDOW: Flag = flag("window", Uint, of!(200), "ticks the Gantt chart shows");
+    pub(super) const HORIZON: Flag = flag("horizon", Uint, of!(SweepConfig::default().horizon_cap), "per-scenario simulation cap");
+    pub(super) const SCENARIOS: Flag = flag("scenarios", Uint, of!(SweepConfig::default().scenarios), "scenarios to run");
+    pub(super) const JOBS: Flag = flag("jobs", Uint, of!(SweepConfig::default().jobs), "worker threads; the report is identical for any value");
+    pub(super) const UTIL_LO: Flag = flag("util-lo", Real, of!(SweepConfig::default().util_lo), "lowest utilization of the grid");
+    pub(super) const UTIL_HI: Flag = flag("util-hi", Real, of!(SweepConfig::default().util_hi), "highest utilization of the grid");
+    pub(super) const UTIL_STEPS: Flag = flag("util-steps", Uint, of!(SweepConfig::default().util_steps), "grid points");
+    pub(super) const AUDIT_STRIDE: Flag = flag("audit-stride", Uint, of!(SweepConfig::default().audit_stride), "audit every Nth scenario by index (--jobs-independent)");
+    pub(super) const NO_SHRINK: Flag = flag("no-shrink", Switch, None, "skip counterexample minimization");
+    pub(super) const CHECK_RESPONSE: Flag = flag("check-response", Switch, None, "treat the (advisory) RTA response comparison as a hard oracle");
+    pub(super) const MAX_OFFSET: Flag = flag("max-offset", Uint, of!(CheckerConfig::default().max_offset), "largest release offset tried");
+    pub(super) const STEP: Flag = flag("step", Uint, of!(CheckerConfig::default().offset_step), "release-offset grid step");
+    pub(super) const MAX_VARIANTS: Flag = flag("max-variants", Uint, of!(CheckerConfig::default().max_variants), "enumeration cap");
+    pub(super) const STEPS: Flag = flag("steps", Uint, None, "tasks the edit script cycles through (default: all)");
+    pub(super) const PORT: Flag = flag("port", Uint, None, "127.0.0.1:N in place of --addr (0: an ephemeral port)");
+    pub(super) const ADDR: Flag = flag("addr", Text, of!(ServerConfig::default().addr), "address to bind, or to drive");
+    pub(super) const WORKERS: Flag = flag("workers", Uint, of!(ServerConfig::default().workers), "analysis worker threads");
+    pub(super) const QUEUE: Flag = flag("queue", Uint, of!(ServerConfig::default().queue_cap), "pending-request bound");
+    pub(super) const DEADLINE_MS: Flag = flag("deadline-ms", Uint, of!(ServerConfig::default().deadline.as_millis()), "per-request deadline");
+    pub(super) const CACHE: Flag = flag("cache", Uint, of!(ServerConfig::default().cache_capacity), "analysis-cache entries");
+    pub(super) const NO_INCREMENTAL: Flag = flag("no-incremental", Switch, None, "full analysis for every add-task/remove-task");
+    pub(super) const AUDIT_EVERY: Flag = flag("audit-every", Uint, of!(ServerConfig::default().audit_every), "audit every Nth incremental result (0: never)");
+    pub(super) const SHARDS: Flag = flag("shards", Uint, of!(ServerConfig::default().shards), "reactor event-loop shards");
+    pub(super) const MAX_PIPELINE: Flag = flag("max-pipeline", Uint, of!(ServerConfig::default().max_pipeline), "per-connection in-flight bound");
+    pub(super) const READ_DEADLINE_MS: Flag = flag("read-deadline-ms", Uint, of!(ServerConfig::default().read_deadline.as_millis()), "slow-loris partial-line deadline (0: none)");
+    pub(super) const IDLE_MS: Flag = flag("idle-ms", Uint, of!(ServerConfig::default().idle_timeout.as_millis()), "drop connections idle this long (0: never)");
+    pub(super) const PERSIST: Flag = flag("persist", Text, None, "directory of the session journal and snapshots, replayed on startup");
+    pub(super) const SNAPSHOT_EVERY: Flag = flag("snapshot-every", Uint, of!(ServerConfig::default().snapshot_every), "journal entries per snapshot compaction");
+    pub(super) const REQUESTS: Flag = flag("requests", Uint, of!(LoadgenConfig::default().requests), "requests to send");
+    pub(super) const CONNECTIONS: Flag = flag("connections", Uint, of!(LoadgenConfig::default().connections), "client connections");
+    pub(super) const RATE: Flag = flag("rate", Uint, of!(LoadgenConfig::default().rate), "target req/s (0: unpaced)");
+    pub(super) const PIPELINE: Flag = flag("pipeline", Uint, of!(LoadgenConfig::default().pipeline), "requests in flight per connection");
+    pub(super) const OPEN: Flag = flag("open", Switch, None, "open-loop arrivals: latency from the schedule, needs --rate");
+    pub(super) const UNIQUE: Flag = flag("unique", Uint, of!(LoadgenConfig::default().unique), "distinct systems to cycle");
 
     /// The seeded `taskgen` system most commands work on.
-    pub const RANDOM_SYSTEM: Group = Group { name: "random-system", flags: &[SEED, PROCS, TASKS, UTIL, GLOBALS, LOCALS, GSECTIONS] };
-    pub const TARGET: Group = Group { name: "target", flags: &[EXAMPLE] };
+    pub(super) const RANDOM_SYSTEM: Group = Group { name: "random-system", flags: &[SEED, PROCS, TASKS, UTIL, GLOBALS, LOCALS, GSECTIONS] };
+    pub(super) const TARGET: Group = Group { name: "target", flags: &[EXAMPLE] };
     /// The scenario family of `sweep` and `shootout`: seed, workers, horizon, the
     /// utilization grid, and the system shape at each of its points.
-    pub const GRID: Group = Group { name: "grid", flags: &[
+    pub(super) const GRID: Group = Group { name: "grid", flags: &[
         SEED.or(of!(SweepConfig::default().seed)), JOBS, HORIZON, UTIL_LO, UTIL_HI, UTIL_STEPS, PROCS,
         TASKS.or(of!(SweepConfig::default().workload.tasks_per_processor)), GLOBALS, LOCALS, GSECTIONS,
     ] };
-    pub const REPORT_FORMAT: Group = Group { name: "report-format", flags: &[JSON, CSV] };
-    pub const GROUPS: [&Group; 4] = [&RANDOM_SYSTEM, &TARGET, &GRID, &REPORT_FORMAT];
+    pub(super) const REPORT_FORMAT: Group = Group { name: "report-format", flags: &[JSON, CSV] };
+    pub(super) const GROUPS: [&Group; 4] = [&RANDOM_SYSTEM, &TARGET, &GRID, &REPORT_FORMAT];
 
-    pub const COMMANDS: [Command; 13] = [
+    pub(super) const COMMANDS: [Command; 13] = [
         Command { name: "exp", summary: "regenerate a paper table/figure", run: run_exp, flags: &[ID], groups: &[] },
         Command { name: "trace", summary: "Example 4 schedule under MPCP (Figure 5-1)", run: run_trace,
             flags: &[UNTIL.or(of!(20)), CSV.says("events, then slices, as CSV")], groups: &[] },

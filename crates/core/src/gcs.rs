@@ -51,15 +51,6 @@ impl GcsPriorities {
         self.map.get(&(task, resource)).copied()
     }
 
-    /// The highest gcs priority `task` ever runs at, if it has any gcs.
-    pub fn max_of_task(&self, task: TaskId) -> Option<Priority> {
-        self.map
-            .iter()
-            .filter(|((t, _), _)| *t == task)
-            .map(|(_, p)| *p)
-            .max()
-    }
-
     /// Iterates over all `((task, resource), priority)` entries in
     /// unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = ((TaskId, ResourceId), Priority)> + '_ {
@@ -123,14 +114,5 @@ mod tests {
         let t = |i: u32| TaskId::from_index(i);
         assert_eq!(g.of(t(3), sl), None); // local resource
         assert_eq!(g.of(t(3), sg), None); // task does not use SG
-    }
-
-    #[test]
-    fn max_of_task() {
-        let (sys, _, _) = sample();
-        let g = GcsPriorities::compute(&sys);
-        let t = |i: u32| TaskId::from_index(i);
-        assert_eq!(g.max_of_task(t(1)), Some(Priority::global(5)));
-        assert_eq!(g.max_of_task(t(3)), None);
     }
 }

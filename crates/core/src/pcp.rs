@@ -75,7 +75,7 @@ impl<J: Copy + Eq + std::fmt::Debug> Pcp<J> {
 
     /// The highest-ceiling semaphore locked by jobs other than `job`
     /// (the paper's `S*`), if any.
-    pub fn system_ceiling_excluding(&self, job: J) -> Option<(&ResourceId, J, Priority)> {
+    fn system_ceiling_excluding(&self, job: J) -> Option<(&ResourceId, J, Priority)> {
         self.held
             .iter()
             .filter(|h| h.holder != job)
@@ -145,15 +145,6 @@ impl<J: Copy + Eq + std::fmt::Debug> Pcp<J> {
             .iter()
             .find(|h| h.resource == resource)
             .map(|h| h.holder)
-    }
-
-    /// Resources currently held by `job`, in lock order.
-    pub fn held_by(&self, job: J) -> Vec<ResourceId> {
-        self.held
-            .iter()
-            .filter(|h| h.holder == job)
-            .map(|h| h.resource)
-            .collect()
     }
 
     /// Whether any semaphore is currently locked.
@@ -230,6 +221,7 @@ mod tests {
     fn unlock_restores_access() {
         let mut pcp: Pcp<u8> = Pcp::new();
         pcp.lock(1, r(0), p(5));
+        assert_eq!(pcp.holder(r(0)), Some(1));
         pcp.unlock(1, r(0)).unwrap();
         assert_eq!(pcp.try_lock(2, p(1), r(1)), PcpDecision::Granted);
         assert_eq!(pcp.holder(r(0)), None);
@@ -241,15 +233,6 @@ mod tests {
         pcp.lock(1, r(0), p(5));
         assert!(pcp.unlock(2, r(0)).is_err());
         assert!(pcp.unlock(1, r(1)).is_err());
-    }
-
-    #[test]
-    fn held_by_lists_in_lock_order() {
-        let mut pcp: Pcp<u8> = Pcp::new();
-        pcp.lock(1, r(2), p(5));
-        pcp.lock(1, r(0), p(5));
-        assert_eq!(pcp.held_by(1), vec![r(2), r(0)]);
-        assert_eq!(pcp.holder(r(2)), Some(1));
     }
 
     #[test]

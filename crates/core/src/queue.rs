@@ -79,11 +79,6 @@ impl<K: Ord, V> PrioQueue<K, V> {
         self.heap.pop().map(|e| e.value)
     }
 
-    /// The highest-priority value without removing it.
-    pub fn peek(&self) -> Option<&V> {
-        self.heap.peek().map(|e| &e.value)
-    }
-
     /// The key of the highest-priority value.
     pub fn peek_key(&self) -> Option<&K> {
         self.heap.peek().map(|e| &e.key)
@@ -97,32 +92,6 @@ impl<K: Ord, V> PrioQueue<K, V> {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Iterates over queued values in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = &V> {
-        self.heap.iter().map(|e| &e.value)
-    }
-
-    /// Removes every value matching `pred`; returns how many were removed.
-    pub fn remove_where(&mut self, mut pred: impl FnMut(&V) -> bool) -> usize
-    where
-        K: Clone,
-        V: Clone,
-    {
-        let before = self.heap.len();
-        let kept: Vec<Entry<K, V>> = self.heap.drain().filter(|e| !pred(&e.value)).collect();
-        self.heap.extend(kept);
-        before - self.heap.len()
-    }
-
-    /// Drains the queue in priority order.
-    pub fn drain_ordered(&mut self) -> Vec<V> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(v) = self.pop() {
-            out.push(v);
-        }
-        out
     }
 }
 
@@ -144,7 +113,8 @@ mod tests {
         q.push(Priority::task(3), 'b');
         q.push(Priority::task(3), 'c');
         q.push(Priority::global(0), 'd');
-        assert_eq!(q.drain_ordered(), vec!['d', 'b', 'c', 'a']);
+        let order: Vec<char> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(order, vec!['d', 'b', 'c', 'a']);
     }
 
     #[test]
@@ -152,20 +122,9 @@ mod tests {
         let mut q = PrioQueue::new();
         q.push(2, "x");
         q.push(5, "y");
-        assert_eq!(q.peek(), Some(&"y"));
         assert_eq!(q.peek_key(), Some(&5));
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn remove_where_filters() {
-        let mut q = PrioQueue::new();
-        for i in 0..6 {
-            q.push(i, i);
-        }
-        let removed = q.remove_where(|v| v % 2 == 0);
-        assert_eq!(removed, 3);
-        assert_eq!(q.drain_ordered(), vec![5, 3, 1]);
+        assert_eq!(q.pop(), Some("y"));
     }
 
     #[test]
@@ -173,8 +132,7 @@ mod tests {
         let mut q: PrioQueue<u32, u32> = PrioQueue::default();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
-        assert_eq!(q.peek(), None);
-        assert_eq!(q.iter().count(), 0);
+        assert_eq!(q.peek_key(), None);
     }
 
     #[test]

@@ -69,8 +69,9 @@ impl<W: Copy + Eq + std::fmt::Debug> GlobalSemaphore<W> {
         }
     }
 
-    /// Enqueues `waiter` with its **assigned** priority as the queue key
-    /// (rule 6).
+    /// Enqueues `waiter` under `key`: the MPCP keys a waiter by its
+    /// **assigned** priority (rule 6), the inheritance baselines by its
+    /// effective one.
     ///
     /// # Panics
     ///
@@ -78,13 +79,13 @@ impl<W: Copy + Eq + std::fmt::Debug> GlobalSemaphore<W> {
     /// it) or if `waiter` already holds it (self-deadlock, excluded by
     /// §3.1).
     #[track_caller]
-    pub fn enqueue(&mut self, waiter: W, assigned_priority: Priority) {
+    pub fn enqueue(&mut self, waiter: W, key: Priority) {
         assert!(self.holder.is_some(), "enqueue on a free global semaphore");
         assert!(
             self.holder != Some(waiter),
             "waiter {waiter:?} already holds this semaphore"
         );
-        self.waiters.push(assigned_priority, waiter);
+        self.waiters.push(key, waiter);
     }
 
     /// Releases the semaphore held by `holder` (rule 7): the
@@ -124,18 +125,9 @@ impl<W: Copy + Eq + std::fmt::Debug> GlobalSemaphore<W> {
         self.waiters.len()
     }
 
-    /// Whether `waiter` is queued.
-    pub fn is_queued(&self, waiter: W) -> bool {
-        self.waiters.iter().any(|w| *w == waiter)
-    }
-
-    /// Removes `waiter` from the queue (e.g. a job past its deadline being
-    /// cancelled). Returns whether it was queued.
-    pub fn cancel(&mut self, waiter: W) -> bool
-    where
-        W: Clone,
-    {
-        self.waiters.remove_where(|w| *w == waiter) > 0
+    /// The key of the waiter a release would hand to, if any.
+    pub fn top_key(&self) -> Option<Priority> {
+        self.waiters.peek_key().copied()
     }
 }
 
@@ -159,11 +151,13 @@ mod tests {
         s.enqueue(2, Priority::task(2));
         s.enqueue(3, Priority::task(9));
         s.enqueue(4, Priority::task(5));
+        assert_eq!(s.top_key(), Some(Priority::task(9)));
         assert_eq!(s.release(1).unwrap(), ReleaseOutcome::HandedTo(3));
         assert_eq!(s.release(3).unwrap(), ReleaseOutcome::HandedTo(4));
         assert_eq!(s.release(4).unwrap(), ReleaseOutcome::HandedTo(2));
         assert_eq!(s.release(2).unwrap(), ReleaseOutcome::Freed);
         assert_eq!(s.holder(), None);
+        assert_eq!(s.top_key(), None);
     }
 
     #[test]
@@ -182,18 +176,6 @@ mod tests {
         assert!(s.release(2).is_err());
         let mut free: GlobalSemaphore<u8> = GlobalSemaphore::new();
         assert!(free.release(1).is_err());
-    }
-
-    #[test]
-    fn cancel_removes_waiter() {
-        let mut s: GlobalSemaphore<u8> = GlobalSemaphore::new();
-        s.try_acquire(1);
-        s.enqueue(2, Priority::task(2));
-        assert!(s.is_queued(2));
-        assert!(s.cancel(2));
-        assert!(!s.is_queued(2));
-        assert!(!s.cancel(2));
-        assert_eq!(s.release(1).unwrap(), ReleaseOutcome::Freed);
     }
 
     #[test]

@@ -180,15 +180,6 @@ impl DependencyGraph {
     pub fn jobs(&self) -> &[(JobId, Range<usize>)] {
         &self.jobs
     }
-
-    /// Vertices of `job`, in program order.
-    pub fn vertices_of(&self, job: JobId) -> impl Iterator<Item = (usize, &Vertex)> {
-        let range = self
-            .jobs
-            .binary_search_by_key(&job, |(j, _)| *j)
-            .map_or(0..0, |at| self.jobs[at].1.clone());
-        range.map(move |i| (i, &self.vertices[i]))
-    }
 }
 
 #[cfg(test)]
@@ -225,10 +216,8 @@ mod tests {
         let g = DependencyGraph::build(&sys, Time::new(20)).unwrap();
         // Task a: 2 instances × 2 sections; task b: 1 instance × 1.
         assert_eq!(g.vertices().len(), 5);
-        let a0: Vec<_> = g
-            .vertices_of(JobId::new(sys.tasks()[0].id(), 0))
-            .map(|(_, v)| v)
-            .collect();
+        assert_eq!(g.jobs()[0].0, JobId::new(sys.tasks()[0].id(), 0));
+        let a0 = &g.vertices()[g.jobs()[0].1.clone()];
         assert_eq!(a0[0].est, Time::new(1)); // after 1 tick of compute
         assert_eq!(a0[1].est, Time::new(4)); // 1 + 2 (section) + 1
         assert_eq!(a0[0].sec_idx, 0);
@@ -243,7 +232,7 @@ mod tests {
         let ranges: Vec<_> = g.jobs().iter().map(|(_, r)| r.clone()).collect();
         assert_eq!(ranges, [0..2, 2..4, 4..5]);
         let b1 = JobId::new(sys.tasks()[1].id(), 1);
-        assert_eq!(g.vertices_of(b1).count(), 0); // released at the horizon
+        assert!(g.jobs().iter().all(|&(j, _)| j != b1)); // released at the horizon
     }
 
     #[test]

@@ -25,11 +25,6 @@ impl Scope {
     pub fn is_global(self) -> bool {
         matches!(self, Scope::Global)
     }
-
-    /// Whether this is [`Scope::Local`] for any processor.
-    pub fn is_local(self) -> bool {
-        matches!(self, Scope::Local(_))
-    }
 }
 
 /// Usage facts for one resource.
@@ -74,24 +69,6 @@ impl TaskResourceUse {
     /// enters per job.
     pub fn gcs_count(&self) -> usize {
         self.global_sections.len()
-    }
-
-    /// Longest global critical section of the task.
-    pub fn longest_gcs(&self) -> Dur {
-        self.global_sections
-            .iter()
-            .map(|cs| cs.duration)
-            .max()
-            .unwrap_or(Dur::ZERO)
-    }
-
-    /// Longest local critical section of the task.
-    pub fn longest_lcs(&self) -> Dur {
-        self.local_sections
-            .iter()
-            .map(|cs| cs.duration)
-            .max()
-            .unwrap_or(Dur::ZERO)
     }
 }
 
@@ -301,22 +278,6 @@ impl SystemInfo {
             .map(|u| u.resource)
             .collect()
     }
-
-    /// Whether any task has a global critical section nested inside
-    /// another critical section, or nesting another critical section —
-    /// ruled out by the base protocol's assumption (§4.2).
-    pub fn has_nested_global_sections(&self, system: &System) -> bool {
-        let _ = system;
-        for tu in &self.task_use {
-            for cs in &tu.sections {
-                let is_global = self.scope(cs.resource).is_global();
-                if is_global && (!cs.nested.is_empty() || !cs.enclosing.is_empty()) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -367,7 +328,6 @@ mod tests {
         assert_eq!(info.scope(ResourceId::from_index(1)), Scope::Global);
         assert_eq!(info.scope(ResourceId::from_index(2)), Scope::Unused);
         assert!(info.scope(ResourceId::from_index(1)).is_global());
-        assert!(info.scope(ResourceId::from_index(0)).is_local());
     }
 
     #[test]
@@ -388,11 +348,8 @@ mod tests {
         let tu = info.task_use(TaskId::from_index(0));
         assert_eq!(tu.gcs_count(), 1);
         assert_eq!(tu.local_sections.len(), 1);
-        assert_eq!(tu.longest_gcs(), Dur::new(4));
-        assert_eq!(tu.longest_lcs(), Dur::new(2));
         let lo = info.task_use(TaskId::from_index(2));
         assert_eq!(lo.gcs_count(), 1);
-        assert_eq!(lo.longest_lcs(), Dur::ZERO);
     }
 
     #[test]
@@ -407,31 +364,5 @@ mod tests {
         assert!(info
             .local_resources_on(ProcessorId::from_index(1))
             .is_empty());
-        assert!(!info.has_nested_global_sections(&sys));
-    }
-
-    #[test]
-    fn nested_global_sections_detected() {
-        let mut b = System::builder();
-        let p0 = b.add_processor("P0");
-        let p1 = b.add_processor("P1");
-        let sg = b.add_resource("SG");
-        let sl = b.add_resource("SL");
-        b.add_task(
-            TaskDef::new("a", p0).period(10).priority(2).body(
-                Body::builder()
-                    .critical(sg, |c| c.critical(sl, |c| c.compute(1)))
-                    .build(),
-            ),
-        );
-        b.add_task(
-            TaskDef::new("b", p1)
-                .period(20)
-                .priority(1)
-                .body(Body::builder().critical(sg, |c| c.compute(1)).build()),
-        );
-        let sys = b.build().unwrap();
-        let info = sys.info();
-        assert!(info.has_nested_global_sections(&sys));
     }
 }

@@ -219,16 +219,6 @@ impl Body {
         self.critical_sections().iter().any(|cs| cs.depth > 0)
     }
 
-    /// Maximum critical-section nesting depth (0 if there are no nested
-    /// sections, and also 0 if there are only outermost sections).
-    pub fn max_nesting_depth(&self) -> usize {
-        self.critical_sections()
-            .iter()
-            .map(|cs| cs.depth)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Whether a critical section on `r` (transitively) encloses another
     /// section on the same `r` — a self-deadlock the paper assumes away
     /// (§3.1).
@@ -370,7 +360,6 @@ mod tests {
         let b = sample();
         assert_eq!(b.resources_used(), vec![r(0), r(1)]);
         assert!(b.has_nested_sections());
-        assert_eq!(b.max_nesting_depth(), 1);
         assert!(!b.has_self_nesting());
         assert_eq!(b.sections_of(r(1)).len(), 1);
         assert!(b.sections_of(r(9)).is_empty());
@@ -390,7 +379,6 @@ mod tests {
         assert_eq!(b.wcet(), Dur::ZERO);
         assert!(b.critical_sections().is_empty());
         assert!(!b.has_nested_sections());
-        assert_eq!(b.max_nesting_depth(), 0);
     }
 
     #[test]

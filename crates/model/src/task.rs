@@ -112,11 +112,6 @@ impl Task {
         self.try_release_of(instance)
             .expect("instance beyond the arrival trace")
     }
-
-    /// Absolute deadline of job `instance`.
-    pub fn deadline_of(&self, instance: u32) -> Time {
-        self.release_of(instance) + self.deadline
-    }
 }
 
 #[cfg(test)]
@@ -145,6 +140,5 @@ mod tests {
         assert!((t.utilization() - 0.4).abs() < 1e-12);
         assert_eq!(t.release_of(0), Time::new(3));
         assert_eq!(t.release_of(2), Time::new(23));
-        assert_eq!(t.deadline_of(2), Time::new(31));
     }
 }

@@ -32,18 +32,13 @@ impl Time {
         self.0
     }
 
-    /// Duration from the origin to this instant.
-    pub const fn since_origin(self) -> Dur {
-        Dur(self.0)
-    }
-
     /// Duration from `earlier` to `self`.
     ///
     /// # Panics
     ///
     /// Panics if `earlier` is after `self`; instants do not go backwards.
     #[track_caller]
-    pub fn duration_since(self, earlier: Time) -> Dur {
+    fn duration_since(self, earlier: Time) -> Dur {
         assert!(
             earlier.0 <= self.0,
             "duration_since: {earlier} is after {self}"

@@ -1,6 +1,5 @@
 //! Shared machinery for the protocol policies.
 
-use mpcp_core::PrioQueue;
 use mpcp_model::{JobId, Priority, ProcessorId, ResourceId};
 
 /// Stack of (job, resource, priority-to-restore, processor-to-restore)
@@ -57,36 +56,9 @@ impl SavedStack {
     }
 }
 
-/// A semaphore with an explicit holder and a prioritized wait queue, used
-/// by the baseline protocols (PIP, non-preemptive, direct-PCP). The MPCP
-/// itself uses [`mpcp_core::GlobalSemaphore`], which this mirrors with a
-/// generic queue key.
-#[derive(Debug, Default)]
-pub(crate) struct WaitSem {
-    pub holder: Option<JobId>,
-    pub queue: PrioQueue<Priority, JobId>,
-}
-
-impl WaitSem {
-    /// Grants to `job` if free; returns whether it was granted.
-    pub fn try_acquire(&mut self, job: JobId) -> bool {
-        if self.holder.is_none() {
-            self.holder = Some(job);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Pops the next holder (highest priority first), installing it.
-    pub fn hand_off(&mut self) -> Option<JobId> {
-        let next = self.queue.pop();
-        self.holder = next;
-        next
-    }
-}
-
-/// A FIFO variant used by the no-protocol baseline.
+/// A semaphore with a FIFO wait queue, used by the no-protocol, MSRP and
+/// FMLP+ policies; the priority-queued ones use
+/// [`mpcp_core::GlobalSemaphore`].
 #[derive(Debug, Default)]
 pub(crate) struct FifoSem {
     pub holder: Option<JobId>,
@@ -167,17 +139,6 @@ mod tests {
         assert!(s.clear(jid(1)), "J1 still has its outer section open");
         assert!(!s.clear(jid(1)));
         assert!(!s.clear(jid(0)));
-    }
-
-    #[test]
-    fn wait_sem_priority_order() {
-        let mut s = WaitSem::default();
-        assert!(s.try_acquire(jid(0)));
-        assert!(!s.try_acquire(jid(1)));
-        s.queue.push(Priority::task(1), jid(1));
-        s.queue.push(Priority::task(5), jid(2));
-        assert_eq!(s.hand_off(), Some(jid(2)));
-        assert_eq!(s.holder, Some(jid(2)));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! inheritance cannot help because the waiter's priority is below the
 //! preemptor's.
 
-use crate::common::{SavedStack, WaitSem};
+use crate::common::SavedStack;
 use crate::local::LocalPcpPart;
-use mpcp_core::CeilingTable;
+use mpcp_core::{CeilingTable, GlobalSemaphore, ReleaseOutcome};
 use mpcp_model::{JobId, Priority, ResourceId, Scope, System};
 use mpcp_sim::{Ctx, LockResult, Protocol};
 use std::collections::HashMap;
@@ -24,7 +24,7 @@ pub struct DirectPcp {
     ceilings: Option<CeilingTable>,
     scopes: Vec<Scope>,
     local: LocalPcpPart,
-    gsems: Vec<WaitSem>,
+    gsems: Vec<GlobalSemaphore<JobId>>,
     blocked_on: HashMap<JobId, ResourceId>,
     saved: SavedStack,
 }
@@ -38,8 +38,8 @@ impl DirectPcp {
     fn recompute(&self, ctx: &mut Ctx<'_>, job: JobId) {
         let mut p = ctx.job(job).base_priority;
         for sem in &self.gsems {
-            if sem.holder == Some(job) {
-                if let Some(&k) = sem.queue.peek_key() {
+            if sem.holder() == Some(job) {
+                if let Some(k) = sem.top_key() {
                     p = p.max(k);
                 }
             }
@@ -59,7 +59,7 @@ impl Protocol for DirectPcp {
         self.scopes = info.all_usage().iter().map(|u| u.scope).collect();
         self.local.init(system.processors().len());
         self.gsems = (0..system.resources().len())
-            .map(|_| WaitSem::default())
+            .map(|_| GlobalSemaphore::new())
             .collect();
         self.blocked_on.clear();
     }
@@ -71,8 +71,8 @@ impl Protocol for DirectPcp {
                     return LockResult::Granted;
                 }
                 let priority = ctx.job(job).effective_priority;
-                let holder = self.gsems[resource.index()].holder;
-                self.gsems[resource.index()].queue.push(priority, job);
+                let holder = self.gsems[resource.index()].holder();
+                self.gsems[resource.index()].enqueue(job, priority);
                 self.blocked_on.insert(job, resource);
                 if let Some(h) = holder {
                     if ctx.is_active(h) {
@@ -96,9 +96,9 @@ impl Protocol for DirectPcp {
     fn on_unlock(&mut self, ctx: &mut Ctx<'_>, job: JobId, resource: ResourceId) {
         match self.scopes[resource.index()] {
             Scope::Global => {
-                let next = self.gsems[resource.index()].hand_off();
+                let outcome = self.gsems[resource.index()].release(job);
                 self.recompute(ctx, job);
-                if let Some(n) = next {
+                if let ReleaseOutcome::HandedTo(n) = outcome.expect("V by the holder") {
                     self.blocked_on.remove(&n);
                     ctx.grant_lock(n, resource);
                 }

@@ -17,16 +17,13 @@ use crate::local::LocalPcpPart;
 use mpcp_core::{CeilingTable, GlobalSemaphore, ReleaseOutcome};
 use mpcp_model::{JobId, ProcessorId, ResourceId, Scope, System};
 use mpcp_sim::{Ctx, LockResult, Protocol};
-use std::collections::HashMap;
 
 /// The distributed priority ceiling protocol (DPCP) baseline.
 ///
-/// By default each global semaphore is hosted on the processor of its
-/// highest-priority user; override with [`Dpcp::with_host`] to model
-/// dedicated synchronization processors.
+/// Each global semaphore is hosted on the processor of its
+/// highest-priority user.
 #[derive(Debug, Default)]
 pub struct Dpcp {
-    explicit_hosts: HashMap<ResourceId, ProcessorId>,
     hosts: Vec<Option<ProcessorId>>,
     ceilings: Option<CeilingTable>,
     scopes: Vec<Scope>,
@@ -36,21 +33,9 @@ pub struct Dpcp {
 }
 
 impl Dpcp {
-    /// Creates the protocol with default host assignment.
+    /// Creates the protocol.
     pub fn new() -> Self {
         Dpcp::default()
-    }
-
-    /// Hosts `resource`'s critical sections on `processor`.
-    pub fn with_host(mut self, resource: ResourceId, processor: ProcessorId) -> Self {
-        self.explicit_hosts.insert(resource, processor);
-        self
-    }
-
-    /// The synchronization processor of a global `resource` (after
-    /// `init`).
-    pub fn host_of(&self, resource: ResourceId) -> Option<ProcessorId> {
-        self.hosts.get(resource.index()).copied().flatten()
     }
 
     fn ceilings(&self) -> &CeilingTable {
@@ -71,16 +56,9 @@ impl Protocol for Dpcp {
             .all_usage()
             .iter()
             .map(|u| match u.scope {
-                Scope::Global => Some(
-                    self.explicit_hosts
-                        .get(&u.resource)
-                        .copied()
-                        .unwrap_or_else(|| {
-                            // Default: the processor of the highest-priority
-                            // user (users are priority-sorted).
-                            system.task(u.users[0]).processor()
-                        }),
-                ),
+                // The processor of the highest-priority user (users are
+                // priority-sorted).
+                Scope::Global => Some(system.task(u.users[0]).processor()),
                 _ => None,
             })
             .collect();
@@ -228,28 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_host_is_respected() {
-        let (sys, s) = two_proc_system();
-        let p1 = mpcp_model::ProcessorId::from_index(1);
-        let mut proto = Dpcp::new().with_host(s, p1);
-        // init happens inside the simulator; probe afterwards.
-        let mut sim = Simulator::new(&sys, {
-            proto.init(&sys);
-            assert_eq!(proto.host_of(s), Some(p1));
-            Dpcp::new().with_host(s, p1)
-        });
-        sim.run_until(100);
-        // Now the *high* task on P0 migrates to P1 for its gcs.
-        let migrated: Vec<_> = sim
-            .trace()
-            .events_for(jid(0, 0))
-            .filter(|e| matches!(e.kind, EventKind::Migrated { .. }))
-            .collect();
-        assert_eq!(migrated.len(), 2);
-        assert_eq!(sim.misses(), 0);
-    }
-
-    #[test]
     fn contention_resolves_in_priority_order_on_host() {
         let (sys, _) = two_proc_system();
         let mut sim = Simulator::new(&sys, Dpcp::new());
@@ -265,5 +221,15 @@ mod tests {
         let rec_hi = sim.records().iter().find(|r| r.id == jid(0, 0)).unwrap();
         // hi was displaced 0..4 by a lower-assigned-priority gcs.
         assert_eq!(rec_hi.lower_interference, Dur::new(4));
+        // Under default hosting only lo migrates: to P0 for its gcs and
+        // back, two events; hi's gcs runs where hi already is.
+        let migrated = |job| {
+            sim.trace()
+                .events_for(job)
+                .filter(|e| matches!(e.kind, EventKind::Migrated { .. }))
+                .count()
+        };
+        assert_eq!(migrated(jid(1, 0)), 2);
+        assert_eq!(migrated(jid(0, 0)), 0);
     }
 }

@@ -4,14 +4,15 @@
 //! it bounds blocking but wastes schedulability because *every* arrival,
 //! however urgent, waits for any ongoing section).
 
-use crate::common::{SavedStack, WaitSem};
+use crate::common::SavedStack;
+use mpcp_core::{GlobalSemaphore, ReleaseOutcome};
 use mpcp_model::{JobId, Priority, ResourceId, System};
 use mpcp_sim::{Ctx, LockResult, Protocol};
 
 /// The non-preemptive-sections baseline.
 #[derive(Debug, Default)]
 pub struct NonPreemptiveCs {
-    sems: Vec<WaitSem>,
+    sems: Vec<GlobalSemaphore<JobId>>,
     saved: SavedStack,
 }
 
@@ -39,7 +40,7 @@ impl Protocol for NonPreemptiveCs {
 
     fn init(&mut self, system: &System) {
         self.sems = (0..system.resources().len())
-            .map(|_| WaitSem::default())
+            .map(|_| GlobalSemaphore::new())
             .collect();
     }
 
@@ -48,9 +49,9 @@ impl Protocol for NonPreemptiveCs {
             self.enter(ctx, job, resource);
             LockResult::Granted
         } else {
-            let holder = self.sems[resource.index()].holder;
+            let holder = self.sems[resource.index()].holder();
             let assigned = ctx.job(job).base_priority;
-            self.sems[resource.index()].queue.push(assigned, job);
+            self.sems[resource.index()].enqueue(job, assigned);
             LockResult::Blocked { holder }
         }
     }
@@ -58,7 +59,8 @@ impl Protocol for NonPreemptiveCs {
     fn on_unlock(&mut self, ctx: &mut Ctx<'_>, job: JobId, resource: ResourceId) {
         let (priority, _) = self.saved.pop(job, resource);
         ctx.set_priority(job, priority);
-        if let Some(next) = self.sems[resource.index()].hand_off() {
+        let outcome = self.sems[resource.index()].release(job);
+        if let ReleaseOutcome::HandedTo(next) = outcome.expect("V by the holder") {
             ctx.grant_lock(next, resource);
             self.enter(ctx, next, resource);
         }

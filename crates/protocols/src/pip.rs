@@ -8,7 +8,7 @@
 //! can still be preempted by a higher-priority task's *non-critical*
 //! code, leaving a remote job waiting for that task's entire execution).
 
-use crate::common::WaitSem;
+use mpcp_core::{GlobalSemaphore, ReleaseOutcome};
 use mpcp_model::{JobId, Priority, ResourceId, System};
 use mpcp_sim::{Ctx, LockResult, Protocol};
 use std::collections::HashMap;
@@ -16,7 +16,7 @@ use std::collections::HashMap;
 /// Priority inheritance on plain semaphores.
 #[derive(Debug, Default)]
 pub struct Pip {
-    sems: Vec<WaitSem>,
+    sems: Vec<GlobalSemaphore<JobId>>,
     blocked_on: HashMap<JobId, ResourceId>,
 }
 
@@ -32,7 +32,7 @@ impl Pip {
         // Chains are bounded by the number of semaphores (no job waits on
         // two at once); guard anyway.
         for _ in 0..=self.sems.len() {
-            let Some(holder) = self.sems[resource.index()].holder else {
+            let Some(holder) = self.sems[resource.index()].holder() else {
                 return;
             };
             if !ctx.is_active(holder) {
@@ -51,8 +51,8 @@ impl Pip {
     fn recompute(&self, ctx: &mut Ctx<'_>, job: JobId) {
         let mut p = ctx.job(job).base_priority;
         for sem in &self.sems {
-            if sem.holder == Some(job) {
-                if let Some(&k) = sem.queue.peek_key() {
+            if sem.holder() == Some(job) {
+                if let Some(k) = sem.top_key() {
                     p = p.max(k);
                 }
             }
@@ -68,7 +68,7 @@ impl Protocol for Pip {
 
     fn init(&mut self, system: &System) {
         self.sems = (0..system.resources().len())
-            .map(|_| WaitSem::default())
+            .map(|_| GlobalSemaphore::new())
             .collect();
         self.blocked_on.clear();
     }
@@ -78,17 +78,17 @@ impl Protocol for Pip {
             return LockResult::Granted;
         }
         let priority = ctx.job(job).effective_priority;
-        let holder = self.sems[resource.index()].holder;
-        self.sems[resource.index()].queue.push(priority, job);
+        let holder = self.sems[resource.index()].holder();
+        self.sems[resource.index()].enqueue(job, priority);
         self.blocked_on.insert(job, resource);
         self.propagate(ctx, resource, priority);
         LockResult::Blocked { holder }
     }
 
     fn on_unlock(&mut self, ctx: &mut Ctx<'_>, job: JobId, resource: ResourceId) {
-        let next = self.sems[resource.index()].hand_off();
+        let outcome = self.sems[resource.index()].release(job);
         self.recompute(ctx, job);
-        if let Some(n) = next {
+        if let ReleaseOutcome::HandedTo(n) = outcome.expect("V by the holder") {
             self.blocked_on.remove(&n);
             ctx.grant_lock(n, resource);
         }

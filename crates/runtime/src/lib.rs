@@ -55,9 +55,7 @@
 #![warn(missing_docs)]
 
 mod locks;
-mod monitor;
 mod vproc;
 
 pub use locks::{FifoMutex, FifoMutexGuard, MpcpMutex, MpcpMutexGuard};
-pub use monitor::Monitor;
 pub use vproc::Runtime;

@@ -261,14 +261,6 @@ impl Persistence {
         snapshot_locked(&mut inner)
     }
 
-    /// Number of journal entries since the last snapshot.
-    pub fn journal_len(&self) -> u64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .appended
-    }
-
     /// Lines and bytes written since [`Persistence::open`].
     pub fn stats(&self) -> JournalStats {
         JournalStats {
@@ -575,7 +567,7 @@ mod tests {
         }
         // 7 appends with snapshot_every=3: snapshots at 3 and 6, one
         // journal entry left over.
-        assert_eq!(p.journal_len(), 1);
+        assert_eq!(journal_lines(&dir).len(), 1);
         let snap = std::fs::read_to_string(dir.join(SNAPSHOT)).unwrap();
         assert_eq!(snap.lines().count(), 1, "one session, one line");
         drop(p);
@@ -743,11 +735,20 @@ mod tests {
         let lines = journal_lines(&dir);
         let kept = format!("{}\n{}\n{}\n", lines[0], lines[2], lines[3]);
         std::fs::write(dir.join(JOURNAL), kept).unwrap();
-        let (p, restored) = Persistence::open(&dir, 0).unwrap();
+        let (p, restored) = Persistence::open(&dir, 3).unwrap();
         assert_eq!(restored.len(), 1);
         assert_eq!(restored[0].spec, spec(2));
-        assert_eq!(p.journal_len(), 1);
-        assert_eq!(journal_lines(&dir).len(), 1, "cut back on disk too");
+        assert_eq!(journal_lines(&dir).len(), 1, "cut back on disk");
+        // The append count resumes at the kept prefix (1): the second
+        // append, not the first, reaches `snapshot_every` = 3.
+        let mpcp = AdmissionProtocol::Mpcp;
+        p.record("s", "add-task", mpcp, true, &spec(3)).unwrap();
+        assert!(!dir.join(SNAPSHOT).exists());
+        assert_eq!(journal_lines(&dir).len(), 2);
+        p.record("s", "add-task", mpcp, true, &spec(4)).unwrap();
+        assert!(dir.join(SNAPSHOT).exists());
+        assert!(journal_lines(&dir).is_empty());
+        drop(p);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

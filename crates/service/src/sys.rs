@@ -48,47 +48,42 @@ impl Interest {
         readable: true,
         writable: false,
     };
-    /// Read + write interest.
-    pub const READ_WRITE: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
 }
 
 mod ffi {
     use std::os::raw::c_int;
 
     // <sys/epoll.h>, Linux only.
-    pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-    pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_DEL: c_int = 2;
-    pub const EPOLL_CTL_MOD: c_int = 3;
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
+    pub(super) const EPOLL_CLOEXEC: c_int = 0o2000000;
+    pub(super) const EPOLL_CTL_ADD: c_int = 1;
+    pub(super) const EPOLL_CTL_DEL: c_int = 2;
+    pub(super) const EPOLL_CTL_MOD: c_int = 3;
+    pub(super) const EPOLLIN: u32 = 0x001;
+    pub(super) const EPOLLOUT: u32 = 0x004;
+    pub(super) const EPOLLERR: u32 = 0x008;
+    pub(super) const EPOLLHUP: u32 = 0x010;
+    pub(super) const EPOLLRDHUP: u32 = 0x2000;
 
     /// `struct epoll_event`; packed on x86-64, naturally aligned
     /// elsewhere (mirrors the kernel/glibc definition).
     #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
     #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
     #[derive(Clone, Copy)]
-    pub struct EpollEvent {
+    pub(super) struct EpollEvent {
         pub events: u32,
         pub data: u64,
     }
 
     // <poll.h>, POSIX.
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-    pub const POLLNVAL: i16 = 0x020;
+    pub(super) const POLLIN: i16 = 0x001;
+    pub(super) const POLLOUT: i16 = 0x004;
+    pub(super) const POLLERR: i16 = 0x008;
+    pub(super) const POLLHUP: i16 = 0x010;
+    pub(super) const POLLNVAL: i16 = 0x020;
 
     #[repr(C)]
     #[derive(Clone, Copy)]
-    pub struct PollFd {
+    pub(super) struct PollFd {
         pub fd: c_int,
         pub events: i16,
         pub revents: i16,
@@ -96,18 +91,19 @@ mod ffi {
 
     extern "C" {
         #[cfg(target_os = "linux")]
-        pub fn epoll_create1(flags: c_int) -> c_int;
+        pub(super) fn epoll_create1(flags: c_int) -> c_int;
         #[cfg(target_os = "linux")]
-        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+        pub(super) fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent)
+            -> c_int;
         #[cfg(target_os = "linux")]
-        pub fn epoll_wait(
+        pub(super) fn epoll_wait(
             epfd: c_int,
             events: *mut EpollEvent,
             maxevents: c_int,
             timeout: c_int,
         ) -> c_int;
-        pub fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
-        pub fn close(fd: c_int) -> c_int;
+        pub(super) fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
+        pub(super) fn close(fd: c_int) -> c_int;
     }
 }
 
@@ -343,7 +339,14 @@ mod tests {
 
         // Write interest on an idle socket fires immediately.
         poller
-            .modify(b.as_raw_fd(), 7, Interest::READ_WRITE)
+            .modify(
+                b.as_raw_fd(),
+                7,
+                Interest {
+                    readable: true,
+                    writable: true,
+                },
+            )
             .unwrap();
         assert!(poller.wait(&mut events, 1000).unwrap() >= 1);
         assert!(events.iter().any(|e| e.writable));

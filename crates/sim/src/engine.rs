@@ -851,8 +851,14 @@ mod tests {
         let mut sim = Simulator::new(&sys, Trivial::new());
         sim.run_until(10);
         assert_eq!(sim.misses(), 1);
-        assert_eq!(sim.trace().deadline_misses(), 1);
         assert!(sim.records()[0].missed);
+        let events = sim.trace().events().iter();
+        assert_eq!(
+            events
+                .filter(|e| matches!(e.kind, EventKind::DeadlineMiss))
+                .count(),
+            1
+        );
     }
 
     #[test]

@@ -135,17 +135,12 @@ impl JobState {
 
     /// Whether the job competes for its processor: ready, or busy-waiting
     /// on a semaphore (a spinner occupies a processor like a runner).
-    pub fn is_dispatchable(&self) -> bool {
+    fn is_dispatchable(&self) -> bool {
         match self.state {
             ExecState::Ready => true,
             ExecState::Blocked { .. } => self.spin,
             ExecState::Sleeping { .. } => false,
         }
-    }
-
-    /// Whether the job currently holds any resource.
-    pub fn in_critical_section(&self) -> bool {
-        !self.held.is_empty()
     }
 }
 
@@ -698,7 +693,6 @@ mod tests {
         assert_eq!(j.state, ExecState::Ready);
         assert_eq!(j.remaining, Dur::new(5));
         assert!(!j.is_complete());
-        assert!(!j.in_critical_section());
     }
 
     #[test]

@@ -84,12 +84,6 @@ impl ObservedBlocking {
         let at = waits.binary_search_by_key(&job.instance, |&(i, _)| i);
         Some(at.map_or(Dur::ZERO, |at| waits[at].1))
     }
-
-    /// Number of jobs whose wait was still open at the end of the
-    /// trace.
-    pub fn unsettled_jobs(&self) -> usize {
-        self.open.len()
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +178,6 @@ mod tests {
         // b requests at 1, is handed the lock at 4: waited 3.
         assert_eq!(ob.settled(jid(1, 0)), Some(Dur::new(3)));
         assert_eq!(ob.settled(jid(0, 0)), Some(Dur::ZERO));
-        assert_eq!(ob.unsettled_jobs(), 0);
         for r in sim.records() {
             assert_eq!(ob.settled(r.id), Some(r.blocked_global));
         }
@@ -205,7 +198,6 @@ mod tests {
         // At t=3, a still holds S and b is mid-wait.
         let ob = observed(&sim, &sys);
         assert_eq!(ob.settled(jid(1, 0)), None);
-        assert_eq!(ob.unsettled_jobs(), 1);
     }
 
     /// Two jobs of one task can wait at once (the first overran into the
@@ -230,7 +222,7 @@ mod tests {
         feed(&mut ob, 5, jid(0, 7), &granted); // never waited: closes nothing
         feed(&mut ob, 6, jid(2, 1), &EventKind::Woken);
         feed(&mut ob, 7, jid(2, 1), &blocked);
-        assert_eq!(ob.unsettled_jobs(), 2);
+        assert_eq!(ob.settled(jid(2, 1)), None);
         assert_eq!(ob.settled(jid(2, 0)), None);
         feed(&mut ob, 9, jid(2, 1), &granted);
         feed(&mut ob, 9, jid(2, 0), &granted);
@@ -239,6 +231,5 @@ mod tests {
         assert_eq!(ob.settled(jid(2, 2)), Some(Dur::ZERO));
         assert_eq!(ob.settled(jid(0, 7)), Some(Dur::ZERO));
         assert_eq!(ob.settled(jid(5, 0)), Some(Dur::ZERO));
-        assert_eq!(ob.unsettled_jobs(), 0);
     }
 }

@@ -191,22 +191,9 @@ impl Trace {
         self.events.iter().filter(move |e| e.job == job)
     }
 
-    /// Events of any job of `task`, in order.
-    pub fn events_for_task(&self, task: TaskId) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.job.task == task)
-    }
-
     /// The first event matching `pred`, if any.
     pub fn find(&self, mut pred: impl FnMut(&TraceEvent) -> bool) -> Option<&TraceEvent> {
         self.events.iter().find(|e| pred(e))
-    }
-
-    /// Number of deadline misses recorded.
-    pub fn deadline_misses(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::DeadlineMiss))
-            .count()
     }
 
     /// Completion time of `job`, if it completed.
@@ -523,9 +510,8 @@ mod tests {
         assert_eq!(tr.completion_of(jid(0)), Some(Time::new(9)));
         assert_eq!(tr.response_of(jid(0)), Some(Dur::new(9)));
         assert_eq!(tr.completion_of(jid(1)), None);
-        assert_eq!(tr.deadline_misses(), 1);
         assert_eq!(tr.events_for(jid(0)).count(), 2);
-        assert_eq!(tr.events_for_task(TaskId::from_index(1)).count(), 1);
+        assert_eq!(tr.events_for(jid(1)).count(), 1);
         assert!(tr
             .find(|e| matches!(e.kind, EventKind::DeadlineMiss))
             .is_some());

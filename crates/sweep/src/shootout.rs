@@ -52,7 +52,7 @@ impl ShootoutReport {
     /// simulated acceptance curve, in `[0, 1]`) and, for protocols with
     /// an admission analysis, the mean analysis-acceptance ratio.
     /// Ranked by `sim_area` descending, ties broken by name.
-    pub fn ranking(&self) -> Vec<(&str, f64, Option<f64>)> {
+    fn ranking(&self) -> Vec<(&str, f64, Option<f64>)> {
         let r = &self.sweep;
         let mut ranking: Vec<(&str, f64, Option<f64>)> = (r.protocols.iter().enumerate())
             .map(|(pi, proto)| {

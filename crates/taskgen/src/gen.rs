@@ -46,10 +46,6 @@ pub struct WorkloadConfig {
     /// Probability a global critical section nests a second global
     /// semaphore (kept 0 for the base protocol's assumptions).
     pub nested_global_prob: f64,
-    /// Draw periods from the harmonic set `{lo·2^k}` within the period
-    /// range instead of log-uniformly (harmonic sets reach 100%%
-    /// utilization under rate-monotonic scheduling).
-    pub harmonic_periods: bool,
     /// Semaphore locality: `0` (the default) creates one system-wide
     /// pool of [`WorkloadConfig::global_resources`] semaphores; `w > 0`
     /// groups processors into contiguous clusters of `w` and creates
@@ -75,7 +71,6 @@ impl Default for WorkloadConfig {
             cs_len_fraction: (0.01, 0.1),
             suspension_prob: 0.0,
             nested_global_prob: 0.0,
-            harmonic_periods: false,
             cluster_width: 0,
         }
     }
@@ -150,12 +145,6 @@ impl WorkloadConfig {
         self
     }
 
-    /// Draws periods from a harmonic set.
-    pub fn harmonic(mut self, yes: bool) -> Self {
-        self.harmonic_periods = yes;
-        self
-    }
-
     /// Groups processors into clusters of `width` with per-cluster
     /// global semaphore pools (`0` restores one system-wide pool).
     pub fn clusters(mut self, width: usize) -> Self {
@@ -221,13 +210,7 @@ pub fn generate(config: &WorkloadConfig, seed: u64) -> System {
             config.utilization_per_processor,
         );
         for (ti, u) in utils.into_iter().enumerate() {
-            let period = if config.harmonic_periods {
-                let (lo, hi) = config.period_range;
-                let max_k = (hi / lo).max(1).ilog2();
-                lo << rng.range_u64(0, u64::from(max_k))
-            } else {
-                rng.log_uniform(config.period_range.0, config.period_range.1)
-            };
+            let period = rng.log_uniform(config.period_range.0, config.period_range.1);
             let wcet = ((u * period as f64).round() as u64).max(1);
             let body = build_body(&mut rng, config, wcet, &local_pools[pi], global_pool);
             b.add_task(
@@ -466,27 +449,6 @@ mod tests {
         let cfg = WorkloadConfig::default().suspensions(1.0).sections(1, 2);
         let sys = generate(&cfg, 8);
         assert!(sys.tasks().iter().any(|t| t.body().suspension_count() > 0));
-    }
-
-    #[test]
-    fn harmonic_periods_are_powers_of_two_multiples() {
-        let cfg = WorkloadConfig::default().periods(100, 1600).harmonic(true);
-        let sys = generate(&cfg, 3);
-        for t in sys.tasks() {
-            let p = t.period().ticks();
-            assert!((100..=1600).contains(&p));
-            let ratio = p / 100;
-            assert_eq!(p % 100, 0);
-            assert!(ratio.is_power_of_two(), "{p}");
-        }
-        // Harmonic sets divide evenly: hyperperiod equals the max period.
-        let max = sys
-            .tasks()
-            .iter()
-            .map(mpcp_model::Task::period)
-            .max()
-            .unwrap();
-        assert_eq!(sys.hyperperiod(), max);
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl SubmissionStream {
 
     /// The system for stream position `i` (independent of iteration
     /// state).
-    pub fn system_at(&self, i: u64) -> (u64, System) {
+    fn system_at(&self, i: u64) -> (u64, System) {
         let seed = self.base_seed + i % self.unique;
         (seed, generate(&self.config, seed))
     }
