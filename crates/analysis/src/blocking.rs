@@ -134,17 +134,13 @@ pub fn mpcp_bounds_with(
         .collect())
 }
 
-/// The MPCP row of the analysis contract ([`Analysis::Mpcp`]): the §5.1
-/// breakdowns fed into Theorem 3 with `B_i` = factors plus deferred
-/// penalty.
+/// [`Analysis::Mpcp`]'s [`bounds`](Analysis::bounds).
 ///
 /// # Errors
 ///
-/// Same as [`mpcp_bounds`].
+/// As [`Analysis::bounds`].
 pub fn mpcp_bound_set(system: &System, config: BlockingConfig) -> Result<BoundSet, AnalysisError> {
-    let rows = mpcp_bounds_with(system, config)?;
-    let rows = rows.iter().map(BlockingBreakdown::terms).collect();
-    Ok(BoundSet::theorem3(system, Analysis::Mpcp, rows))
+    Analysis::Mpcp.bounds(system, config)
 }
 
 /// Factor 1: `(NC_i + n_susp + 1)` local critical sections of

@@ -11,12 +11,13 @@
 //! Consumers (the sweep oracle, the admission service, the model
 //! checker, the CLI tables) are written once against this type.
 
-use crate::blocking::{mpcp_bound_set, BlockingConfig};
-use crate::dpcp::{default_hosts, dpcp_bounds_with, DpcpBreakdown};
+use crate::blocking::{BlockingBreakdown, BlockingConfig};
+use crate::counts::{Facts, TaskFacts};
+use crate::depgraph::DirtySet;
+use crate::depgraph::Reach::{self, Hosts, Mates, MatesOfSharers, Sharers, SharersOfMates};
 use crate::error::AnalysisError;
-use crate::fmlp::fmlp_bound_set;
-use crate::msrp::msrp_bound_set;
-use crate::sched::theorem3_all;
+use crate::sched::{theorem3_all, TaskSched};
+use crate::{dpcp, fmlp, msrp};
 use mpcp_model::{Dur, ProcessorId, System, Task, TaskId};
 use std::fmt;
 use std::str::FromStr;
@@ -56,6 +57,102 @@ pub(crate) fn total(terms: &Terms) -> Dur {
     terms.iter().copied().sum()
 }
 
+/// Every task's terms, by id: what a row's blocking may read of tasks
+/// other than its own.
+pub(crate) type TermsOf<'a> = dyn Fn(TaskId) -> Terms + 'a;
+
+/// One analysis as data. [`Analysis::bounds`], the incremental
+/// [`DeltaBounds`](crate::DeltaBounds) and [`dirty_set`](crate::dirty_set)
+/// read it and nothing else per analysis, so a row recomputed
+/// incrementally runs the code the full pass runs.
+pub(crate) struct Row {
+    name: &'static str,
+    term_names: &'static [&'static str],
+    /// Task `i`'s terms.
+    pub(crate) terms: fn(&Facts<'_>, &TaskFacts<'_>, BlockingConfig) -> Terms,
+    /// What `i` costs every row at or below its own, from its terms.
+    cost: fn(&TaskFacts<'_>, &Terms) -> Dur,
+    /// The blocking charged to `i`'s own row, from its terms and any
+    /// other task's.
+    row_blocking: fn(&Facts<'_>, &TaskFacts<'_>, &Terms, &TermsOf<'_>) -> Dur,
+    /// Whether any nested section is refused, local ones included.
+    pub(crate) flat: bool,
+    /// What an edit to a task with sections but no global one reaches
+    /// (see [`Reach`]; a section-free task reaches nothing further).
+    pub(crate) local_reach: &'static [Reach],
+    /// What an edit to a task with a global section reaches.
+    pub(crate) global_reach: &'static [Reach],
+    /// Whether a global semaphore whose remote-argmax signature changed
+    /// dirties the blocking processors of its users (MPCP's factor 4
+    /// compares gcs priorities across semaphores).
+    pub(crate) argmax: bool,
+}
+
+/// Theorem 3 proper: the row charges `B_i`, the sum of the terms.
+fn own_total(_: &Facts<'_>, _: &TaskFacts<'_>, own: &Terms, _: &TermsOf<'_>) -> Dur {
+    total(own)
+}
+
+/// The table, in [`Analysis::ALL`] order (the DESIGN §15 table as
+/// code, its reach columns in §11).
+const ROWS: [Row; 4] = [
+    Row {
+        name: "mpcp",
+        term_names: &["F1", "F2", "F3", "F4", "F5", "defer"],
+        terms: |facts, i, config| BlockingBreakdown::compute(facts, i, config).terms(),
+        cost: |i, _| i.wcet,
+        row_blocking: own_total,
+        flat: false,
+        local_reach: &[Mates],
+        global_reach: &[SharersOfMates],
+        argmax: true,
+    },
+    Row {
+        name: "dpcp",
+        term_names: &["F1", "F2", "F3", "F4'", "F5'", "defer"],
+        terms: |facts, i, config| dpcp::breakdown(facts, i, &|r| facts.host(r), config).terms(),
+        cost: |i, _| i.wcet,
+        row_blocking: own_total,
+        flat: false,
+        local_reach: &[Mates],
+        global_reach: &[Mates, Sharers, Hosts],
+        argmax: false,
+    },
+    Row {
+        name: "msrp",
+        term_names: &["spin", "arrival"],
+        terms: msrp::terms,
+        // Spinning occupies the processor like computation.
+        cost: |i, own| i.wcet + own[0],
+        row_blocking: msrp::row_blocking,
+        flat: false,
+        local_reach: &[Mates],
+        global_reach: &[Mates, Sharers, MatesOfSharers],
+        argmax: false,
+    },
+    Row {
+        name: "fmlp",
+        term_names: &["wait", "arrival"],
+        terms: fmlp::terms,
+        cost: |i, _| i.wcet,
+        row_blocking: fmlp::row_blocking,
+        flat: true,
+        local_reach: &[SharersOfMates],
+        global_reach: &[SharersOfMates],
+        argmax: false,
+    },
+];
+
+impl Row {
+    /// Task `t`'s cost and row blocking, the inputs of its Theorem 3 row.
+    pub(crate) fn inputs(&self, facts: &Facts<'_>, t: &Task, terms_of: &TermsOf<'_>) -> (Dur, Dur) {
+        let i = &facts.tasks[t.id().index()];
+        let own = terms_of(i.id);
+        let blocking = (self.row_blocking)(facts, i, &own, terms_of);
+        ((self.cost)(i, &own), blocking)
+    }
+}
+
 impl Analysis {
     /// Every analysis, MPCP first.
     pub const ALL: [Analysis; 4] = [
@@ -65,28 +162,23 @@ impl Analysis {
         Analysis::Fmlp,
     ];
 
+    /// This analysis' row of the table.
+    pub(crate) fn row(self) -> &'static Row {
+        &ROWS[self as usize]
+    }
+
     /// The canonical name — also the wire name of the admission
     /// service's `"protocol"` field and the matching
     /// `ProtocolKind::name` of the simulated policy.
     pub fn name(self) -> &'static str {
-        match self {
-            Analysis::Mpcp => "mpcp",
-            Analysis::Dpcp => "dpcp",
-            Analysis::Msrp => "msrp",
-            Analysis::Fmlp => "fmlp",
-        }
+        self.row().name
     }
 
     /// The names of the terms a row of this analysis carries, in table
     /// order. A term called `defer` is the deferred-execution penalty:
     /// charged to the row, but not one of the blocking factors proper.
     pub fn term_names(self) -> &'static [&'static str] {
-        match self {
-            Analysis::Mpcp => &["F1", "F2", "F3", "F4", "F5", "defer"],
-            Analysis::Dpcp => &["F1", "F2", "F3", "F4'", "F5'", "defer"],
-            Analysis::Msrp => &["spin", "arrival"],
-            Analysis::Fmlp => &["wait", "arrival"],
-        }
+        self.row().term_names
     }
 
     /// Runs this analysis on `system`. `config` selects the instance
@@ -104,16 +196,17 @@ impl Analysis {
         system: &System,
         config: BlockingConfig,
     ) -> Result<BoundSet, AnalysisError> {
-        match self {
-            Analysis::Mpcp => mpcp_bound_set(system, config),
-            Analysis::Dpcp => {
-                let rows = dpcp_bounds_with(system, &default_hosts(system), config)?;
-                let rows = rows.iter().map(DpcpBreakdown::terms).collect();
-                Ok(BoundSet::theorem3(system, Analysis::Dpcp, rows))
-            }
-            Analysis::Msrp => msrp_bound_set(system),
-            Analysis::Fmlp => fmlp_bound_set(system),
-        }
+        let row = self.row();
+        let facts = Facts::compute_assuming_clean(system, &DirtySet::full(), row.flat)?;
+        let terms: Vec<Terms> = (facts.tasks.iter())
+            .map(|i| (row.terms)(&facts, i, config))
+            .collect();
+        let terms_of = |t: TaskId| terms[t.index()];
+        let per_task = theorem3_all(system, |t| row.inputs(&facts, t, &terms_of))
+            .into_iter()
+            .map(|r| TaskBounds::new(self, terms[r.task.index()], r))
+            .collect();
+        Ok(BoundSet::from_rows(self, per_task))
     }
 }
 
@@ -170,6 +263,21 @@ pub struct TaskBounds {
 }
 
 impl TaskBounds {
+    /// The row of `task` under `analysis`: its terms and its Theorem 3
+    /// verdict.
+    pub(crate) fn new(analysis: Analysis, terms: Terms, row: TaskSched) -> TaskBounds {
+        TaskBounds {
+            task: row.task,
+            processor: row.processor,
+            blocking: total(&terms),
+            demand: row.demand,
+            bound: row.bound,
+            ok: row.ok,
+            analysis,
+            terms,
+        }
+    }
+
     /// The named terms behind [`TaskBounds::blocking`], in the order of
     /// [`Analysis::term_names`].
     pub fn terms(&self) -> impl Iterator<Item = (&'static str, Dur)> {
@@ -201,48 +309,6 @@ pub struct BoundSet {
 }
 
 impl BoundSet {
-    /// Runs the one rate-monotonic row loop with the given per-task
-    /// `cost` and `row_blocking` and attaches each task's named terms
-    /// (whose sum bounds its measured blocking).
-    pub(crate) fn new(
-        system: &System,
-        analysis: Analysis,
-        cost: impl Fn(&Task) -> Dur,
-        row_blocking: impl Fn(TaskId) -> Dur,
-        terms: impl Fn(TaskId) -> Terms,
-    ) -> BoundSet {
-        let per_task = theorem3_all(system, cost, row_blocking)
-            .into_iter()
-            .map(|row| {
-                let terms = terms(row.task);
-                TaskBounds {
-                    task: row.task,
-                    processor: row.processor,
-                    blocking: total(&terms),
-                    demand: row.demand,
-                    bound: row.bound,
-                    ok: row.ok,
-                    analysis,
-                    terms,
-                }
-            })
-            .collect();
-        BoundSet::from_rows(analysis, per_task)
-    }
-
-    /// Theorem 3 proper: cost `C_j`, and the same `B_i` — the sum of
-    /// task `t`'s `terms[t]` — both charged to the row and bounding
-    /// measured blocking. The MPCP and DPCP shape.
-    pub(crate) fn theorem3(system: &System, analysis: Analysis, terms: Vec<Terms>) -> BoundSet {
-        BoundSet::new(
-            system,
-            analysis,
-            Task::wcet,
-            |t| total(&terms[t.index()]),
-            |t| terms[t.index()],
-        )
-    }
-
     /// Assembles a set from finished rows in [`TaskId`] order, deriving
     /// the verdict (shared with the incremental engine, whose rows come
     /// from its caches).

@@ -51,48 +51,44 @@ impl<'a> Facts<'a> {
     /// Computes facts, validating the base-protocol assumptions (§4.2:
     /// non-nested gcs's; suspensions outside critical sections).
     pub fn compute(system: &'a System) -> Result<Facts<'a>, AnalysisError> {
-        Facts::compute_inner(system, None)
+        Facts::compute_assuming_clean(system, &DirtySet::full(), false)
     }
 
     /// [`Facts::compute`], but validating only the tasks `dirty` names
-    /// (all of them when `dirty.full`). Sound when every other task was
-    /// validated in a previous successful compute and is structurally
-    /// unchanged — which is exactly what a [`DirtySet`] certifies —
-    /// and then returns the same result (including the same first
-    /// offender) the full validation would.
+    /// (all of them when `dirty.full`), and when `flat` also refusing
+    /// any nested section, local or global. Sound when every other task
+    /// was validated in a previous successful compute and is
+    /// structurally unchanged — which is exactly what a [`DirtySet`]
+    /// certifies — and then returns the same result (including the same
+    /// first offender) the full validation would.
     pub fn compute_assuming_clean(
         system: &'a System,
         dirty: &DirtySet,
-    ) -> Result<Facts<'a>, AnalysisError> {
-        if dirty.full {
-            Facts::compute_inner(system, None)
-        } else {
-            Facts::compute_inner(system, Some(dirty))
-        }
-    }
-
-    fn compute_inner(
-        system: &'a System,
-        validate_only: Option<&DirtySet>,
+        flat: bool,
     ) -> Result<Facts<'a>, AnalysisError> {
         let info = system.info();
-        // Two ordered passes, filtered the same way, so the first
-        // error reported matches a full validation byte for byte:
-        // clean tasks cannot offend, and within each class the first
-        // offender by id is found either way.
-        let validated =
-            |t: &mpcp_model::Task| validate_only.is_none_or(|d| d.tasks.contains(t.name()));
-        for t in system.tasks().iter().filter(|t| validated(t)) {
-            if info.task_use(t.id()).sections.iter().any(|cs| {
+        // Ordered passes, filtered the same way, so the first error
+        // reported matches a full validation byte for byte: clean tasks
+        // cannot offend, and within each class the first offender by id
+        // is found either way.
+        let validated = |t: &&mpcp_model::Task| dirty.full || dirty.tasks.contains(t.name());
+        let sections = |t: &mpcp_model::Task| info.task_use(t.id()).sections.iter();
+        for t in system.tasks().iter().filter(validated) {
+            if sections(t).any(|cs| {
                 info.scope(cs.resource).is_global()
                     && (!cs.nested.is_empty() || !cs.enclosing.is_empty())
             }) {
                 return Err(AnalysisError::NestedGlobalSections { task: t.id() });
             }
         }
-        for t in system.tasks().iter().filter(|t| validated(t)) {
+        for t in system.tasks().iter().filter(validated) {
             if suspends_inside_cs(t.body().segments(), false) {
                 return Err(AnalysisError::SuspensionInCriticalSection { task: t.id() });
+            }
+        }
+        for t in system.tasks().iter().filter(validated).filter(|_| flat) {
+            if sections(t).any(|cs| !cs.nested.is_empty() || !cs.enclosing.is_empty()) {
+                return Err(AnalysisError::NestedGlobalSections { task: t.id() });
             }
         }
         let tasks: Vec<TaskFacts<'a>> = system
@@ -153,6 +149,12 @@ impl<'a> Facts<'a> {
         proc: ProcessorId,
     ) -> impl Iterator<Item = &'b TaskFacts<'a>> {
         self.pick(self.mates(proc))
+    }
+
+    /// The default DPCP host of global `resource`: the processor of its
+    /// highest-priority user ([`crate::default_hosts`]).
+    pub fn host(&self, resource: ResourceId) -> ProcessorId {
+        self.tasks[self.usage[resource.index()].users[0].index()].proc
     }
 
     /// Tasks with a critical section on `resource`.

@@ -1,77 +1,69 @@
-//! Incremental recomputation of the §5.1 blocking breakdowns and the
-//! Theorem 3 rows, driven by a [`DirtySet`].
+//! Incremental recomputation of one [`Analysis`]' terms and rows,
+//! driven by a [`DirtySet`].
 //!
 //! [`DeltaBounds`] caches, keyed by *task name* (ids shift under
-//! edits, names do not), the six per-task blocking terms and the
-//! per-task Theorem 3 row. [`DeltaBounds::update`] recomputes only the
-//! tasks and processors a [`dirty_set`](crate::dirty_set) names and
+//! edits, names do not), each task's terms and its rate-monotonic row.
+//! [`DeltaBounds::update`] recomputes only the tasks and processors a
+//! [`dirty_set`](crate::dirty_set) for the same analysis names and
 //! reuses everything else verbatim, so the merged result is
-//! bit-identical to a from-scratch
-//! [`Analysis::Mpcp`](crate::Analysis::bounds) run — cached rows are
-//! copied, not re-derived, and recomputed rows run the exact same code
-//! over the exact same inputs. That identity is what `mpcp audit` and
-//! the in-server sampled audit certify.
+//! bit-identical to a from-scratch [`Analysis::bounds`] run — cached
+//! rows are copied, not re-derived, and recomputed rows run the
+//! analysis' row of the table, the code the full pass runs, over the
+//! exact same inputs. That identity is what `mpcp audit` and the
+//! in-server sampled audit certify.
 
-use crate::bounds::{total, Analysis, BoundSet, TaskBounds, Terms};
+use crate::bounds::{total, Analysis, BoundSet, TaskBounds};
 use crate::counts::Facts;
 use crate::depgraph::DirtySet;
 use crate::error::AnalysisError;
 use crate::sched::theorem3_rows;
-use crate::{BlockingBreakdown, BlockingConfig};
-use mpcp_model::{System, Task};
+use crate::BlockingConfig;
+use mpcp_model::{System, Task, TaskId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// What one [`DeltaBounds::update`] actually did.
+/// What one [`DeltaBounds::full`] or [`DeltaBounds::update`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// Updates applied (full or incremental).
-    pub updates: u64,
-    /// Tasks whose blocking factors were recomputed.
+    /// Tasks whose terms were recomputed.
     pub tasks_recomputed: u64,
-    /// Tasks whose cached factors were reused.
+    /// Tasks whose cached terms were reused.
     pub tasks_reused: u64,
-    /// Processors whose Theorem 3 rows were recomputed.
+    /// Processors whose rows were recomputed.
     pub processors_recomputed: u64,
     /// Processors whose cached rows were reused.
     pub processors_reused: u64,
 }
 
-impl DeltaStats {
-    fn absorb(&mut self, other: DeltaStats) {
-        self.updates += other.updates;
-        self.tasks_recomputed += other.tasks_recomputed;
-        self.tasks_reused += other.tasks_reused;
-        self.processors_recomputed += other.processors_recomputed;
-        self.processors_reused += other.processors_reused;
-    }
-}
-
-/// Name-keyed cache of blocking breakdowns and Theorem 3 rows,
-/// updated incrementally.
+/// Name-keyed cache of one analysis' terms and rows, updated
+/// incrementally.
 #[derive(Debug, Clone)]
 pub struct DeltaBounds {
+    analysis: Analysis,
     /// Finished [`BoundSet`] rows. Their `task`/`processor` ids are
     /// those of the update that wrote them and are re-stamped on read.
     /// Keyed by the tasks' own shared names: a transactional clone of
     /// the cache copies no string.
     rows: BTreeMap<Arc<str>, TaskBounds>,
-    stats: DeltaStats,
 }
 
 impl DeltaBounds {
-    /// Computes the full caches for `system` under the paper's counts.
+    /// Computes the full caches for `system` under `analysis` with the
+    /// paper's counts.
     ///
     /// # Errors
     ///
-    /// Same preconditions as [`crate::mpcp_bounds`].
-    pub fn full(system: &System) -> Result<DeltaBounds, AnalysisError> {
+    /// Same preconditions as [`Analysis::bounds`].
+    pub fn full(
+        system: &System,
+        analysis: Analysis,
+    ) -> Result<(DeltaBounds, DeltaStats), AnalysisError> {
         let mut this = DeltaBounds {
+            analysis,
             rows: BTreeMap::new(),
-            stats: DeltaStats::default(),
         };
-        this.update(system, &DirtySet::full())?;
-        Ok(this)
+        let stats = this.update(system, &DirtySet::full())?;
+        Ok((this, stats))
     }
 
     /// Merges `system` into the caches, recomputing only what `dirty`
@@ -82,7 +74,7 @@ impl DeltaBounds {
     ///
     /// # Errors
     ///
-    /// Same preconditions as [`crate::mpcp_bounds`].
+    /// Same preconditions as [`Analysis::bounds`].
     ///
     /// # Panics
     ///
@@ -95,11 +87,9 @@ impl DeltaBounds {
         system: &System,
         dirty: &DirtySet,
     ) -> Result<DeltaStats, AnalysisError> {
-        let facts = Facts::compute_assuming_clean(system, dirty)?;
-        let mut stats = DeltaStats {
-            updates: 1,
-            ..DeltaStats::default()
-        };
+        let row = self.analysis.row();
+        let facts = Facts::compute_assuming_clean(system, dirty, row.flat)?;
+        let mut stats = DeltaStats::default();
         if dirty.full {
             self.rows.clear();
         }
@@ -111,23 +101,21 @@ impl DeltaBounds {
         // cache once per task.
         let recompute = |this: &mut Self, idx: usize, stats: &mut DeltaStats| {
             stats.tasks_recomputed += 1;
-            let terms: Terms =
-                BlockingBreakdown::compute(&facts, &facts.tasks[idx], BlockingConfig::paper())
-                    .terms();
+            let terms = (row.terms)(&facts, &facts.tasks[idx], BlockingConfig::paper());
             let task = &system.tasks()[idx];
             // The Theorem 3 half is filled in below: a dirty task's
             // processor is always dirty too.
-            let row = TaskBounds {
+            let cached = TaskBounds {
                 task: task.id(),
                 processor: task.processor(),
                 blocking: total(&terms),
                 demand: f64::NAN,
                 bound: f64::NAN,
                 ok: false,
-                analysis: Analysis::Mpcp,
+                analysis: this.analysis,
                 terms,
             };
-            this.rows.insert(Arc::clone(task.shared_name()), row);
+            this.rows.insert(Arc::clone(task.shared_name()), cached);
         };
         if dirty.full {
             for idx in 0..system.tasks().len() {
@@ -152,15 +140,14 @@ impl DeltaBounds {
             // so the processor set alone decides freshness.
             if dirty.full || dirty.processors.contains(proc.name()) {
                 stats.processors_recomputed += 1;
-                let rows = theorem3_rows(system, proc.id(), Task::wcet, |t| {
-                    self.rows[system.task(t).name()].blocking
-                });
-                for row in rows {
+                let terms_of = |t: TaskId| self.rows[system.task(t).name()].terms;
+                let rows = theorem3_rows(system, proc.id(), |t| row.inputs(&facts, t, &terms_of));
+                for r in rows {
                     let cached = self
                         .rows
-                        .get_mut(system.task(row.task).name())
+                        .get_mut(system.task(r.task).name())
                         .expect("every task was cached above");
-                    (cached.demand, cached.bound, cached.ok) = (row.demand, row.bound, row.ok);
+                    (cached.demand, cached.bound, cached.ok) = (r.demand, r.bound, r.ok);
                 }
             } else {
                 stats.processors_reused += 1;
@@ -175,14 +162,12 @@ impl DeltaBounds {
                 system.tasks().iter().map(Task::name).collect();
             self.rows.retain(|k, _| names.contains(&**k));
         }
-
-        self.stats.absorb(stats);
         Ok(stats)
     }
 
     /// The cached state as the [`BoundSet`] of `system` — equal to what
-    /// [`Analysis::Mpcp`](crate::Analysis::bounds) returns for the same
-    /// system and configuration.
+    /// [`Analysis::bounds`] returns for the same system under the
+    /// paper's counts.
     ///
     /// # Panics
     ///
@@ -197,12 +182,7 @@ impl DeltaBounds {
                 ..self.rows[t.name()]
             })
             .collect();
-        BoundSet::from_rows(Analysis::Mpcp, per_task)
-    }
-
-    /// Cumulative counters over every update applied so far.
-    pub fn stats(&self) -> DeltaStats {
-        self.stats
+        BoundSet::from_rows(self.analysis, per_task)
     }
 }
 
@@ -264,12 +244,10 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn assert_matches_full(delta: &DeltaBounds, system: &System) {
-        let full = Analysis::Mpcp
-            .bounds(system, BlockingConfig::paper())
-            .unwrap();
+    fn assert_matches_full(delta: &DeltaBounds, system: &System, analysis: Analysis) {
+        let full = analysis.bounds(system, BlockingConfig::paper()).unwrap();
         let cached = delta.bound_set(system);
-        assert_eq!(cached, full);
+        assert_eq!(cached, full, "{analysis}");
         for (a, b) in cached.per_task().iter().zip(full.per_task()) {
             assert_eq!(a.demand.to_bits(), b.demand.to_bits(), "{:?}", a.task);
             assert_eq!(a.bound.to_bits(), b.bound.to_bits());
@@ -279,46 +257,40 @@ mod tests {
     #[test]
     fn incremental_add_remove_modify_match_full() {
         let base = sample(false, 0);
-        let mut delta = DeltaBounds::full(&base).unwrap();
-        assert_matches_full(&delta, &base);
-
         let added = sample(true, 150);
-        let d = dirty_set(
-            &DepGraph::build(&base, None),
-            &DepGraph::build(&added, None),
-            &Edit::AddTask("extra".into()),
-        );
-        assert!(!d.full);
-        delta.update(&added, &d).unwrap();
-        assert_matches_full(&delta, &added);
-
         let modified = sample(true, 90);
-        let d = dirty_set(
-            &DepGraph::build(&added, None),
-            &DepGraph::build(&modified, None),
-            &Edit::ModifyTask("extra".into()),
-        );
-        delta.update(&modified, &d).unwrap();
-        assert_matches_full(&delta, &modified);
-
-        let d = dirty_set(
-            &DepGraph::build(&modified, None),
-            &DepGraph::build(&base, None),
-            &Edit::RemoveTask("extra".into()),
-        );
-        delta.update(&base, &d).unwrap();
-        assert_matches_full(&delta, &base);
+        let steps = [
+            (&base, &added, Edit::AddTask("extra".into())),
+            (&added, &modified, Edit::ModifyTask("extra".into())),
+            (&modified, &base, Edit::RemoveTask("extra".into())),
+        ];
+        for analysis in Analysis::ALL {
+            let (mut delta, _) = DeltaBounds::full(&base, analysis).unwrap();
+            assert_matches_full(&delta, &base, analysis);
+            for (old, new, edit) in &steps {
+                let d = dirty_set(
+                    &DepGraph::build(old, None),
+                    &DepGraph::build(new, None),
+                    edit,
+                    analysis,
+                );
+                assert!(!d.full);
+                delta.update(new, &d).unwrap();
+                assert_matches_full(&delta, new, analysis);
+            }
+        }
     }
 
     #[test]
     fn clean_tasks_are_reused() {
         let base = sample(false, 0);
-        let mut delta = DeltaBounds::full(&base).unwrap();
+        let (mut delta, _) = DeltaBounds::full(&base, Analysis::Mpcp).unwrap();
         let added = sample(true, 150);
         let d = dirty_set(
             &DepGraph::build(&base, None),
             &DepGraph::build(&added, None),
             &Edit::AddTask("extra".into()),
+            Analysis::Mpcp,
         );
         // "aside" on P2 shares nothing with the edited processor P1 or
         // the semaphore SG: it must stay clean and be reused.
@@ -326,7 +298,7 @@ mod tests {
         let stats = delta.update(&added, &d).unwrap();
         assert!(stats.tasks_reused >= 1, "{stats:?}");
         assert!(stats.processors_reused >= 1, "{stats:?}");
-        assert_matches_full(&delta, &added);
+        assert_matches_full(&delta, &added, Analysis::Mpcp);
     }
 
     #[test]
@@ -349,6 +321,8 @@ mod tests {
                 .body(Body::builder().critical(sg, |c| c.compute(1)).build()),
         );
         let sys = b.build().unwrap();
-        assert!(DeltaBounds::full(&sys).is_err());
+        for analysis in Analysis::ALL {
+            assert!(DeltaBounds::full(&sys, analysis).is_err(), "{analysis}");
+        }
     }
 }

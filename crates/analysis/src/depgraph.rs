@@ -7,9 +7,10 @@
 //! mates, on the users of the global semaphores those mates touch, and
 //! — through the gcs execution priorities — on the highest-priority
 //! *remote* user of each shared semaphore. [`DepGraph`] materializes
-//! exactly those edges (task → processor → semaphore → ceiling scope,
-//! plus the DPCP host edge per global semaphore), and [`dirty_set`]
-//! closes an edit over them: the result names every task, resource and
+//! exactly those edges (task → processor → semaphore → ceiling scope;
+//! the DPCP host of a global semaphore is the processor of its first,
+//! highest-priority, user), and [`dirty_set`] closes an edit over them
+//! for one [`Analysis`]: the result names every task, resource and
 //! processor whose analysis output can differ between the old and new
 //! system. Everything *not* named is guaranteed byte-identical, which
 //! is what lets [`DeltaBounds`](crate::DeltaBounds) reuse cached
@@ -18,42 +19,27 @@
 //! # Dirty-set rules
 //!
 //! Let `C` be the *changed* tasks: tasks named by the edit, tasks
-//! present in only one of the two systems, tasks whose structural
-//! shape (processor, period, deadline, offset, body) differs,
-//! and every user of a resource whose scope flipped (local ↔ global ↔
-//! unused). Then, in **both** the old and new graph:
-//!
-//! * a changed task and its processor's Theorem 3 rows are dirty (its
-//!   execution time enters every lower row of the processor);
-//! * every task on a changed task's processor is dirty (factors 1 and
-//!   5 and the deferred-execution penalty read processor-mate state) —
-//!   **unless** the changed task is *section-free* in that graph: no
-//!   critical section at all and no self-suspension. Factors 1 and 5
-//!   read a mate's local and global sections, factors 2-4 a sharer's
-//!   global sections, and the deferred penalty counts a mate only if it
-//!   has a gcs or suspends; a section-free task has none of these, so
-//!   no other task's six terms mention it. No task-scope lint
-//!   (V004/V005/V006/V011) reads a mate either, so the same narrowing
-//!   holds for [`DirtySet::tasks`] as the lint unit list;
-//! * every user of every global semaphore touched by those
-//!   processor-mates is dirty (factors 2-4 read sharer state, and a
-//!   changed task can join or leave the *blocking processor* set of a
-//!   remote task it shares nothing with) — **unless** the changed task
-//!   has no global sections in that graph: such a task enters no
-//!   remote task's bound (factors 2-4 involve it only through global
-//!   sections; its suspensions feed only local mates' deferred
-//!   penalty), so its blast radius stops at its own processor's tasks
-//!   and rows. Scope flips it could cause are promoted to `C` before
-//!   this rule applies, and a flipped resource is global in the graph
-//!   where the rule would have mattered;
-//! * a global semaphore whose remote-argmax signature changed — the
-//!   per-user identity of the highest-priority remote user, which
-//!   determines the gcs execution priority — additionally dirties the
-//!   users of every global semaphore touched from the processors of
-//!   its users (factor 4 compares gcs priorities *across* semaphores);
-//!   the signature is compared by task *name*, and a signature whose
-//!   argmax task is itself changed counts as changed, because relative
-//!   priority order against a changed task is not preserved.
+//! present in only one of the two systems, tasks whose shape
+//! (processor, period, deadline, offset, body) differs, and every user
+//! of a resource whose scope flipped (local ↔ global ↔ unused). In
+//! **both** graphs a changed task and its processor's rows are dirty
+//! (its execution time enters every lower row), and so is what the
+//! analysis' row of the table reaches from it: nothing more from a
+//! *section-free* task (no critical section, no suspension: no term of
+//! any analysis reads such a task, nor does a task-scope lint, so the
+//! narrowing holds for [`DirtySet::tasks`] as the lint unit list too),
+//! its local reach from one without a global section, its global
+//! reach otherwise. Under MPCP a task with local sections only reaches
+//! its mates (factors 1, 5 and the deferred penalty), one with a global
+//! section also every user of a global semaphore a mate holds (factors
+//! 2-4: it can join or leave a remote task's blocking-processor set).
+//! Scope flips are promoted to `C` first, so a flipped resource is
+//! global in the graph where that matters. A row with `argmax` also
+//! dirties, for a global semaphore whose remote-argmax signature
+//! changed (by task name; an argmax that is itself changed counts as
+//! changed), the blocking processors of all its users: MPCP's factor 4
+//! compares gcs priorities across semaphores. DESIGN §11 argues every
+//! footprint.
 //!
 //! Priorities never enter the cached values themselves — the analysis
 //! only ever *compares* them — and the implicit rate-monotonic
@@ -64,7 +50,7 @@
 //! untouched tasks), as well as when processor or resource tables
 //! differ or task names are ambiguous.
 
-use crate::dpcp::default_hosts;
+use crate::bounds::Analysis;
 use mpcp_model::{Body, System, Task};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -74,8 +60,6 @@ use std::sync::Arc;
 /// structurally modified tasks on its own; naming the task here is
 /// still required for edits the shape diff cannot see (an explicit
 /// priority change) and documents intent for the ones they can.
-/// [`Edit::RehostResource`] widens the dirty set for the DPCP host
-/// edge, which is not part of any task's shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Edit {
     /// A task was added.
@@ -84,29 +68,44 @@ pub enum Edit {
     RemoveTask(String),
     /// A task's parameters or body changed.
     ModifyTask(String),
-    /// A global semaphore's host processor changed (DPCP).
-    RehostResource(String),
 }
 
 impl Edit {
-    /// The task named by the edit, if any.
-    pub fn task_name(&self) -> Option<&str> {
+    /// The task named by the edit.
+    pub fn task_name(&self) -> &str {
         match self {
-            Edit::AddTask(n) | Edit::RemoveTask(n) | Edit::ModifyTask(n) => Some(n),
-            Edit::RehostResource(_) => None,
+            Edit::AddTask(n) | Edit::RemoveTask(n) | Edit::ModifyTask(n) => n,
         }
     }
 }
 
 impl fmt::Display for Edit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Edit::AddTask(n) => write!(f, "add-task {n}"),
-            Edit::RemoveTask(n) => write!(f, "remove-task {n}"),
-            Edit::ModifyTask(n) => write!(f, "modify-task {n}"),
-            Edit::RehostResource(r) => write!(f, "rehost-resource {r}"),
-        }
+        let op = match self {
+            Edit::AddTask(_) => "add-task",
+            Edit::RemoveTask(_) => "remove-task",
+            Edit::ModifyTask(_) => "modify-task",
+        };
+        write!(f, "{op} {}", self.task_name())
     }
+}
+
+/// A neighbourhood of a changed task that an analysis' terms read: the
+/// reach columns of the analysis table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Reach {
+    /// Every task on its processor.
+    Mates,
+    /// Every user of its global semaphores.
+    Sharers,
+    /// Every task on the processor of a user of its global semaphores.
+    MatesOfSharers,
+    /// Every task on its processor and every user of a global semaphore
+    /// one of them holds.
+    SharersOfMates,
+    /// Every task on, and every user of a global semaphore hosted on,
+    /// the host processor of each of its global semaphores.
+    Hosts,
 }
 
 /// Names of everything an edit can have invalidated. When
@@ -132,14 +131,6 @@ impl DirtySet {
             full: true,
             ..DirtySet::default()
         }
-    }
-
-    /// Whether nothing needs recomputation.
-    pub fn is_empty(&self) -> bool {
-        !self.full
-            && self.tasks.is_empty()
-            && self.resources.is_empty()
-            && self.processors.is_empty()
     }
 }
 
@@ -203,8 +194,6 @@ struct ResNode {
     /// Task indices with sections on this resource, in decreasing
     /// priority order (as [`mpcp_model::ResourceUsage::users`]).
     users: Vec<usize>,
-    /// DPCP host edge: processor of the highest-priority user.
-    host: Option<usize>,
     /// For a global resource: per user (by name), the name of the
     /// highest-priority *remote* user — the task whose priority sets
     /// the user's gcs execution priority. Ties broken by smallest
@@ -238,7 +227,6 @@ impl DepGraph {
     /// (`TaskNode::still_describes`); `None` builds every node.
     pub fn build(system: &System, prev: Option<&DepGraph>) -> DepGraph {
         let info = system.info();
-        let hosts = default_hosts(system);
         let proc_names: Vec<String> = system
             .processors()
             .iter()
@@ -349,7 +337,6 @@ impl DepGraph {
                     name: system.resource(u.resource).name().to_string(),
                     scope,
                     users,
-                    host: hosts[u.resource.index()].map(mpcp_model::ProcessorId::index),
                     argmax,
                 }
             })
@@ -409,8 +396,17 @@ impl DepGraph {
             .map(|pos| self.by_name[pos])
     }
 
-    fn res_idx(&self, name: &str) -> Option<usize> {
-        self.resources.iter().position(|r| r.name == name)
+    /// Whether `other` has this graph's processor and resource tables.
+    fn same_tables(&self, other: &DepGraph) -> bool {
+        let names = self.resources.iter().map(|r| &r.name);
+        self.proc_names == other.proc_names && names.eq(other.resources.iter().map(|r| &r.name))
+    }
+
+    /// The DPCP host processor of resource `r`, if it is global: that
+    /// of its highest-priority user.
+    fn host(&self, r: usize) -> Option<usize> {
+        let res = &self.resources[r];
+        (res.scope == ScopeKey::Global).then(|| self.tasks[res.users[0]].proc)
     }
 
     /// Tasks in decreasing priority order (ties by insertion order),
@@ -470,14 +466,20 @@ impl Marks {
         self.tasks[gi][t] = true;
     }
 
-    /// Marks processor `p` of graph `gi` and every task on it —
-    /// enough for a changed task with no global sections, which can
-    /// alter only its mates' local factors (1, 5, the deferred
-    /// penalty) and its own processor's Theorem 3 rows.
+    /// Marks processor `p` of graph `gi` and every task on it.
     fn mark_mates(&mut self, g: &DepGraph, gi: usize, p: usize) {
         self.procs[gi][p] = true;
         for &mate in &g.proc_tasks[p] {
             self.tasks[gi][mate] = true;
+        }
+    }
+
+    /// Marks every user of resource `r` of graph `gi`.
+    fn mark_users(&mut self, g: &DepGraph, gi: usize, r: usize) {
+        if !std::mem::replace(&mut self.res_users[gi][r], true) {
+            for &u in &g.resources[r].users {
+                self.tasks[gi][u] = true;
+            }
         }
     }
 
@@ -492,9 +494,38 @@ impl Marks {
         self.mark_mates(g, gi, p);
         for &mate in &g.proc_tasks[p] {
             for &r in &g.tasks[mate].globals {
-                if !std::mem::replace(&mut self.res_users[gi][r], true) {
+                self.mark_users(g, gi, r);
+            }
+        }
+    }
+
+    /// Marks what changed task `t` of graph `gi` of `graphs` reaches
+    /// through `reach`.
+    fn mark_reach(&mut self, graphs: [&DepGraph; 2], gi: usize, t: usize, reach: Reach) {
+        let g = graphs[gi];
+        let node = &g.tasks[t];
+        match reach {
+            Reach::Mates => self.mark_mates(g, gi, node.proc),
+            Reach::SharersOfMates => self.mark_processor(g, gi, node.proc),
+            Reach::Sharers => node.globals.iter().for_each(|&r| self.mark_users(g, gi, r)),
+            Reach::MatesOfSharers => {
+                for &r in &node.globals {
                     for &u in &g.resources[r].users {
-                        self.tasks[gi][u] = true;
+                        self.mark_mates(g, gi, g.tasks[u].proc);
+                    }
+                }
+            }
+            Reach::Hosts => {
+                // The host in either version: a task that becomes or
+                // stops being a semaphore's top user moves it, and the
+                // task is in one version only when it came or went.
+                let hosts = node.globals.iter().flat_map(|&r| graphs.map(|g| g.host(r)));
+                for h in hosts.flatten() {
+                    self.mark_mates(g, gi, h);
+                    for r in 0..g.resources.len() {
+                        if g.host(r) == Some(h) {
+                            self.mark_users(g, gi, r);
+                        }
                     }
                 }
             }
@@ -503,61 +534,39 @@ impl Marks {
 }
 
 /// Closes `edit` over the dependency edges of the `old` and `new`
-/// graphs, naming everything whose analysis output can differ. See the
-/// module docs for the rules; any configuration the rules cannot bound
-/// yields [`DirtySet::full`].
-pub fn dirty_set(old: &DepGraph, new: &DepGraph, edit: &Edit) -> DirtySet {
-    if old.duplicate_tasks || new.duplicate_tasks {
-        return DirtySet::full();
-    }
-    if old.proc_names != new.proc_names {
-        return DirtySet::full();
-    }
-    let old_res: Vec<&str> = old.resources.iter().map(|r| r.name.as_str()).collect();
-    let new_res: Vec<&str> = new.resources.iter().map(|r| r.name.as_str()).collect();
-    if old_res != new_res {
+/// graphs, naming everything whose output under `analysis` (and whose
+/// lint findings) can differ. See the module docs for the rules; any
+/// configuration the rules cannot bound yields [`DirtySet::full`].
+pub fn dirty_set(old: &DepGraph, new: &DepGraph, edit: &Edit, analysis: Analysis) -> DirtySet {
+    let row = analysis.row();
+    if old.duplicate_tasks || new.duplicate_tasks || !old.same_tables(new) {
         return DirtySet::full();
     }
 
     // Changed tasks: named by the edit, present in only one version,
     // or structurally different. Both `by_name` orders are sorted, so
     // a lockstep merge finds the differences in one pass.
-    let mut changed: BTreeSet<String> = BTreeSet::new();
-    if let Some(n) = edit.task_name() {
-        changed.insert(n.to_string());
-    }
+    let mut changed: BTreeSet<String> = BTreeSet::from([edit.task_name().to_string()]);
     let (mut oi, mut ni) = (0, 0);
-    while oi < old.by_name.len() || ni < new.by_name.len() {
-        let ot = (oi < old.by_name.len()).then(|| &old.tasks[old.by_name[oi]]);
-        let nt = (ni < new.by_name.len()).then(|| &new.tasks[new.by_name[ni]]);
-        match (ot, nt) {
-            (Some(o), Some(n)) => match o.name.cmp(&n.name) {
-                std::cmp::Ordering::Equal => {
-                    if !o.same_shape(n) {
-                        changed.insert(o.name.to_string());
-                    }
-                    oi += 1;
-                    ni += 1;
-                }
-                std::cmp::Ordering::Less => {
-                    changed.insert(o.name.to_string());
-                    oi += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    changed.insert(n.name.to_string());
-                    ni += 1;
-                }
-            },
-            (Some(o), None) => {
-                changed.insert(o.name.to_string());
-                oi += 1;
-            }
-            (None, Some(n)) => {
-                changed.insert(n.name.to_string());
-                ni += 1;
-            }
-            (None, None) => unreachable!(),
+    loop {
+        let o = old.by_name.get(oi).map(|&i| &old.tasks[i]);
+        let n = new.by_name.get(ni).map(|&i| &new.tasks[i]);
+        let order = match (o, n) {
+            (Some(o), Some(n)) => o.name.cmp(&n.name),
+            (Some(_), None) => std::cmp::Ordering::Less,
+            (None, Some(_)) => std::cmp::Ordering::Greater,
+            (None, None) => break,
+        };
+        let (o_step, n_step) = (order.is_le(), order.is_ge());
+        let differs = match (o, n) {
+            (Some(o), Some(n)) if order.is_eq() => !o.same_shape(n),
+            _ => true,
+        };
+        if differs {
+            let node = if o_step { o } else { n };
+            changed.insert(node.expect("a side advances").name.to_string());
         }
+        (oi, ni) = (oi + usize::from(o_step), ni + usize::from(n_step));
     }
 
     // Relative priority order among unchanged tasks must be preserved,
@@ -592,27 +601,24 @@ pub fn dirty_set(old: &DepGraph, new: &DepGraph, edit: &Edit) -> DirtySet {
         }
     }
 
-    // Per changed task, in both versions: its processor mates, the
-    // users of every global semaphore those mates touch, and its own
-    // resources.
+    // Per changed task, in both versions: itself, its processor's rows,
+    // what the analysis reaches from it, and its own resources. A
+    // section-free task reaches nothing further; one with no global
+    // section, only the local reach (scope flips it could cause were
+    // already promoted above, and then its globals are non-empty in the
+    // graph where the resource is global).
     for c in &changed {
         for (gi, g) in [old, new].into_iter().enumerate() {
             let Some(ti) = g.task_idx(c) else { continue };
             let t = &g.tasks[ti];
-            if t.resources.is_empty() && !t.suspends {
-                marks.mark_alone(g, gi, ti);
-            } else if t.globals.is_empty() {
-                // A task with no global sections enters no remote
-                // task's bound (factors 2-4 involve it only through
-                // global sections, and suspensions feed the deferred
-                // penalty of *local* mates only): its processor's
-                // tasks and rows are the entire blast radius. Scope
-                // flips this task could cause were already promoted
-                // above, and then its globals are non-empty in the
-                // graph where the resource is global.
-                marks.mark_mates(g, gi, t.proc);
-            } else {
-                marks.mark_processor(g, gi, t.proc);
+            marks.mark_alone(g, gi, ti);
+            let reach = match (t.resources.is_empty() && !t.suspends, t.globals.is_empty()) {
+                (true, _) => &[][..],
+                (false, true) => row.local_reach,
+                (false, false) => row.global_reach,
+            };
+            for &r in reach {
+                marks.mark_reach([old, new], gi, ti, r);
             }
             for &r in &t.resources {
                 dirty.resources.insert(g.resources[r].name.clone());
@@ -620,25 +626,22 @@ pub fn dirty_set(old: &DepGraph, new: &DepGraph, edit: &Edit) -> DirtySet {
         }
     }
 
-    // Gcs-priority propagation: a global semaphore whose remote-argmax
-    // signature changed (or whose argmax is itself a changed task)
-    // invalidates factor-4 comparisons on the processors of its users.
-    let mut candidates: BTreeSet<&str> = BTreeSet::new();
-    for c in &changed {
+    // Gcs-priority propagation, for a row with `argmax`: a global
+    // semaphore whose remote-argmax signature changed (or whose argmax
+    // is itself a changed task) invalidates factor-4 comparisons on the
+    // processors of its users.
+    // Resource tables are equal (checked above): indices name the same
+    // semaphore in both versions.
+    let mut candidates: BTreeSet<usize> = BTreeSet::new();
+    for c in changed.iter().filter(|_| row.argmax) {
         for g in [old, new] {
             if let Some(ti) = g.task_idx(c) {
-                for &r in &g.tasks[ti].globals {
-                    candidates.insert(g.resources[r].name.as_str());
-                }
+                candidates.extend(&g.tasks[ti].globals);
             }
         }
     }
-    let mut repri: BTreeSet<String> = BTreeSet::new();
-    for rn in candidates {
-        let (Some(oi), Some(ni)) = (old.res_idx(rn), new.res_idx(rn)) else {
-            continue;
-        };
-        let (o, n) = (&old.resources[oi], &new.resources[ni]);
+    for r in candidates {
+        let (o, n) = (&old.resources[r], &new.resources[r]);
         if o.scope != ScopeKey::Global || n.scope != ScopeKey::Global {
             continue; // flips are already fully promoted above
         }
@@ -648,43 +651,9 @@ pub fn dirty_set(old: &DepGraph, new: &DepGraph, edit: &Edit) -> DirtySet {
                 .chain(&n.argmax)
                 .any(|(_, best)| best.as_deref().is_some_and(|b| changed.contains(b)));
         if touched {
-            repri.insert(rn.to_string());
-        }
-    }
-    for rn in &repri {
-        for (gi, g) in [old, new].into_iter().enumerate() {
-            let Some(ri) = g.res_idx(rn) else { continue };
-            for &u in &g.resources[ri].users {
-                marks.mark_processor(g, gi, g.tasks[u].proc);
-            }
-        }
-    }
-
-    // DPCP host edge: rehosting dirties the semaphore's users and both
-    // host processors' tasks and hosted sections.
-    if let Edit::RehostResource(rn) = edit {
-        dirty.resources.insert(rn.clone());
-        for g in [old, new] {
-            let Some(ri) = g.res_idx(rn) else { continue };
-            for &u in &g.resources[ri].users {
-                dirty.tasks.insert(g.tasks[u].name.to_string());
-            }
-        }
-        let hosts: Vec<usize> = [old, new]
-            .iter()
-            .filter_map(|g| g.res_idx(rn).and_then(|ri| g.resources[ri].host))
-            .collect();
-        for g in [old, new] {
-            for &h in &hosts {
-                for &t in &g.proc_tasks[h] {
-                    dirty.tasks.insert(g.tasks[t].name.to_string());
-                }
-                for r in &g.resources {
-                    if r.host == Some(h) {
-                        for &u in &r.users {
-                            dirty.tasks.insert(g.tasks[u].name.to_string());
-                        }
-                    }
+            for (gi, g) in [old, new].into_iter().enumerate() {
+                for &u in &g.resources[r].users {
+                    marks.mark_processor(g, gi, g.tasks[u].proc);
                 }
             }
         }
@@ -723,6 +692,8 @@ pub fn dirty_set(old: &DepGraph, new: &DepGraph, edit: &Edit) -> DirtySet {
 mod tests {
     use super::*;
     use mpcp_model::{Body, System, TaskDef};
+
+    const MPCP: Analysis = Analysis::Mpcp;
 
     /// P0: t0 (pri 3, SG). P1: t1 (pri 2, SG). P2: t2 (pri 1, SL). Plus,
     /// when given, a fourth task (pri 4, T 400) on P1 with that name and
@@ -839,7 +810,7 @@ mod tests {
     fn add_task_dirties_sharers_but_not_bystanders() {
         let old = DepGraph::build(&base(), None);
         let new = DepGraph::build(&with_t3(), None);
-        let d = dirty_set(&old, &new, &Edit::AddTask("t3".into()));
+        let d = dirty_set(&old, &new, &Edit::AddTask("t3".into()), MPCP);
         assert!(!d.full);
         for t in ["t0", "t1", "t3"] {
             assert!(d.tasks.contains(t), "{t} should be dirty: {d:?}");
@@ -860,7 +831,7 @@ mod tests {
             (&old, &new, Edit::AddTask("extra".into())),
             (&new, &old, Edit::RemoveTask("extra".into())),
         ] {
-            let d = dirty_set(a, b, &edit);
+            let d = dirty_set(a, b, &edit, MPCP);
             assert!(!d.full);
             assert_eq!(d.tasks, BTreeSet::from(["extra".to_string()]), "{edit}");
             assert_eq!(d.processors, BTreeSet::from(["P1".to_string()]), "{edit}");
@@ -874,6 +845,7 @@ mod tests {
             &old,
             &DepGraph::build(&suspending, None),
             &Edit::AddTask("extra".into()),
+            MPCP,
         );
         assert!(d.tasks.contains("t1"), "{d:?}");
         assert!(!d.tasks.contains("t0"), "{d:?}");
@@ -884,11 +856,22 @@ mod tests {
         let old = DepGraph::build(&with_t3(), None);
         let new = DepGraph::build(&base(), None);
         // Mislabel the edit entirely; the graph diff still finds t3.
-        let d = dirty_set(&old, &new, &Edit::ModifyTask("t1".into()));
+        let d = dirty_set(&old, &new, &Edit::ModifyTask("t1".into()), MPCP);
         assert!(!d.full);
         assert!(d.tasks.contains("t3"));
         assert!(d.tasks.contains("t0"));
         assert!(!d.tasks.contains("t2"));
+    }
+
+    /// A shape change the edit does not name is found by the name merge.
+    #[test]
+    fn shape_change_is_detected_without_the_edit_naming_it() {
+        let base = base();
+        let [t0, t1, t2] = [0, 1, 2].map(|i| base.tasks()[i].to_def());
+        let next = base.with_tasks([t0, t1.period(250), t2]).unwrap();
+        let (old, new) = (DepGraph::build(&base, None), DepGraph::build(&next, None));
+        let d = dirty_set(&old, &new, &Edit::ModifyTask("t2".into()), MPCP);
+        assert!(d.tasks.contains("t1") && d.tasks.contains("t0"), "{d:?}");
     }
 
     #[test]
@@ -927,7 +910,7 @@ mod tests {
         let new = b.build().unwrap();
         let old = DepGraph::build(&base(), None);
         let new = DepGraph::build(&new, None);
-        let d = dirty_set(&old, &new, &Edit::AddTask("t4".into()));
+        let d = dirty_set(&old, &new, &Edit::AddTask("t4".into()), MPCP);
         assert!(!d.full);
         assert!(d.tasks.contains("t2"), "flipped resource user stayed clean");
         assert!(d.resources.contains("SL"));
@@ -956,7 +939,7 @@ mod tests {
         };
         let old = DepGraph::build(&base(), None);
         let new = DepGraph::build(&two, None);
-        assert!(dirty_set(&old, &new, &Edit::ModifyTask("a".into())).full);
+        assert!(dirty_set(&old, &new, &Edit::ModifyTask("a".into()), MPCP).full);
     }
 
     #[test]
@@ -988,25 +971,37 @@ mod tests {
         let old = DepGraph::build(&make(3, 2), None);
         let new = DepGraph::build(&make(2, 3), None);
         // The edit names only c; a and b swapped order behind its back.
-        assert!(dirty_set(&old, &new, &Edit::ModifyTask("c".into())).full);
+        assert!(dirty_set(&old, &new, &Edit::ModifyTask("c".into()), MPCP).full);
     }
 
+    /// DPCP's host edge: a task that takes SG over (its new top user,
+    /// on P2) moves SG's host off P1, so every task on P1 is dirty under
+    /// DPCP (agents no longer run there), section-free `quiet` included.
+    /// FMLP+'s footprint has no host edge and leaves `quiet` alone.
     #[test]
-    fn rehost_dirties_both_host_processors() {
-        let sys = with_t3();
-        let g = DepGraph::build(&sys, None);
-        // Host of SG is the processor of its highest-priority user t3 (P1).
-        let sg = g.resources.iter().find(|r| r.name == "SG").unwrap();
-        assert_eq!(sg.host.map(|p| g.proc_names[p].as_str()), Some("P1"));
-        let d = dirty_set(&g, &g, &Edit::RehostResource("SG".into()));
-        assert!(!d.full);
-        for t in ["t0", "t1", "t3"] {
-            assert!(d.tasks.contains(t), "{t} should be dirty: {d:?}");
-        }
-        assert!(d.resources.contains("SG"));
-        // An identity edit on a task leaves nothing dirty.
-        let d = dirty_set(&g, &g, &Edit::ModifyTask("t2".into()));
-        assert!(d.tasks.contains("t2"));
-        assert!(!d.tasks.contains("t0"));
+    fn dpcp_footprint_reaches_the_old_and_new_host() {
+        let quiet = TaskDef::new("quiet", mpcp_model::ProcessorId::from_index(1))
+            .period(900)
+            .priority(6)
+            .body(Body::builder().compute(1).build());
+        let sg = mpcp_model::ResourceId::from_index(0);
+        let late = TaskDef::new("late", mpcp_model::ProcessorId::from_index(2))
+            .period(800)
+            .priority(7)
+            .body(Body::builder().critical(sg, |c| c.compute(1)).build());
+        let base = with_t3();
+        let defs = || base.tasks().iter().map(Task::to_def).chain([quiet.clone()]);
+        let before = base.with_tasks(defs()).unwrap();
+        let after = base.with_tasks(defs().chain([late])).unwrap();
+        let (old, new) = (
+            DepGraph::build(&before, None),
+            DepGraph::build(&after, None),
+        );
+        assert_eq!((old.host(0), new.host(0)), (Some(1), Some(2)));
+        let edit = Edit::AddTask("late".into());
+        let dpcp = dirty_set(&old, &new, &edit, Analysis::Dpcp);
+        assert!(dpcp.tasks.contains("quiet"), "{dpcp:?}");
+        let fmlp = dirty_set(&old, &new, &edit, Analysis::Fmlp);
+        assert!(!fmlp.tasks.contains("quiet"), "{fmlp:?}");
     }
 }

@@ -116,16 +116,26 @@ pub fn dpcp_bounds_with(
     Ok(facts
         .tasks
         .iter()
-        .map(|i| DpcpBreakdown {
-            task: i.id,
-            local_cs: crate::blocking::factor1(&facts, i),
-            lower_gcs_same_sem: crate::blocking::factor2(&facts, i),
-            higher_remote_gcs: crate::blocking::factor3(&facts, i, &facts.sharers(i), config),
-            host_ceiling_gcs: host_ceiling_gcs(&facts, i, &host, config),
-            agent_interference: agent_interference(&facts, i, &host, config),
-            deferred_penalty: crate::blocking::deferred_penalty(&facts, i),
-        })
+        .map(|i| breakdown(&facts, i, &host, config))
         .collect())
+}
+
+/// Task `i`'s breakdown with `host` assigning each global semaphore.
+pub(crate) fn breakdown(
+    facts: &Facts<'_>,
+    i: &TaskFacts<'_>,
+    host: &impl Fn(ResourceId) -> ProcessorId,
+    config: BlockingConfig,
+) -> DpcpBreakdown {
+    DpcpBreakdown {
+        task: i.id,
+        local_cs: crate::blocking::factor1(facts, i),
+        lower_gcs_same_sem: crate::blocking::factor2(facts, i),
+        higher_remote_gcs: crate::blocking::factor3(facts, i, &facts.sharers(i), config),
+        host_ceiling_gcs: host_ceiling_gcs(facts, i, host, config),
+        agent_interference: agent_interference(facts, i, host, config),
+        deferred_penalty: crate::blocking::deferred_penalty(facts, i),
+    }
 }
 
 /// Factor 4′: for each semaphore `S` the task uses, sections of

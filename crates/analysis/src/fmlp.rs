@@ -29,10 +29,11 @@
 //! (under FMLP+ every queue wait suspends, so any section-owning task
 //! qualifies).
 
-use crate::bounds::{pad_terms, Analysis, BoundSet};
+use crate::bounds::{pad_terms, Analysis, BoundSet, Terms, TermsOf};
 use crate::counts::{Facts, TaskFacts};
 use crate::error::AnalysisError;
-use mpcp_model::{CriticalSection, Dur, ResourceId, System, Task};
+use crate::BlockingConfig;
+use mpcp_model::{CriticalSection, Dur, ResourceId, System};
 
 /// All critical sections of `t` — FMLP+ has no local/global split.
 fn sections<'a>(t: &'a TaskFacts<'_>) -> impl Iterator<Item = &'a CriticalSection> {
@@ -74,68 +75,42 @@ fn wait_per_request(facts: &Facts<'_>, i: &TaskFacts<'_>, q: ResourceId) -> Dur 
     total
 }
 
-/// The FMLP+ row of the analysis contract
-/// ([`Analysis::Fmlp`]): named terms `wait` and `arrival`, whose sum
-/// bounds measured blocking and is charged to the row.
+/// The FMLP+ row's terms: `wait` (per request, [`wait_per_request`])
+/// and `arrival` (per dispatch point, one boosted section of every
+/// lower local task).
+pub(crate) fn terms(facts: &Facts<'_>, i: &TaskFacts<'_>, _: BlockingConfig) -> Terms {
+    let wait = sections(i)
+        .map(|s| wait_per_request(facts, i, s.resource))
+        .sum();
+    let lower: Dur = facts.lower_local(i).map(s_max).sum();
+    let points = 1 + i.n_susp as u64 + 2 * sections(i).count() as u64;
+    pad_terms([wait, lower * points])
+}
+
+/// Wait and arrival, plus one `C_h` of each higher local task that can
+/// suspend and so defer its demand — under FMLP+ any section can
+/// queue-wait, so owning a section suffices.
+pub(crate) fn row_blocking(
+    facts: &Facts<'_>,
+    i: &TaskFacts<'_>,
+    own: &Terms,
+    _: &TermsOf<'_>,
+) -> Dur {
+    let deferred: Dur = facts
+        .higher_local(i)
+        .filter(|h| h.n_susp > 0 || sections(h).next().is_some())
+        .map(|h| h.wcet)
+        .sum();
+    own[0] + own[1] + deferred
+}
+
+/// [`Analysis::Fmlp`]'s [`bounds`](Analysis::bounds).
 ///
 /// # Errors
 ///
-/// Returns an error if any critical section is nested (the FIFO-queue
-/// analysis models one level only) or a suspension occurs inside a
-/// critical section.
+/// As [`Analysis::bounds`].
 pub fn fmlp_bound_set(system: &System) -> Result<BoundSet, AnalysisError> {
-    let facts = Facts::compute(system)?;
-    // FMLP+ queues every semaphore, so reject *any* nesting, not just
-    // global-in-global (which `Facts` already refused).
-    let info = system.info();
-    for t in system.tasks() {
-        if info
-            .task_use(t.id())
-            .sections
-            .iter()
-            .any(|cs| !cs.nested.is_empty() || !cs.enclosing.is_empty())
-        {
-            return Err(AnalysisError::NestedGlobalSections { task: t.id() });
-        }
-    }
-
-    let wait: Vec<Dur> = facts
-        .tasks
-        .iter()
-        .map(|i| {
-            sections(i)
-                .map(|s| wait_per_request(&facts, i, s.resource))
-                .sum()
-        })
-        .collect();
-    let arrival: Vec<Dur> = facts
-        .tasks
-        .iter()
-        .map(|i| {
-            let lower: Dur = facts.lower_local(i).map(s_max).sum();
-            let n_req = sections(i).count() as u64;
-            let points = 1 + i.n_susp as u64 + 2 * n_req;
-            lower * points
-        })
-        .collect();
-
-    Ok(BoundSet::new(
-        system,
-        Analysis::Fmlp,
-        Task::wcet,
-        |t| {
-            // Higher local tasks that can suspend defer their demand;
-            // under FMLP+ any section can queue-wait, so owning a
-            // section suffices.
-            let deferred: Dur = facts
-                .higher_local(&facts.tasks[t.index()])
-                .filter(|h| h.n_susp > 0 || sections(h).next().is_some())
-                .map(|h| h.wcet)
-                .sum();
-            wait[t.index()] + arrival[t.index()] + deferred
-        },
-        |t| pad_terms([wait[t.index()], arrival[t.index()]]),
-    ))
+    Analysis::Fmlp.bounds(system, BlockingConfig::paper())
 }
 
 #[cfg(test)]

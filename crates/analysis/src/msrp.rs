@@ -24,9 +24,10 @@
 //! `(C_h + spin_h)/T_h`, and suspending higher-priority tasks add the
 //! usual deferred-execution penalty.
 
-use crate::bounds::{pad_terms, Analysis, BoundSet};
+use crate::bounds::{pad_terms, Analysis, BoundSet, Terms, TermsOf};
 use crate::counts::{Facts, TaskFacts};
 use crate::error::AnalysisError;
+use crate::BlockingConfig;
 use mpcp_model::{Dur, ResourceId, System};
 
 /// `ξ(q)` as seen from processor `proc`: one maximal section on `q` per
@@ -97,37 +98,36 @@ fn arrival_of(facts: &Facts<'_>, i: &TaskFacts<'_>) -> Dur {
     (l_loc + w_np) * points
 }
 
-/// The MSRP row of the analysis contract
-/// ([`Analysis::Msrp`]): named terms `spin` and `arrival`, whose sum
-/// bounds measured blocking.
+/// The MSRP row's terms: `spin` and `arrival`, whose sum bounds
+/// measured blocking.
+pub(crate) fn terms(facts: &Facts<'_>, i: &TaskFacts<'_>, _: BlockingConfig) -> Terms {
+    pad_terms([spin_of(facts, i), arrival_of(facts, i)])
+}
+
+/// Arrival blocking, plus one spin-inflated instance of each higher
+/// local task that can suspend (explicitly or on a local-PCP block) and
+/// so defer its demand, like the §5.1 penalty.
+pub(crate) fn row_blocking(
+    facts: &Facts<'_>,
+    i: &TaskFacts<'_>,
+    own: &Terms,
+    terms_of: &TermsOf<'_>,
+) -> Dur {
+    let deferred: Dur = facts
+        .higher_local(i)
+        .filter(|h| h.n_susp > 0 || !h.lcs.is_empty())
+        .map(|h| h.wcet + terms_of(h.id)[0])
+        .sum();
+    own[1] + deferred
+}
+
+/// [`Analysis::Msrp`]'s [`bounds`](Analysis::bounds).
 ///
 /// # Errors
 ///
-/// Returns an error if the system violates the base-protocol
-/// assumptions (nested global sections or suspensions inside critical
-/// sections).
+/// As [`Analysis::bounds`].
 pub fn msrp_bound_set(system: &System) -> Result<BoundSet, AnalysisError> {
-    let facts = Facts::compute(system)?;
-    let spin: Vec<Dur> = facts.tasks.iter().map(|t| spin_of(&facts, t)).collect();
-    let arrival: Vec<Dur> = facts.tasks.iter().map(|t| arrival_of(&facts, t)).collect();
-    Ok(BoundSet::new(
-        system,
-        Analysis::Msrp,
-        // Spinning occupies the processor like computation.
-        |t| t.wcet() + spin[t.id().index()],
-        |t| {
-            // Higher local tasks that can suspend (explicitly or on a
-            // local-PCP block) defer their demand; charge one extra
-            // spin-inflated instance each, like the §5.1 penalty.
-            let deferred: Dur = facts
-                .higher_local(&facts.tasks[t.index()])
-                .filter(|h| h.n_susp > 0 || !h.lcs.is_empty())
-                .map(|h| h.wcet + spin[h.id.index()])
-                .sum();
-            arrival[t.index()] + deferred
-        },
-        |t| pad_terms([spin[t.index()], arrival[t.index()]]),
-    ))
+    Analysis::Msrp.bounds(system, BlockingConfig::paper())
 }
 
 #[cfg(test)]

@@ -77,7 +77,7 @@ impl SchedReport {
 /// Panics if `blocking` is not indexed like the system's tasks.
 pub fn theorem3(system: &System, blocking: &[Dur]) -> SchedReport {
     assert_eq!(blocking.len(), system.tasks().len());
-    let per_task = theorem3_all(system, Task::wcet, |t| blocking[t.index()]);
+    let per_task = theorem3_all(system, |t| (t.wcet(), blocking[t.id().index()]));
     let schedulable = per_task.iter().all(|t| t.ok);
     SchedReport {
         per_task,
@@ -88,12 +88,11 @@ pub fn theorem3(system: &System, blocking: &[Dur]) -> SchedReport {
 /// The Theorem 3 rows of every processor, in [`TaskId`] order.
 pub(crate) fn theorem3_all(
     system: &System,
-    cost: impl Fn(&Task) -> Dur,
-    blocking: impl Fn(TaskId) -> Dur,
+    inputs: impl Fn(&Task) -> (Dur, Dur),
 ) -> Vec<TaskSched> {
     let mut per_task: Vec<Option<TaskSched>> = vec![None; system.tasks().len()];
     for proc in system.processors() {
-        for row in theorem3_rows(system, proc.id(), &cost, &blocking) {
+        for row in theorem3_rows(system, proc.id(), &inputs) {
             per_task[row.task.index()] = Some(row);
         }
     }
@@ -105,9 +104,10 @@ pub(crate) fn theorem3_all(
 
 /// The rate-monotonic rows of one processor, in decreasing priority
 /// order: `Σ_{j ≤ i} cost(j)/T_j + blocking(i)/T_i` against the Liu &
-/// Layland bound of the rank. This is the only such loop in the crate:
-/// Theorem 3 proper charges `cost = C_j` and `blocking = B_i`, and the
-/// MSRP and FMLP+ tests are the same rows with a spin-inflated cost or a
+/// Layland bound of the rank, where `inputs(t)` is task `t`'s `(cost,
+/// blocking)`. This is the only such loop in the crate: Theorem 3
+/// proper charges `cost = C_j` and `blocking = B_i`, and the MSRP and
+/// FMLP+ tests are the same rows with a spin-inflated cost or a
 /// different blocking term. The utilization accumulation order is fixed
 /// by `tasks_on`, so recomputing a single processor reproduces the
 /// whole-system floats bit-for-bit — the property the incremental engine
@@ -115,8 +115,7 @@ pub(crate) fn theorem3_all(
 pub(crate) fn theorem3_rows(
     system: &System,
     proc: ProcessorId,
-    cost: impl Fn(&Task) -> Dur,
-    blocking: impl Fn(TaskId) -> Dur,
+    inputs: impl Fn(&Task) -> (Dur, Dur),
 ) -> Vec<TaskSched> {
     let local = system.tasks_on(proc); // decreasing priority
     let mut util_sum = 0.0;
@@ -124,8 +123,9 @@ pub(crate) fn theorem3_rows(
         .iter()
         .enumerate()
         .map(|(rank, task)| {
-            util_sum += cost(task).ratio(task.period());
-            let demand = util_sum + blocking(task.id()).ratio(task.period());
+            let (cost, blocking) = inputs(task);
+            util_sum += cost.ratio(task.period());
+            let demand = util_sum + blocking.ratio(task.period());
             let bound = liu_layland_bound(rank + 1);
             TaskSched {
                 task: task.id(),

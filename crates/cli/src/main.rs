@@ -136,7 +136,6 @@ mod table {
     pub(super) const QUEUE: Flag = flag("queue", Uint, of!(ServerConfig::default().queue_cap), "pending-request bound");
     pub(super) const DEADLINE_MS: Flag = flag("deadline-ms", Uint, of!(ServerConfig::default().deadline.as_millis()), "per-request deadline");
     pub(super) const CACHE: Flag = flag("cache", Uint, of!(ServerConfig::default().cache_capacity), "analysis-cache entries");
-    pub(super) const NO_INCREMENTAL: Flag = flag("no-incremental", Switch, None, "full analysis for every add-task/remove-task");
     pub(super) const AUDIT_EVERY: Flag = flag("audit-every", Uint, of!(ServerConfig::default().audit_every), "audit every Nth incremental result (0: never)");
     pub(super) const SHARDS: Flag = flag("shards", Uint, of!(ServerConfig::default().shards), "reactor event-loop shards");
     pub(super) const MAX_PIPELINE: Flag = flag("max-pipeline", Uint, of!(ServerConfig::default().max_pipeline), "per-connection in-flight bound");
@@ -182,7 +181,7 @@ mod table {
         Command { name: "audit", summary: "certify incremental analysis against full recompute; nonzero exit if they differ",
             run: run_audit, flags: &[STEPS], groups: &[&TARGET, &RANDOM_SYSTEM] },
         Command { name: "serve", summary: "online admission-control server (NDJSON/TCP)", run: run_serve,
-            flags: &[PORT, ADDR, WORKERS, QUEUE, DEADLINE_MS, CACHE, NO_INCREMENTAL, AUDIT_EVERY, SHARDS, MAX_PIPELINE,
+            flags: &[PORT, ADDR, WORKERS, QUEUE, DEADLINE_MS, CACHE, AUDIT_EVERY, SHARDS, MAX_PIPELINE,
                 READ_DEADLINE_MS, IDLE_MS, PERSIST, SNAPSHOT_EVERY],
             groups: &[] },
         Command { name: "loadgen", summary: "drive a server with a submission stream", run: run_loadgen,
@@ -618,7 +617,6 @@ fn run_serve(args: &Args) -> Result<ExitCode, String> {
         queue_cap: args.get(&QUEUE),
         deadline: millis(&DEADLINE_MS),
         cache_capacity: args.get(&CACHE),
-        incremental: !args.on(&NO_INCREMENTAL),
         audit_every: args.get(&AUDIT_EVERY),
         shards: args.get(&SHARDS),
         max_pipeline: args.get(&MAX_PIPELINE),
@@ -712,66 +710,68 @@ fn oracle_verdict(args: &Args, text: &str, hash: u64, violations: u64) -> Result
 }
 
 /// `mpcp audit`: drive the incremental analysis engine through the
-/// deterministic edit script of [`mpcp_verify::audit_script`] and
-/// byte-compare its snapshot against an independent full recompute after
-/// every step. Any divergence is a hard failure.
+/// deterministic edit script of [`mpcp_verify::audit_script`] under
+/// every analysis and byte-compare its snapshot against an independent
+/// full recompute after every step; one summary line per analysis. Any
+/// divergence is a hard failure.
 fn run_audit(args: &Args) -> Result<ExitCode, String> {
     use mpcp_verify::{full_snapshot_json, IncrementalAnalysis};
     use std::time::Instant;
 
     let (sys, label) = &target(args)?;
     let steps = args.opt(&STEPS).unwrap_or(sys.tasks().len());
-    let mut engine = IncrementalAnalysis::new(sys.clone())
-        .map_err(|e| format!("audit: cannot build incremental engine: {e}"))?;
     let script = mpcp_verify::audit_script(sys, steps)
         .map_err(|e| format!("audit: cannot build the edit script: {e}"))?;
     let edits = script.len();
     eprintln!(
-        "auditing {label}: {} tasks, {edits} edit(s)",
+        "auditing {label}: {} tasks, {edits} edit(s) per analysis",
         sys.tasks().len()
     );
 
-    let mut incremental_ns = 0u128;
-    let mut full_ns = 0u128;
     let mut divergences = 0usize;
-    for (edit, next) in script {
-        let t0 = Instant::now();
-        engine.apply(next, &edit);
-        let got = engine.snapshot_json();
-        incremental_ns += t0.elapsed().as_nanos();
-        let t1 = Instant::now();
-        let want = full_snapshot_json(engine.system());
-        full_ns += t1.elapsed().as_nanos();
-        if got != want {
-            divergences += 1;
-            eprintln!("audit: DIVERGENCE after {edit}");
-            match got
-                .lines()
-                .zip(want.lines())
-                .enumerate()
-                .find(|(_, (a, b))| a != b)
-            {
-                Some((n, (a, b))) => {
-                    eprintln!("  line {}: incremental: {a}", n + 1);
-                    eprintln!("  line {}: full:        {b}", n + 1);
+    for analysis in Analysis::ALL {
+        let mut engine = IncrementalAnalysis::new(sys.clone(), analysis)
+            .map_err(|e| format!("audit: cannot build incremental engine: {e}"))?;
+        let (mut incremental_ns, mut full_ns, mut diverged) = (0u128, 0u128, 0usize);
+        for (edit, next) in &script {
+            let t0 = Instant::now();
+            engine.apply(next.clone(), edit);
+            let got = engine.snapshot_json();
+            incremental_ns += t0.elapsed().as_nanos();
+            let t1 = Instant::now();
+            let want = full_snapshot_json(engine.system(), analysis);
+            full_ns += t1.elapsed().as_nanos();
+            if got != want {
+                diverged += 1;
+                eprintln!("audit: {analysis} DIVERGENCE after {edit}");
+                match got
+                    .lines()
+                    .zip(want.lines())
+                    .enumerate()
+                    .find(|(_, (a, b))| a != b)
+                {
+                    Some((n, (a, b))) => {
+                        eprintln!("  line {}: incremental: {a}", n + 1);
+                        eprintln!("  line {}: full:        {b}", n + 1);
+                    }
+                    None => eprintln!("  (snapshots differ in length only)"),
                 }
-                None => eprintln!("  (snapshots differ in length only)"),
             }
         }
+        let stats = engine.stats();
+        println!(
+            "audit {label} under {analysis}: {edits} edits, {diverged} divergence(s); \
+             incremental {:.1} µs, full recompute {:.1} µs ({:.1}x); \
+             reused {} lint units, {} task bounds, {} processors",
+            incremental_ns as f64 / 1e3,
+            full_ns as f64 / 1e3,
+            full_ns as f64 / incremental_ns.max(1) as f64,
+            stats.lint_units_reused,
+            stats.tasks_reused,
+            stats.processors_reused,
+        );
+        divergences += diverged;
     }
-
-    let stats = engine.stats();
-    println!(
-        "audit {label}: {edits} edits, {divergences} divergence(s)\n\
-         incremental: {:>10.1} µs total   full recompute: {:>10.1} µs total ({:.1}x)\n\
-         reuse: {} lint units, {} task bounds, {} theorem-3 processors",
-        incremental_ns as f64 / 1e3,
-        full_ns as f64 / 1e3,
-        full_ns as f64 / incremental_ns.max(1) as f64,
-        stats.lint_units_reused,
-        stats.tasks_reused,
-        stats.processors_reused,
-    );
     if divergences == 0 {
         Ok(ExitCode::SUCCESS)
     } else {

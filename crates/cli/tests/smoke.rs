@@ -127,6 +127,22 @@ fn removed_no_blocking_check_flag_is_not_advertised() {
     }
 }
 
+/// `mpcp audit` certifies every analysis in one run: one summary line
+/// each, in table order, the paper's example 3 edited 35 times apiece
+/// without a divergence.
+#[test]
+fn audit_certifies_every_analysis() {
+    let out = mpcp().args(["audit", "--example", "3"]).output().unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{text}");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), mpcp_analysis::Analysis::ALL.len(), "{text}");
+    for (line, analysis) in lines.iter().zip(mpcp_analysis::Analysis::ALL) {
+        let want = format!("audit example 3 under {analysis}: 35 edits, 0 divergence(s);");
+        assert!(line.starts_with(&want), "{line}");
+    }
+}
+
 /// Reading a flag the command did not declare panics (the value could
 /// not have been given, checked or documented), so one small run of
 /// every command that needs no server shows each reads only its own.

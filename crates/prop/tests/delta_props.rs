@@ -1,11 +1,12 @@
 //! Differential property for the incremental analysis engine: after
 //! *every* edit of a random edit script, the engine's snapshot must be
-//! byte-identical with a from-scratch recompute of the same system.
-//! This is the property the `mpcp audit` command and the sweep's
-//! `delta/divergence` oracle arm spot-check; here it is driven with
-//! randomized interleavings of add / remove / modify edits.
+//! byte-identical with a from-scratch recompute of the same system,
+//! under every analysis (one engine each, driven through the same
+//! edits). This is the property the `mpcp audit` command and the
+//! sweep's `delta/divergence` oracle arm spot-check; here it is driven
+//! with randomized interleavings of add / remove / modify edits.
 
-use mpcp_analysis::{DepGraph, Edit};
+use mpcp_analysis::{Analysis, DepGraph, Edit};
 use mpcp_model::System;
 use mpcp_prop::cases;
 use mpcp_taskgen::{generate, WorkloadConfig};
@@ -13,14 +14,15 @@ use mpcp_verify::{
     full_snapshot_json, with_scaled_period, with_task_from, without_task, IncrementalAnalysis,
 };
 
-/// The engine's snapshot against the from-scratch one — and, since the
-/// engine derives each version's facts and graph by sharing with the
-/// version before, those two against the same built alone.
-fn certify(engine: &IncrementalAnalysis, context: &str) {
+/// The engine's snapshot against the from-scratch one under its
+/// `analysis` — and, since the engine derives each version's facts and
+/// graph by sharing with the version before, those two against the same
+/// built alone.
+fn certify(engine: &IncrementalAnalysis, analysis: Analysis, context: &str) {
     assert_eq!(
         engine.snapshot_json(),
-        full_snapshot_json(engine.system()),
-        "{context}: snapshot diverged"
+        full_snapshot_json(engine.system(), analysis),
+        "{context}: snapshot diverged under {analysis}"
     );
     let alone = engine.system().detached();
     assert_eq!(engine.system().info(), alone.info(), "{context}: info");
@@ -29,6 +31,30 @@ fn certify(engine: &IncrementalAnalysis, context: &str) {
         DepGraph::build(&alone, None),
         "{context}: graph"
     );
+}
+
+/// One engine per analysis, in [`Analysis::ALL`] order, driven through
+/// the same edits.
+struct Engines(Vec<IncrementalAnalysis>);
+
+impl Engines {
+    fn new(system: &System) -> Engines {
+        let engine = |a| IncrementalAnalysis::new(system.clone(), a);
+        let all = Analysis::ALL.map(|a| engine(a).expect("generated task names are unique"));
+        Engines(all.into())
+    }
+
+    fn system(&self) -> &System {
+        self.0[0].system()
+    }
+
+    /// Applies `edit` to every engine and certifies each.
+    fn apply(&mut self, next: &System, edit: &Edit, context: &str) {
+        for (engine, analysis) in self.0.iter_mut().zip(Analysis::ALL) {
+            engine.apply(next.clone(), edit);
+            certify(engine, analysis, context);
+        }
+    }
 }
 
 fn workload(rng: &mut mpcp_prop::Rng) -> (System, u64) {
@@ -46,14 +72,13 @@ fn workload(rng: &mut mpcp_prop::Rng) -> (System, u64) {
 fn random_edit_scripts_stay_certified() {
     cases(25, 0xDE17A, |rng| {
         let (sys, seed) = workload(rng);
-        let mut engine =
-            IncrementalAnalysis::new(sys.clone()).expect("generated task names are unique");
+        let mut engines = Engines::new(&sys);
         // Tasks removed so far, each paired with a system that still
         // contains it (the donor an add-task edit copies it back from).
         let mut removed: Vec<(String, System)> = Vec::new();
         let steps = rng.range_usize(8, 16);
         for step in 0..steps {
-            let current = engine.system().clone();
+            let current = engines.system().clone();
             let names: Vec<String> = current
                 .tasks()
                 .iter()
@@ -77,8 +102,7 @@ fn random_edit_scripts_stay_certified() {
                     .expect("scaling a period keeps the system valid");
                 (next, Edit::ModifyTask(name))
             };
-            engine.apply(next, &edit);
-            certify(&engine, &format!("seed {seed}, step {step}, {edit}"));
+            engines.apply(&next, &edit, &format!("seed {seed}, step {step}, {edit}"));
         }
     });
 }
@@ -95,22 +119,14 @@ fn drain_and_refill_scripts_stay_certified() {
     cases(10, 0xDE17B, |rng| {
         let (sys, seed) = workload(rng);
         let original = sys.clone();
-        let mut engine = IncrementalAnalysis::new(sys).expect("generated task names are unique");
-        let mut names: Vec<String> = engine
-            .system()
-            .tasks()
-            .iter()
-            .map(|t| t.name().to_owned())
-            .collect();
-        let check = |engine: &IncrementalAnalysis, step: &str| {
-            certify(engine, &format!("seed {seed}, {step}"));
-        };
+        let mut engines = Engines::new(&sys);
+        let mut names: Vec<String> = sys.tasks().iter().map(|t| t.name().to_owned()).collect();
         // Drain to a single task…
         while names.len() > 1 {
             let name = names.swap_remove(rng.range_usize(0, names.len() - 1));
-            let next = without_task(engine.system(), &name).expect("name is present");
-            engine.apply(next, &Edit::RemoveTask(name.clone()));
-            check(&engine, &format!("remove-task {name}"));
+            let next = without_task(engines.system(), &name).expect("name is present");
+            let edit = Edit::RemoveTask(name);
+            engines.apply(&next, &edit, &format!("seed {seed}, {edit}"));
         }
         // …then refill from the original system.
         for t in original.tasks() {
@@ -118,14 +134,14 @@ fn drain_and_refill_scripts_stay_certified() {
             if names.contains(&name) {
                 continue;
             }
-            let next = with_task_from(engine.system(), &original, &name)
+            let next = with_task_from(engines.system(), &original, &name)
                 .expect("original task re-adds cleanly");
-            engine.apply(next, &Edit::AddTask(name.clone()));
-            check(&engine, &format!("add-task {name}"));
+            let edit = Edit::AddTask(name.clone());
+            engines.apply(&next, &edit, &format!("seed {seed}, {edit}"));
             names.push(name);
         }
         assert_eq!(
-            engine.system().tasks().len(),
+            engines.system().tasks().len(),
             original.tasks().len(),
             "seed {seed}: refill restored every task"
         );
@@ -188,10 +204,10 @@ fn section_free_edit_scripts_stay_certified() {
             .suspensions(0.2)
             .utilization(rng.range_f64(0.3, 0.6));
         let sys = generate(&cfg, seed);
-        let mut engine = IncrementalAnalysis::new(sys).expect("generated task names are unique");
+        let mut engines = Engines::new(&sys);
         let mut fresh: Vec<String> = Vec::new();
         for step in 0..12 {
-            let current = engine.system().clone();
+            let current = engines.system().clone();
             let names: Vec<String> = current
                 .tasks()
                 .iter()
@@ -247,13 +263,12 @@ fn section_free_edit_scripts_stay_certified() {
                     (next, Edit::ModifyTask(name))
                 }
             };
-            engine.apply(next, &edit);
-            certify(&engine, &format!("seed {seed}, step {step}, {edit}"));
+            engines.apply(&next, &edit, &format!("seed {seed}, step {step}, {edit}"));
         }
     });
 }
 
-/// The counts behind the rule, on the benchmark's edit family (8
+/// The counts behind MPCP's rule, on the benchmark's edit family (8
 /// processors x 40 tasks): a compute-only `add-task` recomputes one
 /// task's factors and one processor's rows; one with a global section
 /// still cascades to its sharers.
@@ -270,7 +285,7 @@ fn compute_only_add_recomputes_one_task_and_one_processor() {
         .clusters(2);
     let sys = generate(&cfg, 7);
     let n = sys.tasks().len() as u64;
-    let mut engine = IncrementalAnalysis::new(sys.clone()).unwrap();
+    let mut engine = IncrementalAnalysis::new(sys.clone(), Analysis::Mpcp).unwrap();
 
     let before = engine.stats();
     let plain = with_new_task(&sys, 0, |procs| {
@@ -287,7 +302,10 @@ fn compute_only_add_recomputes_one_task_and_one_processor() {
         1
     );
     assert_eq!(after.processors_reused - before.processors_reused, 7);
-    assert_eq!(engine.snapshot_json(), full_snapshot_json(&plain));
+    assert_eq!(
+        engine.snapshot_json(),
+        full_snapshot_json(&plain, Analysis::Mpcp)
+    );
 
     let gcs_body = sys
         .tasks()
@@ -309,5 +327,8 @@ fn compute_only_add_recomputes_one_task_and_one_processor() {
         "a gcs-bearing task dirties its mates and its sharers: {after:?}"
     );
     assert!(after.processors_recomputed - before.processors_recomputed > 1);
-    assert_eq!(engine.snapshot_json(), full_snapshot_json(&shared));
+    assert_eq!(
+        engine.snapshot_json(),
+        full_snapshot_json(&shared, Analysis::Mpcp)
+    );
 }

@@ -24,10 +24,10 @@ use crate::cache::{AnalysisCache, CachedAnalysis};
 use crate::json::{self, Value};
 use crate::persist::Persistence;
 use crate::pool::WorkerPool;
-use crate::proto::{error_response, AdmissionProtocol, ErrorCode, Request};
+use crate::proto::{error_response, ErrorCode, Request};
 use crate::reactor::{self, ShardQueues};
 use crate::reply::{admission_line, admission_suffix};
-use crate::session::{analyze, analyze_with, engine_for, engine_verdict, Session, SessionMap};
+use crate::session::{analyze_with, engine_verdict, engine_with, Session, SessionMap};
 use crate::wire::{self, SystemSpec, TaskSpec};
 use mpcp_analysis::Edit;
 use std::io::{self, BufRead, BufReader, Write};
@@ -59,10 +59,6 @@ pub struct ServerConfig {
     pub deadline: Duration,
     /// Analysis-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Serve `add-task`/`remove-task` from the per-session incremental
-    /// engine (falling back to full analysis when a session has no
-    /// incremental story). `submit` always takes the full path.
-    pub incremental: bool,
     /// Audit every Nth incrementally-served request against a full
     /// recompute; a divergence is answered with an `audit-divergence`
     /// error and nothing is committed. `0` disables sampling.
@@ -94,7 +90,6 @@ impl Default for ServerConfig {
             queue_cap: 64,
             deadline: Duration::from_millis(1000),
             cache_capacity: 4096,
-            incremental: true,
             audit_every: 64,
             max_pipeline: 128,
             read_deadline: Duration::from_secs(30),
@@ -126,7 +121,6 @@ pub(crate) struct ServerState {
     stats: ServerStats,
     shutting_down: AtomicBool,
     deadline: Duration,
-    incremental: bool,
     audit_every: u64,
     shard_count: usize,
     max_pipeline: usize,
@@ -269,7 +263,6 @@ pub fn spawn(config: &ServerConfig) -> io::Result<ServerHandle> {
         stats: ServerStats::default(),
         shutting_down: AtomicBool::new(false),
         deadline: config.deadline,
-        incremental: config.incremental,
         audit_every: config.audit_every,
         shard_count,
         max_pipeline: config.max_pipeline.max(1),
@@ -443,15 +436,12 @@ fn run_edit(state: &Arc<ServerState>, session: &str, edit: &SessionEdit<'_>) -> 
     // the commit are one atomic step per session.
     let mut guard = entry.lock().unwrap_or_else(PoisonError::into_inner);
     let s = &mut *guard;
-    // The incremental engine computes MPCP bounds; sessions admitted
-    // under another analysis take the full path.
-    if state.incremental && s.protocol == AdmissionProtocol::Mpcp {
-        if s.engine.is_none() {
-            s.engine = engine_for(&s.spec);
-        }
-        if let Some(reply) = edit_incrementally(state, session, s, edit) {
-            return reply;
-        }
+    // The session's engine runs the analysis it was admitted under.
+    if s.engine.is_none() {
+        s.engine = engine_with(&s.spec, s.protocol);
+    }
+    if let Some(reply) = edit_incrementally(state, session, s, edit) {
+        return reply;
     }
     let Some(candidate) = candidate(s, edit) else {
         return error_response(
@@ -534,7 +524,7 @@ fn edit_incrementally(
     let served = state.stats.delta.fetch_add(1, Ordering::Relaxed);
     if state.audit_every != 0 && served.is_multiple_of(state.audit_every) {
         state.stats.audits.fetch_add(1, Ordering::Relaxed);
-        let full = analyze(&candidate(s, edit)?, None);
+        let full = analyze_with(&candidate(s, edit)?, None, s.protocol);
         let mut committed = s.spec.clone();
         commit_edit(&mut committed, whole.clone(), edit, at);
         if reply != admission_line(edit.op, name, "delta", &admission_suffix(&full))

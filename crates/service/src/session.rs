@@ -269,15 +269,22 @@ fn has_duplicate_names(spec: &SystemSpec) -> bool {
     names.windows(2).any(|w| w[0] == w[1])
 }
 
-/// Builds an incremental engine for a committed spec, or `None` when
-/// the spec has no incremental story (empty, invalid, or duplicate task
-/// names) and callers must stay on the full path.
+/// Builds an incremental MPCP engine for a committed spec, or `None`
+/// when the spec has no incremental story (empty, invalid, or duplicate
+/// task names) and callers must stay on the full path.
 pub fn engine_for(spec: &SystemSpec) -> Option<IncrementalAnalysis> {
+    engine_with(spec, AdmissionProtocol::Mpcp)
+}
+
+/// [`engine_for`] under a caller-selected admission analysis: the
+/// engine [`analyze_incremental`] answers as [`analyze_with`] would
+/// under `protocol`.
+pub fn engine_with(spec: &SystemSpec, protocol: AdmissionProtocol) -> Option<IncrementalAnalysis> {
     if spec.tasks.is_empty() || has_duplicate_names(spec) {
         return None;
     }
     let system = spec.to_system().ok()?;
-    IncrementalAnalysis::new(system).ok()
+    IncrementalAnalysis::new(system, protocol).ok()
 }
 
 /// Incremental counterpart of [`analyze`] for the no-allocation session
@@ -287,9 +294,10 @@ pub fn engine_for(spec: &SystemSpec) -> Option<IncrementalAnalysis> {
 /// returned engine only when the verdict warrants it. Returns `None`
 /// when the candidate must take the full path instead (empty system,
 /// duplicate names, spec that fails to build); in every such case
-/// [`analyze`] produces the authoritative result. When `Some`, the
-/// result is field-for-field what [`analyze`]`(candidate, None)`
-/// returns — the audit mode exists to enforce exactly that.
+/// [`analyze_with`] produces the authoritative result. When `Some`, the
+/// result is field-for-field what [`analyze_with`]`(candidate, None,
+/// protocol)` returns for the engine's analysis — the audit mode exists
+/// to enforce exactly that.
 pub fn analyze_incremental(
     engine: &IncrementalAnalysis,
     candidate: &SystemSpec,

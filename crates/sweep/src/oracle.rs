@@ -299,10 +299,11 @@ pub fn evaluate_in(ws: &mut Workspace, scenario: &Scenario, cfg: &SweepConfig) -
 const AUDIT_TASKS: usize = 2;
 
 /// The self-certification arm: replays [`mpcp_verify::audit_script`]
-/// over the first [`AUDIT_TASKS`] tasks through
+/// over the first [`AUDIT_TASKS`] tasks through an MPCP
 /// [`mpcp_verify::IncrementalAnalysis`] and compares its snapshot
 /// byte-for-byte with [`mpcp_verify::full_snapshot_json`] after every
-/// edit.
+/// edit. (MPCP only: `mpcp audit` and `delta_props` certify the other
+/// three analyses, which here would quadruple the arm's cost.)
 pub fn audit_violations(system: &System) -> Vec<ViolationKind> {
     use mpcp_verify::{audit_script, full_snapshot_json, IncrementalAnalysis};
 
@@ -310,7 +311,7 @@ pub fn audit_violations(system: &System) -> Vec<ViolationKind> {
     // systems by contract (and the script may not be able to edit
     // them), so there is nothing to certify.
     let (Ok(mut engine), Ok(script)) = (
-        IncrementalAnalysis::new(system.clone()),
+        IncrementalAnalysis::new(system.clone(), Analysis::Mpcp),
         audit_script(system, AUDIT_TASKS),
     ) else {
         return Vec::new();
@@ -319,7 +320,7 @@ pub fn audit_violations(system: &System) -> Vec<ViolationKind> {
     for (edit, next) in script {
         engine.apply(next, &edit);
         let got = engine.snapshot_json();
-        let want = full_snapshot_json(engine.system());
+        let want = full_snapshot_json(engine.system(), Analysis::Mpcp);
         if got != want {
             let line = got
                 .lines()

@@ -1,13 +1,14 @@
 //! Incremental ("delta") analysis with differential self-certification.
 //!
-//! [`IncrementalAnalysis`] keeps a lint report, the §5.1 blocking
-//! factors and the Theorem 3 rows cached per named unit (task, resource
+//! [`IncrementalAnalysis`] keeps a lint report and one [`Analysis`]'
+//! terms and rate-monotonic rows cached per named unit (task, resource
 //! or processor). Applying an [`Edit`] consults the dependency graph
-//! ([`mpcp_analysis::dirty_set`]) and recomputes only the units the
-//! edit can affect, merging the fresh findings into the cached report.
+//! ([`mpcp_analysis::dirty_set`], for the engine's analysis) and
+//! recomputes only the units the edit can affect, merging the fresh
+//! findings into the cached report.
 //!
 //! The merged state renders to a canonical snapshot
-//! ([`IncrementalAnalysis::snapshot_json`], format `mpcp-audit-v1`)
+//! ([`IncrementalAnalysis::snapshot_json`], format `mpcp-audit-v2`)
 //! that is **byte-identical** to the one an independent full recompute
 //! produces ([`full_snapshot_json`]). Audit mode — the CLI's
 //! `mpcp audit`, the sweep's differential arm and the service's sampled
@@ -15,8 +16,8 @@
 //! hard error, so a wrong dirty rule cannot silently ship a stale
 //! admission verdict.
 //!
-//! Reused lint findings are cloned from the cache, reused blocking
-//! factors and schedulability rows are reused verbatim, and recomputed
+//! Reused lint findings are cloned from the cache, reused terms and
+//! schedulability rows are reused verbatim, and recomputed
 //! rows run the exact code the full pass runs, in the same order —
 //! which is what makes byte-for-byte comparison a meaningful oracle.
 
@@ -37,11 +38,11 @@ pub struct EngineStats {
     pub lint_units_recomputed: u64,
     /// Lint units whose cached findings were reused.
     pub lint_units_reused: u64,
-    /// Tasks whose blocking factors were recomputed.
+    /// Tasks whose terms were recomputed.
     pub tasks_recomputed: u64,
-    /// Tasks whose cached blocking factors were reused.
+    /// Tasks whose cached terms were reused.
     pub tasks_reused: u64,
-    /// Processors whose Theorem 3 rows were recomputed.
+    /// Processors whose rate-monotonic rows were recomputed.
     pub processors_recomputed: u64,
     /// Processors whose cached rows were reused.
     pub processors_reused: u64,
@@ -170,8 +171,9 @@ impl LintCache {
     }
 }
 
-/// A lint report plus blocking/schedulability state kept up to date
-/// across [`Edit`]s, recomputing only what each edit can affect.
+/// A lint report plus one analysis' blocking/schedulability state kept
+/// up to date across [`Edit`]s, recomputing only what each edit can
+/// affect.
 ///
 /// Cloning clones the caches, so a transactional caller can apply an
 /// edit to a copy and commit the copy only when the result is accepted.
@@ -183,36 +185,39 @@ pub struct IncrementalAnalysis {
     graph: std::sync::Arc<DepGraph>,
     lint: LintCache,
     report: Report,
+    analysis: Analysis,
     bounds: Option<DeltaBounds>,
     error: Option<String>,
     stats: EngineStats,
 }
 
 impl IncrementalAnalysis {
-    /// Builds the engine with a full analysis of `system`.
+    /// Builds the engine with a full lint pass and `analysis` of
+    /// `system`.
     ///
     /// Returns `Err` if task names are not unique: the engine keys its
     /// caches by name, so duplicate names have no incremental story
     /// (callers should fall back to plain full analysis).
-    pub fn new(system: System) -> Result<IncrementalAnalysis, String> {
+    pub fn new(system: System, analysis: Analysis) -> Result<IncrementalAnalysis, String> {
         let graph = DepGraph::build(&system, None);
         if graph.has_duplicate_task_names() {
-            return Err("duplicate task names; incremental analysis needs unique names".into());
+            return Err(DUP_NAMES_ERROR.into());
         }
         let mut engine = IncrementalAnalysis {
             system: std::sync::Arc::new(system),
             graph: std::sync::Arc::new(graph),
             lint: LintCache::empty(),
             report: Report::new(),
+            analysis,
             bounds: None,
             error: None,
             stats: EngineStats::default(),
         };
         let full = mpcp_analysis::DirtySet::full();
         engine.report = engine.lint.update(&engine.system, &full, &mut engine.stats);
-        match DeltaBounds::full(&engine.system) {
-            Ok(b) => {
-                engine.stats.absorb_bounds(b.stats());
+        match DeltaBounds::full(&engine.system, analysis) {
+            Ok((b, s)) => {
+                engine.stats.absorb_bounds(s);
                 engine.bounds = Some(b);
             }
             Err(e) => engine.error = Some(e.to_string()),
@@ -246,8 +251,8 @@ impl IncrementalAnalysis {
         self.error.as_deref()
     }
 
-    /// The cached §5.1 terms and Theorem 3 rows as the system's MPCP
-    /// [`BoundSet`], when the blocking analysis succeeded.
+    /// The cached terms and rows as the system's [`BoundSet`] under the
+    /// engine's analysis, when that analysis succeeded.
     pub fn bounds(&self) -> Option<BoundSet> {
         self.bounds.as_ref().map(|b| b.bound_set(&self.system))
     }
@@ -275,21 +280,20 @@ impl IncrementalAnalysis {
         let dirty = if new_graph.has_duplicate_task_names() {
             mpcp_analysis::DirtySet::full()
         } else {
-            dirty_set(&self.graph, &new_graph, edit)
+            dirty_set(&self.graph, &new_graph, edit, self.analysis)
         };
         self.stats.updates += 1;
         if new_graph.has_duplicate_task_names() {
             // Name-keyed caches cannot represent this system; degrade to
             // an error the full path reproduces (see full_snapshot_json).
-            self.report = lint_report_full(&new_system);
+            self.report = crate::lint::lint_system(&new_system);
             self.bounds = None;
             self.error = Some(DUP_NAMES_ERROR.into());
         } else {
             self.report = self.lint.update(&new_system, &dirty, &mut self.stats);
             let refresh = match self.bounds.as_mut() {
                 Some(b) => b.update(&new_system, &dirty),
-                None => DeltaBounds::full(&new_system).map(|b| {
-                    let s = b.stats();
+                None => DeltaBounds::full(&new_system, self.analysis).map(|(b, s)| {
                     self.bounds = Some(b);
                     s
                 }),
@@ -309,14 +313,15 @@ impl IncrementalAnalysis {
         self.graph = std::sync::Arc::new(new_graph);
     }
 
-    /// Canonical `mpcp-audit-v1` snapshot of the cached state; compare
-    /// with [`full_snapshot_json`] of the same system to certify the
-    /// incremental path.
+    /// Canonical `mpcp-audit-v2` snapshot of the cached state; compare
+    /// with [`full_snapshot_json`] of the same system and analysis to
+    /// certify the incremental path.
     pub fn snapshot_json(&self) -> String {
         let bounds = self.bounds();
         render_snapshot(
             &self.system,
             &self.report,
+            self.analysis,
             self.error.as_deref(),
             bounds.as_ref(),
         )
@@ -325,36 +330,37 @@ impl IncrementalAnalysis {
 
 const DUP_NAMES_ERROR: &str = "duplicate task names; incremental analysis needs unique names";
 
-fn lint_report_full(system: &System) -> Report {
-    crate::lint::lint_system(system)
-}
-
-/// Independent full recompute of the `mpcp-audit-v1` snapshot for
-/// `system`, sharing no cached state with any engine. The differential
-/// oracle: a correct incremental engine matches this byte for byte.
-pub fn full_snapshot_json(system: &System) -> String {
+/// Independent full recompute of the `mpcp-audit-v2` snapshot of
+/// `system` under `analysis`, sharing no cached state with any engine.
+/// The differential oracle: a correct incremental engine matches this
+/// byte for byte.
+pub fn full_snapshot_json(system: &System, analysis: Analysis) -> String {
     // An engine derives its system's facts by sharing with the previous
     // version's; the reference derives its own, or a wrong sharing rule
     // would corrupt both sides of the comparison alike.
     let system = &system.detached();
-    let report = lint_report_full(system);
+    let report = crate::lint::lint_system(system);
     let graph = DepGraph::build(system, None);
+    let render =
+        |error: Option<&str>, bounds| render_snapshot(system, &report, analysis, error, bounds);
     if graph.has_duplicate_task_names() {
-        return render_snapshot(system, &report, Some(DUP_NAMES_ERROR), None);
+        return render(Some(DUP_NAMES_ERROR), None);
     }
-    match Analysis::Mpcp.bounds(system, BlockingConfig::paper()) {
-        Ok(bounds) => render_snapshot(system, &report, None, Some(&bounds)),
-        Err(e) => render_snapshot(system, &report, Some(&e.to_string()), None),
+    match analysis.bounds(system, BlockingConfig::paper()) {
+        Ok(bounds) => render(None, Some(&bounds)),
+        Err(e) => render(Some(&e.to_string()), None),
     }
 }
 
 fn render_snapshot(
     system: &System,
     report: &Report,
+    analysis: Analysis,
     error: Option<&str>,
     bounds: Option<&BoundSet>,
 ) -> String {
-    let mut out = String::from("{\n  \"format\": \"mpcp-audit-v1\",\n");
+    let mut out =
+        format!("{{\n  \"format\": \"mpcp-audit-v2\",\n  \"analysis\": \"{analysis}\",\n");
     // render_json() yields a pretty object ending in "}\n"; re-indent it
     // two spaces so the snapshot stays valid JSON.
     let lint = report.render_json();
@@ -375,15 +381,6 @@ fn render_snapshot(
     match bounds {
         None => out.push_str("  \"bounds\": null,\n  \"sched\": null,\n  \"schedulable\": null\n"),
         Some(bounds) => {
-            // `mpcp-audit-v1` spells the six MPCP terms out.
-            const KEYS: [&str; 6] = [
-                "local_cs",
-                "lower_gcs_same_sem",
-                "higher_remote_gcs",
-                "blocking_processor_gcs",
-                "lower_local_gcs",
-                "deferred_penalty",
-            ];
             let rows = bounds.per_task();
             let sep = |i: usize| if i + 1 < rows.len() { "," } else { "" };
             out.push_str("  \"bounds\": [\n");
@@ -392,8 +389,8 @@ fn render_snapshot(
                     "    {{\"task\": {}",
                     json_str(system.task(row.task).name())
                 ));
-                for (key, (_, term)) in KEYS.iter().zip(row.terms()) {
-                    out.push_str(&format!(", \"{key}\": {}", term.ticks()));
+                for (name, term) in row.terms() {
+                    out.push_str(&format!(", {}: {}", json_str(name), term.ticks()));
                 }
                 out.push_str(&format!(
                     ", \"total\": {}}}{}\n",
@@ -557,26 +554,30 @@ mod tests {
     #[test]
     fn fresh_engine_matches_full_snapshot() {
         let sys = base();
-        let engine = IncrementalAnalysis::new(sys.clone()).unwrap();
-        assert_eq!(engine.snapshot_json(), full_snapshot_json(&sys));
+        let engine = IncrementalAnalysis::new(sys.clone(), Analysis::Mpcp).unwrap();
+        assert_eq!(
+            engine.snapshot_json(),
+            full_snapshot_json(&sys, Analysis::Mpcp)
+        );
     }
 
     #[test]
-    fn edit_sequence_stays_certified() {
+    fn edit_sequence_stays_certified_under_every_analysis() {
         let sys = base();
-        let mut engine = IncrementalAnalysis::new(sys.clone()).unwrap();
-
         let removed = without_task(&sys, "t1").unwrap();
-        engine.apply(removed.clone(), &Edit::RemoveTask("t1".into()));
-        assert_eq!(engine.snapshot_json(), full_snapshot_json(&removed));
-
         let readded = with_task_from(&removed, &sys, "t1").unwrap();
-        engine.apply(readded.clone(), &Edit::AddTask("t1".into()));
-        assert_eq!(engine.snapshot_json(), full_snapshot_json(&readded));
-
         let scaled = with_scaled_period(&readded, "r0", 2).unwrap();
-        engine.apply(scaled.clone(), &Edit::ModifyTask("r0".into()));
-        assert_eq!(engine.snapshot_json(), full_snapshot_json(&scaled));
+        for analysis in Analysis::ALL {
+            let mut engine = IncrementalAnalysis::new(sys.clone(), analysis).unwrap();
+            for (next, edit) in [
+                (&removed, Edit::RemoveTask("t1".into())),
+                (&readded, Edit::AddTask("t1".into())),
+                (&scaled, Edit::ModifyTask("r0".into())),
+            ] {
+                engine.apply(next.clone(), &edit);
+                assert_eq!(engine.snapshot_json(), full_snapshot_json(next, analysis));
+            }
+        }
     }
 
     /// The script both `mpcp audit` and the sweep arm replay: five
@@ -591,10 +592,14 @@ mod tests {
             ["modify", "remove", "add", "modify", "modify"].map(|op| format!("{op}-task {n}"))
         };
         assert_eq!(edits, [per_task("t0"), per_task("t1")].concat());
-        let mut engine = IncrementalAnalysis::new(sys.clone()).unwrap();
+        let mut engine = IncrementalAnalysis::new(sys.clone(), Analysis::Mpcp).unwrap();
         for (edit, next) in script {
             engine.apply(next.clone(), &edit);
-            assert_eq!(engine.snapshot_json(), full_snapshot_json(&next), "{edit}");
+            assert_eq!(
+                engine.snapshot_json(),
+                full_snapshot_json(&next, Analysis::Mpcp),
+                "{edit}"
+            );
             // What the engine derived by sharing with the version before
             // is what the same system derives alone.
             let alone = next.detached();
@@ -621,7 +626,7 @@ mod tests {
     #[test]
     fn analysis_errors_round_trip_and_recover() {
         let sys = base();
-        let mut engine = IncrementalAnalysis::new(sys.clone()).unwrap();
+        let mut engine = IncrementalAnalysis::new(sys.clone(), Analysis::Mpcp).unwrap();
 
         // Nested globals: the blocking analysis rejects the system but
         // the lint report still renders, identically on both paths.
@@ -651,19 +656,25 @@ mod tests {
         let bad = b.build().unwrap();
         engine.apply(bad.clone(), &Edit::ModifyTask("t0".into()));
         assert!(engine.analysis_error().is_some());
-        assert_eq!(engine.snapshot_json(), full_snapshot_json(&bad));
+        assert_eq!(
+            engine.snapshot_json(),
+            full_snapshot_json(&bad, Analysis::Mpcp)
+        );
 
         // And recovery back to a clean system goes through a fresh full
         // bounds computation.
         engine.apply(sys.clone(), &Edit::ModifyTask("t0".into()));
         assert!(engine.analysis_error().is_none());
-        assert_eq!(engine.snapshot_json(), full_snapshot_json(&sys));
+        assert_eq!(
+            engine.snapshot_json(),
+            full_snapshot_json(&sys, Analysis::Mpcp)
+        );
     }
 
     #[test]
     fn incremental_updates_reuse_work() {
         let sys = base();
-        let mut engine = IncrementalAnalysis::new(sys.clone()).unwrap();
+        let mut engine = IncrementalAnalysis::new(sys.clone(), Analysis::Mpcp).unwrap();
         let before = engine.stats();
         let scaled = with_scaled_period(&sys, "r0", 2).unwrap();
         engine.apply(scaled, &Edit::ModifyTask("r0".into()));

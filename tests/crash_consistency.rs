@@ -98,8 +98,8 @@ fn script() -> Vec<(String, &'static str, &'static str, bool)> {
             true,
         ),
         (remove("alpha", "a"), "alpha", "mpcp", true),
-        // A non-MPCP session takes the full analysis path; its journal
-        // record is still one task.
+        // A non-MPCP session's edits run through an engine of its own
+        // analysis; its journal record is one task all the same.
         (
             add(
                 "beta",

@@ -3,17 +3,18 @@
 //! The benchmark reads three substrings of a 43 KB edit reply, so this
 //! is where the rest of it is pinned: seeded edit scripts run against a
 //! live, persisted server auditing every edit, and **every reply byte**
-//! must equal the full analysis of the candidate system
-//! ([`analyze`]) rendered as a [`Value`] tree — the writer the
-//! streaming one replaced and is unit-tested against — while `query`'s
-//! `system` must equal the model the test keeps by the documented rules
-//! (`add-task` commits when admitted, `remove-task` always, both commit
-//! [`AdmissionResult::analyzed`]).
+//! must equal the full analysis of the candidate system under the
+//! session's protocol ([`analyze_with`]) rendered as a [`Value`] tree —
+//! the writer the streaming one replaced and is unit-tested against —
+//! while `query`'s `system` must equal the model the test keeps by the
+//! documented rules (`add-task` commits when admitted, `remove-task`
+//! always, both commit [`AdmissionResult::analyzed`]).
 
+use mpcp::analysis::Analysis;
 use mpcp::service::json::{self, Value};
+use mpcp::service::session::analyze_with;
 use mpcp::service::{
-    analyze, spawn, AdmissionResult, Client, SegSpec, ServerConfig, ServerHandle, SystemSpec,
-    TaskSpec,
+    spawn, AdmissionResult, Client, SegSpec, ServerConfig, ServerHandle, SystemSpec, TaskSpec,
 };
 use mpcp::taskgen::{generate, WorkloadConfig};
 use mpcp_prop::Rng;
@@ -82,6 +83,8 @@ struct Harness {
     server: Option<ServerHandle>,
     client: Client,
     model: SystemSpec,
+    /// The analysis the session is admitted under.
+    protocol: Analysis,
     /// Edits whose candidate the full analysis refused.
     rejected: u32,
 }
@@ -104,6 +107,12 @@ impl Harness {
 
     /// Starts a server and submits `spec`, which must be admitted.
     fn new(tag: &str, spec: &SystemSpec) -> Harness {
+        Harness::under(Analysis::Mpcp, tag, spec)
+    }
+
+    /// [`Harness::new`] with the session admitted under `protocol` (the
+    /// submit line names it unless it is the default).
+    fn under(protocol: Analysis, tag: &str, spec: &SystemSpec) -> Harness {
         let dir = tempdir(tag);
         let (server, client) = Harness::start(&dir);
         let mut h = Harness {
@@ -111,16 +120,19 @@ impl Harness {
             server: Some(server),
             client,
             model: SystemSpec::default(),
+            protocol,
             rejected: 0,
         };
-        let line = Value::obj([
+        let mut line = vec![
             ("op", Value::str("submit")),
             ("session", Value::str(SESSION)),
             ("system", spec.to_json()),
-        ])
-        .encode();
-        let reply = h.client.request_raw(&line).unwrap();
-        let full = analyze(spec, None);
+        ];
+        if protocol != Analysis::Mpcp {
+            line.push(("protocol", Value::str(protocol.name())));
+        }
+        let reply = h.client.request_raw(&Value::obj(line).encode()).unwrap();
+        let full = analyze_with(spec, None, protocol);
         assert!(full.admitted, "the base system is admitted: {full:?}");
         assert_eq!(reply, reference_reply("submit", "miss", &full));
         h.model = full.analyzed;
@@ -165,7 +177,7 @@ impl Harness {
     /// the server must.
     fn edit(&mut self, op: &str, line: &str, candidate: SystemSpec, context: &str) -> String {
         let reply = self.client.request_raw(line).unwrap();
-        let full = analyze(&candidate, None);
+        let full = analyze_with(&candidate, None, self.protocol);
         self.rejected += u32::from(!full.admitted);
         let cache = json::parse(&reply)
             .ok()
@@ -218,6 +230,11 @@ impl Harness {
 /// A base system of `procs` × `per_proc` tasks with local and global
 /// semaphores, light enough to be admitted and to admit more.
 fn base_spec(seed: u64, procs: usize, per_proc: usize) -> SystemSpec {
+    base_spec_under(Analysis::Mpcp, seed, procs, per_proc)
+}
+
+/// [`base_spec`], admitted under `protocol`.
+fn base_spec_under(protocol: Analysis, seed: u64, procs: usize, per_proc: usize) -> SystemSpec {
     let cfg = WorkloadConfig::default()
         .processors(procs)
         .tasks_per_processor(per_proc)
@@ -229,7 +246,7 @@ fn base_spec(seed: u64, procs: usize, per_proc: usize) -> SystemSpec {
         .suspensions(0.2);
     (seed..seed + 64)
         .map(|s| SystemSpec::from_system(&generate(&cfg, s)))
-        .find(|spec| analyze(spec, None).admitted)
+        .find(|spec| analyze_with(spec, None, protocol).admitted)
         .expect("an admitted base system within 64 seeds")
 }
 
@@ -496,4 +513,33 @@ fn refused_adds_roll_back_to_the_byte() {
         assert_eq!(tag, "delta", "the edit after {what}");
     }
     h.finish();
+}
+
+/// A session admitted under DPCP, MSRP or FMLP+ edits through an engine
+/// of its own analysis: every reply is that analysis' full result, byte
+/// for byte, tagged `delta` — before a restart and after it, when the
+/// engine is rebuilt from the journal under the recorded protocol.
+#[test]
+fn every_analysis_edits_incrementally_across_a_restart() {
+    for protocol in [Analysis::Dpcp, Analysis::Msrp, Analysis::Fmlp] {
+        let mut rng = Rng::new(31);
+        let base = base_spec_under(protocol, 700, 3, 3);
+        let mut h = Harness::under(protocol, &format!("{protocol}"), &base);
+        for step in 0..24 {
+            if step == 12 {
+                h.restart();
+            }
+            let context = format!("{protocol}, step {step}");
+            let tag = if step % 3 == 2 {
+                let name = h.model.tasks[step % h.model.tasks.len()].name.clone();
+                h.remove(&name, &context)
+            } else {
+                let task = random_task(&mut rng, &h.model, format!("p{step}"));
+                h.add(&task, &context)
+            };
+            assert_eq!(tag, "delta", "{context}");
+        }
+        assert!(h.rejected >= 1, "{protocol}: {} rejections", h.rejected);
+        h.finish();
+    }
 }
