@@ -11,7 +11,7 @@ use mpcp_model::{ResourceId, System};
 
 /// The nesting digraph over global resources: `(outer, inner)` edges,
 /// deduplicated, in id order.
-pub fn global_nesting_edges(system: &System) -> Vec<(ResourceId, ResourceId)> {
+fn global_nesting_edges(system: &System) -> Vec<(ResourceId, ResourceId)> {
     let info = system.info();
     let mut edges = Vec::new();
     for tu in info.all_task_use() {

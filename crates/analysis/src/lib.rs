@@ -76,7 +76,7 @@ pub use blocking::{
 };
 pub use bounds::{Analysis, BoundSet, ParseAnalysisError, TaskBounds};
 pub use collapse::{collapse_nested_globals, LockGroup};
-pub use deadlock::{global_nesting_edges, lock_order_cycle, validate_lock_ordering};
+pub use deadlock::{lock_order_cycle, validate_lock_ordering};
 pub use delta::{DeltaBounds, DeltaStats};
 pub use depgraph::{dirty_set, DepGraph, DirtySet, Edit};
 pub use dpcp::{default_hosts, dpcp_bounds, dpcp_bounds_with, DpcpBreakdown};
@@ -85,7 +85,6 @@ pub use fmlp::fmlp_bound_set;
 pub use msrp::msrp_bound_set;
 pub use sched::{
     breakdown_scale, liu_layland_bound, response_times, response_times_suspension_aware,
-    response_times_with_jitter, rta_schedulable, rta_with_jitter_schedulable, scale_system,
-    theorem3, SchedReport, TaskSched,
+    rta_schedulable, rta_with_jitter_schedulable, scale_system, theorem3, SchedReport, TaskSched,
 };
 pub use server::{aperiodic_response_bound, PollingServer};

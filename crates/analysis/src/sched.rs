@@ -227,7 +227,7 @@ pub fn rta_schedulable(system: &System, blocking: &[Dur]) -> bool {
 /// # Panics
 ///
 /// Panics if `blocking` is not indexed like the system's tasks.
-pub fn response_times_with_jitter(system: &System, blocking: &[Dur]) -> Vec<Option<Dur>> {
+fn response_times_with_jitter(system: &System, blocking: &[Dur]) -> Vec<Option<Dur>> {
     let info = system.info();
     // Jitter of a task: its own blocking if it can self-suspend (global
     // requests or explicit suspensions), zero otherwise.
@@ -241,7 +241,8 @@ pub fn response_times_with_jitter(system: &System, blocking: &[Dur]) -> Vec<Opti
     })
 }
 
-/// Whether every task passes [`response_times_with_jitter`].
+/// Whether every task passes the release-jitter recurrence
+/// (`response_times_with_jitter`: `J_h = B_h` for a suspending `h`).
 ///
 /// # Panics
 ///
@@ -252,8 +253,8 @@ pub fn rta_with_jitter_schedulable(system: &System, blocking: &[Dur]) -> bool {
         .all(Option::is_some)
 }
 
-/// Response-time analysis with **full response jitter**: like
-/// [`response_times_with_jitter`], but a higher-priority task `h`
+/// Response-time analysis with **full response jitter**: like the
+/// recurrence of [`rta_with_jitter_schedulable`], but a higher-priority task `h`
 /// carries jitter `J_h = R_h - C_h` — its whole response minus its
 /// computation — instead of just its blocking term.
 ///

@@ -14,9 +14,8 @@ use mpcp_model::{System, Time};
 use mpcp_protocols::ProtocolKind;
 use mpcp_service::{LoadgenConfig, ServerConfig};
 use mpcp_sim::{SimConfig, Simulator};
-use mpcp_sweep::SweepConfig;
+use mpcp_sweep::{checker, CheckerConfig, SweepConfig};
 use mpcp_taskgen::{generate, WorkloadConfig};
-use mpcp_verify::CheckerConfig;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -572,10 +571,10 @@ fn run_verify(args: &Args) -> Result<ExitCode, String> {
     eprintln!("verifying {label}");
     let mut report = mpcp_verify::lint_system(&sys);
     let explorations = match protocol(args)? {
-        Some(kind) => vec![mpcp_verify::checker::explore(&sys, kind, &config)],
-        None => mpcp_verify::checker::explore_all(&sys, &config),
+        Some(kind) => vec![checker::explore(&sys, kind, &config)],
+        None => checker::explore_all(&sys, &config),
     };
-    for d in mpcp_verify::checker::report(&explorations).diagnostics() {
+    for d in checker::report(&explorations).diagnostics() {
         report.push(d.clone());
     }
     if !args.on(&JSON) {

@@ -103,8 +103,8 @@ fn misuse_fails_naming_the_command_and_the_flag() {
 }
 
 /// `--no-blocking-check` was parsed, documented and read by nothing: the
-/// model checker's blocking cross-check follows the protocol's invariant
-/// profile. The switch is gone from the usage text and from the table,
+/// model checker's blocking cross-check follows the protocol's oracle
+/// arm. The switch is gone from the usage text and from the table,
 /// so passing it — bare or with a value — is an error, not a silent
 /// no-op.
 #[test]

@@ -107,8 +107,8 @@ impl ProtocolKind {
     }
 
     /// The [`MonitorSpec`] appropriate for traces of this protocol —
-    /// the one invariant table: the sweep's streaming monitor runs it
-    /// and `mpcp_verify`'s model-checker profile is a projection of it.
+    /// the one invariant table: the sweep oracle's arm runs it, for
+    /// each scenario and for each model-checker variant alike.
     ///
     /// Priority-ordered hand-offs are off for the raw FIFO baseline
     /// (FIFO queues legitimately invert priority — that is the paper's

@@ -10,6 +10,10 @@
 //! captured with their seed and shrunk to minimal reproducing systems,
 //! emitted as ready-to-run test fixtures.
 //!
+//! The oracle's per-protocol arm has a second driver: the small-scope
+//! model checker ([`checker`]) enumerates every release-offset variant
+//! of one system and judges each through the same arm (`mpcp verify`).
+//!
 //! Determinism is a hard guarantee: scenario `i` is a pure function of
 //! `seed + i`, workers only race for *which* index they evaluate, and
 //! results are re-ordered by index before aggregation — so the same
@@ -37,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod checker;
 mod config;
 mod oracle;
 mod pool;
@@ -44,12 +49,13 @@ mod report;
 mod shootout;
 mod shrink;
 
+pub use checker::{CheckerConfig, Exploration, Violation};
 pub use config::SweepConfig;
 pub use oracle::{
-    audit_violations, evaluate, evaluate_in, evaluate_system, evaluate_system_in, horizon_for,
-    ProtocolOutcome, ScenarioOutcome, ViolationKind, Workspace,
+    audit_violations, evaluate_in, evaluate_system_in, horizon_for, ProtocolOutcome,
+    ScenarioOutcome, ViolationKind, Workspace,
 };
-pub use pool::{run_indexed, run_indexed_with};
+pub use pool::run_indexed_with;
 pub use report::{CurvePoint, SweepReport, ViolationReport};
 pub use shootout::{shootout, ShootoutReport};
 pub use shrink::{fixture_snippet, shrink, Shrunk};

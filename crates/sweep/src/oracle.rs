@@ -4,9 +4,10 @@
 //! For each generated system the oracle runs one bounded-horizon
 //! simulation per protocol, trace recording off, with a [`Monitor`]
 //! judging the structural invariants that protocol promises
-//! ([`ProtocolKind::monitor_spec`], the table `mpcp_verify`'s model
-//! checker reads too), and then cross-checks the analytical results
-//! against observed behaviour. Every protocol with an admission analysis
+//! ([`ProtocolKind::monitor_spec`]), and then cross-checks the
+//! analytical results against observed behaviour. The model checker
+//! ([`crate::checker`]) judges each release-offset variant through the
+//! same arm. Every protocol with an admission analysis
 //! ([`ProtocolKind::analysis`] — MPCP, DPCP, MSRP, FMLP+) goes through
 //! the same arm over its [`BoundSet`] (carry-in counts):
 //!
@@ -53,13 +54,14 @@ use mpcp_sim::{Metrics, Monitor, Protocol, SimConfig, Simulator};
 use mpcp_taskgen::Scenario;
 use std::sync::Arc;
 
-/// Reusable per-worker oracle scratch: one recycled simulator whose job
-/// arena, time heaps and scratch buffers persist across scenarios
+/// Reusable oracle scratch, one per sweep worker or model-checker
+/// exploration: one recycled simulator whose job arena, time heaps and
+/// scratch buffers persist across scenarios and variants
 /// ([`Simulator::reset`] re-targets it without reallocating).
 ///
 /// A workspace only affects allocation behaviour, never results:
-/// [`evaluate_in`] with any workspace returns exactly what [`evaluate`]
-/// returns.
+/// [`evaluate_in`] returns the same outcome with a fresh workspace as
+/// with one that judged a thousand scenarios before.
 #[derive(Default)]
 pub struct Workspace {
     sim: Option<Simulator<Box<dyn Protocol>>>,
@@ -260,15 +262,9 @@ pub fn horizon_for(system: &System, cap: u64) -> u64 {
     mpcp_dga::horizon_capped(system, cap).ticks()
 }
 
-/// Evaluates the full oracle for one scenario.
-pub fn evaluate(scenario: &Scenario, cfg: &SweepConfig) -> ScenarioOutcome {
-    evaluate_in(&mut Workspace::default(), scenario, cfg)
-}
-
-/// [`evaluate`] with caller-provided scratch: sweep workers pass one
+/// Evaluates the full oracle for one scenario. Sweep workers pass one
 /// [`Workspace`] for their whole index range so simulator buffers are
-/// recycled instead of rebuilt per scenario. Results are identical to
-/// [`evaluate`].
+/// recycled instead of rebuilt per scenario.
 pub fn evaluate_in(ws: &mut Workspace, scenario: &Scenario, cfg: &SweepConfig) -> ScenarioOutcome {
     let (analyzable, protocols) = evaluate_system_in(ws, &scenario.system, cfg);
     // The audit arm samples by stream index (jobs-independent); stride 1
@@ -337,75 +333,87 @@ pub fn audit_violations(system: &System) -> Vec<ViolationKind> {
 }
 
 /// Oracle core, independent of stream metadata (reused by the
-/// shrinker on rebuilt systems).
-pub fn evaluate_system(system: &System, cfg: &SweepConfig) -> (bool, Vec<ProtocolOutcome>) {
-    evaluate_system_in(&mut Workspace::default(), system, cfg)
-}
-
-/// [`evaluate_system`] with caller-provided scratch.
+/// shrinker on rebuilt systems), with caller-provided scratch.
 pub fn evaluate_system_in(
     ws: &mut Workspace,
     system: &System,
     cfg: &SweepConfig,
 ) -> (bool, Vec<ProtocolOutcome>) {
-    let horizon = horizon_for(system, cfg.horizon_cap);
-    // MPCP always (it decides `analyzable`); every other analysis only
-    // when a configured protocol asks for it.
-    let mpcp = Analysis::Mpcp.bounds(system, BlockingConfig::sound()).ok();
-
+    let run = Run::new(
+        system,
+        horizon_for(system, cfg.horizon_cap),
+        cfg.check_response,
+    );
     let outcomes = cfg
         .protocols
         .iter()
-        .map(|&kind| {
-            // DGA: construct the offline schedule first — its
-            // feasibility verdict is this arm's analysis side, its
-            // slots the replay's script. Systems outside DGA's model
-            // (nested sections) skip the arm entirely.
-            let dga = if kind == ProtocolKind::Dga {
-                match DgaSchedule::compute(system, Time::new(horizon)) {
-                    // Shared, not cloned: the replay reads the same
-                    // schedule the checks of the arm do.
-                    Ok(s) => Some(Arc::new(s)),
-                    Err(_) => {
-                        return ProtocolOutcome {
-                            protocol: kind,
-                            misses: 0,
-                            completed: 0,
-                            analysis_accepted: None,
-                            rta_accepted: None,
-                            violations: Vec::new(),
-                        };
-                    }
-                }
-            } else {
-                None
-            };
-            let policy: Box<dyn Protocol> = match &dga {
-                Some(s) => Box::new(DgaReplay::from_shared(Arc::clone(s))),
-                None => kind.build(),
-            };
-            let run = Run {
-                system,
-                cfg,
-                horizon,
-                mpcp: mpcp.as_ref(),
-            };
-            run.arm(ws, kind, policy, dga.as_deref())
-        })
+        .map(|&kind| run.judge(ws, kind, None))
         .collect();
-    (mpcp.is_some(), outcomes)
+    (run.mpcp.is_some(), outcomes)
 }
 
-/// What every arm of one scenario shares.
-struct Run<'a> {
+/// What every arm judging one system shares: the arms of one sweep
+/// scenario, or of one model-checker variant.
+pub(crate) struct Run<'a> {
     system: &'a System,
-    cfg: &'a SweepConfig,
     horizon: u64,
-    /// MPCP's bounds, when the system is analyzable.
-    mpcp: Option<&'a BoundSet>,
+    /// Whether converged RTA fixed points are compared
+    /// ([`SweepConfig::check_response`]).
+    check_response: bool,
+    /// MPCP's bounds, when the system is analyzable: computed always
+    /// (they decide `analyzable`), every other analysis' only when its
+    /// arm runs.
+    mpcp: Option<BoundSet>,
 }
 
-impl Run<'_> {
+impl<'a> Run<'a> {
+    /// Prepares the arms that judge `system` simulated up to `horizon`.
+    pub(crate) fn new(system: &'a System, horizon: u64, check_response: bool) -> Self {
+        Run {
+            system,
+            horizon,
+            check_response,
+            mpcp: Analysis::Mpcp.bounds(system, BlockingConfig::sound()).ok(),
+        }
+    }
+
+    /// Judges `policy` — by default `kind`'s own — as `kind`. DGA first
+    /// constructs its offline schedule: its feasibility verdict is the
+    /// arm's analysis side, its slots the replay's script and the
+    /// conformance check's expectation. A system the schedule cannot be
+    /// built for (nested sections) skips the arm.
+    pub(crate) fn judge(
+        &self,
+        ws: &mut Workspace,
+        kind: ProtocolKind,
+        policy: Option<Box<dyn Protocol>>,
+    ) -> ProtocolOutcome {
+        let dga = if kind == ProtocolKind::Dga {
+            match DgaSchedule::compute(self.system, Time::new(self.horizon)) {
+                // Shared, not cloned: the replay reads the same
+                // schedule the checks of the arm do.
+                Ok(s) => Some(Arc::new(s)),
+                Err(_) => {
+                    return ProtocolOutcome {
+                        protocol: kind,
+                        misses: 0,
+                        completed: 0,
+                        analysis_accepted: None,
+                        rta_accepted: None,
+                        violations: Vec::new(),
+                    };
+                }
+            }
+        } else {
+            None
+        };
+        let policy = policy.unwrap_or_else(|| match &dga {
+            Some(s) => Box::new(DgaReplay::from_shared(Arc::clone(s))),
+            None => kind.build(),
+        });
+        self.arm(ws, kind, policy, dga.as_deref())
+    }
+
     /// One protocol's arm: `policy` simulated once — no trace, one
     /// [`Monitor`] of `kind`'s spec attached — and judged as `kind`.
     /// Structural violations and observed waits are read straight off
@@ -420,9 +428,9 @@ impl Run<'_> {
     ) -> ProtocolOutcome {
         let Run {
             system,
-            cfg,
             horizon,
-            mpcp,
+            check_response,
+            ..
         } = *self;
         let proto = kind.name();
         let sim = ws.sim(
@@ -454,7 +462,7 @@ impl Run<'_> {
         let mut rta_accepted = None;
         let own;
         let bounds = match kind.analysis() {
-            Some(Analysis::Mpcp) => mpcp,
+            Some(Analysis::Mpcp) => self.mpcp.as_ref(),
             Some(other) => {
                 own = other.bounds(system, BlockingConfig::sound()).ok();
                 own.as_ref()
@@ -475,7 +483,7 @@ impl Run<'_> {
             bounds_arm(
                 proto,
                 set,
-                response.as_deref().filter(|_| cfg.check_response),
+                response.as_deref().filter(|_| check_response),
                 &metrics,
                 &mut violations,
             );
@@ -606,7 +614,7 @@ mod tests {
                 .sections(0, 1),
             7,
         );
-        let (analyzable, protocols) = evaluate_system(&sys, &cfg);
+        let (analyzable, protocols) = evaluate_system_in(&mut Workspace::default(), &sys, &cfg);
         assert!(analyzable);
         assert_eq!(protocols.len(), cfg.protocols.len());
         for p in &protocols {
@@ -754,16 +762,9 @@ mod tests {
             );
         }
         let sys = b.build().unwrap();
-        let cfg = small_cfg();
-        let mpcp = Analysis::Mpcp.bounds(&sys, BlockingConfig::sound()).ok();
-        let run = Run {
-            system: &sys,
-            cfg: &cfg,
-            horizon: horizon_for(&sys, cfg.horizon_cap),
-            mpcp: mpcp.as_ref(),
-        };
+        let run = Run::new(&sys, horizon_for(&sys, small_cfg().horizon_cap), false);
         let (kind, wrong) = (ProtocolKind::Mpcp, ProtocolKind::Raw);
-        let outcome = run.arm(&mut Workspace::default(), kind, wrong.build(), None);
+        let outcome = run.judge(&mut Workspace::default(), kind, Some(wrong.build()));
 
         let mut recorded =
             Simulator::with_config(&sys, wrong.build(), SimConfig::until(run.horizon));

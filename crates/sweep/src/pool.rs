@@ -1,6 +1,6 @@
 //! Deterministic work-stealing index pool.
 //!
-//! [`run_indexed`] evaluates `f(0) .. f(n-1)` on a fixed-size worker
+//! [`run_indexed_with`] evaluates `f(0) .. f(n-1)` on a fixed-size worker
 //! pool and returns the results in index order. The index space is
 //! split into one contiguous range per worker, each packed into a
 //! single `AtomicU64` (`lo` in the high half, `hi` in the low half):
@@ -68,16 +68,8 @@ fn remaining(range: &AtomicU64) -> u32 {
 
 /// Evaluates `f` at every index in `0..n` using `jobs` worker threads
 /// and returns the results in index order, independent of scheduling.
-///
-/// # Panics
-///
-/// Panics if `n` exceeds `u32::MAX` or if a worker thread panics.
-pub fn run_indexed<T: Send>(n: usize, jobs: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    run_indexed_with(n, jobs, || (), |_, i| f(i))
-}
-
-/// Like [`run_indexed`], but every worker owns a persistent scratch
-/// value created by `init`, passed to each `f` call it makes — sweep
+/// Every worker owns a persistent scratch value created by `init`,
+/// passed to each `f` call it makes — sweep
 /// workers recycle one simulator (and its arena, heaps and buffers)
 /// across their whole index range. Determinism is unchanged *provided*
 /// `f`'s result is a pure function of the index: scratch state must
@@ -160,6 +152,10 @@ pub fn run_indexed_with<T: Send, W>(
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    fn run_indexed<T: Send>(n: usize, jobs: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        run_indexed_with(n, jobs, || (), |_, i| f(i))
+    }
 
     #[test]
     fn results_are_in_index_order_for_any_worker_count() {

@@ -36,4 +36,4 @@ mod stream;
 
 pub use gen::{generate, poisson_arrivals, WorkloadConfig};
 pub use rng::{uunifast, Rng};
-pub use stream::{Scenario, ScenarioStream, SubmissionStream};
+pub use stream::{Scenario, ScenarioStream};

@@ -1,62 +1,8 @@
-//! Submission streams: reproducible sequences of generated systems for
-//! driving the admission-control service.
-//!
-//! A [`SubmissionStream`] is an infinite iterator of `(seed, System)`
-//! pairs cycling through a fixed number of *distinct* systems. The
-//! cycle length controls cache friendliness when the stream is replayed
-//! against `mpcp serve`: with `unique = 8`, request 8 repeats request
-//! 0's system and an analysis cache should answer it without
-//! recomputing.
+//! Scenario streams: reproducible sequences of generated systems,
+//! addressable by index, for the scenario sweep.
 
 use crate::gen::{generate, WorkloadConfig};
 use mpcp_model::System;
-
-/// An infinite, reproducible stream of generated systems.
-///
-/// Item `i` is generated from seed `base_seed + (i % unique)`, so the
-/// stream cycles through `unique` distinct systems in a fixed order.
-#[derive(Debug, Clone)]
-pub struct SubmissionStream {
-    config: WorkloadConfig,
-    base_seed: u64,
-    unique: u64,
-    next: u64,
-}
-
-impl SubmissionStream {
-    /// Creates a stream over `unique` distinct systems (forced to at
-    /// least 1) drawn from `config` starting at `base_seed`.
-    pub fn new(config: WorkloadConfig, base_seed: u64, unique: usize) -> Self {
-        SubmissionStream {
-            config,
-            base_seed,
-            unique: (unique.max(1)) as u64,
-            next: 0,
-        }
-    }
-
-    /// Number of distinct systems the stream cycles through.
-    pub fn unique(&self) -> usize {
-        self.unique as usize
-    }
-
-    /// The system for stream position `i` (independent of iteration
-    /// state).
-    fn system_at(&self, i: u64) -> (u64, System) {
-        let seed = self.base_seed + i % self.unique;
-        (seed, generate(&self.config, seed))
-    }
-}
-
-impl Iterator for SubmissionStream {
-    type Item = (u64, System);
-
-    fn next(&mut self) -> Option<(u64, System)> {
-        let item = self.system_at(self.next);
-        self.next += 1;
-        Some(item)
-    }
-}
 
 /// One generated test scenario: a system plus the settings that
 /// produced it, addressable by index.
@@ -78,10 +24,8 @@ pub struct Scenario {
 /// while the per-processor utilization cycles through a fixed grid, so
 /// a single stream covers a whole schedulability curve.
 ///
-/// Unlike [`SubmissionStream`] (which cycles a small set of *identical*
-/// systems to exercise caches), every scenario here is distinct:
-/// scenario `i` uses seed `base_seed + i` and utilization
-/// `grid[i % grid.len()]`. Random access via
+/// Every scenario is distinct: scenario `i` uses seed `base_seed + i`
+/// and utilization `grid[i % grid.len()]`. Random access via
 /// [`ScenarioStream::scenario_at`] is independent of iteration state,
 /// which lets parallel workers claim arbitrary indices.
 #[derive(Debug, Clone)]
@@ -165,45 +109,6 @@ impl Iterator for ScenarioStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stream_cycles_through_unique_systems() {
-        let cfg = WorkloadConfig::default()
-            .processors(2)
-            .tasks_per_processor(2);
-        let stream = SubmissionStream::new(cfg, 100, 3);
-        let first_six: Vec<(u64, System)> = stream.take(6).collect();
-        assert_eq!(first_six[0].0, 100);
-        assert_eq!(first_six[1].0, 101);
-        assert_eq!(first_six[2].0, 102);
-        // Lap 2 repeats lap 1 exactly.
-        for k in 0..3 {
-            assert_eq!(first_six[k], first_six[k + 3]);
-        }
-        // Distinct seeds give distinct systems.
-        assert_ne!(first_six[0].1, first_six[1].1);
-    }
-
-    #[test]
-    fn random_access_matches_iteration() {
-        let cfg = WorkloadConfig::default()
-            .processors(2)
-            .tasks_per_processor(2);
-        let stream = SubmissionStream::new(cfg.clone(), 7, 4);
-        let iterated: Vec<(u64, System)> = stream.clone().take(5).collect();
-        for (i, item) in iterated.iter().enumerate() {
-            assert_eq!(*item, stream.system_at(i as u64));
-        }
-    }
-
-    #[test]
-    fn zero_unique_is_clamped() {
-        let cfg = WorkloadConfig::default()
-            .processors(1)
-            .tasks_per_processor(1);
-        let stream = SubmissionStream::new(cfg, 1, 0);
-        assert_eq!(stream.unique(), 1);
-    }
 
     #[test]
     fn scenario_stream_cycles_the_grid_and_advances_seeds() {

@@ -1,7 +1,8 @@
-//! `mpcp-verify` — static lints and a small-scope model checker for
-//! MPCP task systems.
-//!
-//! Two engines behind one structured-diagnostics API:
+//! `mpcp-verify` — static lints, structured diagnostics and the
+//! incremental analysis engine for MPCP task systems. It analyses and
+//! never simulates: the crate links neither the simulator nor the
+//! protocol policies, so the admission server that depends on it does
+//! not either.
 //!
 //! * **[`lint`]** — a static pass over a built [`mpcp_model::System`]:
 //!   lock-order cycles among nested global semaphores (§5.1's partial
@@ -10,15 +11,13 @@
 //!   against the Liu–Layland bound, rate-monotonic priority inversions
 //!   and global sections that already exceed a user's deadline. Run
 //!   [`lint_system`] and render the [`Report`] for humans or as JSON.
-//! * **[`checker`]** — exhaustive exploration of every release-phasing
-//!   variant of a small system, each execution judged by the
-//!   [`mpcp_sim::Monitor`] of its protocol's
-//!   [`monitor_spec`](mpcp_protocols::ProtocolKind::monitor_spec) and
-//!   (for MPCP) against the §5.1 blocking bound. Run [`checker::explore_all`] and
-//!   turn the results into diagnostics with [`checker::report`].
+//! * **[`diag`]** — the [`Diagnostic`]/[`Report`] API, which the model
+//!   checker (`mpcp_sweep::checker`) reports through as well.
+//! * **[`delta`]** — [`IncrementalAnalysis`], the admission server's
+//!   edit engine, and the audit script that certifies it.
 //!
-//! Both are wired into the CLI as `mpcp lint` and `mpcp verify`, which
-//! exit nonzero when any error-severity finding is produced.
+//! The CLI's `mpcp lint` and `mpcp verify` exit nonzero when any
+//! error-severity finding is produced.
 //!
 //! # Example
 //!
@@ -50,15 +49,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod checker;
 pub mod delta;
 pub mod diag;
 pub mod lint;
 
-pub use checker::{CheckerConfig, Exploration, Violation};
 pub use delta::{
     audit_script, full_snapshot_json, with_body, with_scaled_period, with_task_from, without_task,
     EngineStats, IncrementalAnalysis,
 };
 pub use diag::{Diagnostic, Report, Severity};
-pub use lint::{default_lints, lint_system, lint_system_with, Lint, LintContext, LintScope};
+pub use lint::{default_lints, lint_system, Lint, LintContext, LintScope};

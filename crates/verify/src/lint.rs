@@ -3,8 +3,8 @@
 //! Each lint checks one rule a valid MPCP configuration must (or
 //! should) obey — the §4 nesting rules, the Theorem 2 priority-band
 //! structure, the lock-order partial ordering for nested global
-//! sections — and emits [`Diagnostic`]s for violations. Run the default
-//! set with [`lint_system`], or a custom set with [`lint_system_with`].
+//! sections — and emits [`Diagnostic`]s for violations. Run them with
+//! [`lint_system`].
 //!
 //! | code | lint | severity |
 //! |------|------|----------|
@@ -122,14 +122,9 @@ pub fn default_lints() -> Vec<Box<dyn Lint>> {
 
 /// Runs the [`default_lints`] over `system`.
 pub fn lint_system(system: &System) -> Report {
-    lint_system_with(system, &default_lints())
-}
-
-/// Runs an explicit lint set over `system`.
-pub fn lint_system_with(system: &System, lints: &[Box<dyn Lint>]) -> Report {
     let ctx = LintContext::new(system);
     let mut out = Vec::new();
-    for lint in lints {
+    for lint in default_lints() {
         lint.check(system, &ctx, &mut out);
     }
     Report::from_diagnostics(out)
@@ -146,7 +141,7 @@ fn task_name(system: &System, id: mpcp_model::TaskId) -> String {
 /// V001 — the global lock-order graph must be acyclic (§5.1's partial
 /// ordering on nested global semaphores); a cycle means two jobs can
 /// deadlock across processors. Wraps [`lock_order_cycle`].
-pub struct LockOrderCycle;
+struct LockOrderCycle;
 
 impl Lint for LockOrderCycle {
     fn code(&self) -> &'static str {
@@ -198,7 +193,7 @@ impl Lint for LockOrderCycle {
 /// users span exactly two processors and one side has a single user.
 /// Global semaphores are far more expensive than local ones (Theorem 2
 /// runs every gcs in the remote-priority band), so flag the cheap fix.
-pub struct MisscopedResource;
+struct MisscopedResource;
 
 impl Lint for MisscopedResource {
     fn code(&self) -> &'static str {
@@ -268,7 +263,7 @@ impl Lint for MisscopedResource {
 }
 
 /// V003 — a declared resource no task ever locks.
-pub struct UnusedResource;
+struct UnusedResource;
 
 impl Lint for UnusedResource {
     fn code(&self) -> &'static str {
@@ -314,7 +309,7 @@ impl Lint for UnusedResource {
 /// remote-priority band of Theorem 2; a local semaphore taken inside it
 /// (or a gcs taken inside a local section) breaks the two-band
 /// structure the blocking bounds of §5.1 assume.
-pub struct MixedScopeNesting;
+struct MixedScopeNesting;
 
 impl Lint for MixedScopeNesting {
     fn code(&self) -> &'static str {
@@ -379,7 +374,7 @@ impl Lint for MixedScopeNesting {
 /// ordering (§5.1) but each nesting level adds remote blocking; suggest
 /// collapsing the group into one semaphore when the analysis supports
 /// it ([`mpcp_analysis::collapse_nested_globals`]).
-pub struct NestedGlobalSections;
+struct NestedGlobalSections;
 
 impl Lint for NestedGlobalSections {
     fn code(&self) -> &'static str {
@@ -441,7 +436,7 @@ impl Lint for NestedGlobalSections {
 /// blocking bounds count critical-section *processor demand*, and a
 /// suspension inside a section would stall every waiter for the
 /// suspension length too (Theorem 1 territory the analysis excludes).
-pub struct SuspensionInCriticalSection;
+struct SuspensionInCriticalSection;
 
 fn has_suspension(segments: &[Segment]) -> bool {
     segments.iter().any(|s| match s {
@@ -500,7 +495,7 @@ impl Lint for SuspensionInCriticalSection {
 /// meet deadlines at all (error); above the Liu–Layland bound for its
 /// task count, Theorem 3 cannot admit it even before blocking terms are
 /// added (warning).
-pub struct ProcessorOverutilized;
+struct ProcessorOverutilized;
 
 impl Lint for ProcessorOverutilized {
     fn code(&self) -> &'static str {
@@ -565,7 +560,7 @@ impl Lint for ProcessorOverutilized {
 /// V008 — priorities that invert the rate-monotonic order on a
 /// processor. Theorem 3 and the §5.1 bounds assume RM priorities; an
 /// inversion is legal but silently voids the schedulability story.
-pub struct NonRmPriorities;
+struct NonRmPriorities;
 
 impl Lint for NonRmPriorities {
     fn code(&self) -> &'static str {
@@ -622,7 +617,7 @@ impl Lint for NonRmPriorities {
 /// user's deadline. Factor 2 of §5.1 bounds the wait for a semaphore by
 /// the longest gcs of other users; if that alone is at least some
 /// user's deadline, no priority assignment can save the task.
-pub struct GcsExceedsDeadline;
+struct GcsExceedsDeadline;
 
 impl Lint for GcsExceedsDeadline {
     fn code(&self) -> &'static str {
@@ -711,7 +706,7 @@ impl Lint for GcsExceedsDeadline {
 /// wait operation is uncontended, yet under MPCP a single-user global
 /// semaphore still raises its user's effective priority and still
 /// contributes remote blocking to *other* tasks through factor 4.
-pub struct UncontendedSemaphore;
+struct UncontendedSemaphore;
 
 impl Lint for UncontendedSemaphore {
     fn code(&self) -> &'static str {
@@ -764,7 +759,7 @@ impl Lint for UncontendedSemaphore {
 /// back-to-back sections on one semaphore double the worst-case wait
 /// for no added concurrency; merging them costs nothing a preemption
 /// point would not also cost.
-pub struct MergeableAdjacentSections;
+struct MergeableAdjacentSections;
 
 fn adjacent_same_resource(segments: &[Segment], hits: &mut Vec<mpcp_model::ResourceId>) {
     let mut prev: Option<mpcp_model::ResourceId> = None;
@@ -833,7 +828,7 @@ impl Lint for MergeableAdjacentSections {
 /// section, where MPCP already hoists it above every normal-priority
 /// task on the processor. The local ceiling then never changes which
 /// task runs, so the resource could be a plain (non-ceiling) lock.
-pub struct DeadCeiling;
+struct DeadCeiling;
 
 impl Lint for DeadCeiling {
     fn code(&self) -> &'static str {

@@ -19,10 +19,13 @@
 # it is reached.
 #
 # Text after `//` is dropped, so a comment or an intra-doc link is not a
-# reader. Otherwise the match is by name, not by path: an item counts
-# every file that names anything of the same name as a reader, so an
-# unread item with a common name (`new`, `find`), or one a string
-# literal spells, goes unnoticed.
+# reader, and a `pub use` re-export is not the reader of a `pub fn`: a
+# function only re-exported is as dead as one never named (a type stays
+# read by its re-export, which is how a signature names it). Otherwise
+# the match is by name, not by path: an item counts every file that
+# names anything of the same name as a reader, so an unread item with a
+# common name (`new`, `find`), or one a string literal spells, goes
+# unnoticed.
 #
 # usage: scripts/dead_pub.sh [REPO_ROOT]   (default: the checkout this
 #                                           script lives in)
@@ -32,7 +35,7 @@ root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 cd "$root"
 allow=scripts/dead_pub.allow
 
-# FILE NAME per public item.
+# FILE NAME KIND per public item, KIND `fn` or `item`.
 items() {
     find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
         FNR == 1 { cut = 0 }
@@ -43,24 +46,29 @@ items() {
         match($0, /^[ \t]*pub[ \t]+((const|unsafe|async)[ \t]+)*fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/) ||
         match($0, /^[ \t]*pub[ \t]+(struct|enum|const|type|trait|static)[ \t]+(mut[ \t]+)?[A-Za-z_][A-Za-z0-9_]*/) {
             n = split(substr($0, RSTART, RLENGTH), w, /[ \t]+/)
-            print FILENAME, w[n]
+            print FILENAME, w[n], (w[n - 1] == "fn" ? "fn" : "item")
         }'
 }
 
-# WORD FILE, once per word a searched file contains.
+# WORD FILE [use], once per word a searched file contains; `use` marks
+# a word of a `pub use` statement.
 words() {
     local dirs=() d
     for d in crates src tests examples benchmark/src; do
         [ -d "$d" ] && dirs+=("$d")
     done
     find "${dirs[@]}" -name '*.rs' -print0 | sort -z | xargs -0 awk '
+        FNR == 1 { export = 0 }
+        /^[ \t]*pub(\([a-z]+\))?[ \t]+use[ \t]/ { export = 1 }
         {
             sub(/\/\/.*/, "")
+            tag = export ? " use" : ""
+            if (export && index($0, ";")) export = 0
             n = split($0, w, /[^A-Za-z0-9_]+/)
             for (i = 1; i <= n; i++)
-                if (w[i] ~ /^[A-Za-z_]/ && !((FILENAME, w[i]) in seen)) {
-                    seen[FILENAME, w[i]]
-                    print w[i], FILENAME
+                if (w[i] ~ /^[A-Za-z_]/ && !((FILENAME, w[i], tag) in seen)) {
+                    seen[FILENAME, w[i], tag]
+                    print w[i], FILENAME tag
                 }
         }'
 }
@@ -68,12 +76,14 @@ words() {
 # FILE:NAME of every item no other file names.
 unread() {
     awk '
-        FNR == NR { wanted[$2]; items[$1 ":" $2]; next }
+        FNR == NR { wanted[$2]; items[$1 ":" $2] = $3; next }
+        ($1 in wanted) && $3 == "use" { exports[$1] = exports[$1] " " $2; next }
         ($1 in wanted) { readers[$1] = readers[$1] " " $2 }
         END {
             for (key in items) {
                 i = index(key, ":"); file = substr(key, 1, i - 1); name = substr(key, i + 1)
-                n = split(readers[name], r, " "); outside = 0
+                named = readers[name] (items[key] == "fn" ? "" : exports[name])
+                n = split(named, r, " "); outside = 0
                 for (j = 1; j <= n; j++) if (r[j] != file) outside++
                 if (!outside) print key
             }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Crate-graph edges that must stay absent, so a convenience import does
 # not quietly put the admission server (reactor, epoll FFI, journal)
-# back under the sweep or the experiment harness back under a leaf.
+# back under the sweep, the experiment harness back under a leaf, or
+# the simulator back under the admission server. The protocol policies
+# and DGA link the simulator, so forbidding it forbids them too.
 #
 # usage: scripts/deps.sh        (from any directory; offline)
 set -euo pipefail
@@ -28,6 +30,9 @@ if [ -n "$(reach mpcp-json normal,build,dev)" ]; then
 fi
 forbid mpcp-sweep normal mpcp-service "the sweep needs mpcp-json, not the server"
 forbid mpcp-verify normal,dev mpcp-bench "the paper examples live in mpcp-taskgen"
+forbid mpcp-verify normal mpcp-sim "the model checker lives in mpcp-sweep"
+forbid mpcp-verify normal mpcp-protocols "the model checker lives in mpcp-sweep"
+forbid mpcp-service normal mpcp-sim "the admission server analyses, it never simulates"
 
 [ "$fail" -eq 0 ] && echo "deps: ok"
 exit "$fail"

@@ -18,9 +18,9 @@
 //! | [`taskgen`] | deterministic synthetic workload generation |
 //! | [`alloc`] | task-to-processor allocation heuristics |
 //! | [`runtime`] | threaded MPCP runtime and lock primitives |
-//! | [`verify`] | static lints and small-scope model checking |
+//! | [`verify`] | static lints, structured diagnostics and the incremental analysis engine |
 //! | [`service`] | online admission-control server, wire protocol, load generator |
-//! | [`sweep`] | deterministic multi-threaded scenario sweeps with a differential oracle |
+//! | [`sweep`] | deterministic multi-threaded scenario sweeps with a differential oracle, and the small-scope model checker that judges through the same oracle |
 //!
 //! # Quickstart
 //!
