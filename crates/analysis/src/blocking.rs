@@ -214,41 +214,35 @@ fn factor4(
     config: BlockingConfig,
 ) -> Dur {
     let mut total = Dur::ZERO;
-    // Direct blockers grouped by their (remote) processor.
-    let blockers: Vec<&TaskFacts<'_>> = sharers
+    // Direct blockers grouped by their (remote) processor, by id within
+    // a group.
+    let mut blockers: Vec<&TaskFacts<'_>> = sharers
         .iter()
         .copied()
         .filter(|l| l.prio < i.prio && l.proc != i.proc)
         .collect();
-    let mut procs: Vec<_> = blockers.iter().map(|l| l.proc).collect();
-    procs.sort_unstable();
-    procs.dedup();
-    for p in procs {
+    blockers.sort_unstable_by_key(|l| (l.proc, l.id));
+    for group in blockers.chunk_by(|a, b| a.proc == b.proc) {
+        let p = group[0].proc;
         // The lowest gcs execution priority among the direct blockers'
         // sections on semaphores shared with i: anything above it can
-        // stretch the blocking.
-        let threshold = blockers
+        // stretch the blocking. Every section here runs from `p`.
+        let threshold = group
             .iter()
-            .filter(|l| l.proc == p)
-            .flat_map(|l| l.gcs.iter().map(move |cs| (l, cs)))
-            .filter(|(_, cs)| i.global_resources.contains(&cs.resource))
-            .filter_map(|(l, cs)| facts.gcs_pri.of(l.id, cs.resource))
+            .flat_map(|l| l.gcs.iter())
+            .filter(|cs| i.global_resources.contains(&cs.resource))
+            .filter_map(|cs| facts.gcs_pri.on(cs.resource, p))
             .min();
         let Some(threshold) = threshold else { continue };
         // `p` is remote, so `i` itself is never among its tasks.
         for k in facts.on_processor(p) {
-            if blockers.iter().any(|l| l.id == k.id) {
+            if group.binary_search_by_key(&k.id, |l| l.id).is_ok() {
                 continue; // the blocker itself is factor 2's job
             }
             let per_job: Dur = k
                 .gcs
                 .iter()
-                .filter(|cs| {
-                    facts
-                        .gcs_pri
-                        .of(k.id, cs.resource)
-                        .is_some_and(|p| p > threshold)
-                })
+                .filter(|cs| facts.gcs_pri.on(cs.resource, p) > Some(threshold))
                 .map(|cs| cs.duration)
                 .sum();
             total += per_job * facts.instances(i, k, config.carry_in);
@@ -298,7 +292,8 @@ pub(crate) fn deferred_penalty(facts: &Facts<'_>, i: &TaskFacts<'_>) -> Dur {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpcp_model::{Body, System, TaskDef};
+    use mpcp_model::{Body, Priority, ResourceId, Scope, System, TaskDef};
+    use std::collections::HashMap;
 
     /// Two processors, one global semaphore, one local semaphore.
     ///
@@ -438,6 +433,116 @@ mod tests {
         let sys = b.build().unwrap();
         for bd in mpcp_bounds(&sys).unwrap() {
             assert_eq!(bd.total(), Dur::ZERO);
+        }
+    }
+
+    /// Factor 4 as it was before the blockers were grouped by
+    /// processor: every blocker rescanned per processor, and per mate a
+    /// scan of all blockers.
+    fn factor4_reference(
+        facts: &Facts<'_>,
+        i: &TaskFacts<'_>,
+        sharers: &[&TaskFacts<'_>],
+        config: BlockingConfig,
+    ) -> Dur {
+        let mut total = Dur::ZERO;
+        // Direct blockers grouped by their (remote) processor.
+        let blockers: Vec<&TaskFacts<'_>> = sharers
+            .iter()
+            .copied()
+            .filter(|l| l.prio < i.prio && l.proc != i.proc)
+            .collect();
+        let mut procs: Vec<_> = blockers.iter().map(|l| l.proc).collect();
+        procs.sort_unstable();
+        procs.dedup();
+        for p in procs {
+            // The lowest gcs execution priority among the direct blockers'
+            // sections on semaphores shared with i: anything above it can
+            // stretch the blocking.
+            let threshold = blockers
+                .iter()
+                .filter(|l| l.proc == p)
+                .flat_map(|l| l.gcs.iter().map(move |cs| (l, cs)))
+                .filter(|(_, cs)| i.global_resources.contains(&cs.resource))
+                .filter_map(|(l, cs)| facts.gcs_pri.of(l.id, cs.resource))
+                .min();
+            let Some(threshold) = threshold else { continue };
+            // `p` is remote, so `i` itself is never among its tasks.
+            for k in facts.on_processor(p) {
+                if blockers.iter().any(|l| l.id == k.id) {
+                    continue; // the blocker itself is factor 2's job
+                }
+                let per_job: Dur = k
+                    .gcs
+                    .iter()
+                    .filter(|cs| {
+                        facts
+                            .gcs_pri
+                            .of(k.id, cs.resource)
+                            .is_some_and(|p| p > threshold)
+                    })
+                    .map(|cs| cs.duration)
+                    .sum();
+                total += per_job * facts.instances(i, k, config.carry_in);
+            }
+        }
+        total
+    }
+
+    /// [`GcsPriorities`](mpcp_core::GcsPriorities) as it was before the
+    /// table became dense: the paper's rule evaluated per (user, global
+    /// semaphore) pair into a map.
+    fn gcs_priorities_reference(system: &System) -> HashMap<(TaskId, ResourceId), Priority> {
+        let info = system.info();
+        let mut map = HashMap::new();
+        for usage in info.all_usage() {
+            if usage.scope != Scope::Global {
+                continue;
+            }
+            for &user in &usage.users {
+                let my_proc = system.task(user).processor();
+                let p_h = usage
+                    .users
+                    .iter()
+                    .filter(|&&u| system.task(u).processor() != my_proc)
+                    .map(|&u| system.task(u).priority())
+                    .max()
+                    .expect("a global resource has users on another processor");
+                map.insert((user, usage.resource), p_h.to_global());
+            }
+        }
+        map
+    }
+
+    #[test]
+    fn factor4_and_gcs_priorities_equal_the_scans() {
+        for (label, system) in crate::counts::reference_systems() {
+            let facts = Facts::compute(&system).expect("collapsed systems analyse");
+            let map = gcs_priorities_reference(&system);
+            for t in system.tasks() {
+                // One id past the last resource too: it names nothing.
+                for r in 0..=system.resources().len() as u32 {
+                    let r = ResourceId::from_index(r);
+                    let want = map.get(&(t.id(), r)).copied();
+                    assert_eq!(
+                        facts.gcs_pri.of(t.id(), r),
+                        want,
+                        "{label}: {} {r}",
+                        t.name()
+                    );
+                }
+            }
+            for config in [BlockingConfig::paper(), BlockingConfig::sound()] {
+                for i in &facts.tasks {
+                    let sharers = facts.sharers(i);
+                    assert_eq!(
+                        factor4(&facts, i, &sharers, config),
+                        factor4_reference(&facts, i, &sharers, config),
+                        "{label} {config:?}: task {}",
+                        i.id
+                    );
+                }
+            }
         }
     }
 }

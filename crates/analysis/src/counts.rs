@@ -26,12 +26,15 @@ pub(crate) struct TaskFacts<'a> {
     pub lcs: &'a [CriticalSection],
     /// Global resources used (sorted, deduplicated).
     pub global_resources: &'a [ResourceId],
+    /// Longest outermost section on any resource (FMLP+'s `s_max`).
+    pub s_max: Dur,
 }
 
-/// Precomputed facts for a whole system, with the two indices the §5.1
-/// factors walk: a task's processor mates and the users of a semaphore.
-/// Every factor is a `Dur` sum, maximum or minimum over such a
-/// neighbourhood, so its value does not depend on the visiting order.
+/// Precomputed facts for a whole system, with the indices the blocking
+/// terms walk: a task's processor mates, the users of a semaphore, and
+/// per processor the sum of `s_max`. Every term is a `Dur` sum, maximum
+/// or minimum over such a neighbourhood, so its value does not depend
+/// on the visiting order.
 #[derive(Debug, Clone)]
 pub(crate) struct Facts<'a> {
     pub tasks: Vec<TaskFacts<'a>>,
@@ -42,6 +45,8 @@ pub(crate) struct Facts<'a> {
     /// `by_proc[proc_start[p]..proc_start[p + 1]]`.
     by_proc: Vec<u32>,
     proc_start: Vec<u32>,
+    /// Per processor, the sum of its tasks' [`TaskFacts::s_max`].
+    s_max_sum: Vec<Dur>,
     /// Per-resource usage from [`mpcp_model::SystemInfo`]: `users` lists
     /// every task with a section on the resource.
     usage: &'a [ResourceUsage],
@@ -107,6 +112,11 @@ impl<'a> Facts<'a> {
                     gcs: &tu.global_sections,
                     lcs: &tu.local_sections,
                     global_resources: &tu.global_resources,
+                    s_max: (tu.global_sections.iter())
+                        .chain(&tu.local_sections)
+                        .map(|cs| cs.duration)
+                        .max()
+                        .unwrap_or(Dur::ZERO),
                 }
             })
             .collect();
@@ -117,8 +127,10 @@ impl<'a> Facts<'a> {
         });
         let n_procs = system.processors().len();
         let mut proc_start = vec![0u32; n_procs + 1];
+        let mut s_max_sum = vec![Dur::ZERO; n_procs];
         for t in &tasks {
             proc_start[t.proc.index() + 1] += 1;
+            s_max_sum[t.proc.index()] += t.s_max;
         }
         for p in 0..n_procs {
             proc_start[p + 1] += proc_start[p];
@@ -129,6 +141,7 @@ impl<'a> Facts<'a> {
             gcs_pri: GcsPriorities::compute(system),
             by_proc,
             proc_start,
+            s_max_sum,
             usage: info.all_usage(),
         })
     }
@@ -149,6 +162,23 @@ impl<'a> Facts<'a> {
         proc: ProcessorId,
     ) -> impl Iterator<Item = &'b TaskFacts<'a>> {
         self.pick(self.mates(proc))
+    }
+
+    /// Number of processors.
+    pub fn processors(&self) -> usize {
+        self.s_max_sum.len()
+    }
+
+    /// Sum of [`TaskFacts::s_max`] over the tasks bound to `proc`.
+    pub fn s_max_sum(&self, proc: ProcessorId) -> Dur {
+        self.s_max_sum[proc.index()]
+    }
+
+    /// The global resources, in id order.
+    pub fn globals(&self) -> impl Iterator<Item = ResourceId> + '_ {
+        (self.usage.iter())
+            .filter(|u| u.scope.is_global())
+            .map(|u| u.resource)
     }
 
     /// The default DPCP host of global `resource`: the processor of its
@@ -218,9 +248,49 @@ fn suspends_inside_cs(segments: &[Segment], inside: bool) -> bool {
 }
 
 #[cfg(test)]
+pub(crate) use tests::reference_systems;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use mpcp_model::{Body, System, TaskDef};
+    use mpcp_taskgen::{generate, WorkloadConfig};
+
+    /// Seeded `taskgen` systems for the differential tests that hold
+    /// each indexed term to the scan it replaced: 2×2 through 8×8 and
+    /// 16×4, two forced global sections, some with suspensions, some
+    /// clustered, some nested (then collapsed, since every analysis
+    /// refuses nested global sections). `MPCP_REFERENCE_CASES` (default
+    /// 3) sets the seeds per shape.
+    pub(crate) fn reference_systems() -> Vec<(String, System)> {
+        let n = std::env::var("MPCP_REFERENCE_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(3);
+        let shapes = [(2, 2), (3, 3), (4, 4), (6, 6), (8, 8), (16, 4)];
+        let mut out = Vec::new();
+        mpcp_prop::cases(n, 0x5CA4, |rng| {
+            for (procs, tasks) in shapes {
+                let seed = rng.next_u64();
+                let nesting = if rng.chance(0.3) { 0.3 } else { 0.0 };
+                let cfg = WorkloadConfig::default()
+                    .processors(procs)
+                    .tasks_per_processor(tasks)
+                    .utilization(rng.range_f64(0.2, 0.7))
+                    .periods(*rng.choice(&[100, 500]), *rng.choice(&[5000, 10_000]))
+                    .resources(1, rng.range_usize(1, 4))
+                    .sections(0, 3)
+                    .global_sections(2)
+                    .suspensions(if rng.chance(0.5) { 0.3 } else { 0.0 })
+                    .nesting(nesting)
+                    .clusters(*rng.choice(&[0, 0, 2]));
+                let (system, _) = crate::collapse_nested_globals(&generate(&cfg, seed));
+                let label = format!("{procs}x{tasks} seed={seed} nesting={nesting}");
+                out.push((label, system));
+            }
+        });
+        out
+    }
 
     #[test]
     fn facts_reject_nested_globals() {

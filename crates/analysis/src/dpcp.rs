@@ -158,18 +158,10 @@ fn host_ceiling_gcs(
     for &s in i.global_resources {
         let p = host(s);
         let ceiling = facts.ceilings.ceiling(s);
-        for k in facts.tasks.iter().filter(|k| k.id != i.id) {
-            let per_job: Dur = k
-                .gcs
-                .iter()
-                .filter(|cs| {
-                    cs.resource != s
-                        && host(cs.resource) == p
-                        && facts.ceilings.ceiling(cs.resource) >= ceiling
-                })
-                .map(|cs| cs.duration)
-                .sum();
-            total += per_job * facts.instances(i, k, config.carry_in);
+        for r in facts.globals() {
+            if r != s && host(r) == p && facts.ceilings.ceiling(r) >= ceiling {
+                total += sections_on(facts, i, r, config, |_| true);
+            }
         }
     }
     total
@@ -185,15 +177,31 @@ fn agent_interference(
     config: BlockingConfig,
 ) -> Dur {
     facts
-        .tasks
-        .iter()
-        .filter(|k| k.id != i.id)
-        .filter(|k| !(k.proc == i.proc && k.prio > i.prio))
+        .globals()
+        .filter(|&r| host(r) == i.proc)
+        .map(|r| {
+            sections_on(facts, i, r, config, |k| {
+                !(k.proc == i.proc && k.prio > i.prio)
+            })
+        })
+        .sum()
+}
+
+/// The sections on global `r` of its users other than `i` that `keep`
+/// admits, each user's counted `⌈T_i/T_k⌉` (+1) times.
+fn sections_on(
+    facts: &Facts<'_>,
+    i: &TaskFacts<'_>,
+    r: ResourceId,
+    config: BlockingConfig,
+    keep: impl Fn(&TaskFacts<'_>) -> bool,
+) -> Dur {
+    facts
+        .users(r)
+        .filter(|k| k.id != i.id && keep(k))
         .map(|k| {
-            let per_job: Dur = k
-                .gcs
-                .iter()
-                .filter(|cs| host(cs.resource) == i.proc)
+            let per_job: Dur = (k.gcs.iter())
+                .filter(|cs| cs.resource == r)
                 .map(|cs| cs.duration)
                 .sum();
             per_job * facts.instances(i, k, config.carry_in)
@@ -304,5 +312,86 @@ mod tests {
         // mid and loA (P1) see no agent executions on P1 any more.
         assert_eq!(d[1].agent_interference, Dur::ZERO);
         assert_eq!(d[2].agent_interference, Dur::ZERO);
+    }
+
+    // Factors 4′ and 5′ as they were before they read the semaphores
+    // hosted on one processor and their users: every task per semaphore.
+    fn host_ceiling_gcs_reference(
+        facts: &Facts<'_>,
+        i: &TaskFacts<'_>,
+        host: &impl Fn(ResourceId) -> ProcessorId,
+        config: BlockingConfig,
+    ) -> Dur {
+        let mut total = Dur::ZERO;
+        for &s in i.global_resources {
+            let p = host(s);
+            let ceiling = facts.ceilings.ceiling(s);
+            for k in facts.tasks.iter().filter(|k| k.id != i.id) {
+                let per_job: Dur = k
+                    .gcs
+                    .iter()
+                    .filter(|cs| {
+                        cs.resource != s
+                            && host(cs.resource) == p
+                            && facts.ceilings.ceiling(cs.resource) >= ceiling
+                    })
+                    .map(|cs| cs.duration)
+                    .sum();
+                total += per_job * facts.instances(i, k, config.carry_in);
+            }
+        }
+        total
+    }
+    fn agent_interference_reference(
+        facts: &Facts<'_>,
+        i: &TaskFacts<'_>,
+        host: &impl Fn(ResourceId) -> ProcessorId,
+        config: BlockingConfig,
+    ) -> Dur {
+        facts
+            .tasks
+            .iter()
+            .filter(|k| k.id != i.id)
+            .filter(|k| !(k.proc == i.proc && k.prio > i.prio))
+            .map(|k| {
+                let per_job: Dur = k
+                    .gcs
+                    .iter()
+                    .filter(|cs| host(cs.resource) == i.proc)
+                    .map(|cs| cs.duration)
+                    .sum();
+                per_job * facts.instances(i, k, config.carry_in)
+            })
+            .sum()
+    }
+
+    #[test]
+    fn indexed_terms_equal_the_scans() {
+        let mut rng = mpcp_prop::Rng::new(0xD9C9);
+        for (label, system) in crate::counts::reference_systems() {
+            let facts = Facts::compute(&system).expect("collapsed systems analyse");
+            let procs = system.processors().len() as u32;
+            // The default hosts, then each global semaphore on a
+            // processor drawn at random.
+            let drawn = (default_hosts(&system).into_iter())
+                .map(|h| h.map(|_| ProcessorId::from_index(rng.range_u32(0, procs - 1))))
+                .collect();
+            for hosts in [default_hosts(&system), drawn] {
+                let host = |r: ResourceId| hosts[r.index()].expect("global resource has a host");
+                for config in [BlockingConfig::paper(), BlockingConfig::sound()] {
+                    let got = dpcp_bounds_with(&system, &hosts, config).unwrap();
+                    for (i, got) in facts.tasks.iter().zip(got) {
+                        let want = DpcpBreakdown {
+                            host_ceiling_gcs: host_ceiling_gcs_reference(&facts, i, &host, config),
+                            agent_interference: agent_interference_reference(
+                                &facts, i, &host, config,
+                            ),
+                            ..breakdown(&facts, i, &host, config)
+                        };
+                        assert_eq!(got, want, "{label} {config:?}: task {}", i.id);
+                    }
+                }
+            }
+        }
     }
 }

@@ -40,11 +40,6 @@ fn sections<'a>(t: &'a TaskFacts<'_>) -> impl Iterator<Item = &'a CriticalSectio
     t.gcs.iter().chain(t.lcs.iter())
 }
 
-/// Longest critical section of `t` on any resource.
-fn s_max(t: &TaskFacts<'_>) -> Dur {
-    sections(t).map(|s| s.duration).max().unwrap_or(Dur::ZERO)
-}
-
 /// Longest critical section of `t` on `q`.
 fn s_max_on(t: &TaskFacts<'_>, q: ResourceId) -> Dur {
     sections(t)
@@ -57,19 +52,17 @@ fn s_max_on(t: &TaskFacts<'_>, q: ResourceId) -> Dur {
 /// `W_i(q)`: one padded section per other task contending for `q`.
 fn wait_per_request(facts: &Facts<'_>, i: &TaskFacts<'_>, q: ResourceId) -> Dur {
     let mut total = Dur::ZERO;
-    for j in facts.tasks.iter().filter(|j| j.id != i.id) {
+    for j in facts.users(q).filter(|j| j.id != i.id) {
         let own = s_max_on(j, q);
         if own.is_zero() {
             continue;
         }
         // Boosted sections that may delay j's hand-off-to-completion on
-        // j's processor: one per other section-owning task there.
-        let pad: Dur = facts
-            .tasks
-            .iter()
-            .filter(|k| k.proc == j.proc && k.id != j.id && k.id != i.id)
-            .map(s_max)
-            .sum();
+        // j's processor: one per other section-owning task there but i.
+        let mut pad = facts.s_max_sum(j.proc) - j.s_max;
+        if i.proc == j.proc {
+            pad -= i.s_max;
+        }
         total += own + pad;
     }
     total
@@ -82,7 +75,7 @@ pub(crate) fn terms(facts: &Facts<'_>, i: &TaskFacts<'_>, _: BlockingConfig) -> 
     let wait = sections(i)
         .map(|s| wait_per_request(facts, i, s.resource))
         .sum();
-    let lower: Dur = facts.lower_local(i).map(s_max).sum();
+    let lower: Dur = facts.lower_local(i).map(|k| k.s_max).sum();
     let points = 1 + i.n_susp as u64 + 2 * sections(i).count() as u64;
     pad_terms([wait, lower * points])
 }
@@ -116,6 +109,8 @@ pub fn fmlp_bound_set(system: &System) -> Result<BoundSet, AnalysisError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::{pad_terms, Terms};
+    use crate::counts::{Facts, TaskFacts};
     use mpcp_model::{Body, System, TaskDef, TaskId};
 
     fn tid(i: u32) -> TaskId {
@@ -246,5 +241,55 @@ mod tests {
         );
         let sys = b.build().unwrap();
         assert!(fmlp_bound_set(&sys).is_err());
+    }
+
+    fn s_max(t: &TaskFacts<'_>) -> Dur {
+        sections(t).map(|s| s.duration).max().unwrap_or(Dur::ZERO)
+    }
+    fn wait_per_request_reference(facts: &Facts<'_>, i: &TaskFacts<'_>, q: ResourceId) -> Dur {
+        let mut total = Dur::ZERO;
+        for j in facts.tasks.iter().filter(|j| j.id != i.id) {
+            let own = s_max_on(j, q);
+            if own.is_zero() {
+                continue;
+            }
+            // Boosted sections that may delay j's hand-off-to-completion on
+            // j's processor: one per other section-owning task there.
+            let pad: Dur = facts
+                .tasks
+                .iter()
+                .filter(|k| k.proc == j.proc && k.id != j.id && k.id != i.id)
+                .map(s_max)
+                .sum();
+            total += own + pad;
+        }
+        total
+    }
+
+    /// The FMLP+ terms as they were before `W_i(q)` read `q`'s users and
+    /// the per-processor `s_max` sums: every task, then every task again
+    /// per contender.
+    fn terms_reference(facts: &Facts<'_>, i: &TaskFacts<'_>) -> Terms {
+        let wait = sections(i)
+            .map(|s| wait_per_request_reference(facts, i, s.resource))
+            .sum();
+        let lower: Dur = facts.lower_local(i).map(s_max).sum();
+        let points = 1 + i.n_susp as u64 + 2 * sections(i).count() as u64;
+        pad_terms([wait, lower * points])
+    }
+
+    #[test]
+    fn indexed_terms_equal_the_scans() {
+        for (label, system) in crate::counts::reference_systems() {
+            let full = crate::depgraph::DirtySet::full();
+            let facts = Facts::compute_assuming_clean(&system, &full, true)
+                .expect("collapsed systems are flat");
+            for config in [BlockingConfig::paper(), BlockingConfig::sound()] {
+                for i in &facts.tasks {
+                    let want = terms_reference(&facts, i);
+                    assert_eq!(terms(&facts, i, config), want, "{label}: task {}", i.id);
+                }
+            }
+        }
     }
 }

@@ -30,34 +30,17 @@ use crate::error::AnalysisError;
 use crate::BlockingConfig;
 use mpcp_model::{Dur, ResourceId, System};
 
-/// `ξ(q)` as seen from processor `proc`: one maximal section on `q` per
-/// *other* processor.
+/// `ξ(q)` as seen from `i`'s processor: one maximal section on `q` per
+/// *other* processor, found in one pass over `q`'s users.
 fn spin_per_request(facts: &Facts<'_>, i: &TaskFacts<'_>, q: ResourceId) -> Dur {
-    let mut total = Dur::ZERO;
-    let remote_procs: Vec<_> = {
-        let mut ps: Vec<_> = facts
-            .tasks
-            .iter()
-            .map(|t| t.proc)
-            .filter(|p| *p != i.proc)
-            .collect();
-        ps.sort_unstable();
-        ps.dedup();
-        ps
-    };
-    for p in remote_procs {
-        let longest = facts
-            .tasks
-            .iter()
-            .filter(|t| t.proc == p && t.id != i.id)
-            .flat_map(|t| t.gcs.iter())
-            .filter(|s| s.resource == q)
-            .map(|s| s.duration)
-            .max()
-            .unwrap_or(Dur::ZERO);
-        total += longest;
+    let mut longest = vec![Dur::ZERO; facts.processors()];
+    for t in facts.users(q).filter(|t| t.proc != i.proc) {
+        for s in t.gcs.iter().filter(|s| s.resource == q) {
+            let max = &mut longest[t.proc.index()];
+            *max = (*max).max(s.duration);
+        }
     }
-    total
+    longest.into_iter().sum()
 }
 
 /// Total spin time per job of `i`.
@@ -133,6 +116,7 @@ pub fn msrp_bound_set(system: &System) -> Result<BoundSet, AnalysisError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counts::{Facts, TaskFacts};
     use mpcp_model::{Body, System, TaskDef, TaskId};
 
     fn tid(i: u32) -> TaskId {
@@ -271,5 +255,89 @@ mod tests {
         );
         let sys = b.build().unwrap();
         assert!(msrp_bound_set(&sys).is_err());
+    }
+
+    // `ξ(q)` as it was before it became one pass over `q`'s users: the
+    // remote processors from every task, then every task per processor.
+    fn spin_per_request_reference(facts: &Facts<'_>, i: &TaskFacts<'_>, q: ResourceId) -> Dur {
+        let mut total = Dur::ZERO;
+        let remote_procs: Vec<_> = {
+            let mut ps: Vec<_> = facts
+                .tasks
+                .iter()
+                .map(|t| t.proc)
+                .filter(|p| *p != i.proc)
+                .collect();
+            ps.sort_unstable();
+            ps.dedup();
+            ps
+        };
+        for p in remote_procs {
+            let longest = facts
+                .tasks
+                .iter()
+                .filter(|t| t.proc == p && t.id != i.id)
+                .flat_map(|t| t.gcs.iter())
+                .filter(|s| s.resource == q)
+                .map(|s| s.duration)
+                .max()
+                .unwrap_or(Dur::ZERO);
+            total += longest;
+        }
+        total
+    }
+    fn spin_of_reference(facts: &Facts<'_>, i: &TaskFacts<'_>) -> Dur {
+        i.gcs
+            .iter()
+            .map(|s| spin_per_request_reference(facts, i, s.resource))
+            .sum()
+    }
+    fn arrival_of_reference(facts: &Facts<'_>, i: &TaskFacts<'_>) -> Dur {
+        // Longest local-PCP section of any lower local task. (Conservative:
+        // we skip the ceiling filter — any local section of a lower task
+        // may also stall `i` indirectly through inheritance.)
+        let l_loc = facts
+            .lower_local(i)
+            .flat_map(|t| t.lcs.iter())
+            .map(|s| s.duration)
+            .max()
+            .unwrap_or(Dur::ZERO);
+        // Longest non-preemptive window of any lower local task: its spin
+        // on the request plus the section itself.
+        let w_np = facts
+            .lower_local(i)
+            .flat_map(|j| {
+                j.gcs
+                    .iter()
+                    .map(|s| spin_per_request_reference(facts, j, s.resource) + s.duration)
+            })
+            .max()
+            .unwrap_or(Dur::ZERO);
+        // Dispatch points: the release, each explicit suspension, and each
+        // local request (a local-PCP block suspends, letting a lower job
+        // start a new non-preemptive window before `i` resumes).
+        let points = 1 + i.n_susp as u64 + i.lcs.len() as u64;
+        (l_loc + w_np) * points
+    }
+
+    #[test]
+    fn indexed_terms_equal_the_scans() {
+        for (label, system) in crate::counts::reference_systems() {
+            let facts = Facts::compute(&system).expect("collapsed systems analyse");
+            for config in [BlockingConfig::paper(), BlockingConfig::sound()] {
+                for i in &facts.tasks {
+                    let want = [
+                        spin_of_reference(&facts, i),
+                        arrival_of_reference(&facts, i),
+                    ];
+                    assert_eq!(
+                        terms(&facts, i, config),
+                        pad_terms(want),
+                        "{label}: task {}",
+                        i.id
+                    );
+                }
+            }
+        }
     }
 }

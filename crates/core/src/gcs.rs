@@ -1,8 +1,7 @@
 //! Fixed execution priorities of global critical sections (§4.4,
 //! Table 4-2).
 
-use mpcp_model::{Priority, ResourceId, Scope, System, TaskId};
-use std::collections::HashMap;
+use mpcp_model::{Priority, ProcessorId, ResourceId, Scope, System, TaskId};
 
 /// The fixed priority at which each task executes each of its global
 /// critical sections.
@@ -13,48 +12,68 @@ use std::collections::HashMap;
 /// executes at the fixed priority `P_G + P_H` — high enough that no
 /// non-critical code can preempt it (Theorem 2), and exactly the priority
 /// it would inherit in the worst case, so no dynamic priority change is
-/// ever needed.
+/// ever needed. `P_H` depends only on the semaphore and `p`, so the table
+/// is dense: one entry per global semaphore.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GcsPriorities {
-    map: HashMap<(TaskId, ResourceId), Priority>,
+    /// Per resource, in id order; `None` unless the resource is global.
+    sems: Vec<Option<Sem>>,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Sem {
+    /// The users and their processors, sorted by task id.
+    users: Vec<(TaskId, ProcessorId)>,
+    /// The top user's processor and `P_G +` its priority: `P_H` from any
+    /// other processor.
+    top: (ProcessorId, Priority),
+    /// `P_G +` the best priority on any other processor: `P_H` from
+    /// `top`'s.
+    other: Priority,
 }
 
 impl GcsPriorities {
     /// Computes the gcs priorities of every (task, global resource) pair in
     /// `system`.
     pub fn compute(system: &System) -> Self {
-        let info = system.info();
-        let mut map = HashMap::new();
-        for usage in info.all_usage() {
-            if usage.scope != Scope::Global {
-                continue;
-            }
-            for &user in &usage.users {
-                let my_proc = system.task(user).processor();
-                let p_h = usage
-                    .users
-                    .iter()
-                    .filter(|&&u| system.task(u).processor() != my_proc)
-                    .map(|&u| system.task(u).priority())
-                    .max()
-                    .expect("a global resource has users on another processor");
-                map.insert((user, usage.resource), p_h.to_global());
-            }
-        }
-        GcsPriorities { map }
+        let user = |&u: &TaskId| (u, system.task(u).processor());
+        let prio = |u: TaskId| system.task(u).priority().to_global();
+        let sems = (system.info().all_usage().iter())
+            .map(|usage| {
+                (usage.scope == Scope::Global).then(|| {
+                    // `usage.users` is in decreasing priority order.
+                    let mut users: Vec<_> = usage.users.iter().map(user).collect();
+                    let (top, top_proc) = users[0];
+                    let &(other, _) = (users.iter().find(|u| u.1 != top_proc))
+                        .expect("a global resource has users on another processor");
+                    let (top, other) = ((top_proc, prio(top)), prio(other));
+                    users.sort_unstable();
+                    Sem { users, top, other }
+                })
+            })
+            .collect();
+        GcsPriorities { sems }
     }
 
     /// The gcs execution priority of `task`'s sections on `resource`, or
     /// `None` if `task` never locks `resource` or the resource is not
     /// global.
     pub fn of(&self, task: TaskId, resource: ResourceId) -> Option<Priority> {
-        self.map.get(&(task, resource)).copied()
+        let users = &self.sems.get(resource.index())?.as_ref()?.users;
+        let at = users.binary_search_by_key(&task, |u| u.0).ok()?;
+        self.on(resource, users[at].1)
     }
 
-    /// Iterates over all `((task, resource), priority)` entries in
-    /// unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = ((TaskId, ResourceId), Priority)> + '_ {
-        self.map.iter().map(|(&k, &v)| (k, v))
+    /// The execution priority of a section on `resource` run from
+    /// `proc`, or `None` if the resource is not global: [`Self::of`]
+    /// without the membership test, for a caller that knows the task.
+    pub fn on(&self, resource: ResourceId, proc: ProcessorId) -> Option<Priority> {
+        let sem = self.sems.get(resource.index())?.as_ref()?;
+        Some(if proc == sem.top.0 {
+            sem.other
+        } else {
+            sem.top.1
+        })
     }
 }
 
@@ -100,8 +119,8 @@ mod tests {
         let (sys, sg, _) = sample();
         let g = GcsPriorities::compute(&sys);
         let ceiling = crate::CeilingTable::compute(&sys).ceiling(sg);
-        for ((_, r), p) in g.iter() {
-            assert_eq!(r, sg);
+        for t in sys.tasks().iter().filter(|t| t.name() != "t3") {
+            let p = g.of(t.id(), sg).expect("every user of SG has an entry");
             assert!(p <= ceiling, "{p} exceeds ceiling {ceiling}");
             assert!(p.is_global());
         }
@@ -114,5 +133,11 @@ mod tests {
         let t = |i: u32| TaskId::from_index(i);
         assert_eq!(g.of(t(3), sl), None); // local resource
         assert_eq!(g.of(t(3), sg), None); // task does not use SG
+
+        // Out-of-range ids name nothing, and no index reads a
+        // neighbour's entry.
+        assert_eq!(g.of(t(4), sg), None);
+        assert_eq!(g.of(t(0), ResourceId::from_index(2)), None);
+        assert_eq!(g.on(sl, sys.tasks()[3].processor()), None);
     }
 }

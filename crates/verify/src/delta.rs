@@ -21,13 +21,14 @@
 //! rows run the exact code the full pass runs, in the same order —
 //! which is what makes byte-for-byte comparison a meaningful oracle.
 
-use crate::diag::{json_str, Diagnostic, Report};
+use crate::diag::{write_json_str, Diagnostic, Report};
 use crate::lint::{default_lints, unit_count, LintContext, LintScope};
 use mpcp_analysis::{
     dirty_set, Analysis, BlockingConfig, BoundSet, DeltaBounds, DeltaStats, DepGraph, Edit,
 };
 use mpcp_model::{Body, ModelError, System, Task, TaskDef};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Counters describing how much work incremental updates avoided.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -359,62 +360,53 @@ fn render_snapshot(
     error: Option<&str>,
     bounds: Option<&BoundSet>,
 ) -> String {
-    let mut out =
-        format!("{{\n  \"format\": \"mpcp-audit-v2\",\n  \"analysis\": \"{analysis}\",\n");
-    // render_json() yields a pretty object ending in "}\n"; re-indent it
-    // two spaces so the snapshot stays valid JSON.
-    let lint = report.render_json();
-    out.push_str("  \"lint\": ");
-    for (i, line) in lint.trim_end().lines().enumerate() {
-        if i > 0 {
-            out.push_str("  ");
-        }
-        out.push_str(line);
-        out.push('\n');
+    let rows = bounds.map_or(&[][..], BoundSet::per_task);
+    // Every row of a 64-task snapshot fits in 256 bytes, every finding
+    // in 512.
+    let mut out = String::with_capacity(256 * (rows.len() + 2) + 512 * report.len());
+    // Writing to a String cannot fail, so `write!`'s results are dropped.
+    let _ = write!(
+        out,
+        "{{\n  \"format\": \"mpcp-audit-v2\",\n  \"analysis\": \"{analysis}\",\n  \"lint\": "
+    );
+    report.write_json(&mut out, "  ");
+    out.push_str(",\n  \"analysis_error\": ");
+    match error {
+        Some(e) => write_json_str(&mut out, e),
+        None => out.push_str("null"),
     }
-    out.pop();
     out.push_str(",\n");
-    out.push_str(&format!(
-        "  \"analysis_error\": {},\n",
-        error.map_or("null".into(), json_str)
-    ));
     match bounds {
         None => out.push_str("  \"bounds\": null,\n  \"sched\": null,\n  \"schedulable\": null\n"),
         Some(bounds) => {
-            let rows = bounds.per_task();
             let sep = |i: usize| if i + 1 < rows.len() { "," } else { "" };
             out.push_str("  \"bounds\": [\n");
             for (i, row) in rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "    {{\"task\": {}",
-                    json_str(system.task(row.task).name())
-                ));
+                out.push_str("    {\"task\": ");
+                write_json_str(&mut out, system.task(row.task).name());
                 for (name, term) in row.terms() {
-                    out.push_str(&format!(", {}: {}", json_str(name), term.ticks()));
+                    out.push_str(", ");
+                    write_json_str(&mut out, name);
+                    let _ = write!(out, ": {}", term.ticks());
                 }
-                out.push_str(&format!(
-                    ", \"total\": {}}}{}\n",
-                    row.blocking.ticks(),
-                    sep(i)
-                ));
+                let _ = writeln!(out, ", \"total\": {}}}{}", row.blocking.ticks(), sep(i));
             }
             out.push_str("  ],\n  \"sched\": [\n");
             for (i, row) in rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "    {{\"task\": {}, \"processor\": {}, \"demand\": {:?}, \
-                     \"bound\": {:?}, \"ok\": {}}}{}\n",
-                    json_str(system.task(row.task).name()),
-                    json_str(system.processor(row.processor).name()),
+                out.push_str("    {\"task\": ");
+                write_json_str(&mut out, system.task(row.task).name());
+                out.push_str(", \"processor\": ");
+                write_json_str(&mut out, system.processor(row.processor).name());
+                let _ = writeln!(
+                    out,
+                    ", \"demand\": {:?}, \"bound\": {:?}, \"ok\": {}}}{}",
                     row.demand,
                     row.bound,
                     row.ok,
                     sep(i),
-                ));
+                );
             }
-            out.push_str(&format!(
-                "  ],\n  \"schedulable\": {}\n",
-                bounds.schedulable()
-            ));
+            let _ = writeln!(out, "  ],\n  \"schedulable\": {}", bounds.schedulable());
         }
     }
     out.push_str("}\n");

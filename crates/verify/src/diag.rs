@@ -7,7 +7,7 @@
 //! collects diagnostics and renders them for humans or as JSON; both
 //! renderings are stable so they can be snapshot-tested.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// How serious a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -199,44 +199,68 @@ impl Report {
     /// JSON rendering with stable key order; suitable for golden tests
     /// and machine consumption. Pretty-printed, two-space indent.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"diagnostics\": [");
+        let mut out = String::with_capacity(64 + 320 * self.diagnostics.len());
+        self.write_json(&mut out, "");
+        out.push('\n');
+        out
+    }
+
+    /// [`Report::render_json`] without its final newline, appended to
+    /// `out` with `indent` after every line break, so an enclosing
+    /// document can embed it without re-indenting.
+    pub(crate) fn write_json(&self, out: &mut String, indent: &str) {
+        let nl = |out: &mut String, text: &str| {
+            out.push('\n');
+            out.push_str(indent);
+            out.push_str(text);
+        };
+        let key = |out: &mut String, key: &str| {
+            nl(out, "      \"");
+            out.push_str(key);
+            out.push_str("\": ");
+        };
+        out.push('{');
+        nl(out, "  \"diagnostics\": [");
         for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
+            out.push_str(if i > 0 { "," } else { "" });
+            nl(out, "    {");
+            let strings = [
+                ("code", d.code),
+                ("lint", d.lint),
+                ("severity", d.severity.name()),
+                ("message", d.message.as_str()),
+            ];
+            for (k, v) in strings {
+                key(out, k);
+                write_json_str(out, v);
                 out.push(',');
             }
-            out.push_str("\n    {\n");
-            out.push_str(&format!("      \"code\": {},\n", json_str(d.code)));
-            out.push_str(&format!("      \"lint\": {},\n", json_str(d.lint)));
-            out.push_str(&format!(
-                "      \"severity\": {},\n",
-                json_str(d.severity.name())
-            ));
-            out.push_str(&format!("      \"message\": {},\n", json_str(&d.message)));
-            out.push_str(&format!("      \"tasks\": {},\n", json_list(&d.tasks)));
-            out.push_str(&format!(
-                "      \"resources\": {},\n",
-                json_list(&d.resources)
-            ));
-            out.push_str(&format!(
-                "      \"processor\": {},\n",
-                d.processor.as_deref().map_or("null".into(), json_str)
-            ));
-            out.push_str(&format!(
-                "      \"hint\": {}\n",
-                d.hint.as_deref().map_or("null".into(), json_str)
-            ));
-            out.push_str("    }");
+            for (k, items) in [("tasks", &d.tasks), ("resources", &d.resources)] {
+                key(out, k);
+                out.push('[');
+                for (j, item) in items.iter().enumerate() {
+                    out.push_str(if j > 0 { ", " } else { "" });
+                    write_json_str(out, item);
+                }
+                out.push_str("],");
+            }
+            for (k, v, end) in [("processor", &d.processor, ","), ("hint", &d.hint, "")] {
+                key(out, k);
+                match v {
+                    Some(v) => write_json_str(out, v),
+                    None => out.push_str("null"),
+                }
+                out.push_str(end);
+            }
+            nl(out, "    }");
         }
         if !self.diagnostics.is_empty() {
-            out.push_str("\n  ");
+            nl(out, "  ");
         }
-        out.push_str("],\n");
-        out.push_str(&format!(
-            "  \"errors\": {},\n  \"warnings\": {}\n}}\n",
-            self.count(Severity::Error),
-            self.count(Severity::Warning),
-        ));
-        out
+        let (errors, warnings) = (self.count(Severity::Error), self.count(Severity::Warning));
+        // Writing to a String cannot fail.
+        let _ = write!(out, "],\n{indent}  \"errors\": {errors},");
+        let _ = write!(out, "\n{indent}  \"warnings\": {warnings}\n{indent}}}");
     }
 }
 
@@ -246,18 +270,10 @@ impl fmt::Display for Report {
     }
 }
 
-/// `s` as a JSON string literal, escaped by the workspace's one JSON
-/// writer.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    let _ = mpcp_json::write_str(s, &mut out); // writing to a String cannot fail
-    out
-}
-
-/// Renders a list of strings as a JSON array.
-fn json_list(items: &[String]) -> String {
-    let parts: Vec<String> = items.iter().map(|s| json_str(s)).collect();
-    format!("[{}]", parts.join(", "))
+/// Appends `s` to `out` as a JSON string literal, escaped by the
+/// workspace's one JSON writer.
+pub(crate) fn write_json_str(out: &mut String, s: &str) {
+    let _ = mpcp_json::write_str(s, out); // writing to a String cannot fail
 }
 
 #[cfg(test)]

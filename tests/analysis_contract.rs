@@ -10,13 +10,21 @@
 //! analyses under both [`BlockingConfig`]s over twenty seeded `taskgen`
 //! systems. The sweep and shootout report hashes only see accept bits;
 //! this file sees the values.
+//!
+//! `tests/golden/analysis_contract_wide.txt` is the same rendering over
+//! eight larger systems (8×8 with two forced global sections, 16×4 with
+//! nesting), where the per-resource and per-processor indices behind
+//! MPCP factor 4, DPCP 4′/5′, MSRP spin and FMLP+ wait have
+//! neighbourhoods worth indexing. It was recorded from the scans those
+//! indices replaced.
 
-use mpcp::analysis::{Analysis, BlockingConfig};
+use mpcp::analysis::{collapse_nested_globals, Analysis, BlockingConfig};
 use mpcp::model::System;
 use mpcp::taskgen::{generate, WorkloadConfig};
 use std::fmt::Write as _;
 
 const GOLDEN: &str = include_str!("golden/analysis_contract.txt");
+const GOLDEN_WIDE: &str = include_str!("golden/analysis_contract_wide.txt");
 
 /// Five shapes × four seeds; odd seeds add explicit suspensions, the
 /// fourth shape nests sections (so some systems are rejected).
@@ -78,9 +86,46 @@ fn render_one(analysis: Analysis, system: &System, config: BlockingConfig) -> St
     out
 }
 
-fn render() -> String {
+/// Two wide shapes × four seeds: `sweep-wide`'s 8×8 family with two
+/// forced global sections and periods 500–5000, and 16×4 with nesting.
+fn systems_wide() -> Vec<(String, System)> {
+    let mut out = Vec::new();
+    for k in 0..4u64 {
+        let seed = 7500 + k;
+        let util = if k < 2 { 0.45 } else { 0.25 };
+        let cfg = WorkloadConfig::default()
+            .processors(8)
+            .tasks_per_processor(8)
+            .utilization(util)
+            .periods(500, 5000)
+            .global_sections(2)
+            .suspensions(if k % 2 == 1 { 0.3 } else { 0.0 });
+        let label = format!("seed={seed} shape=8x8 util={util:.2} periods=500..5000 gsections=2");
+        out.push((label, generate(&cfg, seed)));
+    }
+    for k in 0..4u64 {
+        let seed = 7600 + k;
+        let cfg = WorkloadConfig::default()
+            .processors(16)
+            .tasks_per_processor(4)
+            .utilization(0.40)
+            .resources(1, 4)
+            .sections(0, 3)
+            .nesting(0.3)
+            .suspensions(if k % 2 == 1 { 0.3 } else { 0.0 });
+        // Every analysis rejects nested global sections, so each 16×4
+        // system is rendered after §5.1's lock collapsing: the group
+        // locks are global resources with many users.
+        let (collapsed, _) = collapse_nested_globals(&generate(&cfg, seed));
+        let label = format!("seed={seed} shape=16x4 util=0.40 nesting=0.3 collapsed");
+        out.push((label, collapsed));
+    }
+    out
+}
+
+fn render(systems: Vec<(String, System)>) -> String {
     let mut out = String::new();
-    for (label, system) in systems() {
+    for (label, system) in systems {
         let _ = writeln!(out, "system {label}");
         for analysis in Analysis::ALL {
             let paper = render_one(analysis, &system, BlockingConfig::paper());
@@ -96,18 +141,30 @@ fn render() -> String {
     out
 }
 
-#[test]
-fn bounds_reproduce_the_recorded_entry_points_exactly() {
-    let got = render();
+fn assert_matches(got: &str, golden: &str) {
     if let Some((n, (g, w))) = got
         .lines()
-        .zip(GOLDEN.lines())
+        .zip(golden.lines())
         .enumerate()
         .find(|(_, (g, w))| g != w)
     {
         panic!("line {}:\n  got:  {g}\n  want: {w}", n + 1);
     }
-    assert_eq!(got.lines().count(), GOLDEN.lines().count());
+    assert_eq!(got.lines().count(), golden.lines().count());
+}
+
+#[test]
+fn bounds_reproduce_the_recorded_entry_points_exactly() {
+    assert_matches(&render(systems()), GOLDEN);
+}
+
+#[test]
+fn wide_bounds_reproduce_the_recorded_scans_exactly() {
+    let body = GOLDEN_WIDE
+        .split_once("\nsystem ")
+        .map(|(_, rest)| format!("system {rest}"))
+        .expect("header, then systems");
+    assert_matches(&render(systems_wide()), &body);
 }
 
 /// The golden is only worth something if it exercises every analysis on
