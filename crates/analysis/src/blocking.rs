@@ -4,7 +4,7 @@
 use crate::bounds::{Analysis, BoundSet, Terms};
 use crate::counts::{Facts, TaskFacts};
 use crate::error::AnalysisError;
-use mpcp_model::{Dur, System, TaskId};
+use mpcp_model::{Dur, ProcessorId, System, TaskId};
 
 /// Configuration of the bound computation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,8 +91,8 @@ impl BlockingBreakdown {
     /// both run the exact same code over the exact same inputs.
     pub(crate) fn compute(facts: &Facts<'_>, i: &TaskFacts<'_>, config: BlockingConfig) -> Self {
         // Factors 3 and 4 read the same neighbourhood: the tasks sharing
-        // a global semaphore with `i`, each counted once.
-        let sharers = facts.sharers(i);
+        // a global semaphore with `i`, as a task bitset.
+        let sharers = facts.sharer_bits(i);
         BlockingBreakdown {
             task: i.id,
             local_cs: factor1(facts, i),
@@ -165,37 +165,23 @@ pub(crate) fn factor1(facts: &Facts<'_>, i: &TaskFacts<'_>) -> Dur {
 /// Factor 2: per global request of `i`, the longest gcs on the same
 /// semaphore among lower-priority tasks (any processor).
 pub(crate) fn factor2(facts: &Facts<'_>, i: &TaskFacts<'_>) -> Dur {
-    i.gcs
-        .iter()
-        .map(|request| {
-            facts
-                .users(request.resource)
-                .filter(|l| l.prio < i.prio && l.id != i.id)
-                .flat_map(|l| l.gcs.iter())
-                .filter(|cs| cs.resource == request.resource)
-                .map(|cs| cs.duration)
-                .max()
-                .unwrap_or(Dur::ZERO)
-        })
+    (i.gcs.iter())
+        .map(|request| facts.longest_below(request.resource, i.prio))
         .sum()
 }
 
-/// Factor 3: gcs's of higher-priority remote tasks on semaphores `i`
-/// uses, `⌈T_i/T_h⌉` instances each. `sharers` is [`Facts::sharers`] of
-/// `i`.
+/// Factor 3: gcs's of higher-priority remote sharers ([`Facts::sharer_bits`])
+/// on semaphores `i` uses, `⌈T_i/T_h⌉` instances each.
 pub(crate) fn factor3(
     facts: &Facts<'_>,
     i: &TaskFacts<'_>,
-    sharers: &[&TaskFacts<'_>],
+    sharers: &[u64],
     config: BlockingConfig,
 ) -> Dur {
-    sharers
-        .iter()
+    (facts.members(sharers.iter().copied()))
         .filter(|h| h.prio > i.prio && h.proc != i.proc)
         .map(|h| {
-            let per_job: Dur = h
-                .gcs
-                .iter()
+            let per_job: Dur = (h.gcs.iter())
                 .filter(|cs| i.global_resources.contains(&cs.resource))
                 .map(|cs| cs.duration)
                 .sum();
@@ -207,28 +193,16 @@ pub(crate) fn factor3(
 /// Factor 4: on each blocking processor (home of a lower-priority task
 /// that can directly block `i` through a shared global semaphore),
 /// higher-priority gcs's of other tasks extend the blocker's section.
-fn factor4(
-    facts: &Facts<'_>,
-    i: &TaskFacts<'_>,
-    sharers: &[&TaskFacts<'_>],
-    config: BlockingConfig,
-) -> Dur {
+fn factor4(facts: &Facts<'_>, i: &TaskFacts<'_>, sharers: &[u64], config: BlockingConfig) -> Dur {
     let mut total = Dur::ZERO;
-    // Direct blockers grouped by their (remote) processor, by id within
-    // a group.
-    let mut blockers: Vec<&TaskFacts<'_>> = sharers
-        .iter()
-        .copied()
-        .filter(|l| l.prio < i.prio && l.proc != i.proc)
-        .collect();
-    blockers.sort_unstable_by_key(|l| (l.proc, l.id));
-    for group in blockers.chunk_by(|a, b| a.proc == b.proc) {
-        let p = group[0].proc;
-        // The lowest gcs execution priority among the direct blockers'
-        // sections on semaphores shared with i: anything above it can
-        // stretch the blocking. Every section here runs from `p`.
-        let threshold = group
-            .iter()
+    let remote = (0..facts.processors() as u32).map(ProcessorId::from_index);
+    for p in remote.filter(|&p| p != i.proc) {
+        // The lowest gcs execution priority among the sections of `p`'s
+        // direct blockers (its lower-priority sharers) on semaphores shared
+        // with i, all run from `p`: anything above it stretches the blocking.
+        let on_p = (sharers.iter().zip(facts.proc_bits(p))).map(|(s, mates)| s & mates);
+        let threshold = (facts.members(on_p))
+            .filter(|l| l.prio < i.prio)
             .flat_map(|l| l.gcs.iter())
             .filter(|cs| i.global_resources.contains(&cs.resource))
             .filter_map(|cs| facts.gcs_pri.on(cs.resource, p))
@@ -236,12 +210,10 @@ fn factor4(
         let Some(threshold) = threshold else { continue };
         // `p` is remote, so `i` itself is never among its tasks.
         for k in facts.on_processor(p) {
-            if group.binary_search_by_key(&k.id, |l| l.id).is_ok() {
-                continue; // the blocker itself is factor 2's job
+            if k.prio < i.prio && sharers[k.id.index() / 64] & 1 << (k.id.index() % 64) != 0 {
+                continue; // a direct blocker is factor 2's job
             }
-            let per_job: Dur = k
-                .gcs
-                .iter()
+            let per_job: Dur = (k.gcs.iter())
                 .filter(|cs| facts.gcs_pri.on(cs.resource, p) > Some(threshold))
                 .map(|cs| cs.duration)
                 .sum();
@@ -436,6 +408,67 @@ mod tests {
         }
     }
 
+    /// [`Facts::sharer_bits`] as it was before sharers became a bitset:
+    /// every user of every global semaphore of `i`, sorted and
+    /// deduplicated.
+    fn sharers_reference<'b, 'a>(
+        facts: &'b Facts<'a>,
+        i: &TaskFacts<'_>,
+    ) -> Vec<&'b TaskFacts<'a>> {
+        let mut found: Vec<&TaskFacts<'a>> = i
+            .global_resources
+            .iter()
+            .flat_map(|&r| facts.users(r))
+            .filter(|t| t.id != i.id)
+            .collect();
+        if i.global_resources.len() > 1 {
+            found.sort_unstable_by_key(|t| t.id);
+            found.dedup_by_key(|t| t.id);
+        }
+        found
+    }
+
+    /// Factor 2 as it was before the per-resource running maxima: per
+    /// request, a scan of every lower-priority user's sections.
+    fn factor2_reference(facts: &Facts<'_>, i: &TaskFacts<'_>) -> Dur {
+        i.gcs
+            .iter()
+            .map(|request| {
+                facts
+                    .users(request.resource)
+                    .filter(|l| l.prio < i.prio && l.id != i.id)
+                    .flat_map(|l| l.gcs.iter())
+                    .filter(|cs| cs.resource == request.resource)
+                    .map(|cs| cs.duration)
+                    .max()
+                    .unwrap_or(Dur::ZERO)
+            })
+            .sum()
+    }
+
+    /// Factor 3 as it was before sharers became a bitset: a scan of the
+    /// sharer list.
+    fn factor3_reference(
+        facts: &Facts<'_>,
+        i: &TaskFacts<'_>,
+        sharers: &[&TaskFacts<'_>],
+        config: BlockingConfig,
+    ) -> Dur {
+        sharers
+            .iter()
+            .filter(|h| h.prio > i.prio && h.proc != i.proc)
+            .map(|h| {
+                let per_job: Dur = h
+                    .gcs
+                    .iter()
+                    .filter(|cs| i.global_resources.contains(&cs.resource))
+                    .map(|cs| cs.duration)
+                    .sum();
+                per_job * facts.instances(i, h, config.carry_in)
+            })
+            .sum()
+    }
+
     /// Factor 4 as it was before the blockers were grouped by
     /// processor: every blocker rescanned per processor, and per mate a
     /// scan of all blockers.
@@ -515,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn factor4_and_gcs_priorities_equal_the_scans() {
+    fn gcs_priorities_equal_the_scans() {
         for (label, system) in crate::counts::reference_systems() {
             let facts = Facts::compute(&system).expect("collapsed systems analyse");
             let map = gcs_priorities_reference(&system);
@@ -532,13 +565,41 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn mpcp_terms_equal_the_scans() {
+        for (label, system) in crate::counts::reference_systems() {
+            let facts = Facts::compute(&system).expect("collapsed systems analyse");
+            let hosts = crate::default_hosts(&system);
+            let host = |r: ResourceId| hosts[r.index()].expect("global resource has a host");
             for config in [BlockingConfig::paper(), BlockingConfig::sound()] {
-                for i in &facts.tasks {
-                    let sharers = facts.sharers(i);
+                let got = mpcp_bounds_with(&system, config).unwrap();
+                for (i, got) in facts.tasks.iter().zip(got) {
+                    let sharers = sharers_reference(&facts, i);
+                    // The reference is in priority order when `i` uses one
+                    // semaphore, in id order otherwise.
+                    let mut ids: Vec<TaskId> = sharers.iter().map(|t| t.id).collect();
+                    ids.sort_unstable();
+                    let bits = facts.sharer_bits(i).into_iter();
+                    let got_ids: Vec<TaskId> = facts.members(bits).map(|t| t.id).collect();
+                    assert_eq!(got_ids, ids, "{label}: sharers of task {}", i.id);
+                    let want = BlockingBreakdown {
+                        task: i.id,
+                        local_cs: factor1(&facts, i),
+                        lower_gcs_same_sem: factor2_reference(&facts, i),
+                        higher_remote_gcs: factor3_reference(&facts, i, &sharers, config),
+                        blocking_processor_gcs: factor4_reference(&facts, i, &sharers, config),
+                        lower_local_gcs: factor5(&facts, i, config),
+                        deferred_penalty: deferred_penalty(&facts, i),
+                    };
+                    assert_eq!(got, want, "{label} {config:?}: task {}", i.id);
+                    let dpcp = crate::dpcp::breakdown(&facts, i, &host, config);
                     assert_eq!(
-                        factor4(&facts, i, &sharers, config),
-                        factor4_reference(&facts, i, &sharers, config),
-                        "{label} {config:?}: task {}",
+                        (dpcp.lower_gcs_same_sem, dpcp.higher_remote_gcs),
+                        (want.lower_gcs_same_sem, want.higher_remote_gcs),
+                        "{label} {config:?}: DPCP task {}",
                         i.id
                     );
                 }

@@ -50,6 +50,16 @@ pub(crate) struct Facts<'a> {
     /// Per-resource usage from [`mpcp_model::SystemInfo`]: `users` lists
     /// every task with a section on the resource.
     usage: &'a [ResourceUsage],
+    /// Task bitsets of `words` words (task `t` is bit `t % 64` of word
+    /// `t / 64`): global resource `r`'s users at `user_bits[r * words..]`,
+    /// processor `p`'s tasks at `proc_bits[p * words..]`.
+    words: usize,
+    user_bits: Vec<u64>,
+    proc_bits: Vec<u64>,
+    /// Entry `m` from `longest_start[r]`: the longest section on global
+    /// `r` of its `m` lowest-priority users (`m` up to all of them).
+    longest_low: Vec<Dur>,
+    longest_start: Vec<u32>,
 }
 
 impl<'a> Facts<'a> {
@@ -126,14 +136,32 @@ impl<'a> Facts<'a> {
             (t.proc, std::cmp::Reverse(t.prio))
         });
         let n_procs = system.processors().len();
+        let words = tasks.len().div_ceil(64);
         let mut proc_start = vec![0u32; n_procs + 1];
         let mut s_max_sum = vec![Dur::ZERO; n_procs];
+        let mut proc_bits = vec![0u64; n_procs * words];
         for t in &tasks {
             proc_start[t.proc.index() + 1] += 1;
             s_max_sum[t.proc.index()] += t.s_max;
+            proc_bits[t.proc.index() * words + t.id.index() / 64] |= 1 << (t.id.index() % 64);
         }
         for p in 0..n_procs {
             proc_start[p + 1] += proc_start[p];
+        }
+        let usage = info.all_usage();
+        let mut user_bits = vec![0u64; usage.len() * words];
+        let mut longest_low = Vec::with_capacity(usage.iter().map(|u| u.users.len() + 1).sum());
+        let mut longest_start = Vec::with_capacity(usage.len());
+        for u in usage {
+            longest_start.push(longest_low.len() as u32);
+            let mut longest = Dur::ZERO;
+            longest_low.push(longest);
+            for &t in u.users.iter().rev().filter(|_| u.scope.is_global()) {
+                user_bits[u.resource.index() * words + t.index() / 64] |= 1 << (t.index() % 64);
+                let on_u = (tasks[t.index()].gcs.iter()).filter(|cs| cs.resource == u.resource);
+                longest = on_u.map(|cs| cs.duration).fold(longest, Dur::max);
+                longest_low.push(longest);
+            }
         }
         Ok(Facts {
             tasks,
@@ -142,7 +170,12 @@ impl<'a> Facts<'a> {
             by_proc,
             proc_start,
             s_max_sum,
-            usage: info.all_usage(),
+            usage,
+            words,
+            user_bits,
+            proc_bits,
+            longest_low,
+            longest_start,
         })
     }
 
@@ -196,19 +229,42 @@ impl<'a> Facts<'a> {
     }
 
     /// The other tasks sharing at least one global semaphore with `i`,
-    /// each exactly once however many semaphores it shares.
-    pub fn sharers<'b>(&'b self, i: &TaskFacts<'_>) -> Vec<&'b TaskFacts<'a>> {
-        let mut found: Vec<&TaskFacts<'a>> = i
-            .global_resources
-            .iter()
-            .flat_map(|&r| self.users(r))
-            .filter(|t| t.id != i.id)
-            .collect();
-        if i.global_resources.len() > 1 {
-            found.sort_unstable_by_key(|t| t.id);
-            found.dedup_by_key(|t| t.id);
+    /// as a task bitset; empty (no allocation) when `i` uses none.
+    pub fn sharer_bits(&self, i: &TaskFacts<'_>) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for &r in i.global_resources {
+            let users = &self.user_bits[r.index() * self.words..][..self.words];
+            bits.resize(self.words, 0);
+            bits.iter_mut().zip(users).for_each(|(b, u)| *b |= u);
         }
-        found
+        if let Some(w) = bits.get_mut(i.id.index() / 64) {
+            *w &= !(1 << (i.id.index() % 64));
+        }
+        bits
+    }
+
+    /// Processor `proc`'s tasks as a task bitset.
+    pub fn proc_bits(&self, proc: ProcessorId) -> &[u64] {
+        &self.proc_bits[proc.index() * self.words..][..self.words]
+    }
+
+    /// The tasks whose bits `bits` sets, in id order.
+    pub fn members(&self, bits: impl Iterator<Item = u64>) -> impl Iterator<Item = &TaskFacts<'a>> {
+        bits.enumerate().flat_map(move |(w, mut word)| {
+            std::iter::from_fn(move || {
+                let bit = word.trailing_zeros() as usize;
+                word &= word.wrapping_sub(1);
+                (bit < 64).then(|| &self.tasks[w * 64 + bit])
+            })
+        })
+    }
+
+    /// The longest section on global `resource` among its users of
+    /// priority below `prio` (factor 2's per-request term).
+    pub fn longest_below(&self, resource: ResourceId, prio: Priority) -> Dur {
+        let users = &self.usage[resource.index()].users;
+        let lower = users.len() - users.partition_point(|t| self.tasks[t.index()].prio >= prio);
+        self.longest_low[self.longest_start[resource.index()] as usize + lower]
     }
 
     /// Number of job instances of `other` that can run within one period
@@ -257,8 +313,9 @@ mod tests {
     use mpcp_taskgen::{generate, WorkloadConfig};
 
     /// Seeded `taskgen` systems for the differential tests that hold
-    /// each indexed term to the scan it replaced: 2×2 through 8×8 and
-    /// 16×4, two forced global sections, some with suspensions, some
+    /// each indexed term to the scan it replaced: 2×2 through 8×8, 16×4
+    /// (one full bitset word), 9×8 and 8×40 (task bitsets crossing word
+    /// boundaries), two forced global sections, some with suspensions, some
     /// clustered, some nested (then collapsed, since every analysis
     /// refuses nested global sections). `MPCP_REFERENCE_CASES` (default
     /// 3) sets the seeds per shape.
@@ -267,7 +324,16 @@ mod tests {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(3);
-        let shapes = [(2, 2), (3, 3), (4, 4), (6, 6), (8, 8), (16, 4)];
+        let shapes = [
+            (2, 2),
+            (3, 3),
+            (4, 4),
+            (6, 6),
+            (8, 8),
+            (16, 4),
+            (9, 8),
+            (8, 40),
+        ];
         let mut out = Vec::new();
         mpcp_prop::cases(n, 0x5CA4, |rng| {
             for (procs, tasks) in shapes {
@@ -365,8 +431,11 @@ mod tests {
         assert_eq!(a.lcs.len(), 1);
         assert_eq!(a.global_resources, vec![sg]);
         let b_ = &f.tasks[1];
-        assert_eq!(f.sharers(a).len(), 1);
-        assert_eq!(f.sharers(a)[0].id, b_.id);
+        let sharers: Vec<TaskId> = f
+            .members(f.sharer_bits(a).into_iter())
+            .map(|t| t.id)
+            .collect();
+        assert_eq!(sharers, vec![b_.id]);
         // ⌈T_b / T_a⌉ = ⌈25/10⌉ = 3 instances of a within b's period.
         assert_eq!(f.instances(b_, a, false), 3);
         assert_eq!(f.instances(b_, a, true), 4);

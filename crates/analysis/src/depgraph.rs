@@ -352,9 +352,6 @@ impl DepGraph {
 
         // Sorted once per system version, by its info.
         let by_name: Vec<usize> = (info.tasks_by_name().iter()).map(|&i| i as usize).collect();
-        let duplicate_tasks = by_name
-            .windows(2)
-            .any(|w| tasks[w[0]].name == tasks[w[1]].name);
 
         let mut by_prio: Vec<usize> = (0..tasks.len()).collect();
         by_prio.sort_by_key(|&i| std::cmp::Reverse(system.tasks()[i].priority()));
@@ -366,7 +363,7 @@ impl DepGraph {
             proc_tasks,
             by_prio,
             by_name,
-            duplicate_tasks,
+            duplicate_tasks: system.has_duplicate_task_names(),
         }
     }
 

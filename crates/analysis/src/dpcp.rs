@@ -131,7 +131,7 @@ pub(crate) fn breakdown(
         task: i.id,
         local_cs: crate::blocking::factor1(facts, i),
         lower_gcs_same_sem: crate::blocking::factor2(facts, i),
-        higher_remote_gcs: crate::blocking::factor3(facts, i, &facts.sharers(i), config),
+        higher_remote_gcs: crate::blocking::factor3(facts, i, &facts.sharer_bits(i), config),
         host_ceiling_gcs: host_ceiling_gcs(facts, i, host, config),
         agent_interference: agent_interference(facts, i, host, config),
         deferred_penalty: crate::blocking::deferred_penalty(facts, i),

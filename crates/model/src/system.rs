@@ -474,6 +474,12 @@ impl System {
         }
     }
 
+    /// Whether two tasks share a name (adjacent in the cached name order).
+    pub fn has_duplicate_task_names(&self) -> bool {
+        let name = |i: u32| self.tasks[i as usize].name();
+        (self.info().tasks_by_name.windows(2)).any(|w| name(w[0]) == name(w[1]))
+    }
+
     /// Index of the task named `name` (the first in declaration order
     /// when names collide), via the cached name-sorted index.
     pub fn task_index_by_name(&self, name: &str) -> Option<usize> {
@@ -673,5 +679,19 @@ mod tests {
         assert!((sys.utilization_on(p0) - 0.2).abs() < 1e-12);
         assert_eq!(sys.hyperperiod(), Dur::new(30));
         assert_eq!(sys.tasks_on(p0).len(), 1);
+    }
+
+    #[test]
+    fn duplicate_task_names_are_adjacent_in_the_name_index() {
+        let with_names = |names: [&str; 3]| {
+            let mut b = System::builder();
+            let p = b.add_processor("P0");
+            for (k, name) in names.into_iter().enumerate() {
+                b.add_task(TaskDef::new(name, p).period(10 * (k as u64 + 1)));
+            }
+            b.build().unwrap()
+        };
+        assert!(!with_names(["b", "a", "c"]).has_duplicate_task_names());
+        assert!(with_names(["b", "a", "b"]).has_duplicate_task_names());
     }
 }

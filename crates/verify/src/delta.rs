@@ -341,10 +341,9 @@ pub fn full_snapshot_json(system: &System, analysis: Analysis) -> String {
     // would corrupt both sides of the comparison alike.
     let system = &system.detached();
     let report = crate::lint::lint_system(system);
-    let graph = DepGraph::build(system, None);
     let render =
         |error: Option<&str>, bounds| render_snapshot(system, &report, analysis, error, bounds);
-    if graph.has_duplicate_task_names() {
+    if system.has_duplicate_task_names() {
         return render(Some(DUP_NAMES_ERROR), None);
     }
     match analysis.bounds(system, BlockingConfig::paper()) {
