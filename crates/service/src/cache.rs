@@ -3,10 +3,12 @@
 //! Admission control sees the same system many times: resubmissions,
 //! retries, load-generator streams, several sessions running identical
 //! workloads. [`analyze`](crate::session::analyze) is a pure function
-//! of the canonical submission, so its results memoize perfectly: the
-//! cache key is [`SystemSpec::canonical_hash`] mixed with the
-//! allocation directive, and the value is the shared
-//! [`AdmissionResult`].
+//! of `(spec, allocate, protocol)`, so its results memoize perfectly:
+//! the key is one pass of [`hash_fields`](crate::json::hash_fields)
+//! over that triple — the decoded fields, never re-encoded text — and
+//! the value is the shared [`AdmissionResult`]. A key is a hint: a hit
+//! counts only when the entry's triple equals the submitted one, so two
+//! submissions that share a key each get their own verdict.
 //!
 //! The map is sharded 16 ways so worker threads hitting different
 //! submissions do not serialize on one lock, and hit/miss counters are
@@ -35,13 +37,38 @@ pub struct CachedAnalysis {
     pub result: AdmissionResult,
     /// Render memo, filled by the first response that needs it.
     pub rendered: OnceLock<String>,
+    /// The spec the entry answers for, kept only where it differs from
+    /// `result.analyzed` (allocation rebound it, or it spells out what
+    /// [`SystemSpec::from_system`] elides).
+    submitted: Option<SystemSpec>,
+    /// The allocation directive and protocol it was analyzed under.
+    how: How,
 }
 
+/// With its spec, what an analysis is a function of.
+type How = (Option<AllocDirective>, AdmissionProtocol);
+
 impl CachedAnalysis {
-    fn new(result: AdmissionResult) -> Self {
+    fn new(spec: &SystemSpec, how: How, result: AdmissionResult) -> Self {
         CachedAnalysis {
+            submitted: (result.analyzed != *spec).then(|| spec.clone()),
+            how,
             result,
             rendered: OnceLock::new(),
+        }
+    }
+
+    fn answers(&self, spec: &SystemSpec, how: How) -> bool {
+        self.how == how && self.submitted.as_ref().unwrap_or(&self.result.analyzed) == spec
+    }
+
+    /// What a session commits for `submitted`, the spec this entry was
+    /// looked up with: `submitted` itself, moved, where analysis left it
+    /// as it was, else a copy of `result.analyzed`.
+    pub(crate) fn analyzed(&self, submitted: SystemSpec) -> SystemSpec {
+        match self.submitted {
+            None => submitted,
+            Some(_) => self.result.analyzed.clone(),
         }
     }
 }
@@ -77,30 +104,23 @@ impl AnalysisCache {
         }
     }
 
-    /// The cache key for a submission: the spec's canonical hash mixed
-    /// with the allocation directive and the admission protocol (an
+    /// The cache key for a submission: one hash of the spec's fields,
+    /// the allocation directive and the admission protocol (an
     /// allocated and a plain submission of the same system — or the
-    /// same system under two analyses — are different analyses). MPCP
-    /// with no allocation keeps the bare canonical hash.
+    /// same system under two analyses — are different analyses).
     pub fn key(
         spec: &SystemSpec,
         allocate: Option<AllocDirective>,
         protocol: AdmissionProtocol,
     ) -> u64 {
-        let mut base = spec.canonical_hash();
-        if let Some(d) = allocate {
-            let tag = format!("|alloc:{}:{}", d.processors, d.heuristic.name());
-            base ^= crate::json::fnv1a(tag.as_bytes());
-        }
-        if protocol != AdmissionProtocol::Mpcp {
-            let tag = format!("|proto:{protocol}");
-            base ^= crate::json::fnv1a(tag.as_bytes());
-        }
-        base
+        crate::json::hash_fields(&(spec, allocate, protocol))
     }
 
-    /// Returns the memoized result for `key`, computing it with `f` on
-    /// a miss. The boolean is `true` on a hit.
+    /// Returns the memoized result of `spec` under `how`, the allocation
+    /// directive and protocol, looked up by `key` and computed with `f`
+    /// on a miss. The boolean is `true` on a hit, which takes an entry
+    /// of an equal spec and `how`; an entry of another submission under
+    /// the same key is recomputed and replaced.
     ///
     /// On a miss the shard lock is *not* held while `f` runs, so a slow
     /// analysis never blocks unrelated lookups; two racing misses on
@@ -109,19 +129,22 @@ impl AnalysisCache {
     pub fn get_or_compute(
         &self,
         key: u64,
+        spec: &SystemSpec,
+        how: How,
         f: impl FnOnce() -> AdmissionResult,
     ) -> (Arc<CachedAnalysis>, bool) {
         let shard = &self.shards[(key as usize) % SHARDS];
-        if let Some(hit) = shard
+        let found = shard
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .get(&key)
-        {
+            .cloned();
+        if let Some(hit) = found.filter(|e| e.answers(spec, how)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(hit), true);
+            return (hit, true);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let computed = Arc::new(CachedAnalysis::new(f()));
+        let computed = Arc::new(CachedAnalysis::new(spec, how, f()));
         let mut map = shard.lock().unwrap_or_else(PoisonError::into_inner);
         if map.len() >= self.capacity_per_shard && !map.contains_key(&key) {
             // Simple bound: clearing a full shard keeps memory flat
@@ -155,8 +178,10 @@ impl Default for AnalysisCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::analyze;
+    use crate::session::{analyze, analyze_with};
     use crate::wire::{SegSpec, TaskSpec};
+
+    const MPCP: How = (None, AdmissionProtocol::Mpcp);
 
     fn spec(period: u64) -> SystemSpec {
         SystemSpec {
@@ -179,8 +204,8 @@ mod tests {
         let cache = AnalysisCache::new(64);
         let s = spec(100);
         let key = AnalysisCache::key(&s, None, AdmissionProtocol::Mpcp);
-        let (a, hit_a) = cache.get_or_compute(key, || analyze(&s, None));
-        let (b, hit_b) = cache.get_or_compute(key, || panic!("must not recompute"));
+        let (a, hit_a) = cache.get_or_compute(key, &s, MPCP, || analyze(&s, None));
+        let (b, hit_b) = cache.get_or_compute(key, &s, MPCP, || panic!("must not recompute"));
         assert!(!hit_a);
         assert!(hit_b);
         assert!(Arc::ptr_eq(&a, &b));
@@ -188,34 +213,153 @@ mod tests {
         assert_eq!((st.hits, st.misses, st.entries), (1, 1, 1));
     }
 
+    /// A key is a hint: a second system under the first one's key is a
+    /// miss with its own verdict, which then replaces the first.
     #[test]
-    fn different_alloc_directives_key_differently() {
-        let s = spec(100);
-        let k0 = AnalysisCache::key(&s, None, AdmissionProtocol::Mpcp);
-        let k1 = AnalysisCache::key(
-            &s,
-            Some(AllocDirective {
-                processors: 2,
-                heuristic: mpcp_alloc::Heuristic::FirstFitDecreasing,
+    fn a_shared_key_is_confirmed_by_equality() {
+        let cache = AnalysisCache::new(64);
+        let (light, mut heavy) = (spec(100), spec(100));
+        heavy.tasks[0].body = vec![SegSpec::Compute(150)];
+        let (a, hit_a) = cache.get_or_compute(7, &light, MPCP, || analyze(&light, None));
+        let (b, hit_b) = cache.get_or_compute(7, &heavy, MPCP, || analyze(&heavy, None));
+        assert!(!hit_a && !hit_b);
+        assert!(a.result.admitted && !b.result.admitted);
+        assert_eq!(b.result.analyzed, heavy);
+        let st = cache.stats();
+        assert_eq!((st.hits, st.misses, st.entries), (0, 2, 1));
+        let (c, hit_c) = cache.get_or_compute(7, &heavy, MPCP, || panic!("must not recompute"));
+        assert!(hit_c && Arc::ptr_eq(&b, &c));
+        assert_eq!(cache.stats().hits, 1);
+        // The same spec under another protocol is another submission.
+        let msrp = (None, AdmissionProtocol::Msrp);
+        let (d, hit_d) = cache.get_or_compute(7, &heavy, msrp, || {
+            analyze_with(&heavy, None, AdmissionProtocol::Msrp)
+        });
+        assert!(!hit_d && !Arc::ptr_eq(&c, &d));
+        let st = cache.stats();
+        assert_eq!((st.hits, st.misses, st.entries), (1, 3, 1));
+    }
+
+    /// A hit commits the submitted spec itself where analysis left it as
+    /// it was, and the analyzed one where it did not.
+    #[test]
+    fn an_entry_commits_the_spec_it_was_looked_up_with() {
+        let cache = AnalysisCache::new(64);
+        let plain = spec(100);
+        let key = AnalysisCache::key(&plain, None, AdmissionProtocol::Mpcp);
+        let (entry, _) = cache.get_or_compute(key, &plain, MPCP, || analyze(&plain, None));
+        assert!(entry.submitted.is_none());
+        assert_eq!(entry.analyzed(plain.clone()), plain);
+        // An explicit rate-monotonic priority is elided by analysis.
+        let mut spelled = spec(100);
+        spelled.tasks[0].priority = Some(1);
+        let key = AnalysisCache::key(&spelled, None, AdmissionProtocol::Mpcp);
+        let (entry, hit) = cache.get_or_compute(key, &spelled, MPCP, || analyze(&spelled, None));
+        assert!(!hit);
+        assert_eq!(entry.submitted.as_ref(), Some(&spelled));
+        assert_eq!(entry.analyzed(spelled.clone()), plain);
+        let (_, hit) = cache.get_or_compute(key, &spelled, MPCP, || panic!("must not recompute"));
+        assert!(hit);
+    }
+
+    /// The key ignores how the client formatted its JSON and moves with
+    /// every field of the spec, the allocation directive and the
+    /// protocol.
+    #[test]
+    fn the_key_is_the_fields_not_the_text() {
+        let base = SystemSpec {
+            processors: vec!["P0".into(), "P1".into()],
+            resources: vec!["SA".into(), "SB".into()],
+            tasks: vec![
+                TaskSpec {
+                    name: "a".into(),
+                    processor: 0,
+                    period: 100,
+                    deadline: None,
+                    offset: 0,
+                    priority: None,
+                    body: vec![
+                        SegSpec::Critical(0, vec![SegSpec::Compute(2)]),
+                        SegSpec::Compute(3),
+                    ],
+                },
+                TaskSpec {
+                    name: "b".into(),
+                    processor: 1,
+                    period: 200,
+                    deadline: None,
+                    offset: 0,
+                    priority: None,
+                    body: vec![SegSpec::Compute(5)],
+                },
+            ],
+        };
+        let mpcp = |s: &SystemSpec| AnalysisCache::key(s, None, AdmissionProtocol::Mpcp);
+        let text = base
+            .to_json()
+            .encode()
+            .replace(',', " ,\n\t")
+            .replace(':', ": ");
+        let reparsed = SystemSpec::from_json(crate::json::Doc::parse(&text).unwrap().root());
+        assert_eq!(mpcp(&reparsed.unwrap()), mpcp(&base));
+
+        type Change = (&'static str, fn(&mut SystemSpec));
+        let changes: [Change; 17] = [
+            ("processor name", |s| s.processors[1] = "P2".into()),
+            ("processor order", |s| s.processors.swap(0, 1)),
+            ("resource name", |s| s.resources[1] = "SC".into()),
+            ("resource order", |s| s.resources.swap(0, 1)),
+            ("task name", |s| s.tasks[1].name = "c".into()),
+            ("task order", |s| s.tasks.swap(0, 1)),
+            ("processor", |s| s.tasks[1].processor = 0),
+            ("period", |s| s.tasks[1].period = 201),
+            ("deadline", |s| s.tasks[1].deadline = Some(200)),
+            ("offset", |s| s.tasks[1].offset = 1),
+            ("priority", |s| s.tasks[1].priority = Some(1)),
+            ("segment kind", |s| s.tasks[1].body[0] = SegSpec::Suspend(5)),
+            ("segment value", |s| {
+                s.tasks[1].body[0] = SegSpec::Compute(6);
             }),
-            AdmissionProtocol::Mpcp,
-        );
-        let k2 = AnalysisCache::key(
-            &s,
-            Some(AllocDirective {
-                processors: 3,
-                heuristic: mpcp_alloc::Heuristic::FirstFitDecreasing,
+            ("section resource", |s| {
+                s.tasks[0].body[0] = SegSpec::Critical(1, vec![SegSpec::Compute(2)]);
             }),
+            ("nesting", |s| {
+                let body = vec![SegSpec::Compute(2), SegSpec::Compute(3)];
+                s.tasks[0].body = vec![SegSpec::Critical(0, body)];
+            }),
+            ("empty section", |s| {
+                s.tasks[0].body[0] = SegSpec::Critical(0, vec![]);
+            }),
+            ("empty body", |s| s.tasks[1].body.clear()),
+        ];
+        let mut keys = vec![mpcp(&base)];
+        for (what, change) in changes {
+            let mut changed = base.clone();
+            change(&mut changed);
+            assert_ne!(changed, base, "{what}");
+            keys.push(mpcp(&changed));
+        }
+        let alloc = |processors| AllocDirective {
+            processors,
+            heuristic: mpcp_alloc::Heuristic::FirstFitDecreasing,
+        };
+        keys.push(AnalysisCache::key(
+            &base,
+            Some(alloc(2)),
             AdmissionProtocol::Mpcp,
-        );
-        assert_ne!(k0, k1);
-        assert_ne!(k1, k2);
-        // Same system, different admission analysis: distinct entries.
-        let m0 = AnalysisCache::key(&s, None, AdmissionProtocol::Msrp);
-        let f0 = AnalysisCache::key(&s, None, AdmissionProtocol::Fmlp);
-        assert_ne!(k0, m0);
-        assert_ne!(k0, f0);
-        assert_ne!(m0, f0);
+        ));
+        keys.push(AnalysisCache::key(
+            &base,
+            Some(alloc(3)),
+            AdmissionProtocol::Mpcp,
+        ));
+        for protocol in AdmissionProtocol::ALL.into_iter().skip(1) {
+            keys.push(AnalysisCache::key(&base, None, protocol));
+        }
+        let mut distinct = keys.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), keys.len(), "{keys:x?}");
     }
 
     #[test]
@@ -224,7 +368,7 @@ mod tests {
         for p in 1..200u64 {
             let s = spec(p);
             let key = AnalysisCache::key(&s, None, AdmissionProtocol::Mpcp);
-            cache.get_or_compute(key, || analyze(&s, None));
+            cache.get_or_compute(key, &s, MPCP, || analyze(&s, None));
         }
         assert!(cache.stats().entries <= 32, "{:?}", cache.stats());
     }
@@ -239,7 +383,7 @@ mod tests {
                     for p in 1..50u64 {
                         let s = spec(100 + (p + i) % 10);
                         let key = AnalysisCache::key(&s, None, AdmissionProtocol::Mpcp);
-                        let (r, _) = cache.get_or_compute(key, || analyze(&s, None));
+                        let (r, _) = cache.get_or_compute(key, &s, MPCP, || analyze(&s, None));
                         assert!(r.result.admitted);
                     }
                 })

@@ -70,7 +70,7 @@ pub use mpcp_analysis::Analysis as AdmissionProtocol;
 /// An optional allocation directive attached to `submit`: rebind the
 /// submitted tasks onto `processors` processors with `heuristic` before
 /// running admission analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AllocDirective {
     /// Target processor count.
     pub processors: usize,

@@ -618,7 +618,7 @@ fn drive(conn: &mut Conn, state: &Arc<ServerState>, queues: &Arc<ShardQueues>, c
                     let mut out = Vec::with_capacity(batch.len());
                     let last = batch.len() - 1;
                     for (i, (seq, req, enqueued)) in batch.into_iter().enumerate() {
-                        let line = server::execute_pooled(&req, enqueued, &job_state);
+                        let line = server::execute_pooled(req, enqueued, &job_state);
                         out.push(Completion::new(conn_id, gen, seq, line, i == last));
                     }
                     job_queues.complete(out);

@@ -196,7 +196,7 @@ impl ServerHandle {
     /// worker calls, deadline checks included — a request without the
     /// reactor and the socket around it, for tests and measurements.
     /// `query` and `shutdown` are answered as the reactor answers them.
-    pub fn execute(&self, request: &Request) -> Vec<u8> {
+    pub fn execute(&self, request: Request) -> Vec<u8> {
         match request {
             Request::Query { session } => query_response(&self.state, session.as_deref())
                 .encode()
@@ -331,7 +331,7 @@ pub(crate) fn shutdown_response() -> Value {
 /// compute that finished late answers `deadline` (its session effects,
 /// like the blocking design before it, still committed).
 pub(crate) fn execute_pooled(
-    request: &Request,
+    request: Request,
     enqueued: Instant,
     state: &Arc<ServerState>,
 ) -> Vec<u8> {
@@ -351,11 +351,11 @@ pub(crate) fn execute_pooled(
     response.into_bytes()
 }
 
-fn run_pooled(request: &Request, state: &Arc<ServerState>) -> String {
+fn run_pooled(request: Request, state: &Arc<ServerState>) -> String {
     match request {
         Request::Ping { delay_ms } => {
-            if *delay_ms > 0 {
-                std::thread::sleep(Duration::from_millis(*delay_ms));
+            if delay_ms > 0 {
+                std::thread::sleep(Duration::from_millis(delay_ms));
             }
             r#"{"ok":true,"op":"ping"}"#.to_owned()
         }
@@ -365,46 +365,49 @@ fn run_pooled(request: &Request, state: &Arc<ServerState>) -> String {
             allocate,
             protocol,
         } => {
-            let key = AnalysisCache::key(system, *allocate, *protocol);
-            let (entry, cache_hit) = state
-                .cache
-                .get_or_compute(key, || analyze_with(system, *allocate, *protocol));
-            let result = &entry.result;
-            if result.admitted {
-                let slot = state.sessions.get_or_create(session);
+            let key = AnalysisCache::key(&system, allocate, protocol);
+            let how = (allocate, protocol);
+            let (entry, cache_hit) = state.cache.get_or_compute(key, &system, how, || {
+                analyze_with(&system, allocate, protocol)
+            });
+            if entry.result.admitted {
+                let slot = state.sessions.get_or_create(&session);
                 let mut s = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                s.protocol = *protocol;
-                commit_full(state, "submit", session, &mut s, &entry);
+                s.protocol = protocol;
+                commit_full(state, "submit", &session, &mut s, &entry, system);
             }
             admission_line(
                 "submit",
-                session,
+                &session,
                 if cache_hit { "hit" } else { "miss" },
                 cached_suffix(&entry),
             )
         }
         Request::AddTask { session, task } => {
-            let (op, name, add) = ("add-task", task.name.as_str(), Some(task));
-            run_edit(state, session, &SessionEdit { op, name, add })
+            let (op, name, add) = ("add-task", task.name.as_str(), Some(&task));
+            run_edit(state, &session, &SessionEdit { op, name, add })
         }
         Request::RemoveTask { session, task } => {
             let (op, name, add) = ("remove-task", task.as_str(), None);
-            run_edit(state, session, &SessionEdit { op, name, add })
+            run_edit(state, &session, &SessionEdit { op, name, add })
         }
         Request::Query { .. } | Request::Shutdown => unreachable!("handled by the reactor"),
     }
 }
 
-/// A full-path commit: the session takes the analyzed system whole, and
-/// whatever tracked the previous one incrementally is dropped.
+/// A full-path commit: the session takes the analyzed system whole —
+/// `submitted`, the spec `entry` was looked up with, where analysis left
+/// it as it was — and whatever tracked the previous one incrementally is
+/// dropped.
 fn commit_full(
     state: &ServerState,
     op: &'static str,
     name: &str,
     s: &mut Session,
     entry: &CachedAnalysis,
+    submitted: SystemSpec,
 ) {
-    s.spec = entry.result.analyzed.clone();
+    s.spec = entry.analyzed(submitted);
     s.admitted = Some(entry.result.admitted);
     s.engine = None;
     s.rows.clear();
@@ -451,13 +454,14 @@ fn run_edit(state: &Arc<ServerState>, session: &str, edit: &SessionEdit<'_>) -> 
         .encode();
     };
     let key = AnalysisCache::key(&candidate, None, s.protocol);
-    let (entry, cache_hit) = state
-        .cache
-        .get_or_compute(key, || analyze_with(&candidate, None, s.protocol));
+    let how = (None, s.protocol);
+    let (entry, cache_hit) = state.cache.get_or_compute(key, &candidate, how, || {
+        analyze_with(&candidate, None, s.protocol)
+    });
     // Withdrawal always commits; the verdict reports the state the
     // session is now in.
     if entry.result.admitted || edit.add.is_none() {
-        commit_full(state, edit.op, session, s, &entry);
+        commit_full(state, edit.op, session, s, &entry, candidate);
     }
     let tag = if cache_hit { "hit" } else { "miss" };
     admission_line(edit.op, session, tag, cached_suffix(&entry))

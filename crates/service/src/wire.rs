@@ -16,12 +16,13 @@
 //!            "body":[{"compute":4},{"critical":0,"body":[{"compute":2}]}]}]}
 //! ```
 //!
-//! The canonical encoding also drives the admission cache:
-//! [`SystemSpec::canonical_hash`] is a 64-bit FNV-1a over the encoded
-//! spec, so equal submissions hash equally regardless of how the client
-//! formatted its JSON.
+//! The canonical encoding is what the journal writes. The admission
+//! cache never encodes: [`SystemSpec::canonical_hash`] hashes the
+//! decoded fields ([`hash_fields`](crate::json::hash_fields)), so equal
+//! submissions hash equally however the client formatted its JSON, and
+//! the cache confirms a hit by comparing specs.
 
-use crate::json::{Fnv1a, JsonRef, Value};
+use crate::json::{JsonRef, Value};
 use mpcp_model::{Body, Segment, System, TaskDef};
 use std::fmt;
 use std::sync::Arc;
@@ -56,7 +57,7 @@ fn rm_default_levels(system: &System) -> Vec<u32> {
 }
 
 /// One body segment on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SegSpec {
     /// `{"compute": ticks}`
     Compute(u64),
@@ -67,7 +68,7 @@ pub enum SegSpec {
 }
 
 /// One task definition on the wire.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct TaskSpec {
     /// Task name (unique within a system by convention, not enforced).
     pub name: String,
@@ -87,7 +88,7 @@ pub struct TaskSpec {
 }
 
 /// A full system on the wire.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Hash)]
 pub struct SystemSpec {
     /// Processor names; tasks reference them by index.
     pub processors: Vec<String>,
@@ -197,17 +198,12 @@ impl SystemSpec {
         })
     }
 
-    /// 64-bit FNV-1a hash of the canonical encoding. Equal specs hash
-    /// equally however the client formatted its JSON; this keys the
-    /// admission cache.
-    ///
-    /// Streams the canonical encoding straight into the hash — no
-    /// [`Value`] tree, no string — but produces exactly
-    /// `fnv1a(self.to_json().encode())` (asserted by test).
+    /// 64-bit hash of the spec's fields: equal specs hash equally
+    /// however the client formatted its JSON. One pass over the fields,
+    /// nothing encoded; in-memory only (see
+    /// [`hash_fields`](crate::json::hash_fields)).
     pub fn canonical_hash(&self) -> u64 {
-        let mut h = Fnv1a::default();
-        let _ = self.encode_canonical(&mut h); // hashing cannot fail
-        h.finish()
+        crate::json::hash_fields(self)
     }
 
     /// Writes the canonical JSON encoding of this spec — byte-for-byte
@@ -650,11 +646,11 @@ mod tests {
         assert_ne!(spec.canonical_hash(), other.canonical_hash());
     }
 
+    /// The journal writes specs with the streaming canonical encoder,
+    /// which must be byte-identical to `to_json().encode()` — every
+    /// elision rule and string escape on the way.
     #[test]
-    fn streaming_hash_matches_materialized_encoding() {
-        // The streaming canonical encoder must be byte-identical to
-        // to_json().encode() — exercise every elision rule and string
-        // escaping on the way.
+    fn streaming_encoding_matches_materialized_encoding() {
         let mut spec = sample_inverted();
         spec.processors[0] = "P\"zero\"\n".into();
         spec.tasks[0].name = "τ\\1".into();
@@ -670,11 +666,9 @@ mod tests {
             body: vec![SegSpec::Critical(0, vec![])],
         });
         for s in [&sample(), &spec] {
-            assert_eq!(
-                s.canonical_hash(),
-                crate::json::fnv1a(s.to_json().encode().as_bytes()),
-                "streaming hash diverged for {s:?}"
-            );
+            let mut streamed = String::new();
+            s.encode_canonical(&mut streamed).unwrap();
+            assert_eq!(streamed, s.to_json().encode(), "for {s:?}");
         }
     }
 

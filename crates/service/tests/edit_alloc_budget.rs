@@ -1,5 +1,5 @@
-//! Allocation budgets of an incremental edit and of decoding a submit
-//! line.
+//! Allocation budgets of an incremental edit, of decoding a submit line
+//! and of answering one from the cache.
 //!
 //! An `add-task` / `remove-task` of a compute-only task recomputes one
 //! task and one processor, whatever the session's size; this test keeps
@@ -19,10 +19,23 @@ use mpcp_service::{
 };
 use mpcp_taskgen::{generate, WorkloadConfig};
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. A test counts its own work —
+    /// [`ServerHandle::execute`] runs on the calling thread — and not
+    /// the test harness's or another test's, which run beside it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+fn count() {
+    // `try_with`: a thread may allocate while its locals are torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 /// Forwards to the system allocator, counting every allocation and
 /// reallocation.
@@ -31,7 +44,7 @@ struct CountingAlloc;
 // SAFETY: pure pass-through to the system allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { SystemAlloc.alloc(layout) }
     }
 
@@ -40,20 +53,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// The counter is global: the tests take turns, so neither counts the
-/// other's allocations.
-fn serial() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Allocations allowed per edit.
 const BUDGET: u64 = 2_000;
@@ -104,11 +110,13 @@ fn session_spec() -> SystemSpec {
 }
 
 /// Runs `request`, which must be served incrementally, and returns how
-/// many allocations it took.
+/// many allocations it took (the copy it runs is made outside the
+/// count).
 fn counted(server: &ServerHandle, request: &Request) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let request = request.clone();
+    let before = allocs();
     let reply = server.execute(request);
-    let spent = ALLOCS.load(Ordering::Relaxed) - before;
+    let spent = allocs() - before;
     let reply = String::from_utf8(reply).unwrap();
     assert!(
         reply.contains(r#""cache":"delta""#),
@@ -120,7 +128,6 @@ fn counted(server: &ServerHandle, request: &Request) -> u64 {
 
 #[test]
 fn an_edit_of_a_320_task_session_stays_within_the_allocation_budget() {
-    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("mpcp-alloc-budget-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let server = spawn(&ServerConfig {
@@ -132,7 +139,7 @@ fn an_edit_of_a_320_task_session_stays_within_the_allocation_budget() {
         ..ServerConfig::default()
     })
     .expect("bind test server");
-    let reply = server.execute(&Request::Submit {
+    let reply = server.execute(Request::Submit {
         session: SESSION.to_owned(),
         system: session_spec(),
         allocate: None,
@@ -204,37 +211,21 @@ const DECODE_OVERHEAD: u64 = 4;
 /// ~365 (means over these 64 lines).
 #[test]
 fn decoding_a_submit_line_allocates_little_more_than_the_request() {
-    let _serial = serial();
-    let family = WorkloadConfig::default()
-        .processors(4)
-        .tasks_per_processor(4)
-        .utilization(0.4)
-        .resources(1, 2)
-        .sections(0, 2);
     let (mut parsed, mut decoded, mut cloned) = (0, 0, 0);
-    for i in 0..64u64 {
-        let spec = SystemSpec::from_system(&generate(&family, 7 + i));
-        let line = Value::obj([
-            ("op", Value::str("submit")),
-            ("session", Value::str(format!("s{}", i % 16))),
-            ("system", spec.to_json()),
-        ])
-        .encode();
-        assert!((1_000..4_000).contains(&line.len()), "{} B", line.len());
-
-        let before = ALLOCS.load(Ordering::Relaxed);
-        let doc = Doc::parse(&line).unwrap();
-        let parse = ALLOCS.load(Ordering::Relaxed) - before;
+    for (i, (spec, line)) in submit_lines().iter().enumerate() {
+        let before = allocs();
+        let doc = Doc::parse(line).unwrap();
+        let parse = allocs() - before;
         let request = Request::from_json(doc.root()).unwrap();
         drop(doc);
-        let decode = ALLOCS.load(Ordering::Relaxed) - before;
+        let decode = allocs() - before;
         let Request::Submit { system, .. } = &request else {
             panic!("{request:?}")
         };
-        assert_eq!(system, &spec);
-        let before = ALLOCS.load(Ordering::Relaxed);
+        assert_eq!(system, spec);
+        let before = allocs();
         let copy = system.clone();
-        let clone = ALLOCS.load(Ordering::Relaxed) - before;
+        let clone = allocs() - before;
         drop(copy);
 
         assert!(
@@ -253,4 +244,76 @@ fn decoding_a_submit_line_allocates_little_more_than_the_request() {
         decoded as f64 / 64.0,
         cloned as f64 / 64.0
     );
+}
+
+/// The 64 benchmark-shaped submit lines (the `serve-*` family: 4
+/// processors × 4 tasks, ~2 KB each) with the systems they carry.
+fn submit_lines() -> Vec<(SystemSpec, String)> {
+    let family = WorkloadConfig::default()
+        .processors(4)
+        .tasks_per_processor(4)
+        .utilization(0.4)
+        .resources(1, 2)
+        .sections(0, 2);
+    (0..64u64)
+        .map(|i| {
+            let spec = SystemSpec::from_system(&generate(&family, 7 + i));
+            let line = Value::obj([
+                ("op", Value::str("submit")),
+                ("session", Value::str(format!("s{}", i % 16))),
+                ("system", spec.to_json()),
+            ])
+            .encode();
+            assert!((1_000..4_000).contains(&line.len()), "{} B", line.len());
+            (spec, line)
+        })
+        .collect()
+}
+
+/// Allocations an admitted cache hit may take beyond the parse and
+/// decode of its line.
+const HIT_OVERHEAD: u64 = 8;
+
+/// A cache hit allocates what its request holds and little else. Each
+/// of the 64 submit lines is sent twice through the function a pool
+/// worker calls; for each admitted hit, parse + decode +
+/// [`ServerHandle::execute`] take at most [`HIT_OVERHEAD`] allocations
+/// more than parse + decode alone: the session keeps the decoded spec,
+/// the key encodes nothing and the reply is one buffer.
+#[test]
+fn a_cache_hit_allocates_what_its_request_holds() {
+    let server = spawn(&ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        shards: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind test server");
+    let (mut hits, mut decoded, mut spent) = (0, 0, 0);
+    for (i, (_, line)) in submit_lines().iter().enumerate() {
+        for tag in [r#""cache":"miss""#, r#""cache":"hit""#] {
+            let before = allocs();
+            let doc = Doc::parse(line).unwrap();
+            let request = Request::from_json(doc.root()).unwrap();
+            drop(doc);
+            let decode = allocs() - before;
+            let reply = String::from_utf8(server.execute(request)).unwrap();
+            let total = allocs() - before;
+            assert!(reply.contains(tag), "line {i}: {}", &reply[..80]);
+            if tag.contains("hit") && reply.contains(r#""verdict":"admit""#) {
+                assert!(
+                    total <= decode + HIT_OVERHEAD,
+                    "line {i}: {total} allocations for a hit, {decode} to parse and decode"
+                );
+                (hits, decoded, spent) = (hits + 1, decoded + decode, spent + total);
+            }
+        }
+    }
+    assert!(hits >= 32, "only {hits} of 64 lines admitted");
+    println!(
+        "allocations per admitted hit ({hits}): parse + decode {:.1}, with execute {:.1}",
+        decoded as f64 / f64::from(hits),
+        spent as f64 / f64::from(hits)
+    );
+    server.shutdown();
 }

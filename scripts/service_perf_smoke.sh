@@ -5,7 +5,8 @@
 # tripwire — release builds sustain thousands of req/s even on one
 # shared vCPU — so it catches an accidental O(n) in the hot path or a
 # reintroduced per-request allocation storm, not machine-to-machine
-# noise. Real numbers live in BENCH_service.json.
+# noise. Real numbers come from the benchmark in benchmark/ (its
+# serve-* workloads; see benchmark/README.md).
 set -euo pipefail
 
 MPCP_BIN=${MPCP_BIN:-target/release/mpcp}

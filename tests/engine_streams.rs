@@ -31,7 +31,7 @@ use mpcp::dga::{horizon_capped, DgaReplay, DgaSchedule};
 use mpcp::model::System;
 use mpcp::model::Time;
 use mpcp::protocols::ProtocolKind;
-use mpcp::service::json::Fnv1a;
+use mpcp::service::json::fnv1a;
 use mpcp::sim::{Monitor, Protocol, SimConfig, Simulator, Slice};
 use mpcp::taskgen::{generate, paper, WorkloadConfig};
 use std::fmt::{Debug, Write as _};
@@ -86,11 +86,11 @@ fn systems() -> Vec<(String, System)> {
 }
 
 fn hash_all<T: Debug>(items: impl IntoIterator<Item = T>) -> u64 {
-    let mut h = Fnv1a::default();
+    let mut text = String::new();
     for item in items {
-        let _ = writeln!(h, "{item:?}");
+        let _ = writeln!(text, "{item:?}");
     }
-    h.finish()
+    fnv1a(text.as_bytes())
 }
 
 fn continues(last: &Slice, next: &Slice) -> bool {
