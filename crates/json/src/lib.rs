@@ -13,7 +13,9 @@
 //! body for both. Beside them: an encoder whose output the parser
 //! round-trips bit-for-bit, [`fnv1a`], the one hash behind report
 //! hashes and anything else pinned, and [`hash_fields`], the in-memory
-//! hash behind cache keys.
+//! hash behind cache keys, whose words [`field_words`] records and
+//! [`fields_match`] compares, so a cache entry confirms its key without
+//! keeping the value.
 //!
 //! Objects preserve insertion order (a `Vec` of pairs, not a map), so
 //! `encode(parse(s)) == encode(v)` is deterministic and suitable for
@@ -264,56 +266,80 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A 64-bit hash of `value`'s fields as its derived [`Hash`] feeds them,
-/// a word at a time, nothing encoded. For in-memory keys confirmed by
-/// equality: it follows std's `Hash` impls, which a toolchain may
-/// change, so nothing persisted or pinned may use it (that is [`fnv1a`]).
+/// A 64-bit fold of `value`'s [`field_words`], for in-memory keys: it
+/// follows std's `Hash` impls, which a toolchain may change, so nothing
+/// persisted or pinned may use it (that is [`fnv1a`]).
 pub fn hash_fields<T: Hash + ?Sized>(value: &T) -> u64 {
-    let mut h = WordHash(0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344);
-    value.hash(&mut h);
-    h.finish()
+    let mut lanes = LANES;
+    value.hash(&mut Words(|n| lanes = mix(lanes, n)));
+    finish(lanes)
 }
 
-/// Multiply-rotate per word, in two lanes that take turns (so one
-/// word's multiply need not wait for the last), and murmur3's 64-bit
-/// finalizer over both.
-struct WordHash(u64, u64);
+/// `value`'s fields as derived [`Hash`] writes them, one `u64` a word.
+pub fn field_words<T: Hash + ?Sized>(value: &T) -> Box<[u64]> {
+    let mut words = Vec::new();
+    value.hash(&mut Words(|n| words.push(n)));
+    words.into_boxed_slice()
+}
 
-impl Hasher for WordHash {
-    #[inline]
+/// Whether `value`'s [`field_words`] are `words`, compared as produced:
+/// `==` for one type with derived `Hash` and `PartialEq`, since derived
+/// `Hash` is prefix-free and a byte string's length leads its words.
+pub fn fields_match<T: Hash + ?Sized>(value: &T, words: &[u64]) -> bool {
+    let (mut rest, mut same) = (words.iter(), true);
+    value.hash(&mut Words(|n| same &= rest.next() == Some(&n)));
+    same && rest.next().is_none()
+}
+
+/// The one word splitter: an integer is a word; a byte string is its
+/// length, then its bytes eight to a little-endian word, the last one
+/// zero-padded (the length makes the padding unambiguous).
+struct Words<F>(F);
+
+impl<F: FnMut(u64)> Hasher for Words<F> {
     fn write(&mut self, bytes: &[u8]) {
-        // The length first: the zero padding of the last word is then
-        // not ambiguous.
-        self.write_u64(bytes.len() as u64);
+        (self.0)(bytes.len() as u64);
         for chunk in bytes.chunks(8) {
             let mut word = [0u8; 8];
             word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
+            (self.0)(u64::from_le_bytes(word));
         }
     }
 
-    #[inline]
     fn write_u8(&mut self, n: u8) {
-        self.write_u64(n.into());
+        (self.0)(n.into());
     }
 
-    #[inline]
     fn write_u64(&mut self, n: u64) {
-        let next = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-        (self.0, self.1) = (self.1, next);
+        (self.0)(n);
     }
 
-    #[inline]
     fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
+        (self.0)(n as u64);
     }
 
     fn finish(&self) -> u64 {
-        let mut h = self.0 ^ self.1.rotate_left(32);
-        h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        h ^ (h >> 33)
+        unreachable!("the closure keeps the state")
     }
+}
+
+/// [`hash_fields`]' two lanes before the first word, and its step per
+/// word: multiply-rotate, the lanes taking turns (so one word's multiply
+/// need not wait for the last).
+const LANES: (u64, u64) = (0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344);
+
+#[inline]
+fn mix((a, b): (u64, u64), n: u64) -> (u64, u64) {
+    let next = (a.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    (b, next)
+}
+
+/// Murmur3's 64-bit finalizer over both lanes.
+fn finish((a, b): (u64, u64)) -> u64 {
+    let mut h = a ^ b.rotate_left(32);
+    h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// A parse failure, with the byte offset where it happened.
@@ -581,6 +607,12 @@ impl<'a> Parser<'a> {
         while self.eat(pred) {}
     }
 
+    /// One or more decimal digits.
+    fn digits(&mut self) -> Result<(), ParseError> {
+        let digit = |b: u8| b.is_ascii_digit();
+        (self.eat(digit).then(|| self.skip(digit))).ok_or_else(|| self.err("invalid number"))
+    }
+
     fn skip_ws(&mut self) {
         self.skip(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
     }
@@ -741,18 +773,25 @@ impl<'a> Parser<'a> {
         Ok(cp)
     }
 
+    /// RFC 8259: `[ "-" ] int [ frac ] [ exp ]`, where `int = "0" /
+    /// [1-9] *DIGIT`, `frac = "." 1*DIGIT` and `exp = [eE] [+-] 1*DIGIT`.
     fn number(&mut self) -> Result<f64, ParseError> {
         let start = self.pos;
         let digit = |b: u8| b.is_ascii_digit();
         self.eat(|b| b == b'-');
+        // `int`: a zero with no digit after it, or a nonzero digit first.
+        let zero = self.eat(|b| b == b'0');
+        if zero == self.peek().is_some_and(digit) {
+            return Err(self.err("invalid number"));
+        }
         self.skip(digit);
         let integer = self.pos;
         if self.eat(|b| b == b'.') {
-            self.skip(digit);
+            self.digits()?;
         }
         if self.eat(|b| matches!(b, b'e' | b'E')) {
             self.eat(|b| matches!(b, b'+' | b'-'));
-            self.skip(digit);
+            self.digits()?;
         }
         let text = &self.input[start..self.pos];
         // A plain integer of at most 15 digits is exact in f64 and skips
@@ -898,6 +937,48 @@ mod tests {
         assert_eq!(a[0].get("a").map(Node::to_value), None);
     }
 
+    /// Numbers as RFC 8259 spells them, on the tape and in the tree.
+    #[test]
+    fn numbers_follow_the_grammar() {
+        let bad = [
+            ("0123", 1),
+            ("00", 1),
+            ("-01", 2),
+            ("01.5", 1),
+            ("1.", 2),
+            ("1.e5", 2),
+            ("-.5", 1),
+            ("-", 1),
+            ("1e", 2),
+            ("1e+", 3),
+            ("[1.]", 3),
+        ];
+        for (text, offset) in bad {
+            let err = ParseError {
+                message: "invalid number".into(),
+                offset,
+            };
+            assert_eq!(Doc::parse(text).unwrap_err(), err, "{text}");
+            assert_eq!(parse(text).unwrap_err(), err, "{text}");
+        }
+        assert_eq!(parse(".5").unwrap_err().message, "unexpected character");
+        let good = [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-0.5", -0.5),
+            ("1.25e2", 125.0),
+            ("1E+2", 100.0),
+            ("0e-1", 0.0),
+            ("-10.0e0", -10.0),
+        ];
+        for (text, n) in good {
+            assert_eq!(Doc::parse(text).unwrap().root().as_f64(), Some(n), "{text}");
+            assert_eq!(parse(text).unwrap(), Value::Num(n), "{text}");
+        }
+    }
+
     #[test]
     fn integral_floats_encode_without_point() {
         assert_eq!(Value::Num(100.0).encode(), "100");
@@ -920,5 +1001,71 @@ mod tests {
         assert_ne!(hash_fields("ab"), hash_fields("ab\0"));
         assert_ne!(hash_fields(&("a", "bc")), hash_fields(&("ab", "c")));
         assert_ne!(hash_fields(&[1u64, 2]), hash_fields(&[2u64, 1]));
+    }
+
+    #[derive(Debug, PartialEq, Hash)]
+    enum Shape {
+        Dot,
+        Line(u32),
+        Named(String, Vec<Option<Shape>>),
+    }
+
+    /// Strings at the padding edges (0, 7, 8, 9 and 16 bytes, and a
+    /// trailing zero byte), nested `Vec`s, `Option`s and enums.
+    fn shapes() -> Vec<Shape> {
+        let strings = [
+            "",
+            "abcdefg",
+            "abcdefgh",
+            "abcdefghi",
+            "abcdefghijklmnop",
+            "abcdefg\0",
+        ];
+        let mut shapes = vec![Shape::Dot, Shape::Line(0), Shape::Line(8)];
+        for s in strings {
+            shapes.push(Shape::Named(s.into(), vec![]));
+            shapes.push(Shape::Named(s.into(), vec![None]));
+            shapes.push(Shape::Named(s.into(), vec![Some(Shape::Dot), None]));
+            let inner = Shape::Named(s.into(), vec![Some(Shape::Line(7))]);
+            shapes.push(Shape::Named("".into(), vec![Some(inner)]));
+        }
+        shapes
+    }
+
+    /// Comparing words is comparing values, and the words are what the
+    /// hash folds, so no key moved when the hash began to share them.
+    #[test]
+    fn field_words_are_the_value() {
+        let shapes = shapes();
+        for v in &shapes {
+            let words = field_words(v);
+            assert_eq!(
+                hash_fields(v),
+                finish(words.iter().fold(LANES, |l, &n| mix(l, n)))
+            );
+            for w in &shapes {
+                assert_eq!(fields_match(w, &words), v == w, "{v:?} / {w:?}");
+            }
+            assert!(!fields_match(v, &words[..words.len() - 1]), "{v:?}");
+            assert!(!fields_match(v, &[&words[..], &[0]].concat()), "{v:?}");
+        }
+        let nested = |parts: &[&[&str]]| -> Vec<Vec<String>> {
+            parts
+                .iter()
+                .map(|p| p.iter().map(|&s| s.to_owned()).collect())
+                .collect()
+        };
+        let splits = [
+            nested(&[&["ab"], &["c"]]),
+            nested(&[&["a", "bc"]]),
+            nested(&[&["abc"]]),
+            nested(&[&[], &["abc"]]),
+            nested(&[]),
+        ];
+        for v in &splits {
+            for w in &splits {
+                assert_eq!(fields_match(w, &field_words(v)), v == w, "{v:?} / {w:?}");
+            }
+        }
     }
 }

@@ -5,71 +5,68 @@
 //! workloads. [`analyze`](crate::session::analyze) is a pure function
 //! of `(spec, allocate, protocol)`, so its results memoize perfectly:
 //! the key is one pass of [`hash_fields`](crate::json::hash_fields)
-//! over that triple — the decoded fields, never re-encoded text — and
-//! the value is the shared [`AdmissionResult`]. A key is a hint: a hit
-//! counts only when the entry's triple equals the submitted one, so two
-//! submissions that share a key each get their own verdict.
+//! over that triple — the decoded fields, never re-encoded text. An
+//! entry keeps only what later requests read: the verdict, the reply's
+//! tail, the triple's [`field_words`](crate::json::field_words) and any
+//! spec analysis changed. A key is a hint: a hit counts only when the
+//! submission [`fields_match`](crate::json::fields_match) the entry's
+//! words, so two submissions that share a key get their own verdicts.
 //!
 //! The map is sharded 16 ways so worker threads hitting different
 //! submissions do not serialize on one lock, and hit/miss counters are
 //! plain atomics exposed through the `query` response — the acceptance
 //! criterion "cache effectiveness is measurable" reads them.
 
+use crate::json;
 use crate::proto::{AdmissionProtocol, AllocDirective};
+use crate::reply::admission_suffix;
 use crate::session::AdmissionResult;
 use crate::wire::SystemSpec;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 const SHARDS: usize = 16;
 
-/// A memoized analysis plus its lazily-rendered response body.
-///
-/// The server renders an admission response's result-dependent tail
-/// (verdict, breakdown, …) once per distinct analysis and parks it in
-/// [`CachedAnalysis::rendered`]; cache hits then answer with a string
-/// append instead of re-encoding the JSON tree. The cache itself never
-/// renders — the server owns the response shape.
+/// A memoized verdict: what answering and committing a submission
+/// again needs of its analysis, kept instead of the analysis.
 #[derive(Debug)]
 pub struct CachedAnalysis {
-    /// The analysis verdict and breakdown.
-    pub result: AdmissionResult,
-    /// Render memo, filled by the first response that needs it.
-    pub rendered: OnceLock<String>,
-    /// The spec the entry answers for, kept only where it differs from
-    /// `result.analyzed` (allocation rebound it, or it spells out what
+    /// Whether the system was admitted.
+    pub admitted: bool,
+    /// The reply's result-dependent tail, from `"verdict"` through the
+    /// closing brace; a reply appends it to its per-request fields.
+    pub suffix: Box<str>,
+    /// The field words of the `(spec, allocate, protocol)` it answers.
+    words: Box<[u64]>,
+    /// The analyzed spec, kept only where it differs from the submitted
+    /// one (allocation rebound it, or the submission spells out what
     /// [`SystemSpec::from_system`] elides).
-    submitted: Option<SystemSpec>,
-    /// The allocation directive and protocol it was analyzed under.
-    how: How,
+    analyzed: Option<SystemSpec>,
 }
 
 /// With its spec, what an analysis is a function of.
 type How = (Option<AllocDirective>, AdmissionProtocol);
 
 impl CachedAnalysis {
-    fn new(spec: &SystemSpec, how: How, result: AdmissionResult) -> Self {
+    fn new(spec: &SystemSpec, (allocate, protocol): How, result: AdmissionResult) -> Self {
         CachedAnalysis {
-            submitted: (result.analyzed != *spec).then(|| spec.clone()),
-            how,
-            result,
-            rendered: OnceLock::new(),
+            admitted: result.admitted,
+            suffix: admission_suffix(&result).into_boxed_str(),
+            words: json::field_words(&(spec, allocate, protocol)),
+            analyzed: (result.analyzed != *spec).then_some(result.analyzed),
         }
     }
 
-    fn answers(&self, spec: &SystemSpec, how: How) -> bool {
-        self.how == how && self.submitted.as_ref().unwrap_or(&self.result.analyzed) == spec
+    fn answers(&self, spec: &SystemSpec, (allocate, protocol): How) -> bool {
+        json::fields_match(&(spec, allocate, protocol), &self.words)
     }
 
     /// What a session commits for `submitted`, the spec this entry was
     /// looked up with: `submitted` itself, moved, where analysis left it
-    /// as it was, else a copy of `result.analyzed`.
+    /// as it was, else a copy of the analyzed spec.
     pub(crate) fn analyzed(&self, submitted: SystemSpec) -> SystemSpec {
-        match self.submitted {
-            None => submitted,
-            Some(_) => self.result.analyzed.clone(),
-        }
+        self.analyzed.clone().unwrap_or(submitted)
     }
 }
 
@@ -113,14 +110,14 @@ impl AnalysisCache {
         allocate: Option<AllocDirective>,
         protocol: AdmissionProtocol,
     ) -> u64 {
-        crate::json::hash_fields(&(spec, allocate, protocol))
+        json::hash_fields(&(spec, allocate, protocol))
     }
 
-    /// Returns the memoized result of `spec` under `how`, the allocation
+    /// Returns the memoized verdict of `spec` under `how`, the allocation
     /// directive and protocol, looked up by `key` and computed with `f`
     /// on a miss. The boolean is `true` on a hit, which takes an entry
-    /// of an equal spec and `how`; an entry of another submission under
-    /// the same key is recomputed and replaced.
+    /// whose field words are those of `spec` and `how`; an entry of
+    /// another submission under the same key is recomputed and replaced.
     ///
     /// On a miss the shard lock is *not* held while `f` runs, so a slow
     /// analysis never blocks unrelated lookups; two racing misses on
@@ -223,8 +220,8 @@ mod tests {
         let (a, hit_a) = cache.get_or_compute(7, &light, MPCP, || analyze(&light, None));
         let (b, hit_b) = cache.get_or_compute(7, &heavy, MPCP, || analyze(&heavy, None));
         assert!(!hit_a && !hit_b);
-        assert!(a.result.admitted && !b.result.admitted);
-        assert_eq!(b.result.analyzed, heavy);
+        assert!(a.admitted && !b.admitted);
+        assert!(b.answers(&heavy, MPCP) && !b.answers(&light, MPCP));
         let st = cache.stats();
         assert_eq!((st.hits, st.misses, st.entries), (0, 2, 1));
         let (c, hit_c) = cache.get_or_compute(7, &heavy, MPCP, || panic!("must not recompute"));
@@ -248,7 +245,7 @@ mod tests {
         let plain = spec(100);
         let key = AnalysisCache::key(&plain, None, AdmissionProtocol::Mpcp);
         let (entry, _) = cache.get_or_compute(key, &plain, MPCP, || analyze(&plain, None));
-        assert!(entry.submitted.is_none());
+        assert!(entry.analyzed.is_none());
         assert_eq!(entry.analyzed(plain.clone()), plain);
         // An explicit rate-monotonic priority is elided by analysis.
         let mut spelled = spec(100);
@@ -256,7 +253,7 @@ mod tests {
         let key = AnalysisCache::key(&spelled, None, AdmissionProtocol::Mpcp);
         let (entry, hit) = cache.get_or_compute(key, &spelled, MPCP, || analyze(&spelled, None));
         assert!(!hit);
-        assert_eq!(entry.submitted.as_ref(), Some(&spelled));
+        assert_eq!(entry.analyzed.as_ref(), Some(&plain));
         assert_eq!(entry.analyzed(spelled.clone()), plain);
         let (_, hit) = cache.get_or_compute(key, &spelled, MPCP, || panic!("must not recompute"));
         assert!(hit);
@@ -332,34 +329,39 @@ mod tests {
             }),
             ("empty body", |s| s.tasks[1].body.clear()),
         ];
-        let mut keys = vec![mpcp(&base)];
+        let mut submissions = vec![(base.clone(), None, AdmissionProtocol::Mpcp)];
         for (what, change) in changes {
             let mut changed = base.clone();
             change(&mut changed);
             assert_ne!(changed, base, "{what}");
-            keys.push(mpcp(&changed));
+            submissions.push((changed, None, AdmissionProtocol::Mpcp));
         }
-        let alloc = |processors| AllocDirective {
-            processors,
-            heuristic: mpcp_alloc::Heuristic::FirstFitDecreasing,
-        };
-        keys.push(AnalysisCache::key(
-            &base,
-            Some(alloc(2)),
-            AdmissionProtocol::Mpcp,
-        ));
-        keys.push(AnalysisCache::key(
-            &base,
-            Some(alloc(3)),
-            AdmissionProtocol::Mpcp,
-        ));
+        for processors in [2, 3] {
+            let heuristic = mpcp_alloc::Heuristic::FirstFitDecreasing;
+            let alloc = AllocDirective {
+                processors,
+                heuristic,
+            };
+            submissions.push((base.clone(), Some(alloc), AdmissionProtocol::Mpcp));
+        }
         for protocol in AdmissionProtocol::ALL.into_iter().skip(1) {
-            keys.push(AnalysisCache::key(&base, None, protocol));
+            submissions.push((base.clone(), None, protocol));
         }
+        let keys: Vec<u64> = (submissions.iter())
+            .map(|(s, a, p)| AnalysisCache::key(s, *a, *p))
+            .collect();
         let mut distinct = keys.clone();
         distinct.sort_unstable();
         distinct.dedup();
         assert_eq!(distinct.len(), keys.len(), "{keys:x?}");
+        // Each submission's words confirm it and refuse every other.
+        for (i, (s, a, p)) in submissions.iter().enumerate() {
+            let words = crate::json::field_words(&(s, *a, *p));
+            for (j, (s, a, p)) in submissions.iter().enumerate() {
+                let matched = crate::json::fields_match(&(s, *a, *p), &words);
+                assert_eq!(matched, i == j, "submission {j} against the words of {i}");
+            }
+        }
     }
 
     #[test]
@@ -384,7 +386,7 @@ mod tests {
                         let s = spec(100 + (p + i) % 10);
                         let key = AnalysisCache::key(&s, None, AdmissionProtocol::Mpcp);
                         let (r, _) = cache.get_or_compute(key, &s, MPCP, || analyze(&s, None));
-                        assert!(r.result.admitted);
+                        assert!(r.admitted);
                     }
                 })
             })

@@ -6,8 +6,8 @@
 //! `write_row` — so they cannot drift apart:
 //!
 //! - the full path renders an [`AdmissionResult`] once
-//!   (`admission_suffix`, memoized beside the cached analysis) and
-//!   prepends the per-request fields (`admission_line`);
+//!   (`admission_suffix`, kept by the cache entry in the analysis'
+//!   place) and prepends the per-request fields (`admission_line`);
 //! - an incremental edit *assembles* its reply (`RowCache::assemble`):
 //!   a row's bytes are a pure function of the eight values it shows, the
 //!   session keeps each task's values and rendered row, and only rows

@@ -370,7 +370,7 @@ fn run_pooled(request: Request, state: &Arc<ServerState>) -> String {
             let (entry, cache_hit) = state.cache.get_or_compute(key, &system, how, || {
                 analyze_with(&system, allocate, protocol)
             });
-            if entry.result.admitted {
+            if entry.admitted {
                 let slot = state.sessions.get_or_create(&session);
                 let mut s = slot.lock().unwrap_or_else(PoisonError::into_inner);
                 s.protocol = protocol;
@@ -380,7 +380,7 @@ fn run_pooled(request: Request, state: &Arc<ServerState>) -> String {
                 "submit",
                 &session,
                 if cache_hit { "hit" } else { "miss" },
-                cached_suffix(&entry),
+                &entry.suffix,
             )
         }
         Request::AddTask { session, task } => {
@@ -408,7 +408,7 @@ fn commit_full(
     submitted: SystemSpec,
 ) {
     s.spec = entry.analyzed(submitted);
-    s.admitted = Some(entry.result.admitted);
+    s.admitted = Some(entry.admitted);
     s.engine = None;
     s.rows.clear();
     state.journal_commit(op, name, s);
@@ -460,11 +460,11 @@ fn run_edit(state: &Arc<ServerState>, session: &str, edit: &SessionEdit<'_>) -> 
     });
     // Withdrawal always commits; the verdict reports the state the
     // session is now in.
-    if entry.result.admitted || edit.add.is_none() {
+    if entry.admitted || edit.add.is_none() {
         commit_full(state, edit.op, session, s, &entry, candidate);
     }
     let tag = if cache_hit { "hit" } else { "miss" };
-    admission_line(edit.op, session, tag, cached_suffix(&entry))
+    admission_line(edit.op, session, tag, &entry.suffix)
 }
 
 /// Serves `edit` from the session's engine, or returns `None` — the
@@ -580,17 +580,6 @@ fn unknown_session(session: &str) -> Value {
         ErrorCode::UnknownSession,
         &format!("no session {session:?}; submit a system first"),
     )
-}
-
-/// The memoized suffix for a cached analysis, rendered on first use.
-fn cached_suffix(entry: &CachedAnalysis) -> &str {
-    entry.rendered.get_or_init(|| {
-        // Kept as long as the cache entry: give back the writer's
-        // over-estimate.
-        let mut suffix = admission_suffix(&entry.result);
-        suffix.shrink_to_fit();
-        suffix
-    })
 }
 
 pub(crate) fn query_response(state: &Arc<ServerState>, session: Option<&str>) -> Value {

@@ -20,7 +20,7 @@
 //! cache never encodes: [`SystemSpec::canonical_hash`] hashes the
 //! decoded fields ([`hash_fields`](crate::json::hash_fields)), so equal
 //! submissions hash equally however the client formatted its JSON, and
-//! the cache confirms a hit by comparing specs.
+//! the cache confirms a hit by comparing the fields' words.
 
 use crate::json::{JsonRef, Value};
 use mpcp_model::{Body, Segment, System, TaskDef};

@@ -1,5 +1,5 @@
 //! Allocation budgets of an incremental edit, of decoding a submit line
-//! and of answering one from the cache.
+//! and of answering one from the cache, and what a cached verdict keeps.
 //!
 //! An `add-task` / `remove-task` of a compute-only task recomputes one
 //! task and one processor, whatever the session's size; this test keeps
@@ -12,48 +12,73 @@
 //! derived facts, dependency graph, verdict rows and reply were each
 //! rebuilt for all 320 tasks.
 
-use mpcp_service::json::{Doc, Value};
-use mpcp_service::proto::AdmissionProtocol;
+use mpcp_service::json::{field_words, Doc, Value};
+use mpcp_service::proto::{AdmissionProtocol, AllocDirective};
+use mpcp_service::session::analyze_with;
 use mpcp_service::{
-    analyze, spawn, Request, SegSpec, ServerConfig, ServerHandle, SystemSpec, TaskSpec,
+    analyze, spawn, AnalysisCache, Request, SegSpec, ServerConfig, ServerHandle, SystemSpec,
+    TaskSpec,
 };
 use mpcp_taskgen::{generate, WorkloadConfig};
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 
+/// What this thread allocated: allocations and reallocations made, and
+/// the blocks and bytes it holds (allocated minus freed).
+#[derive(Debug, Clone, Copy)]
+struct Counts {
+    allocs: u64,
+    blocks: i64,
+    bytes: i64,
+}
+
 thread_local! {
-    /// Allocations made by this thread. A test counts its own work —
+    /// This thread's counts. A test counts its own work —
     /// [`ServerHandle::execute`] runs on the calling thread — and not
     /// the test harness's or another test's, which run beside it.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static COUNTS: Cell<Counts> = const {
+        Cell::new(Counts { allocs: 0, blocks: 0, bytes: 0 })
+    };
+}
+
+fn counts() -> Counts {
+    COUNTS.with(Cell::get)
 }
 
 fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
+    counts().allocs
 }
 
-fn count() {
+fn count(allocs: u64, blocks: i64, bytes: isize) {
     // `try_with`: a thread may allocate while its locals are torn down.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = COUNTS.try_with(|c| {
+        let n = c.get();
+        c.set(Counts {
+            allocs: n.allocs + allocs,
+            blocks: n.blocks + blocks,
+            bytes: n.bytes + bytes as i64,
+        });
+    });
 }
 
-/// Forwards to the system allocator, counting every allocation and
-/// reallocation.
+/// Forwards to the system allocator, counting every allocation,
+/// reallocation and free.
 struct CountingAlloc;
 
 // SAFETY: pure pass-through to the system allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(1, 1, layout.size() as isize);
         unsafe { SystemAlloc.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, -1, -(layout.size() as isize));
         unsafe { SystemAlloc.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(1, 0, new_size as isize - layout.size() as isize);
         unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
     }
 }
@@ -316,4 +341,63 @@ fn a_cache_hit_allocates_what_its_request_holds() {
         spent as f64 / f64::from(hits)
     );
     server.shutdown();
+}
+
+/// Blocks a cache entry may keep: the shared entry, its field words, its
+/// reply tail, and a share of the map's growth.
+const BLOCKS_PER_ENTRY: i64 = 4;
+
+/// Bytes a cache entry may keep beyond its field words and reply tail:
+/// the shared entry itself and a share of the map's growth.
+const BYTES_PER_ENTRY: i64 = 256;
+
+/// A cached verdict keeps its reply and its submission's field words,
+/// not its analysis. The 64 benchmark-shaped submissions each miss an
+/// [`AnalysisCache`] once, computed by [`analyze_with`] as the server
+/// does; what the thread still holds afterwards is, per entry (means over
+/// the 64, so the map's growth is amortised), at most
+/// [`BLOCKS_PER_ENTRY`] blocks and words + tail + [`BYTES_PER_ENTRY`]
+/// bytes. An entry that kept the whole `AdmissionResult` held ~95
+/// blocks and ~5.9 KB before its reply tail was rendered into it.
+#[test]
+fn a_cached_miss_keeps_its_reply_and_words() {
+    let protocol = AdmissionProtocol::Mpcp;
+    let specs: Vec<SystemSpec> = submit_lines().into_iter().map(|(spec, _)| spec).collect();
+    let keys: Vec<u64> = (specs.iter())
+        .map(|s| AnalysisCache::key(s, None, protocol))
+        .collect();
+    let words: usize = (specs.iter())
+        .map(|s| 8 * field_words(&(s, None::<AllocDirective>, protocol)).len())
+        .sum();
+    // Whatever the analysis sets up on first use is not an entry's.
+    drop(analyze_with(&specs[0], None, protocol));
+    let cache = AnalysisCache::new(4096);
+    let (before, mut tails) = (counts(), 0);
+    for (spec, key) in specs.iter().zip(keys) {
+        let (entry, hit) = cache.get_or_compute(key, spec, (None, protocol), || {
+            analyze_with(spec, None, protocol)
+        });
+        assert!(!hit);
+        tails += entry.suffix.len();
+    }
+    let after = counts();
+    assert_eq!(cache.stats().entries, 64);
+    let n = specs.len() as i64;
+    let (blocks, bytes) = (after.blocks - before.blocks, after.bytes - before.bytes);
+    let (words, tails) = (words as i64, tails as i64);
+    println!(
+        "kept per cached miss: {:.1} blocks, {:.0} B (words {:.0} B, tail {:.0} B)",
+        blocks as f64 / n as f64,
+        bytes as f64 / n as f64,
+        words as f64 / n as f64,
+        tails as f64 / n as f64
+    );
+    assert!(
+        blocks <= n * BLOCKS_PER_ENTRY,
+        "{blocks} blocks kept by {n} entries"
+    );
+    assert!(
+        bytes <= words + tails + n * BYTES_PER_ENTRY,
+        "{bytes} B kept by {n} entries, of which words {words} B and tails {tails} B"
+    );
 }
