@@ -13,7 +13,7 @@
 //! body for both. Beside them: an encoder whose output the parser
 //! round-trips bit-for-bit, [`fnv1a`], the one hash behind report
 //! hashes and anything else pinned, and [`hash_fields`], the in-memory
-//! hash behind cache keys, whose words [`field_words`] records and
+//! hash behind cache keys, whose words [`field_words`] packs and
 //! [`fields_match`] compares, so a cache entry confirms its key without
 //! keeping the value.
 //!
@@ -266,7 +266,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A 64-bit fold of `value`'s [`field_words`], for in-memory keys: it
+/// A 64-bit fold of the words [`field_words`] packs, for in-memory keys: it
 /// follows std's `Hash` impls, which a toolchain may change, so nothing
 /// persisted or pinned may use it (that is [`fnv1a`]).
 pub fn hash_fields<T: Hash + ?Sized>(value: &T) -> u64 {
@@ -275,20 +275,34 @@ pub fn hash_fields<T: Hash + ?Sized>(value: &T) -> u64 {
     finish(lanes)
 }
 
-/// `value`'s fields as derived [`Hash`] writes them, one `u64` a word.
-pub fn field_words<T: Hash + ?Sized>(value: &T) -> Box<[u64]> {
-    let mut words = Vec::new();
-    value.hash(&mut Words(|n| words.push(n)));
-    words.into_boxed_slice()
+/// `value`'s fields as derived [`Hash`] writes them, each word packed as
+/// canonical LEB128: most are small integers or short names.
+pub fn field_words<T: Hash + ?Sized>(value: &T) -> Box<[u8]> {
+    let mut bytes = Vec::new();
+    value.hash(&mut Words(|n| leb128(n, |b| bytes.push(b))));
+    bytes.into_boxed_slice()
 }
 
-/// Whether `value`'s [`field_words`] are `words`, compared as produced:
+/// Whether `value`'s [`field_words`] are `bytes`, packed as compared:
 /// `==` for one type with derived `Hash` and `PartialEq`, since derived
-/// `Hash` is prefix-free and a byte string's length leads its words.
-pub fn fields_match<T: Hash + ?Sized>(value: &T, words: &[u64]) -> bool {
-    let (mut rest, mut same) = (words.iter(), true);
-    value.hash(&mut Words(|n| same &= rest.next() == Some(&n)));
+/// `Hash` is prefix-free, a byte string's length leads its words, and
+/// canonical LEB128 gives each word one prefix-free encoding.
+pub fn fields_match<T: Hash + ?Sized>(value: &T, bytes: &[u8]) -> bool {
+    let (mut rest, mut same) = (bytes.iter(), true);
+    value.hash(&mut Words(|n| {
+        leb128(n, |b| same &= rest.next() == Some(&b));
+    }));
     same && rest.next().is_none()
+}
+
+/// `n` as canonical LEB128: seven bits a byte, low bits first, the high
+/// bit set on every byte but the last.
+fn leb128(mut n: u64, mut byte: impl FnMut(u8)) {
+    while n >= 0x80 {
+        byte(n as u8 | 0x80);
+        n >>= 7;
+    }
+    byte(n as u8);
 }
 
 /// The one word splitter: an integer is a word; a byte string is its
@@ -1032,23 +1046,49 @@ mod tests {
         shapes
     }
 
-    /// Comparing words is comparing values, and the words are what the
-    /// hash folds, so no key moved when the hash began to share them.
+    /// The `u64` words `value` hashes as, unpacked.
+    fn words<T: Hash + ?Sized>(value: &T) -> Vec<u64> {
+        let mut words = Vec::new();
+        value.hash(&mut Words(|n| words.push(n)));
+        words
+    }
+
+    /// Comparing packed words is comparing values, and the words are
+    /// what the hash folds, so no key moved when the hash began to share
+    /// them or the words were packed.
     #[test]
     fn field_words_are_the_value() {
         let shapes = shapes();
         for v in &shapes {
-            let words = field_words(v);
+            let packed = field_words(v);
             assert_eq!(
                 hash_fields(v),
-                finish(words.iter().fold(LANES, |l, &n| mix(l, n)))
+                finish(words(v).iter().fold(LANES, |l, &n| mix(l, n)))
             );
             for w in &shapes {
-                assert_eq!(fields_match(w, &words), v == w, "{v:?} / {w:?}");
+                assert_eq!(fields_match(w, &packed), v == w, "{v:?} / {w:?}");
             }
-            assert!(!fields_match(v, &words[..words.len() - 1]), "{v:?}");
-            assert!(!fields_match(v, &[&words[..], &[0]].concat()), "{v:?}");
+            assert!(!fields_match(v, &packed[..packed.len() - 1]), "{v:?}");
+            for extra in [0, 1, 0x80] {
+                let longer = [&packed[..], &[extra]].concat();
+                assert!(!fields_match(v, &longer), "{v:?} + {extra}");
+            }
         }
+        // LEB128's edges: one byte up to 127, two up to 16 383, ten for
+        // `u64::MAX`; a packing cut short or run on is refused.
+        let edges = [0, 1, 127, 128, 16_383, 16_384, 1 << 32, u64::MAX];
+        for (&v, len) in edges.iter().zip([1, 1, 1, 2, 2, 3, 5, 10]) {
+            let packed = field_words(&v);
+            assert_eq!(packed.len(), len, "{v}");
+            assert_eq!(hash_fields(&v), finish(mix(LANES, v)), "{v}");
+            for &w in &edges {
+                assert_eq!(fields_match(&w, &packed), v == w, "{v} / {w}");
+                assert_eq!(fields_match(&vec![w, v], &field_words(&vec![v, w])), v == w);
+            }
+            assert!(!fields_match(&v, &packed[..len - 1]), "{v}");
+            assert!(!fields_match(&v, &[&packed[..], &[0]].concat()), "{v}");
+        }
+        assert_eq!(&*field_words(&300u64), &[0xac, 0x02]);
         let nested = |parts: &[&[&str]]| -> Vec<Vec<String>> {
             parts
                 .iter()

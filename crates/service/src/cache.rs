@@ -2,15 +2,15 @@
 //!
 //! Admission control sees the same system many times: resubmissions,
 //! retries, load-generator streams, several sessions running identical
-//! workloads. [`analyze`](crate::session::analyze) is a pure function
-//! of `(spec, allocate, protocol)`, so its results memoize perfectly:
-//! the key is one pass of [`hash_fields`](crate::json::hash_fields)
-//! over that triple — the decoded fields, never re-encoded text. An
-//! entry keeps only what later requests read: the verdict, the reply's
-//! tail, the triple's [`field_words`](crate::json::field_words) and any
-//! spec analysis changed. A key is a hint: a hit counts only when the
-//! submission [`fields_match`](crate::json::fields_match) the entry's
-//! words, so two submissions that share a key get their own verdicts.
+//! workloads. Admission is a pure function of `(spec, allocate,
+//! protocol)`, so its results memoize perfectly: the key is one pass of
+//! [`hash_fields`](crate::json::hash_fields) over that triple — the
+//! decoded fields, never re-encoded text. An entry keeps only what later
+//! requests read: the verdict, the reply's tail, the triple's packed
+//! [`field_words`](crate::json::field_words) and any spec analysis
+//! changed. A key is a hint: a hit counts only when the submission
+//! [`fields_match`](crate::json::fields_match) the entry's words, so two
+//! submissions that share a key get their own verdicts.
 //!
 //! The map is sharded 16 ways so worker threads hitting different
 //! submissions do not serialize on one lock, and hit/miss counters are
@@ -20,7 +20,7 @@
 use crate::json;
 use crate::proto::{AdmissionProtocol, AllocDirective};
 use crate::reply::admission_suffix;
-use crate::session::AdmissionResult;
+use crate::session::{admit, Admission};
 use crate::wire::SystemSpec;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,8 +37,8 @@ pub struct CachedAnalysis {
     /// The reply's result-dependent tail, from `"verdict"` through the
     /// closing brace; a reply appends it to its per-request fields.
     pub suffix: Box<str>,
-    /// The field words of the `(spec, allocate, protocol)` it answers.
-    words: Box<[u64]>,
+    /// The packed field words of the `(spec, allocate, protocol)` it answers.
+    words: Box<[u8]>,
     /// The analyzed spec, kept only where it differs from the submitted
     /// one (allocation rebound it, or the submission spells out what
     /// [`SystemSpec::from_system`] elides).
@@ -49,12 +49,12 @@ pub struct CachedAnalysis {
 type How = (Option<AllocDirective>, AdmissionProtocol);
 
 impl CachedAnalysis {
-    fn new(spec: &SystemSpec, (allocate, protocol): How, result: AdmissionResult) -> Self {
+    fn new(spec: &SystemSpec, (allocate, protocol): How, admission: Admission) -> Self {
         CachedAnalysis {
-            admitted: result.admitted,
-            suffix: admission_suffix(&result).into_boxed_str(),
+            admitted: admission.head.admitted,
+            suffix: admission_suffix(&admission).into_boxed_str(),
             words: json::field_words(&(spec, allocate, protocol)),
-            analyzed: (result.analyzed != *spec).then_some(result.analyzed),
+            analyzed: admission.analyzed,
         }
     }
 
@@ -114,13 +114,13 @@ impl AnalysisCache {
     }
 
     /// Returns the memoized verdict of `spec` under `how`, the allocation
-    /// directive and protocol, looked up by `key` and computed with `f`
-    /// on a miss. The boolean is `true` on a hit, which takes an entry
+    /// directive and protocol, looked up by `key` and admitted afresh on
+    /// a miss. The boolean is `true` on a hit, which takes an entry
     /// whose field words are those of `spec` and `how`; an entry of
     /// another submission under the same key is recomputed and replaced.
     ///
-    /// On a miss the shard lock is *not* held while `f` runs, so a slow
-    /// analysis never blocks unrelated lookups; two racing misses on
+    /// On a miss the shard lock is *not* held while the analysis runs,
+    /// so a slow one never blocks unrelated lookups; two racing misses on
     /// the same key may both compute, and the later insert wins —
     /// harmless for a pure function.
     pub fn get_or_compute(
@@ -128,7 +128,6 @@ impl AnalysisCache {
         key: u64,
         spec: &SystemSpec,
         how: How,
-        f: impl FnOnce() -> AdmissionResult,
     ) -> (Arc<CachedAnalysis>, bool) {
         let shard = &self.shards[(key as usize) % SHARDS];
         let found = shard
@@ -141,7 +140,7 @@ impl AnalysisCache {
             return (hit, true);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let computed = Arc::new(CachedAnalysis::new(spec, how, f()));
+        let computed = Arc::new(CachedAnalysis::new(spec, how, admit(spec, how.0, how.1)));
         let mut map = shard.lock().unwrap_or_else(PoisonError::into_inner);
         if map.len() >= self.capacity_per_shard && !map.contains_key(&key) {
             // Simple bound: clearing a full shard keeps memory flat
@@ -175,7 +174,6 @@ impl Default for AnalysisCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{analyze, analyze_with};
     use crate::wire::{SegSpec, TaskSpec};
 
     const MPCP: How = (None, AdmissionProtocol::Mpcp);
@@ -201,8 +199,8 @@ mod tests {
         let cache = AnalysisCache::new(64);
         let s = spec(100);
         let key = AnalysisCache::key(&s, None, AdmissionProtocol::Mpcp);
-        let (a, hit_a) = cache.get_or_compute(key, &s, MPCP, || analyze(&s, None));
-        let (b, hit_b) = cache.get_or_compute(key, &s, MPCP, || panic!("must not recompute"));
+        let (a, hit_a) = cache.get_or_compute(key, &s, MPCP);
+        let (b, hit_b) = cache.get_or_compute(key, &s, MPCP);
         assert!(!hit_a);
         assert!(hit_b);
         assert!(Arc::ptr_eq(&a, &b));
@@ -217,21 +215,19 @@ mod tests {
         let cache = AnalysisCache::new(64);
         let (light, mut heavy) = (spec(100), spec(100));
         heavy.tasks[0].body = vec![SegSpec::Compute(150)];
-        let (a, hit_a) = cache.get_or_compute(7, &light, MPCP, || analyze(&light, None));
-        let (b, hit_b) = cache.get_or_compute(7, &heavy, MPCP, || analyze(&heavy, None));
+        let (a, hit_a) = cache.get_or_compute(7, &light, MPCP);
+        let (b, hit_b) = cache.get_or_compute(7, &heavy, MPCP);
         assert!(!hit_a && !hit_b);
         assert!(a.admitted && !b.admitted);
         assert!(b.answers(&heavy, MPCP) && !b.answers(&light, MPCP));
         let st = cache.stats();
         assert_eq!((st.hits, st.misses, st.entries), (0, 2, 1));
-        let (c, hit_c) = cache.get_or_compute(7, &heavy, MPCP, || panic!("must not recompute"));
+        let (c, hit_c) = cache.get_or_compute(7, &heavy, MPCP);
         assert!(hit_c && Arc::ptr_eq(&b, &c));
         assert_eq!(cache.stats().hits, 1);
         // The same spec under another protocol is another submission.
         let msrp = (None, AdmissionProtocol::Msrp);
-        let (d, hit_d) = cache.get_or_compute(7, &heavy, msrp, || {
-            analyze_with(&heavy, None, AdmissionProtocol::Msrp)
-        });
+        let (d, hit_d) = cache.get_or_compute(7, &heavy, msrp);
         assert!(!hit_d && !Arc::ptr_eq(&c, &d));
         let st = cache.stats();
         assert_eq!((st.hits, st.misses, st.entries), (1, 3, 1));
@@ -244,18 +240,18 @@ mod tests {
         let cache = AnalysisCache::new(64);
         let plain = spec(100);
         let key = AnalysisCache::key(&plain, None, AdmissionProtocol::Mpcp);
-        let (entry, _) = cache.get_or_compute(key, &plain, MPCP, || analyze(&plain, None));
+        let (entry, _) = cache.get_or_compute(key, &plain, MPCP);
         assert!(entry.analyzed.is_none());
         assert_eq!(entry.analyzed(plain.clone()), plain);
         // An explicit rate-monotonic priority is elided by analysis.
         let mut spelled = spec(100);
         spelled.tasks[0].priority = Some(1);
         let key = AnalysisCache::key(&spelled, None, AdmissionProtocol::Mpcp);
-        let (entry, hit) = cache.get_or_compute(key, &spelled, MPCP, || analyze(&spelled, None));
+        let (entry, hit) = cache.get_or_compute(key, &spelled, MPCP);
         assert!(!hit);
         assert_eq!(entry.analyzed.as_ref(), Some(&plain));
         assert_eq!(entry.analyzed(spelled.clone()), plain);
-        let (_, hit) = cache.get_or_compute(key, &spelled, MPCP, || panic!("must not recompute"));
+        let (_, hit) = cache.get_or_compute(key, &spelled, MPCP);
         assert!(hit);
     }
 
@@ -370,7 +366,7 @@ mod tests {
         for p in 1..200u64 {
             let s = spec(p);
             let key = AnalysisCache::key(&s, None, AdmissionProtocol::Mpcp);
-            cache.get_or_compute(key, &s, MPCP, || analyze(&s, None));
+            cache.get_or_compute(key, &s, MPCP);
         }
         assert!(cache.stats().entries <= 32, "{:?}", cache.stats());
     }
@@ -385,7 +381,7 @@ mod tests {
                     for p in 1..50u64 {
                         let s = spec(100 + (p + i) % 10);
                         let key = AnalysisCache::key(&s, None, AdmissionProtocol::Mpcp);
-                        let (r, _) = cache.get_or_compute(key, &s, MPCP, || analyze(&s, None));
+                        let (r, _) = cache.get_or_compute(key, &s, MPCP);
                         assert!(r.admitted);
                     }
                 })

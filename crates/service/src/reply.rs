@@ -2,12 +2,12 @@
 //!
 //! A reply names every task of the system, so a tree of keyed values
 //! per row costs more than the analysis of a small edit. Both ways of
-//! producing one go through the same writers here — `write_head` and
-//! `write_row` — so they cannot drift apart:
+//! producing one go through the same writer here — `write_body`, one
+//! loop over a [`BoundSet`]'s rows — so they cannot drift apart:
 //!
-//! - the full path renders an [`AdmissionResult`] once
-//!   (`admission_suffix`, kept by the cache entry in the analysis'
-//!   place) and prepends the per-request fields (`admission_line`);
+//! - the full path renders an [`Admission`] once (`admission_suffix`,
+//!   kept by the cache entry in the analysis' place) and prepends the
+//!   per-request fields (`admission_line`);
 //! - an incremental edit *assembles* its reply (`RowCache::assemble`):
 //!   a row's bytes are a pure function of the eight values it shows, the
 //!   session keeps each task's values and rendered row, and only rows
@@ -15,9 +15,9 @@
 //!   task — are rendered again.
 
 use crate::json;
-use crate::session::AdmissionResult;
+use crate::session::{Admission, AdmissionResult};
 use mpcp_analysis::BoundSet;
-use mpcp_model::System;
+use mpcp_model::{Processor, System, Task};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -132,28 +132,47 @@ pub(crate) fn admission_line(op: &str, session: &str, cache: &str, suffix: &str)
 
 /// Renders the result-dependent tail of an admission response —
 /// everything from `"verdict"` through the closing brace — byte for
-/// byte what encoding the same fields as a [`json::Value::Obj`] and
-/// dropping its opening brace would give (asserted by test).
-pub(crate) fn admission_suffix(result: &AdmissionResult) -> String {
-    let mut suffix = String::with_capacity(128 + 160 * result.tasks.len());
-    let out = &mut suffix;
-    write_head(result, out);
-    for (i, t) in result.tasks.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// byte what encoding [`analyze_with`](crate::session::analyze_with)'s
+/// fields as a [`json::Value::Obj`] and dropping its opening brace
+/// would give (asserted by test).
+pub(crate) fn admission_suffix(a: &Admission) -> String {
+    let rows = a.rows.as_ref().map(|(set, system)| (set, system));
+    let tasks = rows.map_or(0, |(set, _)| set.per_task().len());
+    let mut suffix = String::with_capacity(128 + 160 * tasks);
+    write_body(&a.head, rows, &mut suffix, |t, p, values, out| {
+        write_row(t.name(), p.name(), values, out);
+    });
+    suffix
+}
+
+/// The one body writer: `head`, then each row of `rows` through `row`
+/// (which writes it, or a memo of it), then the allocation summary.
+fn write_body(
+    head: &AdmissionResult,
+    rows: Option<(&BoundSet, &System)>,
+    out: &mut String,
+    mut row: impl FnMut(&Task, &Processor, &RowValues, &mut String),
+) {
+    write_head(head, out);
+    if let Some((set, system)) = rows {
+        for (i, b) in set.per_task().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let t = system.task(b.task);
+            let values = RowValues {
+                period: t.period().ticks(),
+                wcet: t.wcet().ticks(),
+                blocking: b.blocking.ticks(),
+                demand: b.demand,
+                bound: b.bound,
+                ok: b.ok,
+            };
+            row(t, system.processor(b.processor), &values, out);
         }
-        let values = RowValues {
-            period: t.period,
-            wcet: t.wcet,
-            blocking: t.blocking,
-            demand: t.demand,
-            bound: t.bound,
-            ok: t.ok,
-        };
-        write_row(&t.name, &t.processor, &values, out);
     }
     out.push(']');
-    if let Some(a) = &result.allocation {
+    if let Some(a) = &head.allocation {
         out.push_str(",\"allocation\":{\"heuristic\":");
         text(a.heuristic, out);
         out.push_str(",\"per_processor_utilization\":");
@@ -163,7 +182,6 @@ pub(crate) fn admission_suffix(result: &AdmissionResult) -> String {
         out.push('}');
     }
     out.push('}');
-    suffix
 }
 
 /// The rendered `tasks[]` rows of a session's incremental replies, by
@@ -186,8 +204,8 @@ impl RowCache {
     /// The reply to an incremental edit whose candidate `system` got the
     /// verdict `head` with the rows `bounds`, assembled in one buffer —
     /// byte for byte `admission_line(op, session, "delta",
-    /// admission_suffix(r))` for the whole [`AdmissionResult`] `r` of
-    /// the same system.
+    /// admission_suffix(a))` for the [`Admission`] `a` of the same
+    /// system.
     pub(crate) fn assemble(
         &mut self,
         (op, session): (&str, &str),
@@ -197,41 +215,23 @@ impl RowCache {
     ) -> String {
         let mut out = String::with_capacity(256 + 160 * system.tasks().len());
         write_prefix(op, session, "delta", &mut out);
-        write_head(head, &mut out);
-        for (i, b) in bounds
-            .map_or(&[][..], BoundSet::per_task)
-            .iter()
-            .enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            let t = system.task(b.task);
-            let values = RowValues {
-                period: t.period().ticks(),
-                wcet: t.wcet().ticks(),
-                blocking: b.blocking.ticks(),
-                demand: b.demand,
-                bound: b.bound,
-                ok: b.ok,
-            };
-            let key = (b.processor.index(), values.bits());
+        let rows = bounds.map(|set| (set, system));
+        write_body(head, rows, &mut out, |t, p, values, out| {
+            let key = (p.id().index(), values.bits());
             match self.rows.get(t.name()) {
-                Some((p, bits, bytes)) if (*p, *bits) == key => {
+                Some((at, bits, bytes)) if (*at, *bits) == key => {
                     out.push_str(bytes);
                     self.reused += 1;
                 }
                 _ => {
                     let start = out.len();
-                    let processor = system.processor(b.processor).name();
-                    write_row(t.name(), processor, &values, &mut out);
+                    write_row(t.name(), p.name(), values, out);
                     let entry = (key.0, key.1, out[start..].to_owned());
                     self.rows.insert(Arc::clone(t.shared_name()), entry);
                     self.rendered += 1;
                 }
             }
-        }
-        out.push_str("]}");
+        });
         out
     }
 
@@ -250,11 +250,27 @@ impl RowCache {
 mod tests {
     use super::*;
     use crate::json::Value;
-    use crate::session::{AllocSummary, TaskVerdict};
+    use crate::proto::{AdmissionProtocol, AllocDirective};
+    use crate::session::{admit, analyze_with, AllocSummary, TaskVerdict};
     use crate::wire::SystemSpec;
 
+    /// One row as a [`Value`] tree.
+    fn reference_row(t: &TaskVerdict) -> Value {
+        Value::obj([
+            ("name", Value::str(t.name.clone())),
+            ("processor", Value::str(t.processor.clone())),
+            ("period", Value::from(t.period)),
+            ("wcet", Value::from(t.wcet)),
+            ("blocking", Value::from(t.blocking)),
+            ("demand", Value::from(t.demand)),
+            ("bound", Value::from(t.bound)),
+            ("ok", Value::Bool(t.ok)),
+        ])
+    }
+
     /// The suffix as a [`Value`] tree, encoded, minus its opening brace:
-    /// the writer the streaming one replaced.
+    /// the writer the streaming one replaced, and the reference the
+    /// rendering of an [`Admission`] is held to.
     fn reference_suffix(result: &AdmissionResult) -> String {
         let mut pairs: Vec<(String, Value)> = vec![
             (
@@ -275,24 +291,7 @@ mod tests {
             ),
             (
                 "tasks".into(),
-                Value::Arr(
-                    result
-                        .tasks
-                        .iter()
-                        .map(|t| {
-                            Value::obj([
-                                ("name", Value::str(t.name.clone())),
-                                ("processor", Value::str(t.processor.clone())),
-                                ("period", Value::from(t.period)),
-                                ("wcet", Value::from(t.wcet)),
-                                ("blocking", Value::from(t.blocking)),
-                                ("demand", Value::from(t.demand)),
-                                ("bound", Value::from(t.bound)),
-                                ("ok", Value::Bool(t.ok)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Value::Arr(result.tasks.iter().map(reference_row).collect()),
             ),
         ];
         if let Some(a) = &result.allocation {
@@ -316,6 +315,9 @@ mod tests {
         Value::Obj(pairs).encode()[1..].to_owned()
     }
 
+    /// The writers, on values no analysis gives: the head and the
+    /// allocation summary through [`write_body`] with no rows, and each
+    /// row through [`write_row`].
     #[test]
     fn streamed_suffix_equals_the_value_tree_encoding() {
         // xorshift: seeded, dependency-free.
@@ -381,11 +383,71 @@ mod tests {
                 allocation,
                 analyzed: SystemSpec::default(),
             };
-            assert_eq!(
-                admission_suffix(&result),
-                reference_suffix(&result),
-                "case {case}: {result:?}"
-            );
+            let head = AdmissionResult {
+                tasks: Vec::new(),
+                ..result.clone()
+            };
+            let mut out = String::new();
+            write_body(&head, None, &mut out, |_, _, _, _| unreachable!());
+            assert_eq!(out, reference_suffix(&head), "case {case}: {head:?}");
+            for t in &result.tasks {
+                let values = RowValues {
+                    period: t.period,
+                    wcet: t.wcet,
+                    blocking: t.blocking,
+                    demand: t.demand,
+                    bound: t.bound,
+                    ok: t.ok,
+                };
+                let mut out = String::new();
+                write_row(&t.name, &t.processor, &values, &mut out);
+                assert_eq!(out, reference_row(t).encode(), "case {case}: {t:?}");
+            }
         }
+    }
+
+    /// An admission's suffix is the reference encoding of the result
+    /// [`analyze_with`] makes of it: under every protocol, allocated or
+    /// not, admitted and rejected, with names that need escaping, for an
+    /// empty and an invalid system.
+    #[test]
+    fn a_suffix_is_the_value_tree_encoding_of_its_result() {
+        let mut specs = vec![SystemSpec::default()];
+        for seed in 0..24u64 {
+            let family = mpcp_taskgen::WorkloadConfig::default()
+                .processors(3)
+                .tasks_per_processor(3)
+                .utilization(0.3 + 0.1 * (seed % 6) as f64)
+                .resources(1, 2)
+                .sections(0, 2);
+            let mut spec = SystemSpec::from_system(&mpcp_taskgen::generate(&family, seed));
+            if seed % 3 == 0 {
+                spec.processors[0] = "quo\"te-é".into();
+                spec.tasks[0].name = "tab\t日本".into();
+            }
+            specs.push(spec);
+        }
+        let mut invalid = specs[1].clone();
+        invalid.tasks[0].period = 0;
+        specs.push(invalid);
+        let allocate = AllocDirective {
+            processors: 2,
+            heuristic: mpcp_alloc::Heuristic::FirstFitDecreasing,
+        };
+        let mut verdicts = [0; 2];
+        for spec in &specs {
+            for protocol in AdmissionProtocol::ALL {
+                for allocate in [None, Some(allocate)] {
+                    let result = analyze_with(spec, allocate, protocol);
+                    let suffix = admission_suffix(&admit(spec, allocate, protocol));
+                    assert_eq!(suffix, reference_suffix(&result), "{spec:?}");
+                    verdicts[usize::from(result.admitted)] += 1;
+                }
+            }
+        }
+        assert!(
+            verdicts.iter().all(|&n| n > 20),
+            "rejected / admitted: {verdicts:?}"
+        );
     }
 }

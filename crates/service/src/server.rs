@@ -27,7 +27,7 @@ use crate::pool::WorkerPool;
 use crate::proto::{error_response, ErrorCode, Request};
 use crate::reactor::{self, ShardQueues};
 use crate::reply::{admission_line, admission_suffix};
-use crate::session::{analyze_with, engine_verdict, engine_with, Session, SessionMap};
+use crate::session::{admit, engine_verdict, engine_with, Session, SessionMap};
 use crate::wire::{self, SystemSpec, TaskSpec};
 use mpcp_analysis::Edit;
 use std::io::{self, BufRead, BufReader, Write};
@@ -367,9 +367,7 @@ fn run_pooled(request: Request, state: &Arc<ServerState>) -> String {
         } => {
             let key = AnalysisCache::key(&system, allocate, protocol);
             let how = (allocate, protocol);
-            let (entry, cache_hit) = state.cache.get_or_compute(key, &system, how, || {
-                analyze_with(&system, allocate, protocol)
-            });
+            let (entry, cache_hit) = state.cache.get_or_compute(key, &system, how);
             if entry.admitted {
                 let slot = state.sessions.get_or_create(&session);
                 let mut s = slot.lock().unwrap_or_else(PoisonError::into_inner);
@@ -455,9 +453,7 @@ fn run_edit(state: &Arc<ServerState>, session: &str, edit: &SessionEdit<'_>) -> 
     };
     let key = AnalysisCache::key(&candidate, None, s.protocol);
     let how = (None, s.protocol);
-    let (entry, cache_hit) = state.cache.get_or_compute(key, &candidate, how, || {
-        analyze_with(&candidate, None, s.protocol)
-    });
+    let (entry, cache_hit) = state.cache.get_or_compute(key, &candidate, how);
     // Withdrawal always commits; the verdict reports the state the
     // session is now in.
     if entry.admitted || edit.add.is_none() {
@@ -514,8 +510,8 @@ fn edit_incrementally(
     // task but spells priorities out for all tasks or none, so "the spec
     // plus or minus the one task" is its value exactly while no task
     // carries a priority; any other session takes it whole.
-    let plain = |t: &TaskSpec| t.priority.is_none() && t.deadline != Some(t.period);
-    let patched = tasks.iter().all(plain) && edit.add.is_none_or(|t| t.priority.is_none());
+    let patched =
+        tasks.iter().all(TaskSpec::round_trips) && edit.add.is_none_or(|t| t.priority.is_none());
     let whole = (!patched).then(|| SystemSpec::from_system(next.system()));
     let reply = s
         .rows
@@ -528,11 +524,12 @@ fn edit_incrementally(
     let served = state.stats.delta.fetch_add(1, Ordering::Relaxed);
     if state.audit_every != 0 && served.is_multiple_of(state.audit_every) {
         state.stats.audits.fetch_add(1, Ordering::Relaxed);
-        let full = analyze_with(&candidate(s, edit)?, None, s.protocol);
+        let candidate = candidate(s, edit)?;
+        let full = admit(&candidate, None, s.protocol);
         let mut committed = s.spec.clone();
         commit_edit(&mut committed, whole.clone(), edit, at);
         if reply != admission_line(edit.op, name, "delta", &admission_suffix(&full))
-            || committed != full.analyzed
+            || committed != full.analyzed.unwrap_or(candidate)
         {
             state.stats.audit_failures.fetch_add(1, Ordering::Relaxed);
             s.rows.clear();

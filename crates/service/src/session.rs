@@ -18,7 +18,7 @@ use crate::reply::RowCache;
 use crate::wire::{self, SystemSpec, TaskSpec};
 use mpcp_analysis::{BlockingConfig, BoundSet, Edit};
 use mpcp_model::System;
-use mpcp_verify::{IncrementalAnalysis, Severity};
+use mpcp_verify::{IncrementalAnalysis, Report, Severity};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -59,7 +59,7 @@ pub struct AllocSummary {
 
 /// Outcome of analyzing one submission. Immutable and shared via `Arc`
 /// once computed (possibly from the cache).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AdmissionResult {
     /// The verdict: admit only if the lints are clean (no errors), the
     /// analysis accepts the structure, and its schedulability test holds.
@@ -98,35 +98,54 @@ pub fn analyze_with(
     allocate: Option<AllocDirective>,
     protocol: AdmissionProtocol,
 ) -> AdmissionResult {
-    if spec.tasks.is_empty() {
-        return AdmissionResult {
-            admitted: true,
-            schedulable: true,
-            lint_errors: 0,
-            lint_warnings: 0,
-            reasons: Vec::new(),
-            tasks: Vec::new(),
-            allocation: None,
-            analyzed: spec.clone(),
-        };
+    let Admission {
+        head,
+        rows,
+        analyzed,
+    } = admit(spec, allocate, protocol);
+    AdmissionResult {
+        tasks: rows.map_or_else(Vec::new, |(set, system)| task_verdicts(&system, &set)),
+        analyzed: analyzed.unwrap_or_else(|| spec.clone()),
+        ..head
     }
+}
 
-    let reject = |reasons: Vec<String>| AdmissionResult {
-        admitted: false,
-        schedulable: false,
-        lint_errors: 0,
-        lint_warnings: 0,
-        reasons,
-        tasks: Vec::new(),
-        allocation: None,
-        analyzed: spec.clone(),
+/// One submission through the admission pipeline, its rows left in the
+/// analysis' own terms: the server renders its reply from this, and
+/// [`analyze_with`] makes it whole.
+pub(crate) struct Admission {
+    /// Everything but `tasks` and `analyzed`, as [`engine_verdict`] has it.
+    pub(crate) head: AdmissionResult,
+    /// The rows and the system they index, if analysis ran and accepted it.
+    pub(crate) rows: Option<(BoundSet, System)>,
+    /// The analyzed spec, where it differs from the submitted one.
+    pub(crate) analyzed: Option<SystemSpec>,
+}
+
+/// The admission pipeline: build the system once, allocate if asked,
+/// lint, bound. An empty task set is admitted without a system.
+pub(crate) fn admit(
+    spec: &SystemSpec,
+    allocate: Option<AllocDirective>,
+    protocol: AdmissionProtocol,
+) -> Admission {
+    let trivial = |admitted, reasons| Admission {
+        head: AdmissionResult {
+            admitted,
+            schedulable: admitted,
+            reasons,
+            ..AdmissionResult::default()
+        },
+        rows: None,
+        analyzed: None,
     };
-
+    if spec.tasks.is_empty() {
+        return trivial(true, Vec::new());
+    }
     let system = match spec.to_system() {
         Ok(s) => s,
-        Err(e) => return reject(vec![e.0]),
+        Err(e) => return trivial(false, vec![e.0]),
     };
-
     let (system, allocation) = match allocate {
         None => (system, None),
         Some(d) => match mpcp_alloc::allocate(&system, d.processors, d.heuristic) {
@@ -138,59 +157,62 @@ pub fn analyze_with(
                 };
                 (a.system, Some(summary))
             }
-            Err(e) => return reject(vec![format!("allocation failed: {e}")]),
+            Err(e) => return trivial(false, vec![format!("allocation failed: {e}")]),
         },
     };
-
-    let analyzed = SystemSpec::from_system(&system);
-    let lint = mpcp_verify::lint_system(&system);
-    let lint_errors = lint.count(Severity::Error);
-    let lint_warnings = lint.count(Severity::Warning);
-    let mut reasons: Vec<String> = lint
-        .diagnostics()
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .map(|d| format!("{}: {}", d.code, d.message))
-        .collect();
-
-    let (schedulable, tasks) = match protocol.bounds(&system, BlockingConfig::paper()) {
-        Ok(set) => {
-            push_row_reasons(&system, &set, &mut reasons);
-            (set.schedulable(), task_verdicts(&system, &set))
-        }
-        Err(e) => {
-            reasons.push(format!("analysis rejected the system: {e}"));
-            (false, Vec::new())
-        }
-    };
-
-    AdmissionResult {
-        admitted: lint_errors == 0 && schedulable,
-        schedulable,
-        lint_errors,
-        lint_warnings,
-        reasons,
-        tasks,
-        allocation,
+    // Such a spec comes back from `from_system` as written (the property
+    // test below holds the predicate to it), so it skips the round trip.
+    let as_written = allocation.is_none() && spec.tasks.iter().all(TaskSpec::round_trips);
+    let analyzed = (!as_written)
+        .then(|| SystemSpec::from_system(&system))
+        .filter(|a| a != spec);
+    let bounds = (protocol.bounds(&system, BlockingConfig::paper())).map_err(|e| e.to_string());
+    let report = mpcp_verify::lint_system(&system);
+    Admission {
+        head: head(&system, &report, &bounds, allocation),
+        rows: bounds.ok().map(|set| (set, system)),
         analyzed,
     }
 }
 
-/// One rejection reason per failed row of `set`, in row order.
-fn push_row_reasons(system: &System, set: &BoundSet, reasons: &mut Vec<String>) {
-    // MPCP replies predate protocol selection and name the theorem.
-    let label = if set.analysis() == AdmissionProtocol::Mpcp {
-        "theorem3"
-    } else {
-        set.analysis().name()
-    };
-    for row in set.per_task().iter().filter(|row| !row.ok) {
-        reasons.push(format!(
-            "{label}: task {} demand {:.3} exceeds bound {:.3}",
-            system.task(row.task).name(),
-            row.demand,
-            row.bound
-        ));
+/// The verdict on `system`, short of `tasks` and `analyzed`, from its
+/// lint `report` and its rows (or why analysis refused it): one rejection
+/// reason per lint error, then one per failed row in row order.
+fn head(
+    system: &System,
+    report: &Report,
+    bounds: &Result<BoundSet, String>,
+    allocation: Option<AllocSummary>,
+) -> AdmissionResult {
+    let lint_errors = report.count(Severity::Error);
+    let mut reasons: Vec<String> = (report.diagnostics().iter())
+        .filter(|d| d.severity == Severity::Error)
+        .map(|d| format!("{}: {}", d.code, d.message))
+        .collect();
+    match bounds {
+        Ok(set) => {
+            // MPCP replies predate protocol selection and name the theorem.
+            let label = match set.analysis() {
+                AdmissionProtocol::Mpcp => "theorem3",
+                other => other.name(),
+            };
+            reasons.extend(set.per_task().iter().filter(|row| !row.ok).map(|row| {
+                let task = system.task(row.task).name();
+                let (demand, bound) = (row.demand, row.bound);
+                format!("{label}: task {task} demand {demand:.3} exceeds bound {bound:.3}")
+            }));
+        }
+        Err(e) => reasons.push(format!("analysis rejected the system: {e}")),
+    }
+    let schedulable = bounds.as_ref().is_ok_and(BoundSet::schedulable);
+    AdmissionResult {
+        admitted: lint_errors == 0 && schedulable,
+        schedulable,
+        lint_errors,
+        lint_warnings: report.count(Severity::Warning),
+        reasons,
+        allocation,
+        ..AdmissionResult::default()
     }
 }
 
@@ -326,34 +348,10 @@ pub fn analyze_incremental(
 /// (`None` when the analysis refused the system), and `tasks` and
 /// `analyzed` are left empty.
 pub(crate) fn engine_verdict(engine: &IncrementalAnalysis) -> (AdmissionResult, Option<BoundSet>) {
-    let report = engine.report();
-    let lint_errors = report.count(Severity::Error);
-    let mut reasons: Vec<String> = report
-        .diagnostics()
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .map(|d| format!("{}: {}", d.code, d.message))
-        .collect();
-    let bounds = engine.bounds();
-    match &bounds {
-        Some(set) => push_row_reasons(engine.system(), set, &mut reasons),
-        None => reasons.push(format!(
-            "analysis rejected the system: {}",
-            engine.analysis_error().unwrap_or("analysis unavailable")
-        )),
-    }
-    let schedulable = bounds.as_ref().is_some_and(BoundSet::schedulable);
-    let head = AdmissionResult {
-        admitted: lint_errors == 0 && schedulable,
-        schedulable,
-        lint_errors,
-        lint_warnings: report.count(Severity::Warning),
-        reasons,
-        tasks: Vec::new(),
-        allocation: None,
-        analyzed: SystemSpec::default(),
-    };
-    (head, bounds)
+    let bounds = (engine.bounds())
+        .ok_or_else(|| (engine.analysis_error().unwrap_or("analysis unavailable")).to_owned());
+    let head = head(engine.system(), engine.report(), &bounds, None);
+    (head, bounds.ok())
 }
 
 /// [`engine_verdict`] made whole: the [`AdmissionResult`] of the
@@ -643,6 +641,73 @@ mod tests {
         dup.tasks.push(clone);
         assert!(analyze_incremental(&engine, &dup, &Edit::AddTask("a".into())).is_none());
         assert!(engine_for(&dup).is_none());
+    }
+
+    /// Where the round-trip predicate says a spec comes back as written,
+    /// `from_system(to_system(spec)) == spec`; everywhere, the spec a
+    /// cache entry commits is what [`analyze_with`] returns, and that is
+    /// the analyzed system's round trip, as it was before the predicate.
+    #[test]
+    fn a_spec_round_trips_where_the_predicate_says_so() {
+        let family = mpcp_taskgen::WorkloadConfig::default()
+            .processors(2)
+            .tasks_per_processor(3)
+            .resources(1, 1)
+            .sections(0, 2);
+        let (mut as_written, mut spelled) = (0, 0);
+        mpcp_prop::cases(300, 0x41_5eed, |rng| {
+            let built = mpcp_taskgen::generate(&family, rng.next_u64());
+            let mut spec = SystemSpec::from_system(&built);
+            // Priorities spelled out: the rate-monotonic ones the builder
+            // would assign, or a permutation of them.
+            if rng.chance(0.3) {
+                let mut levels: Vec<u32> =
+                    built.tasks().iter().map(|t| t.priority().level()).collect();
+                if rng.chance(0.5) {
+                    for i in (1..levels.len()).rev() {
+                        levels.swap(i, rng.range_usize(0, i));
+                    }
+                }
+                for (t, level) in spec.tasks.iter_mut().zip(levels) {
+                    t.priority = Some(level);
+                }
+            }
+            let spell_periods = rng.chance(0.4);
+            for t in &mut spec.tasks {
+                t.deadline = match rng.range_u32(0, 2) {
+                    0 if spell_periods => Some(t.period),
+                    1 => Some(rng.range_u64(t.period / 2, t.period)),
+                    _ => None,
+                };
+            }
+            let allocate = rng.chance(0.2).then_some(AllocDirective {
+                processors: 2,
+                heuristic: mpcp_alloc::Heuristic::WorstFitDecreasing,
+            });
+            let full = analyze_with(&spec, allocate, AdmissionProtocol::Mpcp);
+            let cache = crate::cache::AnalysisCache::new(16);
+            let (entry, _) = cache.get_or_compute(0, &spec, (allocate, AdmissionProtocol::Mpcp));
+            assert_eq!(entry.analyzed(spec.clone()), full.analyzed, "{spec:?}");
+            let Ok(system) = spec.to_system() else {
+                return;
+            };
+            let system = match allocate {
+                Some(d) => match mpcp_alloc::allocate(&system, d.processors, d.heuristic) {
+                    Ok(a) => a.system,
+                    Err(_) => return,
+                },
+                None => system,
+            };
+            let round_trip = SystemSpec::from_system(&system);
+            assert_eq!(full.analyzed, round_trip, "{spec:?}");
+            if allocate.is_none() && spec.tasks.iter().all(TaskSpec::round_trips) {
+                assert_eq!(round_trip, spec);
+                as_written += 1;
+            } else {
+                spelled += u32::from(round_trip != spec);
+            }
+        });
+        assert!(as_written > 40 && spelled > 40, "{as_written} / {spelled}");
     }
 
     #[test]

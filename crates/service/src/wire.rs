@@ -99,6 +99,14 @@ pub struct SystemSpec {
     pub tasks: Vec<TaskSpec>,
 }
 
+impl TaskSpec {
+    /// Whether the task comes back from [`SystemSpec::from_system`] as is,
+    /// in a system of such tasks: no priority, no deadline equal to its period.
+    pub(crate) fn round_trips(&self) -> bool {
+        self.priority.is_none() && self.deadline != Some(self.period)
+    }
+}
+
 impl SystemSpec {
     /// Extracts the wire description of a built system.
     ///

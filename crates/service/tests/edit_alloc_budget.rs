@@ -351,14 +351,19 @@ const BLOCKS_PER_ENTRY: i64 = 4;
 /// the shared entry itself and a share of the map's growth.
 const BYTES_PER_ENTRY: i64 = 256;
 
-/// A cached verdict keeps its reply and its submission's field words,
-/// not its analysis. The 64 benchmark-shaped submissions each miss an
-/// [`AnalysisCache`] once, computed by [`analyze_with`] as the server
-/// does; what the thread still holds afterwards is, per entry (means over
-/// the 64, so the map's growth is amortised), at most
-/// [`BLOCKS_PER_ENTRY`] blocks and words + tail + [`BYTES_PER_ENTRY`]
-/// bytes. An entry that kept the whole `AdmissionResult` held ~95
-/// blocks and ~5.9 KB before its reply tail was rendered into it.
+/// Mean bytes of an entry's packed field words.
+const WORD_BYTES_PER_ENTRY: i64 = 600;
+
+/// A cached verdict keeps its reply and its submission's packed field
+/// words, not its analysis. The 64 benchmark-shaped submissions each
+/// miss an [`AnalysisCache`] once; what the thread still holds afterwards
+/// is, per entry (means over the 64, so the map's growth is amortised),
+/// at most [`BLOCKS_PER_ENTRY`] blocks and words + tail +
+/// [`BYTES_PER_ENTRY`] bytes, and the words at most
+/// [`WORD_BYTES_PER_ENTRY`]. An entry that kept the whole
+/// `AdmissionResult` held ~95 blocks and ~5.9 KB before its reply tail
+/// was rendered into it, and its words took ~2.5 KB as `u64`s before they
+/// were packed.
 #[test]
 fn a_cached_miss_keeps_its_reply_and_words() {
     let protocol = AdmissionProtocol::Mpcp;
@@ -367,16 +372,14 @@ fn a_cached_miss_keeps_its_reply_and_words() {
         .map(|s| AnalysisCache::key(s, None, protocol))
         .collect();
     let words: usize = (specs.iter())
-        .map(|s| 8 * field_words(&(s, None::<AllocDirective>, protocol)).len())
+        .map(|s| field_words(&(s, None::<AllocDirective>, protocol)).len())
         .sum();
     // Whatever the analysis sets up on first use is not an entry's.
     drop(analyze_with(&specs[0], None, protocol));
     let cache = AnalysisCache::new(4096);
     let (before, mut tails) = (counts(), 0);
     for (spec, key) in specs.iter().zip(keys) {
-        let (entry, hit) = cache.get_or_compute(key, spec, (None, protocol), || {
-            analyze_with(spec, None, protocol)
-        });
+        let (entry, hit) = cache.get_or_compute(key, spec, (None, protocol));
         assert!(!hit);
         tails += entry.suffix.len();
     }
@@ -400,4 +403,40 @@ fn a_cached_miss_keeps_its_reply_and_words() {
         bytes <= words + tails + n * BYTES_PER_ENTRY,
         "{bytes} B kept by {n} entries, of which words {words} B and tails {tails} B"
     );
+    assert!(
+        words <= n * WORD_BYTES_PER_ENTRY,
+        "{words} B of field words for {n} entries"
+    );
+}
+
+/// Mean allocations of one miss through [`AnalysisCache::get_or_compute`].
+const MISS_BUDGET: u64 = 250;
+
+/// A miss allocates for its analysis and its entry, and for nothing the
+/// reply does not show. Each of the 64 submissions misses once; the mean
+/// is at most [`MISS_BUDGET`] allocations. A miss that converted the
+/// built system back to a spec, rendered its rows from per-task verdicts
+/// and built the lint table afresh made 333.4.
+#[test]
+fn a_miss_allocates_for_its_analysis() {
+    let protocol = AdmissionProtocol::Mpcp;
+    let specs: Vec<SystemSpec> = submit_lines().into_iter().map(|(spec, _)| spec).collect();
+    drop(analyze_with(&specs[0], None, protocol));
+    let cache = AnalysisCache::new(4096);
+    let mut spent = Vec::new();
+    for spec in &specs {
+        let key = AnalysisCache::key(spec, None, protocol);
+        let before = allocs();
+        let (_, hit) = cache.get_or_compute(key, spec, (None, protocol));
+        spent.push(allocs() - before);
+        assert!(!hit);
+    }
+    let mean = spent.iter().sum::<u64>() as f64 / spent.len() as f64;
+    spent.sort_unstable();
+    println!(
+        "allocations per miss: mean {mean:.1}, min {}, max {}",
+        spent[0],
+        spent[spent.len() - 1]
+    );
+    assert!(mean <= MISS_BUDGET as f64, "{mean:.1} allocations per miss");
 }

@@ -102,21 +102,21 @@ pub trait Lint {
     }
 }
 
-/// The default lint set, in code order.
-pub fn default_lints() -> Vec<Box<dyn Lint>> {
-    vec![
-        Box::new(LockOrderCycle),
-        Box::new(MisscopedResource),
-        Box::new(UnusedResource),
-        Box::new(MixedScopeNesting),
-        Box::new(NestedGlobalSections),
-        Box::new(SuspensionInCriticalSection),
-        Box::new(ProcessorOverutilized),
-        Box::new(NonRmPriorities),
-        Box::new(GcsExceedsDeadline),
-        Box::new(UncontendedSemaphore),
-        Box::new(MergeableAdjacentSections),
-        Box::new(DeadCeiling),
+/// The default lint set, in code order: a static table of unit structs.
+pub fn default_lints() -> &'static [&'static dyn Lint] {
+    &[
+        &LockOrderCycle,
+        &MisscopedResource,
+        &UnusedResource,
+        &MixedScopeNesting,
+        &NestedGlobalSections,
+        &SuspensionInCriticalSection,
+        &ProcessorOverutilized,
+        &NonRmPriorities,
+        &GcsExceedsDeadline,
+        &UncontendedSemaphore,
+        &MergeableAdjacentSections,
+        &DeadCeiling,
     ]
 }
 
