@@ -273,12 +273,13 @@ pub fn rta_with_jitter_schedulable(system: &System, blocking: &[Dur]) -> bool {
 /// ([`TaskBounds::factors`](crate::TaskBounds::factors)) — the
 /// deferred-execution penalty is superseded by the jitter term.
 ///
-/// **Advisory.** Scenario sweeps found observed MPCP responses slightly
-/// above this fixed point on ~1% of random systems (the recurrence
-/// under-counts interference released while the analyzed task
-/// self-suspends), consistent with the literature on flawed
-/// suspension-aware RTA. A [`BoundSet`](crate::BoundSet)'s blocking
-/// bound and verdict are the sound results.
+/// **Advisory.** Scenario sweeps observe MPCP responses slightly above
+/// this fixed point on under 1% of random systems. The engine, not the
+/// recurrence, causes them: it completes a job whose last tick ends at
+/// `t` only after `t`'s releases, so a higher-priority release stretches
+/// a response with no work left (DESIGN §10, E17). Until that is fixed,
+/// a [`BoundSet`](crate::BoundSet)'s blocking bound and verdict are the
+/// results to rely on.
 ///
 /// # Panics
 ///

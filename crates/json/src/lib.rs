@@ -276,9 +276,12 @@ pub fn hash_fields<T: Hash + ?Sized>(value: &T) -> u64 {
 }
 
 /// `value`'s fields as derived [`Hash`] writes them, each word packed as
-/// canonical LEB128: most are small integers or short names.
+/// canonical LEB128: most are small integers or short names. A counting
+/// pass sizes the bytes, so they are allocated once.
 pub fn field_words<T: Hash + ?Sized>(value: &T) -> Box<[u8]> {
-    let mut bytes = Vec::new();
+    let mut len = 0;
+    value.hash(&mut Words(|n| leb128(n, |_| len += 1)));
+    let mut bytes = Vec::with_capacity(len);
     value.hash(&mut Words(|n| leb128(n, |b| bytes.push(b))));
     bytes.into_boxed_slice()
 }

@@ -410,13 +410,14 @@ fn a_cached_miss_keeps_its_reply_and_words() {
 }
 
 /// Mean allocations of one miss through [`AnalysisCache::get_or_compute`].
-const MISS_BUDGET: u64 = 250;
+const MISS_BUDGET: u64 = 232;
 
 /// A miss allocates for its analysis and its entry, and for nothing the
 /// reply does not show. Each of the 64 submissions misses once; the mean
 /// is at most [`MISS_BUDGET`] allocations. A miss that converted the
 /// built system back to a spec, rendered its rows from per-task verdicts
-/// and built the lint table afresh made 333.4.
+/// and built the lint table afresh made 333.4; one whose field words grew
+/// their byte vector from empty made 236.0.
 #[test]
 fn a_miss_allocates_for_its_analysis() {
     let protocol = AdmissionProtocol::Mpcp;

@@ -32,16 +32,16 @@ pub struct SweepConfig {
     pub util_steps: usize,
     /// Also treat the RTA response-time comparison as a hard oracle.
     ///
-    /// **Advisory by default.** The sweep itself demonstrated that every
-    /// RTA recurrence this repo implements — plain, blocking-as-jitter
-    /// and the suspension-aware `J_h = R_h − C_h` variant — is exceeded
-    /// by observed MPCP responses on a small fraction of scenarios
-    /// (9/1000 at seed 42; e.g. system seed 257 measures 1394 against a
-    /// fixed point of 1370). This matches the published finding that
-    /// suspension-aware RTA analyses of this class are flawed, so the
-    /// comparison is reported via the `rta_accepted` curve statistic
-    /// instead of failing the run. Enable for research runs hunting
-    /// sharper recurrences.
+    /// **Advisory by default.** Observed MPCP responses exceed the RTA
+    /// fixed point on a small fraction of scenarios (9/1000 at seed 42;
+    /// e.g. system seed 257 measures 1394 against a fixed point of
+    /// 1370). The recurrences are not at fault: the simulator completes
+    /// a job whose last tick ends at `t` only after `t`'s releases are
+    /// dispatched, so a higher-priority release stretches a response
+    /// that had no work left (DESIGN §10, EXPERIMENTS E17). Until the
+    /// engine completes such a job first, the comparison is reported
+    /// via the `rta_accepted` curve statistic instead of failing the
+    /// run.
     pub check_response: bool,
     /// Self-certify the incremental analysis engine on every scenario:
     /// replay a small edit script through

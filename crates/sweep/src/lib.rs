@@ -1,7 +1,8 @@
 //! Deterministic multi-threaded scenario sweeps.
 //!
 //! This crate drives the whole reproduction stack against itself: a
-//! work-stealing worker pool consumes seeded scenarios from
+//! worker pool whose threads claim scenario indices from one shared
+//! cursor consumes seeded scenarios from
 //! [`mpcp_taskgen::ScenarioStream`], and for each one runs the §5.1
 //! blocking bounds, Theorem 3 and RTA from `mpcp-analysis`, a
 //! bounded-horizon simulation per protocol with trace invariants

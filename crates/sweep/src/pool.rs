@@ -1,134 +1,57 @@
-//! Deterministic work-stealing index pool.
+//! Deterministic index pool.
 //!
 //! [`run_indexed_with`] evaluates `f(0) .. f(n-1)` on a fixed-size worker
-//! pool and returns the results in index order. The index space is
-//! split into one contiguous range per worker, each packed into a
-//! single `AtomicU64` (`lo` in the high half, `hi` in the low half):
-//! the owner claims indices from the front with a CAS, idle workers
-//! steal from the back of the fullest remaining range. Because `f` is
-//! a pure function of the index and results are re-ordered by index
-//! afterwards, the output is byte-identical for every worker count —
-//! only wall-clock time changes.
+//! pool and returns the results in index order. Workers claim the next
+//! index from one shared atomic cursor. Because `f` is a pure function
+//! of the index and results are re-ordered by index afterwards, the
+//! output is byte-identical for every worker count — only wall-clock
+//! time changes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
-
-fn pack(lo: u32, hi: u32) -> u64 {
-    (u64::from(lo) << 32) | u64::from(hi)
-}
-
-fn unpack(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, v as u32)
-}
-
-/// Claims the front index of the range, if any.
-fn claim_front(range: &AtomicU64) -> Option<usize> {
-    let mut cur = range.load(Ordering::Acquire);
-    loop {
-        let (lo, hi) = unpack(cur);
-        if lo >= hi {
-            return None;
-        }
-        match range.compare_exchange_weak(
-            cur,
-            pack(lo + 1, hi),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => return Some(lo as usize),
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-/// Steals the back index of the range, if any.
-fn steal_back(range: &AtomicU64) -> Option<usize> {
-    let mut cur = range.load(Ordering::Acquire);
-    loop {
-        let (lo, hi) = unpack(cur);
-        if lo >= hi {
-            return None;
-        }
-        match range.compare_exchange_weak(
-            cur,
-            pack(lo, hi - 1),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => return Some((hi - 1) as usize),
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-fn remaining(range: &AtomicU64) -> u32 {
-    let (lo, hi) = unpack(range.load(Ordering::Acquire));
-    hi.saturating_sub(lo)
-}
 
 /// Evaluates `f` at every index in `0..n` using `jobs` worker threads
 /// and returns the results in index order, independent of scheduling.
 /// Every worker owns a persistent scratch value created by `init`,
 /// passed to each `f` call it makes — sweep
 /// workers recycle one simulator (and its arena, heaps and buffers)
-/// across their whole index range. Determinism is unchanged *provided*
+/// across every index they claim. Determinism is unchanged *provided*
 /// `f`'s result is a pure function of the index: scratch state must
 /// only affect allocation behaviour, never output (the sweep's
 /// report-hash tests enforce this across worker counts).
 ///
 /// # Panics
 ///
-/// Panics if `n` exceeds `u32::MAX` or if a worker thread panics.
+/// Panics if a worker thread panics.
 pub fn run_indexed_with<T: Send, W>(
     n: usize,
     jobs: usize,
     init: impl Fn() -> W + Sync,
     f: impl Fn(&mut W, usize) -> T + Sync,
 ) -> Vec<T> {
-    assert!(u32::try_from(n).is_ok(), "index space too large");
     let jobs = jobs.max(1).min(n.max(1));
     if jobs == 1 {
         let mut scratch = init();
         return (0..n).map(|i| f(&mut scratch, i)).collect();
     }
 
-    // Contiguous ranges, remainder spread over the first few workers.
-    let base = n / jobs;
-    let extra = n % jobs;
-    let mut ranges = Vec::with_capacity(jobs);
-    let mut lo = 0usize;
-    for w in 0..jobs {
-        let len = base + usize::from(w < extra);
-        ranges.push(AtomicU64::new(pack(lo as u32, (lo + len) as u32)));
-        lo += len;
-    }
-
-    let worker = |w: usize| -> Vec<(usize, T)> {
+    // The cursor publishes no data, so `Relaxed` suffices: results
+    // reach this thread through the joins.
+    let next = AtomicUsize::new(0);
+    let worker = || -> Vec<(usize, T)> {
         let mut scratch = init();
-        let mut out = Vec::with_capacity(base + 1);
+        let mut out = Vec::new();
         loop {
-            if let Some(i) = claim_front(&ranges[w]) {
-                out.push((i, f(&mut scratch, i)));
-                continue;
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return out;
             }
-            // Own range drained: steal from the back of the fullest
-            // remaining range.
-            let victim = (0..jobs)
-                .filter(|&v| v != w)
-                .max_by_key(|&v| remaining(&ranges[v]))
-                .filter(|&v| remaining(&ranges[v]) > 0);
-            match victim.and_then(|v| steal_back(&ranges[v])) {
-                Some(i) => out.push((i, f(&mut scratch, i))),
-                None if (0..jobs).all(|v| remaining(&ranges[v]) == 0) => break,
-                None => thread::yield_now(),
-            }
+            out.push((i, f(&mut scratch, i)));
         }
-        out
     };
 
-    let worker = &worker;
     let collected: Vec<Vec<(usize, T)>> = thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs).map(|w| s.spawn(move || worker(w))).collect();
+        let handles: Vec<_> = (0..jobs).map(|_| s.spawn(worker)).collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("sweep worker panicked"))
@@ -151,7 +74,6 @@ pub fn run_indexed_with<T: Send, W>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     fn run_indexed<T: Send>(n: usize, jobs: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
         run_indexed_with(n, jobs, || (), |_, i| f(i))

@@ -22,7 +22,7 @@
 //! which is what makes byte-for-byte comparison a meaningful oracle.
 
 use crate::diag::{write_json_str, Diagnostic, Report};
-use crate::lint::{default_lints, unit_count, LintContext, LintScope};
+use crate::lint::{unit_count, LintScope, LINTS};
 use mpcp_analysis::{
     dirty_set, Analysis, BlockingConfig, BoundSet, DeltaBounds, DeltaStats, DepGraph, Edit,
 };
@@ -78,7 +78,7 @@ struct LintCache {
 impl LintCache {
     fn empty() -> LintCache {
         LintCache {
-            per_lint: default_lints().iter().map(|_| BTreeMap::new()).collect(),
+            per_lint: LINTS.iter().map(|_| BTreeMap::new()).collect(),
         }
     }
 
@@ -92,8 +92,6 @@ impl LintCache {
         dirty: &mpcp_analysis::DirtySet,
         stats: &mut EngineStats,
     ) -> Report {
-        let lints = default_lints();
-        let ctx = LintContext::new(system);
         // Name -> unit index, via the system's cached name-sorted
         // tables (building per-update maps here dominated the cost of
         // small updates).
@@ -114,14 +112,14 @@ impl LintCache {
             }
         };
         let mut diags = Vec::new();
-        for (i, lint) in lints.iter().enumerate() {
-            let scope = lint.scope();
+        for (i, lint) in LINTS.iter().enumerate() {
+            let scope = lint.scope;
             let cache = &mut self.per_lint[i];
             let units = unit_count(scope, system) as u64;
             let recheck =
                 |cache: &mut BTreeMap<String, Vec<Diagnostic>>, key: &str, unit: usize| {
                     let mut out = Vec::new();
-                    lint.check_unit(system, &ctx, unit, &mut out);
+                    (lint.check)(lint, system, unit, &mut out);
                     if out.is_empty() {
                         cache.remove(key);
                     } else {

@@ -8,9 +8,12 @@
 //!   lock-order cycles among nested global semaphores (§5.1's partial
 //!   ordering), mis-scoped resources, the §4 scope-nesting rules,
 //!   suspension inside critical sections, per-processor utilization
-//!   against the Liu–Layland bound, rate-monotonic priority inversions
-//!   and global sections that already exceed a user's deadline. Run
-//!   [`lint_system`] and render the [`Report`] for humans or as JSON.
+//!   against the Liu–Layland bound, rate-monotonic priority inversions,
+//!   global sections that already exceed a user's deadline, and the
+//!   advisories for single-user semaphores, back-to-back sections on one
+//!   semaphore and local ceilings their users' global sections dominate
+//!   (V001–V012, one row each of [`LINTS`]). Run [`lint_system`] and
+//!   render the [`Report`] for humans or as JSON.
 //! * **[`diag`]** — the [`Diagnostic`]/[`Report`] API, which the model
 //!   checker (`mpcp_sweep::checker`) reports through as well.
 //! * **[`delta`]** — [`IncrementalAnalysis`], the admission server's
@@ -58,4 +61,4 @@ pub use delta::{
     EngineStats, IncrementalAnalysis,
 };
 pub use diag::{Diagnostic, Report, Severity};
-pub use lint::{default_lints, lint_system, Lint, LintContext, LintScope};
+pub use lint::{lint_system, Lint, LintScope, LINTS};
