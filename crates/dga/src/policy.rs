@@ -3,9 +3,9 @@
 //!
 //! Unlike every other policy in the workspace, `DgaReplay` makes no
 //! online decisions — all semaphore ordering was fixed offline by
-//! [`DgaSchedule`](crate::DgaSchedule). At run time a job requesting a
-//! semaphore is granted it only when (a) the semaphore is free, (b) the
-//! job is the *next* entry of that semaphore's offline chain, and (c)
+//! [`DgaSchedule`]. At run time a job requesting a semaphore is granted
+//! it only when (a) the semaphore is free, (b) the job is the *next*
+//! entry of that semaphore's offline chain, and (c)
 //! the chain entry's start slot has been reached. Otherwise the job
 //! blocks — even if the semaphore is free — making non-work-conserving
 //! idling first-class: a processor may sit idle while a ready job waits

@@ -154,7 +154,7 @@ impl<T> MpcpMutex<T> {
     /// an **equal or higher** ceiling panics, because only strictly
     /// increasing ceiling order rules out cross-thread deadlock (and
     /// MPCP forbids nesting global sections at all). Release builds do
-    /// no checking. See the [`lockdep`] module docs.
+    /// no checking. See the `lockdep` module docs.
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     pub fn with_ceiling(value: T, ceiling: Priority) -> Self {
         MpcpMutex {

@@ -25,7 +25,7 @@
 //! - [`pool`]: bounded worker pool — overload sheds, never stalls.
 //! - [`sys`]: the one `unsafe` module — a minimal FFI shim over
 //!   epoll/`poll(2)` exposing the safe [`sys::Poller`].
-//! - [`server`] + [`reactor`]: the accept loop dealing connections to
+//! - [`server`] + `reactor`: the accept loop dealing connections to
 //!   nonblocking event-loop shards with pipelined request batching,
 //!   plus a small blocking [`server::Client`].
 //! - [`persist`]: session journal + snapshot persistence, replayed on

@@ -11,31 +11,31 @@
 //! # Pipelining and ordering
 //!
 //! Clients may pipeline: write many request lines without waiting.
-//! Per readability event the shard drains *all* complete lines,
-//! assigns each a sequence slot, and dispatches maximal runs of
-//! analysis-class requests to the pool as one batch. Responses are
-//! written strictly in slot order — a later response waits in its slot
-//! until every earlier one is filled — so the wire contract (N-th
-//! response answers the N-th request) survives concurrency.
-//!
-//! Mutating requests from one connection are also *executed* in
-//! order: a connection has at most one batch in flight, and follow-up
-//! requests queue in its inbox until the batch completes. Requests on
-//! different connections run concurrently across the pool; sessions
-//! stay consistent through their per-session locks.
+//! Per readability event the shard drains *all* complete lines into
+//! the connection's inbox, and answers the inbox strictly from its
+//! head: a reply known at parse time (a malformed line), `query` and
+//! `shutdown` are answered on the shard, and a maximal run of
+//! analysis-class requests leaves for the pool as one batch. A
+//! connection has at most one batch in flight, and nothing behind it
+//! is answered until its replies are back, so replies reach the output
+//! buffer in request order (the N-th response answers the N-th
+//! request) and mutations from one connection commit in that order.
+//! Requests on different connections run concurrently across the
+//! pool; sessions stay consistent through their per-session locks.
 //!
 //! # Backpressure and hardening
 //!
 //! A connection stops being read (its read interest is dropped) while
-//! `inbox + pending ≥ max_pipeline` or its output buffer exceeds the
+//! `inbox + batch ≥ max_pipeline` or its output buffer exceeds the
 //! high-water mark; kernel TCP backpressure propagates to the client.
 //! A partial request line older than the read deadline (slow loris) or
 //! a line longer than [`MAX_LINE_BYTES`](crate::server::MAX_LINE_BYTES)
-//! closes the connection — the latter only after a structured `parse`
-//! error is flushed. Accepted sockets run with `TCP_NODELAY` so
-//! pipelined responses are not delayed by Nagle batching.
+//! closes the connection — the latter only after every earlier reply
+//! and a structured `parse` error are flushed. Accepted sockets run
+//! with `TCP_NODELAY` so pipelined responses are not delayed by Nagle
+//! batching.
 
-use crate::json::Doc;
+use crate::json::{Doc, Value};
 use crate::proto::{error_response, ErrorCode, Request};
 use crate::server::{self, ServerState, MAX_LINE_BYTES};
 use crate::sys::{Event, Interest, Poller};
@@ -60,34 +60,12 @@ const READ_CHUNK: usize = 64 * 1024;
 /// How long the poller sleeps when idle; bounds deadline-sweep latency.
 const TICK_MS: i32 = 250;
 
-/// One finished request: the encoded response line for a sequence slot.
-pub(crate) struct Completion {
+/// One finished batch: its replies for connection `(conn, gen)`, as
+/// newline-terminated lines in request order.
+struct Completion {
     conn: u32,
     gen: u32,
-    seq: u64,
-    line: Vec<u8>,
-    end_of_batch: bool,
-}
-
-impl Completion {
-    /// Builds a completion for `(conn, gen, seq)` from a response line
-    /// (newline appended here).
-    pub(crate) fn new(
-        conn: u32,
-        gen: u32,
-        seq: u64,
-        mut line: Vec<u8>,
-        end_of_batch: bool,
-    ) -> Self {
-        line.push(b'\n');
-        Completion {
-            conn,
-            gen,
-            seq,
-            line,
-            end_of_batch,
-        }
-    }
+    replies: Vec<u8>,
 }
 
 /// The cross-thread half of a shard: injection + completion queues and
@@ -114,12 +92,12 @@ impl ShardQueues {
         self.wake();
     }
 
-    /// Delivers a batch of finished responses (worker side).
-    pub(crate) fn complete(&self, batch: Vec<Completion>) {
+    /// Delivers a finished batch (worker side).
+    fn complete(&self, batch: Completion) {
         self.completions
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .extend(batch);
+            .push(batch);
         self.wake();
     }
 
@@ -129,14 +107,16 @@ impl ShardQueues {
     }
 }
 
-/// A queued-but-undispatched request on one connection.
+/// A request line not yet answered on one connection.
 enum InboxItem {
+    /// A reply already known at parse time (a malformed line).
+    Reply(Value),
     /// Analysis-class request bound for the worker pool, with its
     /// arrival instant (deadlines measure from here).
-    Pooled(u64, Request, Instant),
+    Pooled(Request, Instant),
     /// `query`/`shutdown`: executed by the reactor itself when it
-    /// reaches the head of the line, preserving request order.
-    Control(u64, Request),
+    /// reaches the head of the line.
+    Control(Request),
 }
 
 /// Per-connection reactor state.
@@ -148,16 +128,13 @@ struct Conn {
     line_start: usize,
     /// No b'\n' exists in `rbuf[line_start..scanned]`.
     scanned: usize,
-    /// Coalesced in-order responses awaiting the socket.
+    /// In-order responses awaiting the socket.
     out: Vec<u8>,
     out_pos: usize,
-    /// Sequence slots: `pending[i]` answers request `base_seq + i`.
-    pending: VecDeque<Option<Vec<u8>>>,
-    base_seq: u64,
-    next_seq: u64,
-    /// Parsed requests not yet dispatched (one batch in flight max).
+    /// Requests not yet answered or dispatched, in request order.
     inbox: VecDeque<InboxItem>,
-    batch_in_flight: bool,
+    /// Requests in the one batch on the pool; `0` when none is.
+    batch: usize,
     last_read: Instant,
     interest: Interest,
     read_closed: bool,
@@ -173,22 +150,13 @@ struct Conn {
 
 impl Conn {
     fn in_flight(&self) -> usize {
-        self.pending.len() + self.inbox.len()
+        self.inbox.len() + self.batch
     }
 
-    fn fill_slot(&mut self, seq: u64, line: Vec<u8>) {
-        debug_assert!(seq >= self.base_seq && seq < self.next_seq);
-        let idx = (seq - self.base_seq) as usize;
-        if let Some(slot) = self.pending.get_mut(idx) {
-            *slot = Some(line);
-        }
-    }
-
-    fn claim_slot(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.push_back(None);
-        seq
+    /// Appends `reply` to the output as one line.
+    fn answer(&mut self, reply: &Value) {
+        self.out.extend_from_slice(reply.encode().as_bytes());
+        self.out.push(b'\n');
     }
 }
 
@@ -265,11 +233,8 @@ pub(crate) fn shard_loop(
                 scanned: 0,
                 out: Vec::new(),
                 out_pos: 0,
-                pending: VecDeque::new(),
-                base_seq: 0,
-                next_seq: 0,
                 inbox: VecDeque::new(),
-                batch_in_flight: false,
+                batch: 0,
                 last_read: Instant::now(),
                 interest: Interest::READ,
                 read_closed: false,
@@ -285,7 +250,7 @@ pub(crate) fn shard_loop(
             }
         }
 
-        // Apply completed analyses to their slots.
+        // Append finished batches to their connections' output.
         let completed: Vec<Completion> = std::mem::take(
             &mut *queues
                 .completions
@@ -299,10 +264,8 @@ pub(crate) fn shard_loop(
             if conn.gen != c.gen {
                 continue; // response for a previous occupant of this slot
             }
-            conn.fill_slot(c.seq, c.line);
-            if c.end_of_batch {
-                conn.batch_in_flight = false;
-            }
+            conn.out.extend_from_slice(&c.replies);
+            conn.batch = 0;
             if !touched.contains(&c.conn) {
                 touched.push(c.conn);
             }
@@ -322,7 +285,7 @@ pub(crate) fn shard_loop(
                 continue;
             }
             if ev.readable {
-                handle_read(conn, &mut scratch, &state, &queues, id);
+                handle_read(conn, &mut scratch, &state);
             }
             if !touched.contains(&id) {
                 touched.push(id);
@@ -336,27 +299,26 @@ pub(crate) fn shard_loop(
                 continue;
             };
             drive(conn, &state, &queues, id);
-            pump(conn);
-            if conn.shutdown_after_flush && conn.out_pos >= conn.out.len() {
+            flush(conn);
+            let done_flushing = conn.out_pos >= conn.out.len();
+            if conn.shutdown_after_flush && done_flushing {
                 server::begin_shutdown(&state);
                 return;
             }
-            let done_flushing = conn.out_pos >= conn.out.len();
-            if done_flushing && conn.close_after_flush {
+            // Nothing owed: every request read so far is answered and
+            // flushed.
+            if done_flushing && conn.in_flight() == 0 {
                 if conn.read_closed {
                     close_conn(&mut poller, &mut conns, &mut free, id);
                     continue;
                 }
-                // The response is flushed but the peer may still be
-                // sending: half-close and linger (see `Conn::lingering`)
-                // instead of resetting the connection under it.
-                if conn.lingering.is_none() {
+                // The peer may still be sending: half-close and linger
+                // (see `Conn::lingering`) instead of resetting the
+                // connection under it.
+                if conn.close_after_flush && conn.lingering.is_none() {
                     let _ = conn.stream.shutdown(Shutdown::Write);
                     conn.lingering = Some(Instant::now());
                 }
-            } else if done_flushing && conn.read_closed && conn.in_flight() == 0 {
-                close_conn(&mut poller, &mut conns, &mut free, id);
-                continue;
             }
             // Interest: always write when output is pending; read unless
             // pipelining is saturated or the peer half-closed. A
@@ -414,15 +376,9 @@ fn close_conn(poller: &mut Poller, conns: &mut [Option<Conn>], free: &mut Vec<u3
     }
 }
 
-/// Reads everything available, frames complete lines, parses them into
-/// slots + inbox items.
-fn handle_read(
-    conn: &mut Conn,
-    scratch: &mut [u8],
-    state: &Arc<ServerState>,
-    queues: &Arc<ShardQueues>,
-    conn_id: u32,
-) {
+/// Reads everything available, frames complete lines and parses them
+/// into inbox items.
+fn handle_read(conn: &mut Conn, scratch: &mut [u8], state: &ServerState) {
     loop {
         if conn.close_after_flush {
             // Lingering teardown: discard everything until the peer's
@@ -454,7 +410,7 @@ fn handle_read(
             Ok(n) => {
                 conn.last_read = Instant::now();
                 conn.rbuf.extend_from_slice(&scratch[..n]);
-                frame_lines(conn, state, queues, conn_id);
+                frame_lines(conn, state);
                 if conn.close_after_flush || conn.shutdown_after_flush {
                     break;
                 }
@@ -477,61 +433,40 @@ fn handle_read(
 }
 
 /// Splits `rbuf` into complete lines and processes each.
-fn frame_lines(conn: &mut Conn, state: &Arc<ServerState>, queues: &Arc<ShardQueues>, conn_id: u32) {
+fn frame_lines(conn: &mut Conn, state: &ServerState) {
     loop {
-        let search = &conn.rbuf[conn.scanned..];
-        match search.iter().position(|&b| b == b'\n') {
-            None => {
-                conn.scanned = conn.rbuf.len();
-                if conn.rbuf.len() - conn.line_start > MAX_LINE_BYTES {
-                    // Answer the protocol error, then close: an
-                    // unbounded line is not worth resynchronizing.
-                    let seq = conn.claim_slot();
-                    fill_error(conn, seq, ErrorCode::Parse, "request line too long");
-                    conn.close_after_flush = true;
-                    conn.rbuf.clear();
-                    conn.line_start = 0;
-                    conn.scanned = 0;
-                }
-                return;
-            }
-            Some(rel) => {
-                let nl = conn.scanned + rel;
-                let start = conn.line_start;
-                conn.line_start = nl + 1;
-                conn.scanned = nl + 1;
-                if nl - start > MAX_LINE_BYTES {
-                    let seq = conn.claim_slot();
-                    fill_error(conn, seq, ErrorCode::Parse, "request line too long");
-                    conn.close_after_flush = true;
-                    return;
-                }
-                // Borrow dance: take the line out of rbuf views.
-                let line_range = start..nl;
-                process_line(conn, line_range, state, queues, conn_id);
-                if conn.shutdown_after_flush || conn.close_after_flush {
-                    return;
-                }
-            }
+        let newline = conn.rbuf[conn.scanned..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map(|rel| conn.scanned + rel);
+        let end = newline.unwrap_or(conn.rbuf.len());
+        if end - conn.line_start > MAX_LINE_BYTES {
+            // Answer the protocol error, then close: an unbounded line
+            // is not worth resynchronizing.
+            let reply = error_response(ErrorCode::Parse, "request line too long");
+            conn.inbox.push_back(InboxItem::Reply(reply));
+            conn.close_after_flush = true;
+            conn.rbuf.clear();
+            conn.line_start = 0;
+            conn.scanned = 0;
+            return;
+        }
+        let Some(nl) = newline else {
+            conn.scanned = conn.rbuf.len();
+            return;
+        };
+        let start = conn.line_start;
+        conn.line_start = nl + 1;
+        conn.scanned = nl + 1;
+        process_line(conn, start..nl, state);
+        if conn.shutdown_after_flush {
+            return;
         }
     }
 }
 
-fn fill_error(conn: &mut Conn, seq: u64, code: ErrorCode, msg: &str) {
-    let mut line = error_response(code, msg).encode().into_bytes();
-    line.push(b'\n');
-    conn.fill_slot(seq, line);
-}
-
-/// Parses one complete request line into a slot (errors), the inbox
-/// (ordered execution), or both.
-fn process_line(
-    conn: &mut Conn,
-    range: std::ops::Range<usize>,
-    state: &Arc<ServerState>,
-    _queues: &Arc<ShardQueues>,
-    _conn_id: u32,
-) {
+/// Parses one complete request line into an inbox item.
+fn process_line(conn: &mut Conn, range: std::ops::Range<usize>, state: &ServerState) {
     let is_blank = conn.rbuf[range.clone()].iter().all(u8::is_ascii_whitespace);
     if is_blank {
         return;
@@ -546,117 +481,83 @@ fn process_line(
             Ok(doc) => Request::from_json(doc.root()),
         },
     };
-    let seq = conn.claim_slot();
-    match request {
-        Err((code, msg)) => fill_error(conn, seq, code, &msg),
-        Ok(req @ (Request::Query { .. } | Request::Shutdown)) => {
-            conn.inbox.push_back(InboxItem::Control(seq, req));
-        }
-        Ok(req) => {
-            conn.inbox
-                .push_back(InboxItem::Pooled(seq, req, Instant::now()));
-        }
-    }
+    conn.inbox.push_back(match request {
+        Err((code, msg)) => InboxItem::Reply(error_response(code, &msg)),
+        Ok(req @ (Request::Query { .. } | Request::Shutdown)) => InboxItem::Control(req),
+        Ok(req) => InboxItem::Pooled(req, Instant::now()),
+    });
 }
 
-/// Dispatches as much of the inbox as ordering allows: control
-/// requests execute inline at the head of the line; maximal runs of
-/// pooled requests leave as one batch (at most one in flight).
+/// Answers the inbox from its head while no batch is in flight:
+/// known replies and control requests inline, and a maximal run of
+/// pooled requests as one batch, after which the rest waits for it.
 fn drive(conn: &mut Conn, state: &Arc<ServerState>, queues: &Arc<ShardQueues>, conn_id: u32) {
-    while !conn.batch_in_flight {
-        match conn.inbox.front() {
-            None => return,
-            Some(InboxItem::Control(..)) => {
-                let Some(InboxItem::Control(seq, req)) = conn.inbox.pop_front() else {
-                    unreachable!()
-                };
-                match req {
-                    Request::Query { session } => {
-                        let mut line = server::query_response(state, session.as_deref())
-                            .encode()
-                            .into_bytes();
-                        line.push(b'\n');
-                        conn.fill_slot(seq, line);
-                    }
-                    Request::Shutdown => {
-                        let mut line = server::shutdown_response().encode().into_bytes();
-                        line.push(b'\n');
-                        conn.fill_slot(seq, line);
-                        conn.shutdown_after_flush = true;
-                        conn.inbox.clear();
-                        return;
-                    }
-                    _ => unreachable!("only query/shutdown are control items"),
-                }
+    while conn.batch == 0 {
+        let Some(item) = conn.inbox.pop_front() else {
+            return;
+        };
+        let first = match item {
+            InboxItem::Reply(reply) => {
+                conn.answer(&reply);
+                continue;
             }
-            Some(InboxItem::Pooled(..)) => {
-                let mut batch: Vec<(u64, Request, Instant)> = Vec::new();
-                while matches!(conn.inbox.front(), Some(InboxItem::Pooled(..))) {
-                    let Some(InboxItem::Pooled(seq, req, t)) = conn.inbox.pop_front() else {
-                        unreachable!()
-                    };
-                    batch.push((seq, req, t));
+            InboxItem::Control(Request::Query { session }) => {
+                conn.answer(&server::query_response(state, session.as_deref()));
+                continue;
+            }
+            InboxItem::Control(Request::Shutdown) => {
+                conn.answer(&server::shutdown_response());
+                conn.shutdown_after_flush = true;
+                conn.inbox.clear();
+                return;
+            }
+            InboxItem::Control(_) => unreachable!("only query/shutdown are control items"),
+            InboxItem::Pooled(req, enqueued) => (req, enqueued),
+        };
+        let mut batch = vec![first];
+        while let Some(InboxItem::Pooled(..)) = conn.inbox.front() {
+            let Some(InboxItem::Pooled(req, enqueued)) = conn.inbox.pop_front() else {
+                unreachable!()
+            };
+            batch.push((req, enqueued));
+        }
+        let n = batch.len();
+        let refusal = if state.shutting_down() {
+            error_response(ErrorCode::ShuttingDown, "server is shutting down")
+        } else {
+            let job_state = Arc::clone(state);
+            let job_queues = Arc::clone(queues);
+            let gen = conn.gen;
+            let dispatched = state.pool().try_execute(move || {
+                let mut replies = Vec::new();
+                for (req, enqueued) in batch {
+                    replies.extend(server::execute_pooled(req, enqueued, &job_state));
+                    replies.push(b'\n');
                 }
-                if state.shutting_down() {
-                    for (seq, ..) in batch {
-                        fill_error(
-                            conn,
-                            seq,
-                            ErrorCode::ShuttingDown,
-                            "server is shutting down",
-                        );
-                    }
-                    continue;
-                }
-                let job_state = Arc::clone(state);
-                let job_queues = Arc::clone(queues);
-                let gen = conn.gen;
-                // The batch moves into the job; the overload arm below
-                // answers by sequence number alone.
-                let seqs: Vec<u64> = batch.iter().map(|(seq, ..)| *seq).collect();
-                let dispatched = state.pool().try_execute(move || {
-                    let mut out = Vec::with_capacity(batch.len());
-                    let last = batch.len() - 1;
-                    for (i, (seq, req, enqueued)) in batch.into_iter().enumerate() {
-                        let line = server::execute_pooled(req, enqueued, &job_state);
-                        out.push(Completion::new(conn_id, gen, seq, line, i == last));
-                    }
-                    job_queues.complete(out);
+                job_queues.complete(Completion {
+                    conn: conn_id,
+                    gen,
+                    replies,
                 });
-                match dispatched {
-                    Ok(()) => {
-                        conn.batch_in_flight = true;
-                        return;
-                    }
-                    Err(_) => {
-                        state.count_overloaded(seqs.len() as u64);
-                        for seq in seqs {
-                            fill_error(
-                                conn,
-                                seq,
-                                ErrorCode::Overloaded,
-                                "request queue full; retry with backoff",
-                            );
-                        }
-                    }
-                }
+            });
+            if dispatched.is_ok() {
+                conn.batch = n;
+                return;
             }
+            state.count_overloaded(n as u64);
+            error_response(
+                ErrorCode::Overloaded,
+                "request queue full; retry with backoff",
+            )
+        };
+        for _ in 0..n {
+            conn.answer(&refusal);
         }
     }
 }
 
-/// Moves ready in-order responses into the output buffer and writes as
-/// much as the socket takes.
-fn pump(conn: &mut Conn) {
-    // Coalesce every response that is next in line.
-    while matches!(conn.pending.front(), Some(Some(_))) {
-        let Some(Some(line)) = conn.pending.pop_front() else {
-            unreachable!()
-        };
-        conn.base_seq += 1;
-        conn.out.extend_from_slice(&line);
-    }
-    // Flush.
+/// Writes as much of the output as the socket takes.
+fn flush(conn: &mut Conn) {
     while conn.out_pos < conn.out.len() {
         match conn.stream.write(&conn.out[conn.out_pos..]) {
             Ok(0) => {

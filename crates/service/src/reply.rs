@@ -5,7 +5,7 @@
 //! producing one go through the same writer here — `write_body`, one
 //! loop over a [`BoundSet`]'s rows — so they cannot drift apart:
 //!
-//! - the full path renders an [`Admission`] once (`admission_suffix`,
+//! - the full path renders an `Admission` once (`admission_suffix`,
 //!   kept by the cache entry in the analysis' place) and prepends the
 //!   per-request fields (`admission_line`);
 //! - an incremental edit *assembles* its reply (`RowCache::assemble`):

@@ -2,8 +2,8 @@
 //! execution, and the control plane.
 //!
 //! One thread accepts connections and deals them round-robin to N
-//! [`reactor`](crate::reactor) shards; each shard drives its
-//! connections with nonblocking I/O and pipelined request batching.
+//! `reactor` shards; each shard drives its connections with
+//! nonblocking I/O and pipelined request batching.
 //! *Analysis* work (`ping`, `submit`, `add-task`, `remove-task`) runs
 //! on the shared [`WorkerPool`] so a bounded number of analyses run
 //! regardless of connection count; `query` and `shutdown` are answered
@@ -63,8 +63,9 @@ pub struct ServerConfig {
     /// recompute; a divergence is answered with an `audit-divergence`
     /// error and nothing is committed. `0` disables sampling.
     pub audit_every: u64,
-    /// Maximum pipelined requests in flight per connection; beyond it
-    /// the reactor stops reading the connection (TCP backpressure).
+    /// Maximum pipelined requests in flight per connection: read but
+    /// not yet dispatched, plus those in its batch on the pool. Beyond
+    /// it the reactor stops reading the connection (TCP backpressure).
     pub max_pipeline: usize,
     /// How long a partially-received request line may sit before the
     /// connection is dropped (slow-loris guard). Zero disables it.
@@ -827,25 +828,72 @@ mod tests {
 
     #[test]
     fn pipelined_responses_come_back_in_order() {
+        // A reply's `op` when it succeeded, its error `code` otherwise.
+        fn kind(c: &mut Client) -> String {
+            let v = json::parse(&c.read_response().unwrap()).unwrap();
+            let ok = v.get("ok").and_then(Value::as_bool) == Some(true);
+            let key = if ok { "op" } else { "code" };
+            v.get(key).and_then(Value::as_str).unwrap().to_owned()
+        }
+        const PING: &str = r#"{"op":"ping"}"#;
+        const QUERY: &str = r#"{"op":"query"}"#;
         let server = test_server(4, 32, 5000);
         let mut c = Client::connect(server.local_addr()).unwrap();
         // Interleave pings and malformed lines; every response must
         // land in its request's position.
         for i in 0..20 {
-            if i % 3 == 0 {
-                c.send_raw("not json at all").unwrap();
-            } else {
-                c.send_raw(r#"{"op":"ping"}"#).unwrap();
-            }
+            c.send_raw(if i % 3 == 0 { "not json at all" } else { PING })
+                .unwrap();
         }
         for i in 0..20 {
-            let v = json::parse(&c.read_response().unwrap()).unwrap();
-            if i % 3 == 0 {
-                assert_eq!(v.get("code").and_then(Value::as_str), Some("parse"), "{i}");
-            } else {
-                assert_eq!(v.get("op").and_then(Value::as_str), Some("ping"), "{i}");
-            }
+            let expected = if i % 3 == 0 { "parse" } else { "ping" };
+            assert_eq!(kind(&mut c), expected, "{i}");
         }
+        // A `query` between two delayed pings is answered between them.
+        let delayed = r#"{"op":"ping","delay_ms":200}"#;
+        for line in [delayed, QUERY, delayed] {
+            c.send_raw(line).unwrap();
+        }
+        for expected in ["ping", "query", "ping"] {
+            assert_eq!(kind(&mut c), expected);
+        }
+        server.shutdown();
+
+        // With the one worker busy and the one queue slot taken, each
+        // run is shed `overloaded` in its place, around a malformed
+        // line and a `query`.
+        let server = test_server(1, 1, 5000);
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let pool = server.state.pool();
+        pool.try_execute(move || {
+            started_tx.send(()).unwrap();
+            let _ = gate.recv();
+        })
+        .unwrap();
+        started.recv().unwrap();
+        let (drained_tx, drained) = std::sync::mpsc::channel();
+        pool.try_execute(move || drained_tx.send(()).unwrap())
+            .unwrap();
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        for line in [PING, "not json", PING, PING, QUERY, PING] {
+            c.send_raw(line).unwrap();
+        }
+        let expected = [
+            "overloaded",
+            "parse",
+            "overloaded",
+            "overloaded",
+            "query",
+            "overloaded",
+        ];
+        for (i, expected) in expected.into_iter().enumerate() {
+            assert_eq!(kind(&mut c), expected, "{i}");
+        }
+        drop(release);
+        drained.recv().unwrap();
+        c.send_raw(PING).unwrap();
+        assert_eq!(kind(&mut c), "ping");
         server.shutdown();
     }
 }

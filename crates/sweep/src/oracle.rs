@@ -295,7 +295,7 @@ pub fn evaluate_in(ws: &mut Workspace, scenario: &Scenario, cfg: &SweepConfig) -
 const AUDIT_TASKS: usize = 2;
 
 /// The self-certification arm: replays [`mpcp_verify::audit_script`]
-/// over the first [`AUDIT_TASKS`] tasks through an MPCP
+/// over the first `AUDIT_TASKS` tasks through an MPCP
 /// [`mpcp_verify::IncrementalAnalysis`] and compares its snapshot
 /// byte-for-byte with [`mpcp_verify::full_snapshot_json`] after every
 /// edit. (MPCP only: `mpcp audit` and `delta_props` certify the other

@@ -432,6 +432,43 @@ fn oversized_line_gets_protocol_error_then_close() {
 }
 
 #[test]
+fn oversized_line_behind_a_pending_reply_waits_for_it() {
+    let srv = server(2, 16, 5000);
+    let mut s = TcpStream::connect(srv.local_addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    // A slow request, then a line too long to frame: the error must not
+    // close the connection before the earlier reply is written.
+    s.write_all(b"{\"op\":\"ping\",\"delay_ms\":300}\n")
+        .unwrap();
+    let chunk = vec![b'x'; 64 * 1024];
+    let mut written = 0usize;
+    while written <= mpcp::service::server::MAX_LINE_BYTES {
+        s.write_all(&chunk).unwrap();
+        written += chunk.len();
+    }
+    let mut r = BufReader::new(s);
+    let mut line = String::new();
+    r.read_line(&mut line).unwrap();
+    let pong = json::parse(line.trim_end()).expect("the ping's reply, not EOF");
+    assert_eq!(
+        pong.get("op").and_then(Value::as_str),
+        Some("ping"),
+        "{pong:?}"
+    );
+    line.clear();
+    r.read_line(&mut line).unwrap();
+    let err = json::parse(line.trim_end()).expect("the parse error, not EOF");
+    assert_eq!(
+        err.get("code").and_then(Value::as_str),
+        Some("parse"),
+        "{err:?}"
+    );
+    line.clear();
+    assert_eq!(r.read_line(&mut line).unwrap(), 0, "expected EOF");
+    srv.shutdown();
+}
+
+#[test]
 fn slow_loris_partial_line_is_dropped_after_read_deadline() {
     let srv = server_with(|c| c.read_deadline = Duration::from_millis(300));
     let mut s = TcpStream::connect(srv.local_addr()).unwrap();
