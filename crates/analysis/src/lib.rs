@@ -85,6 +85,6 @@ pub use fmlp::fmlp_bound_set;
 pub use msrp::msrp_bound_set;
 pub use sched::{
     breakdown_scale, liu_layland_bound, response_times, response_times_suspension_aware,
-    rta_schedulable, rta_with_jitter_schedulable, scale_system, theorem3, SchedReport, TaskSched,
+    rta_schedulable, scale_system, theorem3, SchedReport, TaskSched,
 };
 pub use server::{aperiodic_response_bound, PollingServer};

@@ -179,22 +179,12 @@ fn rta_fixed_point(task: &Task, blocking: Dur, hp: &[(&Task, Dur)]) -> Option<Du
 ///
 /// Panics if `blocking` is not indexed like the system's tasks.
 pub fn response_times(system: &System, blocking: &[Dur]) -> Vec<Option<Dur>> {
-    response_times_with(system, blocking, |_| Dur::ZERO)
-}
-
-/// [`response_times`] with a fixed release jitter per higher-priority
-/// task.
-fn response_times_with(
-    system: &System,
-    blocking: &[Dur],
-    jitter: impl Fn(&Task) -> Dur,
-) -> Vec<Option<Dur>> {
     assert_eq!(blocking.len(), system.tasks().len());
     system
         .tasks()
         .iter()
         .map(|task| {
-            let hp: Vec<_> = higher_local(system, task).map(|h| (h, jitter(h))).collect();
+            let hp: Vec<_> = higher_local(system, task).map(|h| (h, Dur::ZERO)).collect();
             rta_fixed_point(task, blocking[task.id().index()], &hp)
         })
         .collect()
@@ -209,65 +199,26 @@ pub fn rta_schedulable(system: &System, blocking: &[Dur]) -> bool {
     response_times(system, blocking).iter().all(Option::is_some)
 }
 
-/// Response-time analysis with **release jitter** for suspending
-/// higher-priority tasks: `R_i = C_i + B_i + Σ_{h ∈ hp_local(i)}
-/// ⌈(R_i + J_h)/T_h⌉ · C_h`, where `J_h` is the jitter induced by `h`'s
-/// own worst-case waiting (its blocking term).
+/// Response-time analysis with **full response jitter**: `R_i = C_i +
+/// B_i + Σ_{h ∈ hp_local(i)} ⌈(R_i + J_h)/T_h⌉ · C_h`, where a
+/// higher-priority task `h` carries jitter `J_h = R_h - C_h` — its whole
+/// response minus its computation.
 ///
 /// This is the principled treatment of the §5.1 deferred-execution
 /// penalty: instead of charging one whole extra `C_h` per suspending
 /// higher-priority task (the conservative
 /// [`BlockingBreakdown::deferred_penalty`](crate::BlockingBreakdown)),
-/// the self-suspension of `h` is modelled as release jitter bounded by
-/// `B_h`. Use it with the *factors-only* blocking
-/// ([`BlockingBreakdown::blocking`](crate::BlockingBreakdown)).
+/// the deferral of `h`'s demand is modelled as release jitter. `B_h`
+/// alone under-counts that deferral: preemption by tasks above `h` also
+/// pushes `h`'s execution toward the end of its window, bunching it
+/// back-to-back with the next job, and the sweep oracle observed
+/// responses above a `J_h = B_h` fixed point. `R_h - C_h` is the
+/// standard conservative jitter for deferrable higher-priority demand.
 ///
-/// Returns `None` per task whose recurrence diverges past its deadline.
-///
-/// # Panics
-///
-/// Panics if `blocking` is not indexed like the system's tasks.
-fn response_times_with_jitter(system: &System, blocking: &[Dur]) -> Vec<Option<Dur>> {
-    let info = system.info();
-    // Jitter of a task: its own blocking if it can self-suspend (global
-    // requests or explicit suspensions), zero otherwise.
-    response_times_with(system, blocking, |h| {
-        let suspends = info.task_use(h.id()).gcs_count() > 0 || h.body().suspension_count() > 0;
-        if suspends {
-            blocking[h.id().index()]
-        } else {
-            Dur::ZERO
-        }
-    })
-}
-
-/// Whether every task passes the release-jitter recurrence
-/// (`response_times_with_jitter`: `J_h = B_h` for a suspending `h`).
-///
-/// # Panics
-///
-/// Panics if `blocking` is not indexed like the system's tasks.
-pub fn rta_with_jitter_schedulable(system: &System, blocking: &[Dur]) -> bool {
-    response_times_with_jitter(system, blocking)
-        .iter()
-        .all(Option::is_some)
-}
-
-/// Response-time analysis with **full response jitter**: like the
-/// recurrence of [`rta_with_jitter_schedulable`], but a higher-priority task `h`
-/// carries jitter `J_h = R_h - C_h` — its whole response minus its
-/// computation — instead of just its blocking term.
-///
-/// `B_h` under-counts the deferral of `h`'s demand: preemption by
-/// tasks above `h` also pushes `h`'s execution toward the end of its
-/// window, bunching it back-to-back with the next job. The sweep
-/// oracle surfaced observed responses above the `B_h`-jitter fixed
-/// point; `R_h - C_h` is the standard conservative jitter for
-/// deferrable higher-priority demand. Responses are computed in
-/// decreasing priority order per processor so each task's jitter is
-/// available to the tasks below it; a task whose own recurrence
-/// diverges makes every lower-priority task on its processor diverge
-/// too (`None`).
+/// Responses are computed in decreasing priority order per processor so
+/// each task's jitter is available to the tasks below it; a task whose
+/// own recurrence diverges makes every lower-priority task on its
+/// processor diverge too (`None`).
 ///
 /// Use with the *factors-only* blocking
 /// ([`TaskBounds::factors`](crate::TaskBounds::factors)) — the
@@ -435,20 +386,9 @@ mod tests {
     }
 
     #[test]
-    fn jitter_rta_matches_plain_rta_without_suspensions() {
-        let sys = simple(2, 4);
-        let blocking = vec![Dur::new(1), Dur::new(2)];
-        assert_eq!(
-            response_times(&sys, &blocking),
-            response_times_with_jitter(&sys, &blocking)
-        );
-        assert!(rta_with_jitter_schedulable(&sys, &blocking));
-    }
-
-    #[test]
-    fn jitter_rta_charges_suspending_higher_tasks() {
-        // hi suspends (has a gcs) with blocking 5 => jitter 5; lo sees an
-        // extra hi instance inside its window.
+    fn suspension_aware_rta_charges_higher_task_jitter() {
+        // hi (a gcs, blocking 5) responds in 1 + 1 + 5 = 7 => jitter
+        // 7 - 2 = 5; lo sees an extra hi instance inside its window.
         let mut b = System::builder();
         let p = b.add_processors(2);
         let s = b.add_resource("SG");
@@ -475,7 +415,7 @@ mod tests {
         let sys = b.build().unwrap();
         let blocking = vec![Dur::new(5), Dur::ZERO, Dur::ZERO];
         let plain = response_times(&sys, &blocking);
-        let jitter = response_times_with_jitter(&sys, &blocking);
+        let jitter = response_times_suspension_aware(&sys, &blocking);
         // lo: plain: R = 7 + ceil(R/10)*2 -> 7+2=9, 7+2=9 stable -> 9.
         assert_eq!(plain[1], Some(Dur::new(9)));
         // jitter: window R+5: R=9 -> ceil(14/10)=2 -> 7+4=11 ->

@@ -1,22 +1,6 @@
-//! Serving benchmark: end-to-end throughput and latency of the
-//! admission-control server under a load-generated submission stream,
-//! plus the incremental-vs-full admission comparison for session
-//! transactions.
-//!
-//! `service/serving` runs four phases, each against a fresh in-process
-//! server so the cache counters are per-phase:
-//!
-//! - `uncached`: every request submits a distinct system — all misses,
-//!   measuring raw analysis throughput through the full stack
-//!   (TCP, JSON, worker pool, lint + bounds + Theorem 3).
-//! - `cached`: the same request count cycling 8 distinct systems — laps
-//!   two onward are answered from the analysis cache.
-//!
-//! Each runs twice: `sequential` (pipeline depth 1, the classic closed
-//! loop — comparable to the pre-reactor baseline) and `pipelined`
-//! (depth [`PIPELINE`], which is what the reactor's batching exists
-//! for). The checked-in pre-reactor numbers ride along under
-//! `"baseline"` so `BENCH_service.json` carries its own before/after.
+//! Incremental-vs-full admission benchmark for session transactions.
+//! End-to-end serving numbers come from the `serve-*` workloads of the
+//! benchmark in `benchmark/`.
 //!
 //! `service/incremental` measures the two admission paths a live
 //! session's `add-task`/`remove-task` can take — a full
@@ -31,53 +15,9 @@
 
 use mpcp_analysis::Edit;
 use mpcp_service::json::Value;
-use mpcp_service::{
-    analyze, analyze_incremental, engine_for, loadgen, spawn, LoadReport, LoadgenConfig,
-    ServerConfig, SystemSpec,
-};
+use mpcp_service::{analyze, analyze_incremental, engine_for, SystemSpec};
 use mpcp_taskgen::{generate, WorkloadConfig};
-use std::time::{Duration, Instant};
-
-const REQUESTS: usize = 2048;
-const CONNECTIONS: usize = 4;
-const WORKERS: usize = 4;
-const PIPELINE: usize = 32;
-
-fn workload() -> WorkloadConfig {
-    WorkloadConfig::default()
-        .processors(4)
-        .tasks_per_processor(4)
-        .utilization(0.4)
-        .resources(1, 2)
-        .sections(0, 2)
-}
-
-fn phase(unique: usize, seed: u64, pipeline: usize) -> LoadReport {
-    let server = spawn(&ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        workers: WORKERS,
-        queue_cap: 64,
-        deadline: Duration::from_millis(5000),
-        cache_capacity: 4096,
-        audit_every: 64,
-        ..ServerConfig::default()
-    })
-    .expect("bind bench server");
-    let report = loadgen::run(&LoadgenConfig {
-        addr: server.local_addr().to_string(),
-        requests: REQUESTS,
-        connections: CONNECTIONS,
-        rate: 0,
-        unique,
-        workload: workload(),
-        seed,
-        pipeline,
-        open: false,
-    })
-    .expect("drive bench server");
-    server.shutdown();
-    report
-}
+use std::time::Instant;
 
 /// Per-op microseconds of `f` over enough iterations to smooth noise.
 fn time_us<R>(iters: u32, mut f: impl FnMut() -> R) -> f64 {
@@ -166,93 +106,26 @@ fn main() {
     // Substring filter, as the other harness=false benches take
     // (cargo's own flags such as --bench are ignored).
     let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-    let enabled = |name: &str| filter.as_ref().is_none_or(|f| name.contains(f.as_str()));
-
-    let mut docs = Vec::new();
-    if enabled("service/serving") {
-        let seq_uncached = phase(REQUESTS, 1_000, 1);
-        let seq_cached = phase(8, 1, 1);
-        let pipe_uncached = phase(REQUESTS, 1_000, PIPELINE);
-        let pipe_cached = phase(8, 1, PIPELINE);
-
-        let doc = Value::obj([
-            ("bench", Value::str("service/serving")),
-            (
-                "config",
-                Value::obj([
-                    ("requests", Value::from(REQUESTS)),
-                    ("connections", Value::from(CONNECTIONS)),
-                    ("workers", Value::from(WORKERS)),
-                    ("pipeline", Value::from(PIPELINE)),
-                    ("workload", Value::str("4 procs x 4 tasks, util 0.4")),
-                ]),
-            ),
-            (
-                // The pre-reactor blocking server's checked-in numbers
-                // (512 requests, pipeline 1), kept for before/after.
-                "baseline",
-                Value::obj([
-                    (
-                        "server",
-                        Value::str("blocking thread-per-connection (PR 6)"),
-                    ),
-                    ("uncached_rps", Value::from(3649.2)),
-                    ("cached_rps", Value::from(5025.9)),
-                ]),
-            ),
-            (
-                "sequential",
-                Value::obj([
-                    ("uncached", seq_uncached.render_json()),
-                    ("cached", seq_cached.render_json()),
-                ]),
-            ),
-            (
-                "pipelined",
-                Value::obj([
-                    ("uncached", pipe_uncached.render_json()),
-                    ("cached", pipe_cached.render_json()),
-                ]),
-            ),
-        ]);
-        docs.push(doc);
-
-        for (label, r) in [
-            ("sequential uncached", &seq_uncached),
-            ("sequential cached", &seq_cached),
-            ("pipelined uncached", &pipe_uncached),
-            ("pipelined cached", &pipe_cached),
-        ] {
-            assert_eq!(r.errors, 0, "{label} phase saw transport errors");
-            assert_eq!(r.ok, REQUESTS, "{label} phase lost responses");
-        }
-        let (hits, _, _) = pipe_cached.cache.expect("cache stats in query");
-        assert!(
-            hits as usize >= REQUESTS - 8,
-            "repeated stream should be served from cache (hits = {hits})"
-        );
+    if filter.is_some_and(|f| !"service/incremental".contains(f.as_str())) {
+        return;
     }
-    if enabled("service/incremental") {
-        let sessions: Vec<Value> = [(8usize, 40u32), (32, 25), (64, 10)]
-            .into_iter()
-            .map(|(procs, iters)| delta_phase(procs, iters))
-            .collect();
-        docs.push(Value::obj([
-            ("bench", Value::str("service/incremental")),
-            (
-                "config",
-                Value::obj([
-                    ("tasks_per_processor", Value::from(80usize)),
-                    ("utilization", Value::from(0.4)),
-                    ("clusters", Value::from(2usize)),
-                    ("edit", Value::str("local-only task add/remove")),
-                    ("seed", Value::from(4_242usize)),
-                ]),
-            ),
-            ("sessions", Value::Arr(sessions)),
-        ]));
-    }
-    for doc in docs {
-        println!("{}", doc.encode());
-    }
+    let sessions: Vec<Value> = [(8usize, 40u32), (32, 25), (64, 10)]
+        .into_iter()
+        .map(|(procs, iters)| delta_phase(procs, iters))
+        .collect();
+    let doc = Value::obj([
+        ("bench", Value::str("service/incremental")),
+        (
+            "config",
+            Value::obj([
+                ("tasks_per_processor", Value::from(80usize)),
+                ("utilization", Value::from(0.4)),
+                ("clusters", Value::from(2usize)),
+                ("edit", Value::str("local-only task add/remove")),
+                ("seed", Value::from(4_242usize)),
+            ]),
+        ),
+        ("sessions", Value::Arr(sessions)),
+    ]);
+    println!("{}", doc.encode());
 }

@@ -12,7 +12,7 @@ use mpcp_bench::{experiments, paper};
 use mpcp_dga::{DependencyGraph, DgaSchedule};
 use mpcp_model::{System, Time};
 use mpcp_protocols::ProtocolKind;
-use mpcp_service::{LoadgenConfig, ServerConfig};
+use mpcp_service::ServerConfig;
 use mpcp_sim::{SimConfig, Simulator};
 use mpcp_sweep::{checker, CheckerConfig, SweepConfig};
 use mpcp_taskgen::{generate, WorkloadConfig};
@@ -130,7 +130,7 @@ mod table {
     pub(super) const MAX_VARIANTS: Flag = flag("max-variants", Uint, of!(CheckerConfig::default().max_variants), "enumeration cap");
     pub(super) const STEPS: Flag = flag("steps", Uint, None, "tasks the edit script cycles through (default: all)");
     pub(super) const PORT: Flag = flag("port", Uint, None, "127.0.0.1:N in place of --addr (0: an ephemeral port)");
-    pub(super) const ADDR: Flag = flag("addr", Text, of!(ServerConfig::default().addr), "address to bind, or to drive");
+    pub(super) const ADDR: Flag = flag("addr", Text, of!(ServerConfig::default().addr), "address to bind");
     pub(super) const WORKERS: Flag = flag("workers", Uint, of!(ServerConfig::default().workers), "analysis worker threads");
     pub(super) const QUEUE: Flag = flag("queue", Uint, of!(ServerConfig::default().queue_cap), "pending-request bound");
     pub(super) const DEADLINE_MS: Flag = flag("deadline-ms", Uint, of!(ServerConfig::default().deadline.as_millis()), "per-request deadline");
@@ -142,12 +142,6 @@ mod table {
     pub(super) const IDLE_MS: Flag = flag("idle-ms", Uint, of!(ServerConfig::default().idle_timeout.as_millis()), "drop connections idle this long (0: never)");
     pub(super) const PERSIST: Flag = flag("persist", Text, None, "directory of the session journal and snapshots, replayed on startup");
     pub(super) const SNAPSHOT_EVERY: Flag = flag("snapshot-every", Uint, of!(ServerConfig::default().snapshot_every), "journal entries per snapshot compaction");
-    pub(super) const REQUESTS: Flag = flag("requests", Uint, of!(LoadgenConfig::default().requests), "requests to send");
-    pub(super) const CONNECTIONS: Flag = flag("connections", Uint, of!(LoadgenConfig::default().connections), "client connections");
-    pub(super) const RATE: Flag = flag("rate", Uint, of!(LoadgenConfig::default().rate), "target req/s (0: unpaced)");
-    pub(super) const PIPELINE: Flag = flag("pipeline", Uint, of!(LoadgenConfig::default().pipeline), "requests in flight per connection");
-    pub(super) const OPEN: Flag = flag("open", Switch, None, "open-loop arrivals: latency from the schedule, needs --rate");
-    pub(super) const UNIQUE: Flag = flag("unique", Uint, of!(LoadgenConfig::default().unique), "distinct systems to cycle");
 
     /// The seeded `taskgen` system most commands work on.
     pub(super) const RANDOM_SYSTEM: Group = Group { name: "random-system", flags: &[SEED, PROCS, TASKS, UTIL, GLOBALS, LOCALS, GSECTIONS] };
@@ -161,7 +155,7 @@ mod table {
     pub(super) const REPORT_FORMAT: Group = Group { name: "report-format", flags: &[JSON, CSV] };
     pub(super) const GROUPS: [&Group; 4] = [&RANDOM_SYSTEM, &TARGET, &GRID, &REPORT_FORMAT];
 
-    pub(super) const COMMANDS: [Command; 13] = [
+    pub(super) const COMMANDS: [Command; 12] = [
         Command { name: "exp", summary: "regenerate a paper table/figure", run: run_exp, flags: &[ID], groups: &[] },
         Command { name: "trace", summary: "Example 4 schedule under MPCP (Figure 5-1)", run: run_trace,
             flags: &[UNTIL.or(of!(20)), CSV.says("events, then slices, as CSV")], groups: &[] },
@@ -182,10 +176,6 @@ mod table {
         Command { name: "serve", summary: "online admission-control server (NDJSON/TCP)", run: run_serve,
             flags: &[PORT, ADDR, WORKERS, QUEUE, DEADLINE_MS, CACHE, AUDIT_EVERY, SHARDS, MAX_PIPELINE,
                 READ_DEADLINE_MS, IDLE_MS, PERSIST, SNAPSHOT_EVERY],
-            groups: &[] },
-        Command { name: "loadgen", summary: "drive a server with a submission stream", run: run_loadgen,
-            flags: &[PORT, ADDR, REQUESTS, CONNECTIONS, RATE, PIPELINE, OPEN, UNIQUE, JSON,
-                SEED.or(of!(LoadgenConfig::default().seed)), PROCS, TASKS, UTIL, GLOBALS, LOCALS, GSECTIONS],
             groups: &[] },
         Command { name: "sweep", summary: "differential analysis-vs-simulation sweep; nonzero exit on oracle violations", run: run_sweep,
             flags: &[SCENARIOS, PROTOCOL.says("one protocol of the list below (default: the sweep set)"), AUDIT_STRIDE, NO_SHRINK, CHECK_RESPONSE],
@@ -641,27 +631,6 @@ fn address(args: &Args) -> String {
         Some(port) if !args.on(&ADDR) => format!("127.0.0.1:{port}"),
         _ => args.get(&ADDR),
     }
-}
-
-fn run_loadgen(args: &Args) -> Result<ExitCode, String> {
-    let config = LoadgenConfig {
-        addr: address(args),
-        requests: args.get(&REQUESTS),
-        connections: args.get(&CONNECTIONS),
-        rate: args.get(&RATE),
-        unique: args.get(&UNIQUE),
-        workload: shape(args).utilization(args.get(&UTIL)),
-        seed: args.get(&SEED),
-        pipeline: args.get(&PIPELINE),
-        open: args.on(&OPEN),
-    };
-    let report = mpcp_service::loadgen::run(&config).map_err(|e| format!("loadgen: {e}"))?;
-    if args.on(&JSON) {
-        println!("{}", report.render_json().encode());
-    } else {
-        print!("{}", report.render_text());
-    }
-    Ok(exit_code(report.errors == 0))
 }
 
 fn run_sweep(args: &Args) -> Result<ExitCode, String> {

@@ -1,5 +1,5 @@
 //! End-to-end smoke tests of the `mpcp` binary: argument hardening and
-//! a short serve → loadgen round trip over a real socket.
+//! a short serve round trip over a real socket.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
@@ -9,9 +9,9 @@ fn mpcp() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mpcp"))
 }
 
-const COMMANDS: [&str; 13] = [
+const COMMANDS: [&str; 12] = [
     "exp", "trace", "sim", "dga", "analyze", "allocate", "lint", "verify", "audit", "serve",
-    "loadgen", "sweep", "shootout",
+    "sweep", "shootout",
 ];
 
 #[test]
@@ -49,8 +49,8 @@ fn misuse_fails_naming_the_command_and_the_flag() {
         (&["sim", "--seed"][..], "flag --seed requires a value"),
         (&["analyze", "--procs"][..], "flag --procs requires a value"),
         (
-            &["loadgen", "--requests"][..],
-            "flag --requests requires a value",
+            &["serve", "--workers"][..],
+            "flag --workers requires a value",
         ),
         (
             &["sim", "--seed", "--until", "10"][..],
@@ -127,6 +127,23 @@ fn removed_no_blocking_check_flag_is_not_advertised() {
     }
 }
 
+/// `mpcp loadgen` is gone: the benchmark in `benchmark/` is the one
+/// load generator. The word is an unknown command like any other.
+#[test]
+fn removed_loadgen_command_is_unknown() {
+    let out = mpcp()
+        .args(["loadgen", "--requests", "10"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown command"), "{err}");
+    assert!(err.contains("mpcp serve "), "usage missing: {err}");
+    let usage = mpcp().output().unwrap();
+    assert!(!String::from_utf8_lossy(&usage.stdout).contains("loadgen"));
+}
+
 /// `mpcp audit` certifies every analysis in one run: one summary line
 /// each, in table order, the paper's example 3 edited 35 times apiece
 /// without a divergence.
@@ -181,26 +198,6 @@ fn boolean_flags_do_not_need_values() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.trim_start().starts_with('{'), "expected JSON: {text}");
-
-    // `--open` is valueless too; followed by another flag it must parse
-    // (the connect to a dead port then fails, which is fine — the
-    // regression is the parser demanding a value for it).
-    let out = mpcp()
-        .args([
-            "loadgen",
-            "--open",
-            "--rate",
-            "100",
-            "--addr",
-            "127.0.0.1:1",
-        ])
-        .output()
-        .unwrap();
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.starts_with("loadgen: "),
-        "--open rejected, or it swallowed --rate: {err}"
-    );
 }
 
 /// `mpcp dga` output is a contract: the graph table, the per-resource
@@ -260,7 +257,7 @@ impl Drop for KillOnDrop {
 }
 
 #[test]
-fn serve_loadgen_round_trip() {
+fn serve_round_trip() {
     let mut server = KillOnDrop(
         mpcp()
             .args(["serve", "--port", "0", "--workers", "2", "--queue", "16"])
@@ -280,41 +277,23 @@ fn serve_loadgen_round_trip() {
         .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
         .to_owned();
 
-    let out = mpcp()
-        .args([
-            "loadgen",
-            "--addr",
-            &addr,
-            "--requests",
-            "40",
-            "--connections",
-            "2",
-            "--unique",
-            "4",
-            "--procs",
-            "2",
-            "--tasks",
-            "2",
-            "--json",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "loadgen failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let report = String::from_utf8_lossy(&out.stdout);
-    assert!(report.contains("\"requests\":40"), "{report}");
-    assert!(report.contains("\"cache\""), "{report}");
+    // One system submitted twice: analysed, then answered from the cache.
+    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+    let mut replies = BufReader::new(conn.try_clone().unwrap());
+    let submit = br#"{"op":"submit","session":"s","system":{"processors":["P0"],"resources":["S"],"tasks":[{"name":"t","processor":0,"period":100,"body":[{"compute":4},{"critical":0,"body":[{"compute":2}]}]}]}}"#;
+    for tag in ["\"cache\":\"miss\"", "\"cache\":\"hit\""] {
+        conn.write_all(submit).unwrap();
+        conn.write_all(b"\n").unwrap();
+        let mut reply = String::new();
+        replies.read_line(&mut reply).unwrap();
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        assert!(reply.contains(tag), "{reply}");
+    }
 
     // Orderly shutdown over the wire; the server process must exit 0.
-    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
     conn.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
     let mut reply = String::new();
-    BufReader::new(conn.try_clone().unwrap())
-        .read_line(&mut reply)
-        .unwrap();
+    replies.read_line(&mut reply).unwrap();
     assert!(reply.contains("\"ok\":true"), "{reply}");
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {

@@ -30,16 +30,13 @@
 //!   plus a small blocking [`server::Client`].
 //! - [`persist`]: session journal + snapshot persistence, replayed on
 //!   startup.
-//! - [`loadgen`]: a submission-stream load generator (closed- and
-//!   open-loop, pipelined) reporting throughput and latency
-//!   percentiles.
 //!
-//! Run it with `mpcp serve` and drive it with `mpcp loadgen`.
+//! Run it with `mpcp serve`; the benchmark in `benchmark/` drives it
+//! with its `serve-*` workloads.
 
 #![deny(unsafe_code)] // granted only to `sys`, the FFI shim
 
 pub mod cache;
-pub mod loadgen;
 pub mod persist;
 pub mod pool;
 pub mod proto;
@@ -53,7 +50,6 @@ pub mod wire;
 pub use mpcp_json as json;
 
 pub use cache::{AnalysisCache, CacheStats};
-pub use loadgen::{LoadReport, LoadgenConfig};
 pub use persist::{JournalStats, Persistence, RestoredSession};
 pub use pool::{Overloaded, WorkerPool};
 pub use proto::{AllocDirective, ErrorCode, Request};

@@ -316,7 +316,7 @@ fn write_header(
 /// Appends `,"system":{...}}` and the newline: the tail of a full line.
 fn write_system(spec: &SystemSpec, line: &mut String) {
     line.push_str(",\"system\":");
-    let _ = spec.encode_canonical(line);
+    line.push_str(&spec.to_json().encode());
     line.push_str("}\n");
 }
 
@@ -381,10 +381,12 @@ impl Entry {
             Payload::OneTask(edit) => edit,
         };
         line.push_str(",\"task\":");
-        let _ = match edit {
-            OneTask::Append(task) => wire::write_task_canonical(task, line),
-            OneTask::Remove(name) => json::write_str(name, line),
-        };
+        match edit {
+            OneTask::Append(task) => line.push_str(&wire::task_to_json(task).encode()),
+            OneTask::Remove(name) => {
+                let _ = json::write_str(name, line);
+            }
+        }
         line.push_str("}\n");
     }
 }

@@ -213,24 +213,6 @@ impl SystemSpec {
     pub fn canonical_hash(&self) -> u64 {
         crate::json::hash_fields(self)
     }
-
-    /// Writes the canonical JSON encoding of this spec — byte-for-byte
-    /// what `self.to_json().encode()` produces — without building the
-    /// intermediate [`Value`] tree.
-    pub(crate) fn encode_canonical<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
-        out.write_str("{\"processors\":[")?;
-        write_name_list(&self.processors, out)?;
-        out.write_str("],\"resources\":[")?;
-        write_name_list(&self.resources, out)?;
-        out.write_str("],\"tasks\":[")?;
-        for (i, t) in self.tasks.iter().enumerate() {
-            if i > 0 {
-                out.write_char(',')?;
-            }
-            write_task_canonical(t, out)?;
-        }
-        out.write_str("]}")
-    }
 }
 
 /// The one spec → [`System`] constructor: the system over the given
@@ -320,75 +302,6 @@ fn same_body(spec: &[SegSpec], model: &[Segment]) -> bool {
         })
 }
 
-fn write_name_list<W: fmt::Write>(names: &[String], out: &mut W) -> fmt::Result {
-    for (i, n) in names.iter().enumerate() {
-        if i > 0 {
-            out.write_char(',')?;
-        }
-        crate::json::write_str(n, out)?;
-    }
-    Ok(())
-}
-
-/// Mirrors [`task_to_json`]'s field order and elision rules exactly.
-pub(crate) fn write_task_canonical<W: fmt::Write>(t: &TaskSpec, out: &mut W) -> fmt::Result {
-    out.write_str("{\"name\":")?;
-    crate::json::write_str(&t.name, out)?;
-    out.write_str(",\"processor\":")?;
-    crate::json::write_num(t.processor as f64, out)?;
-    out.write_str(",\"period\":")?;
-    crate::json::write_num(t.period as f64, out)?;
-    if let Some(d) = t.deadline {
-        out.write_str(",\"deadline\":")?;
-        crate::json::write_num(d as f64, out)?;
-    }
-    if t.offset != 0 {
-        out.write_str(",\"offset\":")?;
-        crate::json::write_num(t.offset as f64, out)?;
-    }
-    if let Some(p) = t.priority {
-        out.write_str(",\"priority\":")?;
-        crate::json::write_num(f64::from(p), out)?;
-    }
-    out.write_str(",\"body\":[")?;
-    for (i, s) in t.body.iter().enumerate() {
-        if i > 0 {
-            out.write_char(',')?;
-        }
-        write_seg_canonical(s, out)?;
-    }
-    out.write_str("]}")
-}
-
-/// Mirrors [`seg_to_json`] exactly (a critical section always carries
-/// its `body`, even when empty).
-fn write_seg_canonical<W: fmt::Write>(s: &SegSpec, out: &mut W) -> fmt::Result {
-    match s {
-        SegSpec::Compute(d) => {
-            out.write_str("{\"compute\":")?;
-            crate::json::write_num(*d as f64, out)?;
-            out.write_char('}')
-        }
-        SegSpec::Suspend(d) => {
-            out.write_str("{\"suspend\":")?;
-            crate::json::write_num(*d as f64, out)?;
-            out.write_char('}')
-        }
-        SegSpec::Critical(r, body) => {
-            out.write_str("{\"critical\":")?;
-            crate::json::write_num(*r as f64, out)?;
-            out.write_str(",\"body\":[")?;
-            for (i, s) in body.iter().enumerate() {
-                if i > 0 {
-                    out.write_char(',')?;
-                }
-                write_seg_canonical(s, out)?;
-            }
-            out.write_str("]}")
-        }
-    }
-}
-
 fn segs_from_body(segments: &[Segment]) -> Vec<SegSpec> {
     segments
         .iter()
@@ -462,7 +375,9 @@ fn seg_from_json<'v, V: JsonRef<'v>>(v: V) -> Result<SegSpec, WireError> {
     err("segment must have \"compute\", \"suspend\" or \"critical\"")
 }
 
-fn task_to_json(t: &TaskSpec) -> Value {
+/// Canonical JSON encoding of one task: the shape of an element of
+/// [`SystemSpec::to_json`]'s `"tasks"`.
+pub(crate) fn task_to_json(t: &TaskSpec) -> Value {
     let mut pairs: Vec<(String, Value)> = vec![
         ("name".into(), Value::str(t.name.clone())),
         ("processor".into(), Value::from(t.processor)),
@@ -652,32 +567,6 @@ mod tests {
         let mut other = sample();
         other.tasks[0].period += 1;
         assert_ne!(spec.canonical_hash(), other.canonical_hash());
-    }
-
-    /// The journal writes specs with the streaming canonical encoder,
-    /// which must be byte-identical to `to_json().encode()` — every
-    /// elision rule and string escape on the way.
-    #[test]
-    fn streaming_encoding_matches_materialized_encoding() {
-        let mut spec = sample_inverted();
-        spec.processors[0] = "P\"zero\"\n".into();
-        spec.tasks[0].name = "τ\\1".into();
-        spec.tasks[1].deadline = None;
-        spec.tasks[1].offset = 0;
-        spec.tasks.push(TaskSpec {
-            name: "empty-critical".into(),
-            processor: 0,
-            period: 9_007_199_254_740_992, // 2^53: the f64 exactness edge
-            deadline: None,
-            offset: 0,
-            priority: Some(3),
-            body: vec![SegSpec::Critical(0, vec![])],
-        });
-        for s in [&sample(), &spec] {
-            let mut streamed = String::new();
-            s.encode_canonical(&mut streamed).unwrap();
-            assert_eq!(streamed, s.to_json().encode(), "for {s:?}");
-        }
     }
 
     /// A system built with a previous version as a hint equals the one

@@ -2,8 +2,9 @@
 # Crate-graph edges that must stay absent, so a convenience import does
 # not quietly put the admission server (reactor, epoll FFI, journal)
 # back under the sweep, the experiment harness back under a leaf, or
-# the simulator back under the admission server. The protocol policies
-# and DGA link the simulator, so forbidding it forbids them too.
+# the simulator or the task-set generator back under the admission
+# server. The protocol policies and DGA link the simulator, so
+# forbidding it forbids them too.
 #
 # usage: scripts/deps.sh        (from any directory; offline)
 set -euo pipefail
@@ -33,6 +34,7 @@ forbid mpcp-verify normal,dev mpcp-bench "the paper examples live in mpcp-taskge
 forbid mpcp-verify normal mpcp-sim "the model checker lives in mpcp-sweep"
 forbid mpcp-verify normal mpcp-protocols "the model checker lives in mpcp-sweep"
 forbid mpcp-service normal mpcp-sim "the admission server analyses, it never simulates"
+forbid mpcp-service normal mpcp-taskgen "the server admits submissions; it never generates them"
 
 [ "$fail" -eq 0 ] && echo "deps: ok"
 exit "$fail"

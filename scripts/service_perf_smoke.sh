@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Perf smoke for the reactor service: a pipelined loadgen burst must
-# complete with zero errors and clear a deliberately conservative
-# throughput floor. The floor (500 req/s) is an order-of-magnitude
+# Perf smoke for the reactor service: 1024 distinct submissions,
+# pipelined over 4 connections (each with a background reader), must
+# all be answered "ok" and clear a deliberately conservative throughput
+# floor. The floor (500 req/s) is an order-of-magnitude
 # tripwire — release builds sustain thousands of req/s even on one
 # shared vCPU — so it catches an accidental O(n) in the hot path or a
 # reintroduced per-request allocation storm, not machine-to-machine
@@ -11,10 +12,13 @@ set -euo pipefail
 
 MPCP_BIN=${MPCP_BIN:-target/release/mpcp}
 FLOOR_RPS=${FLOOR_RPS:-500}
+CONNS=4
+PER_CONN=256
 OUT=$(mktemp)
-trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -f "$OUT"' EXIT
+WORK=$(mktemp -d)
+trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -f "$OUT"; rm -rf "$WORK"' EXIT
 
-"$MPCP_BIN" serve --port 0 --workers 4 --queue 64 --shards 2 >"$OUT" 2>&1 &
+"$MPCP_BIN" serve --port 0 --shards 2 --workers 4 --queue 64 >"$OUT" 2>&1 &
 SERVER_PID=$!
 
 for _ in $(seq 1 100); do
@@ -26,25 +30,46 @@ ADDR=$(sed -n 's/^mpcp-service listening on //p' "$OUT")
 [ -n "$ADDR" ] || { echo "FAIL: no listening banner"; cat "$OUT"; exit 1; }
 echo "serving on $ADDR"
 
-echo "--- pipelined uncached burst"
-REPORT=$("$MPCP_BIN" loadgen --addr "$ADDR" --requests 1024 --connections 4 \
-    --pipeline 32 --unique 64 --procs 2 --tasks 3 --json)
-echo "$REPORT"
-case "$REPORT" in
-    *'"errors":0'*) ;;
-    *) echo "FAIL: loadgen reported errors"; exit 1 ;;
-esac
+HOST=${ADDR%:*}; PORT=${ADDR##*:}
 
-RPS=$(printf '%s' "$REPORT" | sed -n 's/.*"throughput_rps":\([0-9.]*\).*/\1/p')
-[ -n "$RPS" ] || { echo "FAIL: no throughput_rps in report"; exit 1; }
-if [ "$(printf '%.0f' "$RPS")" -lt "$FLOOR_RPS" ]; then
+echo "--- pipelined uncached burst"
+# Distinct systems (a period per request), so every request misses the
+# cache and is analysed.
+for C in $(seq 0 $((CONNS - 1))); do
+    for I in $(seq 0 $((PER_CONN - 1))); do
+        printf '{"op":"submit","session":"perf-%d","system":{"processors":["P0","P1"],"resources":["SG"],"tasks":[{"name":"a","processor":0,"period":%d,"body":[{"compute":10},{"critical":0,"body":[{"compute":2}]}]},{"name":"b","processor":1,"period":300,"body":[{"compute":20},{"critical":0,"body":[{"compute":5}]},{"compute":4}]},{"name":"c","processor":0,"period":500,"body":[{"compute":30},{"suspend":3}]}]}}\n' \
+            "$C" $((100 + C * PER_CONN + I))
+    done >"$WORK/req$C"
+done
+START=$(date +%s%N)
+for C in $(seq 0 $((CONNS - 1))); do
+    exec {FD}<>"/dev/tcp/$HOST/$PORT"
+    timeout 60 head -n "$PER_CONN" <&"$FD" >"$WORK/rep$C" &
+    READERS+=("$!")
+    cat "$WORK/req$C" >&"$FD" &
+    WRITERS+=("$!")
+    FDS+=("$FD")
+done
+for R in "${READERS[@]}"; do
+    wait "$R" || { echo "FAIL: a reader timed out"; exit 1; }
+done
+wait "${WRITERS[@]}"
+ELAPSED_NS=$(($(date +%s%N) - START))
+for FD in "${FDS[@]}"; do exec {FD}<&-; done
+
+TOTAL=$((CONNS * PER_CONN))
+OK=$(cat "$WORK"/rep* | grep -c '"ok":true' || true)
+ERRORS=$((TOTAL - OK))
+RPS=$((TOTAL * 1000000000 / ELAPSED_NS))
+echo "requests $TOTAL ok $OK errors $ERRORS elapsed $((ELAPSED_NS / 1000000)) ms throughput $RPS req/s"
+[ "$ERRORS" -eq 0 ] || { echo "FAIL: $ERRORS requests unanswered or not ok"; exit 1; }
+if [ "$RPS" -lt "$FLOOR_RPS" ]; then
     echo "FAIL: throughput $RPS req/s below floor $FLOOR_RPS req/s"
     exit 1
 fi
 echo "throughput $RPS req/s >= floor $FLOOR_RPS req/s"
 
 echo "--- shutdown"
-HOST=${ADDR%:*}; PORT=${ADDR##*:}
 exec 3<>"/dev/tcp/$HOST/$PORT"
 printf '{"op":"shutdown"}\n' >&3
 timeout 10 head -n1 <&3 >/dev/null || { echo "FAIL: shutdown hung"; exit 1; }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke-test the admission-control service end to end:
 #   1. start `mpcp serve` on an ephemeral port,
-#   2. run a short `mpcp loadgen` burst against it (must report 0 errors),
+#   2. submit K distinct systems twice over one connection: every reply
+#      must be ok, and `query` must count exactly K misses then K hits,
 #   3. probe it with one malformed request line (must answer a structured
 #      parse error, not hang or drop the connection silently),
 #   4. shut it down over the wire and require a clean exit.
@@ -9,6 +10,7 @@
 set -euo pipefail
 
 MPCP_BIN=${MPCP_BIN:-target/release/mpcp}
+K=8
 OUT=$(mktemp)
 trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -f "$OUT"' EXIT
 
@@ -26,17 +28,28 @@ HOST=${ADDR%:*}
 PORT=${ADDR##*:}
 echo "serving on $HOST:$PORT"
 
-echo "--- loadgen burst"
-REPORT=$("$MPCP_BIN" loadgen --addr "$ADDR" --requests 100 --connections 2 \
-    --unique 5 --procs 2 --tasks 3 --json)
-echo "$REPORT"
-case "$REPORT" in
-    *'"errors":0'*) ;;
-    *) echo "FAIL: loadgen reported errors"; exit 1 ;;
-esac
-case "$REPORT" in
-    *'"cache"'*) ;;
-    *) echo "FAIL: loadgen report lacks cache stats"; exit 1 ;;
+echo "--- two laps of $K distinct submissions"
+submit() { # one distinct two-processor system per index
+    printf '{"op":"submit","session":"smoke","system":{"processors":["P0","P1"],"resources":["SG"],"tasks":[{"name":"a","processor":0,"period":%d,"body":[{"compute":10},{"critical":0,"body":[{"compute":2}]}]},{"name":"b","processor":1,"period":200,"body":[{"compute":20},{"critical":0,"body":[{"compute":5}]}]}]}}\n' $((100 + $1))
+}
+exec 3<>"/dev/tcp/$HOST/$PORT"
+for LAP in 1 2; do
+    for I in $(seq 1 "$K"); do
+        submit "$I" >&3
+        read -r -t 10 REPLY <&3 || { echo "FAIL: no reply to submission $I of lap $LAP"; exit 1; }
+        case "$REPLY" in
+            *'"ok":true'*) ;;
+            *) echo "FAIL: submission $I of lap $LAP: $REPLY"; exit 1 ;;
+        esac
+    done
+done
+printf '{"op":"query"}\n' >&3
+read -r -t 10 REPLY <&3 || { echo "FAIL: no reply to query"; exit 1; }
+exec 3<&-
+echo "$REPLY"
+case "$REPLY" in
+    *"\"cache\":{\"hits\":$K,\"misses\":$K,"*) ;;
+    *) echo "FAIL: expected $K cache misses then $K hits"; exit 1 ;;
 esac
 
 echo "--- malformed request probe"
